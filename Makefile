@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz fuzz-smoke bench obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos
+.PHONY: check build fmt vet test race fuzz fuzz-smoke bench bench-smoke obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos
 
 ## check: everything CI should gate on — formatting, vet, race-enabled tests
 ## (obs-race first: the metric hot paths are the newest concurrency surface,
@@ -91,6 +91,14 @@ fuzz-smoke:
 ## is derived from -out, never hard-coded
 bench:
 	$(GO) run ./cmd/rrc-bench -out BENCH_PR10.json
+
+## bench-smoke: vet and test the end-to-end harness in bench/ — a module
+## of its own, so `go build ./... && go test ./...` never sees it, yet it
+## imports internal/{wal,shard,sessions,...}; its tests boot a 2,000-user
+## routed fleet through all four workloads (~25s)
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 ## fuzz: short bounded fuzzing with mutation — model loader and TSV readers
 fuzz:

@@ -26,7 +26,8 @@ type Mode int
 const (
 	// Panic makes Do panic, simulating a bug in the instrumented path.
 	Panic Mode = iota
-	// Delay makes Do sleep for Plan.Sleep, simulating a stall.
+	// Delay makes Do — or a WrapWriter's Write, before it writes — sleep
+	// for Plan.Sleep, simulating a stall.
 	Delay
 	// Error makes Do return Plan.Err (ErrInjected if nil).
 	Error
@@ -183,7 +184,8 @@ func Do(name string) error {
 // WrapWriter instruments w with the named point. Each Write hits the
 // point once; a firing ShortWrite plan writes half the buffer then fails,
 // a firing Corrupt plan flips one bit (chosen deterministically from the
-// seed and hit index) and writes normally. Disarmed it forwards verbatim.
+// seed and hit index) and writes normally, a firing Delay plan sleeps and
+// then writes normally. Disarmed it forwards verbatim.
 func WrapWriter(name string, w io.Writer) io.Writer {
 	return &faultWriter{name: name, w: w}
 }
@@ -216,6 +218,9 @@ func (fw *faultWriter) Write(b []byte) (int, error) {
 			c[off%uint64(len(b))] ^= 1 << (off % 8)
 			b = c
 		}
+		return fw.w.Write(b)
+	case Delay:
+		time.Sleep(p.Sleep)
 		return fw.w.Write(b)
 	default:
 		return fw.w.Write(b)

@@ -109,6 +109,18 @@ func ingest(t *testing.T, p *shard.Pool, users, events int) {
 	}
 }
 
+// ingestPruned ingests 60 events and leaves the pool's WAL pruned well
+// past LSN 1. Periodic snapshots are written in the background, so how
+// many land during a burst is a matter of timing; two explicit
+// generations, the older at LSN 30, make the prune horizon certain.
+func ingestPruned(t *testing.T, p *shard.Pool) {
+	t.Helper()
+	ingest(t, p, 4, 30)
+	p.SnapshotAll()
+	ingest(t, p, 4, 30)
+	p.SnapshotAll()
+}
+
 func TestMetaPromoteAdoptDivergence(t *testing.T) {
 	var m replica.Meta
 	m2, err := m.Promote(1, []uint64{10, 20})
@@ -289,7 +301,7 @@ func TestReplicaReseedWhenPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primaryPool.Close()
-	ingest(t, primaryPool, 4, 60)
+	ingestPruned(t, primaryPool)
 	if oldest := primaryPool.Shard(0).WALStats(); oldest.PrunedSegments == 0 {
 		t.Fatal("wal never pruned; the test would not exercise the reseed path")
 	}
@@ -378,7 +390,7 @@ func TestTruncateAndReloadPrunedFallsToReseed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	ingest(t, pool, 4, 60)
+	ingestPruned(t, pool)
 	sh := pool.Shard(0)
 	oldest := uint64(1)
 	if next, err := sh.NextLSN(); err != nil || next < 10 {

@@ -1,7 +1,9 @@
 package sessions
 
 import (
+	"bytes"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -439,5 +441,66 @@ func TestSnapshotRestoreStampsSessionLSNs(t *testing.T) {
 	}
 	if lsn, _ := restored.UserLSN(1); lsn != 3 {
 		t.Fatalf("untouched user moved to lsn %d", lsn)
+	}
+}
+
+// TestCaptureWriteIsChunkedButByteIdentical pins the snapshot file
+// format across the capture/write split: a store whose encoded body
+// spans many write chunks produces exactly the bytes of the one-buffer
+// encoder it replaced (header first, CRC over the whole body), and the
+// capture is unaffected by applies that land between Capture and Write.
+func TestCaptureWriteIsChunkedButByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	s := mustStore(Config{WindowCap: 100, MaxUsers: 4096})
+	lsn := uint64(0)
+	for u := 0; u < 1500; u++ {
+		for k := 0; k < 100; k++ {
+			lsn++
+			s.Apply(lsn, u, seq.Item(10000+(u*31+k*7)%9000))
+		}
+	}
+	want := s.Dump()
+	c := s.Capture()
+	s.Apply(lsn+1, 3, 1) // after the capture: must not show in the file
+
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, uw := range c.windows {
+		if err := enc.Encode(uw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if body.Len() < 4*snapChunkBytes {
+		t.Fatalf("body %d bytes: too small to span chunks", body.Len())
+	}
+	var ref bytes.Buffer
+	if err := json.NewEncoder(&ref).Encode(snapHeader{
+		Format: snapFormat, WindowCap: 100, AppliedLSN: lsn, Users: 1500,
+		BodyCRC: crc32.Checksum(body.Bytes(), snapCRC),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ref.Write(body.Bytes())
+
+	path, savedLSN, err := c.Write(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if savedLSN != lsn {
+		t.Fatalf("snapshot lsn %d, want the lsn at capture %d", savedLSN, lsn)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref.Bytes()) {
+		t.Fatalf("chunked snapshot (%d bytes) differs from the one-buffer encoding (%d bytes)", len(got), ref.Len())
+	}
+	restored, _, err := LoadLatest(dir, Config{WindowCap: 100, MaxUsers: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Dump(), want) {
+		t.Fatal("restored state differs from the state at capture")
 	}
 }

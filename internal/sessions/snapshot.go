@@ -45,44 +45,95 @@ type snapHeader struct {
 	BodyCRC    uint32 `json:"body_crc"`
 }
 
-// Save atomically writes the store's current state to dir and returns
-// the snapshot path and its applied LSN. The write streams through the
-// "sessions.snapshot" fault-injection point; on any failure the
-// previous snapshot generation is untouched.
-func (s *Store) Save(dir string) (string, uint64, error) {
-	s.mu.Lock()
-	dump := s.lruDumpLocked()
-	lsn := s.appliedLSN
-	cap := s.cfg.WindowCap
-	s.mu.Unlock()
+// Capture is a point-in-time copy of a store — every window, in LRU
+// order, and the applied LSN they add up to — taken under the store's
+// lock by Store.Capture and written out without it by Write. It shares
+// nothing with the live store, so the write can run on any goroutine
+// while ingest carries on.
+type Capture struct {
+	windows   []UserWindow
+	lsn       uint64
+	windowCap int
+}
 
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, uw := range dump {
-		if err := enc.Encode(uw); err != nil {
-			return "", 0, fmt.Errorf("sessions: snapshot encode: %w", err)
-		}
+// Capture copies the store's current state. This is the only part of a
+// snapshot that holds the store's lock: a memory copy, no encoding and
+// no I/O.
+func (s *Store) Capture() *Capture {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return &Capture{windows: s.lruDumpLocked(), lsn: s.appliedLSN, windowCap: s.cfg.WindowCap}
+}
+
+// Save atomically writes the store's current state to dir and returns
+// the snapshot path and its applied LSN: Capture and Write composed.
+func (s *Store) Save(dir string) (string, uint64, error) {
+	return s.Capture().Write(dir)
+}
+
+// snapChunkBytes bounds the encoded body Write holds at once.
+const snapChunkBytes = 64 << 10
+
+// Write atomically writes the capture to dir as a snapshot file and
+// returns its path and applied LSN. The stream passes through the
+// "sessions.snapshot" fault-injection point; on any failure the previous
+// snapshot generation is untouched. The header comes first in the file
+// and carries the body's CRC, so the body is encoded twice — once into
+// the CRC, once into the file — a chunk at a time, and is never held
+// whole: a write costs one chunk of memory beyond the capture itself.
+func (c *Capture) Write(dir string) (string, uint64, error) {
+	var crc uint32
+	err := c.encodeBody(func(chunk []byte) error {
+		crc = crc32.Update(crc, snapCRC, chunk)
+		return nil
+	})
+	if err != nil {
+		return "", 0, fmt.Errorf("sessions: snapshot encode: %w", err)
 	}
 	hdr := snapHeader{
 		Format:     snapFormat,
-		WindowCap:  cap,
-		AppliedLSN: lsn,
-		Users:      len(dump),
-		BodyCRC:    crc32.Checksum(body.Bytes(), snapCRC),
+		WindowCap:  c.windowCap,
+		AppliedLSN: c.lsn,
+		Users:      len(c.windows),
+		BodyCRC:    crc,
 	}
-	path := filepath.Join(dir, snapName(lsn))
-	err := atomicio.WriteFile(path, "sessions.snapshot", func(w io.Writer) error {
-		henc := json.NewEncoder(w)
-		if err := henc.Encode(hdr); err != nil {
+	path := filepath.Join(dir, snapName(c.lsn))
+	err = atomicio.WriteFile(path, "sessions.snapshot", func(w io.Writer) error {
+		if err := json.NewEncoder(w).Encode(hdr); err != nil {
 			return err
 		}
-		_, err := w.Write(body.Bytes())
-		return err
+		return c.encodeBody(func(chunk []byte) error {
+			_, err := w.Write(chunk)
+			return err
+		})
 	})
 	if err != nil {
 		return "", 0, fmt.Errorf("sessions: snapshot: %w", err)
 	}
-	return path, lsn, nil
+	return path, c.lsn, nil
+}
+
+// encodeBody streams the snapshot body — one JSON line per session — to
+// emit in chunks of about snapChunkBytes. The bytes are a function of
+// the capture alone, so two passes produce the same stream.
+func (c *Capture) encodeBody(emit func(chunk []byte) error) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, uw := range c.windows {
+		if err := enc.Encode(uw); err != nil {
+			return err
+		}
+		if buf.Len() >= snapChunkBytes {
+			if err := emit(buf.Bytes()); err != nil {
+				return err
+			}
+			buf.Reset()
+		}
+	}
+	if buf.Len() == 0 {
+		return nil
+	}
+	return emit(buf.Bytes())
 }
 
 // LoadLatest builds a store from the newest loadable snapshot in dir.

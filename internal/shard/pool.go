@@ -367,7 +367,12 @@ func (p *Pool) register(reg *obs.Registry) {
 	reg.Help("rrc_shard_breaker_trips_total", "Shard circuit-breaker trips: panics and append-failure streaks.")
 	reg.Help("rrc_shard_recovery_lag", "WAL records the shard's most recent recovery had to replay.")
 	reg.Help("rrc_shard_sessions", "Per-user session windows held by the shard.")
+	reg.Help("rrc_shard_snapshot_lock_seconds", "Time a shard's lock was held for a snapshot: the in-memory capture of a periodic one, the whole of a final one.")
+	reg.Help("rrc_shard_snapshot_write_seconds", "Time to encode, write and prune behind one snapshot, on or off the shard lock.")
+	snapLock := reg.Histogram("rrc_shard_snapshot_lock_seconds", obs.LatencyBuckets)
+	snapWrite := reg.Histogram("rrc_shard_snapshot_write_seconds", obs.LatencyBuckets)
 	for _, sh := range p.shards {
+		sh.mSnapLock, sh.mSnapWrite = snapLock, snapWrite
 		lbl := fmt.Sprintf(`{shard="%d"}`, sh.index)
 		sh.mRestarts = reg.Counter("rrc_shard_restarts_total" + lbl)
 		sh.mTrips = reg.Counter("rrc_shard_breaker_trips_total" + lbl)

@@ -112,13 +112,7 @@ func (s *Shard) ApplyReplicated(lsn uint64, payload []byte) (applied bool, err e
 	}
 	s.failStreak = 0
 	s.store.Apply(lsn, user, item)
-	if s.cfg.SnapshotEvery > 0 {
-		s.sinceSnapshot++
-		if s.sinceSnapshot >= s.cfg.SnapshotEvery {
-			s.sinceSnapshot = 0
-			s.snapshotLocked()
-		}
-	}
+	s.appendedLocked()
 	return true, nil
 }
 
@@ -130,7 +124,10 @@ func (s *Shard) ApplyReplicated(lsn uint64, payload []byte) (applied bool, err e
 // what it retains) means the caller must Reseed from the new primary's
 // snapshot instead; the shard is left serving untouched in that case.
 func (s *Shard) TruncateAndReload(lsn uint64) error {
-	s.mu.Lock()
+	// Quiesced: a snapshot captured above the cut must have landed before
+	// the directory is judged and DropSnapshotsFrom runs, or it would land
+	// after and resurrect the divergent timeline on the next recovery.
+	s.lockQuiesced()
 	if s.state != Serving || s.log == nil {
 		err := s.unavailableLocked()
 		s.mu.Unlock()
@@ -224,7 +221,10 @@ const quarantineDir = "divergent"
 // snapLSN+1 keeps local LSNs identical to the primary's. Works from
 // any live state — including Failed, where it is the recovery path.
 func (s *Shard) Reseed(snapLSN uint64, populate func(dir string) error) error {
-	s.mu.Lock()
+	// Quiesced for the same reason as TruncateAndReload: a straggling
+	// snapshot of the old timeline must be in the directory before it is
+	// quarantined, not after.
+	s.lockQuiesced()
 	switch s.state {
 	case Serving, Recovering, Restarting, Failed:
 	default:

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tsppr/internal/faultinject"
@@ -123,18 +124,27 @@ type Shard struct {
 	store         *sessions.Store // stale but non-nil while down (fenced by state)
 	rstats        sessions.RecoverStats
 	sinceSnapshot int
-	snapshots     int64
-	snapshotErrs  int64
 	failStreak    int       // consecutive append failures; breaker input
 	retryAt       time.Time // when the supervisor's next restart attempt fires
 	restarts      int64
 	trips         int64
 	lastErr       error
 
+	// snapDone is closed when the background snapshot write started last
+	// has finished; nil before the first one. At most one write is in
+	// flight (single-flight). The field is guarded by mu, but the writer
+	// itself never takes mu — it only closes the channel and bumps the
+	// atomics below — so waiting on it with mu held cannot deadlock.
+	snapDone     chan struct{}
+	snapshots    atomic.Int64
+	snapshotErrs atomic.Int64
+
 	// Metric handles, registered by the pool; nil-safe when the pool
 	// runs without a registry.
-	mRestarts *obs.Counter
-	mTrips    *obs.Counter
+	mRestarts  *obs.Counter
+	mTrips     *obs.Counter
+	mSnapLock  *obs.Histogram // time mu was held on behalf of a snapshot
+	mSnapWrite *obs.Histogram // encode + write + prune, on or off the lock
 }
 
 // Index returns the shard's position in the pool.
@@ -183,13 +193,7 @@ func (s *Shard) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err err
 	s.failStreak = 0
 	s.store.Apply(lsn, user, item)
 	winLen = s.store.WindowLen(user)
-	if s.cfg.SnapshotEvery > 0 {
-		s.sinceSnapshot++
-		if s.sinceSnapshot >= s.cfg.SnapshotEvery {
-			s.sinceSnapshot = 0
-			s.snapshotLocked()
-		}
-	}
+	s.appendedLocked()
 	return lsn, winLen, nil
 }
 
@@ -294,7 +298,7 @@ func (s *Shard) tripLocked(cause error) {
 	s.log = nil
 	s.failStreak = 0
 	s.retryAt = time.Now().Add(s.cfg.BackoffBase)
-	go s.supervise(s.gen, old)
+	go s.supervise(s.gen, old, s.snapDone)
 }
 
 // supervise owns a tripped shard until it serves again or its restart
@@ -302,7 +306,13 @@ func (s *Shard) tripLocked(cause error) {
 // recovery path, swap the fresh state in. The gen check fences this
 // goroutine against a concurrent Drain/Close — a stale supervisor
 // discards its work and exits instead of resurrecting a stopped shard.
-func (s *Shard) supervise(gen int, old *wal.Log) {
+// snap is the background snapshot write in flight at the trip, if any:
+// it still prunes through the dead log and renames into the directory,
+// so it is joined before either is touched.
+func (s *Shard) supervise(gen int, old *wal.Log, snap <-chan struct{}) {
+	if snap != nil {
+		<-snap
+	}
 	if old != nil {
 		// Release the dead log's handle; a sticky-failed log may refuse
 		// its final sync, which is fine — recovery re-reads the files.
@@ -376,7 +386,7 @@ func (s *Shard) supervise(gen int, old *wal.Log) {
 // shard; an error on a tripped/failed one (there is nothing consistent
 // to flush — Close force-stops those).
 func (s *Shard) Drain() error {
-	s.mu.Lock()
+	s.lockQuiesced()
 	defer s.mu.Unlock()
 	switch s.state {
 	case Draining, Stopped:
@@ -387,7 +397,7 @@ func (s *Shard) Drain() error {
 	}
 	s.state = Draining
 	s.gen++
-	s.snapshotLocked()
+	s.finalSnapshotLocked()
 	err := s.log.Close()
 	s.log = nil
 	s.state = Stopped
@@ -397,7 +407,7 @@ func (s *Shard) Drain() error {
 // Close stops the shard in any state: a serving shard is drained (final
 // snapshot), anything else is force-stopped and its supervisor fenced.
 func (s *Shard) Close() error {
-	s.mu.Lock()
+	s.lockQuiesced()
 	defer s.mu.Unlock()
 	if s.state == Serving {
 		s.state = Draining
@@ -406,7 +416,7 @@ func (s *Shard) Close() error {
 		// final drain wedges (slow disk, giant flush) so shutdown-bound
 		// tests can prove the deadline holds. Disarmed in production.
 		_ = faultinject.Do("shard.drain")
-		s.snapshotLocked()
+		s.finalSnapshotLocked()
 		err := s.log.Close()
 		s.log = nil
 		s.state = Stopped
@@ -422,35 +432,117 @@ func (s *Shard) Close() error {
 	return err
 }
 
-// Snapshot flushes the shard's sessions to disk now (serving shards
-// only; others are a no-op — their state is either already flushed or
-// not consistent).
+// Snapshot flushes the shard's sessions to disk now and returns once the
+// file has landed (serving shards only; others are a no-op — their state
+// is either already flushed or not consistent). The write runs off the
+// shard lock like the periodic ones, so ingest carries on meanwhile.
 func (s *Shard) Snapshot() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state == Serving {
-		s.snapshotLocked()
+	s.lockQuiesced()
+	if s.state != Serving {
+		s.mu.Unlock()
+		return
+	}
+	done := s.startSnapshotLocked()
+	s.mu.Unlock()
+	<-done
+}
+
+// appendedLocked counts one durable append toward the periodic snapshot
+// and starts one when it is due. While the previous write is still in
+// flight the count keeps growing and the next append asks again.
+func (s *Shard) appendedLocked() {
+	if s.cfg.SnapshotEvery <= 0 {
+		return
+	}
+	s.sinceSnapshot++
+	if s.sinceSnapshot >= s.cfg.SnapshotEvery && !s.snapshotInFlightLocked() {
+		s.startSnapshotLocked()
 	}
 }
 
-// snapshotLocked flushes the store and prunes WAL segments covered by
-// the oldest *kept* snapshot generation (the older fallback must stay
-// replayable in case the newest snapshot is lost). Failure is counted,
-// never fatal: the WAL alone still guarantees recovery.
-func (s *Shard) snapshotLocked() {
-	if _, _, err := s.store.Save(s.dir); err != nil {
-		s.snapshotErrs++
+func (s *Shard) snapshotInFlightLocked() bool {
+	if s.snapDone == nil {
+		return false
+	}
+	select {
+	case <-s.snapDone:
+		return false
+	default:
+		return true
+	}
+}
+
+// lockQuiesced takes mu with no background snapshot write in flight.
+// Every lifecycle transition that touches the shard's directory or
+// swaps its log enters through here, and leaves Serving before it
+// unlocks, so no new write can start behind its back: whatever a write
+// captured before the transition has landed, and been pruned through
+// the log it was captured with, by the time the transition looks.
+func (s *Shard) lockQuiesced() {
+	for {
+		s.mu.Lock()
+		if !s.snapshotInFlightLocked() {
+			return
+		}
+		done := s.snapDone
+		s.mu.Unlock()
+		<-done
+	}
+}
+
+// startSnapshotLocked copies the store under mu — the only part of a
+// periodic snapshot ingest waits for — and hands the copy to a
+// goroutine that encodes, writes and prunes. The caller has checked
+// that no write is in flight. The returned channel closes when the
+// write has finished.
+func (s *Shard) startSnapshotLocked() <-chan struct{} {
+	start := time.Now()
+	c := s.store.Capture()
+	s.sinceSnapshot = 0
+	done := make(chan struct{})
+	s.snapDone = done
+	s.mSnapLock.ObserveDuration(time.Since(start))
+	go func(l *wal.Log) {
+		defer close(done)
+		start := time.Now()
+		_, _, err := c.Write(s.dir)
+		s.snapshotWritten(l, err)
+		s.mSnapWrite.ObserveDuration(time.Since(start))
+	}(s.log)
+	return done
+}
+
+// finalSnapshotLocked is the synchronous snapshot of a shard leaving
+// service: nothing is left to ingest, so it runs whole under mu.
+func (s *Shard) finalSnapshotLocked() {
+	start := time.Now()
+	_, _, err := s.store.Save(s.dir)
+	s.snapshotWritten(s.log, err)
+	d := time.Since(start)
+	s.mSnapLock.ObserveDuration(d)
+	s.mSnapWrite.ObserveDuration(d)
+}
+
+// snapshotWritten counts a snapshot write's outcome and prunes the
+// snapshot generations and the WAL segments covered by the oldest *kept*
+// one (the older fallback must stay replayable in case the newest
+// snapshot is lost). Failure is counted, never fatal: the WAL alone
+// still guarantees recovery. It runs on the background writer, so it
+// must not take s.mu; l is the log the snapshot was captured with.
+func (s *Shard) snapshotWritten(l *wal.Log, err error) {
+	if err != nil {
+		s.snapshotErrs.Add(1)
 		log.Printf("shard %d: snapshot failed (WAL still authoritative): %v", s.index, err)
 		return
 	}
-	s.snapshots++
+	s.snapshots.Add(1)
 	horizon, err := sessions.PruneSnapshots(s.dir)
 	if err != nil {
 		log.Printf("shard %d: snapshot prune: %v", s.index, err)
 		return
 	}
-	if s.log != nil {
-		if err := s.log.Prune(horizon); err != nil {
+	if l != nil {
+		if err := l.Prune(horizon); err != nil {
 			log.Printf("shard %d: wal prune: %v", s.index, err)
 		}
 	}
@@ -502,8 +594,8 @@ func (s *Shard) Status() Status {
 		State:        s.state.String(),
 		Restarts:     s.restarts,
 		BreakerTrips: s.trips,
-		Snapshots:    s.snapshots,
-		SnapshotErrs: s.snapshotErrs,
+		Snapshots:    s.snapshots.Load(),
+		SnapshotErrs: s.snapshotErrs.Load(),
 		Replayed:     s.rstats.Replayed,
 	}
 	if s.store != nil {

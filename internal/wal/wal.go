@@ -39,8 +39,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -72,6 +74,11 @@ const (
 	// DefaultSyncEvery is the SyncInterval batching period when
 	// Options.SyncEvery is zero.
 	DefaultSyncEvery = 100 * time.Millisecond
+
+	// indexStride is the spacing of the in-memory offset index: one entry
+	// per this many records, so a positioned read scans at most
+	// indexStride-1 records it does not deliver.
+	indexStride = 64
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -166,6 +173,27 @@ type Stats struct {
 type segment struct {
 	name  string
 	first uint64 // LSN of the segment's first record
+
+	// index[k] is the byte offset at which the segment's record
+	// k*indexStride starts — or will start, when the segment holds
+	// exactly that many records. index[0] is always 0 and
+	// len(index) == records/indexStride + 1. Memory only: Open's scan
+	// fills it, Append extends it, TruncateFrom replaces it with a
+	// shorter copy. Entries are never rewritten in place, so a copy of the
+	// slice header taken under Log.mu stays readable after the unlock.
+	index []int64
+}
+
+// seek returns the index entry at or below lsn: the byte offset to start
+// scanning at and the segment-relative index of the record there. An lsn
+// outside the segment gets the nearest entry — the first for one below
+// it, the last for one past its records (a hole left by CorruptSkip).
+func (sg segment) seek(lsn uint64) (off int64, idx int) {
+	if lsn <= sg.first {
+		return 0, 0
+	}
+	k := int(min((lsn-sg.first)/indexStride, uint64(len(sg.index)-1)))
+	return sg.index[k], k * indexStride
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent
@@ -179,15 +207,18 @@ type Log struct {
 	segSize  int64
 	nextLSN  uint64
 	lastSync time.Time
-	failed   error // sticky: set when a torn append could not be healed
+	failed   error  // sticky: set when a torn append could not be healed
+	rec      []byte // Append's framing buffer, reused across records
 	stats    Stats
 
 	// Optional instrumentation, wired by Open from Options.Metrics.
 	// The handles are nil when uninstrumented; Counter methods are
 	// nil-safe, and the time.Now calls are gated on the histograms.
-	mAppend    *obs.Histogram
-	mFsync     *obs.Histogram
-	mRotations *obs.Counter
+	mAppend        *obs.Histogram
+	mFsync         *obs.Histogram
+	mRotations     *obs.Counter
+	mReadScanned   *obs.Counter
+	mReadDelivered *obs.Counter
 }
 
 // Open opens (or creates) the log in dir, recovering it to a consistent
@@ -218,6 +249,10 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.mFsync = reg.Histogram("rrc_wal_fsync_seconds", obs.LatencyBuckets)
 		reg.Help("rrc_wal_rotations_total", "WAL segment rotations.")
 		l.mRotations = reg.Counter("rrc_wal_rotations_total")
+		reg.Help("rrc_wal_read_scanned_records_total", "Records ReadFrom framed and CRC-checked, delivered or not.")
+		l.mReadScanned = reg.Counter("rrc_wal_read_scanned_records_total")
+		reg.Help("rrc_wal_read_delivered_records_total", "Records ReadFrom handed to its caller.")
+		l.mReadDelivered = reg.Counter("rrc_wal_read_delivered_records_total")
 	}
 	if len(segs) == 0 {
 		l.nextLSN = 1
@@ -270,6 +305,10 @@ func Open(dir string, opts Options) (*Log, error) {
 					sg.name, want, segs[i+1].name, got, ErrCorrupt)
 			}
 		}
+		sg.index = res.index
+		if res.records%indexStride == 0 {
+			sg.index = append(sg.index, res.end) // where the next record will start
+		}
 		l.segments = append(l.segments, sg)
 		if last {
 			l.nextLSN = sg.first + uint64(res.records)
@@ -314,7 +353,10 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	rec := make([]byte, headerSize+len(payload))
+	if n := headerSize + len(payload); cap(l.rec) < n {
+		l.rec = make([]byte, n)
+	}
+	rec := l.rec[:headerSize+len(payload)]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
 	copy(rec[headerSize:], payload)
@@ -340,6 +382,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	lsn := l.nextLSN
 	l.nextLSN++
 	l.stats.Appends++
+	if active := &l.segments[len(l.segments)-1]; (l.nextLSN-active.first)%indexStride == 0 {
+		active.index = append(active.index, l.segSize)
+	}
 	switch l.opts.Sync {
 	case SyncAlways:
 		if err := l.syncLocked(); err != nil {
@@ -416,7 +461,7 @@ func (l *Log) createSegmentLocked(first uint64) error {
 	}
 	l.f = f
 	l.segSize = 0
-	l.segments = append(l.segments, segment{name: name, first: first})
+	l.segments = append(l.segments, segment{name: name, first: first, index: []int64{0}})
 	syncDir(l.dir)
 	return nil
 }
@@ -475,6 +520,7 @@ func (l *Log) Prune(upTo uint64) error {
 		}
 		kept = append(kept, sg)
 	}
+	clear(l.segments[len(kept):]) // drop the removed segments' indexes with them
 	l.segments = kept
 	return nil
 }
@@ -505,10 +551,15 @@ const DefaultReadBatch = 1024
 // oldest first, and returns the LSN the next ReadFrom should resume at
 // (from itself when nothing new is committed — a clean EOF, not an
 // error). Unlike Replay it does not hold the log lock during file I/O:
-// the segment list and commit horizon are snapshotted under the lock,
-// then the files are read independently, so a replication stream never
-// stalls appends. from below the oldest retained record returns
-// ErrPruned — the reader must re-sync from a snapshot.
+// the segment list, their offset indexes and the commit horizon are
+// snapshotted under the lock, then the files are read independently, so
+// a replication stream never stalls appends. Each segment is entered at
+// the index entry at or below the resume point, so a read costs the
+// records it delivers plus fewer than indexStride before them, however
+// full the segment is. from below the oldest retained record returns
+// ErrPruned — the reader must re-sync from a snapshot. A read that
+// overlaps a TruncateFrom holds offsets into bytes being cut and
+// rewritten: it may fail its CRC checks, it cannot pass them wrongly.
 func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload []byte) error) (uint64, error) {
 	if maxRecords <= 0 {
 		maxRecords = DefaultReadBatch
@@ -531,17 +582,26 @@ func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload 
 		return from, nil
 	}
 	next := from
-	delivered := 0
+	delivered, scanned := 0, 0
+	defer func() {
+		l.mReadScanned.Add(int64(scanned))
+		l.mReadDelivered.Add(int64(delivered))
+	}()
 	for i, sg := range segs {
-		if i+1 < len(segs) && segs[i+1].first <= next {
-			continue // segment entirely below the resume point
+		end := limit // LSN just past the records this segment may deliver
+		if i+1 < len(segs) {
+			if segs[i+1].first <= next {
+				continue // segment entirely below the resume point
+			}
+			end = min(end, segs[i+1].first)
 		}
 		if sg.first >= limit || delivered >= maxRecords {
 			break
 		}
-		res, err := scanSegment(filepath.Join(dir, sg.name), maxRecord, func(idx int, payload []byte) error {
+		off, idx := sg.seek(next)
+		res, err := scanRecords(filepath.Join(dir, sg.name), maxRecord, off, idx, int(end-sg.first), func(idx int, payload []byte) error {
 			lsn := sg.first + uint64(idx)
-			if lsn < next || lsn >= limit {
+			if lsn < next {
 				return nil
 			}
 			if delivered >= maxRecords {
@@ -554,6 +614,7 @@ func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload 
 			next = lsn + 1
 			return nil
 		})
+		scanned += res.records - idx
 		if err != nil {
 			if errors.Is(err, errReadDone) {
 				return next, nil
@@ -632,13 +693,22 @@ func (l *Log) TruncateFrom(lsn uint64) error {
 		syncDir(l.dir)
 		return nil
 	}
-	off, err := offsetOfRecord(path, l.opts.MaxRecordBytes, int(lsn-sg.first))
+	// The cut offset is where record n starts: enter at the index entry at
+	// or below it and frame the records in between.
+	n := int(lsn - sg.first)
+	off, idx := sg.seek(lsn)
+	res, err := scanRecords(path, l.opts.MaxRecordBytes, off, idx, n, nil)
+	if err == nil && res.records < n {
+		err = fmt.Errorf("record %d: framing lost at offset %d: %w", res.records, res.end, ErrCorrupt)
+	}
 	if err != nil {
 		return fmt.Errorf("wal: truncate %s: %w", sg.name, err)
 	}
+	off = res.end
 	if err := truncateAt(path, off); err != nil {
 		return err
 	}
+	l.segments[cut].index = slices.Clone(sg.index[:n/indexStride+1])
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -652,33 +722,6 @@ func (l *Log) TruncateFrom(lsn uint64) error {
 	l.nextLSN = lsn
 	syncDir(l.dir)
 	return nil
-}
-
-// offsetOfRecord returns the byte offset of the n-th (0-based) record in
-// a segment file by walking the length-prefixed headers.
-func offsetOfRecord(path string, maxRecord, n int) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	hdr := make([]byte, headerSize)
-	var off int64
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return 0, fmt.Errorf("record %d: %w", i, err)
-		}
-		ln := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		if ln <= 0 || ln > maxRecord {
-			return 0, fmt.Errorf("record %d: implausible length %d: %w", i, ln, ErrCorrupt)
-		}
-		if _, err := br.Discard(ln); err != nil {
-			return 0, fmt.Errorf("record %d: %w", i, err)
-		}
-		off += int64(headerSize + ln)
-	}
-	return off, nil
 }
 
 // ScanDir streams every framed, CRC-intact record in dir with its LSN,
@@ -736,19 +779,29 @@ func (l *Log) Close() error {
 
 // scanResult summarizes one pass over a segment's records.
 type scanResult struct {
-	records int   // framed records seen, intact or corrupt
-	good    int   // records whose CRC verified
-	corrupt []int // segment-relative indices of CRC-failed records
-	end     int64 // offset just past the last framed record
-	torn    int64 // trailing bytes after end that do not frame a record
+	records int     // index just past the last framed record, intact or corrupt
+	good    int     // records whose CRC verified
+	corrupt []int   // segment-relative indices of CRC-failed records
+	index   []int64 // start offset of every framed record at a multiple of indexStride
+	end     int64   // offset just past the last framed record
+	torn    int64   // trailing bytes after end that do not frame a record
 }
 
-// scanSegment walks one segment file, delivering each intact payload to
-// deliver (which may be nil) with its segment-relative index. It stops
-// at the first framing loss (partial header/payload or an implausible
-// length) and reports the remainder as a torn tail.
+// scanSegment walks one whole segment file; see scanRecords.
 func scanSegment(path string, maxRecord int, deliver func(idx int, payload []byte) error) (scanResult, error) {
-	var res scanResult
+	return scanRecords(path, maxRecord, 0, 0, math.MaxInt, deliver)
+}
+
+// scanRecords walks the records [idx, stop) of one segment file, off
+// being the byte offset at which record idx starts, and delivers each
+// intact payload to deliver (which may be nil) with its segment-relative
+// index. It stops early at the first framing loss (partial header or
+// payload, or an implausible length) and reports the remainder as a
+// torn tail. Every reader of segment bytes goes through here, so
+// framing and CRC rules cannot drift between recovery, replay,
+// positioned reads and truncation.
+func scanRecords(path string, maxRecord int, off int64, idx, stop int, deliver func(idx int, payload []byte) error) (scanResult, error) {
+	res := scanResult{records: idx, end: off}
 	f, err := os.Open(path)
 	if err != nil {
 		return res, err
@@ -759,10 +812,13 @@ func scanSegment(path string, maxRecord int, deliver func(idx int, payload []byt
 		return res, err
 	}
 	size := st.Size()
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return res, err
+	}
 	br := bufio.NewReader(f)
 	hdr := make([]byte, headerSize)
 	var payload []byte
-	for {
+	for res.records < stop {
 		if _, err := io.ReadFull(br, hdr); err != nil {
 			if err == io.EOF {
 				return res, nil // clean end
@@ -791,6 +847,9 @@ func scanSegment(path string, maxRecord int, deliver func(idx int, payload []byt
 			return res, err
 		}
 		idx := res.records
+		if idx%indexStride == 0 {
+			res.index = append(res.index, res.end)
+		}
 		res.records++
 		res.end += int64(headerSize + n)
 		if crc32.Checksum(payload, castagnoli) != want {
@@ -804,6 +863,7 @@ func scanSegment(path string, maxRecord int, deliver func(idx int, payload []byt
 			}
 		}
 	}
+	return res, nil
 }
 
 func segmentName(first uint64) string {

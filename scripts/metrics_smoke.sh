@@ -5,12 +5,17 @@
 # validate both the training metrics file and a live /metrics scrape
 # with rrc-inspect -expfmt — including the per-shard rrc_shard_*
 # families and a sharded-root rrc-inspect -wal pass over the event log.
+# A -follow standby tails the server throughout, so the scrape also
+# shows what the replication stream's WAL reads cost per record shipped.
 set -eu
 
 ADDR=${METRICS_SMOKE_ADDR:-127.0.0.1:18395}
+FOLLOW_ADDR=${METRICS_SMOKE_FOLLOW_ADDR:-127.0.0.1:18396}
 tmp=$(mktemp -d)
 server_pid=
+follower_pid=
 cleanup() {
+	[ -n "$follower_pid" ] && kill "$follower_pid" 2>/dev/null || true
 	[ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
 	rm -rf "$tmp"
 }
@@ -40,6 +45,10 @@ for _ in $(seq 1 50); do
 done
 [ -n "$ok" ] || { echo "server never became healthy" >&2; exit 1; }
 
+"$tmp/bin/rrc-server" -model "$tmp/model.tsppr" -addr "$FOLLOW_ADDR" -window 20 -omega 3 \
+	-events-dir "$tmp/standby" -shards 4 -follow "http://$ADDR" &
+follower_pid=$!
+
 # History with repeats beyond the Ω=3 gap so the candidate set is
 # non-empty and the engine families appear in the exposition.
 curl -sf -X POST "http://$ADDR/recommend" \
@@ -59,8 +68,49 @@ curl -sf -X POST "http://$ADDR/recommend/user" -d '{"user":0,"n":5}' >/dev/null
 curl -sf -X POST "http://$ADDR/consume" -d '{"user":0,"item":3}' >/dev/null
 curl -sf -X POST "http://$ADDR/recommend/user" -d '{"user":0,"n":5}' >/dev/null
 
+# 600 appends into one shard (users 2, 4 and 5 all live on shard 2; not
+# user 0, whose cached read above must stay the single invalidation)
+# take its segment nine index strides deep, then wait for the standby
+# to have appended all 609 of the run's events to its own WAL.
+i=0
+while [ "$i" -lt 600 ]; do
+	for u in 2 4 5; do
+		curl -sf -X POST "http://$ADDR/consume" -d "{\"user\":$u,\"item\":$((i % 9))}" >/dev/null
+		i=$((i + 1))
+	done
+done
+ok=
+for _ in $(seq 1 50); do
+	if curl -sf "http://$FOLLOW_ADDR/metrics" | grep -q '^rrc_wal_append_seconds_count 609$'; then
+		ok=1
+		break
+	fi
+	sleep 0.2
+done
+[ -n "$ok" ] || { echo "standby never applied all 609 streamed records" >&2; exit 1; }
+
 curl -sf "http://$ADDR/metrics" >"$tmp/scrape.prom"
 "$tmp/bin/rrc-inspect" -expfmt - <"$tmp/scrape.prom"
+
+# Replication reads cost what they deliver: per record shipped, the
+# stream framed fewer than 2 x the WAL index stride (64) records. A read
+# that re-scanned its segment from byte 0 would average about 300 here.
+scanned=$(sed -n 's/^rrc_wal_read_scanned_records_total //p' "$tmp/scrape.prom")
+delivered=$(sed -n 's/^rrc_wal_read_delivered_records_total //p' "$tmp/scrape.prom")
+[ "${delivered:-0}" -ge 609 ] || {
+	echo "rrc_wal_read_delivered_records_total = ${delivered:-absent}, want >= 609" >&2
+	exit 1
+}
+[ "$scanned" -lt $((delivered * 128)) ] || {
+	echo "stream reads scanned $scanned records to deliver $delivered: over 2 x the index stride each" >&2
+	exit 1
+}
+for fam in rrc_shard_snapshot_lock_seconds_count rrc_shard_snapshot_write_seconds_count; do
+	grep -q "^$fam" "$tmp/scrape.prom" || {
+		echo "/metrics lacks $fam" >&2
+		exit 1
+	}
+done
 for fam in rrc_http_requests_total rrc_http_request_seconds_count \
 	rrc_engine_recommend_seconds_count rrc_items_recommended_total; do
 	grep -q "^$fam" "$tmp/scrape.prom" || {
@@ -109,7 +159,10 @@ grep -q '^rrc_rescache_entries ' "$tmp/scrape.prom" || {
 	exit 1
 }
 
-# Shut the server down cleanly and verify the sharded WAL root.
+# Shut both down cleanly and verify the sharded WAL root.
+kill "$follower_pid" 2>/dev/null || true
+wait "$follower_pid" 2>/dev/null || true
+follower_pid=
 kill "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
 server_pid=
@@ -117,4 +170,4 @@ server_pid=
 	echo "rrc-inspect -wal did not report a healthy 4-shard root" >&2
 	exit 1
 }
-echo "metrics smoke: OK"
+echo "metrics smoke: OK (stream reads scanned $scanned WAL records to deliver $delivered)"
