@@ -10,8 +10,10 @@ GO ?= go
 ## live traffic through rrc-router and lose nothing,
 ## partition-chaos last: P replicated pairs behind key routing — one
 ## pair's primary killed must not cost the other partitions a single
-## error), and the fuzz targets over their seed corpora
-check: fmt vet obs-race shard-chaos replica-chaos router-chaos partition-chaos race fuzz-smoke
+## error), the fuzz targets over their seed corpora, and bench-smoke: the
+## bench/ harness is a module of its own that imports internal/, so only
+## this target notices when a change to those packages breaks it
+check: fmt vet obs-race shard-chaos replica-chaos router-chaos partition-chaos race fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...

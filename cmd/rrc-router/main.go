@@ -98,6 +98,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
+	reg.GoRuntime()
 	rt, err := router.New(router.Config{
 		Nodes:         nodes,
 		TopologyPath:  *topology,

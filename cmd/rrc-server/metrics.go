@@ -26,6 +26,7 @@ const (
 func (s *server) initMetrics() {
 	reg := obs.NewRegistry()
 	s.reg = reg
+	reg.GoRuntime()
 	reg.Help(metricRequests, "HTTP requests by endpoint (scoring and online endpoints only).")
 	reg.Help(metricErrors, "HTTP errors by endpoint: status >= 400, handler panics, and failed batch entries.")
 	reg.Help(metricLatency, "HTTP request latency by endpoint.")

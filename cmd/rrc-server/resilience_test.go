@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -328,6 +329,44 @@ func TestHotReload(t *testing.T) {
 	}
 	if srv.reloads.Value() != 1 {
 		t.Fatal("rejected reload bumped the success counter")
+	}
+}
+
+// TestHotReloadRejectsHostileShapeHeader: a model file damaged into a
+// header that claims the largest shape the range checks admit (2²⁸ users
+// × 2²⁰ factors) and then ends used to size its tables from the claim —
+// a makeslice panic (or an OOM kill) inside the SIGHUP handler, whose
+// contract is validate-then-swap. The loader now allocates by bytes
+// read, so this is one more rejected reload.
+func TestHotReloadRejectsHostileShapeHeader(t *testing.T) {
+	faultinject.Reset()
+	base, seqs := testServer(t)
+	m := base.currentModel()
+	path := filepath.Join(t.TempDir(), "model.tsppr")
+	if err := m.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(m, serverOptions{modelPath: path, windowCap: 20, defaultOmega: 3})
+	h := srv.routes()
+	history := make([]int, 0, 40)
+	for _, v := range seqs[0][:40] {
+		history = append(history, int(v))
+	}
+	blob := []byte("TSPPRv2\n")
+	for _, v := range []uint64{1 << 20, 4, 0, 1 << 28, 1 << 28} { // K, F, per-user maps, users, items
+		blob = binary.LittleEndian.AppendUint64(blob, v)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.reload(); err == nil {
+		t.Fatal("reload accepted a header-only model file")
+	}
+	if srv.currentModel() != m || srv.reloads.Value() != 0 {
+		t.Fatal("rejected reload displaced the serving model")
+	}
+	if code := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 3}).Code; code != http.StatusOK {
+		t.Fatalf("serving broken after rejected reload: %d", code)
 	}
 }
 

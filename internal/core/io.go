@@ -96,8 +96,9 @@ func (m *Model) writeBody(cw *countingWriter) {
 }
 
 type countingReader struct {
-	r   io.Reader
-	err error
+	r     io.Reader
+	err   error
+	chunk [floatChunkBytes]byte // readFloats' only staging: one fixed buffer per load
 }
 
 func (cr *countingReader) readInt() int64 {
@@ -109,18 +110,40 @@ func (cr *countingReader) readInt() int64 {
 	return v
 }
 
+// floatPresize caps what readFloats allocates on a header's say-so: beyond
+// it the destination doubles only as chunks actually arrive, so a damaged
+// file that claims 2⁴⁸ floats and then ends costs this much and an error,
+// not the process.
+const (
+	floatPresize    = 64 << 10
+	floatChunkBytes = 8 << 10
+)
+
+// readFloats decodes n little-endian float64s through the fixed chunk
+// buffer straight into the destination slice.
 func (cr *countingReader) readFloats(n int) []float64 {
 	if cr.err != nil || n < 0 {
 		return nil
 	}
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(cr.r, buf); err != nil {
-		cr.err = err
-		return nil
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	xs := make([]float64, 0, min(n, floatPresize))
+	for len(xs) < n {
+		want := min(n-len(xs), len(cr.chunk)/8)
+		b := cr.chunk[:8*want]
+		if _, err := io.ReadFull(cr.r, b); err != nil {
+			if err == io.EOF && len(xs) > 0 {
+				err = io.ErrUnexpectedEOF // the table, not the stream, is what ended early
+			}
+			cr.err = err
+			return nil
+		}
+		if len(xs)+want > cap(xs) {
+			xs = append(make([]float64, 0, min(n, 2*cap(xs))), xs...)
+		}
+		base := len(xs)
+		xs = xs[:base+want]
+		for i := 0; i < want; i++ {
+			xs[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
 	return xs
 }

@@ -2,9 +2,15 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"tsppr/internal/features"
+	"tsppr/internal/linalg"
 	"tsppr/internal/rngutil"
 )
 
@@ -125,5 +131,96 @@ func TestReadModelHostileHeader(t *testing.T) {
 		if _, err := ReadModel(bytes.NewReader(blob)); err == nil {
 			t.Errorf("hostile header %d accepted", i)
 		}
+	}
+}
+
+// hostileShapeHeader is a v2 file whose header passes every range check
+// while claiming the largest shape they admit — 2²⁸ users × 2²⁰ factors,
+// a 2⁵¹-byte U table — and which then simply ends.
+func hostileShapeHeader() []byte {
+	var buf bytes.Buffer
+	buf.WriteString(modelMagic)
+	for _, v := range []int64{1 << 20, 4, int64(PerUserMap), 1 << 28, 1 << 28} {
+		for i := 0; i < 8; i++ {
+			buf.WriteByte(byte(v >> (8 * i)))
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestReadModelAllocatesByBytesRead: the tables are sized by what the
+// stream delivers, not by what the header claims, so the hostile header
+// above is an error and under 1 MiB of allocation — not an out-of-range
+// make or an OOM kill before the first body byte is looked at.
+func TestReadModelAllocatesByBytesRead(t *testing.T) {
+	blob := hostileShapeHeader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := ReadModel(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil || m != nil {
+		t.Fatalf("header-only model accepted: %v", m)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte file allocated %d bytes, want < 1 MiB", len(blob), got)
+	}
+	// Some of the claimed table present, then EOF mid-table: still an
+	// error, and still bounded by the bytes that were there.
+	blob = append(blob, make([]byte, 3<<20)...)
+	runtime.ReadMemStats(&before)
+	_, err = ReadModel(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want unexpected EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4*uint64(len(blob)) {
+		t.Fatalf("a %d-byte file allocated %d bytes", len(blob), got)
+	}
+}
+
+// TestReadModelLargeTableRoundTrip drives a table through readFloats'
+// growth path (more floats than floatPresize, not a multiple of the
+// chunk) and checks every value and the load's allocation: about the
+// model's own size, not twice it.
+func TestReadModelLargeTableRoundTrip(t *testing.T) {
+	const users, items, k = 2003, 50, 37 // U = 74,111 floats
+	rng := rngutil.New(12)
+	gauss := func(rows, cols int) *linalg.Matrix {
+		m := linalg.NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
+	}
+	quality, reratio := make([]float64, items), make([]float64, items)
+	for i := range quality {
+		quality[i], reratio[i] = rng.Float64(), rng.Float64()
+	}
+	ex, err := features.FromTables(features.AllFeatures, features.Hyperbolic, 20, 3, quality, reratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Model{K: k, F: ex.Dim(), MapType: SharedMap, U: gauss(users, k), V: gauss(items, k),
+		A: []*linalg.Matrix{gauss(k, ex.Dim())}, Extractor: ex}
+	if len(m.U.Data) <= floatPresize {
+		t.Fatalf("U holds %d floats: does not reach the growth path", len(m.U.Data))
+	}
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadModel(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.U.Data, m.U.Data) || !reflect.DeepEqual(got.V.Data, m.V.Data) ||
+		!reflect.DeepEqual(got.A[0].Data, m.A[0].Data) {
+		t.Fatal("tables changed across the round trip")
+	}
+	// Cut inside U, on a chunk boundary: the table ended early, whatever
+	// the stream says.
+	cut := len(modelMagic) + 5*8 + 3*floatChunkBytes
+	if _, err := ReadModel(bytes.NewReader(buf.Bytes()[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("cut on a chunk boundary: err = %v, want unexpected EOF", err)
 	}
 }

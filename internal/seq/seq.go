@@ -41,17 +41,156 @@ func (s Sequence) Distinct() int {
 	return len(seen)
 }
 
-// Window is the sliding time window W_ut: a fixed-capacity ring buffer over
-// the most recent consumptions, with per-item occurrence counts and
-// last-seen positions maintained incrementally.
+// Ring is the bare sliding window: a fixed-capacity ring buffer over the
+// most recent consumptions plus the count of events ever pushed. It is
+// everything a window *is* — counts, gaps and the max count are functions
+// of these item ids and positions — and so it is the form a window takes
+// at rest (session store, snapshots); Window adds the per-item indexes a
+// scorer queries. The zero Ring is not usable: build one with NewRing or
+// RestoreRing.
+//
+// Ring is not safe for concurrent use.
+type Ring struct {
+	buf    []Item // len(buf) is the capacity |W|
+	head   int    // ring index of the oldest element
+	size   int
+	pushed int // total events pushed == position of the next incoming event
+}
+
+// NewRing returns an empty ring with the given capacity. It panics for
+// non-positive capacities.
+func NewRing(capacity int) Ring {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("seq: NewRing capacity %d <= 0", capacity))
+	}
+	return Ring{buf: make([]Item, capacity)}
+}
+
+// Cap returns the capacity |W|.
+func (r *Ring) Cap() int { return len(r.buf) }
+
+// Len returns the number of events currently held.
+func (r *Ring) Len() int { return r.size }
+
+// T returns the position of the next incoming consumption, i.e. the total
+// number of events pushed so far.
+func (r *Ring) T() int { return r.pushed }
+
+// Push appends the consumption of v, evicting the oldest event when full.
+func (r *Ring) Push(v Item) { r.push(v) }
+
+// push is Push reporting the evicted event, which Window needs to keep
+// its indexes in step.
+func (r *Ring) push(v Item) (old Item, evicted bool) {
+	if r.size == len(r.buf) {
+		old, evicted = r.buf[r.head], true
+		r.buf[r.head] = v
+		if r.head++; r.head == len(r.buf) {
+			r.head = 0
+		}
+	} else {
+		r.buf[r.at(r.size)] = v
+		r.size++
+	}
+	r.pushed++
+	return old, evicted
+}
+
+// at maps a window position (0 = oldest) to its index in buf.
+func (r *Ring) at(i int) int {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
+// At returns the i-th event, oldest first. It panics when i is out of
+// range.
+func (r *Ring) At(i int) Item {
+	if i < 0 || i >= r.size {
+		panic(fmt.Sprintf("seq: At(%d) out of range [0,%d)", i, r.size))
+	}
+	return r.buf[r.at(i)]
+}
+
+// Snapshot returns the contents oldest-first together with the total
+// number of events ever pushed. It is the canonical serializable form:
+// RestoreRing(r.Cap(), pushed, items) rebuilds a ring observationally
+// identical to r (same contents, positions, and T), which is what the
+// session-store snapshots persist.
+func (r *Ring) Snapshot() (items []Item, pushed int) {
+	return r.AppendItems(make([]Item, 0, r.size)), r.pushed
+}
+
+// AppendItems appends the contents oldest-first to dst and returns the
+// extended slice — Snapshot for callers that bring their own storage.
+func (r *Ring) AppendItems(dst []Item) []Item {
+	tail := r.buf[r.head:]
+	if len(tail) > r.size {
+		tail = tail[:r.size]
+	}
+	dst = append(dst, tail...)
+	return append(dst, r.buf[:r.size-len(tail)]...)
+}
+
+// Clone returns an independent copy of the ring.
+func (r *Ring) Clone() Ring {
+	c := *r
+	c.buf = append([]Item(nil), r.buf...)
+	return c
+}
+
+// RestoreRing rebuilds a ring from a Snapshot dump. It errors (rather
+// than panicking) on impossible dumps, because its inputs come from disk,
+// not from code.
+func RestoreRing(capacity, pushed int, items []Item) (Ring, error) {
+	if capacity <= 0 {
+		return Ring{}, fmt.Errorf("seq: restore: capacity %d <= 0", capacity)
+	}
+	if len(items) > capacity {
+		return Ring{}, fmt.Errorf("seq: restore: %d items over capacity %d", len(items), capacity)
+	}
+	if pushed < len(items) {
+		return Ring{}, fmt.Errorf("seq: restore: pushed %d < %d items", pushed, len(items))
+	}
+	r := Ring{buf: make([]Item, capacity), size: len(items), pushed: pushed}
+	copy(r.buf, items)
+	return r, nil
+}
+
+// Window materialises the queryable window over a copy of r: one O(|W|)
+// walk fills the per-item indexes, with every event at its original
+// absolute position so Gap and T match a window that saw the same pushes.
+// The result shares nothing with r.
+func (r *Ring) Window() *Window {
+	w := &Window{
+		ring:      r.Clone(),
+		count:     make(map[Item]int, r.size),
+		lastSeen:  make(map[Item]int, r.size),
+		countHist: make(map[int]int),
+	}
+	base := r.pushed - r.size
+	for i := 0; i < r.size; i++ {
+		v := r.buf[r.at(i)]
+		w.count[v]++
+		w.lastSeen[v] = base + i
+	}
+	for _, c := range w.count {
+		w.countHist[c]++
+		if c > w.maxCount {
+			w.maxCount = c
+		}
+	}
+	return w
+}
+
+// Window is the sliding time window W_ut: a Ring over the most recent
+// consumptions, with per-item occurrence counts and last-seen positions
+// maintained incrementally.
 //
 // Window is not safe for concurrent use.
 type Window struct {
-	capacity int
-	buf      []Item
-	head     int // ring index of the oldest element
-	size     int
-	pushed   int // total events pushed == position of the next incoming event
+	ring     Ring
 	count    map[Item]int
 	lastSeen map[Item]int // most recent position of the item, only while in window
 
@@ -69,8 +208,7 @@ func NewWindow(capacity int) *Window {
 		panic(fmt.Sprintf("seq: NewWindow capacity %d <= 0", capacity))
 	}
 	return &Window{
-		capacity:  capacity,
-		buf:       make([]Item, capacity),
+		ring:      NewRing(capacity),
 		count:     make(map[Item]int),
 		lastSeen:  make(map[Item]int),
 		countHist: make(map[int]int),
@@ -78,24 +216,21 @@ func NewWindow(capacity int) *Window {
 }
 
 // Cap returns the window capacity |W|.
-func (w *Window) Cap() int { return w.capacity }
+func (w *Window) Cap() int { return w.ring.Cap() }
 
 // Len returns the number of events currently in the window.
-func (w *Window) Len() int { return w.size }
+func (w *Window) Len() int { return w.ring.size }
 
 // Full reports whether the window holds Cap() events.
-func (w *Window) Full() bool { return w.size == w.capacity }
+func (w *Window) Full() bool { return w.ring.size == w.ring.Cap() }
 
 // T returns the position of the next incoming consumption, i.e. the total
 // number of events pushed so far.
-func (w *Window) T() int { return w.pushed }
+func (w *Window) T() int { return w.ring.pushed }
 
 // Push appends the consumption of v, evicting the oldest event when full.
 func (w *Window) Push(v Item) {
-	if w.size == w.capacity {
-		old := w.buf[w.head]
-		w.buf[w.head] = v
-		w.head = (w.head + 1) % w.capacity
+	if old, evicted := w.ring.push(v); evicted {
 		c := w.count[old] - 1
 		w.bumpHist(c+1, c)
 		if c == 0 {
@@ -104,15 +239,11 @@ func (w *Window) Push(v Item) {
 		} else {
 			w.count[old] = c
 		}
-	} else {
-		w.buf[(w.head+w.size)%w.capacity] = v
-		w.size++
 	}
 	c := w.count[v] + 1
 	w.count[v] = c
 	w.bumpHist(c-1, c)
-	w.lastSeen[v] = w.pushed
-	w.pushed++
+	w.lastSeen[v] = w.ring.pushed - 1
 }
 
 // bumpHist moves one item from count bucket `from` to bucket `to`
@@ -155,17 +286,12 @@ func (w *Window) Gap(v Item) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return w.pushed - last, true
+	return w.ring.pushed - last, true
 }
 
 // At returns the i-th event in the window, oldest first. It panics when i
 // is out of range.
-func (w *Window) At(i int) Item {
-	if i < 0 || i >= w.size {
-		panic(fmt.Sprintf("seq: Window.At(%d) out of range [0,%d)", i, w.size))
-	}
-	return w.buf[(w.head+i)%w.capacity]
-}
+func (w *Window) At(i int) Item { return w.ring.At(i) }
 
 // DistinctItems appends the distinct items of the window to dst in
 // first-occurrence (oldest-first) order and returns the extended slice.
@@ -173,8 +299,8 @@ func (w *Window) At(i int) Item {
 // into this slice, and run-to-run reproducibility requires a stable order.
 func (w *Window) DistinctItems(dst []Item) []Item {
 	seen := make(map[Item]struct{}, len(w.count))
-	for i := 0; i < w.size; i++ {
-		v := w.buf[(w.head+i)%w.capacity]
+	for i := 0; i < w.ring.size; i++ {
+		v := w.ring.buf[w.ring.at(i)]
 		if _, ok := seen[v]; ok {
 			continue
 		}
@@ -190,13 +316,13 @@ func (w *Window) DistinctItems(dst []Item) []Item {
 // restricted by the minimum gap Ω.
 func (w *Window) Candidates(omega int, dst []Item) []Item {
 	seen := make(map[Item]struct{}, len(w.count))
-	for i := 0; i < w.size; i++ {
-		v := w.buf[(w.head+i)%w.capacity]
+	for i := 0; i < w.ring.size; i++ {
+		v := w.ring.buf[w.ring.at(i)]
 		if _, ok := seen[v]; ok {
 			continue
 		}
 		seen[v] = struct{}{}
-		if w.pushed-w.lastSeen[v] > omega {
+		if w.ring.pushed-w.lastSeen[v] > omega {
 			dst = append(dst, v)
 		}
 	}
@@ -213,7 +339,7 @@ func (w *Window) Candidates(omega int, dst []Item) []Item {
 // using Candidates.
 func (w *Window) CandidatesUnordered(omega int, dst []Item) []Item {
 	for v, last := range w.lastSeen {
-		if w.pushed-last > omega {
+		if w.ring.pushed-last > omega {
 			dst = append(dst, v)
 		}
 	}
@@ -225,64 +351,19 @@ func (w *Window) CandidatesUnordered(omega int, dst []Item) []Item {
 func (w *Window) NumDistinct() int { return len(w.count) }
 
 // Snapshot returns the window's contents oldest-first together with the
-// total number of events ever pushed. It is the canonical serializable
-// form of a window: RestoreWindow(w.Cap(), pushed, items) rebuilds a
-// window observationally identical to w (same contents, counts, gaps,
-// and T), which is what the session-store snapshots persist.
-func (w *Window) Snapshot() (items []Item, pushed int) {
-	items = make([]Item, w.size)
-	for i := 0; i < w.size; i++ {
-		items[i] = w.buf[(w.head+i)%w.capacity]
-	}
-	return items, w.pushed
-}
+// total number of events ever pushed (see Ring.Snapshot):
+// RestoreWindow(w.Cap(), pushed, items) rebuilds a window observationally
+// identical to w (same contents, counts, gaps, and T).
+func (w *Window) Snapshot() (items []Item, pushed int) { return w.ring.Snapshot() }
 
-// RestoreWindow rebuilds a window from a Snapshot dump. It errors
-// (rather than panicking) on impossible dumps, because its inputs come
-// from disk, not from code.
+// RestoreWindow rebuilds a window from a Snapshot dump: RestoreRing, then
+// materialised.
 func RestoreWindow(capacity, pushed int, items []Item) (*Window, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("seq: RestoreWindow capacity %d <= 0", capacity)
+	r, err := RestoreRing(capacity, pushed, items)
+	if err != nil {
+		return nil, err
 	}
-	if len(items) > capacity {
-		return nil, fmt.Errorf("seq: RestoreWindow %d items over capacity %d", len(items), capacity)
-	}
-	if pushed < len(items) {
-		return nil, fmt.Errorf("seq: RestoreWindow pushed %d < %d items", pushed, len(items))
-	}
-	w := NewWindow(capacity)
-	// Rebase so each pushed item lands at its original absolute
-	// position; Gap arithmetic then matches the pre-snapshot window.
-	w.pushed = pushed - len(items)
-	for _, v := range items {
-		w.Push(v)
-	}
-	return w, nil
-}
-
-// Clone returns an independent deep copy of the window.
-func (w *Window) Clone() *Window {
-	c := &Window{
-		capacity:  w.capacity,
-		buf:       append([]Item(nil), w.buf...),
-		head:      w.head,
-		size:      w.size,
-		pushed:    w.pushed,
-		count:     make(map[Item]int, len(w.count)),
-		lastSeen:  make(map[Item]int, len(w.lastSeen)),
-		countHist: make(map[int]int, len(w.countHist)),
-		maxCount:  w.maxCount,
-	}
-	for k, v := range w.count {
-		c.count[k] = v
-	}
-	for k, v := range w.lastSeen {
-		c.lastSeen[k] = v
-	}
-	for k, v := range w.countHist {
-		c.countHist[k] = v
-	}
-	return c
+	return r.Window(), nil
 }
 
 // Event describes one scanner step: the incoming consumption at position T

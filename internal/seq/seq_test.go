@@ -158,21 +158,6 @@ func TestWindowMaxCount(t *testing.T) {
 	}
 }
 
-func TestWindowClone(t *testing.T) {
-	w := NewWindow(3)
-	w.Push(1)
-	w.Push(2)
-	c := w.Clone()
-	c.Push(3)
-	c.Push(4)
-	if w.Len() != 2 || w.Contains(4) {
-		t.Fatal("clone mutated original")
-	}
-	if !c.Contains(4) || c.MaxCount() != 1 {
-		t.Fatal("clone state wrong")
-	}
-}
-
 // windowRef is a brutally simple reference: a slice of the last cap items.
 type windowRef struct {
 	cap    int

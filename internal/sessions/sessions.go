@@ -3,6 +3,11 @@
 // consumption events and recoverable after a crash from the latest
 // snapshot plus a WAL tail replay.
 //
+// A resident session is exactly what a snapshot line holds — the ring of
+// the last |W| item ids and its push count (seq.Ring) — because that is
+// all a window is; the indexed seq.Window a request scores against is
+// materialised from a copy of the ring per read, outside the lock.
+//
 // The store is deliberately dumb about durability: callers append to
 // the WAL first and Apply second, so the on-disk log is always ahead of
 // (or equal to) memory and recovery can only over-replay, never invent.
@@ -10,9 +15,9 @@
 package sessions
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 
 	"tsppr/internal/seq"
@@ -36,17 +41,17 @@ type Store struct {
 	mu         sync.Mutex
 	cfg        Config
 	users      map[int]*entry
-	lru        *list.List // Front = most recently used
+	lru        entry // sentinel of the circular recency list: next = most, prev = least recently used
 	appliedLSN uint64
 	evictions  int64
 	dropped    int64 // replayed events outside the configured id bounds
 }
 
 type entry struct {
-	user int
-	win  *seq.Window
-	lsn  uint64 // LSN of the last event applied to this window
-	elem *list.Element
+	user       int
+	ring       seq.Ring
+	lsn        uint64 // LSN of the last event applied to this window
+	prev, next *entry // recency list: toward more / less recently used
 }
 
 // NewStore returns an empty store. It panics on a non-positive window
@@ -58,7 +63,32 @@ func NewStore(cfg Config) *Store {
 	if cfg.MaxUsers <= 0 {
 		cfg.MaxUsers = DefaultMaxUsers
 	}
-	return &Store{cfg: cfg, users: make(map[int]*entry), lru: list.New()}
+	s := &Store{cfg: cfg, users: make(map[int]*entry)}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return s
+}
+
+// pushFrontLocked links e in as the most recently used session.
+func (s *Store) pushFrontLocked(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// moveToFrontLocked marks the linked entry e most recently used.
+func (s *Store) moveToFrontLocked(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	s.pushFrontLocked(e)
+}
+
+// evictOverLocked drops least recently used sessions until the store is
+// within MaxUsers.
+func (s *Store) evictOverLocked() {
+	for len(s.users) > s.cfg.MaxUsers {
+		victim := s.lru.prev
+		victim.prev.next, s.lru.prev = &s.lru, victim.prev
+		delete(s.users, victim.user)
+		s.evictions++
+	}
 }
 
 // Apply advances user's window with item as the event at the given LSN.
@@ -79,7 +109,7 @@ func (s *Store) Apply(lsn uint64, user int, item seq.Item) bool {
 		return false
 	}
 	e := s.touchLocked(user)
-	e.win.Push(item)
+	e.ring.Push(item)
 	e.lsn = lsn
 	return true
 }
@@ -90,34 +120,14 @@ func (s *Store) Apply(lsn uint64, user int, item seq.Item) bool {
 func (s *Store) touchLocked(user int) *entry {
 	e, ok := s.users[user]
 	if !ok {
-		e = &entry{user: user, win: seq.NewWindow(s.cfg.WindowCap)}
-		e.elem = s.lru.PushFront(e)
+		e = &entry{user: user, ring: seq.NewRing(s.cfg.WindowCap)}
+		s.pushFrontLocked(e)
 		s.users[user] = e
-		for len(s.users) > s.cfg.MaxUsers {
-			oldest := s.lru.Back()
-			victim := oldest.Value.(*entry)
-			s.lru.Remove(oldest)
-			delete(s.users, victim.user)
-			s.evictions++
-		}
+		s.evictOverLocked()
 		return e
 	}
-	s.lru.MoveToFront(e.elem)
+	s.moveToFrontLocked(e)
 	return e
-}
-
-// WindowClone returns an independent copy of user's current window (a
-// read also counts as LRU use). The clone is safe to score against
-// without holding any lock.
-func (s *Store) WindowClone(user int) (*seq.Window, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.users[user]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(e.elem)
-	return e.win.Clone(), true
 }
 
 // UserLSN returns the LSN of the last event applied to user's window.
@@ -135,29 +145,42 @@ func (s *Store) UserLSN(user int) (uint64, bool) {
 	return e.lsn, true
 }
 
-// WindowCloneLSN is WindowClone plus the window's applied LSN, captured
-// under the same lock hold. Callers that cache the scored result keyed
-// by LSN need the pair to be atomic: cloning and then asking for the
-// LSN separately could tag a pre-consume window with a post-consume
-// LSN, making a stale cache entry look current forever.
-func (s *Store) WindowCloneLSN(user int) (*seq.Window, uint64, bool) {
+// RingCloneLSN returns an independent copy of user's resident ring and
+// the LSN of the last event applied to it, captured under one lock hold
+// (a read also counts as LRU use). Callers that cache the scored result
+// keyed by LSN need the pair to be atomic: copying and then asking for
+// the LSN separately could tag a pre-consume window with a post-consume
+// LSN, making a stale cache entry look current forever. The lock covers
+// one ≤ |W|-item copy and nothing else.
+func (s *Store) RingCloneLSN(user int) (seq.Ring, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.users[user]
 	if !ok {
+		return seq.Ring{}, 0, false
+	}
+	s.moveToFrontLocked(e)
+	return e.ring.Clone(), e.lsn, true
+}
+
+// WindowCloneLSN is RingCloneLSN with the copy materialised — after the
+// lock is released — into the indexed window a request scores against.
+// The window is private to the caller.
+func (s *Store) WindowCloneLSN(user int) (*seq.Window, uint64, bool) {
+	ring, lsn, ok := s.RingCloneLSN(user)
+	if !ok {
 		return nil, 0, false
 	}
-	s.lru.MoveToFront(e.elem)
-	return e.win.Clone(), e.lsn, true
+	return ring.Window(), lsn, true
 }
 
 // WindowLen returns the current length of user's window (0 when the
-// user has no session). Unlike WindowClone it does not touch LRU order.
+// user has no session). Unlike WindowCloneLSN it does not touch LRU order.
 func (s *Store) WindowLen(user int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.users[user]; ok {
-		return e.win.Len()
+		return e.ring.Len()
 	}
 	return 0
 }
@@ -203,26 +226,27 @@ type UserWindow struct {
 // equivalence.
 func (s *Store) Dump() []UserWindow {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := s.lruDumpLocked()
-	// lruDumpLocked is least-recent-first; re-sort by user id.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].User > out[j].User; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
 	return out
 }
 
 // lruDumpLocked serializes sessions least-recently-used first, so that
 // re-applying them in file order reconstructs both the windows and the
-// LRU recency order exactly.
+// LRU recency order exactly. Every window's items are a slice of one
+// shared slab: two allocations for the whole store, not one per user.
 func (s *Store) lruDumpLocked() []UserWindow {
+	total := 0
+	for e := s.lru.prev; e != &s.lru; e = e.prev {
+		total += e.ring.Len()
+	}
+	slab := make([]seq.Item, 0, total)
 	out := make([]UserWindow, 0, len(s.users))
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
-		items, pushed := e.win.Snapshot()
-		out = append(out, UserWindow{User: e.user, Pushed: pushed, Items: items})
+	for e := s.lru.prev; e != &s.lru; e = e.prev {
+		start := len(slab)
+		slab = e.ring.AppendItems(slab)
+		out = append(out, UserWindow{User: e.user, Pushed: e.ring.T(), Items: slab[start:len(slab):len(slab)]})
 	}
 	return out
 }

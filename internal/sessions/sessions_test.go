@@ -42,7 +42,7 @@ func TestApplyAdvancesWindows(t *testing.T) {
 			t.Fatalf("event %d not applied", i)
 		}
 	}
-	win, ok := s.WindowClone(0)
+	win, _, ok := s.WindowCloneLSN(0)
 	if !ok {
 		t.Fatal("no window for user 0")
 	}
@@ -91,10 +91,10 @@ func TestLRUEviction(t *testing.T) {
 	s.Apply(2, 1, 1)
 	s.Apply(3, 0, 2) // touch 0: user 1 is now LRU
 	s.Apply(4, 2, 1) // over the bound: evict user 1
-	if _, ok := s.WindowClone(1); ok {
+	if _, _, ok := s.WindowCloneLSN(1); ok {
 		t.Fatal("LRU user 1 survived eviction")
 	}
-	if _, ok := s.WindowClone(0); !ok {
+	if _, _, ok := s.WindowCloneLSN(0); !ok {
 		t.Fatal("recently-used user 0 was evicted")
 	}
 	if s.Evictions() != 1 {
@@ -110,7 +110,7 @@ func TestLRUEviction(t *testing.T) {
 
 func mustWin(t *testing.T, s *Store, user int) ([]seq.Item, int) {
 	t.Helper()
-	win, ok := s.WindowClone(user)
+	win, _, ok := s.WindowCloneLSN(user)
 	if !ok {
 		t.Fatalf("no window for user %d", user)
 	}
@@ -377,10 +377,10 @@ func TestUserLSNDoesNotTouchLRU(t *testing.T) {
 		}
 	}
 	s.Apply(3, 2, 1) // over the bound
-	if _, ok := s.WindowClone(0); ok {
+	if _, _, ok := s.WindowCloneLSN(0); ok {
 		t.Fatal("probed-only user 0 survived; UserLSN refreshed recency")
 	}
-	if _, ok := s.WindowClone(1); !ok {
+	if _, _, ok := s.WindowCloneLSN(1); !ok {
 		t.Fatal("user 1 evicted")
 	}
 }

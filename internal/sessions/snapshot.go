@@ -197,27 +197,28 @@ func loadSnapshot(path string, cfg Config) (*Store, snapHeader, error) {
 	if hdr.WindowCap != cfg.WindowCap {
 		return nil, hdr, &capMismatchError{path: path, got: hdr.WindowCap, want: cfg.WindowCap}
 	}
-	body, err := io.ReadAll(br)
-	if err != nil {
-		return nil, hdr, fmt.Errorf("sessions: %s: %w", path, err)
-	}
-	if got := crc32.Checksum(body, snapCRC); got != hdr.BodyCRC {
-		return nil, hdr, fmt.Errorf("sessions: %s: body CRC %08x, header says %08x", path, got, hdr.BodyCRC)
-	}
+	// The body streams through the CRC into the decoder, one line
+	// resident at a time; the verdict on the file comes at EOF, and the
+	// half-built store is dropped with any error before it.
+	crc := crc32.New(snapCRC)
+	dec := json.NewDecoder(io.TeeReader(br, crc))
 	s := NewStore(cfg)
 	s.appliedLSN = hdr.AppliedLSN
-	dec := json.NewDecoder(bytes.NewReader(body))
+	var uw UserWindow
 	n := 0
 	for {
-		var uw UserWindow
+		uw = UserWindow{Items: uw.Items[:0]} // reuse the line's item storage
 		if err := dec.Decode(&uw); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, hdr, fmt.Errorf("sessions: %s: session %d: %w", path, n, err)
 		}
-		win, err := seq.RestoreWindow(cfg.WindowCap, uw.Pushed, uw.Items)
+		ring, err := seq.RestoreRing(cfg.WindowCap, uw.Pushed, uw.Items)
 		if err != nil {
 			return nil, hdr, fmt.Errorf("sessions: %s: user %d: %w", path, uw.User, err)
+		}
+		if _, dup := s.users[uw.User]; dup {
+			return nil, hdr, fmt.Errorf("sessions: %s: user %d appears twice", path, uw.User)
 		}
 		// Sessions are stored least-recent-first; pushing each to the
 		// LRU front replays the recency order exactly. The snapshot does
@@ -226,22 +227,19 @@ func loadSnapshot(path string, cfg Config) (*Store, snapHeader, error) {
 		// last event is ≤ it) that only matters to cache versioning,
 		// where WAL replay past the snapshot re-stamps exactly and a
 		// fresh store has no cache to be stale against.
-		e := &entry{user: uw.User, win: win, lsn: hdr.AppliedLSN}
-		e.elem = s.lru.PushFront(e)
+		e := &entry{user: uw.User, ring: ring, lsn: hdr.AppliedLSN}
+		s.pushFrontLocked(e)
 		s.users[uw.User] = e
 		n++
+	}
+	if got := crc.Sum32(); got != hdr.BodyCRC {
+		return nil, hdr, fmt.Errorf("sessions: %s: body CRC %08x, header says %08x", path, got, hdr.BodyCRC)
 	}
 	if n != hdr.Users {
 		return nil, hdr, fmt.Errorf("sessions: %s: %d sessions, header says %d", path, n, hdr.Users)
 	}
 	// If the configured bound shrank since the snapshot, evict down.
-	for len(s.users) > s.cfg.MaxUsers {
-		oldest := s.lru.Back()
-		victim := oldest.Value.(*entry)
-		s.lru.Remove(oldest)
-		delete(s.users, victim.user)
-		s.evictions++
-	}
+	s.evictOverLocked()
 	return s, hdr, nil
 }
 

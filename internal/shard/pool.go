@@ -248,11 +248,6 @@ func (p *Pool) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err erro
 	return p.shards[p.ShardFor(user)].Ingest(user, item)
 }
 
-// WindowClone routes a window read to its owning shard.
-func (p *Pool) WindowClone(user int) (*seq.Window, bool, error) {
-	return p.shards[p.ShardFor(user)].WindowClone(user)
-}
-
 // UserLSN routes a cache-version probe to its owning shard.
 func (p *Pool) UserLSN(user int) (uint64, bool, error) {
 	return p.shards[p.ShardFor(user)].UserLSN(user)

@@ -197,27 +197,6 @@ func (s *Shard) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err err
 	return lsn, winLen, nil
 }
 
-// WindowClone returns an independent copy of user's current window, or
-// ok=false when the user has no session here. Reads are fenced exactly
-// like appends: a non-serving shard fast-fails, and a panic in the read
-// path trips the breaker instead of escaping.
-func (s *Shard) WindowClone(user int) (win *seq.Window, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return nil, false, s.unavailableLocked()
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: read panic: %v", s.index, p))
-			win, ok = nil, false
-			err = s.unavailableLocked()
-		}
-	}()
-	win, ok = s.store.WindowClone(user)
-	return win, ok, nil
-}
-
 // UserLSN returns the LSN of the last event applied to user's window —
 // the response cache's version probe. Fenced like every other op; read
 // panics trip the breaker.
@@ -238,24 +217,41 @@ func (s *Shard) UserLSN(user int) (lsn uint64, ok bool, err error) {
 	return lsn, ok, nil
 }
 
-// WindowCloneLSN is WindowClone plus the window's applied LSN, captured
-// atomically (see sessions.Store.WindowCloneLSN for why the pair must
-// not be read in two steps). Fenced like every other op.
+// WindowCloneLSN returns a private, queryable copy of user's current
+// window together with the LSN of the last event applied to it, or
+// ok=false when the user has no session here. The pair is captured
+// atomically (see sessions.Store.RingCloneLSN for why it must not be
+// read in two steps). Reads are fenced exactly like appends: a
+// non-serving shard fast-fails, and a panic while the shard's state is
+// read trips the breaker instead of escaping. The shard's lock covers
+// only the copy of the resident ring; the window's indexes are built
+// after it is released, from that copy alone — no shard state is
+// involved, so nothing there can be the shard's fault.
 func (s *Shard) WindowCloneLSN(user int) (win *seq.Window, lsn uint64, ok bool, err error) {
+	ring, lsn, ok, err := s.ringCloneLSN(user)
+	if !ok || err != nil {
+		return nil, 0, false, err
+	}
+	return ring.Window(), lsn, true, nil
+}
+
+// ringCloneLSN is the locked, fenced, breaker-guarded half of
+// WindowCloneLSN.
+func (s *Shard) ringCloneLSN(user int) (ring seq.Ring, lsn uint64, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != Serving {
-		return nil, 0, false, s.unavailableLocked()
+		return seq.Ring{}, 0, false, s.unavailableLocked()
 	}
 	defer func() {
 		if p := recover(); p != nil {
 			s.tripLocked(fmt.Errorf("shard %d: read panic: %v", s.index, p))
-			win, lsn, ok = nil, 0, false
+			ring, lsn, ok = seq.Ring{}, 0, false
 			err = s.unavailableLocked()
 		}
 	}()
-	win, lsn, ok = s.store.WindowCloneLSN(user)
-	return win, lsn, ok, nil
+	ring, lsn, ok = s.store.RingCloneLSN(user)
+	return ring, lsn, ok, nil
 }
 
 // storeReloaded fires the pool's OnStoreReload hook (if configured)

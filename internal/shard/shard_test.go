@@ -202,7 +202,7 @@ func TestDrainFencesOnlyThatShard(t *testing.T) {
 			if ue.Shard != victim || ue.RetryAfter < 5*time.Second {
 				t.Fatalf("user %d: %+v", u, ue)
 			}
-			if _, _, rerr := p.WindowClone(u); !errors.As(rerr, &ue) {
+			if _, _, _, rerr := p.WindowCloneLSN(u); !errors.As(rerr, &ue) {
 				t.Fatalf("user %d read on drained shard: %v", u, rerr)
 			}
 		} else if err != nil {

@@ -7,21 +7,47 @@
 # families and a sharded-root rrc-inspect -wal pass over the event log.
 # A -follow standby tails the server throughout, so the scrape also
 # shows what the replication stream's WAL reads cost per record shipped.
+# An rrc-router in front of the server is scraped too: both processes
+# must export the Go runtime's heap gauges (rrc_go_*).
 set -eu
 
 ADDR=${METRICS_SMOKE_ADDR:-127.0.0.1:18395}
 FOLLOW_ADDR=${METRICS_SMOKE_FOLLOW_ADDR:-127.0.0.1:18396}
+ROUTER_ADDR=${METRICS_SMOKE_ROUTER_ADDR:-127.0.0.1:18394}
 tmp=$(mktemp -d)
 server_pid=
 follower_pid=
+router_pid=
 cleanup() {
+	[ -n "$router_pid" ] && kill "$router_pid" 2>/dev/null || true
 	[ -n "$follower_pid" ] && kill "$follower_pid" 2>/dev/null || true
 	[ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
 	rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
 
-go build -o "$tmp/bin/" ./cmd/rrc-datagen ./cmd/rrc-train ./cmd/rrc-server ./cmd/rrc-inspect
+go build -o "$tmp/bin/" ./cmd/rrc-datagen ./cmd/rrc-train ./cmd/rrc-server ./cmd/rrc-router ./cmd/rrc-inspect
+
+# go_gauges FILE MIN_CYCLES: FILE exports the three rrc_go_* families;
+# the heap goal is positive from the first instant, the live heap and the
+# cycle count once MIN_CYCLES collections have run.
+go_gauges() {
+	for fam in rrc_go_heap_live_bytes rrc_go_heap_goal_bytes rrc_go_gc_cycles_total; do
+		grep -q "^$fam " "$1" || {
+			echo "$1 lacks $fam" >&2
+			exit 1
+		}
+	done
+	awk -v min="$2" '
+		$1 == "rrc_go_heap_live_bytes" { live = $2 }
+		$1 == "rrc_go_heap_goal_bytes" { goal = $2 }
+		$1 == "rrc_go_gc_cycles_total" { cycles = $2 }
+		END { exit !(goal > 0 && cycles >= min && (min == 0 || live > 0)) }' "$1" || {
+		echo "$1: rrc_go_* gauges not positive:" >&2
+		grep '^rrc_go_' "$1" >&2
+		exit 1
+	}
+}
 
 "$tmp/bin/rrc-datagen" -preset gowalla -users 40 -out "$tmp/data.tsv"
 "$tmp/bin/rrc-train" -data "$tmp/data.tsv" -out "$tmp/model.tsppr" \
@@ -91,6 +117,29 @@ done
 
 curl -sf "http://$ADDR/metrics" >"$tmp/scrape.prom"
 "$tmp/bin/rrc-inspect" -expfmt - <"$tmp/scrape.prom"
+
+# The memory the process holds is visible from inside it: after 600+
+# requests the server has collected at least once, so all three heap
+# gauges are positive. The router has served a request or two and may not
+# have collected yet; its heap goal is positive regardless.
+go_gauges "$tmp/scrape.prom" 1
+"$tmp/bin/rrc-router" -addr "$ROUTER_ADDR" -nodes "http://$ADDR" &
+router_pid=$!
+ok=
+for _ in $(seq 1 50); do
+	if curl -sf -X POST "http://$ROUTER_ADDR/recommend/user" -d '{"user":1,"n":5}' >/dev/null 2>&1; then
+		ok=1
+		break
+	fi
+	sleep 0.2
+done
+[ -n "$ok" ] || { echo "router never served a routed read" >&2; exit 1; }
+curl -sf "http://$ROUTER_ADDR/metrics" >"$tmp/router.prom"
+"$tmp/bin/rrc-inspect" -expfmt - <"$tmp/router.prom"
+go_gauges "$tmp/router.prom" 0
+kill "$router_pid" 2>/dev/null || true
+wait "$router_pid" 2>/dev/null || true
+router_pid=
 
 # Replication reads cost what they deliver: per record shipped, the
 # stream framed fewer than 2 x the WAL index stride (64) records. A read
