@@ -126,7 +126,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, err := core.LoadServingFile(*modelPath)
 	if err == nil {
 		err = model.Validate()
 	}
@@ -334,6 +334,7 @@ type server struct {
 	fallbacks      *obs.Counter // requests answered by the fallback scorer
 	reloads        *obs.Counter // successful SIGHUP model swaps
 	batchEntryErrs *obs.Counter // failed /recommend/batch entries
+	modelBytes     *obs.Gauge   // core.Model.ResidentBytes of the serving model
 
 	failStreak atomic.Int64 // consecutive primary-scorer failures
 	degraded   atomic.Bool  // fallback-only mode
@@ -356,11 +357,18 @@ func newServer(m *core.Model, opts serverOptions) *server {
 	s := &server{opts: opts, sem: make(chan struct{}, opts.maxInFlight)}
 	s.initMetrics()
 	s.opts.metrics = s.reg // newOnline wires the WAL and session gauges from here
+	s.swapEngine(m)
+	return s
+}
+
+// swapEngine publishes a fresh engine over m. It records into the same
+// registry series as the engine it replaces.
+func (s *server) swapEngine(m *core.Model) {
 	eng := engine.New(m)
 	eng.Instrument(s.reg)
-	eng.SetQuantized(opts.quantize)
+	eng.SetQuantized(s.opts.quantize)
 	s.eng.Store(eng)
-	return s
+	s.modelBytes.Set(float64(m.ResidentBytes()))
 }
 
 // currentModel returns the model behind the serving engine (nil before the
@@ -609,7 +617,7 @@ func (s *server) reload() error {
 	if s.opts.modelPath == "" {
 		return errors.New("no model path configured")
 	}
-	m, err := core.LoadFile(s.opts.modelPath)
+	m, err := core.LoadServingFile(s.opts.modelPath)
 	if err != nil {
 		return err
 	}
@@ -618,11 +626,7 @@ func (s *server) reload() error {
 	}
 	// Validate precomputed the effective feature weights, so the first
 	// request after the swap is already on the two-dot-product path.
-	// The new engine records into the same registry series as the old.
-	eng := engine.New(m)
-	eng.Instrument(s.reg)
-	eng.SetQuantized(s.opts.quantize)
-	s.eng.Store(eng)
+	s.swapEngine(m)
 	// The swap changed every score under unchanged window LSNs, so the
 	// response cache must drop wholesale — after the store, so a fill
 	// racing the swap is caught by the epoch bump either way.

@@ -42,6 +42,8 @@ func (s *server) initMetrics() {
 	s.fallbacks = reg.Counter("rrc_fallbacks_total")
 	reg.Help("rrc_reloads_total", "Successful SIGHUP model swaps.")
 	s.reloads = reg.Counter("rrc_reloads_total")
+	reg.Help("rrc_model_resident_bytes", "Bytes of model tables the serving engine holds, set once per engine swap.")
+	s.modelBytes = reg.Gauge("rrc_model_resident_bytes")
 	reg.Help("rrc_degraded", "1 while the server is in degraded (fallback-only) mode.")
 	reg.GaugeFunc("rrc_degraded", func() float64 {
 		if s.degraded.Load() {

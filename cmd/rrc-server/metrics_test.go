@@ -51,6 +51,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rrc_engine_candidates_count 1",
 		"rrc_degraded 0",
 		"rrc_items_recommended_total",
+		fmt.Sprintf("rrc_model_resident_bytes %d\n", srv.currentModel().ResidentBytes()),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)

@@ -86,6 +86,24 @@ func scrapeLagRecords(t *testing.T, h http.Handler) float64 {
 
 func replStatusOf(srv *server) replStatus { return srv.repl.status() }
 
+// waitApplied blocks until every shard of the standby has applied at least
+// the LSN the primary's same shard has. replStatus.CaughtUp is not that:
+// it says the standby holds what the primary had one poll ago, so a kill
+// right after it can still cut off an acknowledged write. Call it once the
+// primary has stopped taking writes, just before killing it.
+func waitApplied(t *testing.T, primary, standby *server) {
+	t.Helper()
+	waitFor(t, "standby applied every LSN the primary holds", func() bool {
+		ps, ss := primary.online.pool.Statuses(), standby.online.pool.Statuses()
+		for i := range ps {
+			if ss[i].AppliedLSN < ps[i].AppliedLSN {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // TestReplicaFailoverPreservesAckedWrites is the headline property: a
 // standby tailing a primary under traffic holds, after the primary is
 // killed and the standby auto-promotes, exactly the state an unfaulted
@@ -112,6 +130,7 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 		mustConsume(t, hA, ev)
 	}
 	waitFor(t, "standby caught up", func() bool { return replStatusOf(srvB).CaughtUp })
+	waitApplied(t, srvA, srvB)
 
 	// A standby must refuse writes while following.
 	rr := postJSON(t, hB, "/consume", consumeRequest{User: 0, Item: 1})

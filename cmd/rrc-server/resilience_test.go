@@ -6,11 +6,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -367,6 +370,83 @@ func TestHotReloadRejectsHostileShapeHeader(t *testing.T) {
 	}
 	if code := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 3}).Code; code != http.StatusOK {
 		t.Fatalf("serving broken after rejected reload: %d", code)
+	}
+}
+
+// TestHotReloadFoldsMapsAndRejectsDamagedOnes: the SIGHUP path loads for
+// serving — the swapped-in model holds no A_u, answers byte-identically
+// and reports 8·users·K·F fewer resident bytes — and the checks that used
+// to run over the resident maps still stand in front of the swap: a file
+// that checksums but holds +Inf in one A_u, and a file with one flipped
+// byte inside the A section, are both rejected while the old model serves.
+func TestHotReloadFoldsMapsAndRejectsDamagedOnes(t *testing.T) {
+	faultinject.Reset()
+	base, seqs := testServer(t)
+	m := base.currentModel()
+	path := filepath.Join(t.TempDir(), "model.tsppr")
+	if err := m.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(m, serverOptions{modelPath: path, windowCap: 20, defaultOmega: 3})
+	h := srv.routes()
+	history := make([]int, 0, 40)
+	for _, v := range seqs[0][:40] {
+		history = append(history, int(v))
+	}
+	serve := func() string {
+		t.Helper()
+		rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5})
+		if rr.Code != http.StatusOK {
+			t.Fatalf("/recommend: %d %s", rr.Code, rr.Body.String())
+		}
+		return rr.Body.String()
+	}
+	before, fullBytes := serve(), srv.modelBytes.Value()
+	if err := srv.reload(); err != nil {
+		t.Fatal(err)
+	}
+	folded := srv.currentModel()
+	if folded == m || folded.A != nil {
+		t.Fatalf("reload kept %d per-user maps resident", len(folded.A))
+	}
+	if after := serve(); after != before {
+		t.Fatalf("folded model answers differently:\n%s\n%s", before, after)
+	}
+	maps := float64(8 * m.NumUsers() * m.K * m.F)
+	if got := srv.modelBytes.Value(); got <= 0 || got != fullBytes-maps {
+		t.Fatalf("rrc_model_resident_bytes = %v after the serving load, want %v - %v", got, fullBytes, maps)
+	}
+
+	aStart := 8 + 5*8 + 8*(m.NumUsers()+m.NumItems())*m.K + 8 // magic, header, U, V, map count
+	infected := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(infected[aStart+8*(2*m.K*m.F+1):], math.Float64bits(math.Inf(1)))
+	body := infected[8 : len(infected)-4]
+	binary.LittleEndian.PutUint32(infected[len(infected)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	flipped := append([]byte(nil), good...)
+	flipped[aStart+8*m.K*m.F+3] ^= 0x01 // a mantissa bit of user 1's block: still finite, only the CRC sees it
+	for _, tc := range []struct {
+		name, want string
+		blob       []byte
+	}{
+		{"+Inf in A[2]", "non-finite value in A[2]", infected},
+		{"flipped byte in A", "checksum mismatch", flipped},
+	} {
+		if err := os.WriteFile(path, tc.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.reload(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: reload = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if srv.currentModel() != folded || srv.reloads.Value() != 1 {
+			t.Fatalf("%s: rejected reload displaced the serving model", tc.name)
+		}
+		if after := serve(); after != before {
+			t.Fatalf("%s: answers changed after a rejected reload", tc.name)
+		}
 	}
 }
 

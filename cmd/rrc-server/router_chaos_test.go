@@ -122,6 +122,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 		consumeViaRouter(t, h, ev)
 	}
 	waitFor(t, "standby caught up pre-kill", func() bool { return replStatusOf(srvB).CaughtUp })
+	waitApplied(t, srvA, srvB)
 
 	// Kill the primary: listener closed, pool abandoned un-closed.
 	tsA.Close()

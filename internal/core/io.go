@@ -55,6 +55,9 @@ func (cw *countingWriter) writeFloats(xs []float64) {
 // Write serializes the model (including its extractor) to w in the v2
 // format: magic, body, CRC32-C trailer over the body.
 func (m *Model) Write(w io.Writer) error {
+	if err := m.requireMaps(); err != nil {
+		return err // an A-less body would be a file no load accepts
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := io.WriteString(bw, modelMagic); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
@@ -120,12 +123,15 @@ const (
 )
 
 // readFloats decodes n little-endian float64s through the fixed chunk
-// buffer straight into the destination slice.
-func (cr *countingReader) readFloats(n int) []float64 {
+// buffer straight into the destination slice: xs's storage when it is
+// large enough (the serving load's one A_u block), a fresh one otherwise.
+func (cr *countingReader) readFloats(xs []float64, n int) []float64 {
 	if cr.err != nil || n < 0 {
 		return nil
 	}
-	xs := make([]float64, 0, min(n, floatPresize))
+	if xs = xs[:0]; cap(xs) == 0 {
+		xs = make([]float64, 0, min(n, floatPresize))
+	}
 	for len(xs) < n {
 		want := min(n-len(xs), len(cr.chunk)/8)
 		b := cr.chunk[:8*want]
@@ -136,9 +142,7 @@ func (cr *countingReader) readFloats(n int) []float64 {
 			cr.err = err
 			return nil
 		}
-		if len(xs)+want > cap(xs) {
-			xs = append(make([]float64, 0, min(n, 2*cap(xs))), xs...)
-		}
+		xs = grown(xs, want, n)
 		base := len(xs)
 		xs = xs[:base+want]
 		for i := 0; i < want; i++ {
@@ -146,6 +150,15 @@ func (cr *countingReader) readFloats(n int) []float64 {
 		}
 	}
 	return xs
+}
+
+// grown returns xs with room for want more floats that have arrived: at
+// most doubled, never past the n the header claims in total.
+func grown(xs []float64, want, n int) []float64 {
+	if len(xs)+want <= cap(xs) {
+		return xs
+	}
+	return append(make([]float64, 0, min(n, max(2*cap(xs), len(xs)+want))), xs...)
 }
 
 // hashingReader forwards reads while feeding every delivered byte into h,
@@ -165,7 +178,16 @@ func (hr *hashingReader) Read(p []byte) (int, error) {
 
 // ReadModel deserializes a model written by Write. It accepts the current
 // v2 format (checksummed) and the legacy v1 format.
-func ReadModel(r io.Reader) (*Model, error) {
+func ReadModel(r io.Reader) (*Model, error) { return readModel(r, false) }
+
+// ReadServingModel is ReadModel for a process that only scores: same
+// format, same checks, but a PerUserMap file's A_u blocks are folded into
+// w_u = A_uᵀu as they stream by and never held, so the model comes back
+// with A == nil. Such a model scores bit-identically to the full load and
+// cannot be trained, updated online or written.
+func ReadServingModel(r io.Reader) (*Model, error) { return readModel(r, true) }
+
+func readModel(r io.Reader, serving bool) (*Model, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(modelMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -173,10 +195,10 @@ func ReadModel(r io.Reader) (*Model, error) {
 	}
 	switch string(magic) {
 	case modelMagicV1:
-		return readBody(&countingReader{r: br})
+		return readBody(&countingReader{r: br}, serving)
 	case modelMagic:
 		hr := &hashingReader{r: br, h: crc32.New(crcTable)}
-		m, err := readBody(&countingReader{r: hr})
+		m, err := readBody(&countingReader{r: hr}, serving)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +215,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 	}
 }
 
-func readBody(cr *countingReader) (*Model, error) {
+func readBody(cr *countingReader, serving bool) (*Model, error) {
 	k := int(cr.readInt())
 	f := int(cr.readInt())
 	mapType := MapKind(cr.readInt())
@@ -210,8 +232,8 @@ func readBody(cr *countingReader) (*Model, error) {
 		return nil, fmt.Errorf("core: unknown map kind %d", mapType)
 	}
 	m := &Model{K: k, F: f, MapType: mapType}
-	m.U = &linalg.Matrix{Rows: numUsers, Cols: k, Data: cr.readFloats(numUsers * k)}
-	m.V = &linalg.Matrix{Rows: numItems, Cols: k, Data: cr.readFloats(numItems * k)}
+	m.U = &linalg.Matrix{Rows: numUsers, Cols: k, Data: cr.readFloats(nil, numUsers*k)}
+	m.V = &linalg.Matrix{Rows: numItems, Cols: k, Data: cr.readFloats(nil, numItems*k)}
 	numMaps := int(cr.readInt())
 	wantMaps := 0
 	switch mapType {
@@ -223,9 +245,15 @@ func readBody(cr *countingReader) (*Model, error) {
 	if cr.err == nil && numMaps != wantMaps {
 		return nil, fmt.Errorf("core: map count %d, want %d for %v", numMaps, wantMaps, mapType)
 	}
-	m.A = make([]*linalg.Matrix, numMaps)
-	for i := range m.A {
-		m.A[i] = &linalg.Matrix{Rows: k, Cols: f, Data: cr.readFloats(k * f)}
+	if serving && mapType == PerUserMap {
+		if err := cr.foldMaps(m); err != nil {
+			return nil, err
+		}
+	} else {
+		m.A = make([]*linalg.Matrix, numMaps)
+		for i := range m.A {
+			m.A[i] = &linalg.Matrix{Rows: k, Cols: f, Data: cr.readFloats(nil, k*f)}
+		}
 	}
 	mask := features.Mask(cr.readInt())
 	recency := features.RecencyKind(cr.readInt())
@@ -238,8 +266,8 @@ func readBody(cr *countingReader) (*Model, error) {
 	if tableLen < 0 || tableLen > 1<<28 {
 		return nil, fmt.Errorf("core: implausible table length %d", tableLen)
 	}
-	quality := cr.readFloats(tableLen)
-	reratio := cr.readFloats(tableLen)
+	quality := cr.readFloats(nil, tableLen)
+	reratio := cr.readFloats(nil, tableLen)
 	if cr.err != nil {
 		return nil, fmt.Errorf("core: read model body: %w", cr.err)
 	}
@@ -255,6 +283,27 @@ func readBody(cr *countingReader) (*Model, error) {
 	// weights here so load time, not first-request time, pays the cost.
 	m.Precompute()
 	return m, nil
+}
+
+// foldMaps consumes the numUsers K×F blocks of a PerUserMap file through
+// one reusable buffer, leaving m.effW folded and m.A nil. Each block gets
+// the finiteness check Validate would have given it, and effW at most
+// doubles as blocks arrive: F is still only the header's claim here.
+func (cr *countingReader) foldMaps(m *Model) error {
+	n := m.U.Rows * m.F
+	var eff, block []float64
+	for u := 0; u < m.U.Rows; u++ {
+		if block = cr.readFloats(block, m.K*m.F); cr.err != nil {
+			return nil // readBody's next check reports it, as for the full load
+		}
+		if !finiteSlice(block) {
+			return fmt.Errorf("core: non-finite value in A[%d]", u)
+		}
+		eff = grown(eff, m.F, n)[:len(eff)+m.F]
+		foldInto(eff[len(eff)-m.F:], m.U.Row(u), block)
+	}
+	m.effW = &linalg.Matrix{Rows: m.U.Rows, Cols: m.F, Data: eff}
+	return nil
 }
 
 // SaveFile writes the model to path atomically: the bytes go to a
@@ -274,11 +323,16 @@ func writeFileAtomic(path string, fn func(io.Writer) error) error {
 }
 
 // LoadFile reads a model from path.
-func LoadFile(path string) (*Model, error) {
+func LoadFile(path string) (*Model, error) { return loadFile(path, false) }
+
+// LoadServingFile reads a model from path through ReadServingModel.
+func LoadServingFile(path string) (*Model, error) { return loadFile(path, true) }
+
+func loadFile(path string, serving bool) (*Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	defer f.Close()
-	return ReadModel(f)
+	return readModel(f, serving)
 }

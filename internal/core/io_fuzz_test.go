@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -105,6 +107,59 @@ func FuzzReadModel(f *testing.F) {
 	})
 }
 
+// FuzzReadServingModel is a differential against ReadModel: for any input
+// load + Validate either fails on both paths or succeeds on both, and on
+// success the serving load's w_u is bit-equal to the full load's for every
+// user (Validate is part of the verdict because the serving load applies
+// A's finiteness check in the stream, the full load in Validate).
+func FuzzReadServingModel(f *testing.F) {
+	for _, mk := range []MapKind{PerUserMap, SharedMap, IdentityMap} {
+		m := trainedKind(f, mk)
+		blob := mustWrite(f, m)
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		f.Add(blob[:len(blob)-2])
+		f.Add(append([]byte(modelMagicV1), blob[len(modelMagic):len(blob)-4]...))
+		flipped := append([]byte(nil), blob...)
+		flipped[mapsOffset(m)+11] ^= 0x40
+		f.Add(flipped)
+		nan := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(nan[mapsOffset(m)+16:], math.Float64bits(math.NaN()))
+		resealV2(nan)
+		f.Add(nan)
+	}
+	f.Add(hostileShapeHeader())
+	f.Add([]byte{})
+	load := func(read func(io.Reader) (*Model, error), data []byte) (*Model, error) {
+		m, err := read(bytes.NewReader(data))
+		if err == nil {
+			err = m.Validate()
+		}
+		return m, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		full, e1 := load(ReadModel, data)
+		serving, e2 := load(ReadServingModel, data)
+		if (e1 == nil) != (e2 == nil) {
+			t.Fatalf("full load: %v; serving load: %v", e1, e2)
+		}
+		if e1 != nil {
+			return
+		}
+		if full.MapType == PerUserMap && serving.A != nil {
+			t.Fatalf("serving load kept %d maps", len(serving.A))
+		}
+		for u := 0; u < full.NumUsers(); u++ {
+			a, b := full.EffectiveFeatureWeights(u), serving.EffectiveFeatureWeights(u)
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Fatalf("w[%d][%d]: full %x, serving %x", u, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
+				}
+			}
+		}
+	})
+}
+
 // TestReadModelHostileHeader crafts a valid magic with absurd shape
 // claims: the reader must reject them before allocating.
 func TestReadModelHostileHeader(t *testing.T) {
@@ -128,11 +183,17 @@ func TestReadModelHostileHeader(t *testing.T) {
 		mk(8, 4, 0, -10, 10),    // negative users
 	}
 	for i, blob := range hostile {
-		if _, err := ReadModel(bytes.NewReader(blob)); err == nil {
-			t.Errorf("hostile header %d accepted", i)
+		for name, read := range loaders {
+			if _, err := read(bytes.NewReader(blob)); err == nil {
+				t.Errorf("hostile header %d accepted by the %s load", i, name)
+			}
 		}
 	}
 }
+
+// loaders are the two entry points of the one parser; the allocation and
+// rejection properties below hold for both.
+var loaders = map[string]func(io.Reader) (*Model, error){"full": ReadModel, "serving": ReadServingModel}
 
 // hostileShapeHeader is a v2 file whose header passes every range check
 // while claiming the largest shape they admit — 2²⁸ users × 2²⁰ factors,
@@ -153,28 +214,60 @@ func hostileShapeHeader() []byte {
 // above is an error and under 1 MiB of allocation — not an out-of-range
 // make or an OOM kill before the first body byte is looked at.
 func TestReadModelAllocatesByBytesRead(t *testing.T) {
-	blob := hostileShapeHeader()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m, err := ReadModel(bytes.NewReader(blob))
-	runtime.ReadMemStats(&after)
-	if err == nil || m != nil {
-		t.Fatalf("header-only model accepted: %v", m)
+	for name, read := range loaders {
+		blob := hostileShapeHeader()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := read(bytes.NewReader(blob))
+		runtime.ReadMemStats(&after)
+		if err == nil || m != nil {
+			t.Fatalf("%s: header-only model accepted: %v", name, m)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: rejecting a %d-byte file allocated %d bytes, want < 1 MiB", name, len(blob), got)
+		}
+		// Some of the claimed table present, then EOF mid-table: still an
+		// error, and still bounded by the bytes that were there.
+		blob = append(blob, make([]byte, 3<<20)...)
+		runtime.ReadMemStats(&before)
+		_, err = read(bytes.NewReader(blob))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: err = %v, want unexpected EOF", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 4*uint64(len(blob)) {
+			t.Fatalf("%s: a %d-byte file allocated %d bytes", name, len(blob), got)
+		}
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("rejecting a %d-byte file allocated %d bytes, want < 1 MiB", len(blob), got)
+}
+
+// TestServingLoadSizesEffWByBlocksRead: U and V are honestly there, so the
+// user count is backed by bytes — but F = 2¹⁷ is only the header's word. A
+// numUsers × F table made on that word would be 64 MiB for this 1 KiB
+// file; the serving load grows effW per arrived block instead, here not at
+// all, and with two whole 1 MiB blocks present stays inside 4× the file.
+func TestServingLoadSizesEffWByBlocksRead(t *testing.T) {
+	const users, bigF = 64, 1 << 17
+	var buf bytes.Buffer
+	buf.WriteString(modelMagic)
+	cw := &countingWriter{w: &buf}
+	for _, v := range []int64{1, bigF, int64(PerUserMap), users, 1} {
+		cw.write(v)
 	}
-	// Some of the claimed table present, then EOF mid-table: still an
-	// error, and still bounded by the bytes that were there.
-	blob = append(blob, make([]byte, 3<<20)...)
-	runtime.ReadMemStats(&before)
-	_, err = ReadModel(bytes.NewReader(blob))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("err = %v, want unexpected EOF", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 4*uint64(len(blob)) {
-		t.Fatalf("a %d-byte file allocated %d bytes", len(blob), got)
+	cw.writeFloats(make([]float64, users+1)) // U (K=1) and the one V row
+	cw.write(int64(users))                   // map count
+	for name, blocks := range map[string]int{"no block": 0, "two blocks": 2} {
+		blob := append(append([]byte(nil), buf.Bytes()...), make([]byte, 8*bigF*blocks+100)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadServingModel(bytes.NewReader(blob))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: err = %v, want unexpected EOF", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20+4*uint64(len(blob)) {
+			t.Fatalf("%s: a %d-byte file allocated %d bytes", name, len(blob), got)
+		}
 	}
 }
 

@@ -61,7 +61,8 @@ type Model struct {
 	V *linalg.Matrix // numItems × K
 	A []*linalg.Matrix
 	// A layout: PerUserMap → len numUsers; SharedMap → len 1;
-	// IdentityMap → nil.
+	// IdentityMap → nil. Also nil for a PerUserMap model from the serving
+	// load (ReadServingModel), which keeps only the folded effW.
 
 	Extractor *features.Extractor
 
@@ -107,6 +108,9 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("core: non-finite value in A[%d]", i)
 		}
 	}
+	if err := m.requireMaps(); err != nil && (m.effW == nil || m.effW.Rows != m.U.Rows || m.effW.Cols != m.F) {
+		return err // neither the maps nor their folded weights
+	}
 	// A model that validates is a model about to serve: fold the
 	// effective feature weights now so the first request after a load or
 	// a SIGHUP hot-swap is already on the two-dot-product path.
@@ -130,6 +134,26 @@ func (m *Model) NumUsers() int { return m.U.Rows }
 // NumItems returns the number of items the model was trained over.
 func (m *Model) NumItems() int { return m.V.Rows }
 
+// ResidentBytes sums the model's tables as they sit in memory: U, V, effW,
+// every A_u and the extractor's static tables at 8 bytes an element, the
+// two float32 shadows at 4. The serving load's saving shows here by
+// construction, before any RSS measurement.
+func (m *Model) ResidentBytes() int64 {
+	quality, reratio := m.Extractor.Tables()
+	n64 := len(m.U.Data) + len(m.V.Data) + len(quality) + len(reratio)
+	for _, a := range m.A {
+		n64 += len(a.Data)
+	}
+	if m.effW != nil {
+		n64 += len(m.effW.Data)
+	}
+	n32 := 0
+	if m.effW32 != nil { // Precompute builds both shadows together
+		n32 = len(m.effW32.Data) + len(m.v32.Data)
+	}
+	return 8*int64(n64) + 4*int64(n32)
+}
+
 // Precompute folds the per-user effective feature weights w_u = A_uᵀu
 // into a dense numUsers × F table, so per-item scoring needs two dot
 // products (uᵀv + w_uᵀf) instead of re-deriving uᵀA_u per call. It runs
@@ -138,9 +162,21 @@ func (m *Model) NumItems() int { return m.V.Rows }
 // in-place mutators (warm starts, online updates applied wholesale)
 // refresh it. Under IdentityMap no table is built: w_u is u itself.
 //
+// A serving-loaded model has no A to fold from: its effW is final, and
+// Precompute only builds whichever float32 shadow is still missing.
+//
 // Precompute is not safe to call concurrently with readers; every
 // production path runs it before the model is published for serving.
 func (m *Model) Precompute() {
+	if m.requireMaps() != nil {
+		if m.effW32 == nil {
+			m.effW32 = linalg.Quantize(m.effW)
+		}
+		if m.v32 == nil {
+			m.v32 = linalg.Quantize(m.V)
+		}
+		return
+	}
 	if m.MapType == IdentityMap {
 		m.effW = nil
 		m.effW32 = linalg.Quantize(m.U)
@@ -156,17 +192,30 @@ func (m *Model) Precompute() {
 	m.v32 = linalg.Quantize(m.V)
 }
 
-// foldUser writes w_u = A_uᵀu into dst (length F). The summation order
-// (k innermost, ascending) is part of the model's observable behaviour:
-// scores are reproducible bit for bit across precomputed and per-call
-// derivations only if both fold in this order.
+// requireMaps reports a PerUserMap model that no longer holds its A_u (the
+// serving load folds them away): it can score, but not train or serialize.
+func (m *Model) requireMaps() error {
+	if m.MapType == PerUserMap && len(m.A) != m.U.Rows {
+		return fmt.Errorf("core: model holds %d of its %d per-user maps (loaded for serving?); use LoadFile", len(m.A), m.U.Rows)
+	}
+	return nil
+}
+
+// foldUser writes w_u = A_uᵀu into dst (length F).
 func (m *Model) foldUser(dst linalg.Vector, u int) {
-	uvec := m.U.Row(u)
-	a := m.mapFor(u)
-	for f := 0; f < m.F; f++ {
+	foldInto(dst, m.U.Row(u), m.mapFor(u).Data)
+}
+
+// foldInto writes Aᵀu into dst (length F) for a row-major K×F map a. The
+// summation order (k innermost, ascending) is part of the model's
+// observable behaviour: scores are reproducible bit for bit across the
+// full load, the serving load and online re-folds only because all three
+// fold here.
+func foldInto(dst, uvec linalg.Vector, a []float64) {
+	for f := range dst {
 		s := 0.0
-		for k := 0; k < m.K; k++ {
-			s += uvec[k] * a.At(k, f)
+		for k, uk := range uvec {
+			s += uk * a[k*len(dst)+f]
 		}
 		dst[f] = s
 	}

@@ -68,6 +68,9 @@ func NewOnlineUpdater(m *Model, cfg OnlineConfig) (*OnlineUpdater, error) {
 	if m == nil || m.Extractor == nil {
 		return nil, fmt.Errorf("core: OnlineUpdater requires a trained model with extractor")
 	}
+	if err := m.requireMaps(); err != nil {
+		return nil, err // the SGD steps update A_u; a serving load has none
+	}
 	cfg = cfg.withDefaults()
 	if cfg.LearningRate <= 0 || cfg.Negatives <= 0 || cfg.Lambda < 0 || cfg.Gamma < 0 {
 		return nil, fmt.Errorf("core: bad online config %+v", cfg)

@@ -208,6 +208,9 @@ func train(ctx context.Context, set *sampling.Set, numUsers, numItems int, ex *f
 			return nil, nil, fmt.Errorf("core: warm-start shape mismatch (users %d/%d, items %d/%d, F %d/%d)",
 				w.U.Rows, numUsers, w.V.Rows, numItems, w.F, ex.Dim())
 		}
+		if err := w.requireMaps(); err != nil {
+			return nil, nil, err
+		}
 		cfg.K = w.K
 		cfg.MapType = w.MapType
 	}

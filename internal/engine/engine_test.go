@@ -102,9 +102,10 @@ func refScore(m *core.Model, u int, v seq.Item, w *seq.Window, f linalg.Vector) 
 	case core.IdentityMap:
 		dyn = linalg.Dot(uvec, f)
 	default:
-		a := m.A[0]
+		maps := m.A // the reference derives w_u from the maps themselves
+		a := maps[0]
 		if m.MapType == core.PerUserMap {
-			a = m.A[u]
+			a = maps[u]
 		}
 		for fi := 0; fi < m.F; fi++ {
 			s := 0.0

@@ -118,6 +118,16 @@ done
 curl -sf "http://$ADDR/metrics" >"$tmp/scrape.prom"
 "$tmp/bin/rrc-inspect" -expfmt - <"$tmp/scrape.prom"
 
+# What a server holds of the model is one gauge, set at every engine
+# swap: present and positive on the primary and on the follower.
+curl -sf "http://$FOLLOW_ADDR/metrics" >"$tmp/follower.prom"
+for f in "$tmp/scrape.prom" "$tmp/follower.prom"; do
+	awk '$1 == "rrc_model_resident_bytes" { v = $2 } END { exit !(v > 0) }' "$f" || {
+		echo "$f: rrc_model_resident_bytes absent or not positive" >&2
+		exit 1
+	}
+done
+
 # The memory the process holds is visible from inside it: after 600+
 # requests the server has collected at least once, so all three heap
 # gauges are positive. The router has served a request or two and may not
