@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz fuzz-smoke bench bench-smoke obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos
+.PHONY: check build fmt vet test race fuzz fuzz-smoke bench-smoke obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos
 
 ## check: everything CI should gate on — formatting, vet, race-enabled tests
 ## (obs-race first: the metric hot paths are the newest concurrency surface,
@@ -86,13 +86,6 @@ metrics-smoke:
 ## (no mutation) — fast enough to gate on
 fuzz-smoke:
 	$(GO) test ./internal/core ./internal/dataset ./internal/wal -run '^Fuzz' -count=1
-
-## bench: regenerate BENCH_PR10.json — fixed-seed scoring throughput of
-## the engine (plain, float32-quantized, response-cached) vs the
-## pre-refactor per-call path (ns/op, allocs/op, items/sec); the label
-## is derived from -out, never hard-coded
-bench:
-	$(GO) run ./cmd/rrc-bench -out BENCH_PR10.json
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it

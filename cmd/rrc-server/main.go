@@ -86,7 +86,6 @@ func main() {
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 
 		responseCache = flag.Int("response-cache", rescache.DefaultMaxEntries, "bound on cached /recommend/user responses, invalidated by consume LSN (0 disables; requires -events-dir)")
-		quantize      = flag.Bool("quantize", false, "score against float32-quantized weight tables (half the cache traffic, ~1e-7 relative score error)")
 
 		eventsDir     = flag.String("events-dir", "", "enable durable online sessions: write-ahead event log + snapshots live here")
 		shards        = flag.Int("shards", 1, "online failure domains: users are hash-partitioned over this many independent WAL+session shards (fixed per events dir)")
@@ -144,7 +143,6 @@ func main() {
 		defaultOmega: *omega,
 		maxInFlight:  *maxInFlight,
 		reqTimeout:   *reqTimeout,
-		quantize:     *quantize,
 
 		eventsDir:     *eventsDir,
 		cacheEntries:  *responseCache,
@@ -276,7 +274,6 @@ type serverOptions struct {
 	reqTimeout    time.Duration // primary-scorer deadline; 0 → 2s
 	failThreshold int           // consecutive failures before degraded; 0 → 3
 	probeEvery    int           // degraded-mode primary probe period; 0 → 16
-	quantize      bool          // engine scores against float32 tables
 
 	// Online-session fields; zero values defer to wal/sessions defaults.
 	eventsDir     string            // "" disables /consume and /recommend/user
@@ -366,7 +363,6 @@ func newServer(m *core.Model, opts serverOptions) *server {
 func (s *server) swapEngine(m *core.Model) {
 	eng := engine.New(m)
 	eng.Instrument(s.reg)
-	eng.SetQuantized(s.opts.quantize)
 	s.eng.Store(eng)
 	s.modelBytes.Set(float64(m.ResidentBytes()))
 }

@@ -378,7 +378,8 @@ func TestHotReloadRejectsHostileShapeHeader(t *testing.T) {
 // and reports 8·users·K·F fewer resident bytes — and the checks that used
 // to run over the resident maps still stand in front of the swap: a file
 // that checksums but holds +Inf in one A_u, and a file with one flipped
-// byte inside the A section, are both rejected while the old model serves.
+// byte inside the A section — under its own magic or the checksum-less v1's
+// — are all rejected while the old model serves.
 func TestHotReloadFoldsMapsAndRejectsDamagedOnes(t *testing.T) {
 	faultinject.Reset()
 	base, seqs := testServer(t)
@@ -428,12 +429,15 @@ func TestHotReloadFoldsMapsAndRejectsDamagedOnes(t *testing.T) {
 	binary.LittleEndian.PutUint32(infected[len(infected)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	flipped := append([]byte(nil), good...)
 	flipped[aStart+8*m.K*m.F+3] ^= 0x01 // a mantissa bit of user 1's block: still finite, only the CRC sees it
+	downgraded := append([]byte(nil), flipped...)
+	downgraded[6] = '1' // "TSPPRv1\n" had no checksum to fail
 	for _, tc := range []struct {
 		name, want string
 		blob       []byte
 	}{
 		{"+Inf in A[2]", "non-finite value in A[2]", infected},
 		{"flipped byte in A", "checksum mismatch", flipped},
+		{"flipped byte in A, magic rewritten to v1", "bad model magic", downgraded},
 	} {
 		if err := os.WriteFile(path, tc.blob, 0o644); err != nil {
 			t.Fatal(err)

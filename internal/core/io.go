@@ -17,14 +17,12 @@ import (
 
 // Model files are little-endian binary: a magic header, the shape and map
 // kind, the parameter tables, then the feature extractor's static tables.
-// The format is versioned via the magic. Version 2 appends a CRC32-C
-// checksum of everything after the magic, so truncation and bit rot are
-// detected at load time instead of silently corrupting scores; the reader
-// still accepts v1 files (no checksum).
-const (
-	modelMagicV1 = "TSPPRv1\n"
-	modelMagic   = "TSPPRv2\n" // current write format
-)
+// The format is versioned via the magic. A CRC32-C checksum of everything
+// after the magic trails the body, so truncation and bit rot are detected
+// at load time instead of silently corrupting scores. This is the only
+// format read: the checksum-less v1 it replaced is refused, because
+// accepting it would let any damaged v2 file load by claiming to be v1.
+const modelMagic = "TSPPRv2\n"
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -75,7 +73,6 @@ func (m *Model) Write(w io.Writer) error {
 }
 
 // writeBody emits everything between the magic and the checksum trailer.
-// The layout is shared by v1 and v2.
 func (m *Model) writeBody(cw *countingWriter) {
 	cw.write(int64(m.K))
 	cw.write(int64(m.F))
@@ -162,7 +159,7 @@ func grown(xs []float64, want, n int) []float64 {
 }
 
 // hashingReader forwards reads while feeding every delivered byte into h,
-// so the v2 reader can checksum exactly the bytes the parser consumed.
+// so the reader can checksum exactly the bytes the parser consumed.
 type hashingReader struct {
 	r io.Reader
 	h hash.Hash32
@@ -176,15 +173,14 @@ func (hr *hashingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadModel deserializes a model written by Write. It accepts the current
-// v2 format (checksummed) and the legacy v1 format.
+// ReadModel deserializes a model written by Write, verifying its checksum.
 func ReadModel(r io.Reader) (*Model, error) { return readModel(r, false) }
 
 // ReadServingModel is ReadModel for a process that only scores: same
 // format, same checks, but a PerUserMap file's A_u blocks are folded into
 // w_u = A_uᵀu as they stream by and never held, so the model comes back
 // with A == nil. Such a model scores bit-identically to the full load and
-// cannot be trained, updated online or written.
+// cannot be trained or written.
 func ReadServingModel(r io.Reader) (*Model, error) { return readModel(r, true) }
 
 func readModel(r io.Reader, serving bool) (*Model, error) {
@@ -193,26 +189,22 @@ func readModel(r io.Reader, serving bool) (*Model, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("core: read magic: %w", err)
 	}
-	switch string(magic) {
-	case modelMagicV1:
-		return readBody(&countingReader{r: br}, serving)
-	case modelMagic:
-		hr := &hashingReader{r: br, h: crc32.New(crcTable)}
-		m, err := readBody(&countingReader{r: hr}, serving)
-		if err != nil {
-			return nil, err
-		}
-		var want uint32
-		if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-			return nil, fmt.Errorf("core: read checksum: %w", err)
-		}
-		if got := hr.h.Sum32(); got != want {
-			return nil, fmt.Errorf("core: checksum mismatch (got %08x, want %08x): file is truncated or corrupt", got, want)
-		}
-		return m, nil
-	default:
-		return nil, fmt.Errorf("core: bad model magic %q", magic)
+	if string(magic) != modelMagic {
+		return nil, fmt.Errorf("core: bad model magic %q, want %q", magic, modelMagic)
 	}
+	hr := &hashingReader{r: br, h: crc32.New(crcTable)}
+	m, err := readBody(&countingReader{r: hr}, serving)
+	if err != nil {
+		return nil, err
+	}
+	var want uint32
+	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
+		return nil, fmt.Errorf("core: read checksum: %w", err)
+	}
+	if got := hr.h.Sum32(); got != want {
+		return nil, fmt.Errorf("core: checksum mismatch (got %08x, want %08x): file is truncated or corrupt", got, want)
+	}
+	return m, nil
 }
 
 func readBody(cr *countingReader, serving bool) (*Model, error) {

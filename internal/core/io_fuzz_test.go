@@ -71,9 +71,9 @@ func TestReadModelArbitraryBytes(t *testing.T) {
 }
 
 // FuzzReadModel drives ReadModel with arbitrary bytes seeded from a real
-// v2 model, its v1 rendering, truncations, bit flips, and hostile shape
-// headers. The invariant: ReadModel returns (model, nil) or (nil, error) —
-// it never panics and never allocates from unvalidated shape claims.
+// v2 model, truncations, bit flips, and hostile shape headers. The
+// invariant: ReadModel returns (model, nil) or (nil, error) — it never
+// panics and never allocates from unvalidated shape claims.
 // The seed corpus alone runs under plain `go test`; `go test -fuzz
 // FuzzReadModel` explores further.
 func FuzzReadModel(f *testing.F) {
@@ -119,7 +119,7 @@ func FuzzReadServingModel(f *testing.F) {
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 		f.Add(blob[:len(blob)-2])
-		f.Add(append([]byte(modelMagicV1), blob[len(modelMagic):len(blob)-4]...))
+		f.Add(v1Blob(f, m)) // intact v1: refused by its magic
 		flipped := append([]byte(nil), blob...)
 		flipped[mapsOffset(m)+11] ^= 0x40
 		f.Add(flipped)
@@ -145,6 +145,9 @@ func FuzzReadServingModel(f *testing.F) {
 		}
 		if e1 != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, []byte(modelMagic)) {
+			t.Fatalf("loaded a file that does not start with %q", modelMagic)
 		}
 		if full.MapType == PerUserMap && serving.A != nil {
 			t.Fatalf("serving load kept %d maps", len(serving.A))

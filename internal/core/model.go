@@ -71,16 +71,6 @@ type Model struct {
 	// dot products instead of a K×F matrix-vector product per call. Nil
 	// until Precompute runs; nil (not serialized) in model files.
 	effW *linalg.Matrix
-
-	// effW32/v32 are float32 quantizations of the serving tables (w_u
-	// rows and V rows), built by Precompute for the engine's quantized
-	// scoring path: half the cache traffic per dot product at ~1e-7
-	// relative error per element. Under IdentityMap effW32 quantizes U
-	// rows directly (w_u = u). Derived, never serialized; the float64
-	// tables remain the master copy and online updates re-quantize the
-	// touched rows.
-	effW32 *linalg.Matrix32
-	v32    *linalg.Matrix32
 }
 
 // Validate checks that the model is fit to serve: consistent shapes and
@@ -135,52 +125,41 @@ func (m *Model) NumUsers() int { return m.U.Rows }
 func (m *Model) NumItems() int { return m.V.Rows }
 
 // ResidentBytes sums the model's tables as they sit in memory: U, V, effW,
-// every A_u and the extractor's static tables at 8 bytes an element, the
-// two float32 shadows at 4. The serving load's saving shows here by
-// construction, before any RSS measurement.
+// every A_u and the extractor's static tables, at 8 bytes an element. The
+// serving load's saving shows here by construction, before any RSS
+// measurement.
 func (m *Model) ResidentBytes() int64 {
 	quality, reratio := m.Extractor.Tables()
-	n64 := len(m.U.Data) + len(m.V.Data) + len(quality) + len(reratio)
+	n := len(m.U.Data) + len(m.V.Data) + len(quality) + len(reratio)
 	for _, a := range m.A {
-		n64 += len(a.Data)
+		n += len(a.Data)
 	}
 	if m.effW != nil {
-		n64 += len(m.effW.Data)
+		n += len(m.effW.Data)
 	}
-	n32 := 0
-	if m.effW32 != nil { // Precompute builds both shadows together
-		n32 = len(m.effW32.Data) + len(m.v32.Data)
-	}
-	return 8*int64(n64) + 4*int64(n32)
+	return 8 * int64(n)
 }
 
 // Precompute folds the per-user effective feature weights w_u = A_uᵀu
 // into a dense numUsers × F table, so per-item scoring needs two dot
 // products (uᵀv + w_uᵀf) instead of re-deriving uᵀA_u per call. It runs
-// at the end of Train, after ReadModel, and inside Validate (the
-// load/hot-swap gate); calling it again rebuilds the table, which is how
-// in-place mutators (warm starts, online updates applied wholesale)
-// refresh it. Under IdentityMap no table is built: w_u is u itself.
+// at the end of Train, after ReadModel, inside Validate (the load/hot-swap
+// gate) and in engine.New; calling it again rebuilds the table from the
+// current U and A. Under IdentityMap no table is built: w_u is u itself.
+// A serving-loaded model has no A to fold from: the load wrote its effW,
+// and Precompute leaves it alone.
 //
-// A serving-loaded model has no A to fold from: its effW is final, and
-// Precompute only builds whichever float32 shadow is still missing.
+// U, V and effW in float64 are the whole serving form of the model, and
+// nothing but Precompute and the serving load writes effW.
 //
 // Precompute is not safe to call concurrently with readers; every
 // production path runs it before the model is published for serving.
 func (m *Model) Precompute() {
 	if m.requireMaps() != nil {
-		if m.effW32 == nil {
-			m.effW32 = linalg.Quantize(m.effW)
-		}
-		if m.v32 == nil {
-			m.v32 = linalg.Quantize(m.V)
-		}
 		return
 	}
 	if m.MapType == IdentityMap {
 		m.effW = nil
-		m.effW32 = linalg.Quantize(m.U)
-		m.v32 = linalg.Quantize(m.V)
 		return
 	}
 	eff := linalg.NewMatrix(m.U.Rows, m.F)
@@ -188,8 +167,6 @@ func (m *Model) Precompute() {
 		m.foldUser(eff.Row(u), u)
 	}
 	m.effW = eff
-	m.effW32 = linalg.Quantize(eff)
-	m.v32 = linalg.Quantize(m.V)
 }
 
 // requireMaps reports a PerUserMap model that no longer holds its A_u (the
@@ -209,8 +186,7 @@ func (m *Model) foldUser(dst linalg.Vector, u int) {
 // foldInto writes Aᵀu into dst (length F) for a row-major K×F map a. The
 // summation order (k innermost, ascending) is part of the model's
 // observable behaviour: scores are reproducible bit for bit across the
-// full load, the serving load and online re-folds only because all three
-// fold here.
+// full load and the serving load only because both fold here.
 func foldInto(dst, uvec linalg.Vector, a []float64) {
 	for f := range dst {
 		s := 0.0
@@ -219,37 +195,6 @@ func foldInto(dst, uvec linalg.Vector, a []float64) {
 		}
 		dst[f] = s
 	}
-}
-
-// refreshUser re-folds one user's effective weights after an in-place
-// parameter update (the online updater's SGD steps). A no-op before
-// Precompute has run or under IdentityMap.
-func (m *Model) refreshUser(u int) {
-	if u < 0 || u >= m.U.Rows {
-		return
-	}
-	if m.effW != nil && u < m.effW.Rows {
-		m.foldUser(m.effW.Row(u), u)
-		if m.effW32 != nil && u < m.effW32.Rows {
-			m.effW32.QuantizeRow(u, m.effW.Row(u))
-		}
-		return
-	}
-	// IdentityMap: w_u is the U row itself — only the quantized shadow
-	// needs refreshing.
-	if m.MapType == IdentityMap && m.effW32 != nil && u < m.effW32.Rows {
-		m.effW32.QuantizeRow(u, m.U.Row(u))
-	}
-}
-
-// refreshItem re-quantizes one item's factor row after an in-place
-// parameter update (the online updater's V-row SGD steps). A no-op
-// before Precompute has run.
-func (m *Model) refreshItem(v int) {
-	if m.v32 == nil || v < 0 || v >= m.v32.Rows {
-		return
-	}
-	m.v32.QuantizeRow(v, m.V.Row(v))
 }
 
 // EffectiveFeatureWeights returns w_u = A_uᵀu, the model's personalized
@@ -276,33 +221,6 @@ func (m *Model) EffectiveFeatureWeights(u int) linalg.Vector {
 		m.Precompute()
 	}
 	return m.effW.Row(u)
-}
-
-// EffectiveFeatureWeights32 returns the float32 quantization of w_u for
-// the engine's mixed-precision scoring path. Same sharing and
-// read-only contract as EffectiveFeatureWeights; built by Precompute
-// (on first use if needed), so steady-state calls allocate nothing.
-func (m *Model) EffectiveFeatureWeights32(u int) []float32 {
-	if u < 0 || u >= m.U.Rows {
-		panic(fmt.Sprintf("core: EffectiveFeatureWeights32 user %d out of range [0,%d)", u, m.U.Rows))
-	}
-	if m.effW32 == nil {
-		m.Precompute()
-	}
-	return m.effW32.Row(u)
-}
-
-// ItemFactors32 returns the float32 quantization of item v's latent
-// factor row. Same sharing and read-only contract as V.Row; built by
-// Precompute (on first use if needed).
-func (m *Model) ItemFactors32(v int) []float32 {
-	if v < 0 || v >= m.V.Rows {
-		panic(fmt.Sprintf("core: ItemFactors32 item %d out of range [0,%d)", v, m.V.Rows))
-	}
-	if m.v32 == nil {
-		m.Precompute()
-	}
-	return m.v32.Row(v)
 }
 
 // mapFor returns the observable→latent map of user u, or nil under

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"math"
@@ -24,37 +23,23 @@ func trainedModel(t testing.TB) *Model {
 	return m
 }
 
-// writeV1 serializes m in the legacy checksum-free v1 format.
-func writeV1(t *testing.T, m *Model) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if _, err := bw.WriteString(modelMagicV1); err != nil {
-		t.Fatal(err)
-	}
-	cw := &countingWriter{w: bw}
-	m.writeBody(cw)
-	if cw.err != nil {
-		t.Fatal(cw.err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// v1Blob renders m in the checksum-free v1 format that PR 1's trainer wrote
+// and no load accepts any more: the v2 body under the old magic, no trailer.
+func v1Blob(t testing.TB, m *Model) []byte {
+	blob := mustWrite(t, m)
+	return append([]byte("TSPPRv1\n"), blob[len(modelMagic):len(blob)-4]...)
 }
 
-func TestReadModelV1Compat(t *testing.T) {
-	m := trainedModel(t)
-	got, err := ReadModel(bytes.NewReader(writeV1(t, m)))
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
-	}
-	if got.K != m.K || got.F != m.F || got.NumUsers() != m.NumUsers() {
-		t.Fatalf("v1 shape mismatch: K=%d F=%d users=%d", got.K, got.F, got.NumUsers())
-	}
-	for i := range m.U.Data {
-		if got.U.Data[i] != m.U.Data[i] {
-			t.Fatal("v1 roundtrip changed U")
+// TestReadModelV1Rejected: an intact v1 file is refused by both loads, by
+// its magic and with the accepted one named — a body with no checksum
+// behind it is never parsed.
+func TestReadModelV1Rejected(t *testing.T) {
+	blob := v1Blob(t, trainedModel(t))
+	_, e1 := ReadModel(bytes.NewReader(blob))
+	_, e2 := ReadServingModel(bytes.NewReader(blob))
+	for _, err := range []error{e1, e2} {
+		if err == nil || !strings.Contains(err.Error(), "bad model magic") || !strings.Contains(err.Error(), "TSPPRv2") {
+			t.Fatalf("v1 file: full %v, serving %v; want bad model magic naming TSPPRv2", e1, e2)
 		}
 	}
 }

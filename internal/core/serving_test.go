@@ -50,7 +50,7 @@ func mapsOffset(m *Model) int {
 }
 
 // sameServingTables fails unless the two models hand the engine bit-equal
-// operands: U, V, w_u and both float32 shadows.
+// operands: U, V and w_u.
 func sameServingTables(t *testing.T, full, serving *Model) {
 	t.Helper()
 	if !reflect.DeepEqual(full.U, serving.U) || !reflect.DeepEqual(full.V, serving.V) {
@@ -63,38 +63,31 @@ func sameServingTables(t *testing.T, full, serving *Model) {
 				t.Fatalf("w[%d][%d]: full %x, serving %x", u, f, math.Float64bits(a[f]), math.Float64bits(b[f]))
 			}
 		}
-		if !reflect.DeepEqual(full.EffectiveFeatureWeights32(u), serving.EffectiveFeatureWeights32(u)) {
-			t.Fatalf("float32 w[%d] differs", u)
-		}
-	}
-	for v := 0; v < full.NumItems(); v++ {
-		if !reflect.DeepEqual(full.ItemFactors32(v), serving.ItemFactors32(v)) {
-			t.Fatalf("float32 V[%d] differs", v)
-		}
 	}
 }
 
-// TestServingLoadMatchesFullLoad: for every map kind and both file
-// versions the serving load yields the full load's scoring operands bit for
-// bit; a PerUserMap model comes back without A and keeps its folded effW
-// (same storage) through Validate and a second Precompute.
+// TestServingLoadMatchesFullLoad: for every map kind the serving load
+// yields the full load's scoring operands bit for bit; a PerUserMap model
+// comes back without A and keeps its folded effW (same storage) however
+// often Validate and Precompute run after readBody's own call — engine.New
+// is one more such call.
 func TestServingLoadMatchesFullLoad(t *testing.T) {
 	for _, mk := range []MapKind{PerUserMap, SharedMap, IdentityMap} {
-		m := trainedKind(t, mk)
-		for name, blob := range map[string][]byte{"v2": mustWrite(t, m), "v1": writeV1(t, m)} {
-			full, err := ReadModel(bytes.NewReader(blob))
-			if err != nil {
-				t.Fatalf("%v/%s full: %v", mk, name, err)
+		blob := mustWrite(t, trainedKind(t, mk))
+		full, err := ReadModel(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("%v full: %v", mk, err)
+		}
+		serving, err := ReadServingModel(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("%v serving: %v", mk, err)
+		}
+		if mk == PerUserMap {
+			if serving.A != nil {
+				t.Fatalf("serving load kept %d maps", len(serving.A))
 			}
-			serving, err := ReadServingModel(bytes.NewReader(blob))
-			if err != nil {
-				t.Fatalf("%v/%s serving: %v", mk, name, err)
-			}
-			if mk == PerUserMap {
-				if serving.A != nil {
-					t.Fatalf("serving load kept %d maps", len(serving.A))
-				}
-				folded := &serving.effW.Data[0]
+			folded := &serving.effW.Data[0]
+			for i := 0; i < 3; i++ {
 				if err := serving.Validate(); err != nil {
 					t.Fatal(err)
 				}
@@ -102,20 +95,21 @@ func TestServingLoadMatchesFullLoad(t *testing.T) {
 				if serving.A != nil || &serving.effW.Data[0] != folded {
 					t.Fatal("Validate/Precompute replaced the folded effW")
 				}
-			} else if len(serving.A) != len(full.A) {
-				t.Fatalf("%v: serving load has %d maps, full %d", mk, len(serving.A), len(full.A))
 			}
-			if err := full.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			sameServingTables(t, full, serving)
+		} else if len(serving.A) != len(full.A) {
+			t.Fatalf("%v: serving load has %d maps, full %d", mk, len(serving.A), len(full.A))
 		}
+		if err := full.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sameServingTables(t, full, serving)
 	}
 }
 
 // TestServingLoadParentWrittenFile: a file written by the parent commit's
 // rrc-train loads through both paths to the same operands, and one flipped
-// byte gets the same checksum verdict from both.
+// byte gets the same checksum verdict from both — which claiming to be the
+// checksum-less v1 (byte 6 = '1') must not get it out of.
 func TestServingLoadParentWrittenFile(t *testing.T) {
 	path := filepath.Join("testdata", "parent-48120b3", "model.tsppr")
 	full, err := LoadFile(path)
@@ -139,6 +133,12 @@ func TestServingLoadParentWrittenFile(t *testing.T) {
 	_, e2 := ReadServingModel(bytes.NewReader(blob))
 	if e1 == nil || e2 == nil || e1.Error() != e2.Error() || !strings.Contains(e1.Error(), "checksum mismatch") {
 		t.Fatalf("flipped byte: full %v, serving %v", e1, e2)
+	}
+	blob[6] = '1'
+	_, e1 = ReadModel(bytes.NewReader(blob))
+	_, e2 = ReadServingModel(bytes.NewReader(blob))
+	if e1 == nil || e2 == nil || e1.Error() != e2.Error() || !strings.Contains(e1.Error(), "bad model magic") {
+		t.Fatalf("flipped byte under a v1 magic: full %v, serving %v", e1, e2)
 	}
 	if _, err := LoadServingFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file accepted")
@@ -199,9 +199,9 @@ func TestServingLoadRejectsNonFiniteMap(t *testing.T) {
 }
 
 // TestServingModelFailsClosed: a model without its per-user maps cannot be
-// written (the file would never load again), updated online or used as a
-// warm start — each is an error, not an index panic — while the kinds that
-// keep their A through the serving load still write byte-identically.
+// written (the file would never load again) or used as a warm start — each
+// is an error, not an index panic — while the kinds that keep their A
+// through the serving load still write byte-identically.
 func TestServingModelFailsClosed(t *testing.T) {
 	m := trainedKind(t, PerUserMap)
 	blob := mustWrite(t, m)
@@ -222,9 +222,6 @@ func TestServingModelFailsClosed(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("refused SaveFile disturbed the file in place (err %v)", err)
-	}
-	if _, err := NewOnlineUpdater(serving, OnlineConfig{}); err == nil {
-		t.Fatal("NewOnlineUpdater accepted an A-less model")
 	}
 	train, numItems, ex, set := corpus(t, 6)
 	cfg := smallConfig()
@@ -250,8 +247,9 @@ func TestServingModelFailsClosed(t *testing.T) {
 }
 
 // TestServingLoadResidentBytes: the serving load holds exactly the full
-// load's tables minus the maps, 8·users·K·F bytes. (ISSUE.md words this as
-// a strict <; the two counts differ by that term and nothing else.)
+// load's tables minus the maps, 8·users·K·F bytes, and that is 8 bytes for
+// every element of U, V, effW and the extractor's two tables — nothing else
+// is resident.
 func TestServingLoadResidentBytes(t *testing.T) {
 	m := trainedKind(t, PerUserMap)
 	blob := mustWrite(t, m)
@@ -261,10 +259,9 @@ func TestServingLoadResidentBytes(t *testing.T) {
 	if got, want := serving.ResidentBytes(), full.ResidentBytes()-maps; got != want || got <= 0 {
 		t.Fatalf("serving load holds %d bytes, want full %d - maps %d", got, full.ResidentBytes(), maps)
 	}
-	quality, _ := m.Extractor.Tables()
-	want := int64(8*(len(m.U.Data)+len(m.V.Data)+m.NumUsers()*m.F+2*len(quality)) +
-		4*(m.NumUsers()*m.F+len(m.V.Data)))
-	if got := serving.ResidentBytes(); got != want {
-		t.Fatalf("ResidentBytes = %d, want %d", got, want)
+	quality, reratio := serving.Extractor.Tables()
+	want := int64(8 * (len(serving.U.Data) + len(serving.V.Data) + len(serving.effW.Data) + len(quality) + len(reratio)))
+	if got := serving.ResidentBytes(); got != want || len(serving.effW.Data) != m.NumUsers()*m.F {
+		t.Fatalf("ResidentBytes = %d, want %d (effW holds %d floats)", got, want, len(serving.effW.Data))
 	}
 }

@@ -17,7 +17,7 @@ import (
 // shape's K and F, loaded whole (core.LoadFile) and for serving
 // (core.LoadServingFile, which folds each A_u into w_u as it streams by and
 // keeps no A). Over 10³ random windows the two engines return the same
-// items with math.Float64bits-identical scores, in float64 and quantized.
+// items with math.Float64bits-identical scores.
 func TestServingLoadGoldenEquivalence(t *testing.T) {
 	const users, items, k, windowCap, omega = 500, 300, 40, 100, 10
 	rng := rand.New(rand.NewSource(21))
@@ -71,19 +71,15 @@ func TestServingLoadGoldenEquivalence(t *testing.T) {
 		}
 		ctx := &rec.Context{User: rng.Intn(users), Window: w, Omega: rng.Intn(omega + 1)}
 		n := 1 + rng.Intn(20)
-		for _, quant := range []bool{false, true} {
-			engFull.SetQuantized(quant)
-			engServing.SetQuantized(quant)
-			want = engFull.Recommend(ctx, n, want[:0])
-			got = engServing.Recommend(ctx, n, got[:0])
-			if len(got) != len(want) {
-				t.Fatalf("window %d quant=%v: %d results, want %d", i, quant, len(got), len(want))
-			}
-			compared += len(want)
-			for r := range want {
-				if got[r].Item != want[r].Item || math.Float64bits(got[r].Score) != math.Float64bits(want[r].Score) {
-					t.Fatalf("window %d quant=%v rank %d: serving %v != full %v", i, quant, r, got[r], want[r])
-				}
+		want = engFull.Recommend(ctx, n, want[:0])
+		got = engServing.Recommend(ctx, n, got[:0])
+		if len(got) != len(want) {
+			t.Fatalf("window %d: %d results, want %d", i, len(got), len(want))
+		}
+		compared += len(want)
+		for r := range want {
+			if got[r].Item != want[r].Item || math.Float64bits(got[r].Score) != math.Float64bits(want[r].Score) {
+				t.Fatalf("window %d rank %d: serving %v != full %v", i, r, got[r], want[r])
 			}
 		}
 	}
