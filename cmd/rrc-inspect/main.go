@@ -32,10 +32,7 @@
 // With -topology, it validates an rrc-router topology file (flat or
 // partitioned) offline with the router's own parser — overlapping key
 // ownership, empty partitions, and duplicate nodes exit nonzero before
-// the file ever reaches a live router. With -replan ... -to P', it
-// emits the rebalance plan for changing a topology's partition count:
-// the key move matrix measured over a uniform sample plus the
-// drain→dual-route→cutover procedure. With -owner ... -partitions P, it
+// the file ever reaches a live router. With -owner ... -partitions P, it
 // prints the partition owning a user id (for scripts bucketing traffic).
 //
 //	rrc-inspect                             # model diagnostics
@@ -44,7 +41,6 @@
 //	rrc-inspect -epoch events/              # replication epoch + history
 //	rrc-inspect -diverge old/ new/          # where did two nodes fork?
 //	rrc-inspect -topology topo.conf         # topology file health check
-//	rrc-inspect -replan topo.conf -to 3     # rebalance plan to 3 partitions
 //	rrc-inspect -owner 12345 -partitions 2  # key → partition oracle
 //	curl -s :8080/metrics | rrc-inspect -expfmt -
 package main
@@ -79,8 +75,6 @@ func main() {
 	epochRoot := flag.String("epoch", "", "print the replication epoch and promotion history persisted under this events root")
 	diverge := flag.Bool("diverge", false, "compare the two events roots given as arguments record-by-record and report where their WAL timelines fork")
 	topology := flag.String("topology", "", "validate an rrc-router topology file (flat or partitioned) offline; nonzero exit on overlap/ownership errors")
-	replan := flag.String("replan", "", "emit a rebalance plan for changing this topology file's partition count to -to")
-	replanTo := flag.Int("to", 0, "target partition count for -replan")
 	owner := flag.Int("owner", -1, "print the partition owning this user id under -partitions (for scripts)")
 	partitions := flag.Int("partitions", 0, "partition count for -owner")
 	flag.Parse()
@@ -102,8 +96,6 @@ func main() {
 		}
 	case *topology != "":
 		err = runTopology(*topology, os.Stdout)
-	case *replan != "":
-		err = runReplan(*replan, *replanTo, os.Stdout)
 	case *owner >= 0 || *partitions != 0:
 		err = runOwner(*owner, *partitions, os.Stdout)
 	default:

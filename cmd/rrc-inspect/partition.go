@@ -1,9 +1,8 @@
 // Partitioned-topology tooling: offline validation of rrc-router
-// topology files, rebalance planning for a partition-count change, and
-// the key→partition oracle scripts use to bucket users.
+// topology files and the key→partition oracle scripts use to bucket
+// users.
 //
 //	rrc-inspect -topology topo.conf           # validate, nonzero exit on error
-//	rrc-inspect -replan topo.conf -to 3       # emit a rebalance plan to P'=3
 //	rrc-inspect -owner 12345 -partitions 2    # which partition owns this user?
 package main
 
@@ -16,11 +15,6 @@ import (
 	"tsppr/internal/shard"
 )
 
-// replanSample is the key-population sample a rebalance plan is computed
-// over. SplitMix64 mixes user ids uniformly, so one million sequential
-// ids measure the same move fractions any real id population would.
-const replanSample = 1_000_000
-
 // runTopology validates a topology file exactly as rrc-router would load
 // it — same parser, same overlap/ownership checks — so a bad file fails
 // here, offline, instead of at the router's next reload.
@@ -32,12 +26,6 @@ func runTopology(path string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "%s: valid topology: %d partition(s)\n", path, len(topo.Partitions))
 	for i, nodes := range topo.Partitions {
 		fmt.Fprintf(stdout, "  partition %d: %d node(s): %v\n", i, len(nodes), nodes)
-	}
-	if topo.Next != nil {
-		fmt.Fprintf(stdout, "  resize window open: next layout has %d partition(s)\n", len(topo.Next))
-		for i, nodes := range topo.Next {
-			fmt.Fprintf(stdout, "  next %d: %d node(s): %v\n", i, len(nodes), nodes)
-		}
 	}
 	return nil
 }
@@ -52,67 +40,5 @@ func runOwner(user, partitions int, stdout io.Writer) error {
 		return fmt.Errorf("-owner needs -partitions >= 1 (got %d): %w", partitions, cli.ErrUsage)
 	}
 	fmt.Fprintln(stdout, shard.UserShard(user, partitions))
-	return nil
-}
-
-// runReplan loads a topology file and emits the rebalance plan for
-// changing its partition count to target: the i→j move matrix measured
-// over a uniform key sample, and the drain→dual-route→cutover procedure
-// with the exact directives and flags each step needs.
-func runReplan(path string, target int, stdout io.Writer) error {
-	topo, _, err := router.LoadTopologyFile(path)
-	if err != nil {
-		return err
-	}
-	if target < 1 {
-		return fmt.Errorf("-to %d: the target partition count must be >= 1: %w", target, cli.ErrUsage)
-	}
-	p := len(topo.Partitions)
-	if target == p {
-		return fmt.Errorf("%s already has %d partition(s); nothing to replan", path, p)
-	}
-	if topo.Next != nil {
-		return fmt.Errorf("%s already has a resize window open (next-partitions %d); finish or abandon it first", path, len(topo.Next))
-	}
-
-	// Move matrix: moved[i][j] counts sampled keys owned by partition i
-	// today that partition j owns under the target count.
-	moved := make([][]int, p)
-	for i := range moved {
-		moved[i] = make([]int, target)
-	}
-	staying := 0
-	for u := 0; u < replanSample; u++ {
-		from := shard.UserShard(u, p)
-		to := shard.UserShard(u, target)
-		moved[from][to]++
-		if from == to {
-			staying++
-		}
-	}
-	fmt.Fprintf(stdout, "replan %s: %d -> %d partitions (sampled %d keys)\n", path, p, target, replanSample)
-	for i := 0; i < p; i++ {
-		for j := 0; j < target; j++ {
-			if moved[i][j] == 0 || i == j {
-				continue
-			}
-			fmt.Fprintf(stdout, "  move %d -> %d: %d keys (%.1f%%)\n",
-				i, j, moved[i][j], 100*float64(moved[i][j])/replanSample)
-		}
-	}
-	fmt.Fprintf(stdout, "  staying put: %d keys (%.1f%%)\n", staying, 100*float64(staying)/replanSample)
-
-	fmt.Fprintf(stdout, "procedure:\n")
-	fmt.Fprintf(stdout, "  1. bring up the new pairs; start each new node with -partition <i>/%d\n", target)
-	fmt.Fprintf(stdout, "  2. append a next window to %s:\n", path)
-	fmt.Fprintf(stdout, "       next-partitions %d\n", target)
-	fmt.Fprintf(stdout, "       next <i> <url>...        # one line per target partition\n")
-	fmt.Fprintf(stdout, "     the router drains moving keys' writes (503 + Retry-After) and\n")
-	fmt.Fprintf(stdout, "     dual-routes their reads; unmoved keys are untouched\n")
-	fmt.Fprintf(stdout, "  3. copy/replay each moving key range onto its new pair, then rewrite\n")
-	fmt.Fprintf(stdout, "     %s as the final layout (partitions %d, no next window)\n", path, target)
-	fmt.Fprintf(stdout, "  4. any surviving node whose slice changed must be restarted with a\n")
-	fmt.Fprintf(stdout, "     bumped generation, e.g. -partition <i>/%d@<g+1> — the marker refuses\n", target)
-	fmt.Fprintf(stdout, "     a re-identity without one\n")
 	return nil
 }

@@ -61,31 +61,3 @@ func TestOwnerPrintsPartition(t *testing.T) {
 		t.Fatalf("missing -partitions: exit %d, want 2", cli.ExitCode(err))
 	}
 }
-
-func TestReplanEmitsMoveMatrixAndProcedure(t *testing.T) {
-	path := writeTopology(t, "partitions 2\npartition 0 http://a:1\npartition 1 http://b:2\n")
-	var out strings.Builder
-	if err := runReplan(path, 3, &out); err != nil {
-		t.Fatal(err)
-	}
-	report := out.String()
-	for _, want := range []string{
-		"2 -> 3 partitions",
-		"next-partitions 3",
-		"staying put",
-		"bumped generation",
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("replan output missing %q:\n%s", want, report)
-		}
-	}
-
-	// Same count → nothing to do; an open resize window → finish it first.
-	if err := runReplan(path, 2, &out); err == nil {
-		t.Error("replan to the current count accepted")
-	}
-	open := writeTopology(t, "partitions 1\npartition 0 http://a:1\nnext-partitions 2\nnext 0 http://a:1\nnext 1 http://b:2\n")
-	if err := runReplan(open, 3, &out); err == nil || !strings.Contains(err.Error(), "resize window") {
-		t.Errorf("replan over an open resize window: %v", err)
-	}
-}

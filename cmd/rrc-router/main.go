@@ -22,18 +22,13 @@
 //
 // Topology comes from -nodes (comma-separated base URLs) or -topology
 // (a file, re-read on mtime change — editing it is the whole "add a
-// node" or "resize" procedure). A flat file — one URL per line — is a
-// single partition owning every key. A partitioned file names each
-// pair's slice, and may open a resize window whose moving keys the
-// router drains (writes) and dual-routes (reads) until cutover:
+// node" procedure). A flat file — one URL per line — is a single
+// partition owning every key. A partitioned file names each pair's
+// slice:
 //
 //	partitions 2
 //	partition 0 http://a:8395 http://b:8396
 //	partition 1 http://c:8395 http://d:8396
-//	# optional resize window:
-//	next-partitions 3
-//	next 0 http://a:8395 http://b:8396
-//	...
 //
 // Requests carry propagated deadlines (X-RRC-Deadline-Ms) and each
 // partition's epoch (X-RRC-Epoch, which fences deposed primaries on

@@ -42,9 +42,9 @@ func (rt *Router) initMetrics() {
 	rt.hedges = rt.counterHelp("rrc_router_hedges_total",
 		"Hedged read attempts fired after HedgeDelay.")
 	rt.shed = rt.counterHelp("rrc_router_shed_total",
-		"Requests the router answered 503 locally (no backend, budget, deadline, or resize drain).")
+		"Requests the router answered 503 locally (no backend, budget, or deadline).")
 	rt.misdirects = rt.counterHelp("rrc_router_misdirects_total",
-		"421 responses folded: a node refused a key the topology routed to it (cross-partition misconfiguration or resize transient).")
+		"421 responses folded: a node refused a key the topology routed to it (cross-partition misconfiguration).")
 	rt.budget.evictions = rt.counterHelp("rrc_router_budget_evictions_total",
 		"Retry-budget ledger entries evicted at the LRU client cap.")
 	if rt.reg != nil {

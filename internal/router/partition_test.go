@@ -1,9 +1,9 @@
 package router
 
 // Partitioned-routing suite: key routing across replicated pairs,
-// per-partition failover isolation, 421 ownership folding, resize
-// drain/dual-route, the partitioned topology file format, probe
-// jitter, and the retry-budget ledger metrics.
+// per-partition failover isolation, 421 ownership folding, the
+// partitioned topology file format and its cutover, probe jitter, and
+// the retry-budget ledger metrics.
 
 import (
 	"math/rand"
@@ -219,67 +219,6 @@ func TestRouterProbeDetectsMisplacedNode(t *testing.T) {
 	}
 }
 
-func TestRouterResizeDrainsMovingWritesAndDualRoutesReads(t *testing.T) {
-	a := &fakeNode{caughtUp: true}
-	b := &fakeNode{caughtUp: true, partIdx: 1, partCount: 2}
-	rt := startFakes(t, []*fakeNode{a}, func(c *Config) { c.RetryBudget = 1 })
-	b.ts = httptest.NewServer(b.handler())
-	t.Cleanup(b.ts.Close)
-
-	// Open a resize window: 1 partition [a] splitting into 2, with
-	// partition 1 moving to b.
-	rt.SetTopology(Topology{
-		Partitions: [][]string{{a.ts.URL}},
-		Next:       [][]string{{a.ts.URL}, {b.ts.URL}},
-	})
-	h := rt.Routes()
-	stay := userOwnedBy(t, 0, 2)
-	move := userOwnedBy(t, 1, 2)
-
-	// Users whose replica set is unchanged by the split are untouched.
-	if rr := post(h, "/consume", consumeBody(stay), nil); rr.Code != http.StatusOK {
-		t.Fatalf("staying user's write: status %d: %s", rr.Code, rr.Body.String())
-	}
-
-	// A moving user's writes drain with a schedulable 503.
-	rr := post(h, "/consume", consumeBody(move), nil)
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("moving user's write: status %d, want 503 drain", rr.Code)
-	}
-	if rr.Result().Header.Get("Retry-After") == "" {
-		t.Fatal("drain 503 without Retry-After")
-	}
-	if !strings.Contains(rr.Body.String(), "resize") {
-		t.Fatalf("drain error does not name the resize: %s", rr.Body.String())
-	}
-
-	// A moving user's reads go to the next owner first...
-	waitFor(t, "next owner probed", func() bool {
-		for _, ns := range mustStatus(rt).Nodes {
-			if ns.URL == b.ts.URL && ns.Reachable {
-				return true
-			}
-		}
-		return false
-	})
-	if rr := post(h, "/recommend/user", `{"user":`+strconv.Itoa(move)+`,"n":3}`, nil); rr.Code != http.StatusOK {
-		t.Fatalf("moving user's read: status %d: %s", rr.Code, rr.Body.String())
-	}
-	if b.recommends.Load() == 0 {
-		t.Fatal("moving user's read skipped the next owner")
-	}
-
-	// ...and fall back to the current owner while the next one cannot
-	// answer yet.
-	b.set(func(f *fakeNode) { f.recommendStatus = http.StatusServiceUnavailable })
-	if rr := post(h, "/recommend/user", `{"user":`+strconv.Itoa(move)+`,"n":3}`, nil); rr.Code != http.StatusOK {
-		t.Fatalf("dual-route fallback read: status %d: %s", rr.Code, rr.Body.String())
-	}
-	if a.recommends.Load() == 0 {
-		t.Fatal("dual-route never fell back to the current owner")
-	}
-}
-
 func TestRouterPartitionedTopologyFileAndCutover(t *testing.T) {
 	a := &fakeNode{caughtUp: true}
 	b := &fakeNode{caughtUp: true, partIdx: 1, partCount: 2}
@@ -288,12 +227,10 @@ func TestRouterPartitionedTopologyFileAndCutover(t *testing.T) {
 	t.Cleanup(a.ts.Close)
 	t.Cleanup(b.ts.Close)
 
-	// Boot mid-resize: current layout is the single pair, the next
-	// layout splits partition 1 out to b.
+	// Boot on the single pair.
 	path := filepath.Join(t.TempDir(), "topology")
-	resize := "partitions 1\npartition 0 " + a.ts.URL + "\n" +
-		"next-partitions 2\nnext 0 " + a.ts.URL + "\nnext 1 " + b.ts.URL + "\n"
-	if err := os.WriteFile(path, []byte(resize), 0o644); err != nil {
+	single := "partitions 1\npartition 0 " + a.ts.URL + "\n"
+	if err := os.WriteFile(path, []byte(single), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rt, err := New(Config{
@@ -310,11 +247,11 @@ func TestRouterPartitionedTopologyFileAndCutover(t *testing.T) {
 	h := rt.Routes()
 	move := userOwnedBy(t, 1, 2)
 
-	if rr := post(h, "/consume", consumeBody(move), nil); rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("pre-cutover moving write: status %d, want 503 drain", rr.Code)
+	if rr := post(h, "/consume", consumeBody(move), nil); rr.Code != http.StatusOK || a.consumes.Load() != 1 {
+		t.Fatalf("pre-cutover write: status %d, %d on the single pair", rr.Code, a.consumes.Load())
 	}
 
-	// Cut over: the operator promotes the next layout to current.
+	// Cut over: the operator rewrites the file as the split layout.
 	final := "partitions 2\npartition 0 " + a.ts.URL + "\npartition 1 " + b.ts.URL + "\n"
 	if err := os.WriteFile(path, []byte(final), 0o644); err != nil {
 		t.Fatal(err)
@@ -323,7 +260,7 @@ func TestRouterPartitionedTopologyFileAndCutover(t *testing.T) {
 	if err := os.Chtimes(path, future, future); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "cutover: moving user's writes land on the new owner", func() bool {
+	waitFor(t, "cutover: the user's writes land on the new owner", func() bool {
 		return post(h, "/consume", consumeBody(move), nil).Code == http.StatusOK && b.consumes.Load() > 0
 	})
 	if got := rt.P(); got != 2 {
@@ -337,10 +274,6 @@ partitions 2
 partition 0 http://a:1 http://b:2
 partition 1 http://c:3
 partition 1 http://d:4/
-next-partitions 3
-next 0 http://a:1 http://b:2
-next 1 http://c:3 http://d:4
-next 2 http://e:5 http://f:6
 `
 	topo, err := ParseTopology(strings.NewReader(good), "t")
 	if err != nil {
@@ -349,8 +282,8 @@ next 2 http://e:5 http://f:6
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(topo.Partitions) != 2 || len(topo.Next) != 3 {
-		t.Fatalf("parsed %d/%d partitions", len(topo.Partitions), len(topo.Next))
+	if len(topo.Partitions) != 2 {
+		t.Fatalf("parsed %d partitions", len(topo.Partitions))
 	}
 	// `partition 1` lines append, and trailing slashes normalize away.
 	if got := topo.Partitions[1]; len(got) != 2 || got[1] != "http://d:4" {
@@ -358,15 +291,13 @@ next 2 http://e:5 http://f:6
 	}
 
 	for name, bad := range map[string]string{
-		"missing partition":   "partitions 2\npartition 0 http://a:1\n",
-		"duplicate node":      "partitions 2\npartition 0 http://a:1\npartition 1 http://a:1\n",
-		"node listed twice":   "partitions 1\npartition 0 http://a:1 http://a:1\n",
-		"index out of range":  "partitions 2\npartition 2 http://a:1\n",
-		"body before header":  "partition 0 http://a:1\npartitions 1\n",
-		"unknown directive":   "partitions 1\nshard 0 http://a:1\n",
-		"zero partitions":     "partitions 0\n",
-		"next before header":  "next-partitions 2\n",
-		"missing next member": "partitions 1\npartition 0 http://a:1\nnext-partitions 2\nnext 0 http://a:1\n",
+		"missing partition":  "partitions 2\npartition 0 http://a:1\n",
+		"duplicate node":     "partitions 2\npartition 0 http://a:1\npartition 1 http://a:1\n",
+		"node listed twice":  "partitions 1\npartition 0 http://a:1 http://a:1\n",
+		"index out of range": "partitions 2\npartition 2 http://a:1\n",
+		"body before header": "partition 0 http://a:1\npartitions 1\n",
+		"unknown directive":  "partitions 1\nshard 0 http://a:1\n",
+		"zero partitions":    "partitions 0\n",
 	} {
 		topo, err := ParseTopology(strings.NewReader(bad), "t")
 		if err == nil {
@@ -383,7 +314,7 @@ next 2 http://e:5 http://f:6
 	if err != nil || flat.Validate() != nil {
 		t.Fatalf("flat parse: %v", err)
 	}
-	if len(flat.Partitions) != 1 || len(flat.Partitions[0]) != 2 || flat.Next != nil {
+	if len(flat.Partitions) != 1 || len(flat.Partitions[0]) != 2 {
 		t.Fatalf("flat topology parsed as %+v", flat)
 	}
 }

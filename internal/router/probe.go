@@ -18,7 +18,7 @@
 // carries only its own partition's epoch.
 //
 // The /readyz partition block cross-checks ownership: a node whose
-// persisted -partition identity disagrees with every slot the topology
+// persisted -partition identity disagrees with the slot the topology
 // assigns it is marked misplaced and excluded from all routing — a
 // misconfigured topology file serves loud errors, never another
 // partition's keys.
@@ -60,7 +60,7 @@ type nodeView struct {
 	PartKnown bool
 	PartIndex int
 	PartCount int
-	// Misplaced: the node's reported identity matches no slot the
+	// Misplaced: the node's reported identity is not the slot the
 	// topology assigns it. Misplaced nodes take no traffic at all.
 	Misplaced bool
 	LastErr   string
@@ -70,6 +70,9 @@ type nodeView struct {
 // node pairs a backend URL with its latest probed view.
 type node struct {
 	url string
+	// part is the one partition the topology assigns this node, nil once
+	// the topology drops it. Guarded by Router.mu; SetTopology rewrites it.
+	part *partition
 
 	mu   sync.Mutex
 	v    nodeView
@@ -140,17 +143,13 @@ type epochBody struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// partSlot is one (index, count) assignment the topology gives a node.
-// A node legitimately holds up to two during a resize: its current
-// slot and its re-identified next slot.
-type partSlot struct{ index, count int }
-
 // probeJob is one node's probe work for a round: the partition epoch
-// to stamp and the topology slots the node may legitimately claim.
+// to stamp and the one topology slot (index of count) the node may
+// legitimately claim.
 type probeJob struct {
-	n     *node
-	epoch uint64
-	slots []partSlot
+	n            *node
+	epoch        uint64
+	index, count int
 }
 
 // probeRound probes every node in parallel, updates views, then runs
@@ -173,33 +172,16 @@ func (rt *Router) probeRound() {
 }
 
 // probeJobs assembles the round's work under the topology lock: one
-// job per distinct node, stamped with its own partition's epoch
-// (current layout wins for nodes present in both layouts).
+// job per node, stamped with its own partition's epoch.
 func (rt *Router) probeJobs() []probeJob {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	byNode := map[*node]*probeJob{}
-	var order []*node
-	for li, layout := range [2][]*partition{rt.parts, rt.nextParts} {
-		count := len(layout)
-		for _, p := range layout {
-			epoch := epochIn(p.nodes)
-			for _, n := range p.nodes {
-				j, ok := byNode[n]
-				if !ok {
-					j = &probeJob{n: n, epoch: epoch}
-					byNode[n] = j
-					order = append(order, n)
-				} else if li == 0 && j.epoch < epoch {
-					j.epoch = epoch
-				}
-				j.slots = append(j.slots, partSlot{index: p.index, count: count})
-			}
+	var jobs []probeJob
+	for _, p := range rt.parts {
+		epoch := epochIn(p.nodes)
+		for _, n := range p.nodes {
+			jobs = append(jobs, probeJob{n: n, epoch: epoch, index: p.index, count: len(rt.parts)})
 		}
-	}
-	jobs := make([]probeJob, 0, len(order))
-	for _, n := range order {
-		jobs = append(jobs, *byNode[n])
 	}
 	return jobs
 }
@@ -233,11 +215,11 @@ func (rt *Router) probeNode(j probeJob) {
 			if pb := rb.Partition; pb != nil {
 				v.PartKnown = true
 				v.PartIndex, v.PartCount = pb.Index, pb.Count
-				if misplacedIn(j.slots, pb.Index, pb.Count) {
+				if misplaced(j, pb.Index, pb.Count) {
 					v.Misplaced = true
 					v.LastErr = fmt.Sprintf(
-						"node owns partition %d/%d but the topology assigns %v — misconfiguration, node excluded from routing",
-						pb.Index, pb.Count, j.slots)
+						"node owns partition %d/%d but the topology assigns %d/%d — misconfiguration, node excluded from routing",
+						pb.Index, pb.Count, j.index, j.count)
 				}
 			}
 		} else {
@@ -268,20 +250,15 @@ func (rt *Router) probeNode(j probeJob) {
 	n.setView(v)
 }
 
-// misplacedIn reports whether a node's self-reported identity matches
-// none of the slots the topology assigns it. A degenerate 0/1 identity
-// (the node was never started with -partition) is never misplaced — it
+// misplaced reports whether a node's self-reported identity differs
+// from the slot the topology assigns it. A degenerate 0/1 identity (the
+// node was never started with -partition) is never misplaced — it
 // predates partitioning and the topology file is the only authority.
-func misplacedIn(slots []partSlot, index, count int) bool {
+func misplaced(j probeJob, index, count int) bool {
 	if count <= 1 && index == 0 {
 		return false
 	}
-	for _, s := range slots {
-		if s.index == index && s.count == count {
-			return false
-		}
-	}
-	return true
+	return index != j.index || count != j.count
 }
 
 // probeGet issues one probe request, stamping the partition epoch when
@@ -341,8 +318,8 @@ type misdirectBody struct {
 // foldMisdirect folds a 421 (cross-partition request) into the node's
 // view like a fence: the node told us it owns a different key range
 // than we routed, so it leaves rotation immediately and loudly. The
-// next probe round re-checks; if the topology was fixed (or the node
-// re-identified during a resize cutover) the node returns on its own.
+// next probe round re-checks; once the topology (or the node's
+// -partition) is fixed the node returns on its own.
 func (rt *Router) foldMisdirect(n *node, body []byte) {
 	rt.misdirects.Inc()
 	var mb misdirectBody

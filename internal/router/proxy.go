@@ -19,9 +19,6 @@
 //     durable"). Anything ambiguous — an error after the request was
 //     sent — is answered 502 without a retry, because replaying it
 //     could double-apply.
-//   - During a resize, users whose replica set moves get writes
-//     drained (503 + Retry-After until cutover) and reads dual-routed:
-//     the next owner's nodes first, the current owner as fallback.
 //   - Every retry and hedge spends the client's retry budget; when the
 //     budget or MaxAttempts runs out the router forwards the last
 //     definitive backend response, else sheds 503 + Retry-After.
@@ -58,86 +55,33 @@ type upstreamResult struct {
 }
 
 // routePlan is one request's placement decision, taken once before the
-// attempt loop: which partition owns the key, and whether a resize
-// window changes how it routes.
+// attempt loop: which partition owns the key.
 type routePlan struct {
-	keyed   bool // a user key was parsed (P>1 or resizing)
-	user    int
-	partIdx int  // owning partition in the current layout (0 when !keyed)
-	moving  bool // resize moves this user's replica set
-	nextIdx int  // owning partition in the next layout (when moving)
+	keyed   bool // a user key was parsed (P>1)
+	partIdx int  // owning partition (0 when !keyed)
 }
 
-// routePlan places one request. Flat fleets (P=1, no resize) never
-// parse the body — the pre-partitioning behavior, byte for byte. The
-// error return is a client error: a partitioned fleet cannot place a
-// request whose user key it cannot read.
+// routePlan places one request. Flat fleets (P=1) never parse the body
+// — the pre-partitioning behavior, byte for byte. The error return is a
+// client error: a partitioned fleet cannot place a request whose user
+// key it cannot read.
 func (rt *Router) routePlan(keyed bool, body []byte) (routePlan, error) {
-	var plan routePlan
-	if !keyed {
-		return plan, nil
-	}
-	rt.mu.Lock()
-	p, np := len(rt.parts), len(rt.nextParts)
-	rt.mu.Unlock()
-	if p <= 1 && np == 0 {
-		return plan, nil
+	p := rt.P()
+	if !keyed || p <= 1 {
+		return routePlan{}, nil
 	}
 	user, err := userKey(body)
 	if err != nil {
-		return plan, err
+		return routePlan{}, err
 	}
-	plan.keyed, plan.user = true, user
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if len(rt.parts) == 0 {
-		return plan, nil
-	}
-	plan.partIdx = shard.UserShard(user, len(rt.parts))
-	if len(rt.nextParts) > 0 {
-		plan.nextIdx = shard.UserShard(user, len(rt.nextParts))
-		plan.moving = rt.parts[plan.partIdx].key != rt.nextParts[plan.nextIdx].key
-	}
-	return plan, nil
+	return routePlan{keyed: true, partIdx: shard.UserShard(user, p)}, nil
 }
 
-// writeNodes snapshots the owning partition's node list for a write.
-func (rt *Router) writeNodes(plan routePlan) []*node {
-	nodes, _ := rt.partNodes(plan.partIdx)
-	return nodes
-}
-
-// nextPartNodes snapshots one resize-target partition's node list.
-func (rt *Router) nextPartNodes(i int) []*node {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if i < 0 || i >= len(rt.nextParts) {
-		return nil
-	}
-	return append([]*node(nil), rt.nextParts[i].nodes...)
-}
-
-// readNodesFor lists read candidates for a plan, in priority order.
-// Moving users dual-route: the next owner's candidates first (it is
-// accumulating their future state), the current owner as fallback.
+// readNodesFor lists read candidates for a plan: the owning partition's
+// nodes for a keyed request, the whole fleet for a stateless one.
 func (rt *Router) readNodesFor(plan routePlan, tried map[*node]bool) []*node {
-	if plan.moving {
-		out := rt.readCandidatesIn(rt.nextPartNodes(plan.nextIdx), tried)
-		seen := map[*node]bool{}
-		for _, n := range out {
-			seen[n] = true
-		}
-		cur, _ := rt.partNodes(plan.partIdx)
-		for _, n := range rt.readCandidatesIn(cur, tried) {
-			if !seen[n] {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
 	if plan.keyed {
-		nodes, _ := rt.partNodes(plan.partIdx)
-		return rt.readCandidatesIn(nodes, tried)
+		return rt.readCandidatesIn(rt.partNodes(plan.partIdx), tried)
 	}
 	return rt.readCandidatesIn(rt.snapshotNodes(), tried)
 }
@@ -183,17 +127,6 @@ func (rt *Router) serveProxy(w http.ResponseWriter, r *http.Request, endpoint st
 	rt.budget.arrive(client)
 
 	if isWrite {
-		if plan.moving {
-			// Resize drain: the user's replica set is changing hands.
-			// Accepting the write on the old owner would strand it; on
-			// the new owner it would race the state it has not finished
-			// inheriting. Shed with a hint — the window ends at cutover.
-			rt.shed.Inc()
-			w.Header().Set("Retry-After", rt.retryAfterHint())
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("user %d is moving partitions (resize in progress): writes drain until cutover", plan.user))
-			return http.StatusServiceUnavailable
-		}
 		return rt.proxyWrite(ctx, w, endpoint, body, client, plan)
 	}
 	return rt.proxyRead(ctx, w, endpoint, body, client, plan)
@@ -206,7 +139,7 @@ func (rt *Router) proxyWrite(ctx context.Context, w http.ResponseWriter, endpoin
 	var last *upstreamResult
 	attempts := 0
 	for ctx.Err() == nil {
-		n := writeTargetIn(rt.writeNodes(plan))
+		n := writeTargetIn(rt.partNodes(plan.partIdx))
 		if n == nil {
 			break // shed below; the prober (or a promotion) must restore a target
 		}
@@ -278,9 +211,8 @@ func (rt *Router) proxyRead(ctx context.Context, w http.ResponseWriter, endpoint
 				return rt.forward(w, res)
 			}
 			if res.status == http.StatusMisdirectedRequest {
-				// Reads dual-route during a resize, so a 421 from the next
-				// owner before its re-identity lands is expected — fold and
-				// fall through to the other candidates.
+				// The node owns a different slice than the topology says:
+				// fold it out and fall through to the other candidates.
 				rt.foldMisdirect(n, res.body)
 			}
 		}

@@ -35,11 +35,6 @@
 //     topology says) is folded out of rotation immediately, like a 412
 //     fence — cross-partition misconfiguration is a loud error and a
 //     metric, never silent misrouting.
-//   - During a resize (the topology file carries a `next` layout) the
-//     router drains writes for users whose partition assignment moves
-//     (503 + Retry-After) and dual-routes their reads (new owner first,
-//     old owner as fallback) until the operator cuts the next layout
-//     over to current.
 //   - Requests carry propagated deadlines (X-RRC-Deadline-Ms), bounded
 //     retries under a per-client retry budget (a fully down backend
 //     can never amplify client traffic beyond the budget), and —
@@ -90,8 +85,7 @@ type Config struct {
 	Partitions [][]string
 	// TopologyPath names a topology file (flat or partitioned — see
 	// package topology docs). The router re-reads it whenever its stamp
-	// changes, so nodes are added, repartitioned, or resized without a
-	// restart.
+	// changes, so nodes are added or repartitioned without a restart.
 	TopologyPath string
 
 	ProbeInterval time.Duration // health-probe period (jittered ±20%); 0 → 500ms
@@ -178,9 +172,8 @@ func (c Config) withDefaults() Config {
 type partition struct {
 	index int
 	nodes []*node
-	// key is the canonical sorted node-set identity, used to decide
-	// whether a user's owning replica set actually changes during a
-	// resize (a partition kept intact across a split never drains).
+	// key is the canonical sorted node-set identity: a partition whose
+	// replica set survives a topology change keeps its failover streak.
 	key string
 	// noTargetStreak counts consecutive probe rounds this partition
 	// ended with no reachable unfenced primary — the failover trigger.
@@ -203,10 +196,9 @@ type Router struct {
 	client *http.Client
 
 	mu sync.Mutex
-	// parts is the current partition layout (len = P). nextParts is
-	// the resize target layout, nil outside a resize window.
+	// parts is the partition layout (len = P); every node belongs to
+	// exactly one partition (node.part).
 	parts     []*partition
-	nextParts []*partition
 	byURL     map[string]*node
 	topoStamp FileStamp // stamp of the last loaded topology file
 
@@ -325,35 +317,32 @@ func (rt *Router) SetTopology(t Topology) {
 	}
 	nextBy := map[string]*node{}
 	var added []string
-	build := func(layout [][]string) []*partition {
-		if layout == nil {
-			return nil
-		}
-		parts := make([]*partition, 0, len(layout))
-		for i, urls := range layout {
-			p := &partition{index: i}
-			for _, u := range urls {
-				n, ok := nextBy[u]
-				if !ok {
-					if n, ok = rt.byURL[u]; !ok {
-						n = &node{url: u}
-						added = append(added, u)
-					}
-					nextBy[u] = n
-				}
-				if containsNode(p.nodes, n) {
-					continue
-				}
-				p.nodes = append(p.nodes, n)
+	parts := make([]*partition, 0, len(t.Partitions))
+	for i, urls := range t.Partitions {
+		p := &partition{index: i}
+		for _, u := range urls {
+			if _, dup := nextBy[u]; dup {
+				continue // Validate refuses these; an unvalidated caller gets first-wins
 			}
-			p.key = partitionKey(p.nodes)
-			p.noTargetStreak = prevStreak[p.key]
-			parts = append(parts, p)
+			n, ok := rt.byURL[u]
+			if !ok {
+				n = &node{url: u}
+				added = append(added, u)
+			}
+			nextBy[u] = n
+			n.part = p
+			p.nodes = append(p.nodes, n)
 		}
-		return parts
+		p.key = partitionKey(p.nodes)
+		p.noTargetStreak = prevStreak[p.key]
+		parts = append(parts, p)
 	}
-	rt.parts = build(t.Partitions)
-	rt.nextParts = build(t.Next)
+	for u, n := range rt.byURL {
+		if nextBy[u] == nil {
+			n.part = nil // dropped: an attempt still in flight stamps no epoch
+		}
+	}
+	rt.parts = parts
 	rt.byURL = nextBy
 	rt.mu.Unlock()
 
@@ -366,15 +355,6 @@ func (rt *Router) SetTopology(t Topology) {
 	for _, u := range added {
 		rt.registerNodeGauges(u)
 	}
-}
-
-func containsNode(nodes []*node, n *node) bool {
-	for _, have := range nodes {
-		if have == n {
-			return true
-		}
-	}
-	return false
 }
 
 // SetNodes replaces the topology with a single flat partition — the
@@ -391,7 +371,7 @@ func (rt *Router) P() int {
 }
 
 // Nodes returns the current topology order: every partition's nodes in
-// partition order, then resize-target nodes not already listed.
+// partition order.
 func (rt *Router) Nodes() []string {
 	var out []string
 	for _, n := range rt.snapshotNodes() {
@@ -400,40 +380,27 @@ func (rt *Router) Nodes() []string {
 	return out
 }
 
-// snapshotNodes returns every distinct node across the current and
-// resize-target layouts, in topology order.
+// snapshotNodes returns every node, in topology order.
 func (rt *Router) snapshotNodes() []*node {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.snapshotNodesLocked()
-}
-
-func (rt *Router) snapshotNodesLocked() []*node {
 	var out []*node
-	seen := map[*node]bool{}
-	for _, layout := range [2][]*partition{rt.parts, rt.nextParts} {
-		for _, p := range layout {
-			for _, n := range p.nodes {
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-				}
-			}
-		}
+	for _, p := range rt.parts {
+		out = append(out, p.nodes...)
 	}
 	return out
 }
 
-// partNodes snapshots one current partition's node list. The second
-// return is false when the index is stale (a concurrent topology
-// change shrank the layout).
-func (rt *Router) partNodes(i int) ([]*node, bool) {
+// partNodes is one partition's node list (immutable once published by
+// SetTopology), or nil when the index is stale — a concurrent topology
+// change shrank the layout, and the request sheds.
+func (rt *Router) partNodes(i int) []*node {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if i < 0 || i >= len(rt.parts) {
-		return nil, false
+		return nil
 	}
-	return append([]*node(nil), rt.parts[i].nodes...), true
+	return rt.parts[i].nodes
 }
 
 // maxEpoch is the highest replication epoch observed anywhere in the
@@ -462,25 +429,17 @@ func epochIn(nodes []*node) uint64 {
 }
 
 // epochForNode is the epoch stamp for a request sent to n: the epoch
-// of the partition n belongs to (current layout first, then the resize
-// target). Stamping another partition's epoch could wrongly fence a
-// healthy primary, so an unknown node gets 0 (no stamp).
+// of the one partition n belongs to. Stamping another partition's epoch
+// could wrongly fence a healthy primary, so a node the topology no
+// longer lists gets 0 (no stamp).
 func (rt *Router) epochForNode(n *node) uint64 {
 	rt.mu.Lock()
-	var nodes []*node
-	for _, layout := range [2][]*partition{rt.parts, rt.nextParts} {
-		for _, p := range layout {
-			if containsNode(p.nodes, n) {
-				nodes = append([]*node(nil), p.nodes...)
-				break
-			}
-		}
-		if nodes != nil {
-			break
-		}
-	}
+	p := n.part
 	rt.mu.Unlock()
-	return epochIn(nodes)
+	if p == nil {
+		return 0
+	}
+	return epochIn(p.nodes)
 }
 
 // writeTargetIn picks the one node writes may go to within a
@@ -565,7 +524,6 @@ type Status struct {
 	WriteTarget string            `json:"write_target,omitempty"`
 	Epoch       uint64            `json:"epoch"`
 	Partitions  []PartitionStatus `json:"partitions,omitempty"`
-	Resize      []PartitionStatus `json:"resize,omitempty"`
 	Nodes       []NodeStatus      `json:"nodes"`
 }
 
@@ -592,7 +550,6 @@ func partitionStatuses(parts []*partition) []PartitionStatus {
 func (rt *Router) statusSnapshot() (Status, int) {
 	rt.mu.Lock()
 	parts := append([]*partition(nil), rt.parts...)
-	nextParts := append([]*partition(nil), rt.nextParts...)
 	rt.mu.Unlock()
 
 	st := Status{Status: "ready", Epoch: rt.maxEpoch()}
@@ -601,9 +558,6 @@ func (rt *Router) statusSnapshot() (Status, int) {
 		st.Nodes = append(st.Nodes, n.status())
 	}
 	st.Partitions = partitionStatuses(parts)
-	if len(nextParts) > 0 {
-		st.Resize = partitionStatuses(nextParts)
-	}
 
 	var missing []string
 	for _, ps := range st.Partitions {

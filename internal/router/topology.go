@@ -7,23 +7,15 @@
 // Partitioned: a `partitions N` header, then `partition <i> <url>...`
 // lines assigning nodes to partitions (repeatable; later lines append).
 // Partition i owns exactly the users with UserShard(user, N) == i, so
-// ownership must cover [0,N) and never overlap. A resize window adds
-// `next-partitions M` and `next <i> <url>...` lines describing the
-// layout being cut over to; while both layouts are present the router
-// drains writes for moving users and dual-routes their reads.
+// ownership must cover [0,N) and never overlap.
 //
 //	partitions 2
 //	partition 0 http://a:8395 http://b:8396
 //	partition 1 http://c:8395 http://d:8396
-//	# resize in progress: splitting into 3
-//	next-partitions 3
-//	next 0 http://a:8395 http://b:8396
-//	next 1 http://c:8395 http://d:8396
-//	next 2 http://e:8395 http://f:8396
 //
 // The router polls the file's stamp each probe round, so editing the
-// file is the whole "add a node" / "start a resize" / "cut over"
-// procedure.
+// file is the whole "add a node" procedure. N is fixed per fleet: the
+// nodes refuse (421) keys a changed N would send them.
 package router
 
 import (
@@ -48,50 +40,32 @@ type FileStamp struct {
 	Size int64
 }
 
-// Topology is a parsed topology: the current partition layout and,
-// during a resize window, the layout being cut over to.
+// Topology is a parsed topology: the partition layout.
 type Topology struct {
 	// Partitions[i] lists partition i's nodes (a replicated pair, or
 	// more). A flat topology parses as a single partition owning the
 	// whole key space.
 	Partitions [][]string
-	// Next, when non-nil, is the resize target layout. Nodes may appear
-	// in both layouts (partitions that do not move during the resize).
-	Next [][]string
 }
 
 // Validate checks the ownership invariants: every partition has at
-// least one node and no node is assigned to two partitions within a
-// layout. Cross-layout reuse is legal — that is what an in-place
-// resize looks like.
+// least one node and no node is assigned to two partitions.
 func (t Topology) Validate() error {
 	if len(t.Partitions) == 0 {
 		return errors.New("router: topology has no partitions")
 	}
-	if err := validateLayout(t.Partitions, "partition"); err != nil {
-		return err
-	}
-	if t.Next != nil {
-		if err := validateLayout(t.Next, "next partition"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func validateLayout(layout [][]string, what string) error {
 	seen := map[string]int{}
-	for i, urls := range layout {
+	for i, urls := range t.Partitions {
 		if len(urls) == 0 {
-			return fmt.Errorf("router: %s %d has no nodes — every partition's key range needs an owner", what, i)
+			return fmt.Errorf("router: partition %d has no nodes — every partition's key range needs an owner", i)
 		}
 		for _, u := range urls {
 			j, dup := seen[u]
 			switch {
 			case dup && j == i:
-				return fmt.Errorf("router: node %s listed twice in %s %d", u, what, i)
+				return fmt.Errorf("router: node %s listed twice in partition %d", u, i)
 			case dup:
-				return fmt.Errorf("router: node %s assigned to %ss %d and %d — key ownership must not overlap", u, what, j, i)
+				return fmt.Errorf("router: node %s assigned to partitions %d and %d — key ownership must not overlap", u, j, i)
 			}
 			seen[u] = i
 		}
@@ -156,42 +130,26 @@ func parseDirective(t *Topology, fields []string) error {
 			return errors.New("want: partitions <count >= 1>")
 		}
 		t.Partitions = make([][]string, n)
-	case "next-partitions":
+	case "partition":
 		if t.Partitions == nil {
-			return errors.New("next-partitions before partitions header")
-		}
-		if t.Next != nil {
-			return errors.New("duplicate next-partitions header")
-		}
-		n, err := strconv.Atoi(fields[len(fields)-1])
-		if len(fields) != 2 || err != nil || n < 1 {
-			return errors.New("want: next-partitions <count >= 1>")
-		}
-		t.Next = make([][]string, n)
-	case "partition", "next":
-		layout := t.Partitions
-		if fields[0] == "next" {
-			layout = t.Next
-		}
-		if layout == nil {
-			return fmt.Errorf("%s line before its partition-count header", fields[0])
+			return errors.New("partition line before the partitions header")
 		}
 		if len(fields) < 3 {
-			return fmt.Errorf("want: %s <index> <url> [<url>...]", fields[0])
+			return errors.New("want: partition <index> <url> [<url>...]")
 		}
 		i, err := strconv.Atoi(fields[1])
-		if err != nil || i < 0 || i >= len(layout) {
-			return fmt.Errorf("%s index %q out of [0,%d)", fields[0], fields[1], len(layout))
+		if err != nil || i < 0 || i >= len(t.Partitions) {
+			return fmt.Errorf("partition index %q out of [0,%d)", fields[1], len(t.Partitions))
 		}
 		for _, raw := range fields[2:] {
 			u, err := normalizeURL(raw)
 			if err != nil {
 				return err
 			}
-			layout[i] = append(layout[i], u)
+			t.Partitions[i] = append(t.Partitions[i], u)
 		}
 	default:
-		return fmt.Errorf("unknown directive %q (want partitions/partition/next-partitions/next)", fields[0])
+		return fmt.Errorf("unknown directive %q (want partitions/partition)", fields[0])
 	}
 	return nil
 }
@@ -236,7 +194,7 @@ func LoadTopology(path string) ([]string, FileStamp, error) {
 	if err != nil {
 		return nil, FileStamp{}, err
 	}
-	if len(t.Partitions) != 1 || t.Next != nil {
+	if len(t.Partitions) != 1 {
 		return nil, FileStamp{}, fmt.Errorf("%s: partitioned topology; a flat node list was expected", path)
 	}
 	return t.Partitions[0], stamp, nil

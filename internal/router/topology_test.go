@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -123,6 +124,36 @@ func TestTopologyReloadDetectsSameMtimeRewrite(t *testing.T) {
 		t.Fatalf("same-mtime rewrite not applied: %v", got)
 	}
 	rt.Stop() // never Started: must return without blocking
+}
+
+// TestRemovedSurfaceFailsLoudly pins what this package no longer does:
+// each row was accepted by an earlier build and must now be refused by
+// name, never half-applied.
+func TestRemovedSurfaceFailsLoudly(t *testing.T) {
+	a := &fakeNode{caughtUp: true}
+	rt := startFakes(t, []*fakeNode{a}, func(c *Config) {
+		c.Nodes = nil
+		c.TopologyPath = filepath.Join(t.TempDir(), "topology")
+		if err := os.WriteFile(c.TopologyPath, []byte(a.ts.URL+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The resize window: a file that opens one does not load, and a
+	// running router keeps its last good layout.
+	path := rt.cfg.TopologyPath
+	resize := "partitions 1\npartition 0 " + a.ts.URL + "\n" +
+		"next-partitions 3\nnext 0 " + a.ts.URL + "\nnext 1 http://b:1\nnext 2 http://c:1\n"
+	if err := os.WriteFile(path, []byte(resize), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadTopologyFile(path); err == nil || !strings.Contains(err.Error(), `"next-partitions"`) {
+		t.Fatalf("next-partitions file: err = %v, want a refusal naming the directive", err)
+	}
+	rt.reloadTopology()
+	if got := rt.Nodes(); len(got) != 1 || got[0] != a.ts.URL {
+		t.Fatalf("refused topology file displaced the layout: %v", got)
+	}
 }
 
 func mustStatus(rt *Router) Status {

@@ -42,6 +42,18 @@ trap cleanup EXIT INT TERM
 go build -o "$tmp/bin/" ./cmd/rrc-datagen ./cmd/rrc-train ./cmd/rrc-server \
 	./cmd/rrc-router ./cmd/rrc-inspect
 
+# Removed surface fails loudly: a flag that no longer exists is refused
+# by the flag package (exit 2), never silently ignored.
+refused() {
+	rc=0
+	"$@" >/dev/null 2>"$tmp/refused.err" || rc=$?
+	if [ "$rc" != 2 ] || ! grep -q 'flag provided but not defined' "$tmp/refused.err"; then
+		echo "$*: exit $rc, want the flag package's exit 2" >&2
+		exit 1
+	fi
+}
+refused "$tmp/bin/rrc-inspect" -replan x -to 3
+
 "$tmp/bin/rrc-datagen" -preset gowalla -users 40 -out "$tmp/data.tsv"
 "$tmp/bin/rrc-train" -data "$tmp/data.tsv" -out "$tmp/model.tsppr" \
 	-window 20 -omega 3 -steps 5000
