@@ -75,7 +75,6 @@ func main() {
 		retryBudget  = flag.Float64("retry-budget", 0.1, "retry tokens earned per incoming request (retries per request, fleet-wide bound)")
 		retryBurst   = flag.Float64("retry-burst", 10, "max banked retry tokens per client")
 		retryBackoff = flag.Duration("retry-backoff", 25*time.Millisecond, "pause before re-attempting a write")
-		hedgeDelay   = flag.Duration("hedge-delay", 0, "fire a second read attempt at another node after this delay (0 = hedging off)")
 
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 	)
@@ -108,7 +107,6 @@ func main() {
 		RetryBudget:   *retryBudget,
 		RetryBurst:    *retryBurst,
 		RetryBackoff:  *retryBackoff,
-		HedgeDelay:    *hedgeDelay,
 		Metrics:       reg,
 	})
 	if err != nil {

@@ -1,10 +1,9 @@
 // Per-client retry budget: the gRPC-style token bucket that makes
 // retry storms structurally impossible. Every incoming request earns
-// its client `ratio` tokens (banked up to `burst`); every retry or
-// hedge spends one whole token. Under a fully down backend a client
-// issuing R requests therefore drives at most R×(1+ratio)+burst
-// upstream attempts — amplification is bounded by configuration, not
-// by luck. Clients are keyed by X-RRC-Client (or remote IP), so one
+// its client `ratio` tokens (banked up to `burst`); every retry spends
+// one whole token. Under a fully down backend a client issuing R
+// requests therefore drives at most R×(1+ratio)+burst upstream
+// attempts — amplification is bounded by configuration, not by luck. Clients are keyed by X-RRC-Client (or remote IP), so one
 // misbehaving caller exhausting its budget cannot spend anyone else's.
 //
 // The ledger itself is bounded: the key is client-controlled, so a

@@ -9,7 +9,6 @@
 //	rrc_router_node_lag_records{node=}  last probed follower lag
 //	rrc_router_failovers_total          promotions this router drove
 //	rrc_router_retries_total            upstream re-attempts
-//	rrc_router_hedges_total             hedged read attempts
 //	rrc_router_shed_total               requests answered 503 locally
 //	rrc_router_misdirects_total         421 ownership refusals folded
 //	rrc_router_budget_evictions_total   retry-budget LRU evictions
@@ -39,8 +38,6 @@ func (rt *Router) initMetrics() {
 		"Promotions this router has driven via POST /admin/promote.")
 	rt.retries = rt.counterHelp("rrc_router_retries_total",
 		"Upstream re-attempts (beyond each request's first try).")
-	rt.hedges = rt.counterHelp("rrc_router_hedges_total",
-		"Hedged read attempts fired after HedgeDelay.")
 	rt.shed = rt.counterHelp("rrc_router_shed_total",
 		"Requests the router answered 503 locally (no backend, budget, or deadline).")
 	rt.misdirects = rt.counterHelp("rrc_router_misdirects_total",

@@ -19,7 +19,7 @@
 //     durable"). Anything ambiguous — an error after the request was
 //     sent — is answered 502 without a retry, because replaying it
 //     could double-apply.
-//   - Every retry and hedge spends the client's retry budget; when the
+//   - Every retry spends the client's retry budget; when the
 //     budget or MaxAttempts runs out the router forwards the last
 //     definitive backend response, else sheds 503 + Retry-After.
 package router
@@ -44,9 +44,8 @@ import (
 const maxProxyBody = 1 << 24
 
 // upstreamResult is one fully buffered backend response, decoupled
-// from the backend connection so it can lose a hedge race, be held as
-// "last definitive answer", or be forwarded — all after the upstream
-// round trip finished.
+// from the backend connection so it can be held as "last definitive
+// answer" or be forwarded after the upstream round trip finished.
 type upstreamResult struct {
 	status      int
 	contentType string
@@ -191,7 +190,7 @@ func (rt *Router) proxyWrite(ctx context.Context, w http.ResponseWriter, endpoin
 }
 
 // proxyRead is the read attempt loop: distinct nodes per attempt (the
-// tried set), optional hedging inside each attempt.
+// tried set).
 func (rt *Router) proxyRead(ctx context.Context, w http.ResponseWriter, endpoint string, body []byte, client string, plan routePlan) int {
 	tried := map[*node]bool{}
 	var last *upstreamResult
@@ -203,7 +202,7 @@ func (rt *Router) proxyRead(ctx context.Context, w http.ResponseWriter, endpoint
 		}
 		n := cands[0]
 		tried[n] = true
-		res, err := rt.attemptHedged(ctx, n, endpoint, body, client, plan, tried)
+		res, err := rt.attempt(ctx, n, endpoint, body)
 		attempts++
 		if err == nil {
 			last = res
@@ -225,68 +224,6 @@ func (rt *Router) proxyRead(ctx context.Context, w http.ResponseWriter, endpoint
 		return rt.forward(w, last)
 	}
 	return rt.shedRequest(w, "no backend answered")
-}
-
-// attemptHedged wraps attempt with tail-latency hedging: if the first
-// attempt has not resolved within HedgeDelay, a budget-gated second
-// attempt fires at another untried eligible node and the first good
-// response wins. The loser is cancelled on return via the shared
-// context.
-func (rt *Router) attemptHedged(ctx context.Context, n *node, endpoint string, body []byte, client string, plan routePlan, tried map[*node]bool) (*upstreamResult, error) {
-	if rt.cfg.HedgeDelay <= 0 {
-		return rt.attempt(ctx, n, endpoint, body)
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		res *upstreamResult
-		err error
-	}
-	ch := make(chan outcome, 2)
-	launch := func(target *node) {
-		go func() {
-			res, err := rt.attempt(actx, target, endpoint, body)
-			ch <- outcome{res, err}
-		}()
-	}
-	launch(n)
-	inFlight := 1
-	hedgeTimer := time.NewTimer(rt.cfg.HedgeDelay)
-	defer hedgeTimer.Stop()
-	var fallback *outcome // best non-winning outcome: a response beats an error
-	for {
-		select {
-		case o := <-ch:
-			inFlight--
-			if o.err == nil && !retryableStatus(o.res.status, true) {
-				return o.res, nil
-			}
-			if fallback == nil || (o.err == nil && fallback.err != nil) {
-				fallback = &o
-			}
-			if inFlight == 0 {
-				return fallback.res, fallback.err
-			}
-		case <-hedgeTimer.C:
-			if inFlight != 1 {
-				continue
-			}
-			cands := rt.readNodesFor(plan, tried)
-			if len(cands) == 0 || !rt.budget.spend(client) {
-				continue
-			}
-			h := cands[0]
-			tried[h] = true
-			rt.hedges.Inc()
-			launch(h)
-			inFlight++
-		case <-ctx.Done():
-			if fallback != nil {
-				return fallback.res, fallback.err
-			}
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // attempt makes one upstream round trip, bounded by TryTimeout within

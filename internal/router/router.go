@@ -37,8 +37,7 @@
 //     metric, never silent misrouting.
 //   - Requests carry propagated deadlines (X-RRC-Deadline-Ms), bounded
 //     retries under a per-client retry budget (a fully down backend
-//     can never amplify client traffic beyond the budget), and —
-//     optionally — hedged reads for tail latency.
+//     can never amplify client traffic beyond the budget).
 //
 // Retry safety: reads are idempotent and retry freely. A write retries
 // only when the router can prove the attempt never applied — the
@@ -110,7 +109,7 @@ type Config struct {
 
 	// RetryBudget is the per-client retry allowance: each incoming
 	// request earns the client this many retry tokens (capped at
-	// RetryBurst), and every retry or hedge spends one. Under a fully
+	// RetryBurst), and every retry spends one. Under a fully
 	// down backend a client's upstream attempts are therefore bounded
 	// by requests × (1 + RetryBudget) + RetryBurst — no retry storms.
 	// 0 → 0.1.
@@ -120,12 +119,6 @@ type Config struct {
 	// RetryBackoff is the pause before re-attempting a write (the
 	// write target rarely changes faster than a probe round). 0 → 25ms.
 	RetryBackoff time.Duration
-
-	// HedgeDelay, when positive, arms hedged reads: a read that has
-	// not answered within this delay fires a second attempt at another
-	// eligible node and the first response wins. Hedges spend retry
-	// budget, so they cannot storm either. 0 disables hedging.
-	HedgeDelay time.Duration
 
 	// Metrics, when non-nil, receives the rrc_router_* families.
 	Metrics *obs.Registry
@@ -214,7 +207,6 @@ type Router struct {
 	reg        *obs.Registry
 	failovers  *obs.Counter
 	retries    *obs.Counter
-	hedges     *obs.Counter
 	shed       *obs.Counter
 	misdirects *obs.Counter
 }

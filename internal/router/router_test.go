@@ -2,8 +2,8 @@ package router
 
 // White-box suite for the routing core: epoch-based write targeting,
 // staleness-bounded reads, the retry-budget amplification bound,
-// ambiguous-write safety, deadline propagation, hedging, and
-// router-driven promotion — all against scripted fake backends that
+// ambiguous-write safety, deadline propagation, and router-driven
+// promotion — all against scripted fake backends that
 // speak just enough of the rrc-server surface (/readyz,
 // /replica/epoch, traffic endpoints, /admin/promote).
 
@@ -442,31 +442,6 @@ func TestRouterPropagatesDeadlineHeader(t *testing.T) {
 	ms := n.lastDeadlineMs.Load()
 	if ms <= 0 || ms > 250 {
 		t.Fatalf("propagated deadline %dms, want in (0,250]", ms)
-	}
-}
-
-func TestRouterHedgesSlowReads(t *testing.T) {
-	slow := &fakeNode{recommendDelay: 200 * time.Millisecond}
-	fast := &fakeNode{role: roleFollower, caughtUp: true}
-	rt := startFakes(t, []*fakeNode{slow, fast}, func(c *Config) {
-		c.HedgeDelay = 20 * time.Millisecond
-		c.Deadline = 2 * time.Second
-		c.RetryBurst = 10 // plenty of hedge budget
-		c.RetryBudget = 1
-	})
-	h := rt.Routes()
-
-	// Warm the budget (hedges spend tokens).
-	for i := 0; i < 10; i++ {
-		post(h, "/recommend", `{"user":0,"history":[1],"n":1}`, nil)
-	}
-	slowServed := slow.recommends.Load()
-	fastServed := fast.recommends.Load()
-	if fastServed == 0 {
-		t.Fatalf("hedging never engaged (slow=%d fast=%d)", slowServed, fastServed)
-	}
-	if rt.hedges.Value() == 0 {
-		t.Fatal("rrc_router_hedges_total not incremented")
 	}
 }
 

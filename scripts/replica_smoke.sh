@@ -52,6 +52,7 @@ refused() {
 		exit 1
 	fi
 }
+refused "$tmp/bin/rrc-router" -hedge-delay 1ms
 refused "$tmp/bin/rrc-inspect" -replan x -to 3
 
 "$tmp/bin/rrc-datagen" -preset gowalla -users 40 -out "$tmp/data.tsv"
