@@ -98,7 +98,6 @@ func main() {
 		partitionFlag = flag.String("partition", "", "partition identity index/count[@generation] (e.g. 1/3): this node owns only its slice of the user-key space and answers 421 for the rest; fixed per events dir unless the generation is bumped (requires -events-dir)")
 
 		followURL       = flag.String("follow", "", "run as a warm standby tailing this primary's WAL stream (read-only until promoted)")
-		autoPromote     = flag.Bool("auto-promote", false, "with -follow: promote automatically after repeated primary health-probe failures")
 		peersCSV        = flag.String("peers", "", "comma-separated peer base URLs; a restarting primary checks their epochs and starts fenced if deposed")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "bound on the graceful shard drain (final snapshots) at shutdown; 0 = unbounded")
 	)
@@ -155,7 +154,6 @@ func main() {
 		corrupt:       corrupt,
 
 		followURL:       *followURL,
-		autoPromote:     *autoPromote,
 		peers:           splitPeers(*peersCSV),
 		shutdownTimeout: *shutdownTimeout,
 	})
@@ -294,15 +292,12 @@ type serverOptions struct {
 	shardBackoffMax    time.Duration
 
 	// Replication plane; zero values defer to replica defaults.
-	followURL         string        // "" → primary role
-	autoPromote       bool          // follower: promote on primary probe failure
-	peers             []string      // primary: startup epoch check against the fleet
-	shutdownTimeout   time.Duration // bound on the graceful shard drain; 0 = unbounded
-	replProbeInterval time.Duration // auto-promote probe period; 0 → 1s
-	replProbeFails    int           // consecutive probe failures before promote; 0 → 5
-	replBackoffBase   time.Duration // follower tailer retry backoff; 0 → 100ms
-	replBackoffMax    time.Duration
-	replWait          time.Duration // stream long-poll hold; 0 → 2s
+	followURL       string        // "" → primary role
+	peers           []string      // primary: startup epoch check against the fleet
+	shutdownTimeout time.Duration // bound on the graceful shard drain; 0 = unbounded
+	replBackoffBase time.Duration // follower tailer retry backoff; 0 → 100ms
+	replBackoffMax  time.Duration
+	replWait        time.Duration // stream long-poll hold; 0 → 2s
 
 	// metrics is set by newServer to the server's registry so newOnline
 	// can instrument the WAL and register session gauges.

@@ -46,15 +46,11 @@ type replState struct {
 	fenced   bool // deposed primary: reads serve, writes refuse
 
 	// promoteMu serializes whole promotions, so an operator's
-	// /admin/promote racing the auto-promote prober bumps the epoch once,
-	// not twice.
+	// /admin/promote racing the router's bumps the epoch once, not twice.
 	promoteMu sync.Mutex
 
 	tailer *replica.Follower // non-nil while following
 	stream *replica.Server
-
-	proberStop chan struct{}
-	proberDone chan struct{}
 
 	fencedG *obs.Gauge
 	epochG  *obs.Gauge
@@ -62,8 +58,8 @@ type replState struct {
 
 // setupReplication wires the replication plane onto an online server:
 // load the persisted epoch, choose the role from -follow, check -peers,
-// and (follower) start the per-shard tailers and the auto-promote
-// prober. Must be called after s.online is set, before routes().
+// and (follower) start the per-shard tailers. Must be called after
+// s.online is set, before routes().
 func (s *server) setupReplication() error {
 	if s.online == nil {
 		if s.opts.followURL != "" || len(s.opts.peers) > 0 {
@@ -135,11 +131,6 @@ func (s *server) setupReplication() error {
 	}
 	rs.tailer = f
 	log.Printf("replica: following %s (epoch %d): read-only standby, POST /admin/promote to take over", s.opts.followURL, f.Epoch())
-	if s.opts.autoPromote {
-		rs.proberStop = make(chan struct{})
-		rs.proberDone = make(chan struct{})
-		go rs.probePrimary()
-	}
 	return nil
 }
 
@@ -241,20 +232,11 @@ func (rs *replState) promote() (replica.Meta, error) {
 		return m, fmt.Errorf("already primary at epoch %d", m.Epoch)
 	}
 	t := rs.tailer
-	stop := rs.proberStop
 	rs.mu.Unlock()
 
 	// Join the tailers first so no shipped record lands after the bases
-	// are read. The prober is signalled (not joined — it may be the
-	// caller) and exits on its own; promoteMu keeps a racing second
-	// promotion from double-bumping the epoch.
-	if stop != nil {
-		select {
-		case <-stop:
-		default:
-			close(stop)
-		}
-	}
+	// are read; promoteMu keeps a racing second promotion from
+	// double-bumping the epoch.
 	var m replica.Meta
 	if t != nil {
 		t.Stop()
@@ -286,66 +268,12 @@ func (rs *replState) promote() (replica.Meta, error) {
 	return promoted, nil
 }
 
-// probePrimary watches the followed primary's /healthz and promotes
-// this standby after opts.probeFails consecutive failures. The loop is
-// deliberately conservative: one successful probe resets the streak.
-func (rs *replState) probePrimary() {
-	defer close(rs.proberDone)
-	interval := rs.srv.opts.replProbeInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	threshold := rs.srv.opts.replProbeFails
-	if threshold <= 0 {
-		threshold = 5
-	}
-	client := &http.Client{Timeout: interval}
-	streak := 0
-	for {
-		select {
-		case <-rs.proberStop:
-			return
-		case <-time.After(interval):
-		}
-		resp, err := client.Get(rs.srv.opts.followURL + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				streak = 0
-				continue
-			}
-			err = fmt.Errorf("primary /healthz returned %s", resp.Status)
-		}
-		streak++
-		log.Printf("replica: primary probe failure %d/%d: %v", streak, threshold, err)
-		if streak < threshold {
-			continue
-		}
-		if _, perr := rs.promote(); perr != nil {
-			log.Printf("replica: auto-promote failed: %v", perr)
-			return
-		}
-		log.Printf("replica: auto-promoted after %d failed probes of %s", streak, rs.srv.opts.followURL)
-		return
-	}
-}
-
-// stop winds the replication plane down for shutdown: prober first,
-// then the tailers, so nothing is applying into the pool while it
-// drains.
+// stop winds the replication plane down for shutdown: the tailers
+// join, so nothing is applying into the pool while it drains.
 func (rs *replState) stop() {
 	rs.mu.Lock()
 	t := rs.tailer
-	stop, done := rs.proberStop, rs.proberDone
 	rs.mu.Unlock()
-	if stop != nil {
-		select {
-		case <-stop:
-		default:
-			close(stop)
-		}
-		<-done
-	}
 	if t != nil {
 		t.Stop()
 	}

@@ -106,9 +106,10 @@ func waitApplied(t *testing.T, primary, standby *server) {
 
 // TestReplicaFailoverPreservesAckedWrites is the headline property: a
 // standby tailing a primary under traffic holds, after the primary is
-// killed and the standby auto-promotes, exactly the state an unfaulted
-// run produces over the acknowledged prefix — and then accepts writes
-// under the bumped epoch.
+// killed and the standby is promoted (POST /admin/promote — what an
+// operator or the router sends), exactly the state an unfaulted run
+// produces over the acknowledged prefix — and then accepts writes under
+// the bumped epoch.
 func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 	base, seqs := testServer(t)
 	m := base.currentModel()
@@ -118,12 +119,7 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 
 	srvA := bootRepl(t, m, t.TempDir(), nil)
 	tsA := httptest.NewServer(srvA.routes())
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) {
-		o.followURL = tsA.URL
-		o.autoPromote = true
-		o.replProbeInterval = 20 * time.Millisecond
-		o.replProbeFails = 2
-	})
+	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
 	hA, hB := srvA.routes(), srvB.routes()
 
 	for _, ev := range acked {
@@ -140,9 +136,11 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 
 	// Kill the primary: listener gone, pool abandoned un-closed.
 	tsA.Close()
-	waitFor(t, "auto-promotion", func() bool { return replStatusOf(srvB).Role == "primary" })
-	if got := replStatusOf(srvB).Epoch; got != 1 {
-		t.Fatalf("promoted epoch = %d, want 1", got)
+	if rr := postJSON(t, hB, "/admin/promote", nil); rr.Code != http.StatusOK {
+		t.Fatalf("promote status %d: %s", rr.Code, rr.Body.String())
+	}
+	if st := replStatusOf(srvB); st.Role != "primary" || st.Epoch != 1 {
+		t.Fatalf("promoted status %+v, want primary at epoch 1", st)
 	}
 	if got := storeFingerprint(t, srvB); got != want {
 		t.Fatal("promoted standby diverges from the unfaulted run over the acked prefix")

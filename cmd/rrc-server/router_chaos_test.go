@@ -75,8 +75,8 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	evs := chaosEvents(seqs)
 	preKill, postKill := evs[:30], evs[30:45]
 
-	// Node A: primary. Node B: standby tailing A. Neither runs its own
-	// auto-promote prober — failover is the router's job here.
+	// Node A: primary. Node B: standby tailing A. Failover is the
+	// router's job.
 	dirA := t.TempDir()
 	srvA := bootRepl(t, m, dirA, nil)
 	tsA := httptest.NewServer(srvA.routes())

@@ -94,8 +94,8 @@ type Config struct {
 	// AutoPromote lets the router drive failover itself: after
 	// ProbeFails rounds with no reachable unfenced primary in a
 	// partition it POSTs /admin/promote to that partition's best
-	// caught-up standby. Off, the router only follows promotions
-	// performed elsewhere (operator or the standby's own -auto-promote).
+	// caught-up standby. Off, the router only follows promotions an
+	// operator performs (POST /admin/promote on the standby).
 	AutoPromote bool
 
 	// MaxLagRecords bounds read staleness: a follower more than this
