@@ -13,7 +13,6 @@
 //	GET  /healthz          → {"status":"ok"} while the process is alive
 //	GET  /readyz           → 200 while a write target and ≥1 read
 //	                         backend exist; body lists per-node state
-//	GET  /stats            → same body as /readyz, always 200
 //	GET  /metrics          → rrc_router_* Prometheus families
 //	POST /consume          → proxied to the highest-epoch unfenced primary
 //	POST /recommend        → proxied to any healthy node

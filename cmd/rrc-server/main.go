@@ -7,7 +7,8 @@
 //	GET  /readyz           → 200 when the primary scorer is healthy,
 //	                         503 while degraded (fallback-only) — wire
 //	                         this one into load balancers
-//	GET  /stats            → request counters, resilience counters, model shape
+//	GET  /metrics          → Prometheus text exposition: request, resilience,
+//	                         engine, WAL, shard and replication families
 //	POST /recommend        → body {"user":0,"history":[1,2,3,...],"n":5,"omega":10}
 //	                         reply {"items":[...],"scores":[...]}
 //	POST /recommend/batch  → body {"requests":[{...},{...}]}
@@ -375,7 +376,6 @@ func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.Handle("POST /recommend",
 		s.harden(s.instrument("/recommend", http.HandlerFunc(s.handleRecommend))))
@@ -449,80 +449,6 @@ func (s *server) harden(next http.Handler) http.Handler {
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
-}
-
-// statsResponse is the GET /stats reply.
-type statsResponse struct {
-	Requests         int64 `json:"requests"`
-	Errors           int64 `json:"errors"`
-	ItemsRecommended int64 `json:"items_recommended"`
-	Panics           int64 `json:"panics"`
-	Timeouts         int64 `json:"timeouts"`
-	Shed             int64 `json:"shed"`
-	Fallbacks        int64 `json:"fallbacks"`
-	Reloads          int64 `json:"reloads"`
-	Degraded         bool  `json:"degraded"`
-	Users            int   `json:"users"`
-	Items            int   `json:"items"`
-	K                int   `json:"k"`
-	F                int   `json:"f"`
-	WindowCap        int   `json:"window"`
-
-	// Online-session counters; all zero when -events-dir is off.
-	Online           bool   `json:"online"`
-	Sessions         int    `json:"sessions,omitempty"`
-	AppliedLSN       uint64 `json:"applied_lsn,omitempty"`
-	Appends          int64  `json:"appends,omitempty"`
-	Fsyncs           int64  `json:"fsyncs,omitempty"`
-	RecoveredRecords int64  `json:"recovered_records,omitempty"`
-	TruncatedTails   int64  `json:"truncated_tails,omitempty"`
-	SkippedCorrupt   int64  `json:"skipped_corrupt,omitempty"`
-	Evictions        int64  `json:"evictions,omitempty"`
-	DroppedEvents    int64  `json:"dropped_events,omitempty"`
-	Snapshots        int64  `json:"snapshots,omitempty"`
-	SnapshotErrors   int64  `json:"snapshot_errors,omitempty"`
-
-	// Response-cache counters; nil when the cache is disabled or online
-	// sessions are off.
-	ResponseCache *rescache.Stats `json:"response_cache,omitempty"`
-
-	// Per-shard health, indexed by shard; nil when -events-dir is off.
-	Shards []shard.Status `json:"shards,omitempty"`
-
-	// Replication role and lag; nil when the replication plane is off.
-	Replication *replStatus `json:"replication,omitempty"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	// Load the engine exactly once and derive every model-shape field
-	// from that one snapshot: a SIGHUP hot-swap mid-handler must never
-	// produce a reply mixing two models' shapes.
-	eng := s.eng.Load()
-	m := eng.Model()
-	st := statsResponse{
-		Requests:         s.reg.SumCounters(metricRequests),
-		Errors:           s.reg.SumCounters(metricErrors),
-		ItemsRecommended: s.items.Value(),
-		Panics:           s.panics.Value(),
-		Timeouts:         s.timeouts.Value(),
-		Shed:             s.shed.Value(),
-		Fallbacks:        s.fallbacks.Value(),
-		Reloads:          s.reloads.Value(),
-		Degraded:         s.degraded.Load(),
-		Users:            m.NumUsers(),
-		Items:            m.NumItems(),
-		K:                m.K,
-		F:                m.F,
-		WindowCap:        s.opts.windowCap,
-	}
-	if s.online != nil {
-		s.online.statsInto(&st)
-	}
-	if s.repl != nil {
-		rst := s.repl.status()
-		st.Replication = &rst
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 // handleHealth reports liveness only: the process is up and serving, even

@@ -182,21 +182,20 @@ func TestStatsEndpoint(t *testing.T) {
 	postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 3})
 	postJSON(t, h, "/recommend", recommendRequest{User: -1, History: history})
 
-	req := httptest.NewRequest(http.MethodGet, "/stats", nil)
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d", rr.Code)
+	if req, errs := srv.reg.SumCounters(metricRequests), srv.reg.SumCounters(metricErrors); req != 2 || errs != 1 {
+		t.Fatalf("requests=%d errors=%d, want 2 and 1", req, errs)
 	}
-	var stats statsResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
+	if srv.items.Value() == 0 {
+		t.Fatal("rrc_items_recommended_total stayed 0 after a served request")
 	}
-	if stats.Requests != 2 || stats.Errors != 1 {
-		t.Fatalf("counters %+v", stats)
-	}
-	if stats.ItemsRecommended == 0 || stats.Users == 0 || stats.K == 0 {
-		t.Fatalf("stats shape %+v", stats)
+}
+
+// TestRemovedSurfaceFailsLoudly: GET /stats was a second status body
+// over the /metrics counters; it is gone, not silently empty.
+func TestRemovedSurfaceFailsLoudly(t *testing.T) {
+	srv, _ := testServer(t)
+	if code := getCode(t, srv.routes(), "/stats"); code != http.StatusNotFound {
+		t.Fatalf("GET /stats = %d, want 404", code)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Server-side observability: the process-wide metric registry, the
 // per-endpoint instrumentation middleware, and the status-capturing
 // response writer it needs. GET /metrics serves the registry in
-// Prometheus text format; GET /stats is a thin JSON view over the same
-// counters (see handleStats).
+// Prometheus text format.
 package main
 
 import (
@@ -62,8 +61,8 @@ func (s *server) initMetrics() {
 // 429s never count as requests, and it does not recover panics — it
 // counts the error and lets the panic propagate to recovered, which
 // owns the 500 and the panic counter. Probe endpoints (/healthz,
-// /readyz, /stats, /metrics) are deliberately uninstrumented: request
-// counters track scoring traffic, not scrapes.
+// /readyz, /metrics) are deliberately uninstrumented: request counters
+// track scoring traffic, not scrapes.
 func (s *server) instrument(endpoint string, next http.Handler) http.Handler {
 	requests := s.reg.Counter(metricRequests + `{endpoint="` + endpoint + `"}`)
 	errs := s.reg.Counter(metricErrors + `{endpoint="` + endpoint + `"}`)

@@ -5,16 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
-	"tsppr/internal/core"
-	"tsppr/internal/features"
-	"tsppr/internal/linalg"
 	"tsppr/internal/obs"
-	"tsppr/internal/seq"
 )
 
 // TestMetricsEndpoint drives real traffic and checks GET /metrics serves
@@ -122,107 +116,6 @@ func TestBatchErrorAccounting(t *testing.T) {
 				t.Fatalf("%d successful entries, want %d", ok, tc.wantOK)
 			}
 		})
-	}
-}
-
-// shapeModel builds a minimal valid model with a distinctive
-// (users, items, K) shape; parameters are zero — the coherence test only
-// looks at shapes.
-func shapeModel(t *testing.T, users, items, k int) *core.Model {
-	t.Helper()
-	b := features.NewBuilder(items, 20, 3)
-	s := make(seq.Sequence, items)
-	for i := range s {
-		s[i] = seq.Item(i)
-	}
-	b.Add(s)
-	ex := b.Build(features.AllFeatures, features.Hyperbolic)
-	m := &core.Model{
-		K: k, F: ex.Dim(), MapType: core.SharedMap,
-		U: linalg.NewMatrix(users, k), V: linalg.NewMatrix(items, k),
-		A:         []*linalg.Matrix{linalg.NewMatrix(k, ex.Dim())},
-		Extractor: ex,
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestStatsCoherentAcrossReload is the regression for the /stats
-// snapshot-coherence bug: while SIGHUP-style reloads flip between two
-// differently-shaped models, every /stats reply must report the shape of
-// exactly one of them — never a hybrid of fields read from two engines.
-// Run under -race (make check) it also proves the handler touches the
-// hot-swapped engine safely.
-func TestStatsCoherentAcrossReload(t *testing.T) {
-	mA := shapeModel(t, 5, 30, 4)
-	mB := shapeModel(t, 7, 40, 6)
-	path := filepath.Join(t.TempDir(), "model.tsppr")
-	if err := mA.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(mA, serverOptions{modelPath: path, windowCap: 20, defaultOmega: 3})
-	h := srv.routes()
-
-	type shape struct{ users, items, k, f int }
-	valid := map[shape]bool{
-		{5, 30, 4, mA.F}: true,
-		{7, 40, 6, mB.F}: true,
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 40; i++ {
-			m := mA
-			if i%2 == 0 {
-				m = mB
-			}
-			if err := m.SaveFile(path); err != nil {
-				t.Errorf("save: %v", err)
-				return
-			}
-			if err := srv.reload(); err != nil {
-				t.Errorf("reload: %v", err)
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				rr := httptest.NewRecorder()
-				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/stats", nil))
-				if rr.Code != http.StatusOK {
-					t.Errorf("stats: %d", rr.Code)
-					return
-				}
-				var st statsResponse
-				if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
-					t.Error(err)
-					return
-				}
-				got := shape{st.Users, st.Items, st.K, st.F}
-				if !valid[got] {
-					t.Errorf("incoherent model shape in /stats: %+v", got)
-					return
-				}
-			}
-		}()
-	}
-	<-done
-	wg.Wait()
-	if srv.reloads.Value() != 40 {
-		t.Fatalf("reloads = %d, want 40", srv.reloads.Value())
 	}
 }
 

@@ -156,31 +156,6 @@ func (o *onlineState) closeTimeout(d time.Duration) ([]int, error) {
 	return o.pool.CloseTimeout(d)
 }
 
-// statsInto copies the pool's aggregate counters — and the per-shard
-// status list — into a /stats reply.
-func (o *onlineState) statsInto(st *statsResponse) {
-	ws := o.pool.WALStats()
-	st.Online = true
-	st.Appends = ws.Appends
-	st.Fsyncs = ws.Fsyncs
-	st.RecoveredRecords = ws.RecoveredRecords
-	st.TruncatedTails = ws.TruncatedTails
-	st.SkippedCorrupt = ws.SkippedCorrupt
-	if o.cache != nil {
-		cs := o.cache.Stats()
-		st.ResponseCache = &cs
-	}
-	st.Shards = o.pool.Statuses()
-	for _, sh := range st.Shards {
-		st.Sessions += sh.Sessions
-		st.AppliedLSN += sh.AppliedLSN
-		st.Evictions += sh.Evictions
-		st.DroppedEvents += sh.Dropped
-		st.Snapshots += sh.Snapshots
-		st.SnapshotErrors += sh.SnapshotErrs
-	}
-}
-
 // writeOnlineErr maps an online-layer failure to its HTTP shape. A
 // shard's UnavailableError carries its own Retry-After hint; any other
 // append failure is a storage-state problem the caller should retry

@@ -132,33 +132,12 @@ func TestStatsReportsOnlineCounters(t *testing.T) {
 	}
 	srv.online.pool.SnapshotAll()
 
-	req := httptest.NewRequest(http.MethodGet, "/stats", nil)
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	var st statsResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
+	shards := srv.online.pool.Statuses()
+	if len(shards) != 1 || shards[0].State != "serving" || shards[0].Sessions != 1 || shards[0].AppliedLSN != 7 {
+		t.Fatalf("per-shard status %+v", shards)
 	}
-	if !st.Online || st.Sessions != 1 || st.AppliedLSN != 7 || st.Appends != 7 {
-		t.Fatalf("online stats %+v", st)
-	}
-	if st.Fsyncs < 7 || st.Snapshots != 1 {
-		t.Fatalf("durability stats %+v", st)
-	}
-	if len(st.Shards) != 1 || st.Shards[0].State != "serving" || st.Shards[0].Sessions != 1 {
-		t.Fatalf("per-shard stats %+v", st.Shards)
-	}
-
-	// Without -events-dir the online block stays zeroed.
-	plain, _ := testServer(t)
-	rr = httptest.NewRecorder()
-	plain.routes().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var off statsResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &off); err != nil {
-		t.Fatal(err)
-	}
-	if off.Online || off.Appends != 0 {
-		t.Fatalf("offline stats %+v", off)
+	if ws := srv.online.pool.WALStats(); ws.Appends != 7 || ws.Fsyncs < 7 || shards[0].Snapshots != 1 {
+		t.Fatalf("durability counters %+v, snapshots %d", ws, shards[0].Snapshots)
 	}
 }
 

@@ -296,7 +296,7 @@ func (s *server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, promoteResponse{Epoch: m.Epoch, Role: "primary"})
 }
 
-// replStatus summarizes the replication plane for /readyz and /stats.
+// replStatus summarizes the replication plane for /readyz.
 type replStatus struct {
 	Role   string `json:"role"`
 	Epoch  uint64 `json:"epoch"`

@@ -89,14 +89,8 @@ func TestFallbackUnderScorerPanic(t *testing.T) {
 	if code := getCode(t, h, "/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz = %d, want 503 while degraded", code)
 	}
-	var stats statsResponse
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	if err := json.Unmarshal(rr.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Panics < 3 || stats.Fallbacks != 5 || !stats.Degraded {
-		t.Fatalf("stats = %+v", stats)
+	if p, f := srv.panics.Value(), srv.fallbacks.Value(); p < 3 || f != 5 || !srv.degraded.Load() {
+		t.Fatalf("panics=%d fallbacks=%d degraded=%v, want >=3, 5, true", p, f, srv.degraded.Load())
 	}
 
 	// Stop injecting: within probeEvery requests a probe hits the healthy
@@ -108,7 +102,7 @@ func TestFallbackUnderScorerPanic(t *testing.T) {
 	if code := getCode(t, h, "/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz = %d after recovery", code)
 	}
-	rr = postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5})
+	rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5})
 	var resp recommendResponse
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)

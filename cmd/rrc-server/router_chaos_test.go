@@ -160,7 +160,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	// round must fence it via the X-RRC-Epoch contract.
 	srvA2 := bootRepl(t, m, dirA, nil)
 	tsA2 := httptest.NewServer(srvA2.routes())
-	rt.SetNodes([]string{tsA2.URL, tsB.URL})
+	rt.SetTopology(router.Topology{Partitions: [][]string{{tsA2.URL, tsB.URL}}})
 	waitFor(t, "deposed primary fenced by router probe", func() bool {
 		return replStatusOf(srvA2).Fenced
 	})

@@ -218,9 +218,10 @@ func (r *Registry) seriesFor(name string, kind metricKind, bounds []float64) *se
 	return s
 }
 
-// SumCounters returns the sum of every series of a counter family — the
-// thin aggregate view legacy endpoints (GET /stats) report. Returns 0
-// for a nil registry, an unknown family, or a non-counter family.
+// SumCounters returns the sum of every series of a counter family —
+// the aggregate a test asserts on without parsing an exposition.
+// Returns 0 for a nil registry, an unknown family, or a non-counter
+// family.
 func (r *Registry) SumCounters(familyName string) int64 {
 	if r == nil {
 		return 0

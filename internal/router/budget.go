@@ -106,7 +106,7 @@ func (b *retryBudget) spend(client string) bool {
 	return true
 }
 
-// tokens reports a client's current balance (tests, /stats).
+// tokens reports a client's current balance (tests).
 func (b *retryBudget) tokens(client string) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

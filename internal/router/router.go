@@ -349,12 +349,6 @@ func (rt *Router) SetTopology(t Topology) {
 	}
 }
 
-// SetNodes replaces the topology with a single flat partition — the
-// pre-partitioning API, kept for flat deployments and tests.
-func (rt *Router) SetNodes(urls []string) {
-	rt.SetTopology(Topology{Partitions: [][]string{urls}})
-}
-
 // P reports the current partition count.
 func (rt *Router) P() int {
 	rt.mu.Lock()
@@ -507,7 +501,7 @@ type PartitionStatus struct {
 	Nodes       []string `json:"nodes"`
 }
 
-// Status is the router's own /readyz and /stats body.
+// Status is the router's own /readyz body.
 type Status struct {
 	Status string `json:"status"`
 	// WriteTarget is the single-partition convenience field (P=1 — the
@@ -585,10 +579,6 @@ func (rt *Router) Routes() http.Handler {
 			w.Header().Set("Retry-After", rt.retryAfterHint())
 		}
 		writeJSON(w, code, st)
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-		st, _ := rt.statusSnapshot()
-		writeJSON(w, http.StatusOK, st)
 	})
 	if rt.reg != nil {
 		mux.Handle("GET /metrics", rt.reg.Handler())

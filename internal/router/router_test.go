@@ -493,7 +493,7 @@ func TestRouterWriteFoldsFenceEpoch(t *testing.T) {
 }
 
 func TestRouterTopologyChangeDoesNotDeadlockScrape(t *testing.T) {
-	// Regression: SetNodes used to register per-node gauges while
+	// Regression: SetTopology used to register per-node gauges while
 	// holding rt.mu, while a /metrics scrape holds the registry lock
 	// and calls gauge closures that take rt.mu — an AB-BA deadlock when
 	// a topology change that adds a node races a scrape. Hammer both
@@ -506,7 +506,7 @@ func TestRouterTopologyChangeDoesNotDeadlockScrape(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			rt.SetNodes([]string{n.ts.URL, fmt.Sprintf("http://added-%d.invalid:1", i)})
+			rt.SetTopology(Topology{Partitions: [][]string{{n.ts.URL, fmt.Sprintf("http://added-%d.invalid:1", i)}}})
 		}
 	}()
 	for {

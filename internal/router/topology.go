@@ -186,20 +186,6 @@ func LoadTopologyFile(path string) (Topology, FileStamp, error) {
 	return t, stamp, nil
 }
 
-// LoadTopology reads a flat topology file, returning the node URLs and
-// the file's stamp. It refuses partitioned files — callers that can
-// route per partition use LoadTopologyFile.
-func LoadTopology(path string) ([]string, FileStamp, error) {
-	t, stamp, err := LoadTopologyFile(path)
-	if err != nil {
-		return nil, FileStamp{}, err
-	}
-	if len(t.Partitions) != 1 {
-		return nil, FileStamp{}, fmt.Errorf("%s: partitioned topology; a flat node list was expected", path)
-	}
-	return t.Partitions[0], stamp, nil
-}
-
 // reloadTopology re-reads the topology file when its stamp (mtime or
 // size) moved. A transiently unreadable or invalid file keeps the last
 // good topology — a half-written edit must not empty the fleet.

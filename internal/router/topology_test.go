@@ -1,6 +1,7 @@
 package router
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -8,34 +9,6 @@ import (
 	"testing"
 	"time"
 )
-
-func TestLoadTopology(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "nodes")
-	content := "# fleet\nhttp://a:8395\n\n  http://b:8396/  \n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	nodes, _, err := LoadTopology(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != 2 || nodes[0] != "http://a:8395" || nodes[1] != "http://b:8396" {
-		t.Fatalf("parsed %v", nodes)
-	}
-
-	for name, bad := range map[string]string{
-		"not-a-url": "around:the:bend\n",
-		"empty":     "# nothing here\n",
-	} {
-		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := LoadTopology(path); err == nil {
-			t.Fatalf("%s topology loaded without error", name)
-		}
-	}
-}
 
 func TestRouterWatchesTopologyFile(t *testing.T) {
 	a := &fakeNode{caughtUp: true}
@@ -153,6 +126,13 @@ func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 	rt.reloadTopology()
 	if got := rt.Nodes(); len(got) != 1 || got[0] != a.ts.URL {
 		t.Fatalf("refused topology file displaced the layout: %v", got)
+	}
+
+	// The second status body: /readyz and /metrics are the status surface.
+	rr := httptest.NewRecorder()
+	rt.Routes().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	if rr.Code != http.StatusNotFound {
+		t.Fatalf("GET /stats = %d, want 404", rr.Code)
 	}
 }
 

@@ -565,7 +565,7 @@ func (s *Shard) unavailableLocked() error {
 }
 
 // Status is a point-in-time snapshot of a shard's health, the unit of
-// /stats and test assertions.
+// the pool-aggregate gauges and test assertions.
 type Status struct {
 	Shard        int    `json:"shard"`
 	State        string `json:"state"`
