@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz fuzz-smoke bench-smoke obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos
+.PHONY: check build fmt vet test race fuzz fuzz-smoke bench-smoke obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos loc
 
 ## check: everything CI should gate on — formatting, vet, race-enabled tests
 ## (obs-race first: the metric hot paths are the newest concurrency surface,
@@ -43,8 +43,8 @@ shard-chaos:
 	$(GO) test -race -count=1 -run Shard ./cmd/rrc-server ./internal/shard
 
 ## replica-chaos: the replication chaos suite, unconditionally re-run
-## under the race detector — primary kill + auto-promote must preserve
-## every acked shipped write, a deposed primary must start fenced, and a
+## under the race detector — primary kill + POST /admin/promote must
+## preserve every acked shipped write, a deposed primary must start fenced, and a
 ## rejoining node must truncate its divergent tail and drain lag to 0
 replica-chaos:
 	$(GO) test -race -count=1 -run Replica ./cmd/rrc-server ./internal/replica
@@ -54,7 +54,7 @@ replica-chaos:
 ## killing the primary must lose zero acked writes, reads must keep
 ## serving throughout, the router must converge on the promoted node
 ## unaided, and a rejoining deposed primary must be fenced on contact;
-## plus the router's own retry-budget/hedging/topology unit suites
+## plus the router's own retry-budget/topology unit suites
 router-chaos:
 	$(GO) test -race -count=1 -run Router ./cmd/rrc-server ./internal/router
 
@@ -85,7 +85,7 @@ metrics-smoke:
 ## fuzz-smoke: run every fuzz target over its checked-in seed corpus only
 ## (no mutation) — fast enough to gate on
 fuzz-smoke:
-	$(GO) test ./internal/core ./internal/dataset ./internal/wal -run '^Fuzz' -count=1
+	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/router -run '^Fuzz' -count=1
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it
@@ -95,9 +95,18 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz: short bounded fuzzing with mutation — model loader and TSV readers
+## fuzz: short bounded fuzzing with mutation — model loader, TSV readers
+## and the router's topology file
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadModel -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadServingModel -fuzztime 20s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadWith -fuzztime 20s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzValidateReader -fuzztime 10s
+	$(GO) test ./internal/router -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s
+
+## loc: the three line counts every re-anchor and simplicity PR quotes —
+## non-test Go outside bench/, test Go outside bench/, Go under bench/
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@find ./bench -name '*.go' | xargs cat | wc -l

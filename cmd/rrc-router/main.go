@@ -115,7 +115,15 @@ func main() {
 	rt.Start()
 	defer rt.Stop()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Routes()}
+	// Same header/idle bounds as rrc-server: a client that opens
+	// connections and never finishes a header must not hold router
+	// goroutines and sockets forever.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           rt.Routes(),
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

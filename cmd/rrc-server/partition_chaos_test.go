@@ -105,6 +105,9 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 			return replStatusOf(stands[i]).CaughtUp
 		})
 	}
+	// CaughtUp is one poll stale (see waitApplied): the kill below must
+	// not cut off an acknowledged victim write.
+	waitApplied(t, prims[0], stands[0])
 
 	// Continuous keyed reads against the two partitions that keep their
 	// primaries: through the whole kill window every response must be

@@ -268,14 +268,29 @@ func TestRouterPartitionedTopologyFileAndCutover(t *testing.T) {
 	}
 }
 
-func TestParseTopologyPartitionedFormat(t *testing.T) {
-	good := `# split fleet
+// goodTopologyDoc and badTopologyDocs are the documents the parser
+// tests assert on; FuzzParseTopology seeds from them too.
+const goodTopologyDoc = `# split fleet
 partitions 2
 partition 0 http://a:1 http://b:2
 partition 1 http://c:3
 partition 1 http://d:4/
 `
-	topo, err := ParseTopology(strings.NewReader(good), "t")
+
+var badTopologyDocs = map[string]string{
+	"missing partition":  "partitions 2\npartition 0 http://a:1\n",
+	"duplicate node":     "partitions 2\npartition 0 http://a:1\npartition 1 http://a:1\n",
+	"node listed twice":  "partitions 1\npartition 0 http://a:1 http://a:1\n",
+	"index out of range": "partitions 2\npartition 2 http://a:1\n",
+	"body before header": "partition 0 http://a:1\npartitions 1\n",
+	"unknown directive":  "partitions 1\nshard 0 http://a:1\n",
+	"zero partitions":    "partitions 0\n",
+	"count over the cap": "partitions 65537\npartition 0 http://a:1\n",
+	"space inside a url": "http://a:1/x y\n",
+}
+
+func TestParseTopologyPartitionedFormat(t *testing.T) {
+	topo, err := ParseTopology(strings.NewReader(goodTopologyDoc), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,15 +305,7 @@ partition 1 http://d:4/
 		t.Fatalf("partition 1 = %v", got)
 	}
 
-	for name, bad := range map[string]string{
-		"missing partition":  "partitions 2\npartition 0 http://a:1\n",
-		"duplicate node":     "partitions 2\npartition 0 http://a:1\npartition 1 http://a:1\n",
-		"node listed twice":  "partitions 1\npartition 0 http://a:1 http://a:1\n",
-		"index out of range": "partitions 2\npartition 2 http://a:1\n",
-		"body before header": "partition 0 http://a:1\npartitions 1\n",
-		"unknown directive":  "partitions 1\nshard 0 http://a:1\n",
-		"zero partitions":    "partitions 0\n",
-	} {
+	for name, bad := range badTopologyDocs {
 		topo, err := ParseTopology(strings.NewReader(bad), "t")
 		if err == nil {
 			err = topo.Validate()
@@ -306,6 +313,11 @@ partition 1 http://d:4/
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+
+	// The count sizes an allocation, so the parser itself caps it.
+	if _, err := ParseTopology(strings.NewReader(badTopologyDocs["count over the cap"]), "t"); err == nil {
+		t.Error("partitions 65537 parsed: the header count is not capped")
 	}
 
 	// Flat files stay the degenerate single partition — the locked

@@ -65,8 +65,11 @@ type routePlan struct {
 // client error: a partitioned fleet cannot place a request whose user
 // key it cannot read.
 func (rt *Router) routePlan(keyed bool, body []byte) (routePlan, error) {
+	if !keyed {
+		return routePlan{}, nil
+	}
 	p := rt.P()
-	if !keyed || p <= 1 {
+	if p <= 1 {
 		return routePlan{}, nil
 	}
 	user, err := userKey(body)

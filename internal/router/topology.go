@@ -14,8 +14,8 @@
 //	partition 1 http://c:8395 http://d:8396
 //
 // The router polls the file's stamp each probe round, so editing the
-// file is the whole "add a node" procedure. N is fixed per fleet: the
-// nodes refuse (421) keys a changed N would send them.
+// file is the whole "add a node" procedure. N is fixed per fleet: a
+// node whose -partition i/N disagrees with the file takes no traffic.
 package router
 
 import (
@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // FileStamp is the topology watch key. Mtime alone misses a second
@@ -118,6 +119,11 @@ func ParseTopology(r io.Reader, name string) (Topology, error) {
 	return t, nil
 }
 
+// maxPartitions caps the `partitions N` header: N is outside input and
+// sizes an allocation, and every partition needs a line of its own, so
+// no real file comes near it.
+const maxPartitions = 1 << 16
+
 // parseDirective applies one partitioned-format line.
 func parseDirective(t *Topology, fields []string) error {
 	switch fields[0] {
@@ -126,8 +132,8 @@ func parseDirective(t *Topology, fields []string) error {
 			return errors.New("duplicate partitions header")
 		}
 		n, err := strconv.Atoi(fields[len(fields)-1])
-		if len(fields) != 2 || err != nil || n < 1 {
-			return errors.New("want: partitions <count >= 1>")
+		if len(fields) != 2 || err != nil || n < 1 || n > maxPartitions {
+			return fmt.Errorf("want: partitions <count in [1,%d]>", maxPartitions)
 		}
 		t.Partitions = make([][]string, n)
 	case "partition":
@@ -154,9 +160,12 @@ func parseDirective(t *Topology, fields []string) error {
 	return nil
 }
 
+// normalizeURL accepts one base URL. A flat-format line reaches it
+// whole, so inner whitespace is refused here: such a "URL" could not be
+// written in the partitioned format, whose fields split on it.
 func normalizeURL(raw string) (string, error) {
 	u, err := url.Parse(raw)
-	if err != nil || u.Scheme == "" || u.Host == "" {
+	if err != nil || u.Scheme == "" || u.Host == "" || strings.ContainsFunc(raw, unicode.IsSpace) {
 		return "", fmt.Errorf("%q is not a base URL (want http://host:port)", raw)
 	}
 	return strings.TrimRight(raw, "/"), nil

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -339,18 +340,15 @@ func (p *Pool) WALStats() wal.Stats {
 
 // Dump merges every shard's sessions into one ascending-user listing —
 // the pool-wide state fingerprint the chaos suite compares across runs.
-// Shard user sets are disjoint (routing is a function), so a merge of
-// per-shard sorted dumps is itself sorted.
+// Users hash across shards, so the per-shard dumps interleave and the
+// concatenation is sorted here; shard user sets are disjoint (routing
+// is a function), so the order has no ties to break.
 func (p *Pool) Dump() []sessions.UserWindow {
 	var out []sessions.UserWindow
 	for _, sh := range p.shards {
 		out = append(out, sh.Dump()...)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].User > out[j].User; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
 	return out
 }
 

@@ -266,6 +266,37 @@ func TestPanicTripsBreakerAndSupervisorRestarts(t *testing.T) {
 	}
 }
 
+// TestDumpSortsInterleavedShards: users hash across shards, so the
+// per-shard dumps interleave. The merged listing must come back in
+// ascending user order, and in n·log n — the fingerprint of a 20k-user
+// pool is taken in well under a second.
+func TestDumpSortsInterleavedShards(t *testing.T) {
+	const users = 20_000
+	p, err := Open(t.TempDir(), testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for u := 0; u < users; u++ {
+		if _, _, err := p.Ingest(u, seq.Item(u%7)); err != nil {
+			t.Fatalf("ingest u=%d: %v", u, err)
+		}
+	}
+	start := time.Now()
+	got := p.Dump()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Dump of %d users took %s, want < 1s", users, d)
+	}
+	if len(got) != users {
+		t.Fatalf("Dump listed %d users, want %d", len(got), users)
+	}
+	for i, uw := range got {
+		if uw.User != i {
+			t.Fatalf("Dump[%d].User = %d: not ascending", i, uw.User)
+		}
+	}
+}
+
 // TestStickyAppendFailureTripsAfterThreshold drives FailThreshold
 // consecutive append failures through one shard: below the threshold the
 // raw storage error surfaces (event not durable, caller retries), at the
