@@ -17,7 +17,13 @@ import (
 
 func testServer(t *testing.T) (*server, []seq.Sequence) {
 	t.Helper()
-	cfg := datagen.GowallaLike(8, 3)
+	return testServerUsers(t, 8)
+}
+
+// testServerUsers is testServer over a model of the given user count.
+func testServerUsers(t *testing.T, users int) (*server, []seq.Sequence) {
+	t.Helper()
+	cfg := datagen.GowallaLike(users, 3)
 	cfg.MinLen, cfg.MaxLen = 80, 150
 	cfg.WindowCap = 20
 	ds, err := datagen.Generate(cfg)

@@ -29,12 +29,17 @@ func newChaosRouter(t *testing.T, reg *obs.Registry, urls ...string) *router.Rou
 	rt, err := router.New(router.Config{
 		Nodes:         urls,
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeFails:    2,
-		AutoPromote:   true,
-		RetryBudget:   1, // every request may fund a failover retry
-		RetryBackoff:  5 * time.Millisecond,
-		MaxAttempts:   4,
-		Metrics:       reg,
+		// A kill here is a closed listener, refused at once, so a long
+		// probe timeout costs no failover latency. At the default (the
+		// probe interval) a busy -race box times out probes of a live
+		// primary, and for that round the partition has no write target.
+		ProbeTimeout: time.Second,
+		ProbeFails:   2,
+		AutoPromote:  true,
+		RetryBudget:  1, // every request may fund a failover retry
+		RetryBackoff: 5 * time.Millisecond,
+		MaxAttempts:  4,
+		Metrics:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,5 +255,52 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	}
 	if got := reg.SumCounters("rrc_router_failovers_total"); got != 0 {
 		t.Fatalf("router drove %d promotions with auto-promote off", got)
+	}
+}
+
+// TestRouterReadYourWritesAcrossPair pins the read rule with no fault
+// injected: through a router fronting a primary and a live standby, a
+// /consume followed by /recommend/user for the same user is answered
+// from the window that holds the write — 200, never the 404 a follower
+// gives a user whose first event it has not applied, and byte for byte
+// what the primary answers when asked directly. The standby serves no
+// keyed read while the primary is healthy.
+func TestRouterReadYourWritesAcrossPair(t *testing.T) {
+	const users, rounds = 200, 4
+	base, seqs := testServerUsers(t, users)
+	m := base.currentModel()
+
+	srvA := bootRepl(t, m, t.TempDir(), nil)
+	tsA := httptest.NewServer(srvA.routes())
+	defer tsA.Close()
+	defer srvA.online.close()
+	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
+	tsB := httptest.NewServer(srvB.routes())
+	defer tsB.Close()
+	defer srvB.online.close()
+
+	h := newChaosRouter(t, obs.NewRegistry(), tsA.URL, tsB.URL).Routes()
+	direct := srvA.routes()
+
+	// Ω=1: the item consumed a moment ago is exactly what a stale window
+	// would still offer.
+	omega := 1
+	for r := 0; r < rounds; r++ {
+		for u := 0; u < users; u++ {
+			consumeViaRouter(t, h, event{user: u, item: int(seqs[u][r])})
+			req := recommendUserRequest{User: u, N: 5, Omega: &omega}
+			got := postJSON(t, h, "/recommend/user", req)
+			if got.Code != http.StatusOK {
+				t.Fatalf("round %d user %d: read after write answered %d: %s", r, u, got.Code, got.Body.String())
+			}
+			want := postJSON(t, direct, "/recommend/user", req)
+			if got.Body.String() != want.Body.String() {
+				t.Fatalf("round %d user %d: routed read differs from the primary's:\n got %s\nwant %s",
+					r, u, got.Body.String(), want.Body.String())
+			}
+		}
+	}
+	if n := srvB.reg.Counter(metricRequests + `{endpoint="/recommend/user"}`).Value(); n != 0 {
+		t.Fatalf("standby served %d /recommend/user requests with a healthy primary in the partition", n)
 	}
 }
