@@ -4,9 +4,10 @@
 // router; it health-probes every backend, routes keyed requests to the
 // owning partition (shard.UserShard over the "user" field), routes
 // writes to each partition's current primary (by replication epoch),
-// spreads reads over healthy nodes within a staleness bound, and
-// drives or follows failover automatically — per partition, so one
-// pair's outage never sheds another pair's keys.
+// sends a user's reads to that same node (a follower answers only when
+// it cannot), spreads stateless reads over healthy nodes, and drives or
+// follows failover automatically — per partition, so one pair's outage
+// never sheds another pair's keys.
 //
 // Endpoints (mirrors the rrc-server traffic surface):
 //
@@ -17,7 +18,8 @@
 //	POST /consume          → proxied to the highest-epoch unfenced primary
 //	POST /recommend        → proxied to any healthy node
 //	POST /recommend/batch  → proxied to any healthy node
-//	POST /recommend/user   → proxied to any healthy node within -max-lag
+//	POST /recommend/user   → proxied to the write target; a follower
+//	                         answers only when it cannot
 //
 // Topology comes from -nodes (comma-separated base URLs) or -topology
 // (a file, re-read on mtime change — editing it is the whole "add a
@@ -66,7 +68,6 @@ func main() {
 		probeTimeout  = flag.Duration("probe-timeout", 0, "per-probe HTTP timeout (0 = probe interval)")
 		probeFails    = flag.Int("probe-fails", 3, "probe rounds without a write target before failover action")
 		autoPromote   = flag.Bool("auto-promote", false, "promote the best caught-up standby (POST /admin/promote) after -probe-fails rounds without a primary")
-		maxLag        = flag.Uint64("max-lag", 1024, "read staleness bound: followers more than this many records behind stop taking reads")
 
 		deadline     = flag.Duration("deadline", 2*time.Second, "default end-to-end deadline per client request (header X-RRC-Deadline-Ms lowers it)")
 		tryTimeout   = flag.Duration("try-timeout", time.Second, "per-upstream-attempt timeout within the deadline")
@@ -99,7 +100,6 @@ func main() {
 		ProbeTimeout:  *probeTimeout,
 		ProbeFails:    *probeFails,
 		AutoPromote:   *autoPromote,
-		MaxLagRecords: *maxLag,
 		Deadline:      *deadline,
 		TryTimeout:    *tryTimeout,
 		MaxAttempts:   *maxAttempts,

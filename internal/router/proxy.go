@@ -10,15 +10,16 @@
 //   - The request runs under min(router default, X-RRC-Deadline-Ms);
 //     every attempt is additionally bounded by TryTimeout and carries
 //     the remaining budget downstream in the same header.
-//   - Reads retry across distinct nodes of the owning partition (or
-//     the whole fleet for stateless endpoints) on 429/503/412/421/5xx
-//     or any transport error; writes re-pick the partition's write
-//     target after a short backoff, and retry ONLY outcomes that
-//     provably never applied: dial-level transport errors (the request
-//     never left) and 429/503/412/421 (the contract says "not
-//     durable"). Anything ambiguous — an error after the request was
-//     sent — is answered 502 without a retry, because replaying it
-//     could double-apply.
+//   - A user-keyed read goes to its partition's write target first and
+//     falls back to that partition's other nodes; a stateless read
+//     spreads over the whole fleet. Either retries across distinct
+//     nodes on 429/503/412/421/5xx or any transport error. Writes
+//     re-pick the partition's write target after a short backoff, and
+//     retry ONLY outcomes that provably never applied: dial-level
+//     transport errors (the request never left) and 429/503/412/421
+//     (the contract says "not durable"). Anything ambiguous — an error
+//     after the request was sent — is answered 502 without a retry,
+//     because replaying it could double-apply.
 //   - Every retry spends the client's retry budget; when the
 //     budget or MaxAttempts runs out the router forwards the last
 //     definitive backend response, else sheds 503 + Retry-After.
@@ -54,38 +55,27 @@ type upstreamResult struct {
 }
 
 // routePlan is one request's placement decision, taken once before the
-// attempt loop: which partition owns the key.
+// attempt loop: whether the endpoint is user-keyed, and which partition
+// owns the key.
 type routePlan struct {
-	keyed   bool // a user key was parsed (P>1)
-	partIdx int  // owning partition (0 when !keyed)
+	keyed   bool // user-keyed endpoint, at every P
+	partIdx int  // owning partition (0 at P=1 and when !keyed)
 }
 
 // routePlan places one request. Flat fleets (P=1) never parse the body
-// — the pre-partitioning behavior, byte for byte. The error return is a
-// client error: a partitioned fleet cannot place a request whose user
-// key it cannot read.
+// — the one partition owns every key. The error return is a client
+// error: a partitioned fleet cannot place a request whose user key it
+// cannot read.
 func (rt *Router) routePlan(keyed bool, body []byte) (routePlan, error) {
-	if !keyed {
-		return routePlan{}, nil
-	}
 	p := rt.P()
-	if p <= 1 {
-		return routePlan{}, nil
+	if !keyed || p <= 1 {
+		return routePlan{keyed: keyed}, nil
 	}
 	user, err := userKey(body)
 	if err != nil {
 		return routePlan{}, err
 	}
 	return routePlan{keyed: true, partIdx: shard.UserShard(user, p)}, nil
-}
-
-// readNodesFor lists read candidates for a plan: the owning partition's
-// nodes for a keyed request, the whole fleet for a stateless one.
-func (rt *Router) readNodesFor(plan routePlan, tried map[*node]bool) []*node {
-	if plan.keyed {
-		return rt.readCandidatesIn(rt.partNodes(plan.partIdx), tried)
-	}
-	return rt.readCandidatesIn(rt.snapshotNodes(), tried)
 }
 
 // proxy builds the handler for one proxied endpoint. keyed endpoints
@@ -199,11 +189,10 @@ func (rt *Router) proxyRead(ctx context.Context, w http.ResponseWriter, endpoint
 	var last *upstreamResult
 	attempts := 0
 	for ctx.Err() == nil {
-		cands := rt.readNodesFor(plan, tried)
-		if len(cands) == 0 {
+		n := rt.readTarget(plan, tried)
+		if n == nil {
 			break
 		}
-		n := cands[0]
 		tried[n] = true
 		res, err := rt.attempt(ctx, n, endpoint, body)
 		attempts++

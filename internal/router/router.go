@@ -2,9 +2,9 @@
 // sits between clients and a fleet of rrc-server replicated pairs. The
 // serving layer is stateful (each node owns per-user repeat-consumption
 // windows), so which node answers matters: writes must reach the one
-// node that can make them durable on the current timeline, and reads
-// must come from a node whose window state is fresh enough to rank
-// from. The router turns that placement problem into configuration:
+// node that can make them durable on the current timeline, and a read
+// of a stored window must come from the node that took the user's last
+// write. The router turns that placement problem into configuration:
 //
 //   - Topology comes from a static node list, a static partition
 //     layout, or a watched topology file; nodes are added, removed, and
@@ -23,9 +23,10 @@
 //     per-partition timelines and are never stamped across partitions.
 //   - User-keyed requests (/consume, /recommend/user) parse the user id
 //     and route to its owning partition: writes to that partition's
-//     highest-epoch unfenced primary, reads to any of its healthy nodes
-//     within the staleness bound. Stateless reads (/recommend,
-//     /recommend/batch) route across all partitions' nodes.
+//     highest-epoch unfenced primary, and reads to the same node — a
+//     follower answers only when the write target cannot. Stateless
+//     reads (/recommend, /recommend/batch) carry their own history and
+//     spread across all partitions' nodes.
 //   - Failover runs per partition: when a partition has no write target
 //     for ProbeFails consecutive probe rounds and AutoPromote is set,
 //     the router promotes that partition's best caught-up standby. One
@@ -98,11 +99,6 @@ type Config struct {
 	// operator performs (POST /admin/promote on the standby).
 	AutoPromote bool
 
-	// MaxLagRecords bounds read staleness: a follower more than this
-	// many records behind its primary stops taking reads until it
-	// catches back up. 0 → 1024.
-	MaxLagRecords uint64
-
 	Deadline    time.Duration // default client deadline; 0 → 2s
 	TryTimeout  time.Duration // per-attempt bound within the deadline; 0 → 1s
 	MaxAttempts int           // upstream attempts per request, incl. the first; 0 → 3
@@ -135,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeFails <= 0 {
 		c.ProbeFails = 3
-	}
-	if c.MaxLagRecords == 0 {
-		c.MaxLagRecords = 1024
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 2 * time.Second
@@ -196,7 +189,7 @@ type Router struct {
 	topoStamp FileStamp // stamp of the last loaded topology file
 
 	budget *retryBudget
-	rr     atomic.Uint64 // read candidate rotation
+	rr     atomic.Uint64 // stateless read rotation
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -447,49 +440,48 @@ func writeTargetIn(nodes []*node) *node {
 	return best
 }
 
-// readCandidatesIn lists nodes eligible for reads among nodes, rotated
-// for load spread, minus exclude. Eligibility degrades gracefully:
-// fully healthy in-bound nodes first; if none, any reachable unfenced
-// node (probe state may be a round stale); if none, every node — a
-// request is cheaper to fail on the wire than to shed on a guess.
-// Fenced nodes are never offered: a deposed primary's unshipped tail
-// makes its windows divergent, not merely stale. Misplaced nodes (they
-// report owning a different partition) are never offered either:
-// another partition's windows are the wrong data, not stale data.
-func (rt *Router) readCandidatesIn(nodes []*node, exclude map[*node]bool) []*node {
-	pick := func(ok func(nodeView) bool) []*node {
-		var out []*node
-		for _, n := range nodes {
-			if exclude[n] {
-				continue
-			}
-			v := n.view()
-			if v.Fenced || v.Misplaced {
-				continue
-			}
-			if ok(v) {
-				out = append(out, n)
-			}
+// readTarget picks the node the next attempt of a read goes to, nil
+// when every eligible node is in tried. A user-keyed read goes where the
+// write went: its partition's write target first, so consume-then-
+// recommend through the router sees its own write. The other nodes
+// answer only when that one cannot (there is none, or it just failed
+// this request), best probed state first: reachable and ready, then
+// reachable (probe state may be a round stale), then the rest — a
+// request is cheaper to fail on the wire than to shed on a guess. A
+// stateless read carries its own history, so every node's answer is the
+// same and the best tier is rotated for load spread. Fenced nodes are
+// never offered: a deposed primary's unshipped tail makes its windows
+// divergent, not merely stale. Misplaced nodes (they report owning a
+// different partition) are never offered either: another partition's
+// windows are the wrong data, not stale data.
+func (rt *Router) readTarget(plan routePlan, tried map[*node]bool) *node {
+	nodes := rt.partNodes(plan.partIdx)
+	if !plan.keyed {
+		nodes = rt.snapshotNodes()
+	} else if wt := writeTargetIn(nodes); wt != nil && !tried[wt] {
+		return wt
+	}
+	var tiers [3][]*node
+	for _, n := range nodes {
+		v := n.view()
+		switch {
+		case tried[n] || v.Fenced || v.Misplaced:
+		case v.Reachable && v.Ready:
+			tiers[0] = append(tiers[0], n)
+		case v.Reachable:
+			tiers[1] = append(tiers[1], n)
+		default:
+			tiers[2] = append(tiers[2], n)
 		}
-		return out
 	}
-	out := pick(func(v nodeView) bool {
-		if !v.Reachable || !v.Ready {
-			return false
+	for _, best := range tiers {
+		if len(best) > 1 && !plan.keyed {
+			return best[int(rt.rr.Add(1))%len(best)]
+		} else if len(best) > 0 {
+			return best[0]
 		}
-		return v.Role != roleFollower || v.LagRecords <= rt.cfg.MaxLagRecords
-	})
-	if len(out) == 0 {
-		out = pick(func(v nodeView) bool { return v.Reachable })
 	}
-	if len(out) == 0 {
-		out = pick(func(nodeView) bool { return true })
-	}
-	if len(out) > 1 {
-		off := int(rt.rr.Add(1)) % len(out)
-		out = append(out[off:], out[:off]...)
-	}
-	return out
+	return nil
 }
 
 // PartitionStatus is the per-partition block in the router's own
@@ -560,7 +552,7 @@ func (rt *Router) statusSnapshot() (Status, int) {
 	if len(st.Partitions) == 1 {
 		st.WriteTarget = st.Partitions[0].WriteTarget
 	}
-	if len(rt.readCandidatesIn(rt.snapshotNodes(), nil)) == 0 {
+	if rt.readTarget(routePlan{}, nil) == nil {
 		st.Status, code = "no backends", http.StatusServiceUnavailable
 	}
 	return st, code

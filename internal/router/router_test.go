@@ -1,7 +1,7 @@
 package router
 
 // White-box suite for the routing core: epoch-based write targeting,
-// staleness-bounded reads, the retry-budget amplification bound,
+// the read order, the retry-budget amplification bound,
 // ambiguous-write safety, deadline propagation, and router-driven
 // promotion — all against scripted fake backends that
 // speak just enough of the rrc-server surface (/readyz,
@@ -287,23 +287,70 @@ func TestRouterWritesFollowHighestEpoch(t *testing.T) {
 	})
 }
 
-func TestRouterReadsSkipLaggyFollower(t *testing.T) {
-	primary := &fakeNode{caughtUp: true}
-	laggy := &fakeNode{role: roleFollower, lag: 5000}
-	rt := startFakes(t, []*fakeNode{primary, laggy}, func(c *Config) { c.MaxLagRecords = 100 })
-	h := rt.Routes()
+// TestRouterReadOrder pins the one read rule: a user-keyed read goes to
+// the partition's write target and reaches another node only when that
+// one cannot answer; a stateless read spreads; fenced and misplaced
+// nodes are never offered to either. Each row sends 8 reads and bounds
+// how many each node may have served.
+func TestRouterReadOrder(t *testing.T) {
+	const reads = 8
+	const keyed, stateless = "/recommend/user", "/recommend"
+	all, none := [2]int64{reads, reads}, [2]int64{0, 0}
+	follower := func() *fakeNode { return &fakeNode{role: roleFollower, caughtUp: true} }
+	failing := func() *fakeNode { return &fakeNode{recommendStatus: http.StatusInternalServerError} }
 
-	for i := 0; i < 8; i++ {
-		rr := post(h, "/recommend/user", `{"user":0,"n":3}`, nil)
-		if rr.Code != http.StatusOK {
-			t.Fatalf("read %d status %d: %s", i, rr.Code, rr.Body.String())
-		}
+	cases := []struct {
+		name        string
+		fakes       []*fakeNode
+		killPrimary bool // close node 0's listener and wait out its write-target status
+		path        string
+		wantCode    int
+		served      [][2]int64 // per node: min, max reads served
+	}{
+		{"keyed read stays on the primary next to a caught-up follower",
+			[]*fakeNode{{caughtUp: true}, follower()}, false, keyed, http.StatusOK, [][2]int64{all, none}},
+		{"keyed read falls to the follower when the primary answers 500",
+			[]*fakeNode{failing(), follower()}, false, keyed, http.StatusOK, [][2]int64{all, all}},
+		{"keyed read is answered by the follower when there is no write target",
+			[]*fakeNode{{caughtUp: true}, follower()}, true, keyed, http.StatusOK, [][2]int64{none, all}},
+		{"keyed read is never offered a fenced or misplaced node",
+			[]*fakeNode{failing(), {fenced: true}, {partIdx: 1, partCount: 2}}, false, keyed,
+			http.StatusInternalServerError, [][2]int64{all, none, none}},
+		{"stateless read is never offered a fenced or misplaced node",
+			[]*fakeNode{failing(), {fenced: true}, {partIdx: 1, partCount: 2}}, false, stateless,
+			http.StatusInternalServerError, [][2]int64{all, none, none}},
+		{"stateless read spreads over primary and follower",
+			[]*fakeNode{{caughtUp: true}, follower()}, false, stateless, http.StatusOK,
+			[][2]int64{{1, reads - 1}, {1, reads - 1}}},
 	}
-	if laggy.recommends.Load() != 0 {
-		t.Fatalf("%d reads reached a follower lagging past the staleness bound", laggy.recommends.Load())
-	}
-	if primary.recommends.Load() != 8 {
-		t.Fatalf("primary served %d of 8 reads", primary.recommends.Load())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := startFakes(t, tc.fakes, func(c *Config) {
+				c.RetryBudget = 1 // every request may fund its own fallback attempt
+				// A probe that times out on a busy box wipes the node's fenced
+				// and misplaced marks until the next round.
+				c.ProbeTimeout = time.Second
+			})
+			if tc.killPrimary {
+				tc.fakes[0].ts.Close()
+				waitFor(t, "router seeing no write target", func() bool {
+					st, _ := rt.statusSnapshot()
+					return st.WriteTarget == ""
+				})
+			}
+			h := rt.Routes()
+			for i := 0; i < reads; i++ {
+				rr := post(h, tc.path, `{"user":0,"history":[1],"n":3}`, nil)
+				if rr.Code != tc.wantCode {
+					t.Fatalf("read %d status %d, want %d: %s", i, rr.Code, tc.wantCode, rr.Body.String())
+				}
+			}
+			for i, f := range tc.fakes {
+				if got := f.recommends.Load(); got < tc.served[i][0] || got > tc.served[i][1] {
+					t.Errorf("node %d served %d of %d reads, want %d..%d", i, got, reads, tc.served[i][0], tc.served[i][1])
+				}
+			}
+		})
 	}
 }
 

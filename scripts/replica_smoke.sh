@@ -53,6 +53,7 @@ refused() {
 	fi
 }
 refused "$tmp/bin/rrc-router" -hedge-delay 1ms
+refused "$tmp/bin/rrc-router" -max-lag 10
 refused "$tmp/bin/rrc-server" -auto-promote
 refused "$tmp/bin/rrc-inspect" -replan x -to 3
 
