@@ -304,6 +304,9 @@ type replStatus struct {
 	// LagRecords sums the per-shard record lag (followers only).
 	LagRecords uint64 `json:"lag_records,omitempty"`
 	CaughtUp   bool   `json:"caught_up,omitempty"`
+	// AppliedLSN sums the per-shard applied LSNs: what this node holds
+	// now, comparable between nodes of one partition on one epoch.
+	AppliedLSN uint64 `json:"applied_lsn"`
 }
 
 func (rs *replState) status() replStatus {
@@ -311,6 +314,9 @@ func (rs *replState) status() replStatus {
 	follower, fenced, t := rs.follower, rs.fenced, rs.tailer
 	rs.mu.Unlock()
 	st := replStatus{Role: "primary", Epoch: rs.metaSnapshot().Epoch, Fenced: fenced}
+	for _, sh := range rs.srv.online.pool.Statuses() {
+		st.AppliedLSN += sh.AppliedLSN
+	}
 	if follower {
 		st.Role = "follower"
 		if t != nil {

@@ -127,6 +127,11 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 	}
 	waitFor(t, "standby caught up", func() bool { return replStatusOf(srvB).CaughtUp })
 	waitApplied(t, srvA, srvB)
+	// /readyz says what each node holds now — what the router ranks
+	// promotion candidates by.
+	if a, b := replStatusOf(srvA).AppliedLSN, replStatusOf(srvB).AppliedLSN; a != uint64(len(acked)) || b != a {
+		t.Fatalf("applied_lsn primary=%d standby=%d, want %d on both", a, b, len(acked))
+	}
 
 	// A standby must refuse writes while following.
 	rr := postJSON(t, hB, "/consume", consumeRequest{User: 0, Item: 1})

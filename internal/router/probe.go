@@ -2,7 +2,7 @@
 // questions in parallel:
 //
 //	GET /readyz          — serving state, shard states, replication
-//	                       role/epoch/fence/lag (the replStatus block),
+//	                       role/epoch/fence/lag/applied LSN (the replStatus block),
 //	                       and the node's partition identity
 //	GET /replica/epoch   — the replication meta, carrying the highest
 //	                       epoch the router has seen in that node's
@@ -54,6 +54,7 @@ type nodeView struct {
 	Epoch      uint64
 	Fenced     bool
 	LagRecords uint64
+	AppliedLSN uint64
 	CaughtUp   bool
 	// Partition identity the node itself reported (via /readyz or a
 	// 421 body); PartKnown false when the node never said.
@@ -129,6 +130,7 @@ type readyBody struct {
 		Epoch      uint64 `json:"epoch"`
 		Fenced     bool   `json:"fenced"`
 		LagRecords uint64 `json:"lag_records"`
+		AppliedLSN uint64 `json:"applied_lsn"`
 		CaughtUp   bool   `json:"caught_up"`
 	} `json:"replication"`
 	Partition *struct {
@@ -208,6 +210,7 @@ func (rt *Router) probeNode(j probeJob) {
 				v.Epoch = rep.Epoch
 				v.Fenced = rep.Fenced
 				v.LagRecords = rep.LagRecords
+				v.AppliedLSN = rep.AppliedLSN
 				v.CaughtUp = rep.CaughtUp
 			} else {
 				v.Role, v.CaughtUp = rolePrimary, true
@@ -342,8 +345,8 @@ func (rt *Router) foldMisdirect(n *node, body []byte) {
 // independently for every partition: when a partition has had no write
 // target for ProbeFails straight rounds and AutoPromote is on, promote
 // its best eligible standby. The streak gate makes a single flapped
-// probe harmless; the "best standby" choice prefers caught-up
-// followers on the highest epoch with the least lag, minimizing the
+// probe harmless; the "best standby" choice prefers the follower on the
+// highest epoch that has applied the most, minimizing the
 // acked-but-unshipped window the deposed primary will truncate on
 // rejoin. Partitions fail over without reference to each other — one
 // pair's outage never touches another pair's timeline.
@@ -393,8 +396,10 @@ func (rt *Router) maybeFailover() {
 }
 
 // promoteCandidate picks the standby to promote within one partition:
-// reachable, unfenced, correctly-placed followers only, caught-up ones
-// first, then highest epoch, then least record lag.
+// reachable, unfenced, correctly-placed followers only, highest epoch
+// first, then the most applied records. caught_up says the follower held
+// what the primary had one poll ago, which under write load is not what
+// it holds now, so it only breaks a tie.
 func promoteCandidate(nodes []*node) *node {
 	var best *node
 	var bestV nodeView
@@ -403,22 +408,20 @@ func promoteCandidate(nodes []*node) *node {
 		if !v.Reachable || v.Fenced || v.Misplaced || v.Role != roleFollower {
 			continue
 		}
-		if best == nil {
-			best, bestV = n, v
+		switch {
+		case best == nil:
+		case v.Epoch != bestV.Epoch:
+			if v.Epoch < bestV.Epoch {
+				continue
+			}
+		case v.AppliedLSN != bestV.AppliedLSN:
+			if v.AppliedLSN < bestV.AppliedLSN {
+				continue
+			}
+		case !v.CaughtUp || bestV.CaughtUp:
 			continue
 		}
-		switch {
-		case v.CaughtUp != bestV.CaughtUp:
-			if v.CaughtUp {
-				best, bestV = n, v
-			}
-		case v.Epoch != bestV.Epoch:
-			if v.Epoch > bestV.Epoch {
-				best, bestV = n, v
-			}
-		case v.LagRecords < bestV.LagRecords:
-			best, bestV = n, v
-		}
+		best, bestV = n, v
 	}
 	return best
 }

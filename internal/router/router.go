@@ -29,7 +29,7 @@
 //     spread across all partitions' nodes.
 //   - Failover runs per partition: when a partition has no write target
 //     for ProbeFails consecutive probe rounds and AutoPromote is set,
-//     the router promotes that partition's best caught-up standby. One
+//     the router promotes that partition's most caught-up standby. One
 //     partition losing its primary sheds 503s only for its own key
 //     range; the rest of the fleet never notices.
 //   - A node that answers 421 (it owns a different partition than the
@@ -94,9 +94,9 @@ type Config struct {
 
 	// AutoPromote lets the router drive failover itself: after
 	// ProbeFails rounds with no reachable unfenced primary in a
-	// partition it POSTs /admin/promote to that partition's best
-	// caught-up standby. Off, the router only follows promotions an
-	// operator performs (POST /admin/promote on the standby).
+	// partition it POSTs /admin/promote to that partition's standby
+	// that has applied the most. Off, the router only follows promotions
+	// an operator performs (POST /admin/promote on the standby).
 	AutoPromote bool
 
 	Deadline    time.Duration // default client deadline; 0 → 2s

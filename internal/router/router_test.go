@@ -32,6 +32,7 @@ type fakeNode struct {
 	fenced   bool
 	notReady bool
 	lag      uint64
+	applied  uint64
 	caughtUp bool
 
 	// partCount >= 1 gives the node a partition identity: /readyz
@@ -101,7 +102,7 @@ func (f *fakeNode) handler() http.Handler {
 			"status": "ready",
 			"replication": map[string]any{
 				"role": role, "epoch": f.epoch, "fenced": f.fenced,
-				"lag_records": f.lag, "caught_up": f.caughtUp,
+				"lag_records": f.lag, "applied_lsn": f.applied, "caught_up": f.caughtUp,
 			},
 		}
 		if f.partCount >= 1 && !f.hidePartition {
@@ -513,6 +514,28 @@ func TestRouterAutoPromotesOnPrimaryLoss(t *testing.T) {
 	})
 	if rt.failovers.Value() == 0 {
 		t.Fatal("rrc_router_failovers_total not incremented")
+	}
+}
+
+// TestRouterPromotesMostAppliedStandby: caught_up is one poll old, so a
+// follower reporting it can be behind one that does not. The router
+// promotes by what each standby holds now.
+func TestRouterPromotesMostAppliedStandby(t *testing.T) {
+	primary := &fakeNode{caughtUp: true}
+	stale := &fakeNode{role: roleFollower, caughtUp: true, applied: 100}
+	ahead := &fakeNode{role: roleFollower, applied: 130, lag: 5}
+	startFakes(t, []*fakeNode{primary, stale, ahead}, func(c *Config) {
+		c.AutoPromote = true
+		c.ProbeTimeout = time.Second
+	})
+
+	primary.ts.Close()
+	waitFor(t, "router-driven promotion", func() bool {
+		return stale.promotes.Load()+ahead.promotes.Load() > 0
+	})
+	if stale.promotes.Load() != 0 || ahead.promotes.Load() != 1 {
+		t.Fatalf("promoted the standby 30 records behind (stale=%d ahead=%d promotions)",
+			stale.promotes.Load(), ahead.promotes.Load())
 	}
 }
 
