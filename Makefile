@@ -85,7 +85,7 @@ metrics-smoke:
 ## fuzz-smoke: run every fuzz target over its checked-in seed corpus only
 ## (no mutation) — fast enough to gate on
 fuzz-smoke:
-	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/router -run '^Fuzz' -count=1
+	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/router ./internal/shard -run '^Fuzz' -count=1
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it
@@ -95,14 +95,15 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz: short bounded fuzzing with mutation — model loader, TSV readers
-## and the router's topology file
+## fuzz: short bounded fuzzing with mutation — model loader, TSV readers,
+## the router's topology file and the partition identity
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadModel -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadServingModel -fuzztime 20s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadWith -fuzztime 20s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzValidateReader -fuzztime 10s
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s
+	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzParsePartitionID -fuzztime 10s
 
 ## loc: the three line counts every re-anchor and simplicity PR quotes —
 ## non-test Go outside bench/, test Go outside bench/, Go under bench/

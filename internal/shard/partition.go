@@ -16,6 +16,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"tsppr/internal/atomicio"
 )
@@ -66,14 +68,23 @@ func (p PartitionID) String() string {
 	return fmt.Sprintf("%d/%d@%d", p.Index, p.Count, p.Generation)
 }
 
-// ParsePartitionID parses "i/c" or "i/c@g" (the String form).
+// ParsePartitionID parses "i/c" or "i/c@g" (the String form) and
+// nothing else: no surrounding space, sign, leading zero or trailing
+// byte.
 func ParsePartitionID(s string) (PartitionID, error) {
+	ic, gen, hasGen := strings.Cut(s, "@")
+	idx, cnt, _ := strings.Cut(ic, "/")
 	var p PartitionID
-	if n, err := fmt.Sscanf(s, "%d/%d@%d", &p.Index, &p.Count, &p.Generation); err == nil && n == 3 {
-		return p, p.Validate()
+	var e1, e2, e3 error
+	p.Index, e1 = strconv.Atoi(idx)
+	p.Count, e2 = strconv.Atoi(cnt)
+	want := fmt.Sprintf("%d/%d", p.Index, p.Count)
+	if hasGen {
+		p.Generation, e3 = strconv.Atoi(gen)
+		want = p.String()
 	}
-	p.Generation = 0
-	if n, err := fmt.Sscanf(s, "%d/%d", &p.Index, &p.Count); err != nil || n != 2 {
+	// Atoi takes "+1" and "01"; only the rendered form is accepted.
+	if e1 != nil || e2 != nil || e3 != nil || s != want {
 		return p, fmt.Errorf("shard: partition %q: want index/count or index/count@generation", s)
 	}
 	return p, p.Validate()

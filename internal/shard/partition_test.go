@@ -58,7 +58,8 @@ func TestPartitionIDParseAndString(t *testing.T) {
 			t.Fatalf("ParsePartitionID(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "3", "3/2", "-1/2", "a/b", "1/2@-1"} {
+	for _, bad := range []string{"", "3", "3/2", "-1/2", "a/b", "1/2@-1",
+		"1/3@2garbage", "1/3xyz", "1/3@", " 1/3", "+1/3", "01/3", "1/3@2@4"} {
 		if _, err := ParsePartitionID(bad); err == nil {
 			t.Errorf("ParsePartitionID(%q): want error", bad)
 		}
