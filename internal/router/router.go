@@ -382,19 +382,6 @@ func (rt *Router) partNodes(i int) []*node {
 	return rt.parts[i].nodes
 }
 
-// maxEpoch is the highest replication epoch observed anywhere in the
-// fleet — display only. Epochs are per-partition timelines; routing
-// and fencing always use partition-scoped epochs.
-func (rt *Router) maxEpoch() uint64 {
-	var max uint64
-	for _, n := range rt.snapshotNodes() {
-		if e := n.view().Epoch; e > max {
-			max = e
-		}
-	}
-	return max
-}
-
 // epochIn is the highest epoch observed among nodes — the fencing
 // stamp for requests routed within that partition.
 func epochIn(nodes []*node) uint64 {
@@ -530,9 +517,12 @@ func (rt *Router) statusSnapshot() (Status, int) {
 	parts := append([]*partition(nil), rt.parts...)
 	rt.mu.Unlock()
 
-	st := Status{Status: "ready", Epoch: rt.maxEpoch()}
+	// The fleet-wide epoch is display only: epochs are per-partition
+	// timelines, and routing and fencing use the partition-scoped ones.
+	nodes := rt.snapshotNodes()
+	st := Status{Status: "ready", Epoch: epochIn(nodes)}
 	code := http.StatusOK
-	for _, n := range rt.snapshotNodes() {
+	for _, n := range nodes {
 		st.Nodes = append(st.Nodes, n.status())
 	}
 	st.Partitions = partitionStatuses(parts)
