@@ -289,6 +289,15 @@ var badTopologyDocs = map[string]string{
 	"space inside a url": "http://a:1/x y\n",
 }
 
+// badStaticLayouts are Config.Partitions values (rrc-router -nodes a,b
+// is {{a, b}}) that New must refuse with the checks a file gets.
+var badStaticLayouts = map[string][][]string{
+	"no scheme":                 {{"localhost:8395"}},
+	"duplicate once normalized": {{"http://a:1", "http://a:1/"}},
+	"space inside a static url": {{"http://a:1/x y"}},
+	"one url in two partitions": {{"http://a:1"}, {"http://a:1/"}},
+}
+
 func TestParseTopologyPartitionedFormat(t *testing.T) {
 	topo, err := ParseTopology(strings.NewReader(goodTopologyDoc), "t")
 	if err != nil {
@@ -312,6 +321,12 @@ func TestParseTopologyPartitionedFormat(t *testing.T) {
 		}
 		if err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	for name, layout := range badStaticLayouts {
+		if _, err := New(Config{Partitions: layout}); err == nil {
+			t.Errorf("static layout %s: accepted", name)
 		}
 	}
 

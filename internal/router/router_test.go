@@ -34,6 +34,9 @@ type fakeNode struct {
 	lag      uint64
 	applied  uint64
 	caughtUp bool
+	// noReplication omits the /readyz replication block, as an
+	// rrc-server without -events-dir does.
+	noReplication bool
 
 	// partCount >= 1 gives the node a partition identity: /readyz
 	// reports it (unless hidePartition) and keyed traffic endpoints
@@ -104,6 +107,9 @@ func (f *fakeNode) handler() http.Handler {
 				"role": role, "epoch": f.epoch, "fenced": f.fenced,
 				"lag_records": f.lag, "applied_lsn": f.applied, "caught_up": f.caughtUp,
 			},
+		}
+		if f.noReplication {
+			delete(body, "replication")
 		}
 		if f.partCount >= 1 && !f.hidePartition {
 			body["partition"] = map[string]any{
@@ -286,6 +292,34 @@ func TestRouterWritesFollowHighestEpoch(t *testing.T) {
 		defer old.mu.Unlock()
 		return old.fenced
 	})
+}
+
+// TestRouterNodeWithoutReplicationIsNeverWriteTarget: a node that
+// reports no replication role (an rrc-server without -events-dir) holds
+// no sessions, so it never takes a partition's writes — not even listed
+// ahead of a fresh primary on the same epoch 0 — and a fleet of only
+// such nodes has no write target. It still serves stateless reads.
+func TestRouterNodeWithoutReplicationIsNeverWriteTarget(t *testing.T) {
+	diskless := &fakeNode{noReplication: true}
+	primary := &fakeNode{caughtUp: true}
+	h := startFakes(t, []*fakeNode{diskless, primary}, nil).Routes()
+	for i := 0; i < 4; i++ {
+		if rr := post(h, "/consume", `{"user":0,"item":1}`, nil); rr.Code != http.StatusOK {
+			t.Fatalf("consume %d: status %d: %s", i, rr.Code, rr.Body.String())
+		}
+	}
+	if diskless.consumes.Load() != 0 || primary.consumes.Load() != 4 {
+		t.Fatalf("writes landed diskless=%d primary=%d, want 0/4", diskless.consumes.Load(), primary.consumes.Load())
+	}
+
+	alone := &fakeNode{noReplication: true}
+	rt := startFakes(t, []*fakeNode{alone}, nil)
+	if st := mustStatus(rt); st.Status != "no write target" {
+		t.Fatalf("fleet of diskless nodes: /readyz status %q, want \"no write target\"", st.Status)
+	}
+	if rr := post(rt.Routes(), "/recommend", `{"user":0,"history":[1],"n":3}`, nil); rr.Code != http.StatusOK {
+		t.Fatalf("stateless read on a diskless node: status %d", rr.Code)
+	}
 }
 
 // TestRouterReadOrder pins the one read rule: a user-keyed read goes to

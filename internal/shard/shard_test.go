@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -442,6 +443,11 @@ func TestShardCountIsPinnedPerDir(t *testing.T) {
 	if _, err := Open(sharded, testConfig(1)); err == nil || !strings.Contains(err.Error(), "sharded events root") {
 		t.Fatalf("sharded root accepted as N=1: %v", err)
 	}
+	// ...and → another N > 1: the marker is the only record of N, so a
+	// root that lost it is refused, never reopened at a guess.
+	if _, err := Open(sharded, testConfig(2)); err == nil {
+		t.Fatal("marker-less 4-shard root reopened as N=2")
+	}
 
 	// Garbage marker → refused outright.
 	bad := t.TempDir()
@@ -450,5 +456,57 @@ func TestShardCountIsPinnedPerDir(t *testing.T) {
 	}
 	if _, err := Open(bad, testConfig(2)); err == nil || !strings.Contains(err.Error(), "marker") {
 		t.Fatalf("garbage marker accepted: %v", err)
+	}
+}
+
+// TestParentWrittenRootMigrates: testdata/parent-b7db887/root is an N=1
+// events root written by a build that kept shard 0's files at the top
+// level (one snapshot generation plus a WAL tail), and dump.json is that
+// build's Dump of it. Open refuses the root by naming shard-000, and
+// running exactly the migration the refusal prints recovers the same
+// windows byte for byte.
+func TestParentWrittenRootMigrates(t *testing.T) {
+	const parent = "testdata/parent-b7db887"
+	root := filepath.Join(t.TempDir(), "root")
+	if err := os.Mkdir(root, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(parent, "root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(parent, "root", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, err = Open(root, testConfig(1))
+	if err == nil || !strings.Contains(err.Error(), "shard-000") {
+		t.Fatalf("pre-sharding root: err = %v, want a refusal naming shard-000", err)
+	}
+	_, migrate, ok := strings.Cut(err.Error(), "migrate with: ")
+	if !ok {
+		t.Fatalf("refusal prints no migration: %v", err)
+	}
+	if out, err := exec.Command("sh", "-c", migrate).CombinedOutput(); err != nil {
+		t.Fatalf("%s: %v\n%s", migrate, err, out)
+	}
+
+	p, err := Open(root, testConfig(1))
+	if err != nil {
+		t.Fatalf("migrated root: %v", err)
+	}
+	defer p.Close()
+	want, err := os.ReadFile(filepath.Join(parent, "dump.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(t, p); got != string(want) {
+		t.Fatalf("migrated root diverged\n got %s\nwant %s", got, want)
 	}
 }
