@@ -10,11 +10,10 @@
 // the datasets into memory; the exit code is nonzero when any file has
 // problems.
 //
-// With -wal, it stream-verifies an rrc-server write-ahead event log
-// directory: per-segment record counts, CRC failures, and torn tails,
-// without mutating anything (unlike server startup, it never truncates).
-// A sharded events root (-shards > 1: shard-*/ subdirectories) is
-// detected automatically and every shard's WAL is verified with
+// With -wal, it stream-verifies an rrc-server events root: the
+// write-ahead log of every shard-NNN/ directory (one at -shards 1),
+// per-segment record counts, CRC failures, and torn tails, without
+// mutating anything (unlike server startup, it never truncates), with
 // per-shard LSN/corruption summaries. The exit code is nonzero when any
 // segment of any shard has CRC failures or a torn tail.
 //
@@ -70,7 +69,7 @@ import (
 
 func main() {
 	validate := flag.Bool("validate", false, "validate TSV event logs given as arguments instead of inspecting a model")
-	walDir := flag.String("wal", "", "verify the write-ahead event log in this directory instead of inspecting a model")
+	walDir := flag.String("wal", "", "verify the write-ahead event logs of this events root (every shard-NNN/) instead of inspecting a model")
 	expfmt := flag.String("expfmt", "", "validate a Prometheus text exposition file ('-' reads stdin) instead of inspecting a model")
 	epochRoot := flag.String("epoch", "", "print the replication epoch and promotion history persisted under this events root")
 	diverge := flag.Bool("diverge", false, "compare the two events roots given as arguments record-by-record and report where their WAL timelines fork")
@@ -107,24 +106,19 @@ func main() {
 	os.Exit(cli.ExitCode(err))
 }
 
-// runWALVerify streams every segment of the event log once, read-only,
-// and prints its health report, mirroring the -validate dataset mode.
-// It fails when any record fails its CRC or any segment has a torn
-// tail. A sharded events root (rrc-server -shards > 1: shard-*/
-// subdirectories) is detected automatically; every shard's WAL is
-// verified with per-shard LSN/corruption summaries, and the exit code
-// reflects the aggregate.
+// runWALVerify streams every segment of an events root's logs once,
+// read-only, and prints its health report, mirroring the -validate
+// dataset mode: per-shard LSN/corruption summaries for every shard-NNN/
+// directory, then the aggregate. It fails when any record fails its CRC
+// or any segment has a torn tail.
 func runWALVerify(dir string, stdout io.Writer) error {
 	shardDirs, err := shardWALDirs(dir)
 	if err != nil {
 		return err
 	}
-	if shardDirs == nil {
-		return verifyWALDir(dir, "", stdout)
-	}
 	unhealthy := 0
 	for _, sd := range shardDirs {
-		if err := verifyWALDir(sd, filepath.Base(sd)+"/", stdout); err != nil {
+		if err := verifyWALDir(sd, stdout); err != nil {
 			fmt.Fprintf(stdout, "%s: UNHEALTHY: %v\n", filepath.Base(sd), err)
 			unhealthy++
 		}
@@ -136,8 +130,8 @@ func runWALVerify(dir string, stdout io.Writer) error {
 	return nil
 }
 
-// shardWALDirs returns the shard-NNN subdirectories of a sharded events
-// root in shard order, or nil when dir is a flat (single-shard) log.
+// shardWALDirs returns the shard-NNN subdirectories of an events root in
+// shard order; a directory without any is not an events root.
 func shardWALDirs(dir string) ([]string, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
@@ -149,12 +143,16 @@ func shardWALDirs(dir string) ([]string, error) {
 			dirs = append(dirs, m)
 		}
 	}
+	if len(dirs) == 0 {
+		return nil, fmt.Errorf("%s: no shard-NNN directories: not an events root", dir)
+	}
 	return dirs, nil
 }
 
-// verifyWALDir verifies one WAL directory, prefixing each segment line
-// with the shard directory name when part of a sharded root.
-func verifyWALDir(dir, prefix string, stdout io.Writer) error {
+// verifyWALDir verifies one shard's WAL directory, prefixing each
+// segment line with the shard directory name.
+func verifyWALDir(dir string, stdout io.Writer) error {
+	prefix := filepath.Base(dir) + "/"
 	rep, err := wal.Verify(dir, 0)
 	if err != nil {
 		return err

@@ -55,11 +55,12 @@ func TestValidateUsage(t *testing.T) {
 	}
 }
 
-// walDir builds a three-record event log the way rrc-server would, then
-// optionally vandalizes it.
+// walDir builds a one-shard events root holding a three-record event log
+// the way rrc-server would, then optionally vandalizes it.
 func walDir(t *testing.T, vandalize func(t *testing.T, seg string)) string {
 	t.Helper()
-	dir := t.TempDir()
+	root := t.TempDir()
+	dir := filepath.Join(root, "shard-000")
 	l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func walDir(t *testing.T, vandalize func(t *testing.T, seg string)) string {
 		}
 		vandalize(t, segs[0])
 	}
-	return dir
+	return root
 }
 
 func TestWALVerifyCleanLog(t *testing.T) {
@@ -220,7 +221,7 @@ func TestWALVerifyEmptyDir(t *testing.T) {
 	if err == nil {
 		t.Fatal("empty dir passed verification")
 	}
-	if !strings.Contains(err.Error(), "no wal segments") {
+	if !strings.Contains(err.Error(), "not an events root") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }

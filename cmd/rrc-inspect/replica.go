@@ -72,21 +72,12 @@ func runDiverge(rootA, rootB string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if dirsA == nil {
-		dirsA = []string{rootA}
-	}
-	if dirsB == nil {
-		dirsB = []string{rootB}
-	}
 	if len(dirsA) != len(dirsB) {
 		return fmt.Errorf("shard counts differ: %s has %d, %s has %d", rootA, len(dirsA), rootB, len(dirsB))
 	}
 	diverged := 0
 	for i := range dirsA {
-		label := "shard"
-		if len(dirsA) > 1 {
-			label = filepath.Base(dirsA[i])
-		}
+		label := filepath.Base(dirsA[i])
 		forkLSN, compared, err := divergeShard(dirsA[i], dirsB[i])
 		if err != nil {
 			return err

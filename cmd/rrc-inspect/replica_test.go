@@ -63,8 +63,8 @@ func TestEpochReportsHistory(t *testing.T) {
 
 func TestDivergeConsistentAndLagged(t *testing.T) {
 	a, b := t.TempDir(), t.TempDir()
-	writeWAL(t, a, "e1", "e2", "e3", "e4")
-	writeWAL(t, b, "e1", "e2") // pure lag: strict prefix, no fork
+	writeWAL(t, filepath.Join(a, "shard-000"), "e1", "e2", "e3", "e4")
+	writeWAL(t, filepath.Join(b, "shard-000"), "e1", "e2") // pure lag: strict prefix, no fork
 	var out bytes.Buffer
 	if err := runDiverge(a, b, &out); err != nil {
 		t.Fatalf("lagged pair reported divergent: %v\n%s", err, out.String())
@@ -76,8 +76,8 @@ func TestDivergeConsistentAndLagged(t *testing.T) {
 
 func TestDivergeDetectsFork(t *testing.T) {
 	a, b := t.TempDir(), t.TempDir()
-	writeWAL(t, a, "e1", "e2", "doomed3", "doomed4")
-	writeWAL(t, b, "e1", "e2", "new3")
+	writeWAL(t, filepath.Join(a, "shard-000"), "e1", "e2", "doomed3", "doomed4")
+	writeWAL(t, filepath.Join(b, "shard-000"), "e1", "e2", "new3")
 	var out bytes.Buffer
 	err := runDiverge(a, b, &out)
 	if err == nil {

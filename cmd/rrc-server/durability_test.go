@@ -162,7 +162,7 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 	if serrs := srv.online.pool.Shard(0).Status().SnapshotErrs; serrs == 0 {
 		t.Fatal("snapshot fault never fired")
 	}
-	if snaps, _ := filepath.Glob(filepath.Join(dir, "sessions-*.snap")); len(snaps) == 0 {
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "shard-000", "sessions-*.snap")); len(snaps) == 0 {
 		t.Fatal("later snapshot generation missing")
 	}
 
@@ -198,7 +198,7 @@ func TestBitFlippedRecordIsDetectedNeverServed(t *testing.T) {
 	// always every acknowledged record is already on disk.
 
 	// Flip a payload bit of record 5 (records are 8B header + 8B event).
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-000", "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no wal segments: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestTruncatedFinalRecordRecovered(t *testing.T) {
 	// Abandoned open: SIGKILL semantics, same rationale as the bit-flip
 	// test (close() would snapshot and prune the segment under test).
 
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "shard-000", "wal-*.log"))
 	fi, err := os.Stat(segs[0])
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,10 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 
 	"sync"
 
+	"tsppr/internal/atomicio"
 	"tsppr/internal/obs"
 	"tsppr/internal/seq"
 	"tsppr/internal/sessions"
@@ -108,23 +110,18 @@ type Pool struct {
 	shards []*Shard
 }
 
-var shardDirRe = regexp.MustCompile(`^shard-\d{3}$`)
-
-// shardDir places shard i's files. A single-shard pool uses the root
-// itself — byte-compatible with the pre-sharding layout, so existing
-// event directories keep working with -shards=1.
-func shardDir(root string, i, n int) string {
-	if n == 1 {
-		return root
-	}
+// shardDir places shard i's files: shard-NNN/ under the root, at every
+// N including 1.
+func shardDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%03d", i))
 }
 
 // Open opens (or creates) an N-shard pool rooted at root, recovering
 // every shard in parallel before returning. Layout and shard-count
-// mismatches — an unsharded log opened with N>1, a sharded root opened
-// with N=1, a marker disagreeing with N — are refused loudly: silently
-// remapping users across WAL directories would orphan their windows.
+// mismatches — a pre-sharding log at the top level, shard directories
+// without their marker, a marker disagreeing with N — are refused
+// loudly: silently remapping users across WAL directories would orphan
+// their windows.
 func Open(root string, cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards > MaxShards {
@@ -150,7 +147,7 @@ func Open(root string, cfg Config) (*Pool, error) {
 	for i := range shards {
 		sh := &Shard{
 			index: i,
-			dir:   shardDir(root, i, cfg.Shards),
+			dir:   shardDir(root, i),
 			cfg:   cfg,
 			point: IngestPoint(i),
 			state: Recovering,
@@ -185,40 +182,57 @@ func Open(root string, cfg Config) (*Pool, error) {
 }
 
 // checkLayout validates the on-disk layout and the shard-count marker
-// against the requested N, writing the marker on first open.
+// against the requested N. Top-level wal-*/sessions-* files are the
+// pre-sharding layout and are refused with the one-line migration into
+// shard-000/. Shard directories without the marker are refused too: the
+// marker is the only record of N (and `cp -r root/shard-*` does not copy
+// it). Otherwise the marker is compared, or written on a fresh root.
 func checkLayout(root string, n int) error {
-	if raw, err := os.ReadFile(filepath.Join(root, markerName)); err == nil {
-		prev, perr := strconv.Atoi(strings.TrimSpace(string(raw)))
-		if perr != nil {
-			return fmt.Errorf("shard: unreadable shard-count marker in %s: %q", root, raw)
-		}
-		if prev != n {
-			return fmt.Errorf("shard: %s was created with %d shard(s), reopened with %d — the user→shard mapping is fixed per events dir (start with -shards=%d or use a fresh dir)",
-				root, prev, n, prev)
-		}
-	} else if !os.IsNotExist(err) {
+	entries, err := os.ReadDir(root)
+	if err != nil {
 		return fmt.Errorf("shard: %w", err)
-	} else {
-		// No marker: a legacy (pre-sharding) or fresh directory. Refuse
-		// shapes the requested N cannot own.
-		entries, err := os.ReadDir(root)
+	}
+	var legacy []string // globs of the pre-sharding files present
+	sharded := false
+	for _, e := range entries {
+		for _, prefix := range []string{"sessions-", "wal-"} {
+			glob := filepath.Join(root, prefix+"*")
+			if !e.IsDir() && strings.HasPrefix(e.Name(), prefix) && !slices.Contains(legacy, glob) {
+				legacy = append(legacy, glob)
+			}
+		}
+		sharded = sharded || (e.IsDir() && strings.HasPrefix(e.Name(), "shard-"))
+	}
+	if len(legacy) > 0 {
+		dst := shardDir(root, 0)
+		return fmt.Errorf("shard: %s holds a pre-sharding event log at its top level; shard 0 lives in %s at every shard count — migrate with: mkdir %s && mv %s %s/",
+			root, dst, dst, strings.Join(legacy, " "), dst)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(root, markerName))
+	switch {
+	case os.IsNotExist(err) && sharded:
+		return fmt.Errorf("shard: %s is a sharded events root without its %q marker — its shard count is unknown; restore the marker with the original count or use a fresh dir",
+			root, markerName)
+	case os.IsNotExist(err):
+		err := atomicio.WriteFile(filepath.Join(root, markerName), "", func(w io.Writer) error {
+			_, err := fmt.Fprintln(w, n)
+			return err
+		})
 		if err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if n > 1 && !e.IsDir() && (strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "sessions-")) {
-				return fmt.Errorf("shard: %s holds an unsharded event log (%s) but -shards=%d; keep -shards=1 for this dir or migrate it into %s",
-					root, name, n, filepath.Join(root, "shard-000"))
-			}
-			if n == 1 && e.IsDir() && shardDirRe.MatchString(name) {
-				return fmt.Errorf("shard: %s is a sharded events root (%s) but -shards=1; start with the original shard count",
-					root, name)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(root, markerName), []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
 			return fmt.Errorf("shard: write marker: %w", err)
 		}
+		return nil
+	case err != nil:
+		return fmt.Errorf("shard: %w", err)
+	}
+	prev, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil {
+		return fmt.Errorf("shard: unreadable shard-count marker in %s: %q", root, raw)
+	}
+	if prev != n {
+		return fmt.Errorf("shard: %s was created with %d shard(s), reopened with %d — the user→shard mapping is fixed per events dir (start with -shards=%d or use a fresh dir)",
+			root, prev, n, prev)
 	}
 	return nil
 }

@@ -355,7 +355,7 @@ func TestRestartBudgetExhaustedFails(t *testing.T) {
 
 	// Corrupt a committed record on disk, then trip the shard: every
 	// recovery attempt must now refuse the WAL (CorruptHalt).
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "shard-000", "wal-*.log"))
 	if len(segs) == 0 {
 		t.Fatal("no wal segment")
 	}
@@ -386,7 +386,8 @@ func TestRestartBudgetExhaustedFails(t *testing.T) {
 
 // TestShardCountIsPinnedPerDir locks the layout guards: a root opened
 // with one shard count can never silently reopen with another, in
-// either direction, marker present or not.
+// either direction, marker present or not, and the pre-sharding layout
+// is refused at every N.
 func TestShardCountIsPinnedPerDir(t *testing.T) {
 	// Marker mismatch, sharded → different N.
 	dir := t.TempDir()
@@ -399,9 +400,10 @@ func TestShardCountIsPinnedPerDir(t *testing.T) {
 		t.Fatalf("N=4 dir reopened as N=2: %v", err)
 	}
 
-	// Marker mismatch, flat (N=1) → sharded.
-	flat := t.TempDir()
-	p, err = Open(flat, testConfig(1))
+	// Marker mismatch, N=1 → N=4. One shard is the same layout: its files
+	// live in shard-000/, none at the top level.
+	one := t.TempDir()
+	p, err = Open(one, testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,25 +411,38 @@ func TestShardCountIsPinnedPerDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	if _, err := Open(flat, testConfig(4)); err == nil {
-		t.Fatal("flat dir reopened as N=4")
+	if segs, _ := filepath.Glob(filepath.Join(one, "shard-000", "wal-*.log")); len(segs) == 0 {
+		t.Fatal("N=1 pool wrote no WAL under shard-000/")
 	}
-
-	// Legacy flat dir (no marker, pre-sharding WAL files) → sharded.
-	if err := os.Remove(filepath.Join(flat, markerName)); err != nil {
+	if top, _ := filepath.Glob(filepath.Join(one, "wal-*")); len(top) != 0 {
+		t.Fatalf("N=1 pool wrote WAL files at the top level: %v", top)
+	}
+	if _, err := Open(one, testConfig(4)); err == nil || !strings.Contains(err.Error(), "created with 1") {
+		t.Fatalf("N=1 dir reopened as N=4: %v", err)
+	}
+	// Without its marker the one-shard root is refused too, at any N.
+	if err := os.Remove(filepath.Join(one, markerName)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(flat, testConfig(4)); err == nil || !strings.Contains(err.Error(), "unsharded event log") {
-		t.Fatalf("legacy flat dir accepted as N=4: %v", err)
+	if _, err := Open(one, testConfig(1)); err == nil || !strings.Contains(err.Error(), "sharded events root") {
+		t.Fatalf("marker-less N=1 root accepted: %v", err)
 	}
-	// ...but keeps working as N=1, which re-pins the marker.
-	p, err = Open(flat, testConfig(1))
+
+	// Pre-sharding layout (shard 0's files at the top level) → refused at
+	// every N by naming the migration into shard-000/.
+	legacy := t.TempDir()
+	l, err := wal.Open(legacy, wal.Options{Sync: wal.SyncNever})
 	if err != nil {
-		t.Fatalf("legacy flat dir rejected as N=1: %v", err)
+		t.Fatal(err)
 	}
-	p.Close()
-	if _, err := os.Stat(filepath.Join(flat, markerName)); err != nil {
-		t.Fatalf("marker not re-pinned: %v", err)
+	if _, err := l.Append([]byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	for _, n := range []int{1, 4} {
+		if _, err := Open(legacy, testConfig(n)); err == nil || !strings.Contains(err.Error(), "mkdir "+filepath.Join(legacy, "shard-000")) {
+			t.Fatalf("pre-sharding root accepted as N=%d: %v", n, err)
+		}
 	}
 
 	// Sharded root without its marker → N=1.

@@ -80,9 +80,9 @@ func TestIngestProceedsWhileSnapshotIsWritten(t *testing.T) {
 			if slowest >= 50*time.Millisecond {
 				t.Fatalf("an ingest took %v while the snapshot was being written", slowest)
 			}
-			if st := sh.Status(); st.Snapshots != 0 || len(snapshotFiles(t, dir)) != 0 {
+			if st := sh.Status(); st.Snapshots != 0 || len(snapshotFiles(t, shardDir(dir, 0))) != 0 {
 				t.Fatalf("snapshot already landed (%d counted, files %v): the ingests did not race its write",
-					st.Snapshots, snapshotFiles(t, dir))
+					st.Snapshots, snapshotFiles(t, shardDir(dir, 0)))
 			}
 
 			if stop == "close" {
@@ -96,7 +96,7 @@ func TestIngestProceedsWhileSnapshotIsWritten(t *testing.T) {
 			// Exactly two: the slow periodic one at LSN 50 — single-flight, so
 			// the periods that elapsed behind it started nothing — then the
 			// final one at the last LSN.
-			if got := snapshotFiles(t, dir); len(got) != 2 || got[0] != 50 || got[1] != 210 {
+			if got := snapshotFiles(t, shardDir(dir, 0)); len(got) != 2 || got[0] != 50 || got[1] != 210 {
 				t.Fatalf("snapshots on disk %v, want [50 210]", got)
 			}
 			if st := sh.Status(); st.Snapshots != 2 || st.SnapshotErrs != 0 {
@@ -126,7 +126,7 @@ func TestSnapshotReturnsAfterTheFileLanded(t *testing.T) {
 		}
 	}
 	p.Shard(0).Snapshot()
-	if got := snapshotFiles(t, dir); len(got) != 2 || got[0] != 10 || got[1] != 15 {
+	if got := snapshotFiles(t, shardDir(dir, 0)); len(got) != 2 || got[0] != 10 || got[1] != 15 {
 		t.Fatalf("snapshots on disk %v, want [10 15]", got)
 	}
 }
@@ -163,7 +163,7 @@ func divergedShard(t *testing.T, dir string, keep int) (p *Pool, ref string) {
 	p.SnapshotAll() // sessions-30: the recovery base below the cut; restarts the period
 	slowSnapshotWrite(200 * time.Millisecond)
 	events(p, 30, 70) // the 40th append since starts the write of sessions-70
-	if got := snapshotFiles(t, dir); len(got) != 1 || got[0] != 30 {
+	if got := snapshotFiles(t, shardDir(dir, 0)); len(got) != 1 || got[0] != 30 {
 		t.Fatalf("snapshots before the race %v, want [30] with 70 in flight", got)
 	}
 	return p, ref
@@ -186,7 +186,7 @@ func TestTruncateJoinsInFlightSnapshot(t *testing.T) {
 		t.Fatalf("next lsn %d err %v after truncating from 35", next, err)
 	}
 	time.Sleep(250 * time.Millisecond) // a straggling writer would have landed by now
-	if got := snapshotFiles(t, dir); len(got) != 1 || got[0] != 30 {
+	if got := snapshotFiles(t, shardDir(dir, 0)); len(got) != 1 || got[0] != 30 {
 		t.Fatalf("snapshots after truncation %v, want [30]: one at or above the cut survived", got)
 	}
 	if got := fingerprint(t, p); got != ref {
@@ -250,10 +250,10 @@ func TestReseedJoinsInFlightSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(250 * time.Millisecond)
-	if got := snapshotFiles(t, dir); len(got) != 1 || got[0] != 20 {
+	if got := snapshotFiles(t, shardDir(dir, 0)); len(got) != 1 || got[0] != 20 {
 		t.Fatalf("snapshots after reseed %v, want [20]", got)
 	}
-	if got := snapshotFiles(t, filepath.Join(dir, quarantineDir)); fmt.Sprint(got) != "[30 70]" {
+	if got := snapshotFiles(t, filepath.Join(shardDir(dir, 0), quarantineDir)); fmt.Sprint(got) != "[30 70]" {
 		t.Fatalf("quarantined snapshots %v, want [30 70]", got)
 	}
 	if got := fingerprint(t, p); got != ref {
