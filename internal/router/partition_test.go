@@ -192,30 +192,35 @@ func TestRouterMisdirectFoldsNodeOut(t *testing.T) {
 func TestRouterProbeDetectsMisplacedNode(t *testing.T) {
 	// Same misconfiguration, but the node reports its identity in
 	// /readyz: the probe alone must fold it out before any traffic is
-	// misrouted.
-	wrong := &fakeNode{caughtUp: true}
-	p1 := &fakeNode{caughtUp: true}
-	rt := startPartitionedFakes(t, [][]*fakeNode{{wrong}, {p1}}, nil)
-	wrong.set(func(f *fakeNode) { f.partIdx = 1 })
+	// misrouted. A root that says 0/1 (started without -partition) is
+	// an identity like any other: in a P=2 topology it is misplaced.
+	for name, owns := range map[string][2]int{"owns 1/2": {1, 2}, "owns 0/1": {0, 1}} {
+		t.Run(name, func(t *testing.T) {
+			wrong := &fakeNode{caughtUp: true}
+			p1 := &fakeNode{caughtUp: true}
+			rt := startPartitionedFakes(t, [][]*fakeNode{{wrong}, {p1}}, nil)
+			wrong.set(func(f *fakeNode) { f.partIdx, f.partCount = owns[0], owns[1] })
 
-	waitFor(t, "probe marks node misplaced", func() bool {
-		st, _ := rt.statusSnapshot()
-		for _, ns := range st.Nodes {
-			if ns.URL == wrong.ts.URL && ns.Misplaced {
-				return true
+			waitFor(t, "probe marks node misplaced", func() bool {
+				st, _ := rt.statusSnapshot()
+				for _, ns := range st.Nodes {
+					if ns.URL == wrong.ts.URL && ns.Misplaced {
+						return true
+					}
+				}
+				return false
+			})
+			// With its only node misplaced, partition 0 sheds writes
+			// locally — they are provably never misapplied.
+			before := wrong.consumes.Load()
+			rr := post(rt.Routes(), "/consume", consumeBody(userOwnedBy(t, 0, 2)), nil)
+			if rr.Code != http.StatusServiceUnavailable {
+				t.Fatalf("write to a partition with only a misplaced node: status %d, want 503", rr.Code)
 			}
-		}
-		return false
-	})
-	// With its only node misplaced, partition 0 sheds writes locally —
-	// they are provably never misapplied.
-	before := wrong.consumes.Load()
-	rr := post(rt.Routes(), "/consume", consumeBody(userOwnedBy(t, 0, 2)), nil)
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("write to a partition with only a misplaced node: status %d, want 503", rr.Code)
-	}
-	if wrong.consumes.Load() != before {
-		t.Fatal("write reached a node the probe had already marked misplaced")
+			if wrong.consumes.Load() != before {
+				t.Fatal("write reached a node the probe had already marked misplaced")
+			}
+		})
 	}
 }
 

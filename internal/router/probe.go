@@ -218,7 +218,7 @@ func (rt *Router) probeNode(j probeJob) {
 			if pb := rb.Partition; pb != nil {
 				v.PartKnown = true
 				v.PartIndex, v.PartCount = pb.Index, pb.Count
-				if misplaced(j, pb.Index, pb.Count) {
+				if pb.Index != j.index || pb.Count != j.count {
 					v.Misplaced = true
 					v.LastErr = fmt.Sprintf(
 						"node owns partition %d/%d but the topology assigns %d/%d — misconfiguration, node excluded from routing",
@@ -251,17 +251,6 @@ func (rt *Router) probeNode(j probeJob) {
 		}
 	}
 	n.setView(v)
-}
-
-// misplaced reports whether a node's self-reported identity differs
-// from the slot the topology assigns it. A degenerate 0/1 identity (the
-// node was never started with -partition) is never misplaced — it
-// predates partitioning and the topology file is the only authority.
-func misplaced(j probeJob, index, count int) bool {
-	if count <= 1 && index == 0 {
-		return false
-	}
-	return index != j.index || count != j.count
 }
 
 // probeGet issues one probe request, stamping the partition epoch when

@@ -39,10 +39,6 @@ type PartitionID struct {
 	Generation int `json:"generation"`
 }
 
-// DefaultPartition is the degenerate single-partition identity every
-// pre-partitioning deployment implicitly has.
-func DefaultPartition() PartitionID { return PartitionID{Index: 0, Count: 1} }
-
 // Validate checks the identity's internal consistency.
 func (p PartitionID) Validate() error {
 	if p.Count < 1 {
@@ -59,7 +55,7 @@ func (p PartitionID) Validate() error {
 
 // Owns reports whether this partition owns user's keys.
 func (p PartitionID) Owns(user int) bool {
-	return p.Count <= 1 || UserShard(user, p.Count) == p.Index
+	return UserShard(user, p.Count) == p.Index
 }
 
 // String renders the identity in the i/c@g wire form used by the
@@ -91,8 +87,8 @@ func ParsePartitionID(s string) (PartitionID, error) {
 }
 
 // LoadPartition reads the partition marker from root. ok is false when
-// no marker exists — the state of every root created before
-// partitioning (implicitly partition 0 of 1).
+// no marker exists: a fresh root, or one no build that writes the marker
+// on every open has opened.
 func LoadPartition(root string) (PartitionID, bool, error) {
 	var p PartitionID
 	b, err := os.ReadFile(filepath.Join(root, PartitionMarker))
@@ -132,9 +128,9 @@ func (p PartitionID) Store(root string) error {
 // EnsurePartition reconciles a requested identity against the marker in
 // root and returns the effective identity:
 //
-//   - want.Count == 0 (partitioning not configured): an existing marker
-//     wins; with no marker the root is partition 0 of 1 and nothing is
-//     written — flat deployments stay byte-identical on disk.
+//   - want.Count == 0 (no -partition): an existing marker wins; with no
+//     marker the root is 0/1@0, the whole key space, and that is
+//     persisted like any other identity — every root names its partition.
 //   - want.Count >= 1 (explicit -partition): with no marker, want is
 //     persisted and adopted. With a marker, the identities must match;
 //     a different index or count is only accepted — and re-persisted —
@@ -150,23 +146,18 @@ func EnsurePartition(root string, want PartitionID) (PartitionID, error) {
 		if ok {
 			return have, nil
 		}
-		return DefaultPartition(), nil
+		want.Count = 1
 	}
 	if err := want.Validate(); err != nil {
 		return PartitionID{}, err
 	}
-	if !ok {
-		if err := want.Store(root); err != nil {
-			return PartitionID{}, err
-		}
-		return want, nil
-	}
-	if have == want {
+	if ok && have == want {
 		return have, nil
 	}
-	if want.Generation > have.Generation {
-		// A resize re-identity: the higher generation is the operator
-		// saying "yes, this root's slice of the key space changed".
+	if !ok || want.Generation > have.Generation {
+		// A fresh root, or a resize re-identity: the higher generation is
+		// the operator saying "yes, this root's slice of the key space
+		// changed".
 		if err := want.Store(root); err != nil {
 			return PartitionID{}, err
 		}

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -79,32 +77,37 @@ func TestPartitionOwns(t *testing.T) {
 			t.Fatalf("Owns(%d) = %v, want %v", u, got, want)
 		}
 	}
-	// The degenerate identity owns everything.
-	flat := DefaultPartition()
+	// 0/1 is an ordinary identity, and it owns everything.
+	whole := PartitionID{Count: 1}
 	for _, u := range []int{0, 1, 17, 1 << 20} {
-		if !flat.Owns(u) {
-			t.Fatalf("default partition must own user %d", u)
+		if !whole.Owns(u) {
+			t.Fatalf("partition 0/1 must own user %d", u)
 		}
 	}
 }
 
-// TestEnsurePartition covers the marker reconciliation table: flat
-// roots stay markerless, explicit identities persist and re-match, a
-// re-identity needs a strictly higher generation, and everything else
-// fails loudly.
+// TestEnsurePartition covers the marker reconciliation table: every
+// root names its partition (0/1@0 when started without one), explicit
+// identities persist and re-match, a re-identity needs a strictly higher
+// generation, and everything else fails loudly.
 func TestEnsurePartition(t *testing.T) {
-	root := t.TempDir()
-
-	// Unconfigured over a fresh root: default identity, no marker file.
-	got, err := EnsurePartition(root, PartitionID{})
-	if err != nil || got != DefaultPartition() {
+	// Unconfigured over a fresh root: 0/1@0, persisted like any identity,
+	// and as fixed as any: becoming 1/3 takes a generation bump.
+	whole := t.TempDir()
+	got, err := EnsurePartition(whole, PartitionID{})
+	if want := (PartitionID{Count: 1}); err != nil || got != want {
 		t.Fatalf("unconfigured fresh root: %+v, %v", got, err)
 	}
-	if _, err := os.Stat(filepath.Join(root, PartitionMarker)); !os.IsNotExist(err) {
-		t.Fatal("unconfigured open must not write a partition marker")
+	if have, ok, err := LoadPartition(whole); err != nil || !ok || have != got {
+		t.Fatalf("unconfigured open persisted %+v (ok=%v, %v), want %+v", have, ok, err, got)
+	}
+	_, err = EnsurePartition(whole, PartitionID{Index: 1, Count: 3})
+	if err == nil || !strings.Contains(err.Error(), "-partition 1/3@1") {
+		t.Fatalf("0/1 root started as 1/3 without a generation bump: %v", err)
 	}
 
 	// Explicit first open persists the identity.
+	root := t.TempDir()
 	want := PartitionID{Index: 1, Count: 3}
 	if got, err = EnsurePartition(root, want); err != nil || got != want {
 		t.Fatalf("explicit first open: %+v, %v", got, err)
@@ -180,5 +183,16 @@ func TestPoolPartitionIdentity(t *testing.T) {
 	defer p2.Close()
 	if got := p2.Partition(); got != cfg.Partition {
 		t.Fatalf("adopted identity %+v, want %+v", got, cfg.Partition)
+	}
+
+	// No Open leaves a root unnamed: without -partition it says 0/1@0.
+	fresh := t.TempDir()
+	p3, err := Open(fresh, testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3.Close()
+	if have, ok, err := LoadPartition(fresh); err != nil || !ok || have != (PartitionID{Count: 1}) {
+		t.Fatalf("unconfigured Open left marker %+v (ok=%v, %v), want 0/1@0", have, ok, err)
 	}
 }

@@ -50,12 +50,11 @@ type Config struct {
 	SegmentBytes  int64 // per-shard WAL rotation threshold; 0 → wal default
 	Corrupt       wal.CorruptPolicy
 
-	// Partition is the slice of the user-key space this root owns when
-	// several replicated pairs split the fleet. A zero Count leaves
-	// partitioning unconfigured: an existing partition marker wins, and
-	// a flat root stays partition 0 of 1 with nothing written. A
-	// nonzero Count is reconciled against the marker by EnsurePartition
-	// (mismatch = loud error unless the generation is bumped).
+	// Partition is the slice of the user-key space this root owns. A
+	// zero Count takes the root's partition marker, or writes 0/1@0 (the
+	// whole key space) on a root without one; a nonzero Count is
+	// reconciled against the marker by EnsurePartition (mismatch = loud
+	// error unless the generation is bumped).
 	Partition PartitionID
 
 	// Metrics, when non-nil, receives the per-shard families
