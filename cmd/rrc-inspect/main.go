@@ -28,10 +28,11 @@
 // WAL timelines fork (nonzero exit on any fork) — the post-failover
 // "what did we lose" question answered from the directories alone.
 //
-// With -topology, it validates an rrc-router topology file (flat or
-// partitioned) offline with the router's own parser — overlapping key
-// ownership, empty partitions, and duplicate nodes exit nonzero before
-// the file ever reaches a live router. With -owner ... -partitions P, it
+// With -topology, it validates an rrc-router topology file (`partitions
+// N` + `partition i url...` lines, the one format) offline with the
+// router's own parser — a bare-URL line, overlapping key ownership,
+// empty partitions, and duplicate nodes exit nonzero before the file
+// ever reaches a live router. With -owner ... -partitions P, it
 // prints the partition owning a user id (for scripts bucketing traffic).
 //
 //	rrc-inspect                             # model diagnostics
@@ -73,7 +74,7 @@ func main() {
 	expfmt := flag.String("expfmt", "", "validate a Prometheus text exposition file ('-' reads stdin) instead of inspecting a model")
 	epochRoot := flag.String("epoch", "", "print the replication epoch and promotion history persisted under this events root")
 	diverge := flag.Bool("diverge", false, "compare the two events roots given as arguments record-by-record and report where their WAL timelines fork")
-	topology := flag.String("topology", "", "validate an rrc-router topology file (flat or partitioned) offline; nonzero exit on overlap/ownership errors")
+	topology := flag.String("topology", "", "validate an rrc-router topology file ('partitions N' + 'partition <i> <url>...') offline; nonzero exit on format/overlap/ownership errors")
 	owner := flag.Int("owner", -1, "print the partition owning this user id under -partitions (for scripts)")
 	partitions := flag.Int("partitions", 0, "partition count for -owner")
 	flag.Parse()

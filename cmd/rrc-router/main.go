@@ -21,11 +21,10 @@
 //	POST /recommend/user   → proxied to the write target; a follower
 //	                         answers only when it cannot
 //
-// Topology comes from -nodes (comma-separated base URLs) or -topology
-// (a file, re-read on mtime change — editing it is the whole "add a
-// node" procedure). A flat file — one URL per line — is a single
-// partition owning every key. A partitioned file names each pair's
-// slice:
+// Topology comes from -topology (a file, re-read on mtime change —
+// editing it is the whole "add a node" procedure) naming each pair's
+// slice, or from -nodes (comma-separated base URLs), the shorthand for
+// one pair: -nodes a,b is "partitions 1" + "partition 0 a b".
 //
 //	partitions 2
 //	partition 0 http://a:8395 http://b:8396
@@ -61,8 +60,8 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8394", "listen address")
-		nodesCSV = flag.String("nodes", "", "comma-separated backend base URLs (e.g. http://a:8395,http://b:8396)")
-		topology = flag.String("topology", "", "topology file: one backend base URL per line, # comments; re-read when its mtime changes (overrides -nodes)")
+		nodesCSV = flag.String("nodes", "", "comma-separated backend base URLs of one partition (e.g. http://a:8395,http://b:8396)")
+		topology = flag.String("topology", "", "topology file: a 'partitions N' line, then 'partition <i> <url>...' lines, # comments; re-read when its mtime changes (overrides -nodes)")
 
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "backend health-probe period")
 		probeTimeout  = flag.Duration("probe-timeout", 0, "per-probe HTTP timeout (0 = probe interval)")
@@ -94,7 +93,7 @@ func main() {
 	reg := obs.NewRegistry()
 	reg.GoRuntime()
 	rt, err := router.New(router.Config{
-		Nodes:         nodes,
+		Partitions:    [][]string{nodes},
 		TopologyPath:  *topology,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,

@@ -27,7 +27,7 @@ import (
 func newChaosRouter(t *testing.T, reg *obs.Registry, urls ...string) *router.Router {
 	t.Helper()
 	rt, err := router.New(router.Config{
-		Nodes:         urls,
+		Partitions:    [][]string{urls},
 		ProbeInterval: 10 * time.Millisecond,
 		// A kill here is a closed listener, refused at once, so a long
 		// probe timeout costs no failover latency. At the default (the
@@ -218,7 +218,7 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rt, err := router.New(router.Config{
-		Nodes:         []string{tsA.URL, tsB.URL},
+		Partitions:    [][]string{{tsA.URL, tsB.URL}},
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeFails:    2,
 		RetryBudget:   1,

@@ -291,7 +291,11 @@ var badTopologyDocs = map[string]string{
 	"unknown directive":  "partitions 1\nshard 0 http://a:1\n",
 	"zero partitions":    "partitions 0\n",
 	"count over the cap": "partitions 65537\npartition 0 http://a:1\n",
-	"space inside a url": "http://a:1/x y\n",
+	"space inside a url": "partitions 1\npartition 0 http://a:1/x y\n",
+	"bare urls":          "# fleet\nhttp://a:1\nhttp://b:2\n",
+	"bare url, padded":   "# fleet\nhttp://a:8395\n\n  http://b:8396/  \n",
+	"no header":          "# nothing here\n",
+	"not a url":          "::::\n",
 }
 
 // badStaticLayouts are Config.Partitions values (rrc-router -nodes a,b
@@ -338,16 +342,6 @@ func TestParseTopologyPartitionedFormat(t *testing.T) {
 	// The count sizes an allocation, so the parser itself caps it.
 	if _, err := ParseTopology(strings.NewReader(badTopologyDocs["count over the cap"]), "t"); err == nil {
 		t.Error("partitions 65537 parsed: the header count is not capped")
-	}
-
-	// Flat files stay the degenerate single partition — the locked
-	// backward-compat contract.
-	flat, err := ParseTopology(strings.NewReader("# fleet\nhttp://a:1\nhttp://b:2\n"), "t")
-	if err != nil || flat.Validate() != nil {
-		t.Fatalf("flat parse: %v", err)
-	}
-	if len(flat.Partitions) != 1 || len(flat.Partitions[0]) != 2 {
-		t.Fatalf("flat topology parsed as %+v", flat)
 	}
 }
 

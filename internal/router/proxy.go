@@ -5,8 +5,8 @@
 //     without trusting the client to resend — and so user-keyed
 //     endpoints can parse the routing key before picking a backend.
 //   - User-keyed requests (/consume, /recommend/user) route to the
-//     partition owning shard.UserShard(user, P). A flat P=1 fleet
-//     skips the key parse entirely — the pre-partitioning fast path.
+//     partition owning shard.UserShard(user, P). At P=1 the one
+//     partition owns every key, so the body is never parsed.
 //   - The request runs under min(router default, X-RRC-Deadline-Ms);
 //     every attempt is additionally bounded by TryTimeout and carries
 //     the remaining budget downstream in the same header.

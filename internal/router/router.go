@@ -6,15 +6,14 @@
 // of a stored window must come from the node that took the user's last
 // write. The router turns that placement problem into configuration:
 //
-//   - Topology comes from a static node list, a static partition
-//     layout, or a watched topology file; nodes are added, removed, and
-//     repartitioned without restarting the router.
+//   - Topology comes from a static partition layout or a watched
+//     topology file; nodes are added, removed, and repartitioned
+//     without restarting the router.
 //   - The fleet is P partitions, each a replicated primary/standby
 //     pair. Partition i owns exactly the users with
 //     shard.UserShard(user, P) == i — the same hash the nodes
 //     themselves shard by, so router and storage agree on ownership
-//     for every key. A flat topology is the degenerate P=1 fleet and
-//     behaves exactly as before partitioning existed.
+//     for every key. One pair is the ordinary value P=1.
 //   - Every node is health-probed (GET /readyz + GET /replica/epoch) on
 //     a jittered interval. The probe carries the highest epoch the
 //     router has seen for that node's partition (X-RRC-Epoch), so a
@@ -77,15 +76,13 @@ const DeadlineHeader = "X-RRC-Deadline-Ms"
 
 // Config tunes a Router. Zero fields pick the documented defaults.
 type Config struct {
-	// Nodes is the static flat topology: one partition's backend base
-	// URLs. Ignored when Partitions or TopologyPath is set.
-	Nodes []string
-	// Partitions is the static partitioned topology: Partitions[i]
-	// lists partition i's nodes. Ignored when TopologyPath is set.
+	// Partitions is the static topology: Partitions[i] lists partition
+	// i's backend base URLs (rrc-router -nodes a,b is {{a, b}}, P=1).
+	// Ignored when TopologyPath is set.
 	Partitions [][]string
-	// TopologyPath names a topology file (flat or partitioned — see
-	// package topology docs). The router re-reads it whenever its stamp
-	// changes, so nodes are added or repartitioned without a restart.
+	// TopologyPath names a topology file (see topology.go). The router
+	// re-reads it whenever its stamp changes, so nodes are added or
+	// repartitioned without a restart.
 	TopologyPath string
 
 	ProbeInterval time.Duration // health-probe period (jittered ±20%); 0 → 500ms
@@ -223,22 +220,14 @@ func New(cfg Config) (*Router, error) {
 	rt.initMetrics()
 
 	topo := Topology{Partitions: cfg.Partitions}
-	switch {
-	case cfg.TopologyPath != "":
+	if cfg.TopologyPath != "" {
 		loaded, stamp, err := LoadTopologyFile(cfg.TopologyPath)
 		if err != nil {
 			return nil, err
 		}
 		topo, rt.topoStamp = loaded, stamp
-	case len(cfg.Partitions) > 0:
-		if err := topo.Validate(); err != nil {
-			return nil, err
-		}
-	default:
-		topo = Topology{Partitions: [][]string{cfg.Nodes}}
-	}
-	if len(topo.Partitions) == 0 || len(topo.Partitions[0]) == 0 {
-		return nil, errors.New("router: no backend nodes configured")
+	} else if err := topo.Validate(); err != nil {
+		return nil, err
 	}
 	rt.SetTopology(topo)
 	return rt, nil
@@ -483,9 +472,8 @@ type PartitionStatus struct {
 // Status is the router's own /readyz body.
 type Status struct {
 	Status string `json:"status"`
-	// WriteTarget is the single-partition convenience field (P=1 — the
-	// pre-partitioning shape); per-partition targets live in
-	// Partitions.
+	// WriteTarget is the single-partition convenience field (P=1);
+	// per-partition targets live in Partitions.
 	WriteTarget string            `json:"write_target,omitempty"`
 	Epoch       uint64            `json:"epoch"`
 	Partitions  []PartitionStatus `json:"partitions,omitempty"`

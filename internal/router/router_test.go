@@ -228,7 +228,7 @@ func startFakes(t *testing.T, fakes []*fakeNode, mutate func(*Config)) *Router {
 		urls[i] = f.ts.URL
 	}
 	cfg := Config{
-		Nodes:         urls,
+		Partitions:    [][]string{urls},
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeFails:    2,
 		RetryBackoff:  time.Millisecond,
@@ -487,7 +487,7 @@ func TestRouterAmbiguousWriteNotRetried(t *testing.T) {
 	t.Cleanup(ambiguous.ts.Close)
 
 	rt, err := New(Config{
-		Nodes:         []string{ambiguous.ts.URL},
+		Partitions:    [][]string{{ambiguous.ts.URL}},
 		ProbeInterval: 10 * time.Millisecond,
 		RetryBackoff:  time.Millisecond,
 		Metrics:       obs.NewRegistry(),
@@ -634,14 +634,14 @@ func TestRouterStopIsSafeWhenMisused(t *testing.T) {
 
 	// Stop before Start must return immediately, not wait on a probe
 	// loop that never ran.
-	never, err := New(Config{Nodes: []string{n.ts.URL}})
+	never, err := New(Config{Partitions: [][]string{{n.ts.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	never.Stop()
 
 	// Concurrent Stops must not double-close (panic).
-	rt, err := New(Config{Nodes: []string{n.ts.URL}, ProbeInterval: 10 * time.Millisecond})
+	rt, err := New(Config{Partitions: [][]string{{n.ts.URL}}, ProbeInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

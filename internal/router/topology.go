@@ -1,13 +1,9 @@
-// Topology files. Two formats share one loader:
-//
-// Flat (the original format): one backend base URL per line, blank
-// lines and #-comments ignored. A flat file is the degenerate
-// single-partition fleet — every node is a replica of the same pair.
-//
-// Partitioned: a `partitions N` header, then `partition <i> <url>...`
-// lines assigning nodes to partitions (repeatable; later lines append).
+// Topology files have one format: a `partitions N` header, then
+// `partition <i> <url>...` lines assigning nodes to partitions
+// (repeatable; later lines append), blank lines and #-comments ignored.
 // Partition i owns exactly the users with UserShard(user, N) == i, so
-// ownership must cover [0,N) and never overlap.
+// ownership must cover [0,N) and never overlap. One replicated pair is
+// `partitions 1` — the same format, P=1.
 //
 //	partitions 2
 //	partition 0 http://a:8395 http://b:8396
@@ -44,13 +40,14 @@ type FileStamp struct {
 // Topology is a parsed topology: the partition layout.
 type Topology struct {
 	// Partitions[i] lists partition i's nodes (a replicated pair, or
-	// more). A flat topology parses as a single partition owning the
-	// whole key space.
+	// more).
 	Partitions [][]string
 }
 
-// Validate checks the ownership invariants: every partition has at
-// least one node and no node is assigned to two partitions.
+// Validate checks the URLs and the ownership invariants: every node is
+// a base URL written as the parser normalizes it (no trailing slash),
+// every partition has at least one node, and no node is assigned to
+// two partitions. Files and static layouts pass the same checks.
 func (t Topology) Validate() error {
 	if len(t.Partitions) == 0 {
 		return errors.New("router: topology has no partitions")
@@ -61,6 +58,9 @@ func (t Topology) Validate() error {
 			return fmt.Errorf("router: partition %d has no nodes — every partition's key range needs an owner", i)
 		}
 		for _, u := range urls {
+			if n, err := normalizeURL(u); err != nil || n != u {
+				return fmt.Errorf("router: partition %d: %q is not a base URL (want http://host:port)", i, u)
+			}
 			j, dup := seen[u]
 			switch {
 			case dup && j == i:
@@ -74,14 +74,11 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// ParseTopology parses either topology format from r. name is used in
-// error messages (the file path).
+// ParseTopology parses a topology file from r. name is used in error
+// messages (the file path). Anything but the partitioned format — a
+// bare URL included — fails at its line as an unknown directive.
 func ParseTopology(r io.Reader, name string) (Topology, error) {
-	var (
-		t           Topology
-		partitioned bool
-		sawAny      bool
-	)
+	var t Topology
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -90,31 +87,15 @@ func ParseTopology(r io.Reader, name string) (Topology, error) {
 		if raw == "" || strings.HasPrefix(raw, "#") {
 			continue
 		}
-		fields := strings.Fields(raw)
-		if !sawAny {
-			sawAny = true
-			partitioned = fields[0] == "partitions"
-		}
-		if !partitioned {
-			u, err := normalizeURL(raw)
-			if err != nil {
-				return t, fmt.Errorf("%s:%d: %w", name, line, err)
-			}
-			if len(t.Partitions) == 0 {
-				t.Partitions = [][]string{nil}
-			}
-			t.Partitions[0] = append(t.Partitions[0], u)
-			continue
-		}
-		if err := parseDirective(&t, fields); err != nil {
+		if err := parseDirective(&t, strings.Fields(raw)); err != nil {
 			return t, fmt.Errorf("%s:%d: %w", name, line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return t, err
 	}
-	if !sawAny || (len(t.Partitions) == 1 && len(t.Partitions[0]) == 0) {
-		return t, fmt.Errorf("%s: no nodes", name)
+	if t.Partitions == nil {
+		return t, fmt.Errorf("%s: no partitions header", name)
 	}
 	return t, nil
 }
@@ -124,7 +105,7 @@ func ParseTopology(r io.Reader, name string) (Topology, error) {
 // no real file comes near it.
 const maxPartitions = 1 << 16
 
-// parseDirective applies one partitioned-format line.
+// parseDirective applies one topology-file line.
 func parseDirective(t *Topology, fields []string) error {
 	switch fields[0] {
 	case "partitions":
@@ -160,9 +141,9 @@ func parseDirective(t *Topology, fields []string) error {
 	return nil
 }
 
-// normalizeURL accepts one base URL. A flat-format line reaches it
+// normalizeURL accepts one base URL. A static layout's URL reaches it
 // whole, so inner whitespace is refused here: such a "URL" could not be
-// written in the partitioned format, whose fields split on it.
+// written in a topology file, whose fields split on it.
 func normalizeURL(raw string) (string, error) {
 	u, err := url.Parse(raw)
 	if err != nil || u.Scheme == "" || u.Host == "" || strings.ContainsFunc(raw, unicode.IsSpace) {
@@ -171,9 +152,8 @@ func normalizeURL(raw string) (string, error) {
 	return strings.TrimRight(raw, "/"), nil
 }
 
-// LoadTopologyFile reads, parses, and validates a topology file in
-// either format, returning the topology and the file's stamp (the
-// watch key).
+// LoadTopologyFile reads, parses, and validates a topology file,
+// returning the topology and the file's stamp (the watch key).
 func LoadTopologyFile(path string) (Topology, FileStamp, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -19,11 +19,8 @@ func FuzzParseTopology(f *testing.F) {
 		f.Add(doc)
 	}
 	for _, doc := range []string{
-		"# fleet\nhttp://a:1\nhttp://b:2\n",
-		"# fleet\nhttp://a:8395\n\n  http://b:8396/  \n",
-		"around:the:bend\n",
-		"# nothing here\n",
-		"::::\n",
+		"partitions 1\npartition 0 http://a:8395\n\n  partition 0   http://b:8396/  \n",
+		"partitions 1\npartition 0 around:the:bend\n",
 		"partitions 2\npartition 0 http://a:1\npartition 1 http://b:2\n",
 		"partitions 3\npartition 0 http://a:1\npartition 1 http://b:2\n",
 	} {

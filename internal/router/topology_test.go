@@ -18,8 +18,8 @@ func TestRouterWatchesTopologyFile(t *testing.T) {
 	t.Cleanup(a.ts.Close)
 	t.Cleanup(b.ts.Close)
 
-	path := filepath.Join(t.TempDir(), "nodes")
-	if err := os.WriteFile(path, []byte(a.ts.URL+"\n"), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "topology")
+	if err := os.WriteFile(path, []byte("partitions 1\npartition 0 "+a.ts.URL+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rt, err := New(Config{
@@ -37,7 +37,7 @@ func TestRouterWatchesTopologyFile(t *testing.T) {
 
 	// Add node b; backdate-proof the mtime change by rewriting with a
 	// bumped modification time.
-	if err := os.WriteFile(path, []byte(a.ts.URL+"\n"+b.ts.URL+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("partitions 1\npartition 0 "+a.ts.URL+" "+b.ts.URL+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	future := time.Now().Add(2 * time.Second)
@@ -72,8 +72,8 @@ func TestTopologyReloadDetectsSameMtimeRewrite(t *testing.T) {
 	// On filesystems with 1s mtime granularity two edits can land on
 	// the same timestamp; the watch key must include the size so the
 	// second edit is not silently skipped.
-	path := filepath.Join(t.TempDir(), "nodes")
-	if err := os.WriteFile(path, []byte("http://a:8395\n"), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "topology")
+	if err := os.WriteFile(path, []byte("partitions 1\npartition 0 http://a:8395\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	mtime := time.Now().Truncate(time.Second)
@@ -86,7 +86,7 @@ func TestTopologyReloadDetectsSameMtimeRewrite(t *testing.T) {
 	}
 
 	// Rewrite with the mtime pinned: only the size moves.
-	if err := os.WriteFile(path, []byte("http://a:8395\nhttp://b:8396\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("partitions 1\npartition 0 http://a:8395 http://b:8396\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Chtimes(path, mtime, mtime); err != nil {
@@ -105,27 +105,33 @@ func TestTopologyReloadDetectsSameMtimeRewrite(t *testing.T) {
 func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 	a := &fakeNode{caughtUp: true}
 	rt := startFakes(t, []*fakeNode{a}, func(c *Config) {
-		c.Nodes = nil
+		c.Partitions = nil
 		c.TopologyPath = filepath.Join(t.TempDir(), "topology")
-		if err := os.WriteFile(c.TopologyPath, []byte(a.ts.URL+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(c.TopologyPath, []byte("partitions 1\npartition 0 "+a.ts.URL+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	// The resize window: a file that opens one does not load, and a
-	// running router keeps its last good layout.
+	// Each file is refused at the line that names what is gone, and a
+	// running router keeps its last good layout: the resize window, and
+	// the bare-URL format (one partition spelled without its header).
 	path := rt.cfg.TopologyPath
-	resize := "partitions 1\npartition 0 " + a.ts.URL + "\n" +
-		"next-partitions 3\nnext 0 " + a.ts.URL + "\nnext 1 http://b:1\nnext 2 http://c:1\n"
-	if err := os.WriteFile(path, []byte(resize), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadTopologyFile(path); err == nil || !strings.Contains(err.Error(), `"next-partitions"`) {
-		t.Fatalf("next-partitions file: err = %v, want a refusal naming the directive", err)
-	}
-	rt.reloadTopology()
-	if got := rt.Nodes(); len(got) != 1 || got[0] != a.ts.URL {
-		t.Fatalf("refused topology file displaced the layout: %v", got)
+	for _, tc := range []struct{ doc, want string }{
+		{"partitions 1\npartition 0 " + a.ts.URL + "\n" +
+			"next-partitions 3\nnext 0 " + a.ts.URL + "\nnext 1 http://b:1\nnext 2 http://c:1\n",
+			`:3: unknown directive "next-partitions"`},
+		{a.ts.URL + "\n", `:1: unknown directive "` + a.ts.URL + `"`},
+	} {
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadTopologyFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("topology %q: err = %v, want a refusal containing %s", tc.doc, err, tc.want)
+		}
+		rt.reloadTopology()
+		if got := rt.Nodes(); len(got) != 1 || got[0] != a.ts.URL {
+			t.Fatalf("refused topology file displaced the layout: %v", got)
+		}
 	}
 
 	// The second status body: /readyz and /metrics are the status surface.

@@ -69,6 +69,12 @@ partition 0 http://$PRIMARY0 http://$STANDBY0
 partition 1 http://$PRIMARY1 http://$STANDBY1
 EOF
 "$tmp/bin/rrc-inspect" -topology "$tmp/topology"
+# One format: a file of bare URLs is refused at its first line.
+printf 'http://%s\n' "$PRIMARY0" >"$tmp/bare.topology"
+if "$tmp/bin/rrc-inspect" -topology "$tmp/bare.topology" >/dev/null 2>&1; then
+	echo "rrc-inspect -topology accepted a bare-URL file" >&2
+	exit 1
+fi
 
 # Bucket the soak's users by owning partition with the same hash the
 # router and the servers use.
