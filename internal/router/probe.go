@@ -38,8 +38,9 @@ import (
 )
 
 // Node roles as reported by /readyz. A node that reports no
-// replication block at all (replication plane off) is treated as a
-// primary at epoch 0 — the single-node degenerate topology.
+// replication block (an rrc-server without -events-dir) has no role: it
+// holds no sessions, so it serves stateless reads but is never a write
+// target or a promotion candidate.
 const (
 	rolePrimary  = "primary"
 	roleFollower = "follower"
@@ -212,8 +213,6 @@ func (rt *Router) probeNode(j probeJob) {
 				v.LagRecords = rep.LagRecords
 				v.AppliedLSN = rep.AppliedLSN
 				v.CaughtUp = rep.CaughtUp
-			} else {
-				v.Role, v.CaughtUp = rolePrimary, true
 			}
 			if pb := rb.Partition; pb != nil {
 				v.PartKnown = true
