@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tsppr/internal/core"
@@ -197,11 +200,34 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestRemovedSurfaceFailsLoudly: GET /stats was a second status body
-// over the /metrics counters; it is gone, not silently empty.
+// over the /metrics counters; it is gone, not silently empty. An events
+// root with shard 0's files at its top level (the pre-sharding layout,
+// written by an older build) is refused at startup by naming shard-000.
 func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 	srv, _ := testServer(t)
 	if code := getCode(t, srv.routes(), "/stats"); code != http.StatusNotFound {
 		t.Fatalf("GET /stats = %d, want 404", code)
+	}
+
+	const parentRoot = "../../internal/shard/testdata/parent-b7db887/root"
+	dir := t.TempDir()
+	entries, err := os.ReadDir(parentRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(parentRoot, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := srv.opts
+	opts.eventsDir, opts.windowCap = dir, 8 // the root's window capacity
+	if _, err := newOnline(opts, srv.currentModel()); err == nil || !strings.Contains(err.Error(), "shard-000") {
+		t.Fatalf("pre-sharding events root: err = %v, want a refusal naming shard-000", err)
 	}
 }
 
