@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -31,6 +33,46 @@ func FuzzParsePartitionID(f *testing.F) {
 		short := p.Generation == 0 && s == fmt.Sprintf("%d/%d", p.Index, p.Count)
 		if s != p.String() && !short {
 			t.Fatalf("accepted %q, which is neither %q nor its i/c short form", s, p)
+		}
+	})
+}
+
+// FuzzLoadPartition: the partition marker is read at every Open, and an
+// operator may edit it by hand. Whatever its bytes, LoadPartition must
+// not panic, a marker it accepts is a valid identity, and Store then
+// LoadPartition gives that identity back unchanged.
+func FuzzLoadPartition(f *testing.F) {
+	for _, s := range []string{
+		`{"partition":0,"partitions":1,"generation":0}`,
+		"{\n  \"partition\": 1,\n  \"partitions\": 3,\n  \"generation\": 2\n}\n",
+		`{"PARTITION":0,"Partitions":1}`, `{"partition":3,"partitions":2}`,
+		`{"partition":-1,"partitions":2}`, `{"partitions":0}`, `{"partition":1.5,"partitions":2}`,
+		`{"partition":0,"partitions":1,"generation":-1}`, `{"partitions":9223372036854775808}`,
+		`null`, ``, `{`, `[]`, `"0/1"`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, PartitionMarker), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, ok, err := LoadPartition(dir)
+		if err != nil {
+			return
+		}
+		if !ok {
+			t.Fatalf("marker %q read as absent", b)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("accepted marker %q as invalid %+v: %v", b, p, err)
+		}
+		back := t.TempDir()
+		if err := p.Store(back); err != nil {
+			t.Fatal(err)
+		}
+		if again, ok, err := LoadPartition(back); err != nil || !ok || again != p {
+			t.Fatalf("marker %q: %+v stored and reloaded as %+v (ok=%v, %v)", b, p, again, ok, err)
 		}
 	})
 }
