@@ -117,10 +117,8 @@ func shardDir(root string, i int) string {
 
 // Open opens (or creates) an N-shard pool rooted at root, recovering
 // every shard in parallel before returning. Layout and shard-count
-// mismatches — a pre-sharding log at the top level, shard directories
-// without their marker, a marker disagreeing with N — are refused
-// loudly: silently remapping users across WAL directories would orphan
-// their windows.
+// mismatches (see checkLayout) are refused loudly: silently remapping
+// users across WAL directories would orphan their windows.
 func Open(root string, cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards > MaxShards {
@@ -181,11 +179,10 @@ func Open(root string, cfg Config) (*Pool, error) {
 }
 
 // checkLayout validates the on-disk layout and the shard-count marker
-// against the requested N. Top-level wal-*/sessions-* files are the
-// pre-sharding layout and are refused with the one-line migration into
-// shard-000/. Shard directories without the marker are refused too: the
-// marker is the only record of N (and `cp -r root/shard-*` does not copy
-// it). Otherwise the marker is compared, or written on a fresh root.
+// against the requested N. It refuses the pre-sharding layout (wal-* or
+// sessions-* files at the top level, naming the migration into
+// shard-000/) and shard directories without the marker, the only record
+// of N; otherwise it compares the marker, or writes it on a fresh root.
 func checkLayout(root string, n int) error {
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -194,13 +191,14 @@ func checkLayout(root string, n int) error {
 	var legacy []string // globs of the pre-sharding files present
 	sharded := false
 	for _, e := range entries {
-		for _, prefix := range []string{"sessions-", "wal-"} {
-			glob := filepath.Join(root, prefix+"*")
-			if !e.IsDir() && strings.HasPrefix(e.Name(), prefix) && !slices.Contains(legacy, glob) {
-				legacy = append(legacy, glob)
-			}
+		kind, _, _ := strings.Cut(e.Name(), "-")
+		glob := filepath.Join(root, kind+"-*")
+		switch {
+		case e.IsDir():
+			sharded = sharded || kind == "shard"
+		case (kind == "wal" || kind == "sessions") && !slices.Contains(legacy, glob):
+			legacy = append(legacy, glob)
 		}
-		sharded = sharded || (e.IsDir() && strings.HasPrefix(e.Name(), "shard-"))
 	}
 	if len(legacy) > 0 {
 		dst := shardDir(root, 0)
@@ -208,20 +206,17 @@ func checkLayout(root string, n int) error {
 			root, dst, dst, strings.Join(legacy, " "), dst)
 	}
 
-	raw, err := os.ReadFile(filepath.Join(root, markerName))
+	marker := filepath.Join(root, markerName)
+	raw, err := os.ReadFile(marker)
 	switch {
 	case os.IsNotExist(err) && sharded:
-		return fmt.Errorf("shard: %s is a sharded events root without its %q marker — its shard count is unknown; restore the marker with the original count or use a fresh dir",
+		return fmt.Errorf("shard: %s is a sharded events root without its %q marker — its shard count is unknown; restore the marker or use a fresh dir",
 			root, markerName)
 	case os.IsNotExist(err):
-		err := atomicio.WriteFile(filepath.Join(root, markerName), "", func(w io.Writer) error {
+		return atomicio.WriteFile(marker, "", func(w io.Writer) error {
 			_, err := fmt.Fprintln(w, n)
 			return err
 		})
-		if err != nil {
-			return fmt.Errorf("shard: write marker: %w", err)
-		}
-		return nil
 	case err != nil:
 		return fmt.Errorf("shard: %w", err)
 	}
