@@ -87,8 +87,7 @@ func ParsePartitionID(s string) (PartitionID, error) {
 }
 
 // LoadPartition reads the partition marker from root. ok is false when
-// no marker exists: a fresh root, or one no build that writes the marker
-// on every open has opened.
+// root has no marker yet; EnsurePartition writes one on every Open.
 func LoadPartition(root string) (PartitionID, bool, error) {
 	var p PartitionID
 	b, err := os.ReadFile(filepath.Join(root, PartitionMarker))
