@@ -85,7 +85,7 @@ metrics-smoke:
 ## fuzz-smoke: run every fuzz target over its checked-in seed corpus only
 ## (no mutation) — fast enough to gate on
 fuzz-smoke:
-	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/router ./internal/shard ./internal/replica -run '^Fuzz' -count=1
+	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/router ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it
@@ -97,7 +97,8 @@ bench-smoke:
 
 ## fuzz: short bounded fuzzing with mutation — model loader, TSV readers,
 ## the follower's stream-frame parser, the router's topology file, the
-## partition identity and the root markers (partition, epoch)
+## partition identity, the root markers (partition, epoch) and the
+## stateless recommend request scanner (differential against encoding/json)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadModel -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadServingModel -fuzztime 20s
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzParsePartitionID -fuzztime 10s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzLoadPartition -fuzztime 10s
 	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzLoadMeta -fuzztime 10s
+	$(GO) test ./cmd/rrc-server -run '^$$' -fuzz FuzzDecodeRecommend -fuzztime 10s
 
 ## loc: the three line counts every re-anchor and simplicity PR quotes —
 ## non-test Go outside bench/, test Go outside bench/, Go under bench/

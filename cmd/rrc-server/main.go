@@ -20,9 +20,9 @@
 //	                         rank from the server-held window
 //
 // The caller supplies the user's recent consumption history (most recent
-// last); the server replays it into a time window and ranks the
-// reconsumable candidates. With -events-dir the server instead owns the
-// per-user windows: events POSTed to /consume are appended to a
+// last); the server restores its last |W| events as the time window and
+// ranks the reconsumable candidates. With -events-dir the server instead
+// owns the per-user windows: events POSTed to /consume are appended to a
 // crash-recoverable write-ahead log (fsync policy via -fsync) before
 // they touch memory, periodic snapshots bound recovery time, and
 // /recommend/user ranks from the stored window with no history payload.
@@ -603,7 +603,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) (int
 
 func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req recommendRequest
-	if code, err := decodeJSON(w, r, 1<<22, &req); err != nil {
+	if code, err := decodeStateless(w, r, 1<<22, &req); err != nil {
 		writeError(w, code, err)
 		return
 	}
@@ -651,7 +651,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// status 200 — invisible to the middleware — so each is counted
 	// here, exactly once, on the same series the middleware uses.
 	var req batchRequest
-	if code, err := decodeJSON(w, r, 1<<24, &req); err != nil {
+	if code, err := decodeStateless(w, r, 1<<24, &req); err != nil {
 		writeError(w, code, err)
 		return
 	}
@@ -741,16 +741,23 @@ func (s *server) recommend(ctx context.Context, req recommendRequest) (*recommen
 	if len(req.History) > maxHistoryLen {
 		return nil, fmt.Errorf("history length %d over the %d cap", len(req.History), maxHistoryLen)
 	}
-	history := make(seq.Sequence, len(req.History))
-	win := seq.NewWindow(s.opts.windowCap)
 	for i, it := range req.History {
 		if it < 0 || it >= m.NumItems() {
 			return nil, fmt.Errorf("history[%d] = %d out of range [0,%d)", i, it, m.NumItems())
 		}
-		history[i] = seq.Item(it)
-		win.Push(seq.Item(it))
 	}
-	rctx := &rec.Context{User: req.User, Window: win, History: history, Omega: omega}
+	// The last |W| events at their original positions: gaps and T match a
+	// window that saw every push. Engine and fallback read only the window.
+	tail := req.History[max(0, len(req.History)-s.opts.windowCap):]
+	items := make([]seq.Item, len(tail))
+	for i, it := range tail {
+		items[i] = seq.Item(it)
+	}
+	ring, err := seq.RestoreRing(s.opts.windowCap, len(req.History), items)
+	if err != nil {
+		return nil, err
+	}
+	rctx := &rec.Context{User: req.User, Window: ring.Window(), Omega: omega}
 	return s.score(ctx, eng, rctx, n), nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"tsppr/internal/seq"
@@ -181,7 +182,9 @@ func TestReadyzGatesOnShardHealth(t *testing.T) {
 // The single and batch recommend paths share one validation routine; this
 // test locks them together: every request that 400s on /recommend must
 // produce the identical error message as a per-entry error object on
-// /recommend/batch (which itself stays 200).
+// /recommend/batch (which itself stays 200). Every history id is
+// range-checked, not only the |W| that reach the window: an out-of-range
+// id at history[0] of a 3·|W| history is named by both.
 func TestBatchAndSingleRejectIdentically(t *testing.T) {
 	srv, seqs := testServer(t)
 	h := srv.routes()
@@ -191,14 +194,23 @@ func TestBatchAndSingleRejectIdentically(t *testing.T) {
 	}
 	badOmega := srv.opts.windowCap
 	oversize := make([]int, maxHistoryLen+1)
-	cases := []recommendRequest{
-		{User: 0, History: []int{1, 2, 100_000_000}}, // out-of-range history id
-		{User: 0, History: oversize},                 // history over the shared cap
-		{User: 0, History: nil},                      // empty history
-		{User: -3, History: okHistory},               // bad user
-		{User: 0, History: okHistory, Omega: &badOmega},
+	badHead := []int{100_000_000}
+	for _, v := range seqs[0][1 : 3*srv.opts.windowCap] {
+		badHead = append(badHead, int(v))
 	}
-	for i, req := range cases {
+	cases := []struct {
+		req  recommendRequest
+		want string // error prefix
+	}{
+		{recommendRequest{User: 0, History: []int{1, 2, 100_000_000}}, "history[2] = 100000000 out of range"},
+		{recommendRequest{User: 0, History: badHead}, "history[0] = 100000000 out of range"},
+		{recommendRequest{User: 0, History: oversize}, "history length"},
+		{recommendRequest{User: 0, History: nil}, "history is empty"},
+		{recommendRequest{User: -3, History: okHistory}, "user -3 out of range"},
+		{recommendRequest{User: 0, History: okHistory, Omega: &badOmega}, "omega 20 out of"},
+	}
+	for i, c := range cases {
+		req := c.req
 		single := postJSON(t, h, "/recommend", req)
 		if single.Code != http.StatusBadRequest {
 			t.Fatalf("case %d: single status %d: %s", i, single.Code, single.Body.String())
@@ -220,6 +232,9 @@ func TestBatchAndSingleRejectIdentically(t *testing.T) {
 		}
 		if out.Responses[0].Error != singleErr["error"] {
 			t.Fatalf("case %d: batch error %q != single error %q", i, out.Responses[0].Error, singleErr["error"])
+		}
+		if !strings.HasPrefix(singleErr["error"], c.want) {
+			t.Fatalf("case %d: error %q, want prefix %q", i, singleErr["error"], c.want)
 		}
 	}
 }
