@@ -85,7 +85,7 @@ metrics-smoke:
 ## fuzz-smoke: run every fuzz target over its checked-in seed corpus only
 ## (no mutation) — fast enough to gate on
 fuzz-smoke:
-	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/router ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
+	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it
@@ -96,9 +96,10 @@ bench-smoke:
 	$(GO) test -C bench ./...
 
 ## fuzz: short bounded fuzzing with mutation — model loader, TSV readers,
-## the follower's stream-frame parser, the router's topology file, the
-## partition identity, the root markers (partition, epoch) and the
-## stateless recommend request scanner (differential against encoding/json)
+## the follower's stream-frame parser, the session snapshot loader, the
+## router's topology file, the partition identity, the root markers
+## (partition, epoch) and the stateless recommend request scanner
+## (differential against encoding/json)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadModel -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadServingModel -fuzztime 20s
@@ -106,6 +107,7 @@ fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzValidateReader -fuzztime 10s
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
+	$(GO) test ./internal/sessions -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzParsePartitionID -fuzztime 10s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzLoadPartition -fuzztime 10s
 	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzLoadMeta -fuzztime 10s

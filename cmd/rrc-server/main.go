@@ -92,7 +92,7 @@ func main() {
 		shards        = flag.Int("shards", 1, "online failure domains: users are hash-partitioned over this many independent WAL+session shards (fixed per events dir)")
 		fsyncPolicy   = flag.String("fsync", "always", "event-log durability: always (lose nothing), interval (batched), never (page cache)")
 		fsyncInterval = flag.Duration("fsync-interval", wal.DefaultSyncEvery, "batching period for -fsync interval")
-		snapshotEvery = flag.Int("snapshot-every", 4096, "session snapshot every N appended events (0 = only at shutdown)")
+		snapshotEvery = flag.Int("snapshot-every", 4096, "minimum appends between periodic snapshots (0 = only at shutdown)")
 		maxSessions   = flag.Int("max-sessions", sessions.DefaultMaxUsers, "in-memory session bound; least-recently-used windows are evicted past it")
 		corruptSkip   = flag.Bool("wal-skip-corrupt", false, "quarantine CRC-failed log records instead of refusing to start")
 

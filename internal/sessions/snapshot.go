@@ -177,14 +177,24 @@ func (e *capMismatchError) Error() string {
 }
 
 func loadSnapshot(path string, cfg Config) (*Store, snapHeader, error) {
-	var hdr snapHeader
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, hdr, err
+		return nil, snapHeader{}, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	hdrLine, err := br.ReadBytes('\n')
+	return readSnapshot(f, path, cfg)
+}
+
+// readSnapshot decodes a snapshot file's bytes from r; path names it in
+// errors.
+func readSnapshot(r io.Reader, path string, cfg Config) (*Store, snapHeader, error) {
+	var hdr snapHeader
+	// Every line, header included, must fit the reader's buffer: a line
+	// the format cannot produce at this window capacity is refused before
+	// it is decoded, so what a load holds per line is bounded by the
+	// capacity, not by what the file claims.
+	br := bufio.NewReaderSize(r, snapLineBytes(cfg.WindowCap))
+	hdrLine, err := br.ReadSlice('\n')
 	if err != nil {
 		return nil, hdr, fmt.Errorf("sessions: %s: truncated header: %w", path, err)
 	}
@@ -200,17 +210,23 @@ func loadSnapshot(path string, cfg Config) (*Store, snapHeader, error) {
 	// The body streams through the CRC into the decoder, one line
 	// resident at a time; the verdict on the file comes at EOF, and the
 	// half-built store is dropped with any error before it.
-	crc := crc32.New(snapCRC)
-	dec := json.NewDecoder(io.TeeReader(br, crc))
+	var crc uint32
 	s := NewStore(cfg)
 	s.appliedLSN = hdr.AppliedLSN
 	var uw UserWindow
 	n := 0
-	for {
-		uw = UserWindow{Items: uw.Items[:0]} // reuse the line's item storage
-		if err := dec.Decode(&uw); err == io.EOF {
+	for ; ; n++ {
+		line, err := br.ReadSlice('\n')
+		if err == io.EOF && len(line) == 0 {
 			break
+		} else if err == bufio.ErrBufferFull {
+			return nil, hdr, fmt.Errorf("sessions: %s: session %d: line over %d bytes", path, n, br.Size())
 		} else if err != nil {
+			return nil, hdr, fmt.Errorf("sessions: %s: session %d: %w", path, n, err)
+		}
+		crc = crc32.Update(crc, snapCRC, line)
+		uw = UserWindow{Items: uw.Items[:0]} // reuse the line's item storage
+		if err := json.Unmarshal(line, &uw); err != nil {
 			return nil, hdr, fmt.Errorf("sessions: %s: session %d: %w", path, n, err)
 		}
 		ring, err := seq.RestoreRing(cfg.WindowCap, uw.Pushed, uw.Items)
@@ -230,10 +246,9 @@ func loadSnapshot(path string, cfg Config) (*Store, snapHeader, error) {
 		e := &entry{user: uw.User, ring: ring, lsn: hdr.AppliedLSN}
 		s.pushFrontLocked(e)
 		s.users[uw.User] = e
-		n++
 	}
-	if got := crc.Sum32(); got != hdr.BodyCRC {
-		return nil, hdr, fmt.Errorf("sessions: %s: body CRC %08x, header says %08x", path, got, hdr.BodyCRC)
+	if crc != hdr.BodyCRC {
+		return nil, hdr, fmt.Errorf("sessions: %s: body CRC %08x, header says %08x", path, crc, hdr.BodyCRC)
 	}
 	if n != hdr.Users {
 		return nil, hdr, fmt.Errorf("sessions: %s: %d sessions, header says %d", path, n, hdr.Users)
@@ -317,6 +332,17 @@ func DropSnapshotsFrom(dir string, lsn uint64) (int, error) {
 		dropped++
 	}
 	return dropped, nil
+}
+
+// snapLineBytes is the longest line the format writes at window capacity
+// windowCap: room for the header, or for a session whose user, push count
+// and windowCap items all take their widest decimal form.
+func snapLineBytes(windowCap int) int {
+	const (
+		frame     = 256 // header line, or a session's keys and two ints
+		itemBytes = len("-2147483648,")
+	)
+	return frame + windowCap*itemBytes
 }
 
 type snapInfo struct {

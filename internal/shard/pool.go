@@ -46,7 +46,7 @@ type Config struct {
 
 	Fsync         wal.SyncPolicy
 	FsyncInterval time.Duration
-	SnapshotEvery int   // snapshot a shard every N of its appends; 0 → only at drain
+	SnapshotEvery int   // min appends between a shard's periodic snapshots (see appendedLocked); 0 → only at drain
 	SegmentBytes  int64 // per-shard WAL rotation threshold; 0 → wal default
 	Corrupt       wal.CorruptPolicy
 
@@ -160,7 +160,7 @@ func Open(root string, cfg Config) (*Pool, error) {
 				sh.lastErr = err
 				return
 			}
-			sh.log, sh.store, sh.rstats = l, store, rstats
+			sh.installLocked(l, store, rstats)
 			sh.state = Serving
 		}()
 	}

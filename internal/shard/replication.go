@@ -197,8 +197,7 @@ func (s *Shard) TruncateAndReload(lsn uint64) error {
 		s.mu.Unlock()
 		return fmt.Errorf("shard %d: truncate+reload: %w", s.index, err)
 	}
-	s.log, s.store, s.rstats = l2, store, rstats
-	s.sinceSnapshot = 0
+	s.installLocked(l2, store, rstats)
 	s.failStreak = 0
 	s.state = Serving
 	s.mu.Unlock()
@@ -269,8 +268,7 @@ func (s *Shard) Reseed(snapLSN uint64, populate func(dir string) error) error {
 		s.mu.Unlock()
 		return fmt.Errorf("shard %d: reseed: %w", s.index, err)
 	}
-	s.log, s.store, s.rstats = l2, store, rstats
-	s.sinceSnapshot = 0
+	s.installLocked(l2, store, rstats)
 	s.failStreak = 0
 	s.state = Serving
 	s.mu.Unlock()

@@ -41,6 +41,7 @@ package shard
 import (
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,7 +124,7 @@ type Shard struct {
 	log           *wal.Log        // nil while the shard is down
 	store         *sessions.Store // stale but non-nil while down (fenced by state)
 	rstats        sessions.RecoverStats
-	sinceSnapshot int
+	sinceSnapshot int       // WAL records past the newest snapshot's capture
 	failStreak    int       // consecutive append failures; breaker input
 	retryAt       time.Time // when the supervisor's next restart attempt fires
 	restarts      int64
@@ -138,6 +139,10 @@ type Shard struct {
 	snapDone     chan struct{}
 	snapshots    atomic.Int64
 	snapshotErrs atomic.Int64
+	// snapBytes is the size of the newest snapshot file: the periodic
+	// trigger waits until the log written since outweighs it. Seeded by
+	// install from the recovered file, refreshed by the writer.
+	snapBytes atomic.Int64
 
 	// Metric handles, registered by the pool; nil-safe when the pool
 	// runs without a registry.
@@ -364,8 +369,7 @@ func (s *Shard) supervise(gen int, old *wal.Log, snap <-chan struct{}) {
 				s.index, attempt, s.cfg.RestartBudget, err)
 			continue
 		}
-		s.log, s.store, s.rstats = l, store, rstats
-		s.sinceSnapshot = 0
+		s.installLocked(l, store, rstats)
 		s.state = Serving
 		s.restarts++
 		s.mRestarts.Inc()
@@ -443,17 +447,46 @@ func (s *Shard) Snapshot() {
 	<-done
 }
 
+// recordBytes is what one ingested event adds to the WAL: the log's
+// 8-byte frame header plus the 8-byte encoded event.
+const recordBytes = 16
+
 // appendedLocked counts one durable append toward the periodic snapshot
-// and starts one when it is due. While the previous write is still in
-// flight the count keeps growing and the next append asks again.
+// and starts one when it is due: at least SnapshotEvery appends since the
+// last one, and at least that snapshot's size in log bytes, so the
+// rewrite of the whole store costs O(1) per append and a restart replays
+// at most max(SnapshotEvery records, one snapshot's worth of log). While
+// the previous write is still in flight the count keeps growing and the
+// next append asks again.
 func (s *Shard) appendedLocked() {
 	if s.cfg.SnapshotEvery <= 0 {
 		return
 	}
 	s.sinceSnapshot++
-	if s.sinceSnapshot >= s.cfg.SnapshotEvery && !s.snapshotInFlightLocked() {
+	if s.sinceSnapshot >= s.cfg.SnapshotEvery &&
+		int64(s.sinceSnapshot)*recordBytes >= s.snapBytes.Load() &&
+		!s.snapshotInFlightLocked() {
 		s.startSnapshotLocked()
 	}
+}
+
+// installLocked puts a freshly recovered log and store in service. The
+// records replayed past the recovered snapshot already count toward the
+// next one, and the size floor is that snapshot's file (0 without one).
+// The caller holds mu, or owns the shard before anyone else can see it.
+func (s *Shard) installLocked(l *wal.Log, store *sessions.Store, rstats sessions.RecoverStats) {
+	s.log, s.store, s.rstats = l, store, rstats
+	s.sinceSnapshot = rstats.Replayed
+	s.snapBytes.Store(fileSize(rstats.SnapshotPath))
+}
+
+// fileSize is the size of the file at path; 0 for "" or a failed stat.
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
 }
 
 func (s *Shard) snapshotInFlightLocked() bool {
@@ -501,8 +534,8 @@ func (s *Shard) startSnapshotLocked() <-chan struct{} {
 	go func(l *wal.Log) {
 		defer close(done)
 		start := time.Now()
-		_, _, err := c.Write(s.dir)
-		s.snapshotWritten(l, err)
+		path, _, err := c.Write(s.dir)
+		s.snapshotWritten(l, path, err)
 		s.mSnapWrite.ObserveDuration(time.Since(start))
 	}(s.log)
 	return done
@@ -512,8 +545,8 @@ func (s *Shard) startSnapshotLocked() <-chan struct{} {
 // service: nothing is left to ingest, so it runs whole under mu.
 func (s *Shard) finalSnapshotLocked() {
 	start := time.Now()
-	_, _, err := s.store.Save(s.dir)
-	s.snapshotWritten(s.log, err)
+	path, _, err := s.store.Save(s.dir)
+	s.snapshotWritten(s.log, path, err)
 	d := time.Since(start)
 	s.mSnapLock.ObserveDuration(d)
 	s.mSnapWrite.ObserveDuration(d)
@@ -524,14 +557,16 @@ func (s *Shard) finalSnapshotLocked() {
 // one (the older fallback must stay replayable in case the newest
 // snapshot is lost). Failure is counted, never fatal: the WAL alone
 // still guarantees recovery. It runs on the background writer, so it
-// must not take s.mu; l is the log the snapshot was captured with.
-func (s *Shard) snapshotWritten(l *wal.Log, err error) {
+// must not take s.mu; l is the log the snapshot was captured with and
+// path the file written, whose size becomes the next trigger's floor.
+func (s *Shard) snapshotWritten(l *wal.Log, path string, err error) {
 	if err != nil {
 		s.snapshotErrs.Add(1)
 		log.Printf("shard %d: snapshot failed (WAL still authoritative): %v", s.index, err)
 		return
 	}
 	s.snapshots.Add(1)
+	s.snapBytes.Store(fileSize(path))
 	horizon, err := sessions.PruneSnapshots(s.dir)
 	if err != nil {
 		log.Printf("shard %d: snapshot prune: %v", s.index, err)

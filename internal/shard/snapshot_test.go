@@ -2,8 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -231,20 +229,7 @@ func TestReseedJoinsInFlightSnapshot(t *testing.T) {
 	p, _ := divergedShard(t, dir, 0)
 	defer p.Close()
 	err = p.Shard(0).Reseed(snapLSN, func(dir string) error {
-		in, err := os.Open(snapPath)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		out, err := os.Create(sessions.SnapshotPath(dir, snapLSN))
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			out.Close()
-			return err
-		}
-		return out.Close()
+		return copyFile(snapPath, sessions.SnapshotPath(dir, snapLSN))
 	})
 	if err != nil {
 		t.Fatal(err)
