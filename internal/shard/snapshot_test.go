@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -243,5 +244,66 @@ func TestReseedJoinsInFlightSnapshot(t *testing.T) {
 	}
 	if got := fingerprint(t, p); got != ref {
 		t.Fatalf("state after reseed diverged\n got %s\nwant %s", got, ref)
+	}
+}
+
+// TestNoWindowIsForgotten: W_ut is the user's last |W| consumption steps,
+// with no condition. However many users a shard holds, a user's window
+// survives snapshots that cover and prune its events from the log, and a
+// reopen that rebuilds the shard from what is left on disk.
+func TestNoWindowIsForgotten(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(1)
+	cfg.MaxSessionsPerShard = 2
+	cfg.SnapshotEvery = 2
+	cfg.SegmentBytes = 2 * recordBytes
+	p, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sessions.NewStore(sessions.Config{WindowCap: cfg.WindowCap})
+	ingest := func(user int, item seq.Item) {
+		t.Helper()
+		lsn, _, err := p.Ingest(user, item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Apply(lsn, user, item)
+	}
+	for u := 0; u < 3; u++ {
+		ingest(u, seq.Item(10+u))
+	}
+	for i := 0; i < 6; i++ {
+		ingest(1+i%2, seq.Item(20+i))
+	}
+	p.SnapshotAll()
+	ingest(1, 30)
+	ingest(2, 31)
+	p.SnapshotAll()
+	if pruned := p.WALStats().PrunedSegments; pruned == 0 {
+		t.Fatal("no WAL segment pruned: u0's event is still in the log")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err = Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	win, _, ok, err := p.WindowCloneLSN(0)
+	if err != nil || !ok {
+		t.Fatalf("u0's window is gone after snapshot, prune and reopen (err %v)", err)
+	}
+	if items, pushed := win.Snapshot(); pushed != 1 || len(items) != 1 || items[0] != 10 {
+		t.Fatalf("u0's window = %v (pushed %d), want [10] (pushed 1)", items, pushed)
+	}
+	want, err := json.Marshal(ref.Dump())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(t, p); got != string(want) {
+		t.Fatalf("reopened shard differs from a store that forgets nothing\n got %s\nwant %s", got, want)
 	}
 }
