@@ -144,7 +144,7 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 	base, seqs := testServer(t)
 	m := base.currentModel()
 	evs := chaosEvents(seqs)
-	small := func(o *serverOptions) { o.maxSessions = 2; o.snapshotEvery = 8 }
+	small := func(o *serverOptions) { o.snapshotEvery = 8 }
 	want := referenceRun(t, m, evs, small)
 
 	dir := t.TempDir()

@@ -69,7 +69,6 @@ import (
 	"tsppr/internal/rescache"
 	"tsppr/internal/router"
 	"tsppr/internal/seq"
-	"tsppr/internal/sessions"
 	"tsppr/internal/shard"
 	"tsppr/internal/wal"
 )
@@ -93,8 +92,10 @@ func main() {
 		fsyncPolicy   = flag.String("fsync", "always", "event-log durability: always (lose nothing), interval (batched), never (page cache)")
 		fsyncInterval = flag.Duration("fsync-interval", wal.DefaultSyncEvery, "batching period for -fsync interval")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "minimum appends between periodic snapshots (0 = only at shutdown)")
-		maxSessions   = flag.Int("max-sessions", sessions.DefaultMaxUsers, "in-memory session bound; least-recently-used windows are evicted past it")
-		corruptSkip   = flag.Bool("wal-skip-corrupt", false, "quarantine CRC-failed log records instead of refusing to start")
+		// Deprecated: -max-sessions is parsed only because bench/fleet.go
+		// still passes it; it goes once that file drops it.
+		_           = flag.Int("max-sessions", 0, "ignored: sessions are never evicted")
+		corruptSkip = flag.Bool("wal-skip-corrupt", false, "quarantine CRC-failed log records instead of refusing to start")
 
 		partitionFlag = flag.String("partition", "", "partition identity index/count[@generation] (e.g. 1/3): this node owns only its slice of the user-key space and answers 421 for the rest; fixed per events dir unless the generation is bumped (requires -events-dir)")
 
@@ -103,6 +104,11 @@ func main() {
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "bound on the graceful shard drain (final snapshots) at shutdown; 0 = unbounded")
 	)
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "max-sessions" {
+			log.Printf("rrc-server: -max-sessions is ignored: sessions are never evicted")
+		}
+	})
 
 	if *modelPath == "" {
 		fmt.Fprintln(os.Stderr, "rrc-server: -model is required")
@@ -151,7 +157,6 @@ func main() {
 		fsync:         fsync,
 		fsyncInterval: *fsyncInterval,
 		snapshotEvery: *snapshotEvery,
-		maxSessions:   *maxSessions,
 		corrupt:       corrupt,
 
 		followURL:       *followURL,
@@ -282,7 +287,6 @@ type serverOptions struct {
 	fsync         wal.SyncPolicy
 	fsyncInterval time.Duration
 	snapshotEvery int
-	maxSessions   int // pool-wide bound, split evenly across shards
 	corrupt       wal.CorruptPolicy
 
 	// Shard supervisor tuning; zero values defer to shard.Config

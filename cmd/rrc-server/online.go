@@ -55,19 +55,6 @@ type onlineState struct {
 // every shard (snapshot + WAL tail) before returning. It is called
 // before the listener starts; until it returns, /readyz reports 503.
 func newOnline(opts serverOptions, m *core.Model) (*onlineState, error) {
-	n := opts.shards
-	if n <= 0 {
-		n = 1
-	}
-	// The -max-sessions bound is pool-wide; each shard gets an even
-	// split. Zero defers to the shard/sessions default.
-	perShard := 0
-	if opts.maxSessions > 0 {
-		perShard = opts.maxSessions / n
-		if perShard <= 0 {
-			perShard = 1
-		}
-	}
 	// The cache exists before the pool so the pool's store-reload hook
 	// can close over it: any shard that replaces its session store
 	// wholesale (supervised restart, truncate, reseed) may have regressed
@@ -77,22 +64,21 @@ func newOnline(opts serverOptions, m *core.Model) (*onlineState, error) {
 		cache = rescache.New(rescache.Config{MaxEntries: opts.cacheEntries, Metrics: opts.metrics})
 	}
 	pool, err := shard.Open(opts.eventsDir, shard.Config{
-		Shards:              n,
-		Partition:           opts.partition,
-		OnStoreReload:       func(int) { cache.Purge() },
-		WindowCap:           opts.windowCap,
-		MaxSessionsPerShard: perShard,
-		NumUsers:            m.NumUsers(),
-		NumItems:            m.NumItems(),
-		Fsync:               opts.fsync,
-		FsyncInterval:       opts.fsyncInterval,
-		SnapshotEvery:       opts.snapshotEvery,
-		Corrupt:             opts.corrupt,
-		Metrics:             opts.metrics,
-		FailThreshold:       opts.shardFailThreshold,
-		RestartBudget:       opts.shardRestartBudget,
-		BackoffBase:         opts.shardBackoffBase,
-		BackoffMax:          opts.shardBackoffMax,
+		Shards:        opts.shards,
+		Partition:     opts.partition,
+		OnStoreReload: func(int) { cache.Purge() },
+		WindowCap:     opts.windowCap,
+		NumUsers:      m.NumUsers(),
+		NumItems:      m.NumItems(),
+		Fsync:         opts.fsync,
+		FsyncInterval: opts.fsyncInterval,
+		SnapshotEvery: opts.snapshotEvery,
+		Corrupt:       opts.corrupt,
+		Metrics:       opts.metrics,
+		FailThreshold: opts.shardFailThreshold,
+		RestartBudget: opts.shardRestartBudget,
+		BackoffBase:   opts.shardBackoffBase,
+		BackoffMax:    opts.shardBackoffMax,
 	})
 	if err != nil {
 		return nil, err
