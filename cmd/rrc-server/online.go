@@ -110,9 +110,7 @@ func (o *onlineState) registerGauges(reg *obs.Registry) {
 	reg.GaugeFunc("rrc_online_sessions", sumStatus(func(st shard.Status) float64 { return float64(st.Sessions) }))
 	reg.Help("rrc_online_applied_lsn", "Sum across shards of the highest WAL LSN applied to each session store.")
 	reg.GaugeFunc("rrc_online_applied_lsn", sumStatus(func(st shard.Status) float64 { return float64(st.AppliedLSN) }))
-	reg.Help("rrc_online_evictions", "Session windows evicted by the LRU bounds, all shards, cumulative.")
-	reg.GaugeFunc("rrc_online_evictions", sumStatus(func(st shard.Status) float64 { return float64(st.Evictions) }))
-	reg.Help("rrc_online_dropped_events", "Events dropped against evicted sessions, all shards, cumulative.")
+	reg.Help("rrc_online_dropped_events", "Replayed events outside the model's user/item id bounds, dropped, all shards, cumulative.")
 	reg.GaugeFunc("rrc_online_dropped_events", sumStatus(func(st shard.Status) float64 { return float64(st.Dropped) }))
 	reg.Help("rrc_online_snapshots", "Session snapshots flushed, all shards, cumulative.")
 	reg.GaugeFunc("rrc_online_snapshots", sumStatus(func(st shard.Status) float64 { return float64(st.Snapshots) }))

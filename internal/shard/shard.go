@@ -606,7 +606,6 @@ type Status struct {
 	State        string `json:"state"`
 	Sessions     int    `json:"sessions"`
 	AppliedLSN   uint64 `json:"applied_lsn"`
-	Evictions    int64  `json:"evictions"`
 	Dropped      int64  `json:"dropped_events"`
 	Restarts     int64  `json:"restarts"`
 	BreakerTrips int64  `json:"breaker_trips"`
@@ -632,7 +631,6 @@ func (s *Shard) Status() Status {
 	if s.store != nil {
 		st.Sessions = s.store.Len()
 		st.AppliedLSN = s.store.AppliedLSN()
-		st.Evictions = s.store.Evictions()
 		st.Dropped = s.store.Dropped()
 	}
 	if s.lastErr != nil {
