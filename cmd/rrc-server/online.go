@@ -11,7 +11,7 @@
 //
 // The layer is a shard pool (internal/shard): users are partitioned by
 // hash over -shards independent failure domains, each with its own
-// write-ahead log, session LRU, and snapshot generations. Every
+// write-ahead log, session store, and snapshot generations. Every
 // consumption is appended to the owning shard's WAL *before* it touches
 // the in-memory window, so an acknowledged event survives a crash
 // (always, under -fsync always; up to the unsynced suffix otherwise).

@@ -1,7 +1,9 @@
 // Package sessions holds rrc-server's online per-user consumption
-// state: a bounded map of user → time window W_ut, fed by WAL-appended
+// state: a map of user → time window W_ut, fed by WAL-appended
 // consumption events and recoverable after a crash from the latest
-// snapshot plus a WAL tail replay.
+// snapshot plus a WAL tail replay. A window is the user's last |W|
+// consumption steps with no condition: once a user has consumed, their
+// window stays resident and is never evicted.
 //
 // A resident session is exactly what a snapshot line holds — the ring of
 // the last |W| item ids and its push count (seq.Ring) — because that is
@@ -17,23 +19,18 @@ package sessions
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"tsppr/internal/seq"
 	"tsppr/internal/wal"
 )
 
-// Config bounds a Store.
+// Config sizes a Store.
 type Config struct {
 	WindowCap int // |W| per user; required > 0
-	MaxUsers  int // LRU session bound; 0 → DefaultMaxUsers
 	NumUsers  int // user-id validity bound; 0 → unbounded
 	NumItems  int // item-id validity bound; 0 → unbounded
 }
-
-// DefaultMaxUsers is the LRU session bound when Config.MaxUsers is 0.
-const DefaultMaxUsers = 1 << 16
 
 // Store is the in-memory session state. All methods are safe for
 // concurrent use.
@@ -41,17 +38,13 @@ type Store struct {
 	mu         sync.Mutex
 	cfg        Config
 	users      map[int]*entry
-	lru        entry // sentinel of the circular recency list: next = most, prev = least recently used
 	appliedLSN uint64
-	evictions  int64
 	dropped    int64 // replayed events outside the configured id bounds
 }
 
 type entry struct {
-	user       int
-	ring       seq.Ring
-	lsn        uint64 // LSN of the last event applied to this window
-	prev, next *entry // recency list: toward more / less recently used
+	ring seq.Ring
+	lsn  uint64 // LSN of the last event applied to this window
 }
 
 // NewStore returns an empty store. It panics on a non-positive window
@@ -60,35 +53,7 @@ func NewStore(cfg Config) *Store {
 	if cfg.WindowCap <= 0 {
 		panic(fmt.Sprintf("sessions: window capacity %d <= 0", cfg.WindowCap))
 	}
-	if cfg.MaxUsers <= 0 {
-		cfg.MaxUsers = DefaultMaxUsers
-	}
-	s := &Store{cfg: cfg, users: make(map[int]*entry)}
-	s.lru.prev, s.lru.next = &s.lru, &s.lru
-	return s
-}
-
-// pushFrontLocked links e in as the most recently used session.
-func (s *Store) pushFrontLocked(e *entry) {
-	e.prev, e.next = &s.lru, s.lru.next
-	e.prev.next, e.next.prev = e, e
-}
-
-// moveToFrontLocked marks the linked entry e most recently used.
-func (s *Store) moveToFrontLocked(e *entry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	s.pushFrontLocked(e)
-}
-
-// evictOverLocked drops least recently used sessions until the store is
-// within MaxUsers.
-func (s *Store) evictOverLocked() {
-	for len(s.users) > s.cfg.MaxUsers {
-		victim := s.lru.prev
-		victim.prev.next, s.lru.prev = &s.lru, victim.prev
-		delete(s.users, victim.user)
-		s.evictions++
-	}
+	return &Store{cfg: cfg, users: make(map[int]*entry)}
 }
 
 // Apply advances user's window with item as the event at the given LSN.
@@ -108,33 +73,19 @@ func (s *Store) Apply(lsn uint64, user int, item seq.Item) bool {
 		s.dropped++
 		return false
 	}
-	e := s.touchLocked(user)
+	e, ok := s.users[user]
+	if !ok {
+		e = &entry{ring: seq.NewRing(s.cfg.WindowCap)}
+		s.users[user] = e
+	}
 	e.ring.Push(item)
 	e.lsn = lsn
 	return true
 }
 
-// touchLocked returns user's entry, creating it (and evicting the least
-// recently used session when over MaxUsers) as needed, and marks it
-// most recently used.
-func (s *Store) touchLocked(user int) *entry {
-	e, ok := s.users[user]
-	if !ok {
-		e = &entry{user: user, ring: seq.NewRing(s.cfg.WindowCap)}
-		s.pushFrontLocked(e)
-		s.users[user] = e
-		s.evictOverLocked()
-		return e
-	}
-	s.moveToFrontLocked(e)
-	return e
-}
-
 // UserLSN returns the LSN of the last event applied to user's window.
 // It is the response cache's version probe: an entry cached under this
-// LSN is current. Deliberately does not touch LRU order — a probe that
-// hits the cache never materializes a read of the window, so it should
-// not count as one.
+// LSN is current.
 func (s *Store) UserLSN(user int) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -146,12 +97,12 @@ func (s *Store) UserLSN(user int) (uint64, bool) {
 }
 
 // RingCloneLSN returns an independent copy of user's resident ring and
-// the LSN of the last event applied to it, captured under one lock hold
-// (a read also counts as LRU use). Callers that cache the scored result
-// keyed by LSN need the pair to be atomic: copying and then asking for
-// the LSN separately could tag a pre-consume window with a post-consume
-// LSN, making a stale cache entry look current forever. The lock covers
-// one ≤ |W|-item copy and nothing else.
+// the LSN of the last event applied to it, captured under one lock hold.
+// Callers that cache the scored result keyed by LSN need the pair to be
+// atomic: copying and then asking for the LSN separately could tag a
+// pre-consume window with a post-consume LSN, making a stale cache entry
+// look current forever. The lock covers one ≤ |W|-item copy and nothing
+// else.
 func (s *Store) RingCloneLSN(user int) (seq.Ring, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -159,7 +110,6 @@ func (s *Store) RingCloneLSN(user int) (seq.Ring, uint64, bool) {
 	if !ok {
 		return seq.Ring{}, 0, false
 	}
-	s.moveToFrontLocked(e)
 	return e.ring.Clone(), e.lsn, true
 }
 
@@ -175,7 +125,7 @@ func (s *Store) WindowCloneLSN(user int) (*seq.Window, uint64, bool) {
 }
 
 // WindowLen returns the current length of user's window (0 when the
-// user has no session). Unlike WindowCloneLSN it does not touch LRU order.
+// user has no session).
 func (s *Store) WindowLen(user int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,13 +150,6 @@ func (s *Store) AppliedLSN() uint64 {
 	return s.appliedLSN
 }
 
-// Evictions returns how many sessions the LRU bound has evicted.
-func (s *Store) Evictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evictions
-}
-
 // Dropped returns how many events were outside the id bounds.
 func (s *Store) Dropped() int64 {
 	s.mu.Lock()
@@ -225,30 +168,9 @@ type UserWindow struct {
 // fingerprint of the store's state, used by tests to prove recovery
 // equivalence.
 func (s *Store) Dump() []UserWindow {
-	s.mu.Lock()
-	out := s.lruDumpLocked()
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
-}
-
-// lruDumpLocked serializes sessions least-recently-used first, so that
-// re-applying them in file order reconstructs both the windows and the
-// LRU recency order exactly. Every window's items are a slice of one
-// shared slab: two allocations for the whole store, not one per user.
-func (s *Store) lruDumpLocked() []UserWindow {
-	total := 0
-	for e := s.lru.prev; e != &s.lru; e = e.prev {
-		total += e.ring.Len()
-	}
-	slab := make([]seq.Item, 0, total)
-	out := make([]UserWindow, 0, len(s.users))
-	for e := s.lru.prev; e != &s.lru; e = e.prev {
-		start := len(slab)
-		slab = e.ring.AppendItems(slab)
-		out = append(out, UserWindow{User: e.user, Pushed: e.ring.T(), Items: slab[start:len(slab):len(slab)]})
-	}
-	return out
+	c := s.Capture()
+	c.sortByUser()
+	return c.windows
 }
 
 // eventSize is the wire size of one encoded consumption event.

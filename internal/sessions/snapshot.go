@@ -3,13 +3,14 @@
 // sessions-<appliedLSN as %016x>.snap written atomically via
 // internal/atomicio: line 1 is a header binding the file to its format,
 // window capacity, applied LSN, and a CRC32-C of the body; then one
-// line per session, least-recently-used first, so restoring in file
-// order reconstructs both the windows and the LRU recency order.
+// line per session in ascending user order. The loader takes the lines
+// in any order: older builds wrote them least recently used first.
 package sessions
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"tsppr/internal/atomicio"
@@ -45,8 +47,8 @@ type snapHeader struct {
 	BodyCRC    uint32 `json:"body_crc"`
 }
 
-// Capture is a point-in-time copy of a store — every window, in LRU
-// order, and the applied LSN they add up to — taken under the store's
+// Capture is a point-in-time copy of a store — every window, and the
+// applied LSN they add up to — taken under the store's
 // lock by Store.Capture and written out without it by Write. It shares
 // nothing with the live store, so the write can run on any goroutine
 // while ingest carries on.
@@ -56,13 +58,32 @@ type Capture struct {
 	windowCap int
 }
 
-// Capture copies the store's current state. This is the only part of a
-// snapshot that holds the store's lock: a memory copy, no encoding and
-// no I/O.
+// Capture copies the store's current state, windows in map order. This
+// is the only part of a snapshot that holds the store's lock: a memory
+// copy, no sorting, no encoding and no I/O. Every window's items are a
+// slice of one shared slab: two allocations for the whole store, not one
+// per user.
 func (s *Store) Capture() *Capture {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &Capture{windows: s.lruDumpLocked(), lsn: s.appliedLSN, windowCap: s.cfg.WindowCap}
+	total := 0
+	for _, e := range s.users {
+		total += e.ring.Len()
+	}
+	slab := make([]seq.Item, 0, total)
+	windows := make([]UserWindow, 0, len(s.users))
+	for user, e := range s.users {
+		start := len(slab)
+		slab = e.ring.AppendItems(slab)
+		windows = append(windows, UserWindow{User: user, Pushed: e.ring.T(), Items: slab[start:len(slab):len(slab)]})
+	}
+	return &Capture{windows: windows, lsn: s.appliedLSN, windowCap: s.cfg.WindowCap}
+}
+
+// sortByUser puts the captured windows in ascending user order, the order
+// a snapshot file lists them in.
+func (c *Capture) sortByUser() {
+	slices.SortFunc(c.windows, func(a, b UserWindow) int { return cmp.Compare(a.User, b.User) })
 }
 
 // Save atomically writes the store's current state to dir and returns
@@ -81,7 +102,9 @@ const snapChunkBytes = 64 << 10
 // and carries the body's CRC, so the body is encoded twice — once into
 // the CRC, once into the file — a chunk at a time, and is never held
 // whole: a write costs one chunk of memory beyond the capture itself.
+// The windows are sorted by user first, off the store's lock.
 func (c *Capture) Write(dir string) (string, uint64, error) {
+	c.sortByUser()
 	var crc uint32
 	err := c.encodeBody(func(chunk []byte) error {
 		crc = crc32.Update(crc, snapCRC, chunk)
@@ -236,16 +259,13 @@ func readSnapshot(r io.Reader, path string, cfg Config) (*Store, snapHeader, err
 		if _, dup := s.users[uw.User]; dup {
 			return nil, hdr, fmt.Errorf("sessions: %s: user %d appears twice", path, uw.User)
 		}
-		// Sessions are stored least-recent-first; pushing each to the
-		// LRU front replays the recency order exactly. The snapshot does
-		// not record per-user LSNs, so restored entries inherit the
-		// snapshot's applied LSN: a conservative over-stamp (the user's
-		// last event is ≤ it) that only matters to cache versioning,
-		// where WAL replay past the snapshot re-stamps exactly and a
-		// fresh store has no cache to be stale against.
-		e := &entry{user: uw.User, ring: ring, lsn: hdr.AppliedLSN}
-		s.pushFrontLocked(e)
-		s.users[uw.User] = e
+		// The snapshot does not record per-user LSNs, so restored
+		// entries inherit the snapshot's applied LSN: a conservative
+		// over-stamp (the user's last event is ≤ it) that only matters
+		// to cache versioning, where WAL replay past the snapshot
+		// re-stamps exactly and a fresh store has no cache to be stale
+		// against.
+		s.users[uw.User] = &entry{ring: ring, lsn: hdr.AppliedLSN}
 	}
 	if crc != hdr.BodyCRC {
 		return nil, hdr, fmt.Errorf("sessions: %s: body CRC %08x, header says %08x", path, crc, hdr.BodyCRC)
@@ -253,8 +273,6 @@ func readSnapshot(r io.Reader, path string, cfg Config) (*Store, snapHeader, err
 	if n != hdr.Users {
 		return nil, hdr, fmt.Errorf("sessions: %s: %d sessions, header says %d", path, n, hdr.Users)
 	}
-	// If the configured bound shrank since the snapshot, evict down.
-	s.evictOverLocked()
 	return s, hdr, nil
 }
 

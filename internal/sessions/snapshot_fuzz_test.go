@@ -48,7 +48,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(golden[:len(golden)/2])
 	f.Add(reseal(append(bytes.Clone(golden), `{"u":17,"t":1,"w":[1]}`+"\n"...))) // user twice
 	f.Add(reseal([]byte(string(hdr) + "\n" + `{"u":1,"t":9,"w":[1,2,3,4,5]}` + "\n")))
-	var many strings.Builder // more users than MaxUsers: eviction on load
+	var many strings.Builder
 	for u := 0; u < 200; u++ {
 		fmt.Fprintf(&many, `{"u":%d,"t":7,"w":[1,2,3,4,%d]}`+"\n", u, u)
 	}
@@ -56,7 +56,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(reseal([]byte(string(hdr) + "\n" + `{"u":1,"t":200000,"w":[` +
 		strings.Repeat("1,", 4_000) + "1]}\n"))) // one huge line
 
-	cfg := Config{WindowCap: 5, MaxUsers: 64}
+	cfg := Config{WindowCap: 5}
 	const (
 		loadSlack = 16 << 10 // store, reader, error text
 		lineAlloc = 2 << 10  // one decoded session at WindowCap 5

@@ -38,11 +38,14 @@ const markerName = "shards"
 // Config bounds a Pool and its shards. Zero fields pick the documented
 // defaults.
 type Config struct {
-	Shards              int // failure domains; 0 → 1, max MaxShards
-	WindowCap           int // |W| per user; required > 0
-	MaxSessionsPerShard int // LRU session bound per shard; 0 → sessions.DefaultMaxUsers
-	NumUsers            int // user-id validity bound; 0 → unbounded
-	NumItems            int // item-id validity bound; 0 → unbounded
+	Shards    int // failure domains; 0 → 1, max MaxShards
+	WindowCap int // |W| per user; required > 0
+	NumUsers  int // user-id validity bound; 0 → unbounded
+	NumItems  int // item-id validity bound; 0 → unbounded
+
+	// Deprecated: ignored; sessions are never evicted. It remains only
+	// because bench/fixture.go and bench/trace.go still set it.
+	MaxSessionsPerShard int
 
 	Fsync         wal.SyncPolicy
 	FsyncInterval time.Duration
@@ -80,9 +83,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.MaxSessionsPerShard <= 0 {
-		c.MaxSessionsPerShard = sessions.DefaultMaxUsers
 	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3

@@ -324,7 +324,6 @@ func openStateAt(dir string, cfg Config, initialLSN uint64) (*wal.Log, *sessions
 	}
 	store, rstats, err := sessions.Recover(dir, l, sessions.Config{
 		WindowCap: cfg.WindowCap,
-		MaxUsers:  cfg.MaxSessionsPerShard,
 		NumUsers:  cfg.NumUsers,
 		NumItems:  cfg.NumItems,
 	})

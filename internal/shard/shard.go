@@ -4,7 +4,7 @@
 // is already per-user (the paper's model evolves each user's state
 // independently), so the partition is clean: shard i owns exactly the
 // users with UserShard(u, N) == i, its own WAL directory, its own
-// sessions LRU, and its own snapshot generations.
+// session store, and its own snapshot generations.
 //
 // Robustness is the point. A panic inside one shard's ingest or read
 // path is absorbed, trips that shard's circuit breaker, and hands the
@@ -687,7 +687,6 @@ func openState(dir string, cfg Config) (*wal.Log, *sessions.Store, sessions.Reco
 	}
 	store, rstats, err := sessions.Recover(dir, l, sessions.Config{
 		WindowCap: cfg.WindowCap,
-		MaxUsers:  cfg.MaxSessionsPerShard,
 		NumUsers:  cfg.NumUsers,
 		NumItems:  cfg.NumItems,
 	})
