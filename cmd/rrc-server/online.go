@@ -301,6 +301,15 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ok {
+		// Windows are never evicted, so the node that took the user's
+		// writes answers 404 only for a user who never consumed. A
+		// standby may just not have replicated the first event yet: that
+		// is "come back", which the router retries elsewhere.
+		if s.repl != nil && s.repl.following() {
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no session for user %d on this standby yet", req.User))
+			return
+		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("no session for user %d (POST /consume first)", req.User))
 		return
 	}

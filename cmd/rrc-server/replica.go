@@ -180,6 +180,13 @@ func (rs *replState) fence(higher uint64) {
 	}
 }
 
+// following reports whether this node is a standby not yet promoted.
+func (rs *replState) following() bool {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.follower
+}
+
 // writeBlocked reports why this node cannot accept /consume, or nil.
 func (rs *replState) writeBlocked() error {
 	rs.mu.Lock()

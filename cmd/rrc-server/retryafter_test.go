@@ -4,7 +4,8 @@ package main
 // server emits (429 load shed, shard breaker/drain 503, online-disabled
 // 503, replication write refusals, /readyz 503, and the fenced-ingest
 // 412 path) must carry a Retry-After header a client — in particular
-// rrc-router's retry loop — can schedule on. Plus the deadline
+// rrc-router's retry loop — can schedule on; so must a standby's read of
+// a session it has not replicated yet. Plus the deadline
 // propagation satellite: X-RRC-Deadline-Ms lowers (never raises) the
 // per-request deadline harden installs.
 
@@ -101,6 +102,8 @@ func TestRetryAfterAudit(t *testing.T) {
 			http.StatusPreconditionFailed},
 		{"standby-write-refused", follower.routes(), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
+		{"standby-session-not-replicated", follower.routes(), http.MethodPost, "/recommend/user",
+			recommendUserRequest{User: 0, N: 3}, nil, http.StatusServiceUnavailable},
 		{"readyz-degraded", degraded.routes(), http.MethodGet, "/readyz",
 			nil, nil, http.StatusServiceUnavailable},
 	}
@@ -209,7 +212,7 @@ func TestReplicaFollowerReadsInstrumented(t *testing.T) {
 	waitFor(t, "standby caught up", func() bool { return replStatusOf(srvB).CaughtUp })
 
 	rr := postJSON(t, hB, "/recommend/user", recommendUserRequest{User: 0, N: 3})
-	if rr.Code != http.StatusOK && rr.Code != http.StatusNotFound {
+	if rr.Code != http.StatusOK && rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("follower /recommend/user status %d: %s", rr.Code, rr.Body.String())
 	}
 
