@@ -48,10 +48,10 @@ type snapHeader struct {
 }
 
 // Capture is a point-in-time copy of a store — every window, and the
-// applied LSN they add up to — taken under the store's
-// lock by Store.Capture and written out without it by Write. It shares
-// nothing with the live store, so the write can run on any goroutine
-// while ingest carries on.
+// applied LSN they add up to — taken under the store's lock by
+// Store.Capture and written out without it by Write. It shares nothing
+// with the live store, so the write can run on any goroutine while
+// ingest carries on.
 type Capture struct {
 	windows   []UserWindow
 	lsn       uint64
