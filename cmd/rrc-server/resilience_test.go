@@ -222,6 +222,32 @@ func TestLoadShedding(t *testing.T) {
 	}
 }
 
+// TestStalledScorerHoldsItsSlot: scoring runs on the request goroutine,
+// so a request stalled in the scorer keeps its -max-inflight slot until
+// the stall ends, however early its deadline passes. A second request
+// meanwhile is shed with 429, and the stalled one, finding its deadline
+// gone, answers 503 + Retry-After rather than a late ranking.
+func TestStalledScorerHoldsItsSlot(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	srv, history := faultServer(t, serverOptions{maxInFlight: 1, reqTimeout: 30 * time.Millisecond})
+	h := srv.routes()
+	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Delay, Sleep: 300 * time.Millisecond, Count: 1})
+
+	req := recommendRequest{User: 0, History: history, N: 3}
+	first := make(chan *httptest.ResponseRecorder, 1)
+	go func() { first <- postJSON(t, h, "/recommend", req) }()
+	time.Sleep(60 * time.Millisecond) // past A's deadline, inside its stall
+	if b := postJSON(t, h, "/recommend", req); b.Code != http.StatusTooManyRequests {
+		t.Fatalf("request B during A's stall: %d %s, want 429", b.Code, b.Body.String())
+	}
+	a := <-first
+	if a.Code != http.StatusServiceUnavailable {
+		t.Fatalf("stalled request A: %d %s, want 503", a.Code, a.Body.String())
+	}
+	assertRetryAfter(t, a, "/recommend")
+}
+
 // TestGracefulShutdownDrain runs a real http.Server, parks a slow request
 // in flight, and verifies Shutdown waits for it to complete successfully.
 func TestGracefulShutdownDrain(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"tsppr/internal/faultinject"
 	"tsppr/internal/obs"
 	"tsppr/internal/router"
 )
@@ -255,6 +256,44 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	}
 	if got := reg.SumCounters("rrc_router_failovers_total"); got != 0 {
 		t.Fatalf("router drove %d promotions with auto-promote off", got)
+	}
+}
+
+// TestRouterRetriesScorerPanicElsewhere: a scorer panic on one node is a
+// 500, which the router's read retry takes to the other node. The client
+// gets exactly the bytes an unfaulted request gets — the model's ranking,
+// never a substitute one — at the cost of one retry.
+func TestRouterRetriesScorerPanicElsewhere(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	base, seqs := testServer(t)
+	other := newServer(base.currentModel(), serverOptions{})
+	tsA := httptest.NewServer(base.routes())
+	defer tsA.Close()
+	tsB := httptest.NewServer(other.routes())
+	defer tsB.Close()
+	reg := obs.NewRegistry()
+	h := newChaosRouter(t, reg, tsA.URL, tsB.URL).Routes()
+
+	history := make([]int, 0, 40)
+	for _, v := range seqs[0][:40] {
+		history = append(history, int(v))
+	}
+	req := recommendRequest{User: 0, History: history, N: 5}
+	want := postJSON(t, h, "/recommend", req)
+	if want.Code != http.StatusOK {
+		t.Fatalf("unfaulted read: %d %s", want.Code, want.Body.String())
+	}
+	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Panic, Count: 1})
+	got := postJSON(t, h, "/recommend", req)
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+		t.Fatalf("read with one scorer panic: %d %s, want 200 %s", got.Code, got.Body.String(), want.Body.String())
+	}
+	if _, fired := faultinject.Hits("server.score"); fired != 1 {
+		t.Fatalf("scorer panic fired %d times, want 1", fired)
+	}
+	if n := reg.SumCounters("rrc_router_retries_total"); n != 1 {
+		t.Fatalf("rrc_router_retries_total = %d, want 1", n)
 	}
 }
 
