@@ -4,9 +4,9 @@
 // Endpoints:
 //
 //	GET  /healthz          → {"status":"ok"} while the process is alive
-//	GET  /readyz           → 200 when the primary scorer is healthy,
-//	                         503 while degraded (fallback-only) — wire
-//	                         this one into load balancers
+//	GET  /readyz           → 200 once the model is loaded and (online)
+//	                         every shard serves — wire this one into
+//	                         load balancers
 //	GET  /metrics          → Prometheus text exposition: request, resilience,
 //	                         engine, WAL, shard and replication families
 //	POST /recommend        → body {"user":0,"history":[1,2,3,...],"n":5,"omega":10}
@@ -29,13 +29,12 @@
 //
 // Resilience: every request runs under panic recovery and a deadline; a
 // concurrency semaphore sheds load with 429 + Retry-After once saturated.
-// If the primary TS-PPR scorer panics or misses its deadline the request
-// is answered by a recency/popularity fallback scorer instead of failing,
-// and after a few consecutive primary failures the server enters degraded
-// mode (fallback-only, /readyz → 503) with periodic probes of the
-// primary. SIGHUP hot-reloads the model file with validate-before-swap —
-// a bad file on disk never displaces the serving model. SIGINT/SIGTERM
-// drain in-flight requests for -drain-timeout. Usage:
+// Every answer is the TS-PPR model's: a scorer panic is a 500, and a
+// request whose deadline passed before scoring is a 503 + Retry-After,
+// both of which rrc-router retries on another node. SIGHUP hot-reloads
+// the model file with validate-before-swap — a bad file on disk never
+// displaces the serving model. SIGINT/SIGTERM drain in-flight requests
+// for -drain-timeout. Usage:
 //
 //	rrc-server -model model.tsppr -addr :8395
 package main
@@ -60,7 +59,6 @@ import (
 	"syscall"
 	"time"
 
-	"tsppr/internal/baselines"
 	"tsppr/internal/core"
 	"tsppr/internal/engine"
 	"tsppr/internal/faultinject"
@@ -288,10 +286,8 @@ func servePprof(addr string) {
 type serverOptions struct {
 	modelPath string
 
-	maxInFlight   int           // semaphore size; 0 → 64
-	reqTimeout    time.Duration // primary-scorer deadline; 0 → 2s
-	failThreshold int           // consecutive failures before degraded; 0 → 3
-	probeEvery    int           // degraded-mode primary probe period; 0 → 16
+	maxInFlight int           // semaphore size; 0 → 64
+	reqTimeout  time.Duration // per-request deadline; 0 → 2s
 
 	// Online-session fields; zero values defer to wal/sessions defaults.
 	eventsDir     string            // "" disables /consume and /recommend/user
@@ -339,17 +335,12 @@ type server struct {
 	// Per-endpoint request/error/latency series live behind instrument.
 	reg            *obs.Registry
 	items          *obs.Counter // items returned across recommend endpoints
-	panics         *obs.Counter // panics absorbed (scorer and handler)
-	timeouts       *obs.Counter // primary-scorer deadline misses
+	panics         *obs.Counter // panics absorbed (handlers and batch entries)
+	timeouts       *obs.Counter // deadlines expired before scoring, answered 503
 	shed           *obs.Counter // requests rejected with 429
-	fallbacks      *obs.Counter // requests answered by the fallback scorer
 	reloads        *obs.Counter // successful SIGHUP model swaps
 	batchEntryErrs *obs.Counter // failed /recommend/batch entries
 	modelBytes     *obs.Gauge   // core.Model.ResidentBytes of the serving model
-
-	failStreak atomic.Int64 // consecutive primary-scorer failures
-	degraded   atomic.Bool  // fallback-only mode
-	probeTick  atomic.Int64 // degraded-mode request counter for probing
 }
 
 func newServer(m *core.Model, opts serverOptions) *server {
@@ -358,12 +349,6 @@ func newServer(m *core.Model, opts serverOptions) *server {
 	}
 	if opts.reqTimeout <= 0 {
 		opts.reqTimeout = 2 * time.Second
-	}
-	if opts.failThreshold <= 0 {
-		opts.failThreshold = 3
-	}
-	if opts.probeEvery <= 0 {
-		opts.probeEvery = 16
 	}
 	s := &server{opts: opts, sem: make(chan struct{}, opts.maxInFlight)}
 	s.initMetrics()
@@ -426,8 +411,7 @@ func (s *server) recovered(next http.Handler) http.Handler {
 			if p := recover(); p != nil {
 				// The instrument middleware already counted the error;
 				// this layer owns the panic counter and the 500.
-				s.panics.Inc()
-				log.Printf("rrc-server: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
+				s.logPanic(r.URL.Path, p)
 				// Best effort: if the handler already wrote a status this
 				// is a no-op superfluous-header log, not a second panic.
 				writeError(w, http.StatusInternalServerError, errors.New("internal error"))
@@ -435,6 +419,12 @@ func (s *server) recovered(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// logPanic counts an absorbed panic and logs it with its stack.
+func (s *server) logPanic(path string, p any) {
+	s.panics.Inc()
+	log.Printf("rrc-server: panic serving %s: %v\n%s", path, p, debug.Stack())
 }
 
 // harden wraps the scoring endpoints with the concurrency semaphore
@@ -469,8 +459,7 @@ func (s *server) harden(next http.Handler) http.Handler {
 	})
 }
 
-// handleHealth reports liveness only: the process is up and serving, even
-// if it is degraded to the fallback scorer.
+// handleHealth reports liveness only: the process is up and serving.
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -499,10 +488,10 @@ type partitionInfo struct {
 	Generation int `json:"generation"`
 }
 
-// handleReady reports readiness: a loaded model, a healthy primary
-// scorer, and (online) every shard serving. Load balancers should route
-// on this, so a replica with a degraded scorer or a recovering shard
-// keeps serving what it can but stops attracting new traffic.
+// handleReady reports readiness: a loaded model and (online) every shard
+// serving. Load balancers should route on this, so a replica with a
+// recovering shard keeps serving what it can but stops attracting new
+// traffic.
 func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	resp := readyResponse{Status: "ready"}
 	code := http.StatusOK
@@ -515,9 +504,6 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		if !s.online.ready() {
 			resp.Status, code = "recovering", http.StatusServiceUnavailable
 		}
-	}
-	if s.degraded.Load() {
-		resp.Status, code = "degraded", http.StatusServiceUnavailable
 	}
 	if s.eng.Load() == nil {
 		resp.Status, code = "no model", http.StatusServiceUnavailable
@@ -537,7 +523,7 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	if code != http.StatusOK {
-		// Recovering, degraded, and fenced are all states a prober
+		// Recovering and fenced are both states a prober
 		// should re-check shortly, not back off from for minutes.
 		w.Header().Set("Retry-After", "1")
 	}
@@ -547,7 +533,7 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // reload re-reads the model file and swaps it in atomically, but only
 // after it parses, checksums, and validates — a truncated or NaN-ridden
 // file, or one of another |W| or id universe, never displaces the serving
-// model. A successful reload also clears degraded mode.
+// model.
 func (s *server) reload() error {
 	if s.opts.modelPath == "" {
 		return errors.New("no model path configured")
@@ -573,8 +559,6 @@ func (s *server) reload() error {
 	if s.online != nil {
 		s.online.cache.Purge()
 	}
-	s.failStreak.Store(0)
-	s.degraded.Store(false)
 	s.reloads.Inc()
 	return nil
 }
@@ -601,12 +585,10 @@ type recommendRequest struct {
 	Omega   *int  `json:"omega,omitempty"`
 }
 
-// recommendResponse is the POST /recommend reply. Degraded marks answers
-// produced by the fallback scorer.
+// recommendResponse is the POST /recommend reply.
 type recommendResponse struct {
-	Items    []int     `json:"items"`
-	Scores   []float64 `json:"scores"`
-	Degraded bool      `json:"degraded,omitempty"`
+	Items  []int     `json:"items"`
+	Scores []float64 `json:"scores"`
 }
 
 // decodeJSON decodes a size-capped JSON body, distinguishing an oversized
@@ -632,11 +614,23 @@ func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.recommend(r.Context(), req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeRecommendErr(w, err)
 		return
 	}
 	s.items.Add(int64(len(resp.Items)))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeRecommendErr answers a failed recommend: a deadline that expired
+// before scoring is 503 + Retry-After, which rrc-router retries on
+// another node; anything else is the caller's request at fault.
+func writeRecommendErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, errDeadline) {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, err)
 }
 
 // batchRequest is the POST /recommend/batch body.
@@ -647,10 +641,9 @@ type batchRequest struct {
 // batchEntry is one element of the batch reply: either a response or an
 // error, never both.
 type batchEntry struct {
-	Items    []int     `json:"items,omitempty"`
-	Scores   []float64 `json:"scores,omitempty"`
-	Degraded bool      `json:"degraded,omitempty"`
-	Error    string    `json:"error,omitempty"`
+	Items  []int     `json:"items,omitempty"`
+	Scores []float64 `json:"scores,omitempty"`
+	Error  string    `json:"error,omitempty"`
 }
 
 // batchResponse is the POST /recommend/batch reply, parallel to the
@@ -684,6 +677,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out := batchResponse{Responses: make([]batchEntry, len(req.Requests))}
 	scoreEntry := func(i int) {
+		defer func() {
+			// A panic in a fan-out goroutine is beyond recovered's reach
+			// and would kill the process: the entry fails alone instead.
+			if p := recover(); p != nil {
+				s.logPanic(r.URL.Path, p)
+				s.batchEntryErrs.Inc()
+				out.Responses[i] = batchEntry{Error: "internal error"}
+			}
+		}()
 		resp, err := s.recommend(r.Context(), req.Requests[i])
 		if err != nil {
 			s.batchEntryErrs.Inc()
@@ -691,7 +693,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.items.Add(int64(len(resp.Items)))
-		out.Responses[i] = batchEntry{Items: resp.Items, Scores: resp.Scores, Degraded: resp.Degraded}
+		out.Responses[i] = batchEntry{Items: resp.Items, Scores: resp.Scores}
 	}
 	if batchParallelism <= 1 {
 		// One core: fan-out buys nothing, goroutine churn costs real time.
@@ -740,13 +742,11 @@ func clampNOmega(m *core.Model, n int, omegaPtr *int) (int, int, error) {
 	return n, omega, nil
 }
 
-// recommend validates the request, then scores it with the primary TS-PPR
-// scorer under the request deadline, falling back to the recency/
-// popularity scorer when the primary panics or times out. Validation
-// errors are the caller's fault (400, or a 400-style batch entry);
-// scorer trouble never is — the request still gets an answer. Both
-// /recommend and every /recommend/batch entry go through this one
-// function, so the two paths cannot drift apart.
+// recommend validates the request, then scores it with the TS-PPR
+// engine. Validation errors are the caller's fault (400, or a 400-style
+// batch entry); score's errDeadline is not. Both /recommend and every
+// /recommend/batch entry go through this one function, so the two paths
+// cannot drift apart.
 func (s *server) recommend(ctx context.Context, req recommendRequest) (*recommendResponse, error) {
 	eng := s.eng.Load()
 	m := eng.Model()
@@ -769,7 +769,7 @@ func (s *server) recommend(ctx context.Context, req recommendRequest) (*recommen
 		}
 	}
 	// The last |W| events at their original positions: gaps and T match a
-	// window that saw every push. Engine and fallback read only the window.
+	// window that saw every push. The engine reads only the window.
 	capW := m.Extractor.WindowCap()
 	tail := req.History[max(0, len(req.History)-capW):]
 	items := make([]seq.Item, len(tail))
@@ -781,103 +781,33 @@ func (s *server) recommend(ctx context.Context, req recommendRequest) (*recommen
 		return nil, err
 	}
 	rctx := &rec.Context{User: req.User, Window: ring.Window(), Omega: omega}
-	return s.score(ctx, eng, rctx, n), nil
+	return s.score(ctx, eng, rctx, n)
 }
 
-// score runs the primary-with-fallback orchestration over an assembled
-// recommendation context. It always produces an answer.
-func (s *server) score(ctx context.Context, eng *engine.Engine, rctx *rec.Context, n int) *recommendResponse {
-	if s.shouldTryPrimary() {
-		resp, err := s.scorePrimary(ctx, eng, rctx, n)
-		if err == nil {
-			s.primaryRecovered()
-			return resp
-		}
-		s.primaryFailed(err)
-	}
-	s.fallbacks.Inc()
-	return s.scoreFallback(rctx, n)
-}
+// errDeadline is score's error when the request deadline expired before
+// scoring began.
+var errDeadline = errors.New("request deadline expired before scoring")
 
-// shouldTryPrimary gates the primary scorer: always when healthy, every
-// probeEvery-th request while degraded so recovery is detected without
-// exposing much traffic to a still-broken scorer.
-func (s *server) shouldTryPrimary() bool {
-	if !s.degraded.Load() {
-		return true
-	}
-	return s.probeTick.Add(1)%int64(s.opts.probeEvery) == 0
-}
-
-func (s *server) primaryRecovered() {
-	s.failStreak.Store(0)
-	if s.degraded.CompareAndSwap(true, false) {
-		log.Print("rrc-server: primary scorer recovered, leaving degraded mode")
-	}
-}
-
-func (s *server) primaryFailed(err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
+// score ranks an assembled recommendation context on the request
+// goroutine, so the request keeps its -max-inflight slot for as long as
+// scoring runs. The deadline bounds when scoring may start; scoring itself
+// is at most |W| candidates × K and cannot block. A scorer panic
+// propagates to the caller's recovery.
+func (s *server) score(ctx context.Context, eng *engine.Engine, rctx *rec.Context, n int) (*recommendResponse, error) {
+	// Resilience-test hook: a Panic/Delay plan armed at this point
+	// simulates a scorer bug or stall. Disarmed in production.
+	_ = faultinject.Do("server.score")
+	if ctx.Err() != nil {
 		s.timeouts.Inc()
-	} else {
-		s.panics.Inc()
+		return nil, errDeadline
 	}
-	streak := s.failStreak.Add(1)
-	if streak >= int64(s.opts.failThreshold) && s.degraded.CompareAndSwap(false, true) {
-		log.Printf("rrc-server: %d consecutive primary failures (last: %v), entering degraded mode", streak, err)
-	}
-}
-
-// scorePrimary runs the scoring engine in its own goroutine so a stalled
-// scorer cannot pin the request past its deadline, and absorbs scorer
-// panics into errors. On timeout the goroutine finishes in the
-// background and its buffered result is dropped. The engine returns
-// (item, score) pairs, so the response is assembled from the one ranking
-// pass — items are never re-scored.
-func (s *server) scorePrimary(ctx context.Context, eng *engine.Engine, rctx *rec.Context, n int) (*recommendResponse, error) {
-	type result struct {
-		resp *recommendResponse
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- result{err: fmt.Errorf("primary scorer panic: %v", p)}
-			}
-		}()
-		// Resilience-test hook: a Panic/Delay plan armed at this point
-		// simulates a scorer bug or stall. Disarmed in production.
-		_ = faultinject.Do("server.score")
-		ch <- result{resp: toResponse(eng.Recommend(rctx, n, nil), false)}
-	}()
-	select {
-	case out := <-ch:
-		return out.resp, out.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("primary scorer: %w", context.Cause(ctx))
-	}
-}
-
-// scoreFallback answers with the trained-table-free recency/popularity
-// scorer. It runs inline: it is allocation-light, panic-free, and fast.
-func (s *server) scoreFallback(rctx *rec.Context, n int) *recommendResponse {
-	fb := &baselines.Fallback{}
-	return toResponse(fb.Recommend(rctx, n, nil), true)
-}
-
-// toResponse converts a scored recommendation list into the wire shape.
-func toResponse(scored []rec.Scored, degraded bool) *recommendResponse {
-	resp := &recommendResponse{
-		Items:    make([]int, len(scored)),
-		Scores:   make([]float64, len(scored)),
-		Degraded: degraded,
-	}
+	scored := eng.Recommend(rctx, n, nil)
+	resp := &recommendResponse{Items: make([]int, len(scored)), Scores: make([]float64, len(scored))}
 	for i, sc := range scored {
 		resp.Items[i] = int(sc.Item)
 		resp.Scores[i] = sc.Score
 	}
-	return resp
+	return resp, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

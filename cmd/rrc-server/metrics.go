@@ -31,25 +31,16 @@ func (s *server) initMetrics() {
 	reg.Help(metricLatency, "HTTP request latency by endpoint.")
 	reg.Help("rrc_items_recommended_total", "Items returned across all recommend endpoints.")
 	s.items = reg.Counter("rrc_items_recommended_total")
-	reg.Help("rrc_panics_total", "Panics absorbed: primary-scorer panics and handler panics.")
+	reg.Help("rrc_panics_total", "Panics absorbed: handler panics answered 500 and batch entries answered \"internal error\".")
 	s.panics = reg.Counter("rrc_panics_total")
-	reg.Help("rrc_timeouts_total", "Primary-scorer deadline misses.")
+	reg.Help("rrc_timeouts_total", "Requests whose deadline expired before scoring, answered 503.")
 	s.timeouts = reg.Counter("rrc_timeouts_total")
 	reg.Help("rrc_shed_total", "Requests rejected with 429 by the concurrency semaphore.")
 	s.shed = reg.Counter("rrc_shed_total")
-	reg.Help("rrc_fallbacks_total", "Requests answered by the fallback scorer.")
-	s.fallbacks = reg.Counter("rrc_fallbacks_total")
 	reg.Help("rrc_reloads_total", "Successful SIGHUP model swaps.")
 	s.reloads = reg.Counter("rrc_reloads_total")
 	reg.Help("rrc_model_resident_bytes", "Bytes of model tables the serving engine holds, set once per engine swap.")
 	s.modelBytes = reg.Gauge("rrc_model_resident_bytes")
-	reg.Help("rrc_degraded", "1 while the server is in degraded (fallback-only) mode.")
-	reg.GaugeFunc("rrc_degraded", func() float64 {
-		if s.degraded.Load() {
-			return 1
-		}
-		return 0
-	})
 	// The batch handler counts each failing entry itself (the whole
 	// request stays 200, invisible to the middleware's status check).
 	// Same family+labels as the middleware's: one shared series.

@@ -43,7 +43,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`rrc_http_request_seconds_count{endpoint="/recommend"} 2`,
 		"rrc_engine_recommend_seconds_count 1",
 		"rrc_engine_candidates_count 1",
-		"rrc_degraded 0",
 		"rrc_items_recommended_total",
 		fmt.Sprintf("rrc_model_resident_bytes %d\n", srv.currentModel().ResidentBytes()),
 	} {

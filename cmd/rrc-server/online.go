@@ -314,14 +314,12 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no session for user %d (POST /consume first)", req.User))
 		return
 	}
-	items, _ := win.Snapshot()
-	rctx := &rec.Context{User: req.User, Window: win, History: items, Omega: omega}
-	resp := s.score(r.Context(), eng, rctx, n)
-	if !resp.Degraded {
-		// Degraded answers come from the fallback scorer; caching one
-		// would keep serving it after the primary recovers.
-		cache.Put(epoch, req.User, lsn, omega, n, resp.Items, resp.Scores)
+	resp, err := s.score(r.Context(), eng, &rec.Context{User: req.User, Window: win, Omega: omega}, n)
+	if err != nil {
+		writeRecommendErr(w, err)
+		return
 	}
+	cache.Put(epoch, req.User, lsn, omega, n, resp.Items, resp.Scores)
 	s.items.Add(int64(len(resp.Items)))
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -44,128 +44,96 @@ func getCode(t *testing.T, h http.Handler, path string) int {
 	return rr.Code
 }
 
-// TestFallbackUnderScorerPanic proves the headline resilience property:
-// with the primary scorer panicking on every request, the server keeps
-// answering 200s from the fallback scorer, flips /readyz to 503 after the
-// failure threshold, and recovers via probing once the panics stop.
-func TestFallbackUnderScorerPanic(t *testing.T) {
-	faultinject.Reset()
-	defer faultinject.Reset()
-	srv, history := faultServer(t, serverOptions{failThreshold: 3, probeEvery: 2})
-	h := srv.routes()
-
-	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Panic})
-	inHistory := map[int]bool{}
-	for _, v := range history {
-		inHistory[v] = true
-	}
-	for i := 0; i < 5; i++ {
-		rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5})
-		if rr.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, rr.Code, rr.Body.String())
-		}
-		var resp recommendResponse
-		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if !resp.Degraded {
-			t.Fatalf("request %d not marked degraded", i)
-		}
-		if len(resp.Items) == 0 {
-			t.Fatalf("request %d: fallback returned no items", i)
-		}
-		for j, it := range resp.Items {
-			if !inHistory[it] {
-				t.Fatalf("fallback recommended %d not in history", it)
+// TestScorerFaults: every answer is the model's or an error. A scorer
+// panic is a 500 (in a batch, that entry's "internal error"); a deadline
+// that expired before scoring is a 503 + Retry-After: 1. Either way the
+// node stays live and ready, caches nothing, and scores the next request.
+func TestScorerFaults(t *testing.T) {
+	defer func(p int) { batchParallelism = p }(batchParallelism)
+	batchParallelism = 2 // the fan-out path, whose goroutines recovered cannot see
+	panicOnce := faultinject.Plan{Mode: faultinject.Panic, Count: 1}
+	for _, tc := range []struct {
+		name                     string
+		plan                     faultinject.Plan
+		reqTimeout               time.Duration
+		path                     string
+		want                     int
+		wantPanics, wantTimeouts int64
+	}{
+		{"recommend-panic", panicOnce, 0, "/recommend", http.StatusInternalServerError, 1, 0},
+		{"recommend-stall", faultinject.Plan{Mode: faultinject.Delay, Sleep: 300 * time.Millisecond, Count: 1},
+			30 * time.Millisecond, "/recommend", http.StatusServiceUnavailable, 0, 1},
+		{"batch-entry-panic", panicOnce, 0, "/recommend/batch", http.StatusOK, 1, 0},
+		{"recommend-user-panic", panicOnce, 0, "/recommend/user", http.StatusInternalServerError, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faultinject.Reset()
+			defer faultinject.Reset()
+			srv, seqs := onlineServer(t, t.TempDir(), func(o *serverOptions) {
+				o.cacheEntries = 1 << 12
+				if tc.reqTimeout > 0 {
+					o.reqTimeout = tc.reqTimeout
+				}
+			})
+			h := srv.routes()
+			history := make([]int, 0, 40)
+			for _, v := range seqs[0][:40] {
+				history = append(history, int(v))
+				mustConsume(t, h, event{user: 0, item: int(v)})
 			}
-			if j > 0 && resp.Scores[j] > resp.Scores[j-1] {
-				t.Fatalf("fallback scores not descending: %v", resp.Scores)
+			one := recommendRequest{User: 0, History: history, N: 5}
+			body := map[string]any{
+				"/recommend":       one,
+				"/recommend/batch": batchRequest{Requests: []recommendRequest{one, one, one, one}},
+				"/recommend/user":  recommendUserRequest{User: 0, N: 5},
+			}[tc.path]
+
+			faultinject.Arm("server.score", tc.plan)
+			rr := postJSON(t, h, tc.path, body)
+			if rr.Code != tc.want {
+				t.Fatalf("status %d, want %d: %s", rr.Code, tc.want, rr.Body.String())
 			}
-		}
-	}
-	// Liveness stays green, readiness goes red.
-	if code := getCode(t, h, "/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz = %d while degraded", code)
-	}
-	if code := getCode(t, h, "/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz = %d, want 503 while degraded", code)
-	}
-	if p, f := srv.panics.Value(), srv.fallbacks.Value(); p < 3 || f != 5 || !srv.degraded.Load() {
-		t.Fatalf("panics=%d fallbacks=%d degraded=%v, want >=3, 5, true", p, f, srv.degraded.Load())
-	}
-
-	// Stop injecting: within probeEvery requests a probe hits the healthy
-	// primary and the server leaves degraded mode.
-	faultinject.Reset()
-	for i := 0; i < 4 && srv.degraded.Load(); i++ {
-		postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5})
-	}
-	if code := getCode(t, h, "/readyz"); code != http.StatusOK {
-		t.Fatalf("readyz = %d after recovery", code)
-	}
-	rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5})
-	var resp recommendResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded {
-		t.Fatal("still degraded after primary recovered")
-	}
-}
-
-// TestFallbackUnderScorerTimeout stalls the primary past the request
-// deadline and expects a timely degraded answer.
-func TestFallbackUnderScorerTimeout(t *testing.T) {
-	faultinject.Reset()
-	defer faultinject.Reset()
-	srv, history := faultServer(t, serverOptions{reqTimeout: 30 * time.Millisecond})
-	h := srv.routes()
-	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Delay, Sleep: 300 * time.Millisecond})
-
-	start := time.Now()
-	rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5})
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
-		t.Fatalf("answer took %v, deadline not enforced", elapsed)
-	}
-	var resp recommendResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded || len(resp.Items) == 0 {
-		t.Fatalf("resp = %+v, want degraded fallback items", resp)
-	}
-	if srv.timeouts.Value() == 0 {
-		t.Fatal("timeout not counted")
-	}
-}
-
-// TestBatchDegradedEntries checks the batch endpoint survives primary
-// panics per entry.
-func TestBatchDegradedEntries(t *testing.T) {
-	faultinject.Reset()
-	defer faultinject.Reset()
-	srv, history := faultServer(t, serverOptions{})
-	h := srv.routes()
-	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Panic})
-	rr := postJSON(t, h, "/recommend/batch", batchRequest{Requests: []recommendRequest{
-		{User: 0, History: history, N: 3},
-		{User: -1, History: history}, // caller error, still a 400-style entry
-	}})
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d", rr.Code)
-	}
-	var out batchResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Responses[0].Degraded || len(out.Responses[0].Items) == 0 {
-		t.Fatalf("entry 0 = %+v, want degraded items", out.Responses[0])
-	}
-	if out.Responses[1].Error == "" {
-		t.Fatal("entry 1 should carry an error")
+			if tc.want == http.StatusServiceUnavailable {
+				if ra := rr.Header().Get("Retry-After"); ra != "1" {
+					t.Fatalf("Retry-After %q, want 1", ra)
+				}
+			}
+			if p, to := srv.panics.Value(), srv.timeouts.Value(); p != tc.wantPanics || to != tc.wantTimeouts {
+				t.Fatalf("rrc_panics_total %d, rrc_timeouts_total %d; want %d, %d", p, to, tc.wantPanics, tc.wantTimeouts)
+			}
+			if tc.path == "/recommend/batch" {
+				var out batchResponse
+				if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
+					t.Fatal(err)
+				}
+				failed := 0
+				for i, e := range out.Responses {
+					switch {
+					case e.Error == "internal error" && len(e.Items) == 0:
+						failed++
+					case e.Error != "" || len(e.Items) == 0:
+						t.Fatalf("entry %d = %+v", i, e)
+					}
+				}
+				if failed != 1 {
+					t.Fatalf("%d entries failed, want the one that panicked: %s", failed, rr.Body.String())
+				}
+			}
+			if n := srv.online.cache.Len(); n != 0 {
+				t.Fatalf("a faulted request left %d cached entries", n)
+			}
+			for _, path := range []string{"/healthz", "/readyz"} {
+				if code := getCode(t, h, path); code != http.StatusOK {
+					t.Fatalf("%s = %d after a scorer fault", path, code)
+				}
+			}
+			if rr := postJSON(t, h, tc.path, body); rr.Code != http.StatusOK || strings.Contains(rr.Body.String(), "error") {
+				t.Fatalf("next request: %d %s", rr.Code, rr.Body.String())
+			}
+			if tc.path == "/recommend/user" && srv.online.cache.Len() != 1 {
+				t.Fatal("the next read did not fill the cache")
+			}
+		})
 	}
 }
 

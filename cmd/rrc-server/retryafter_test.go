@@ -75,10 +75,6 @@ func TestRetryAfterAudit(t *testing.T) {
 		shed.sem <- struct{}{}
 	}
 
-	// A degraded server: /readyz answers 503.
-	degraded, _ := testServer(t)
-	degraded.degraded.Store(true)
-
 	cases := []struct {
 		name   string
 		h      http.Handler
@@ -104,7 +100,7 @@ func TestRetryAfterAudit(t *testing.T) {
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
 		{"standby-session-not-replicated", follower.routes(), http.MethodPost, "/recommend/user",
 			recommendUserRequest{User: 0, N: 3}, nil, http.StatusServiceUnavailable},
-		{"readyz-degraded", degraded.routes(), http.MethodGet, "/readyz",
+		{"readyz-shard-drained", drained.routes(), http.MethodGet, "/readyz",
 			nil, nil, http.StatusServiceUnavailable},
 	}
 	for _, tc := range cases {

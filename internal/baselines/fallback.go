@@ -7,17 +7,16 @@ import (
 	"tsppr/internal/seq"
 )
 
-// Fallback is the degraded-mode scorer used by serving layers when the
-// primary TS-PPR model is unavailable (panicking, past its deadline, or
-// failing to load). It needs no trained tables — every signal comes from
-// the request's own window — so it cannot itself fail on model state.
+// Fallback is a recency-plus-window-frequency ranker. It needs no trained
+// tables — every signal comes from the request's own window. No serving
+// layer uses it: rrc-server answers a failed TS-PPR scoring with an error,
+// not with this ranking.
 //
 // The score blends the two signals repeat consumption is most skewed
 // toward: recency e^{−Δt} dominates among recently seen items, and
 // within-window frequency breaks ties in the long tail where the recency
-// term has decayed to noise. Degrading to exactly this kind of temporal
-// heuristic is principled, not just defensive: the paper's own Recency
-// and Pop baselines retain most of the achievable precision (Tables 5–6).
+// term has decayed to noise, as in the paper's Recency and Pop baselines
+// (Tables 5–6).
 type Fallback struct {
 	cands []seq.Item
 }
@@ -46,7 +45,7 @@ func (f *Fallback) Recommend(ctx *rec.Context, n int, dst []rec.Scored) []rec.Sc
 	}, n, dst)
 }
 
-// FallbackFactory returns the degraded-mode recommender factory.
+// FallbackFactory returns the recency-plus-frequency recommender factory.
 func FallbackFactory() rec.Factory {
 	return rec.Factory{Name: "Fallback", New: func(uint64) rec.Recommender {
 		return &Fallback{}
