@@ -58,6 +58,12 @@ type fakeNode struct {
 	lastDeadlineMs atomic.Int64 // last X-RRC-Deadline-Ms seen on /consume
 	lastEpochHdr   atomic.Int64 // last X-RRC-Epoch seen on /consume (-1 = absent)
 
+	// readyzStall (ns), when set, makes the next /readyz sleep that long.
+	readyzStall atomic.Int64
+	// stallUntil (unix ns) holds every request that arrives before it
+	// until then: a whole-node stall, the shape of a GC or disk pause.
+	stallUntil atomic.Int64
+
 	ts *httptest.Server
 }
 
@@ -96,6 +102,7 @@ func (f *fakeNode) refuseForeignKey(w http.ResponseWriter, r *http.Request) bool
 func (f *fakeNode) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+		time.Sleep(time.Duration(f.readyzStall.Swap(0)))
 		f.mu.Lock()
 		role := f.role
 		if role == "" {
@@ -214,7 +221,10 @@ func (f *fakeNode) handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"epoch":%d,"role":"primary"}`+"\n", e)
 	})
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Until(time.Unix(0, f.stallUntil.Load())))
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // startFakes boots the fakes and a router over them with fast probe
@@ -267,6 +277,56 @@ func post(h http.Handler, path, body string, headers map[string]string) *httptes
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, req)
 	return rr
+}
+
+// writeFor sends /consume through h back to back for d and counts the
+// answers by status.
+func writeFor(h http.Handler, d time.Duration) map[int]int {
+	codes := map[int]int{}
+	for end := time.Now().Add(d); time.Now().Before(end); {
+		codes[post(h, "/consume", `{"user":0,"item":1}`, nil).Code]++
+	}
+	return codes
+}
+
+// TestRouterSlowProbeKeepsWriteTarget: one /readyz that outlives
+// ProbeTimeout is a missed probe, not a dead node. The partition keeps
+// its write target, so no write meanwhile is shed.
+func TestRouterSlowProbeKeepsWriteTarget(t *testing.T) {
+	n := &fakeNode{caughtUp: true}
+	h := startFakes(t, []*fakeNode{n}, func(c *Config) {
+		c.ProbeInterval = 50 * time.Millisecond
+		c.ProbeTimeout = 30 * time.Millisecond
+		c.ProbeFails = 3
+	}).Routes()
+	n.readyzStall.Store(int64(100 * time.Millisecond))
+	codes := writeFor(h, 400*time.Millisecond)
+	if n.readyzStall.Load() != 0 {
+		t.Fatal("the stalled probe never ran")
+	}
+	if codes[http.StatusOK] == 0 || len(codes) != 1 {
+		t.Fatalf("writes across one slow probe answered %v, want only 200s", codes)
+	}
+}
+
+// TestRouterNodeStallCostsOneAmbiguousWrite: the whole node stalls for
+// longer than TryTimeout and ProbeTimeout. The write in flight has an
+// unknown outcome and is answered 502, once. The probes the stall
+// outlives are misses, fewer than ProbeFails, so the node stays the
+// write target and no write is shed 503 while it comes back.
+func TestRouterNodeStallCostsOneAmbiguousWrite(t *testing.T) {
+	n := &fakeNode{caughtUp: true}
+	h := startFakes(t, []*fakeNode{n}, func(c *Config) {
+		c.ProbeInterval = 50 * time.Millisecond
+		c.ProbeTimeout = 20 * time.Millisecond
+		c.ProbeFails = 6
+		c.TryTimeout = 100 * time.Millisecond
+	}).Routes()
+	n.stallUntil.Store(time.Now().Add(150 * time.Millisecond).UnixNano())
+	codes := writeFor(h, 400*time.Millisecond)
+	if codes[http.StatusBadGateway] != 1 || codes[http.StatusServiceUnavailable] != 0 || codes[http.StatusOK] == 0 {
+		t.Fatalf("writes across a 150ms node stall answered %v, want one 502, no 503, the rest 200", codes)
+	}
 }
 
 func TestRouterWritesFollowHighestEpoch(t *testing.T) {
