@@ -30,17 +30,13 @@ func newChaosRouter(t *testing.T, reg *obs.Registry, urls ...string) *router.Rou
 	rt, err := router.New(router.Config{
 		Partitions:    [][]string{urls},
 		ProbeInterval: 10 * time.Millisecond,
-		// A kill here is a closed listener, refused at once, so a long
-		// probe timeout costs no failover latency. At the default (the
-		// probe interval) a busy -race box times out probes of a live
-		// primary, and for that round the partition has no write target.
-		ProbeTimeout: time.Second,
-		ProbeFails:   2,
-		AutoPromote:  true,
-		RetryBudget:  1, // every request may fund a failover retry
-		RetryBackoff: 5 * time.Millisecond,
-		MaxAttempts:  4,
-		Metrics:      reg,
+		ProbeTimeout:  10 * time.Millisecond,
+		ProbeFails:    2,
+		AutoPromote:   true,
+		RetryBudget:   1, // every request may fund a failover retry
+		RetryBackoff:  5 * time.Millisecond,
+		MaxAttempts:   4,
+		Metrics:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -67,6 +67,32 @@ type nodeView struct {
 	Misplaced bool
 	LastErr   string
 	LastProbe time.Time
+	// Misses counts the missed probes in a row this view has outlived.
+	Misses int
+}
+
+// probeOutcome is how one probe of a node ended, as nextView reads it.
+type probeOutcome int
+
+const (
+	probeAnswered probeOutcome = iota // the node answered: the probed view is the truth
+	probeMissed                       // timeout or a broken answer: slow, or dead, not known yet
+	probeRefused                      // dial-level failure: nothing is listening
+)
+
+// nextView is the retention rule, the one place a node's view changes
+// hands. An answered probe replaces the view. A refused one (a proxy
+// attempt that fails to dial counts the same) takes the node out at
+// once. A missed one keeps the last answered view, so a partition's
+// write target stays its write target, until fails probes in a row have
+// missed: one slow /readyz must not take a partition's writes offline.
+func nextView(prev, probed nodeView, out probeOutcome, fails int) nodeView {
+	if out == probeMissed && prev.Reachable && prev.Misses+1 < fails {
+		prev.Misses++
+		prev.LastErr, prev.LastProbe = probed.LastErr, probed.LastProbe
+		return prev
+	}
+	return probed
 }
 
 // node pairs a backend URL with its latest probed view.
@@ -76,9 +102,8 @@ type node struct {
 	// the topology drops it. Guarded by Router.mu; SetTopology rewrites it.
 	part *partition
 
-	mu   sync.Mutex
-	v    nodeView
-	seen bool // at least one probe completed
+	mu sync.Mutex
+	v  nodeView
 }
 
 func (n *node) view() nodeView {
@@ -87,9 +112,10 @@ func (n *node) view() nodeView {
 	return n.v
 }
 
-func (n *node) setView(v nodeView) {
+// observe folds one probe (or failed dial) into the view by nextView.
+func (n *node) observe(probed nodeView, out probeOutcome, fails int) {
 	n.mu.Lock()
-	n.v, n.seen = v, true
+	n.v = nextView(n.v, probed, out, fails)
 	n.mu.Unlock()
 }
 
@@ -192,7 +218,8 @@ func (rt *Router) probeJobs() []probeJob {
 // probeNode refreshes one node's view. The node counts reachable when
 // either endpoint answered with parseable JSON — /replica/epoch can
 // legitimately 412 (stale router epoch on one side or the other) and
-// the body still tells us the node's true epoch.
+// the body still tells us the node's true epoch. An unreachable result
+// goes through nextView, which may keep the last view for a while.
 func (rt *Router) probeNode(j probeJob) {
 	n, epoch := j.n, j.epoch
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
@@ -249,7 +276,14 @@ func (rt *Router) probeNode(j probeJob) {
 			}
 		}
 	}
-	n.setView(v)
+	out := probeAnswered
+	if !v.Reachable {
+		out = probeMissed
+		if dialError(err) {
+			out = probeRefused
+		}
+	}
+	n.observe(v, out, rt.cfg.ProbeFails)
 }
 
 // probeGet issues one probe request, stamping the partition epoch when

@@ -243,6 +243,9 @@ func (rt *Router) attempt(ctx context.Context, n *node, endpoint string, body []
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
+		if dialError(err) {
+			n.observe(nodeView{LastErr: err.Error(), LastProbe: time.Now()}, probeRefused, rt.cfg.ProbeFails)
+		}
 		return nil, err
 	}
 	defer resp.Body.Close()

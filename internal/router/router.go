@@ -87,7 +87,10 @@ type Config struct {
 
 	ProbeInterval time.Duration // health-probe period (jittered ±20%); 0 → 500ms
 	ProbeTimeout  time.Duration // per-probe HTTP timeout; 0 → ProbeInterval
-	ProbeFails    int           // probe rounds a partition lacks a write target before failover; 0 → 3
+	// ProbeFails is both how many probes in a row may miss before a node
+	// leaves rotation (a refused dial takes it out at once) and how many
+	// rounds a partition lacks a write target before failover; 0 → 3.
+	ProbeFails int
 
 	// AutoPromote lets the router drive failover itself: after
 	// ProbeFails rounds with no reachable unfenced primary in a
