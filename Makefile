@@ -83,7 +83,8 @@ metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
 ## fuzz-smoke: run every fuzz target over its checked-in seed corpus only
-## (no mutation) — fast enough to gate on
+## (no mutation) — fast enough to gate on; ./internal/router brings the
+## topology parser and the upstream request writer and response reader
 fuzz-smoke:
 	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
 
@@ -97,7 +98,8 @@ bench-smoke:
 
 ## fuzz: short bounded fuzzing with mutation — model loader, TSV readers,
 ## the follower's stream-frame parser, the session snapshot loader, the
-## router's topology file, the partition identity, the root markers
+## router's topology file, its upstream request head (differential against
+## net/http's ReadRequest) and response reader, the partition identity, the root markers
 ## (partition, epoch) and the stateless recommend request scanner
 ## (differential against encoding/json)
 fuzz:
@@ -106,6 +108,8 @@ fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadWith -fuzztime 20s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzValidateReader -fuzztime 10s
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s
+	$(GO) test ./internal/router -run '^$$' -fuzz FuzzUpstreamHead -fuzztime 10s
+	$(GO) test ./internal/router -run '^$$' -fuzz FuzzUpstreamResponse -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/sessions -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzParsePartitionID -fuzztime 10s

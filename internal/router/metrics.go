@@ -11,6 +11,7 @@
 //	rrc_router_retries_total            upstream re-attempts
 //	rrc_router_shed_total               requests answered 503 locally
 //	rrc_router_misdirects_total         421 ownership refusals folded
+//	rrc_router_upstream_dials_total     upstream connections dialed
 //	rrc_router_budget_evictions_total   retry-budget LRU evictions
 //	rrc_router_budget_clients           retry-budget ledger size
 //	rrc_router_requests_total{endpoint=} / errors_total / request_seconds
@@ -42,6 +43,8 @@ func (rt *Router) initMetrics() {
 		"Requests the router answered 503 locally (no backend, budget, or deadline).")
 	rt.misdirects = rt.counterHelp("rrc_router_misdirects_total",
 		"421 responses folded: a node refused a key the topology routed to it (cross-partition misconfiguration).")
+	rt.dials = rt.counterHelp("rrc_router_upstream_dials_total",
+		"Upstream connections dialed; requests otherwise reuse a pooled keep-alive connection.")
 	rt.budget.evictions = rt.counterHelp("rrc_router_budget_evictions_total",
 		"Retry-budget ledger entries evicted at the LRU client cap.")
 	if rt.reg != nil {

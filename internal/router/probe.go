@@ -26,13 +26,10 @@ package router
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -95,9 +92,14 @@ func nextView(prev, probed nodeView, out probeOutcome, fails int) nodeView {
 	return probed
 }
 
-// node pairs a backend URL with its latest probed view.
+// node pairs a backend URL with its latest probed view and its idle
+// upstream connections.
 type node struct {
 	url string
+	// addr, host and path are url split for roundTrip: the dial address,
+	// the Host header and the path prefix.
+	addr, host, path string
+	pool             connPool
 	// part is the one partition the topology assigns this node, nil once
 	// the topology drops it. Guarded by Router.mu; SetTopology rewrites it.
 	part *partition
@@ -222,16 +224,15 @@ func (rt *Router) probeJobs() []probeJob {
 // goes through nextView, which may keep the last view for a while.
 func (rt *Router) probeNode(j probeJob) {
 	n, epoch := j.n, j.epoch
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	defer cancel()
 	v := nodeView{LastProbe: time.Now()}
+	deadline := v.LastProbe.Add(rt.cfg.ProbeTimeout)
 
-	code, body, err := rt.probeGet(ctx, n.url+"/readyz", 0)
+	res, err := rt.roundTrip(n, upstreamReq{method: http.MethodGet, path: n.path + "/readyz"}, deadline)
 	if err == nil {
 		var rb readyBody
-		if jerr := json.Unmarshal(body, &rb); jerr == nil {
+		if jerr := json.Unmarshal(res.body, &rb); jerr == nil {
 			v.Reachable = true
-			v.Ready = code == http.StatusOK
+			v.Ready = res.status == http.StatusOK
 			v.Status = rb.Status
 			if rep := rb.Replication; rep != nil {
 				v.Role = rep.Role
@@ -261,15 +262,15 @@ func (rt *Router) probeNode(j probeJob) {
 
 	// The epoch probe both refreshes the epoch (412 bodies included)
 	// and fences deposed nodes via the X-RRC-Epoch contract.
-	code, body, eerr := rt.probeGet(ctx, n.url+"/replica/epoch", epoch)
+	res, eerr := rt.roundTrip(n, upstreamReq{method: http.MethodGet, path: n.path + "/replica/epoch", epoch: epoch}, deadline)
 	if eerr == nil {
 		var eb epochBody
-		if json.Unmarshal(body, &eb) == nil {
+		if json.Unmarshal(res.body, &eb) == nil {
 			v.Reachable = true
 			if eb.Epoch > v.Epoch {
 				v.Epoch = eb.Epoch
 			}
-			if code == http.StatusPreconditionFailed && eb.Epoch < epoch {
+			if res.status == http.StatusPreconditionFailed && eb.Epoch < epoch {
 				// The node answered from a lower epoch than its partition's:
 				// our probe just deposed it (its SawHigherEpoch fired).
 				v.Fenced = true
@@ -284,28 +285,6 @@ func (rt *Router) probeNode(j probeJob) {
 		}
 	}
 	n.observe(v, out, rt.cfg.ProbeFails)
-}
-
-// probeGet issues one probe request, stamping the partition epoch when
-// nonzero, and returns the status code and a bounded body.
-func (rt *Router) probeGet(ctx context.Context, url string, epoch uint64) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	if epoch > 0 {
-		req.Header.Set("X-RRC-Epoch", strconv.FormatUint(epoch, 10))
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, body, nil
 }
 
 // foldFence folds a 412 (epoch fence) response body into the node's
@@ -451,25 +430,18 @@ func promoteCandidate(nodes []*node) *node {
 // promoteNode POSTs /admin/promote and folds the reply into the node's
 // view so the very next request can route to it — no probe-round gap.
 func (rt *Router) promoteNode(n *node) error {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+"/admin/promote", bytes.NewReader(nil))
+	q := upstreamReq{method: http.MethodPost, path: n.path + "/admin/promote"}
+	res, err := rt.roundTrip(n, q, time.Now().Add(rt.cfg.ProbeTimeout))
 	if err != nil {
 		return err
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
+	if res.status != http.StatusOK {
+		return fmt.Errorf("%d %s: %s", res.status, http.StatusText(res.status), bytes.TrimSpace(res.body))
 	}
 	var pr struct {
 		Epoch uint64 `json:"epoch"`
 	}
-	if err := json.Unmarshal(body, &pr); err != nil {
+	if err := json.Unmarshal(res.body, &pr); err != nil {
 		return err
 	}
 	n.mu.Lock()

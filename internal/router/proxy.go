@@ -9,7 +9,11 @@
 //     partition owns every key, so the body is never parsed.
 //   - The request runs under min(router default, X-RRC-Deadline-Ms);
 //     every attempt is additionally bounded by TryTimeout and carries
-//     the remaining budget downstream in the same header.
+//     the remaining budget downstream in the same header. An attempt is
+//     one roundTrip (upstream.go) on the request's own goroutine under
+//     one absolute deadline. The client's context is checked before
+//     each attempt and during a write's backoff, so an attempt already
+//     in flight runs to its deadline even if the client has gone.
 //   - A user-keyed read goes to its partition's write target first and
 //     falls back to that partition's other nodes; a stateless read
 //     spreads over the whole fleet. Either retries across distinct
@@ -26,14 +30,12 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"tsppr/internal/shard"
@@ -78,6 +80,20 @@ func (rt *Router) routePlan(keyed bool, body []byte) (routePlan, error) {
 	return routePlan{keyed: true, partIdx: shard.UserShard(user, p)}, nil
 }
 
+// proxied is one incoming request as the attempt loops see it. ctx is
+// the client's: it is checked before each attempt and during a write's
+// backoff, while an attempt in flight is bounded by its deadline only.
+type proxied struct {
+	ctx      context.Context
+	deadline time.Time
+	endpoint string
+	body     []byte
+	client   string
+	plan     routePlan
+}
+
+func (rq proxied) live() bool { return rq.ctx.Err() == nil && time.Now().Before(rq.deadline) }
+
 // proxy builds the handler for one proxied endpoint. keyed endpoints
 // route by the request's user field when the fleet is partitioned.
 func (rt *Router) proxy(endpoint string, isWrite, keyed bool) http.Handler {
@@ -108,34 +124,32 @@ func (rt *Router) serveProxy(w http.ResponseWriter, r *http.Request, endpoint st
 		return http.StatusBadRequest
 	}
 
-	deadline := rt.cfg.Deadline
-	if hd, ok := parseDeadlineMs(r.Header.Get(DeadlineHeader)); ok && hd < deadline {
-		deadline = hd
+	budget := rt.cfg.Deadline
+	if hd, ok := parseDeadlineMs(r.Header.Get(DeadlineHeader)); ok && hd < budget {
+		budget = hd
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
-	client := clientKey(r)
-	rt.budget.arrive(client)
+	rq := proxied{ctx: r.Context(), deadline: time.Now().Add(budget),
+		endpoint: endpoint, body: body, client: clientKey(r), plan: plan}
+	rt.budget.arrive(rq.client)
 
 	if isWrite {
-		return rt.proxyWrite(ctx, w, endpoint, body, client, plan)
+		return rt.proxyWrite(w, rq)
 	}
-	return rt.proxyRead(ctx, w, endpoint, body, client, plan)
+	return rt.proxyRead(w, rq)
 }
 
 // proxyWrite is the /consume attempt loop, scoped to the owning
 // partition: only its nodes are ever write targets, and only its
 // epoch is stamped.
-func (rt *Router) proxyWrite(ctx context.Context, w http.ResponseWriter, endpoint string, body []byte, client string, plan routePlan) int {
+func (rt *Router) proxyWrite(w http.ResponseWriter, rq proxied) int {
 	var last *upstreamResult
 	attempts := 0
-	for ctx.Err() == nil {
-		n := writeTargetIn(rt.partNodes(plan.partIdx))
+	for rq.live() {
+		n := writeTargetIn(rt.partNodes(rq.plan.partIdx))
 		if n == nil {
 			break // shed below; the prober (or a promotion) must restore a target
 		}
-		res, err := rt.attempt(ctx, n, endpoint, body)
+		res, err := rt.attempt(n, rq.endpoint, rq.body, rq.deadline)
 		attempts++
 		if err != nil {
 			if !dialError(err) {
@@ -167,34 +181,34 @@ func (rt *Router) proxyWrite(ctx context.Context, w http.ResponseWriter, endpoin
 				rt.foldMisdirect(n, res.body)
 			}
 		}
-		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(client) {
+		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(rq.client) {
 			break
 		}
 		rt.retries.Inc()
 		select {
-		case <-ctx.Done():
-		case <-time.After(rt.cfg.RetryBackoff):
+		case <-rq.ctx.Done():
+		case <-time.After(min(rt.cfg.RetryBackoff, time.Until(rq.deadline))):
 		}
 	}
 	if last != nil {
 		return rt.forward(w, last)
 	}
-	return rt.shedRequest(w, fmt.Sprintf("no write target for partition %d", plan.partIdx))
+	return rt.shedRequest(w, fmt.Sprintf("no write target for partition %d", rq.plan.partIdx))
 }
 
 // proxyRead is the read attempt loop: distinct nodes per attempt (the
 // tried set).
-func (rt *Router) proxyRead(ctx context.Context, w http.ResponseWriter, endpoint string, body []byte, client string, plan routePlan) int {
+func (rt *Router) proxyRead(w http.ResponseWriter, rq proxied) int {
 	tried := map[*node]bool{}
 	var last *upstreamResult
 	attempts := 0
-	for ctx.Err() == nil {
-		n := rt.readTarget(plan, tried)
+	for rq.live() {
+		n := rt.readTarget(rq.plan, tried)
 		if n == nil {
 			break
 		}
 		tried[n] = true
-		res, err := rt.attempt(ctx, n, endpoint, body)
+		res, err := rt.attempt(n, rq.endpoint, rq.body, rq.deadline)
 		attempts++
 		if err == nil {
 			last = res
@@ -207,7 +221,7 @@ func (rt *Router) proxyRead(ctx context.Context, w http.ResponseWriter, endpoint
 				rt.foldMisdirect(n, res.body)
 			}
 		}
-		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(client) {
+		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(rq.client) {
 			break
 		}
 		rt.retries.Inc()
@@ -219,46 +233,25 @@ func (rt *Router) proxyRead(ctx context.Context, w http.ResponseWriter, endpoint
 }
 
 // attempt makes one upstream round trip, bounded by TryTimeout within
-// the request deadline, and buffers the whole response. The outbound
-// request carries the epoch of the node's own partition (fencing any
-// deposed node before it can ack a write — and never cross-fencing
-// another partition's timeline) and the attempt's remaining deadline.
-func (rt *Router) attempt(ctx context.Context, n *node, endpoint string, body []byte) (*upstreamResult, error) {
-	tctx, cancel := context.WithTimeout(ctx, rt.cfg.TryTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodPost, n.url+endpoint, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+// the request deadline. The outbound request carries the epoch of the
+// node's own partition (fencing any deposed node before it can ack a
+// write — and never cross-fencing another partition's timeline) and
+// the attempt's remaining deadline. A failed dial takes n out of
+// rotation until a probe answers (nextView).
+func (rt *Router) attempt(n *node, endpoint string, body []byte, deadline time.Time) (*upstreamResult, error) {
+	now := time.Now()
+	if try := now.Add(rt.cfg.TryTimeout); try.Before(deadline) {
+		deadline = try
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if e := rt.epochForNode(n); e > 0 {
-		req.Header.Set("X-RRC-Epoch", strconv.FormatUint(e, 10))
+	q := upstreamReq{
+		method: http.MethodPost, path: n.path + endpoint, body: body,
+		epoch: rt.epochForNode(n), deadlineMs: max(deadline.Sub(now).Milliseconds(), 1),
 	}
-	if dl, ok := tctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
+	res, err := rt.roundTrip(n, q, deadline)
+	if err != nil && dialError(err) {
+		n.observe(nodeView{LastErr: err.Error(), LastProbe: now}, probeRefused, rt.cfg.ProbeFails)
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		if dialError(err) {
-			n.observe(nodeView{LastErr: err.Error(), LastProbe: time.Now()}, probeRefused, rt.cfg.ProbeFails)
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-	if err != nil {
-		return nil, fmt.Errorf("reading %s response: %w", n.url, err)
-	}
-	return &upstreamResult{
-		status:      resp.StatusCode,
-		contentType: resp.Header.Get("Content-Type"),
-		retryAfter:  resp.Header.Get("Retry-After"),
-		body:        buf,
-	}, nil
+	return res, err
 }
 
 // retryableStatus classifies a backend status. 429/503 mean "not done,

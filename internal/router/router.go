@@ -20,6 +20,8 @@
 //     deposed primary fences itself the moment the router looks at it —
 //     the existing replication contract, no new protocol. Epochs are
 //     per-partition timelines and are never stamped across partitions.
+//     A probe that times out is a miss: a node leaves rotation after
+//     ProbeFails misses in a row, or at once when a dial is refused.
 //   - User-keyed requests (/consume, /recommend/user) parse the user id
 //     and route to its owning partition: writes to that partition's
 //     highest-epoch unfenced primary, and reads to the same node — a
@@ -38,6 +40,9 @@
 //   - Requests carry propagated deadlines (X-RRC-Deadline-Ms), bounded
 //     retries under a per-client retry budget (a fully down backend
 //     can never amplify client traffic beyond the budget).
+//   - Every upstream request (proxy attempt, probe, promotion) runs on
+//     the goroutine that needs it, over a per-node keep-alive pool of
+//     plain HTTP/1.1 connections (upstream.go). There is no http.Client.
 //
 // Retry safety: reads are idempotent and retry freely. A write retries
 // only when the router can prove the attempt never applied — the
@@ -118,8 +123,6 @@ type Config struct {
 
 	// Metrics, when non-nil, receives the rrc_router_* families.
 	Metrics *obs.Registry
-	// Client, when nil, falls back to a default with sane timeouts.
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -178,8 +181,7 @@ func partitionKey(nodes []*node) string {
 // Router is the front end. It holds no session state — only the probed
 // view of the topology — so any number of routers can run side by side.
 type Router struct {
-	cfg    Config
-	client *http.Client
+	cfg Config
 
 	mu sync.Mutex
 	// parts is the partition layout (len = P); every node belongs to
@@ -202,6 +204,7 @@ type Router struct {
 	retries    *obs.Counter
 	shed       *obs.Counter
 	misdirects *obs.Counter
+	dials      *obs.Counter
 }
 
 // New builds a Router over cfg. Call Start to run the prober (and the
@@ -210,15 +213,11 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:    cfg,
-		client: cfg.Client,
 		byURL:  map[string]*node{},
 		budget: newRetryBudget(cfg.RetryBudget, cfg.RetryBurst),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		reg:    cfg.Metrics,
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{Timeout: 30 * time.Second}
 	}
 	rt.initMetrics()
 
@@ -304,6 +303,7 @@ func (rt *Router) SetTopology(t Topology) {
 			n, ok := rt.byURL[u]
 			if !ok {
 				n = &node{url: u}
+				n.addr, n.host, n.path = upstreamAddr(u)
 				added = append(added, u)
 			}
 			nextBy[u] = n
@@ -314,14 +314,19 @@ func (rt *Router) SetTopology(t Topology) {
 		p.noTargetStreak = prevStreak[p.key]
 		parts = append(parts, p)
 	}
+	var dropped []*node
 	for u, n := range rt.byURL {
 		if nextBy[u] == nil {
 			n.part = nil // dropped: an attempt still in flight stamps no epoch
+			dropped = append(dropped, n)
 		}
 	}
 	rt.parts = parts
 	rt.byURL = nextBy
 	rt.mu.Unlock()
+	for _, n := range dropped {
+		n.pool.close()
+	}
 
 	// Gauge registration takes the registry lock, and the registered
 	// closures take rt.mu under the registry lock at scrape time — so

@@ -233,7 +233,9 @@ func startFakes(t *testing.T, fakes []*fakeNode, mutate func(*Config)) *Router {
 	t.Helper()
 	urls := make([]string, len(fakes))
 	for i, f := range fakes {
-		f.ts = httptest.NewServer(f.handler())
+		if f.ts == nil { // a test may start its own server
+			f.ts = httptest.NewServer(f.handler())
+		}
 		t.Cleanup(f.ts.Close)
 		urls[i] = f.ts.URL
 	}

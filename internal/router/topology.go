@@ -146,7 +146,7 @@ func parseDirective(t *Topology, fields []string) error {
 // written in a topology file, whose fields split on it.
 func normalizeURL(raw string) (string, error) {
 	u, err := url.Parse(raw)
-	if err != nil || u.Scheme == "" || u.Host == "" || strings.ContainsFunc(raw, unicode.IsSpace) {
+	if err != nil || u.Scheme != "http" || u.Host == "" || strings.ContainsFunc(raw, unicode.IsSpace) {
 		return "", fmt.Errorf("%q is not a base URL (want http://host:port)", raw)
 	}
 	return strings.TrimRight(raw, "/"), nil

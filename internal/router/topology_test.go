@@ -114,13 +114,15 @@ func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 
 	// Each file is refused at the line that names what is gone, and a
 	// running router keeps its last good layout: the resize window, and
-	// the bare-URL format (one partition spelled without its header).
+	// the bare-URL format (one partition spelled without its header),
+	// and any scheme but plain http, which is all the upstream pool speaks.
 	path := rt.cfg.TopologyPath
 	for _, tc := range []struct{ doc, want string }{
 		{"partitions 1\npartition 0 " + a.ts.URL + "\n" +
 			"next-partitions 3\nnext 0 " + a.ts.URL + "\nnext 1 http://b:1\nnext 2 http://c:1\n",
 			`:3: unknown directive "next-partitions"`},
 		{a.ts.URL + "\n", `:1: unknown directive "` + a.ts.URL + `"`},
+		{"partitions 1\npartition 0 https://a:1\n", `:2: "https://a:1" is not a base URL`},
 	} {
 		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
 			t.Fatal(err)
