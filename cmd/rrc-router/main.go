@@ -65,7 +65,7 @@ func main() {
 
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "backend health-probe period")
 		probeTimeout  = flag.Duration("probe-timeout", 0, "per-probe HTTP timeout (0 = probe interval)")
-		probeFails    = flag.Int("probe-fails", 3, "probe rounds without a write target before failover action")
+		probeFails    = flag.Int("probe-fails", 3, "missed probes in a row before a node leaves rotation, and probe rounds without a write target before failover action")
 		autoPromote   = flag.Bool("auto-promote", false, "promote the standby that has applied the most (POST /admin/promote) after -probe-fails rounds without a primary")
 
 		deadline     = flag.Duration("deadline", 2*time.Second, "default end-to-end deadline per client request (header X-RRC-Deadline-Ms lowers it)")

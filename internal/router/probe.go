@@ -68,23 +68,14 @@ type nodeView struct {
 	Misses int
 }
 
-// probeOutcome is how one probe of a node ended, as nextView reads it.
-type probeOutcome int
-
-const (
-	probeAnswered probeOutcome = iota // the node answered: the probed view is the truth
-	probeMissed                       // timeout or a broken answer: slow, or dead, not known yet
-	probeRefused                      // dial-level failure: nothing is listening
-)
-
 // nextView is the retention rule, the one place a node's view changes
-// hands. An answered probe replaces the view. A refused one (a proxy
-// attempt that fails to dial counts the same) takes the node out at
-// once. A missed one keeps the last answered view, so a partition's
+// hands. An answered probe (probed.Reachable) replaces the view. A
+// refused dial, from a probe or a proxy attempt, takes the node out at
+// once. Any other miss keeps the last answered view, so a partition's
 // write target stays its write target, until fails probes in a row have
 // missed: one slow /readyz must not take a partition's writes offline.
-func nextView(prev, probed nodeView, out probeOutcome, fails int) nodeView {
-	if out == probeMissed && prev.Reachable && prev.Misses+1 < fails {
+func nextView(prev, probed nodeView, refused bool, fails int) nodeView {
+	if !probed.Reachable && !refused && prev.Reachable && prev.Misses+1 < fails {
 		prev.Misses++
 		prev.LastErr, prev.LastProbe = probed.LastErr, probed.LastProbe
 		return prev
@@ -95,11 +86,9 @@ func nextView(prev, probed nodeView, out probeOutcome, fails int) nodeView {
 // node pairs a backend URL with its latest probed view and its idle
 // upstream connections.
 type node struct {
-	url string
-	// addr, host and path are url split for roundTrip: the dial address,
-	// the Host header and the path prefix.
-	addr, host, path string
-	pool             connPool
+	url  string
+	host string // url without its http:// prefix: dial address and Host header
+	pool connPool
 	// part is the one partition the topology assigns this node, nil once
 	// the topology drops it. Guarded by Router.mu; SetTopology rewrites it.
 	part *partition
@@ -115,9 +104,9 @@ func (n *node) view() nodeView {
 }
 
 // observe folds one probe (or failed dial) into the view by nextView.
-func (n *node) observe(probed nodeView, out probeOutcome, fails int) {
+func (n *node) observe(probed nodeView, refused bool, fails int) {
 	n.mu.Lock()
-	n.v = nextView(n.v, probed, out, fails)
+	n.v = nextView(n.v, probed, refused, fails)
 	n.mu.Unlock()
 }
 
@@ -227,7 +216,7 @@ func (rt *Router) probeNode(j probeJob) {
 	v := nodeView{LastProbe: time.Now()}
 	deadline := v.LastProbe.Add(rt.cfg.ProbeTimeout)
 
-	res, err := rt.roundTrip(n, upstreamReq{method: http.MethodGet, path: n.path + "/readyz"}, deadline)
+	res, err := rt.roundTrip(n, upstreamReq{method: http.MethodGet, path: "/readyz"}, deadline)
 	if err == nil {
 		var rb readyBody
 		if jerr := json.Unmarshal(res.body, &rb); jerr == nil {
@@ -262,7 +251,7 @@ func (rt *Router) probeNode(j probeJob) {
 
 	// The epoch probe both refreshes the epoch (412 bodies included)
 	// and fences deposed nodes via the X-RRC-Epoch contract.
-	res, eerr := rt.roundTrip(n, upstreamReq{method: http.MethodGet, path: n.path + "/replica/epoch", epoch: epoch}, deadline)
+	res, eerr := rt.roundTrip(n, upstreamReq{method: http.MethodGet, path: "/replica/epoch", epoch: epoch}, deadline)
 	if eerr == nil {
 		var eb epochBody
 		if json.Unmarshal(res.body, &eb) == nil {
@@ -277,14 +266,7 @@ func (rt *Router) probeNode(j probeJob) {
 			}
 		}
 	}
-	out := probeAnswered
-	if !v.Reachable {
-		out = probeMissed
-		if dialError(err) {
-			out = probeRefused
-		}
-	}
-	n.observe(v, out, rt.cfg.ProbeFails)
+	n.observe(v, dialError(err), rt.cfg.ProbeFails)
 }
 
 // foldFence folds a 412 (epoch fence) response body into the node's
@@ -430,7 +412,7 @@ func promoteCandidate(nodes []*node) *node {
 // promoteNode POSTs /admin/promote and folds the reply into the node's
 // view so the very next request can route to it — no probe-round gap.
 func (rt *Router) promoteNode(n *node) error {
-	q := upstreamReq{method: http.MethodPost, path: n.path + "/admin/promote"}
+	q := upstreamReq{method: http.MethodPost, path: "/admin/promote"}
 	res, err := rt.roundTrip(n, q, time.Now().Add(rt.cfg.ProbeTimeout))
 	if err != nil {
 		return err

@@ -80,20 +80,6 @@ func (rt *Router) routePlan(keyed bool, body []byte) (routePlan, error) {
 	return routePlan{keyed: true, partIdx: shard.UserShard(user, p)}, nil
 }
 
-// proxied is one incoming request as the attempt loops see it. ctx is
-// the client's: it is checked before each attempt and during a write's
-// backoff, while an attempt in flight is bounded by its deadline only.
-type proxied struct {
-	ctx      context.Context
-	deadline time.Time
-	endpoint string
-	body     []byte
-	client   string
-	plan     routePlan
-}
-
-func (rq proxied) live() bool { return rq.ctx.Err() == nil && time.Now().Before(rq.deadline) }
-
 // proxy builds the handler for one proxied endpoint. keyed endpoints
 // route by the request's user field when the fleet is partitioned.
 func (rt *Router) proxy(endpoint string, isWrite, keyed bool) http.Handler {
@@ -124,32 +110,34 @@ func (rt *Router) serveProxy(w http.ResponseWriter, r *http.Request, endpoint st
 		return http.StatusBadRequest
 	}
 
-	budget := rt.cfg.Deadline
-	if hd, ok := parseDeadlineMs(r.Header.Get(DeadlineHeader)); ok && hd < budget {
-		budget = hd
+	timeout := rt.cfg.Deadline
+	if hd, ok := parseDeadlineMs(r.Header.Get(DeadlineHeader)); ok && hd < timeout {
+		timeout = hd
 	}
-	rq := proxied{ctx: r.Context(), deadline: time.Now().Add(budget),
-		endpoint: endpoint, body: body, client: clientKey(r), plan: plan}
-	rt.budget.arrive(rq.client)
+	deadline := time.Now().Add(timeout)
+	client := clientKey(r)
+	rt.budget.arrive(client)
 
 	if isWrite {
-		return rt.proxyWrite(w, rq)
+		return rt.proxyWrite(r.Context(), deadline, w, endpoint, body, client, plan)
 	}
-	return rt.proxyRead(w, rq)
+	return rt.proxyRead(r.Context(), deadline, w, endpoint, body, client, plan)
 }
 
 // proxyWrite is the /consume attempt loop, scoped to the owning
 // partition: only its nodes are ever write targets, and only its
-// epoch is stamped.
-func (rt *Router) proxyWrite(w http.ResponseWriter, rq proxied) int {
+// epoch is stamped. ctx is the client's: it is checked before each
+// attempt and during the backoff, while an attempt in flight is bounded
+// by its deadline only.
+func (rt *Router) proxyWrite(ctx context.Context, deadline time.Time, w http.ResponseWriter, endpoint string, body []byte, client string, plan routePlan) int {
 	var last *upstreamResult
 	attempts := 0
-	for rq.live() {
-		n := writeTargetIn(rt.partNodes(rq.plan.partIdx))
+	for ctx.Err() == nil && time.Now().Before(deadline) {
+		n := writeTargetIn(rt.partNodes(plan.partIdx))
 		if n == nil {
 			break // shed below; the prober (or a promotion) must restore a target
 		}
-		res, err := rt.attempt(n, rq.endpoint, rq.body, rq.deadline)
+		res, err := rt.attempt(n, endpoint, body, deadline)
 		attempts++
 		if err != nil {
 			if !dialError(err) {
@@ -181,34 +169,34 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, rq proxied) int {
 				rt.foldMisdirect(n, res.body)
 			}
 		}
-		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(rq.client) {
+		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(client) {
 			break
 		}
 		rt.retries.Inc()
 		select {
-		case <-rq.ctx.Done():
-		case <-time.After(min(rt.cfg.RetryBackoff, time.Until(rq.deadline))):
+		case <-ctx.Done():
+		case <-time.After(min(rt.cfg.RetryBackoff, time.Until(deadline))):
 		}
 	}
 	if last != nil {
 		return rt.forward(w, last)
 	}
-	return rt.shedRequest(w, fmt.Sprintf("no write target for partition %d", rq.plan.partIdx))
+	return rt.shedRequest(w, fmt.Sprintf("no write target for partition %d", plan.partIdx))
 }
 
 // proxyRead is the read attempt loop: distinct nodes per attempt (the
 // tried set).
-func (rt *Router) proxyRead(w http.ResponseWriter, rq proxied) int {
+func (rt *Router) proxyRead(ctx context.Context, deadline time.Time, w http.ResponseWriter, endpoint string, body []byte, client string, plan routePlan) int {
 	tried := map[*node]bool{}
 	var last *upstreamResult
 	attempts := 0
-	for rq.live() {
-		n := rt.readTarget(rq.plan, tried)
+	for ctx.Err() == nil && time.Now().Before(deadline) {
+		n := rt.readTarget(plan, tried)
 		if n == nil {
 			break
 		}
 		tried[n] = true
-		res, err := rt.attempt(n, rq.endpoint, rq.body, rq.deadline)
+		res, err := rt.attempt(n, endpoint, body, deadline)
 		attempts++
 		if err == nil {
 			last = res
@@ -221,7 +209,7 @@ func (rt *Router) proxyRead(w http.ResponseWriter, rq proxied) int {
 				rt.foldMisdirect(n, res.body)
 			}
 		}
-		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(rq.client) {
+		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(client) {
 			break
 		}
 		rt.retries.Inc()
@@ -244,12 +232,12 @@ func (rt *Router) attempt(n *node, endpoint string, body []byte, deadline time.T
 		deadline = try
 	}
 	q := upstreamReq{
-		method: http.MethodPost, path: n.path + endpoint, body: body,
+		method: http.MethodPost, path: endpoint, body: body,
 		epoch: rt.epochForNode(n), deadlineMs: max(deadline.Sub(now).Milliseconds(), 1),
 	}
 	res, err := rt.roundTrip(n, q, deadline)
 	if err != nil && dialError(err) {
-		n.observe(nodeView{LastErr: err.Error(), LastProbe: now}, probeRefused, rt.cfg.ProbeFails)
+		n.observe(nodeView{LastErr: err.Error(), LastProbe: now}, true, rt.cfg.ProbeFails)
 	}
 	return res, err
 }

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// The three ways a probe ends, as the property test draws them.
+const (
+	probeAnswered = iota
+	probeMissed
+	probeRefused
+)
+
 // TestRetentionRuleProperty drives nextView with seeded random
 // sequences of answered, missed and refused probes and checks it
 // against the rule stated directly: a node is a write target iff the
@@ -15,10 +22,10 @@ func TestRetentionRuleProperty(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		fails := 1 + rng.Intn(4)
 		var v nodeView
-		var history []probeOutcome
+		var history []int
 		target, misses := false, 0
 		for step := 0; step < 40; step++ {
-			out := probeOutcome(rng.Intn(3))
+			out := rng.Intn(3)
 			history = append(history, out)
 			probed := nodeView{LastErr: "probe failed"}
 			switch out {
@@ -34,7 +41,7 @@ func TestRetentionRuleProperty(t *testing.T) {
 			case probeRefused:
 				target = false
 			}
-			v = nextView(v, probed, out, fails)
+			v = nextView(v, probed, out == probeRefused, fails)
 			if got := writeTargetIn([]*node{{v: v}}) != nil; got != target {
 				t.Fatalf("trial %d, ProbeFails=%d, outcomes %v: write target %v, want %v (view %+v)",
 					trial, fails, history, got, target, v)

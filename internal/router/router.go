@@ -20,8 +20,8 @@
 //     deposed primary fences itself the moment the router looks at it —
 //     the existing replication contract, no new protocol. Epochs are
 //     per-partition timelines and are never stamped across partitions.
-//     A probe that times out is a miss: a node leaves rotation after
-//     ProbeFails misses in a row, or at once when a dial is refused.
+//     A node leaves rotation after ProbeFails missed probes in a row,
+//     or at once when a dial is refused.
 //   - User-keyed requests (/consume, /recommend/user) parse the user id
 //     and route to its owning partition: writes to that partition's
 //     highest-epoch unfenced primary, and reads to the same node — a
@@ -40,9 +40,8 @@
 //   - Requests carry propagated deadlines (X-RRC-Deadline-Ms), bounded
 //     retries under a per-client retry budget (a fully down backend
 //     can never amplify client traffic beyond the budget).
-//   - Every upstream request (proxy attempt, probe, promotion) runs on
-//     the goroutine that needs it, over a per-node keep-alive pool of
-//     plain HTTP/1.1 connections (upstream.go). There is no http.Client.
+//   - Upstream requests run on the goroutine that needs them, over a
+//     per-node keep-alive pool (upstream.go). There is no http.Client.
 //
 // Retry safety: reads are idempotent and retry freely. A write retries
 // only when the router can prove the attempt never applied — the
@@ -92,10 +91,7 @@ type Config struct {
 
 	ProbeInterval time.Duration // health-probe period (jittered ±20%); 0 → 500ms
 	ProbeTimeout  time.Duration // per-probe HTTP timeout; 0 → ProbeInterval
-	// ProbeFails is both how many probes in a row may miss before a node
-	// leaves rotation (a refused dial takes it out at once) and how many
-	// rounds a partition lacks a write target before failover; 0 → 3.
-	ProbeFails int
+	ProbeFails    int           // missed probes before a node leaves rotation, and rounds without a write target before failover; 0 → 3
 
 	// AutoPromote lets the router drive failover itself: after
 	// ProbeFails rounds with no reachable unfenced primary in a
@@ -302,8 +298,7 @@ func (rt *Router) SetTopology(t Topology) {
 			}
 			n, ok := rt.byURL[u]
 			if !ok {
-				n = &node{url: u}
-				n.addr, n.host, n.path = upstreamAddr(u)
+				n = &node{url: u, host: strings.TrimPrefix(u, "http://")}
 				added = append(added, u)
 			}
 			nextBy[u] = n
@@ -314,19 +309,15 @@ func (rt *Router) SetTopology(t Topology) {
 		p.noTargetStreak = prevStreak[p.key]
 		parts = append(parts, p)
 	}
-	var dropped []*node
 	for u, n := range rt.byURL {
 		if nextBy[u] == nil {
 			n.part = nil // dropped: an attempt still in flight stamps no epoch
-			dropped = append(dropped, n)
+			n.pool.close()
 		}
 	}
 	rt.parts = parts
 	rt.byURL = nextBy
 	rt.mu.Unlock()
-	for _, n := range dropped {
-		n.pool.close()
-	}
 
 	// Gauge registration takes the registry lock, and the registered
 	// closures take rt.mu under the registry lock at scrape time — so

@@ -141,15 +141,18 @@ func parseDirective(t *Topology, fields []string) error {
 	return nil
 }
 
-// normalizeURL accepts one base URL. A static layout's URL reaches it
-// whole, so inner whitespace is refused here: such a "URL" could not be
-// written in a topology file, whose fields split on it.
+// normalizeURL accepts one base URL, http://host:port and nothing else
+// (a trailing slash is dropped): the upstream pool dials host:port and
+// speaks plain HTTP. A static layout's URL reaches it whole, so inner
+// whitespace is refused here: such a "URL" could not be written in a
+// topology file, whose fields split on it.
 func normalizeURL(raw string) (string, error) {
 	u, err := url.Parse(raw)
-	if err != nil || u.Scheme != "http" || u.Host == "" || strings.ContainsFunc(raw, unicode.IsSpace) {
+	base := strings.TrimRight(raw, "/")
+	if err != nil || base != "http://"+u.Host || u.Port() == "" || strings.ContainsFunc(raw, unicode.IsSpace) {
 		return "", fmt.Errorf("%q is not a base URL (want http://host:port)", raw)
 	}
-	return strings.TrimRight(raw, "/"), nil
+	return base, nil
 }
 
 // LoadTopologyFile reads, parses, and validates a topology file,

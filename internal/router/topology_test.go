@@ -115,7 +115,8 @@ func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 	// Each file is refused at the line that names what is gone, and a
 	// running router keeps its last good layout: the resize window, and
 	// the bare-URL format (one partition spelled without its header),
-	// and any scheme but plain http, which is all the upstream pool speaks.
+	// and any node URL but http://host:port, which is all the upstream
+	// pool dials.
 	path := rt.cfg.TopologyPath
 	for _, tc := range []struct{ doc, want string }{
 		{"partitions 1\npartition 0 " + a.ts.URL + "\n" +
@@ -123,6 +124,8 @@ func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 			`:3: unknown directive "next-partitions"`},
 		{a.ts.URL + "\n", `:1: unknown directive "` + a.ts.URL + `"`},
 		{"partitions 1\npartition 0 https://a:1\n", `:2: "https://a:1" is not a base URL`},
+		{"partitions 1\npartition 0 http://a:1/prefix\n", `:2: "http://a:1/prefix" is not a base URL`},
+		{"partitions 1\npartition 0 http://a\n", `:2: "http://a" is not a base URL`},
 	} {
 		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
 			t.Fatal(err)

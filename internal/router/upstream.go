@@ -1,26 +1,9 @@
-// The router's one upstream path. Every request the router sends a
-// backend (proxy attempts, probes, POST /admin/promote) is one
-// roundTrip, run on the goroutine that wants the answer:
-//
-//   - Each node keeps a LIFO list of idle keep-alive connections, at
-//     most maxIdleConns, each with its own read and write buffers. A
-//     node the topology drops closes its idle ones.
-//   - The request head is written directly (method, path, Host,
-//     Content-Type, Content-Length, X-RRC-Epoch, X-RRC-Deadline-Ms),
-//     then the body, with one flush. The bytes are plain HTTP/1.1, so a
-//     backend sees nothing new.
-//   - http.ReadResponse parses the answer and at most maxProxyBody of
-//     body is kept. A connection goes back to the pool only after a
-//     complete response that allows keep-alive; on any error it is
-//     closed.
-//   - One absolute deadline bounds the dial, the write and the read,
-//     set with SetDeadline: no timer and no goroutine per request.
-//   - A backend's idle timeout or restart can close a pooled
-//     connection. Before reuse, one non-blocking MSG_PEEK checks it; a
-//     connection showing EOF or stray bytes is dropped and the next one
-//     (or a new dial) is used. A dial failure stays a
-//     *net.OpError{Op: "dial"}, so dialError still proves a request
-//     was never sent.
+// The router's one upstream path: proxy attempts, probes and POST
+// /admin/promote are each one plain HTTP/1.1 roundTrip on the calling
+// goroutine, over a LIFO pool of keep-alive connections per node, under
+// one absolute deadline set with SetDeadline. A pooled connection the
+// backend closed is caught before reuse (alive); a dial failure stays a
+// *net.OpError{Op: "dial"}, the one provably-unsent error.
 package router
 
 import (
@@ -29,7 +12,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"syscall"
@@ -62,35 +44,19 @@ type connPool struct {
 	closed bool // the topology dropped the node
 }
 
-// upstreamAddr splits a validated base URL into the dial address, the
-// Host header and the path prefix of every request.
-func upstreamAddr(base string) (addr, host, prefix string) {
-	u, err := url.Parse(base)
-	if err != nil {
-		return "", "", ""
-	}
-	addr = u.Host
-	if u.Port() == "" {
-		addr = net.JoinHostPort(u.Hostname(), "80")
-	}
-	return addr, u.Host, u.EscapedPath()
-}
-
-func (p *connPool) get() *upstreamConn {
+func (p *connPool) get() (c *upstreamConn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := len(p.idle) - 1
-	if k < 0 {
-		return nil
+	if k := len(p.idle) - 1; k >= 0 {
+		c, p.idle[k], p.idle = p.idle[k], nil, p.idle[:k]
 	}
-	c := p.idle[k]
-	p.idle[k], p.idle = nil, p.idle[:k]
 	return c
 }
 
-func (p *connPool) put(c *upstreamConn) {
+// put pools c if reuse allows and there is room, else closes it.
+func (p *connPool) put(c *upstreamConn, reuse bool) {
 	p.mu.Lock()
-	if !p.closed && len(p.idle) < maxIdleConns {
+	if reuse && !p.closed && len(p.idle) < maxIdleConns {
 		p.idle, c = append(p.idle, c), nil
 	}
 	p.mu.Unlock()
@@ -99,37 +65,30 @@ func (p *connPool) put(c *upstreamConn) {
 	}
 }
 
-// close shuts the idle connections; any returned later are closed too.
+// close shuts the idle connections; any put back later are closed too.
 func (p *connPool) close() {
 	p.mu.Lock()
-	idle := p.idle
-	p.idle, p.closed = nil, true
-	p.mu.Unlock()
-	for _, c := range idle {
+	defer p.mu.Unlock()
+	for _, c := range p.idle {
 		c.Close()
 	}
+	p.idle, p.closed = nil, true
 }
 
 // alive reports whether an idle connection can carry a request: a
-// non-blocking MSG_PEEK finds nothing to read, neither EOF nor bytes
-// the backend should not have sent. Call it after SetDeadline, as a
-// deadline already past fails it.
+// non-blocking MSG_PEEK finds neither EOF nor bytes nobody asked for.
+// It fails on a connection whose deadline has passed.
 func (c *upstreamConn) alive() bool {
-	sc, ok := c.Conn.(syscall.Conn)
-	if !ok {
-		return false
-	}
-	raw, err := sc.SyscallConn()
-	if err != nil {
-		return false
-	}
-	var b [1]byte
+	raw, err := c.Conn.(syscall.Conn).SyscallConn()
 	idle := false
-	err = raw.Read(func(fd uintptr) bool {
-		_, _, perr := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-		idle = perr == syscall.EAGAIN
-		return true
-	})
+	if err == nil {
+		err = raw.Read(func(fd uintptr) bool {
+			var b [1]byte
+			_, _, perr := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+			idle = perr == syscall.EAGAIN
+			return true
+		})
+	}
 	return err == nil && idle
 }
 
@@ -142,7 +101,7 @@ func (rt *Router) conn(n *node, deadline time.Time) (*upstreamConn, error) {
 		c.Close()
 	}
 	rt.dials.Inc()
-	nc, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", n.addr)
+	nc, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", n.host)
 	if err != nil {
 		return nil, err
 	}
@@ -150,8 +109,7 @@ func (rt *Router) conn(n *node, deadline time.Time) (*upstreamConn, error) {
 	return &upstreamConn{Conn: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
 }
 
-// roundTrip sends q to n and reads the whole answer, all before
-// deadline.
+// roundTrip sends q to n and reads the whole answer before deadline.
 func (rt *Router) roundTrip(n *node, q upstreamReq, deadline time.Time) (*upstreamResult, error) {
 	c, err := rt.conn(n, deadline)
 	if err != nil {
@@ -166,33 +124,21 @@ func (rt *Router) roundTrip(n *node, q upstreamReq, deadline time.Time) (*upstre
 		c.Close()
 		return nil, fmt.Errorf("reading %s response: %w", n.url, err)
 	}
-	if reuse {
-		n.pool.put(c)
-	} else {
-		c.Close()
-	}
+	n.pool.put(c, reuse)
 	return res, nil
 }
 
 // writeRequest writes q's head and body to w and flushes once.
 func writeRequest(w *bufio.Writer, host string, q upstreamReq) error {
-	var num [20]byte
-	w.WriteString(q.method)
-	w.WriteByte(' ')
-	w.WriteString(q.path)
-	w.WriteString(" HTTP/1.1\r\nHost: ")
-	w.WriteString(host)
+	w.WriteString(q.method + " " + q.path + " HTTP/1.1\r\nHost: " + host)
 	if q.method == http.MethodPost {
-		w.WriteString("\r\nContent-Type: application/json\r\nContent-Length: ")
-		w.Write(strconv.AppendInt(num[:0], int64(len(q.body)), 10))
+		w.WriteString("\r\nContent-Type: application/json\r\nContent-Length: " + strconv.Itoa(len(q.body)))
 	}
 	if q.epoch > 0 {
-		w.WriteString("\r\nX-RRC-Epoch: ")
-		w.Write(strconv.AppendUint(num[:0], q.epoch, 10))
+		w.WriteString("\r\nX-RRC-Epoch: " + strconv.FormatUint(q.epoch, 10))
 	}
 	if q.deadlineMs > 0 {
-		w.WriteString("\r\n" + DeadlineHeader + ": ")
-		w.Write(strconv.AppendInt(num[:0], q.deadlineMs, 10))
+		w.WriteString("\r\n" + DeadlineHeader + ": " + strconv.FormatInt(q.deadlineMs, 10))
 	}
 	w.WriteString("\r\n\r\n")
 	w.Write(q.body)
