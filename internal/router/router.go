@@ -41,7 +41,7 @@
 //     retries under a per-client retry budget (a fully down backend
 //     can never amplify client traffic beyond the budget).
 //   - Upstream requests run on the goroutine that needs them, over a
-//     per-node keep-alive pool (upstream.go). There is no http.Client.
+//     per-node keep-alive connection pool (upstream.go).
 //
 // Retry safety: reads are idempotent and retry freely. A write retries
 // only when the router can prove the attempt never applied — the

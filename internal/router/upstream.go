@@ -105,7 +105,7 @@ func (rt *Router) conn(n *node, deadline time.Time) (*upstreamConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	nc.SetDeadline(deadline)
+	_ = nc.SetDeadline(deadline) // fails only on a closed conn, and then so does the write
 	return &upstreamConn{Conn: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
 }
 
