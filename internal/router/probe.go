@@ -27,10 +27,12 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -70,10 +72,11 @@ type nodeView struct {
 
 // nextView is the retention rule, the one place a node's view changes
 // hands. An answered probe (probed.Reachable) replaces the view. A
-// refused dial, from a probe or a proxy attempt, takes the node out at
-// once. Any other miss keeps the last answered view, so a partition's
-// write target stays its write target, until fails probes in a row have
-// missed: one slow /readyz must not take a partition's writes offline.
+// refused probe, or a proxy attempt that failed to dial, takes the node
+// out at once. Any other miss, a timeout included, keeps the last
+// answered view, so a partition's write target stays its write target,
+// until fails probes in a row have missed: one slow /readyz must not
+// take a partition's writes offline.
 func nextView(prev, probed nodeView, refused bool, fails int) nodeView {
 	if !probed.Reachable && !refused && prev.Reachable && prev.Misses+1 < fails {
 		prev.Misses++
@@ -266,7 +269,7 @@ func (rt *Router) probeNode(j probeJob) {
 			}
 		}
 	}
-	n.observe(v, dialError(err), rt.cfg.ProbeFails)
+	n.observe(v, errors.Is(err, syscall.ECONNREFUSED), rt.cfg.ProbeFails)
 }
 
 // foldFence folds a 412 (epoch fence) response body into the node's
