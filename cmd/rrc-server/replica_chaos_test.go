@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,6 +154,64 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 	// Writes are open on the new primary.
 	mustConsume(t, hB, evs[40])
 	defer srvB.online.close()
+}
+
+// readyOf decodes h's GET /readyz reply.
+func readyOf(t *testing.T, h http.Handler) readyResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	var ready readyResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ready); err != nil || ready.Replication == nil {
+		t.Fatalf("/readyz = %d %s: %v", rec.Code, rec.Body.String(), err)
+	}
+	return ready
+}
+
+// TestReplicaKilledPrimaryNeverCaughtUp: the standby loses its link to
+// the primary, the primary acknowledges writes the standby never sees,
+// then dies. The standby's /readyz must stop saying caught_up within
+// two long-poll waits and never say it again: the horizon it last saw
+// is stale.
+func TestReplicaKilledPrimaryNeverCaughtUp(t *testing.T) {
+	base, seqs := testServer(t)
+	m := base.currentModel()
+	evs := chaosEvents(seqs)
+
+	srvA := bootRepl(t, m, t.TempDir(), nil)
+	hA := srvA.routes()
+	var cut atomic.Bool
+	link := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if cut.Load() {
+			http.Error(w, "link down", http.StatusServiceUnavailable)
+			return
+		}
+		hA.ServeHTTP(w, r)
+	}))
+	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = link.URL })
+	defer srvB.online.close()
+	defer srvB.repl.stop()
+	hB := srvB.routes()
+
+	for _, ev := range evs[:20] {
+		mustConsume(t, hA, ev)
+	}
+	waitFor(t, "standby caught up", func() bool { return readyOf(t, hB).Replication.CaughtUp })
+	cut.Store(true)
+	time.Sleep(100 * time.Millisecond) // any poll already past the link returns
+	for _, ev := range evs[20:30] {
+		mustConsume(t, hA, ev)
+	}
+	link.Close()
+	if a, b := readyOf(t, hA).Replication.AppliedLSN, readyOf(t, hB).Replication.AppliedLSN; b >= a {
+		t.Fatalf("standby applied %d of the primary's %d: the link was not cut", b, a)
+	}
+	waitFor(t, "standby stops reporting caught_up", func() bool { return !readyOf(t, hB).Replication.CaughtUp })
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if readyOf(t, hB).Replication.CaughtUp {
+			t.Fatal("standby of a dead primary reports caught_up again")
+		}
+	}
 }
 
 // TestReplicaRejoinTruncatesDivergentTail exercises the full rejoin
