@@ -105,9 +105,10 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 			return replStatusOf(stands[i]).CaughtUp
 		})
 	}
-	// CaughtUp is one poll stale (see waitApplied): the kill below must
-	// not cut off an acknowledged victim write.
-	waitApplied(t, prims[0], stands[0])
+	// caught_up does not cover a write acked after the latest quiet poll
+	// (see waitApplied): the kill below must not cut off an acked victim
+	// write.
+	waitApplied(t, prims[0].routes(), stands[0].routes())
 
 	// Continuous keyed reads against the two partitions that keep their
 	// primaries: through the whole kill window every response must be

@@ -124,6 +124,7 @@ func (s *server) setupReplication() error {
 		Partition:   s.online.pool.Partition(),
 		BackoffBase: s.opts.replBackoffBase,
 		BackoffMax:  s.opts.replBackoffMax,
+		Wait:        s.opts.replWait,
 		Metrics:     s.reg,
 	}
 	if err := f.Start(); err != nil {
@@ -314,6 +315,8 @@ type replStatus struct {
 	// AppliedLSN sums the per-shard applied LSNs: what this node holds
 	// now, comparable between nodes of one partition on one epoch.
 	AppliedLSN uint64 `json:"applied_lsn"`
+	// ShardAppliedLSN is each shard's applied LSN, in shard order.
+	ShardAppliedLSN []uint64 `json:"shard_applied_lsn"`
 }
 
 func (rs *replState) status() replStatus {
@@ -323,6 +326,7 @@ func (rs *replState) status() replStatus {
 	st := replStatus{Role: "primary", Epoch: rs.metaSnapshot().Epoch, Fenced: fenced}
 	for _, sh := range rs.srv.online.pool.Statuses() {
 		st.AppliedLSN += sh.AppliedLSN
+		st.ShardAppliedLSN = append(st.ShardAppliedLSN, sh.AppliedLSN)
 	}
 	if follower {
 		st.Role = "follower"

@@ -87,17 +87,16 @@ func scrapeLagRecords(t *testing.T, h http.Handler) float64 {
 
 func replStatusOf(srv *server) replStatus { return srv.repl.status() }
 
-// waitApplied blocks until every shard of the standby has applied at least
-// the LSN the primary's same shard has. replStatus.CaughtUp is not that:
-// it says the standby holds what the primary had one poll ago, so a kill
-// right after it can still cut off an acknowledged write. Call it once the
-// primary has stopped taking writes, just before killing it.
-func waitApplied(t *testing.T, primary, standby *server) {
+// waitApplied blocks until the standby's /readyz shard_applied_lsn has
+// reached the primary's on every shard. caught_up is not that: a write
+// acked after the standby's latest quiet poll is not in it yet. Call it
+// once the primary has stopped taking writes, just before killing it.
+func waitApplied(t *testing.T, primary, standby http.Handler) {
 	t.Helper()
 	waitFor(t, "standby applied every LSN the primary holds", func() bool {
-		ps, ss := primary.online.pool.Statuses(), standby.online.pool.Statuses()
+		ps, ss := readyOf(t, primary).Replication.ShardAppliedLSN, readyOf(t, standby).Replication.ShardAppliedLSN
 		for i := range ps {
-			if ss[i].AppliedLSN < ps[i].AppliedLSN {
+			if ss[i] < ps[i] {
 				return false
 			}
 		}
@@ -127,7 +126,7 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 		mustConsume(t, hA, ev)
 	}
 	waitFor(t, "standby caught up", func() bool { return replStatusOf(srvB).CaughtUp })
-	waitApplied(t, srvA, srvB)
+	waitApplied(t, hA, hB)
 	// /readyz says what each node holds now — what the router ranks
 	// promotion candidates by.
 	if a, b := replStatusOf(srvA).AppliedLSN, replStatusOf(srvB).AppliedLSN; a != uint64(len(acked)) || b != a {

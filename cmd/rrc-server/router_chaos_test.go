@@ -124,7 +124,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 		consumeViaRouter(t, h, ev)
 	}
 	waitFor(t, "standby caught up pre-kill", func() bool { return replStatusOf(srvB).CaughtUp })
-	waitApplied(t, srvA, srvB)
+	waitApplied(t, srvA.routes(), srvB.routes())
 
 	// Kill the primary: listener closed, pool abandoned un-closed.
 	tsA.Close()

@@ -75,6 +75,9 @@ type Follower struct {
 	// Defaults: 100ms / 5s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
+	// Wait is the primary's long-poll hold (its Server.Wait); 0 → 2s.
+	// CaughtUp goes stale after two of them without a quiet poll.
+	Wait time.Duration
 	// Metrics, when non-nil, receives the rrc_replica_* families.
 	Metrics *obs.Registry
 
@@ -95,6 +98,7 @@ type shardTailer struct {
 	primaryNext atomic.Uint64 // last seen primary horizon
 	localNext   atomic.Uint64 // local commit horizon after the last apply
 	lagSince    atomic.Int64  // unix nanos when lag last became nonzero; 0 = caught up
+	quietAt     atomic.Int64  // unix nanos of the last poll if it shipped no record at our horizon, else 0
 
 	applied   *obs.Counter
 	streamErr *obs.Counter
@@ -206,12 +210,17 @@ func (f *Follower) Stop() {
 	}
 }
 
-// CaughtUp reports whether every shard's local horizon has reached the
-// primary's as of the latest poll.
+// CaughtUp reports whether every shard's latest poll succeeded less than
+// two long-poll waits ago and shipped no record at the primary's horizon.
+// A primary that stops answering makes it false within 2×Wait.
 func (f *Follower) CaughtUp() bool {
+	wait := f.Wait
+	if wait <= 0 {
+		wait = 2 * time.Second
+	}
 	for _, st := range f.shards {
-		p := st.primaryNext.Load()
-		if p == 0 || st.localNext.Load() < p {
+		at := st.quietAt.Load()
+		if at == 0 || time.Since(time.Unix(0, at)) >= 2*wait {
 			return false
 		}
 	}
@@ -225,6 +234,7 @@ func (f *Follower) tail(ctx context.Context, st *shardTailer) {
 	for ctx.Err() == nil {
 		madeProgress, err := f.pollOnce(ctx, st)
 		if err != nil {
+			st.quietAt.Store(0)
 			if ctx.Err() != nil {
 				return
 			}
@@ -274,6 +284,9 @@ func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) 
 		resp.Body.Close()
 	}()
 
+	if resp.StatusCode != http.StatusOK {
+		st.quietAt.Store(0)
+	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 		return f.applyStream(st, resp)
@@ -316,8 +329,8 @@ func (f *Follower) applyStream(st *shardTailer, resp *http.Response) (bool, erro
 			st.primaryNext.Store(v)
 		}
 	}
-	applied := false
-	for {
+	applied, frames := false, 0
+	for ; ; frames++ {
 		lsn, payload, err := wal.ReadFrame(resp.Body, 0)
 		if err == io.EOF {
 			break
@@ -340,6 +353,11 @@ func (f *Follower) applyStream(st *shardTailer, resp *http.Response) (bool, erro
 		st.localNext.Store(lsn + 1)
 	}
 	f.updateLagClock(st)
+	quiet := int64(0)
+	if frames == 0 && st.localNext.Load() >= st.primaryNext.Load() {
+		quiet = time.Now().UnixNano()
+	}
+	st.quietAt.Store(quiet)
 	return applied, nil
 }
 
