@@ -53,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"tsppr/internal/httpserve"
 	"tsppr/internal/obs"
 	"tsppr/internal/router"
 )
@@ -117,12 +118,10 @@ func main() {
 	// Same header/idle bounds as rrc-server: a client that opens
 	// connections and never finishes a header must not hold router
 	// goroutines and sockets forever.
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.Routes(),
+	httpSrv := httpserve.New(rt.Routes(), httpserve.Config{
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
-	}
+	})
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -136,7 +135,7 @@ func main() {
 	}()
 
 	log.Printf("rrc-router: listening on %s over %d node(s)", *addr, len(rt.Nodes()))
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := httpSrv.ListenAndServe(*addr); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("rrc-router: %v", err)
 	}
 	log.Printf("rrc-router: bye")

@@ -62,6 +62,7 @@ import (
 	"tsppr/internal/core"
 	"tsppr/internal/engine"
 	"tsppr/internal/faultinject"
+	"tsppr/internal/httpserve"
 	"tsppr/internal/obs"
 	"tsppr/internal/rec"
 	"tsppr/internal/rescache"
@@ -182,14 +183,12 @@ func main() {
 	}
 	log.Printf("serving model (users=%d items=%d K=%d F=%d |W|=%d Ω=%d) on %s",
 		model.NumUsers(), model.NumItems(), model.K, model.F, model.Extractor.WindowCap(), model.Extractor.Omega(), *addr)
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.routes(),
+	httpSrv := httpserve.New(srv.routes(), httpserve.Config{
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		WriteTimeout:      *reqTimeout + 15*time.Second,
 		IdleTimeout:       2 * time.Minute,
-	}
+	})
 
 	// SIGHUP hot-reloads the model; SIGINT/SIGTERM drain and exit.
 	hup := make(chan os.Signal, 1)
@@ -227,7 +226,7 @@ func main() {
 		}
 		close(idle)
 	}()
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := httpSrv.ListenAndServe(*addr); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	<-idle
