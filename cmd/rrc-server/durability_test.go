@@ -9,6 +9,7 @@ package main
 // "restart" is reopening the same directory with a fresh store.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -36,11 +37,21 @@ func chaosEvents(seqs []seq.Sequence) []event {
 	return evs
 }
 
-// bootOnline builds a server over an existing trained model with the
-// online layer rooted in dir. Recovery runs inside newOnline, exactly as
-// a process restart would.
+// bootOnline builds a server over a copy of an existing trained model
+// with the online layer rooted in dir. Recovery runs inside newOnline,
+// exactly as a process restart would. The copy is what a separate process
+// would hold: building an engine rewrites a trained model's feature
+// table, which must not race another node's reads of it.
 func bootOnline(t *testing.T, m *core.Model, dir string, mutate func(*serverOptions)) *server {
 	t.Helper()
+	var file bytes.Buffer
+	if err := m.Write(&file); err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.ReadModel(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := newServer(m, serverOptions{
 		eventsDir: dir,
 		fsync:     wal.SyncAlways,

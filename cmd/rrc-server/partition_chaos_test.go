@@ -17,11 +17,11 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"tsppr/internal/httpserve/httpservetest"
 	"tsppr/internal/obs"
 	"tsppr/internal/router"
 	"tsppr/internal/shard"
@@ -45,7 +45,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	// Boot P primary/standby pairs, each pinned to its slice of the key
 	// space via -partition i/P.
 	prims := make([]*server, P)
-	tsPrims := make([]*httptest.Server, P)
+	tsPrims := make([]*httpservetest.Server, P)
 	stands := make([]*server, P)
 	standURLs := make([]string, P)
 	primDirs := make([]string, P)
@@ -54,19 +54,16 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 		pid := shard.PartitionID{Index: i, Count: P}
 		primDirs[i] = t.TempDir()
 		prims[i] = bootRepl(t, m, primDirs[i], func(o *serverOptions) { o.partition = pid })
-		tsPrims[i] = httptest.NewServer(prims[i].routes())
+		tsPrims[i] = httpservetest.Start(t, prims[i].routes())
 		stands[i] = bootRepl(t, m, t.TempDir(), func(o *serverOptions) {
 			o.partition = pid
 			o.followURL = tsPrims[i].URL
 		})
-		tsStand := httptest.NewServer(stands[i].routes())
-		t.Cleanup(tsStand.Close)
+		tsStand := httpservetest.Start(t, stands[i].routes())
 		t.Cleanup(func() { stands[i].online.close() })
 		standURLs[i] = tsStand.URL
 		layout[i] = []string{tsPrims[i].URL, tsStand.URL}
 	}
-	t.Cleanup(tsPrims[1].Close)
-	t.Cleanup(tsPrims[2].Close)
 	t.Cleanup(func() { prims[1].online.close() })
 	t.Cleanup(func() { prims[2].online.close() })
 
@@ -94,7 +91,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	}
 	rt.Start()
 	t.Cleanup(rt.Stop)
-	h := rt.Routes()
+	h := httpservetest.Start(t, rt.Routes())
 
 	// Phase 1: healthy fleet, writes across every partition.
 	for _, ev := range preKill {
@@ -213,7 +210,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	srvA2 := bootRepl(t, m, primDirs[0], func(o *serverOptions) {
 		o.partition = shard.PartitionID{Index: 0, Count: P}
 	})
-	tsA2 := httptest.NewServer(srvA2.routes())
+	tsA2 := httpservetest.Start(t, srvA2.routes())
 	layout[0] = []string{tsA2.URL, standURLs[0]}
 	rt.SetTopology(router.Topology{Partitions: layout})
 	waitFor(t, "deposed primary fenced by router probe", func() bool {

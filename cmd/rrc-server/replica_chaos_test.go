@@ -4,9 +4,9 @@ package main
 // mixed traffic must fail over without losing an acknowledged-and-
 // shipped write, a deposed primary must never acknowledge another
 // write, and a rejoining node must truncate its divergent tail and
-// drain its replication lag to zero. The pair runs in-process over
-// httptest servers; "kill" is closing the primary's listener and
-// abandoning its pool un-closed, exactly the state a SIGKILL leaves.
+// drain its replication lag to zero. The pair runs in-process on
+// httpserve; "kill" is closing the primary's listener and connections
+// and abandoning its pool un-closed, exactly the state a SIGKILL leaves.
 
 import (
 	"bytes"
@@ -21,6 +21,7 @@ import (
 
 	"tsppr/internal/core"
 	"tsppr/internal/faultinject"
+	"tsppr/internal/httpserve/httpservetest"
 	"tsppr/internal/replica"
 	"tsppr/internal/shard"
 )
@@ -118,9 +119,9 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 	want := referenceRun(t, m, acked, func(o *serverOptions) { o.shards = 2 })
 
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httptest.NewServer(srvA.routes())
+	tsA := httpservetest.Start(t, srvA.routes())
 	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	hA, hB := srvA.routes(), srvB.routes()
+	hA, hB := tsA, httpservetest.Start(t, srvB.routes())
 
 	for _, ev := range acked {
 		mustConsume(t, hA, ev)
@@ -180,7 +181,7 @@ func TestReplicaKilledPrimaryNeverCaughtUp(t *testing.T) {
 	srvA := bootRepl(t, m, t.TempDir(), nil)
 	hA := srvA.routes()
 	var cut atomic.Bool
-	link := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	link := httpservetest.Start(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if cut.Load() {
 			http.Error(w, "link down", http.StatusServiceUnavailable)
 			return
@@ -226,10 +227,10 @@ func TestReplicaRejoinTruncatesDivergentTail(t *testing.T) {
 
 	dirA := t.TempDir()
 	srvA := bootRepl(t, m, dirA, nil)
-	tsA := httptest.NewServer(srvA.routes())
+	tsA := httpservetest.Start(t, srvA.routes())
 	defer tsA.Close()
 	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	hA, hB := srvA.routes(), srvB.routes()
+	hA, hB := tsA, httpservetest.Start(t, srvB.routes())
 
 	for _, ev := range evs[:30] {
 		mustConsume(t, hA, ev)
@@ -258,7 +259,7 @@ func TestReplicaRejoinTruncatesDivergentTail(t *testing.T) {
 	for _, ev := range evs[42:51] {
 		mustConsume(t, hB, ev)
 	}
-	tsB := httptest.NewServer(srvB.routes())
+	tsB := httpservetest.Start(t, srvB.routes())
 	defer tsB.Close()
 	defer srvB.online.close()
 
@@ -308,14 +309,14 @@ func TestReplicaStalePrimaryStartsFenced(t *testing.T) {
 
 	dirA := t.TempDir()
 	srvA := bootRepl(t, m, dirA, nil)
-	tsA := httptest.NewServer(srvA.routes())
+	tsA := httpservetest.Start(t, srvA.routes())
 	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
 	waitFor(t, "standby start", func() bool { return replStatusOf(srvB).Role == "follower" })
 	if _, err := srvB.repl.promote(); err != nil {
 		t.Fatal(err)
 	}
 	tsA.Close()
-	tsB := httptest.NewServer(srvB.routes())
+	tsB := httpservetest.Start(t, srvB.routes())
 	defer tsB.Close()
 	defer srvB.online.close()
 

@@ -22,6 +22,7 @@ import (
 	"tsppr/internal/core"
 	"tsppr/internal/faultinject"
 	"tsppr/internal/features"
+	"tsppr/internal/httpserve"
 	"tsppr/internal/linalg"
 )
 
@@ -216,8 +217,9 @@ func TestStalledScorerHoldsItsSlot(t *testing.T) {
 	assertRetryAfter(t, a, "/recommend")
 }
 
-// TestGracefulShutdownDrain runs a real http.Server, parks a slow request
-// in flight, and verifies Shutdown waits for it to complete successfully.
+// TestGracefulShutdownDrain serves on httpserve, as main does, parks a
+// slow request in flight, and verifies Shutdown waits for it to complete
+// successfully.
 func TestGracefulShutdownDrain(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -228,7 +230,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.routes()}
+	httpSrv := httpserve.New(srv.routes(), httpserve.Config{})
 	go httpSrv.Serve(ln)
 
 	url := fmt.Sprintf("http://%s/recommend", ln.Addr())
@@ -399,10 +401,11 @@ func TestReloadKeepsTheServedShape(t *testing.T) {
 			}
 			srv := bootOnline(t, m, t.TempDir(), func(o *serverOptions) { o.modelPath = path })
 			defer srv.online.close()
+			served := srv.currentModel()
 			if err := srv.reload(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("reload = %v, want a refusal naming %q", err, tc.want)
 			}
-			if srv.currentModel() != m || srv.reloads.Value() != 0 {
+			if srv.currentModel() != served || srv.reloads.Value() != 0 {
 				t.Fatal("refused reload displaced the serving model")
 			}
 			if rr := postJSON(t, srv.routes(), "/consume", tc.probe); rr.Code != http.StatusBadRequest {

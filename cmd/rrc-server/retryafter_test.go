@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"tsppr/internal/httpserve/httpservetest"
 	"tsppr/internal/replica"
 	"tsppr/internal/router"
 )
@@ -84,23 +85,23 @@ func TestRetryAfterAudit(t *testing.T) {
 		header map[string]string
 		want   int
 	}{
-		{"load-shed", shed.routes(), http.MethodPost, "/recommend",
+		{"load-shed", httpservetest.Start(t, shed.routes()), http.MethodPost, "/recommend",
 			recommendRequest{User: 0, History: []int{1, 2}, N: 1}, nil, http.StatusTooManyRequests},
-		{"online-disabled", base.routes(), http.MethodPost, "/consume",
+		{"online-disabled", httpservetest.Start(t, base.routes()), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
-		{"shard-drained", drained.routes(), http.MethodPost, "/consume",
+		{"shard-drained", httpservetest.Start(t, drained.routes()), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
-		{"fenced-ingest-low-epoch", fenced.routes(), http.MethodPost, "/consume",
+		{"fenced-ingest-low-epoch", httpservetest.Start(t, fenced.routes()), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, map[string]string{replica.EpochHeader: "3"},
 			http.StatusPreconditionFailed},
-		{"fenced-ingest-high-epoch", fenced.routes(), http.MethodPost, "/consume",
+		{"fenced-ingest-high-epoch", httpservetest.Start(t, fenced.routes()), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, map[string]string{replica.EpochHeader: "9"},
 			http.StatusPreconditionFailed},
-		{"standby-write-refused", follower.routes(), http.MethodPost, "/consume",
+		{"standby-write-refused", httpservetest.Start(t, follower.routes()), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
-		{"standby-session-not-replicated", follower.routes(), http.MethodPost, "/recommend/user",
+		{"standby-session-not-replicated", httpservetest.Start(t, follower.routes()), http.MethodPost, "/recommend/user",
 			recommendUserRequest{User: 0, N: 3}, nil, http.StatusServiceUnavailable},
-		{"readyz-shard-drained", drained.routes(), http.MethodGet, "/readyz",
+		{"readyz-shard-drained", httpservetest.Start(t, drained.routes()), http.MethodGet, "/readyz",
 			nil, nil, http.StatusServiceUnavailable},
 	}
 	for _, tc := range cases {
@@ -194,14 +195,14 @@ func TestReplicaFollowerReadsInstrumented(t *testing.T) {
 	base, seqs := testServer(t)
 	m := base.currentModel()
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httptest.NewServer(srvA.routes())
+	tsA := httpservetest.Start(t, srvA.routes())
 	defer tsA.Close()
 	defer srvA.online.close()
 	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
 	defer srvB.repl.stop()
 	defer srvB.online.close()
 
-	hA, hB := srvA.routes(), srvB.routes()
+	hA, hB := tsA, httpservetest.Start(t, srvB.routes())
 	for _, ev := range chaosEvents(seqs)[:10] {
 		mustConsume(t, hA, ev)
 	}

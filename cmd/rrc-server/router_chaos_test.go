@@ -6,19 +6,20 @@ package main
 // zero acknowledged writes lost, reads served continuously through the
 // failover, the router converging on the promoted node with no manual
 // intervention, and the deposed primary rejoining fenced and draining
-// its lag to zero. The nodes run in-process over httptest listeners
-// ("kill" = close the listener and abandon the pool, the state a
-// SIGKILL leaves); the router is the real internal/router engine.
+// its lag to zero. The nodes and the router run in-process on
+// httpserve, the server both binaries use ("kill" = close the listener
+// and every connection and abandon the pool, the state a SIGKILL
+// leaves); the router is the real internal/router engine.
 
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"tsppr/internal/faultinject"
+	"tsppr/internal/httpserve/httpservetest"
 	"tsppr/internal/obs"
 	"tsppr/internal/router"
 )
@@ -81,15 +82,15 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	// router's job.
 	dirA := t.TempDir()
 	srvA := bootRepl(t, m, dirA, nil)
-	tsA := httptest.NewServer(srvA.routes())
+	tsA := httpservetest.Start(t, srvA.routes())
 	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	tsB := httptest.NewServer(srvB.routes())
+	tsB := httpservetest.Start(t, srvB.routes())
 	defer tsB.Close()
 	defer srvB.online.close()
 
 	reg := obs.NewRegistry()
 	rt := newChaosRouter(t, reg, tsA.URL, tsB.URL)
-	h := rt.Routes()
+	h := httpservetest.Start(t, rt.Routes())
 
 	// Continuous reads: a client hammering /recommend/user through the
 	// router for the whole run, including the kill window. Every
@@ -161,7 +162,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	// as a plain primary (no -peers — the worst case). One router probe
 	// round must fence it via the X-RRC-Epoch contract.
 	srvA2 := bootRepl(t, m, dirA, nil)
-	tsA2 := httptest.NewServer(srvA2.routes())
+	tsA2 := httpservetest.Start(t, srvA2.routes())
 	rt.SetTopology(router.Topology{Partitions: [][]string{{tsA2.URL, tsB.URL}}})
 	waitFor(t, "deposed primary fenced by router probe", func() bool {
 		return replStatusOf(srvA2).Fenced
@@ -205,11 +206,11 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	evs := chaosEvents(seqs)
 
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httptest.NewServer(srvA.routes())
+	tsA := httpservetest.Start(t, srvA.routes())
 	defer tsA.Close()
 	defer srvA.online.close()
 	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	tsB := httptest.NewServer(srvB.routes())
+	tsB := httpservetest.Start(t, srvB.routes())
 	defer tsB.Close()
 	defer srvB.online.close()
 
@@ -227,7 +228,7 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	}
 	rt.Start()
 	defer rt.Stop()
-	h := rt.Routes()
+	h := httpservetest.Start(t, rt.Routes())
 
 	for _, ev := range evs[:20] {
 		consumeViaRouter(t, h, ev)
@@ -235,7 +236,7 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	waitFor(t, "standby caught up", func() bool { return replStatusOf(srvB).CaughtUp })
 
 	// Operator promotes B while A is still alive and unfenced.
-	rr := postJSON(t, srvB.routes(), "/admin/promote", struct{}{})
+	rr := postJSON(t, tsB, "/admin/promote", struct{}{})
 	if rr.Code != http.StatusOK {
 		t.Fatalf("operator promote status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -264,12 +265,12 @@ func TestRouterRetriesScorerPanicElsewhere(t *testing.T) {
 	defer faultinject.Reset()
 	base, seqs := testServer(t)
 	other := newServer(base.currentModel(), serverOptions{})
-	tsA := httptest.NewServer(base.routes())
+	tsA := httpservetest.Start(t, base.routes())
 	defer tsA.Close()
-	tsB := httptest.NewServer(other.routes())
+	tsB := httpservetest.Start(t, other.routes())
 	defer tsB.Close()
 	reg := obs.NewRegistry()
-	h := newChaosRouter(t, reg, tsA.URL, tsB.URL).Routes()
+	h := httpservetest.Start(t, newChaosRouter(t, reg, tsA.URL, tsB.URL).Routes())
 
 	history := make([]int, 0, 40)
 	for _, v := range seqs[0][:40] {
@@ -306,16 +307,16 @@ func TestRouterReadYourWritesAcrossPair(t *testing.T) {
 	m := base.currentModel()
 
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httptest.NewServer(srvA.routes())
+	tsA := httpservetest.Start(t, srvA.routes())
 	defer tsA.Close()
 	defer srvA.online.close()
 	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	tsB := httptest.NewServer(srvB.routes())
+	tsB := httpservetest.Start(t, srvB.routes())
 	defer tsB.Close()
 	defer srvB.online.close()
 
-	h := newChaosRouter(t, obs.NewRegistry(), tsA.URL, tsB.URL).Routes()
-	direct := srvA.routes()
+	h := httpservetest.Start(t, newChaosRouter(t, obs.NewRegistry(), tsA.URL, tsB.URL).Routes())
+	direct := tsA
 
 	// Ω=1: the item consumed a moment ago is exactly what a stale window
 	// would still offer.

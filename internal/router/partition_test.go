@@ -74,7 +74,7 @@ func TestRouterPartitionedWritesRouteByKey(t *testing.T) {
 	p1 := &fakeNode{epoch: 4, caughtUp: true}
 	p1s := &fakeNode{role: roleFollower, epoch: 4, caughtUp: true}
 	rt := startPartitionedFakes(t, [][]*fakeNode{{p0, p0s}, {p1, p1s}}, nil)
-	h := rt.Routes()
+	h := served(t, rt)
 
 	u0 := userOwnedBy(t, 0, 2)
 	u1 := userOwnedBy(t, 1, 2)
@@ -126,7 +126,7 @@ func TestRouterPartitionFailureIsolatedAndFailsOver(t *testing.T) {
 	rt := startPartitionedFakes(t, [][]*fakeNode{{p0, p0s}, {p1, p1s}}, func(c *Config) {
 		c.AutoPromote = true
 	})
-	h := rt.Routes()
+	h := served(t, rt)
 	u0 := userOwnedBy(t, 0, 2)
 	u1 := userOwnedBy(t, 1, 2)
 
@@ -169,7 +169,7 @@ func TestRouterMisdirectFoldsNodeOut(t *testing.T) {
 	rt := startPartitionedFakes(t, [][]*fakeNode{{wrong}, {p1}}, nil)
 	wrong.set(func(f *fakeNode) { f.partIdx = 1 }) // actually owns partition 1
 
-	h := rt.Routes()
+	h := served(t, rt)
 	u0 := userOwnedBy(t, 0, 2)
 	rr := post(h, "/consume", consumeBody(u0), nil)
 	if rr.Code == http.StatusOK {
@@ -213,7 +213,7 @@ func TestRouterProbeDetectsMisplacedNode(t *testing.T) {
 			// With its only node misplaced, partition 0 sheds writes
 			// locally — they are provably never misapplied.
 			before := wrong.consumes.Load()
-			rr := post(rt.Routes(), "/consume", consumeBody(userOwnedBy(t, 0, 2)), nil)
+			rr := post(served(t, rt), "/consume", consumeBody(userOwnedBy(t, 0, 2)), nil)
 			if rr.Code != http.StatusServiceUnavailable {
 				t.Fatalf("write to a partition with only a misplaced node: status %d, want 503", rr.Code)
 			}
@@ -249,7 +249,7 @@ func TestRouterPartitionedTopologyFileAndCutover(t *testing.T) {
 	}
 	rt.Start()
 	t.Cleanup(rt.Stop)
-	h := rt.Routes()
+	h := served(t, rt)
 	move := userOwnedBy(t, 1, 2)
 
 	if rr := post(h, "/consume", consumeBody(move), nil); rr.Code != http.StatusOK || a.consumes.Load() != 1 {
@@ -369,7 +369,7 @@ func TestRouterBudgetLedgerMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	rt := startFakes(t, []*fakeNode{n}, func(c *Config) { c.Metrics = reg })
 	rt.budget.maxClients = 3
-	h := rt.Routes()
+	h := served(t, rt)
 
 	for i := 0; i < 10; i++ {
 		post(h, "/consume", `{"user":0,"item":1}`, map[string]string{"X-RRC-Client": "drive-by-" + strconv.Itoa(i)})

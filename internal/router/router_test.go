@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"tsppr/internal/httpserve/httpservetest"
 	"tsppr/internal/obs"
 	"tsppr/internal/shard"
 )
@@ -270,6 +271,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// served serves rt's routes on httpserve, the server rrc-router runs,
+// and returns a handler that sends each request there.
+func served(tb testing.TB, rt *Router) http.Handler { return httpservetest.Start(tb, rt.Routes()) }
+
 func post(h http.Handler, path, body string, headers map[string]string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -296,11 +301,11 @@ func writeFor(h http.Handler, d time.Duration) map[int]int {
 // its write target, so no write meanwhile is shed.
 func TestRouterSlowProbeKeepsWriteTarget(t *testing.T) {
 	n := &fakeNode{caughtUp: true}
-	h := startFakes(t, []*fakeNode{n}, func(c *Config) {
+	h := served(t, startFakes(t, []*fakeNode{n}, func(c *Config) {
 		c.ProbeInterval = 50 * time.Millisecond
 		c.ProbeTimeout = 30 * time.Millisecond
 		c.ProbeFails = 3
-	}).Routes()
+	}))
 	n.readyzStall.Store(int64(100 * time.Millisecond))
 	codes := writeFor(h, 400*time.Millisecond)
 	if n.readyzStall.Load() != 0 {
@@ -318,12 +323,12 @@ func TestRouterSlowProbeKeepsWriteTarget(t *testing.T) {
 // write target and no write is shed 503 while it comes back.
 func TestRouterNodeStallCostsOneAmbiguousWrite(t *testing.T) {
 	n := &fakeNode{caughtUp: true}
-	h := startFakes(t, []*fakeNode{n}, func(c *Config) {
+	h := served(t, startFakes(t, []*fakeNode{n}, func(c *Config) {
 		c.ProbeInterval = 50 * time.Millisecond
 		c.ProbeTimeout = 20 * time.Millisecond
 		c.ProbeFails = 6
 		c.TryTimeout = 100 * time.Millisecond
-	}).Routes()
+	}))
 	n.stallUntil.Store(time.Now().Add(150 * time.Millisecond).UnixNano())
 	codes := writeFor(h, 400*time.Millisecond)
 	if codes[http.StatusBadGateway] != 1 || codes[http.StatusServiceUnavailable] != 0 || codes[http.StatusOK] == 0 {
@@ -335,7 +340,7 @@ func TestRouterWritesFollowHighestEpoch(t *testing.T) {
 	old := &fakeNode{epoch: 1}
 	neu := &fakeNode{epoch: 2}
 	rt := startFakes(t, []*fakeNode{old, neu}, nil)
-	h := rt.Routes()
+	h := served(t, rt)
 
 	rr := post(h, "/consume", `{"user":0,"item":1}`, nil)
 	if rr.Code != http.StatusOK {
@@ -364,7 +369,7 @@ func TestRouterWritesFollowHighestEpoch(t *testing.T) {
 func TestRouterNodeWithoutReplicationIsNeverWriteTarget(t *testing.T) {
 	diskless := &fakeNode{noReplication: true}
 	primary := &fakeNode{caughtUp: true}
-	h := startFakes(t, []*fakeNode{diskless, primary}, nil).Routes()
+	h := served(t, startFakes(t, []*fakeNode{diskless, primary}, nil))
 	for i := 0; i < 4; i++ {
 		if rr := post(h, "/consume", `{"user":0,"item":1}`, nil); rr.Code != http.StatusOK {
 			t.Fatalf("consume %d: status %d: %s", i, rr.Code, rr.Body.String())
@@ -379,7 +384,7 @@ func TestRouterNodeWithoutReplicationIsNeverWriteTarget(t *testing.T) {
 	if st := mustStatus(rt); st.Status != "no write target" {
 		t.Fatalf("fleet of diskless nodes: /readyz status %q, want \"no write target\"", st.Status)
 	}
-	if rr := post(rt.Routes(), "/recommend", `{"user":0,"history":[1],"n":3}`, nil); rr.Code != http.StatusOK {
+	if rr := post(served(t, rt), "/recommend", `{"user":0,"history":[1],"n":3}`, nil); rr.Code != http.StatusOK {
 		t.Fatalf("stateless read on a diskless node: status %d", rr.Code)
 	}
 }
@@ -435,7 +440,7 @@ func TestRouterReadOrder(t *testing.T) {
 					return st.WriteTarget == ""
 				})
 			}
-			h := rt.Routes()
+			h := served(t, rt)
 			for i := 0; i < reads; i++ {
 				rr := post(h, tc.path, `{"user":0,"history":[1],"n":3}`, nil)
 				if rr.Code != tc.wantCode {
@@ -457,7 +462,7 @@ func TestRouterReadFailsOverAcrossNodes(t *testing.T) {
 	rt := startFakes(t, []*fakeNode{bad, good}, func(c *Config) {
 		c.RetryBudget = 1 // every request may fund its own failover retry
 	})
-	h := rt.Routes()
+	h := served(t, rt)
 
 	ok := 0
 	for i := 0; i < 8; i++ {
@@ -482,7 +487,7 @@ func TestRouterRetryBudgetBoundsAmplification(t *testing.T) {
 		c.MaxAttempts = 50 // far above the budget: the budget must bind
 		c.Deadline = 5 * time.Second
 	})
-	h := rt.Routes()
+	h := served(t, rt)
 
 	hdr := map[string]string{"X-RRC-Client": "loadgen"}
 	for i := 0; i < requests; i++ {
@@ -509,7 +514,7 @@ func TestRouterShedsWhenBackendDead(t *testing.T) {
 	rt := startFakes(t, []*fakeNode{dead}, func(c *Config) {
 		c.Deadline = 300 * time.Millisecond
 	})
-	h := rt.Routes()
+	h := served(t, rt)
 	dead.ts.Close() // SIGKILL-shaped: connections refused from here on
 
 	rr := post(h, "/consume", `{"user":0,"item":1}`, nil)
@@ -560,7 +565,7 @@ func TestRouterAmbiguousWriteNotRetried(t *testing.T) {
 	rt.Start()
 	t.Cleanup(rt.Stop)
 
-	rr := post(rt.Routes(), "/consume", `{"user":0,"item":1}`, nil)
+	rr := post(served(t, rt), "/consume", `{"user":0,"item":1}`, nil)
 	if rr.Code != http.StatusBadGateway {
 		t.Fatalf("ambiguous write answered %d, want 502: %s", rr.Code, rr.Body.String())
 	}
@@ -575,7 +580,7 @@ func TestRouterPropagatesDeadlineHeader(t *testing.T) {
 		c.Deadline = 2 * time.Second
 		c.TryTimeout = 2 * time.Second
 	})
-	h := rt.Routes()
+	h := served(t, rt)
 
 	// Client supplies 250ms: the upstream header must carry the (lower)
 	// remaining budget, never the router default.
@@ -595,7 +600,7 @@ func TestRouterAutoPromotesOnPrimaryLoss(t *testing.T) {
 	rt := startFakes(t, []*fakeNode{primary, standby}, func(c *Config) {
 		c.AutoPromote = true
 	})
-	h := rt.Routes()
+	h := served(t, rt)
 
 	// Sanity: writes land on the primary first.
 	if rr := post(h, "/consume", `{"user":0,"item":1}`, nil); rr.Code != http.StatusOK {
@@ -646,7 +651,7 @@ func TestRouterWriteFoldsFenceEpoch(t *testing.T) {
 		c.RetryBudget = 1
 	})
 
-	rr := post(rt.Routes(), "/consume", `{"user":0,"item":1}`, nil)
+	rr := post(served(t, rt), "/consume", `{"user":0,"item":1}`, nil)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -666,7 +671,7 @@ func TestRouterTopologyChangeDoesNotDeadlockScrape(t *testing.T) {
 	// sides concurrently; a regression hangs the test.
 	n := &fakeNode{caughtUp: true}
 	rt := startFakes(t, []*fakeNode{n}, nil)
-	h := rt.Routes()
+	h := served(t, rt)
 
 	done := make(chan struct{})
 	go func() {
@@ -722,7 +727,7 @@ func TestRouterStopIsSafeWhenMisused(t *testing.T) {
 func TestRouterOwnEndpoints(t *testing.T) {
 	n := &fakeNode{caughtUp: true}
 	rt := startFakes(t, []*fakeNode{n}, nil)
-	h := rt.Routes()
+	h := served(t, rt)
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/readyz", nil))

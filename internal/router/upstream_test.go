@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tsppr/internal/httpserve/httpservetest"
 )
 
 // TestUpstreamPoolSurvivesBackendIdleTimeout: the backend closes idle
@@ -26,7 +28,7 @@ func TestUpstreamPoolSurvivesBackendIdleTimeout(t *testing.T) {
 	n.ts = httptest.NewUnstartedServer(n.handler())
 	n.ts.Config.IdleTimeout = 20 * time.Millisecond
 	n.ts.Start()
-	h := startFakes(t, []*fakeNode{n}, func(c *Config) { c.ProbeInterval = time.Hour }).Routes()
+	h := served(t, startFakes(t, []*fakeNode{n}, func(c *Config) { c.ProbeInterval = time.Hour }))
 	for i := 1; i <= 3; i++ {
 		if rr := post(h, "/consume", `{"user":0,"item":1}`, nil); rr.Code != http.StatusOK {
 			t.Fatalf("write %d: status %d: %s", i, rr.Code, rr.Body.String())
@@ -44,7 +46,7 @@ func TestUpstreamPoolSurvivesBackendIdleTimeout(t *testing.T) {
 func TestUpstreamPoolSurvivesBackendRestart(t *testing.T) {
 	old := &fakeNode{caughtUp: true}
 	rt := startFakes(t, []*fakeNode{old}, func(c *Config) { c.ProbeInterval = time.Hour })
-	h := rt.Routes()
+	h := served(t, rt)
 	if rr := post(h, "/consume", `{"user":0,"item":1}`, nil); rr.Code != http.StatusOK {
 		t.Fatalf("write before the restart: status %d", rr.Code)
 	}
@@ -69,7 +71,7 @@ func TestUpstreamPoolSurvivesBackendRestart(t *testing.T) {
 func TestUpstreamPoolReusesConns(t *testing.T) {
 	n := &fakeNode{caughtUp: true}
 	rt := startFakes(t, []*fakeNode{n}, func(c *Config) { c.ProbeTimeout = time.Second })
-	h := rt.Routes()
+	h := served(t, rt)
 	for i := 0; i < 200; i++ {
 		if rr := post(h, "/recommend/user", `{"user":0,"n":3}`, nil); rr.Code != http.StatusOK {
 			t.Fatalf("read %d: status %d", i, rr.Code)
@@ -197,27 +199,56 @@ func FuzzUpstreamResponse(f *testing.F) {
 	})
 }
 
-// BenchmarkRouterProxy is one proxied /recommend/user through the
-// router's handler to an in-process backend, from parallel clients.
+// BenchmarkRouterProxy is one proxied /recommend/user from parallel
+// keep-alive clients through the router to one backend, with the router
+// and the backend both served by net/http's server or both by httpserve.
 func BenchmarkRouterProxy(b *testing.B) {
-	n := &fakeNode{caughtUp: true}
-	n.ts = httptest.NewServer(n.handler())
-	b.Cleanup(n.ts.Close)
-	rt, err := New(Config{Partitions: [][]string{{n.ts.URL}}, ProbeInterval: time.Hour})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt.Start()
-	b.Cleanup(rt.Stop)
-	h := rt.Routes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if rr := post(h, "/recommend/user", `{"user":0,"n":3}`, nil); rr.Code != http.StatusOK {
-				b.Errorf("status %d", rr.Code)
-				return
+	const body = `{"user":0,"n":3}`
+	req := []byte("POST /recommend/user HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\nContent-Length: " +
+		strconv.Itoa(len(body)) + "\r\n\r\n" + body)
+	for _, tc := range []struct {
+		name  string
+		serve func(http.Handler) string // returns the base URL
+	}{
+		{"net-http", func(h http.Handler) string {
+			ts := httptest.NewServer(h)
+			b.Cleanup(ts.Close)
+			return ts.URL
+		}},
+		{"httpserve", func(h http.Handler) string { return httpservetest.Start(b, h).URL }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			n := &fakeNode{caughtUp: true}
+			rt, err := New(Config{Partitions: [][]string{{tc.serve(n.handler())}}, ProbeInterval: time.Hour})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-	})
+			rt.Start()
+			b.Cleanup(rt.Stop)
+			front := strings.TrimPrefix(tc.serve(rt.Routes()), "http://")
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				nc, err := net.Dial("tcp", front)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				defer nc.Close()
+				br := bufio.NewReader(nc)
+				for pb.Next() {
+					if _, err := nc.Write(req); err != nil {
+						b.Error(err)
+						return
+					}
+					resp, err := http.ReadResponse(br, nil)
+					if err != nil || resp.StatusCode != http.StatusOK {
+						b.Errorf("response: %v", err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+				}
+			})
+		})
+	}
 }
