@@ -84,9 +84,10 @@ metrics-smoke:
 
 ## fuzz-smoke: run every fuzz target over its checked-in seed corpus only
 ## (no mutation) — fast enough to gate on; ./internal/router brings the
-## topology parser and the upstream request writer and response reader
+## topology parser and the upstream request writer and response reader,
+## ./internal/httpserve the serving loop both binaries run
 fuzz-smoke:
-	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
+	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/httpserve ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it
@@ -99,7 +100,8 @@ bench-smoke:
 ## fuzz: short bounded fuzzing with mutation — model loader, TSV readers,
 ## the follower's stream-frame parser, the session snapshot loader, the
 ## router's topology file, its upstream request head (differential against
-## net/http's ReadRequest) and response reader, the partition identity, the root markers
+## net/http's ReadRequest) and response reader, the serving loop (raw bytes on
+## a connection), the partition identity, the root markers
 ## (partition, epoch) and the stateless recommend request scanner
 ## (differential against encoding/json)
 fuzz:
@@ -110,6 +112,7 @@ fuzz:
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzUpstreamHead -fuzztime 10s
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzUpstreamResponse -fuzztime 10s
+	$(GO) test ./internal/httpserve -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/sessions -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzParsePartitionID -fuzztime 10s

@@ -1,24 +1,11 @@
 // Package httpserve is the HTTP/1.1 server rrc-server and rrc-router
-// serve on. Each connection is one goroutine: it reads a request with
-// net/http's own parser (http.ReadRequest), runs the handler on that
-// goroutine into a buffered ResponseWriter, and sends the response as
-// one Content-Length-framed write. Beside net/http's server it drops
-// what these services never use: the per-request background read and
-// context, chunked and streamed responses, HTTP/2 and 1xx replies from
-// handlers.
-//
-// Limits: a request's first byte must come within IdleTimeout; its head
-// within ReadHeaderTimeout of that and under 1 MiB (else 431); its body
-// within ReadTimeout of that. The response is written within
-// WriteTimeout of the head. An idle or write deadline already within an
-// eighth of its timeout of the new one is left in place. A connection
-// closes after a request that asks for it (Connection: close, HTTP/1.0
-// without keep-alive), a 413, more than 256 KiB of unread body, or a
-// handler panic (logged; a 500 if the handler had written nothing).
-//
-// Every request's context is the server's: Close cancels it, and so
-// does Shutdown once its own context ends. A client that disconnects
-// cancels nothing.
+// serve on. Each connection is one goroutine that parses a request with
+// http.ReadRequest, runs the handler on itself into a buffered
+// ResponseWriter and sends the answer in one Content-Length-framed
+// write: no goroutine, context or timer per request, and no chunked or
+// streamed response, HTTP/2 or 1xx from a handler. Every request's
+// context is the server's, cancelled by Close, and by Shutdown once its
+// own context ends; a client that disconnects cancels nothing.
 package httpserve
 
 import (
@@ -40,43 +27,41 @@ import (
 )
 
 const (
-	maxHeaderBytes = 1<<20 + 4096 // read for one head before 431; net/http's cap plus its bufio slop
+	maxHeaderBytes = 1<<20 + 4096 // net/http's head cap plus its bufio slop
 	maxDrain       = 256 << 10    // unread body discarded to keep a connection
-	maxKeptBody    = 64 << 10     // a larger response buffer is not kept for the next request
+	maxKeptBody    = 64 << 10     // a larger response buffer is dropped after use
 	lingerTime     = 500 * time.Millisecond
 )
 
-// Config holds the server's timeouts; zero means none.
+// Config holds the timeouts, zero meaning none: for a request's first
+// byte, then its head (under 1 MiB, else 431) and its body, and from the
+// head on, its answer. An idle or write deadline within an eighth of its
+// timeout of the new one is left in place.
 type Config struct {
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
+	IdleTimeout, ReadHeaderTimeout, ReadTimeout, WriteTimeout time.Duration
 }
 
-// Server serves one handler on the listener given to Serve.
+// Server serves one handler.
 type Server struct {
 	cfg         Config
 	handler     http.Handler
 	ctx         context.Context
 	cancel      context.CancelFunc
 	headerLimit int64 // maxHeaderBytes; tests lower it
-
-	closing atomic.Bool
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[*conn]struct{}
-	running sync.WaitGroup // one per connection goroutine
+	closing     atomic.Bool
+	mu          sync.Mutex
+	ln          net.Listener
+	conns       map[*conn]struct{}
+	running     sync.WaitGroup // one per connection goroutine
 }
 
 // New returns a server for h.
 func New(h http.Handler, cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{cfg: cfg, handler: h, ctx: ctx, cancel: cancel,
-		headerLimit: maxHeaderBytes, conns: map[*conn]struct{}{}}
+	return &Server{cfg: cfg, handler: h, ctx: ctx, cancel: cancel, headerLimit: maxHeaderBytes, conns: map[*conn]struct{}{}}
 }
 
-// ListenAndServe listens on the TCP address addr and serves it.
+// ListenAndServe serves the TCP address addr.
 func (s *Server) ListenAndServe(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -85,47 +70,38 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// Serve accepts connections on ln until Shutdown or Close, and then
-// returns http.ErrServerClosed.
+// Serve accepts connections on ln until Shutdown or Close, then returns
+// http.ErrServerClosed.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-	for {
-		if s.closing.Load() {
-			ln.Close()
-			return http.ErrServerClosed
-		}
+	for !s.closing.Load() {
 		nc, err := ln.Accept()
-		if err != nil {
-			if s.closing.Load() {
-				return http.ErrServerClosed
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return err
-			}
+		if errors.Is(err, net.ErrClosed) && !s.closing.Load() {
+			return err
+		} else if err != nil {
 			time.Sleep(10 * time.Millisecond) // e.g. out of file descriptors
 			continue
 		}
-		c := &conn{s: s, nc: nc, remote: nc.RemoteAddr().String()}
-		c.lr.r = nc
+		c := &conn{s: s, nc: nc, remote: nc.RemoteAddr().String(), lr: limitReader{r: nc}}
 		c.br = bufio.NewReader(&c.lr)
-		c.state.Store(stateIdle)
 		s.mu.Lock()
 		if s.closing.Load() {
-			s.mu.Unlock()
 			nc.Close()
-			continue
+		} else {
+			s.conns[c] = struct{}{}
+			s.running.Add(1)
+			go c.serve()
 		}
-		s.conns[c] = struct{}{}
-		s.running.Add(1)
 		s.mu.Unlock()
-		go c.serve()
 	}
+	ln.Close()
+	return http.ErrServerClosed
 }
 
-// stop refuses new connections and closes the idle ones.
-func (s *Server) stop() {
+// stop refuses new connections and closes the idle ones, or all.
+func (s *Server) stop(all bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closing.Store(true)
@@ -133,24 +109,23 @@ func (s *Server) stop() {
 		s.ln.Close()
 	}
 	for c := range s.conns {
-		if c.state.CompareAndSwap(stateIdle, stateClosed) {
+		if c.idle.CompareAndSwap(true, false) || all {
 			c.nc.Close()
 		}
 	}
 }
 
 // Shutdown stops accepting, closes idle connections and waits for the
-// requests in flight, each of which closes its connection once
-// answered. If ctx ends first, it cancels the requests' context and
-// returns ctx's error.
+// requests in flight, whose connections close once they are answered.
+// If ctx ends first it cancels their context and returns ctx's error.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.stop()
+	s.stop(false)
+	defer s.cancel()
 	done := make(chan struct{})
-	go func() { // exits when the last connection does
+	go func() { // ends with the last connection
 		s.running.Wait()
 		close(done)
 	}()
-	defer s.cancel()
 	select {
 	case <-done:
 		return nil
@@ -160,123 +135,102 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Close stops accepting, cancels the requests' context, closes every
-// connection and returns once every handler has returned.
+// connection and returns once every handler has.
 func (s *Server) Close() error {
-	s.stop()
 	s.cancel()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.nc.Close()
-	}
-	s.mu.Unlock()
+	s.stop(true)
 	s.running.Wait()
 	return nil
 }
-
-const (
-	stateActive int32 = iota
-	stateIdle
-	stateClosed
-)
 
 // conn is one client connection and the buffers its requests reuse.
 type conn struct {
 	s        *Server
 	nc       net.Conn
 	remote   string
-	state    atomic.Int32
+	idle     atomic.Bool // waiting for a request: Shutdown may close it
 	lr       limitReader
 	br       *bufio.Reader
 	rdl, wdl time.Time // deadlines in force
-	out      []byte    // response head
-	vec      [2][]byte // head and body, for one writev
-	bufs     net.Buffers
 	w        response
 	body     body
+	out      []byte      // response head
+	iov      [2][]byte   // head and body
+	vec      net.Buffers // over iov, for one writev
 }
 
 func (c *conn) serve() {
-	defer func() {
-		c.s.mu.Lock()
-		delete(c.s.conns, c)
-		c.s.mu.Unlock()
-		c.nc.Close()
-		c.s.running.Done()
-	}()
 	for c.next() {
 	}
+	c.s.mu.Lock()
+	delete(c.s.conns, c)
+	c.s.mu.Unlock()
+	c.nc.Close()
+	c.s.running.Done()
 }
 
-// next serves one request and reports whether the connection stays open.
+// next serves one request and reports whether the connection stays open:
+// not after Connection: close, HTTP/1.0 without keep-alive, a 413, more
+// than 256 KiB of unread body, or a handler panic (logged; a 500 if the
+// handler had written nothing, else no answer).
 func (c *conn) next() bool {
-	s := c.s
+	s, now := c.s, time.Now()
 	c.lr.n = s.headerLimit
-	if c.br.Buffered() == 0 {
-		c.state.Store(stateIdle)
+	if c.br.Buffered() == 0 { // else a pipelined request is waiting
+		c.idle.Store(true)
 		if s.closing.Load() {
 			return false
 		}
-		c.setRead(deadline(time.Now(), s.cfg.IdleTimeout), s.cfg.IdleTimeout/8)
-		_, err := c.br.Peek(1)
-		if !c.state.CompareAndSwap(stateIdle, stateActive) || err != nil {
+		c.setDeadline(&c.rdl, c.nc.SetReadDeadline, now, s.cfg.IdleTimeout, s.cfg.IdleTimeout/8)
+		if _, err := c.br.Peek(1); !c.idle.CompareAndSwap(true, false) || err != nil {
 			return false
 		}
+		now = time.Now()
 	}
-	// ReadRequest drops the Host header, so the Host lines are counted
-	// from the raw head: in the buffer, or recorded as it is read.
-	t0, hosts := time.Now(), 0
-	if b, _ := c.br.Peek(c.br.Buffered()); bytes.Contains(b, []byte("\r\n\r\n")) {
-		hosts = countHosts(b)
-	} else {
-		c.setRead(deadline(t0, s.cfg.ReadHeaderTimeout), 0)
-		c.lr.rec, c.lr.recording = append(c.lr.rec[:0], b...), true
+	if b, _ := c.br.Peek(c.br.Buffered()); !bytes.Contains(b, []byte("\r\n\r\n")) {
+		c.setDeadline(&c.rdl, c.nc.SetReadDeadline, now, s.cfg.ReadHeaderTimeout, 0)
 	}
 	req, err := http.ReadRequest(c.br)
-	if c.lr.recording {
-		c.lr.recording = false
-		hosts = countHosts(c.lr.rec[:len(c.lr.rec)-c.br.Buffered()])
-		if cap(c.lr.rec) > maxKeptBody {
-			c.lr.rec = nil
-		}
-	}
-	if err != nil {
-		c.readFailed(err)
+	var ne net.Error
+	switch code, msg := check(req, err); {
+	case err != nil && c.lr.n <= 0:
+		c.fail(http.StatusRequestHeaderFieldsTooLarge, "")
+		c.linger()
 		return false
-	}
-	c.lr.n = math.MaxInt64
-	if code, msg := check(req, hosts); code != 0 {
+	case err == io.EOF || errors.As(err, &ne):
+		return false // gone or timed out: nothing to answer, as in net/http
+	case code != 0:
 		c.fail(code, msg)
 		return false
 	}
+	c.lr.n = math.MaxInt64
 	if req.ContentLength < 0 || int64(c.br.Buffered()) < req.ContentLength {
-		c.setRead(deadline(t0, s.cfg.ReadTimeout), 0)
+		c.setDeadline(&c.rdl, c.nc.SetReadDeadline, now, s.cfg.ReadTimeout, 0)
 	}
-	c.setWrite(deadline(t0, s.cfg.WriteTimeout), s.cfg.WriteTimeout/8)
+	c.setDeadline(&c.wdl, c.nc.SetWriteDeadline, now, s.cfg.WriteTimeout, s.cfg.WriteTimeout/8)
 
 	req = req.WithContext(s.ctx)
 	req.RemoteAddr = c.remote
-	c.body = body{c: c, r: req.Body}
-	if req.Body != http.NoBody {
-		c.body.expect = req.ProtoAtLeast(1, 1) && req.Header.Get("Expect") != ""
+	hasBody := req.Body != http.NoBody
+	if hasBody {
+		c.body = body{c: c, r: req.Body, expect: req.ProtoAtLeast(1, 1) && req.Header.Get("Expect") != ""}
 		req.Body = &c.body
 	}
 	w := &c.w
 	w.reset(req)
 	ok := c.run(w, req)
-	keep := ok && !req.Close && w.status != http.StatusRequestEntityTooLarge &&
-		!hasToken(w.header, "close") && !s.closing.Load()
-	if keep && req.Body != http.NoBody {
+	keep := ok && !req.Close && w.status != http.StatusRequestEntityTooLarge && !s.closing.Load()
+	if keep && hasBody {
 		keep = c.body.drain()
 	}
-	switch {
-	case !ok && w.status != 0:
-		return false // a partial answer would look whole: abort instead
-	case !ok:
+	if !ok && w.status != 0 {
+		return false // a partial answer would look whole
+	} else if !ok {
 		clear(w.header)
-		w.status, w.buf = http.StatusInternalServerError, w.buf[:0]
+		w.status = http.StatusInternalServerError
 	}
 	err = c.send(w, keep)
-	if !keep && err == nil && req.Body != http.NoBody && !c.body.eof {
+	if !keep && err == nil && hasBody && !c.body.eof {
 		c.linger()
 	}
 	if cap(w.buf) > maxKeptBody {
@@ -296,115 +250,29 @@ func (c *conn) run(w *response, req *http.Request) (ok bool) {
 	return true
 }
 
-// readFailed answers a request that did not parse, as net/http would:
-// silence for a connection that closed or timed out, else 431, 501 or
-// 400 and a close.
-func (c *conn) readFailed(err error) {
-	var ne net.Error
+// check returns the status net/http's server answers a request with
+// before its handler runs, or 0.
+func check(req *http.Request, err error) (code int, msg string) {
 	switch {
-	case c.lr.n <= 0:
-		c.fail(http.StatusRequestHeaderFieldsTooLarge, "")
-		c.linger()
-	case err == io.EOF || errors.As(err, &ne):
-	case strings.Contains(err.Error(), "unsupported transfer encoding"):
-		c.fail(http.StatusNotImplemented, "")
-	default:
-		c.fail(http.StatusBadRequest, "")
-	}
-}
-
-// fail sends a plain-text error the way net/http's server does; the
-// connection is closed after it.
-func (c *conn) fail(code int, msg string) {
-	text := strconv.Itoa(code) + " " + http.StatusText(code)
-	if msg != "" {
-		text += ": " + msg
-	}
-	c.setWrite(time.Now().Add(lingerTime), 0)
-	io.WriteString(c.nc, "HTTP/1.1 "+strconv.Itoa(code)+" "+http.StatusText(code)+
-		"\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\nContent-Length: "+
-		strconv.Itoa(len(text))+"\r\n\r\n"+text)
-}
-
-// linger half-closes the connection and discards what the client still
-// sends for a moment, so that closing with unread input does not reset
-// the connection before the client has read the answer.
-func (c *conn) linger() {
-	if cw, ok := c.nc.(interface{ CloseWrite() error }); ok {
-		cw.CloseWrite()
-	}
-	c.setRead(time.Now().Add(lingerTime), 0)
-	io.Copy(io.Discard, c.nc)
-}
-
-func deadline(t time.Time, d time.Duration) time.Time {
-	if d <= 0 {
-		return time.Time{}
-	}
-	return t.Add(d)
-}
-
-// setRead moves the read deadline to t, unless the one in force is at
-// most slack earlier.
-func (c *conn) setRead(t time.Time, slack time.Duration) {
-	if moveDeadline(&c.rdl, t, slack) {
-		c.nc.SetReadDeadline(t) // fails only on a closed conn, and then so does the read
-	}
-}
-
-func (c *conn) setWrite(t time.Time, slack time.Duration) {
-	if moveDeadline(&c.wdl, t, slack) {
-		c.nc.SetWriteDeadline(t) // as in setRead
-	}
-}
-
-func moveDeadline(cur *time.Time, t time.Time, slack time.Duration) bool {
-	if cur.IsZero() == t.IsZero() && !cur.After(t) && t.Sub(*cur) <= slack {
-		return false
-	}
-	*cur = t
-	return true
-}
-
-// check applies the rules net/http's server adds to ReadRequest's;
-// hosts is the number of Host lines in the head.
-func check(req *http.Request, hosts int) (code int, msg string) {
-	if req.ProtoMajor != 1 {
+	case err != nil && strings.Contains(err.Error(), "unsupported transfer encoding"):
+		return http.StatusNotImplemented, ""
+	case err != nil:
+		return http.StatusBadRequest, ""
+	case req.ProtoMajor != 1:
 		return http.StatusHTTPVersionNotSupported, "unsupported protocol version"
-	}
-	switch {
-	case req.ProtoAtLeast(1, 1) && hosts == 0 && req.Method != http.MethodConnect:
+	case req.ProtoAtLeast(1, 1) && req.Host == "":
 		return http.StatusBadRequest, "missing required Host header"
-	case hosts > 1:
-		return http.StatusBadRequest, "too many Host headers"
 	case strings.ContainsFunc(req.Host, func(r rune) bool { return !validHost(r) }):
 		return http.StatusBadRequest, "malformed Host header"
+	case req.Header.Get("Expect") != "" && !strings.EqualFold(req.Header.Get("Expect"), "100-continue"):
+		return http.StatusExpectationFailed, ""
 	}
-	for k, vv := range req.Header {
+	for k := range req.Header {
 		if !validName(k) {
 			return http.StatusBadRequest, "invalid header name"
 		}
-		for _, v := range vv {
-			if strings.ContainsFunc(v, func(r rune) bool { return r < ' ' && r != '\t' || r == 0x7f }) {
-				return http.StatusBadRequest, "invalid header value"
-			}
-		}
-	}
-	if e := req.Header.Get("Expect"); e != "" && !strings.EqualFold(e, "100-continue") {
-		return http.StatusExpectationFailed, ""
 	}
 	return 0, ""
-}
-
-// countHosts counts the Host lines in the request head that b starts with.
-func countHosts(b []byte) (n int) {
-	for i := bytes.IndexByte(b, '\n'); i >= 0 && !bytes.HasPrefix(b[i:], []byte("\n\r\n")); i = bytes.IndexByte(b, '\n') {
-		b = b[i+1:]
-		if len(b) >= 5 && bytes.EqualFold(b[:5], []byte("host:")) {
-			n++
-		}
-	}
-	return n
 }
 
 func validName(k string) bool {
@@ -414,55 +282,66 @@ func validName(k string) bool {
 }
 
 func validHost(r rune) bool {
-	return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' ||
-		strings.ContainsRune("!$%&'()*+,-.:;=[]_~", r)
+	return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || strings.ContainsRune("!$%&'()*+,-.:;=[]_~", r)
 }
 
-// hasToken reports whether h's Connection header names tok.
-func hasToken(h http.Header, tok string) bool {
-	for _, v := range h["Connection"] {
-		for _, t := range strings.Split(v, ",") {
-			if strings.EqualFold(strings.TrimSpace(t), tok) {
-				return true
-			}
-		}
+// fail sends a plain-text error as net/http's server does; the
+// connection closes after it.
+func (c *conn) fail(code int, msg string) {
+	text := strconv.Itoa(code) + " " + http.StatusText(code)
+	if msg != "" {
+		text += ": " + msg
 	}
-	return false
+	c.setDeadline(&c.wdl, c.nc.SetWriteDeadline, time.Now(), lingerTime, 0)
+	io.WriteString(c.nc, "HTTP/1.1 "+strconv.Itoa(code)+" "+http.StatusText(code)+"\r\nContent-Type: text/plain; charset=utf-8"+
+		"\r\nConnection: close\r\nContent-Length: "+strconv.Itoa(len(text))+"\r\n\r\n"+text)
+}
+
+// linger half-closes the connection and discards what the client still
+// sends for a moment, so that closing with input unread does not reset
+// the connection before the client has read the answer.
+func (c *conn) linger() {
+	if cw, ok := c.nc.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	c.setDeadline(&c.rdl, c.nc.SetReadDeadline, time.Now(), lingerTime, 0)
+	io.Copy(io.Discard, c.nc)
+}
+
+// setDeadline moves a deadline, *cur, to now+d (none if d is 0) through
+// set, unless *cur is at most slack earlier.
+func (c *conn) setDeadline(cur *time.Time, set func(time.Time) error, now time.Time, d, slack time.Duration) {
+	var t time.Time
+	if d > 0 {
+		t = now.Add(d)
+	}
+	if cur.IsZero() != t.IsZero() || cur.After(t) || t.Sub(*cur) > slack {
+		*cur = t
+		set(t) // fails only on a closed conn, and then so does the I/O
+	}
 }
 
 // limitReader reads from r until n bytes are used up, then reports EOF.
-// While recording, it keeps a copy of what it reads in rec.
 type limitReader struct {
-	r         io.Reader
-	n         int64
-	rec       []byte
-	recording bool
+	r io.Reader
+	n int64
 }
 
 func (l *limitReader) Read(p []byte) (int, error) {
 	if l.n <= 0 {
 		return 0, io.EOF
 	}
-	if int64(len(p)) > l.n {
-		p = p[:l.n]
-	}
-	n, err := l.r.Read(p)
+	n, err := l.r.Read(p[:min(int64(len(p)), l.n)])
 	l.n -= int64(n)
-	if l.recording {
-		l.rec = append(l.rec, p[:n]...)
-	}
 	return n, err
 }
 
-// body is a request body as the handler sees it: it sends 100 Continue
-// before the first read when the client asked for one, and Close does
-// not drain.
+// body is a request body as the handler sees it: it answers Expect:
+// 100-continue at the first read, and Close does not drain it.
 type body struct {
-	c              *conn
-	r              io.Reader
-	expect         bool // a 100 Continue is owed before the first read
-	eof, closed    bool
-	continueFailed bool
+	c                   *conn
+	r                   io.Reader
+	expect, eof, closed bool
 }
 
 func (b *body) Read(p []byte) (int, error) {
@@ -472,14 +351,11 @@ func (b *body) Read(p []byte) (int, error) {
 	if b.expect {
 		b.expect = false
 		if _, err := io.WriteString(b.c.nc, "HTTP/1.1 100 Continue\r\n\r\n"); err != nil {
-			b.continueFailed = true
 			return 0, err
 		}
 	}
 	n, err := b.r.Read(p)
-	if err == io.EOF {
-		b.eof = true
-	}
+	b.eof = b.eof || err == io.EOF
 	return n, err
 }
 
@@ -491,11 +367,8 @@ func (b *body) Close() error {
 // drain discards what the handler left of the body and reports whether
 // the next request can be read after it.
 func (b *body) drain() bool {
-	if b.eof {
-		return true
-	}
-	if b.expect || b.continueFailed {
-		return false // the client may not send the body at all
+	if b.eof || b.expect { // a 100-continue body never asked for may never come
+		return b.eof
 	}
 	_, err := io.CopyN(io.Discard, b.r, maxDrain+1)
 	return err == io.EOF
@@ -519,7 +392,7 @@ func (w *response) reset(req *http.Request) {
 
 func (w *response) Header() http.Header { return w.header }
 
-// WriteHeader records the status; a second call, or a 1xx, is ignored.
+// WriteHeader records the first final status; 1xx codes are dropped.
 func (w *response) WriteHeader(code int) {
 	if code < 100 || code > 999 {
 		panic("httpserve: invalid WriteHeader code " + strconv.Itoa(code))
@@ -530,82 +403,58 @@ func (w *response) WriteHeader(code int) {
 }
 
 func (w *response) Write(p []byte) (int, error) {
-	w.WriteHeader(http.StatusOK)
-	if !bodyAllowed(w.status) {
+	if w.WriteHeader(http.StatusOK); !bodyAllowed(w.status) {
 		return 0, http.ErrBodyNotAllowed
 	}
 	w.buf = append(w.buf, p...)
 	return len(p), nil
 }
 
-func (w *response) WriteString(s string) (int, error) {
-	w.WriteHeader(http.StatusOK)
-	if !bodyAllowed(w.status) {
-		return 0, http.ErrBodyNotAllowed
-	}
-	w.buf = append(w.buf, s...)
-	return len(s), nil
-}
-
 func bodyAllowed(code int) bool {
 	return code != http.StatusNoContent && code != http.StatusNotModified
 }
 
-// send writes w's head and body in one write.
+var newlines = strings.NewReplacer("\r", " ", "\n", " ")
+
+// send writes w's head and body in one write; HEAD gets the head only.
+// The handler's Connection, Content-Length and Transfer-Encoding headers
+// are replaced by the server's.
 func (c *conn) send(w *response, keep bool) error {
 	w.WriteHeader(http.StatusOK)
-	req, h := w.req, w.header
+	http11 := w.req.ProtoAtLeast(1, 1)
 	b := append(c.out[:0], "HTTP/1.1 "...)
-	if !req.ProtoAtLeast(1, 1) {
+	if !http11 {
 		b = append(b[:0], "HTTP/1.0 "...)
 	}
-	b = strconv.AppendInt(b, int64(w.status), 10)
-	if text := http.StatusText(w.status); text != "" {
-		b = append(append(b, ' '), text...)
-	}
-	b = append(b, "\r\n"...)
-	for k, vv := range h {
-		switch k {
-		case "Content-Length", "Transfer-Encoding", "Connection":
-			continue
-		}
-		if !validName(k) {
-			continue
-		}
-		for _, v := range vv {
-			b = append(append(append(b, k...), ": "...), strings.TrimSpace(newlines.Replace(v))...)
-			b = append(b, "\r\n"...)
+	b = append(append(strconv.AppendInt(b, int64(w.status), 10), ' '), http.StatusText(w.status)...)
+	for k, vv := range w.header {
+		if validName(k) && k != "Content-Length" && k != "Transfer-Encoding" && k != "Connection" {
+			for _, v := range vv {
+				b = append(append(append(append(b, "\r\n"...), k...), ": "...), strings.TrimSpace(newlines.Replace(v))...)
+			}
 		}
 	}
-	withBody := bodyAllowed(w.status) && req.Method != http.MethodHead
-	if _, ok := h["Content-Type"]; !ok && len(w.buf) > 0 && bodyAllowed(w.status) {
-		b = append(append(b, "Content-Type: "...), http.DetectContentType(w.buf)...)
-		b = append(b, "\r\n"...)
+	if _, ok := w.header["Content-Type"]; !ok && len(w.buf) > 0 {
+		b = append(append(b, "\r\nContent-Type: "...), http.DetectContentType(w.buf)...)
 	}
-	if _, ok := h["Date"]; !ok {
-		b = time.Now().UTC().AppendFormat(append(b, "Date: "...), http.TimeFormat)
-		b = append(b, "\r\n"...)
+	if _, ok := w.header["Date"]; !ok {
+		b = time.Now().UTC().AppendFormat(append(b, "\r\nDate: "...), http.TimeFormat)
 	}
-	if bodyAllowed(w.status) && (withBody || len(w.buf) > 0) {
-		b = strconv.AppendInt(append(b, "Content-Length: "...), int64(len(w.buf)), 10)
-		b = append(b, "\r\n"...)
+	if bodyAllowed(w.status) && (len(w.buf) > 0 || w.req.Method != http.MethodHead) {
+		b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), int64(len(w.buf)), 10)
 	}
-	switch {
-	case !keep && req.ProtoAtLeast(1, 1):
-		b = append(b, "Connection: close\r\n"...)
-	case keep && !req.ProtoAtLeast(1, 1):
-		b = append(b, "Connection: keep-alive\r\n"...)
+	if !keep && http11 {
+		b = append(b, "\r\nConnection: close"...)
+	} else if keep && !http11 {
+		b = append(b, "\r\nConnection: keep-alive"...)
 	}
-	b = append(b, "\r\n"...)
-	c.out = b
-	if !withBody || len(w.buf) == 0 {
-		_, err := c.nc.Write(b)
+	c.out = append(b, "\r\n\r\n"...)
+	if len(w.buf) == 0 || w.req.Method == http.MethodHead {
+		_, err := c.nc.Write(c.out)
 		return err
 	}
-	c.vec = [2][]byte{b, w.buf}
-	c.bufs = c.vec[:]
-	_, err := c.bufs.WriteTo(c.nc)
+	c.iov = [2][]byte{c.out, w.buf}
+	c.vec = c.iov[:]
+	_, err := c.vec.WriteTo(c.nc)
 	return err
 }
-
-var newlines = strings.NewReplacer("\r\n", " ", "\r", " ", "\n", " ")

@@ -4,6 +4,7 @@ package httpservetest
 
 import (
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"testing"
@@ -13,7 +14,7 @@ import (
 )
 
 // Server is a handler served on a loopback port. As an http.Handler it
-// sends each request there over a real connection, so a test written
+// forwards each request there over a real connection, so a test written
 // against a handler drives the production server instead.
 type Server struct {
 	*httpserve.Server
@@ -22,32 +23,26 @@ type Server struct {
 
 // Start serves h until Close or the end of tb.
 func Start(tb testing.TB, h http.Handler) *Server {
-	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := &Server{httpserve.New(h, httpserve.Config{ReadHeaderTimeout: 5 * time.Second, IdleTimeout: time.Minute}), "http://" + ln.Addr().String()}
+	s := &Server{httpserve.New(h, httpserve.Config{IdleTimeout: time.Minute}), "http://" + ln.Addr().String()}
 	go s.Serve(ln) // returns once Close has closed ln
 	tb.Cleanup(func() { s.Close() })
 	return s
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, s.URL+r.URL.RequestURI(), r.Body)
-	if err == nil {
-		req.Header, req.ContentLength = r.Header.Clone(), r.ContentLength
-		var resp *http.Response
-		if resp, err = http.DefaultClient.Do(req); err == nil {
-			defer resp.Body.Close()
-			for k, vv := range resp.Header {
-				w.Header()[k] = vv
-			}
-			w.WriteHeader(resp.StatusCode)
-			_, err = io.Copy(w, resp.Body)
-		}
-	}
+	r = r.Clone(r.Context())
+	r.RequestURI, r.URL.Scheme, r.URL.Host = "", "http", s.URL[len("http://"):]
+	resp, err := http.DefaultTransport.RoundTrip(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
 	}
+	defer resp.Body.Close()
+	maps.Copy(w.Header(), resp.Header)
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, resp.Body)
 }
