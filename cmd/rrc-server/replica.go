@@ -124,7 +124,6 @@ func (s *server) setupReplication() error {
 		Partition:   s.online.pool.Partition(),
 		BackoffBase: s.opts.replBackoffBase,
 		BackoffMax:  s.opts.replBackoffMax,
-		Wait:        s.opts.replWait,
 		Metrics:     s.reg,
 	}
 	if err := f.Start(); err != nil {

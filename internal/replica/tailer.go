@@ -75,9 +75,6 @@ type Follower struct {
 	// Defaults: 100ms / 5s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Wait is the primary's long-poll hold (its Server.Wait); 0 → 2s.
-	// CaughtUp goes stale after two of them without a quiet poll.
-	Wait time.Duration
 	// Metrics, when non-nil, receives the rrc_replica_* families.
 	Metrics *obs.Registry
 
@@ -98,7 +95,7 @@ type shardTailer struct {
 	primaryNext atomic.Uint64 // last seen primary horizon
 	localNext   atomic.Uint64 // local commit horizon after the last apply
 	lagSince    atomic.Int64  // unix nanos when lag last became nonzero; 0 = caught up
-	quietAt     atomic.Int64  // unix nanos of the last poll if it shipped no record at our horizon, else 0
+	quietUntil  atomic.Int64  // unix nanos until which the shard counts as caught up; 0 = not
 
 	applied   *obs.Counter
 	streamErr *obs.Counter
@@ -210,17 +207,14 @@ func (f *Follower) Stop() {
 	}
 }
 
-// CaughtUp reports whether every shard's latest poll succeeded less than
-// two long-poll waits ago and shipped no record at the primary's horizon.
-// A primary that stops answering makes it false within 2×Wait.
+// CaughtUp reports whether every shard's latest poll came back empty at
+// the primary's horizon less than two long-poll waits ago, a wait being
+// how long that empty poll was held. A primary that stops answering
+// makes it false within two waits.
 func (f *Follower) CaughtUp() bool {
-	wait := f.Wait
-	if wait <= 0 {
-		wait = 2 * time.Second
-	}
+	now := time.Now().UnixNano()
 	for _, st := range f.shards {
-		at := st.quietAt.Load()
-		if at == 0 || time.Since(time.Unix(0, at)) >= 2*wait {
+		if now >= st.quietUntil.Load() {
 			return false
 		}
 	}
@@ -234,7 +228,7 @@ func (f *Follower) tail(ctx context.Context, st *shardTailer) {
 	for ctx.Err() == nil {
 		madeProgress, err := f.pollOnce(ctx, st)
 		if err != nil {
-			st.quietAt.Store(0)
+			st.quietUntil.Store(0)
 			if ctx.Err() != nil {
 				return
 			}
@@ -260,6 +254,7 @@ func (f *Follower) tail(ctx context.Context, st *shardTailer) {
 // pollOnce issues one stream request and applies its records. It
 // returns whether any record was applied.
 func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) {
+	start := time.Now()
 	from, err := f.Target.NextLSN(st.shard)
 	if err != nil {
 		return false, fmt.Errorf("local horizon: %w", err)
@@ -285,11 +280,11 @@ func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) 
 	}()
 
 	if resp.StatusCode != http.StatusOK {
-		st.quietAt.Store(0)
+		st.quietUntil.Store(0)
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return f.applyStream(st, resp)
+		return f.applyStream(st, resp, start)
 	case http.StatusPreconditionFailed:
 		return false, f.handleEpochConflict(st, resp)
 	case http.StatusGone:
@@ -322,8 +317,9 @@ func (f *Follower) partitionMismatch(resp *http.Response) error {
 		f.Primary, hint, f.Partition)
 }
 
-// applyStream decodes and applies every frame in a 200 stream response.
-func (f *Follower) applyStream(st *shardTailer, resp *http.Response) (bool, error) {
+// applyStream decodes and applies every frame in a 200 stream response
+// to a poll sent at start.
+func (f *Follower) applyStream(st *shardTailer, resp *http.Response, start time.Time) (bool, error) {
 	if h := resp.Header.Get(NextLSNHeader); h != "" {
 		if v, err := strconv.ParseUint(h, 10, 64); err == nil {
 			st.primaryNext.Store(v)
@@ -353,11 +349,11 @@ func (f *Follower) applyStream(st *shardTailer, resp *http.Response) (bool, erro
 		st.localNext.Store(lsn + 1)
 	}
 	f.updateLagClock(st)
-	quiet := int64(0)
+	until := int64(0)
 	if frames == 0 && st.localNext.Load() >= st.primaryNext.Load() {
-		quiet = time.Now().UnixNano()
+		until = time.Now().Add(2 * time.Since(start)).UnixNano()
 	}
-	st.quietAt.Store(quiet)
+	st.quietUntil.Store(until)
 	return applied, nil
 }
 
