@@ -403,7 +403,8 @@ func (w *response) WriteHeader(code int) {
 }
 
 func (w *response) Write(p []byte) (int, error) {
-	if w.WriteHeader(http.StatusOK); !bodyAllowed(w.status) {
+	w.WriteHeader(http.StatusOK)
+	if !bodyAllowed(w.status) {
 		return 0, http.ErrBodyNotAllowed
 	}
 	w.buf = append(w.buf, p...)

@@ -102,7 +102,6 @@ func roundTrip(t *testing.T, addr, raw string, want int) exchange {
 func TestConformsToNetHTTP(t *testing.T) {
 	std := httptest.NewServer(testHandler())
 	defer std.Close()
-	std.Config.ErrorLog = nil
 	_, ours := serve(t, testHandler(), Config{ReadHeaderTimeout: time.Second, IdleTimeout: time.Minute})
 	stdAddr := strings.TrimPrefix(std.URL, "http://")
 
