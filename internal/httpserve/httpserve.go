@@ -84,7 +84,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			time.Sleep(10 * time.Millisecond) // e.g. out of file descriptors
 			continue
 		}
-		c := &conn{s: s, nc: nc, remote: nc.RemoteAddr().String(), lr: limitReader{r: nc}}
+		c := &conn{s: s, nc: nc, remote: nc.RemoteAddr().String(), lr: io.LimitedReader{R: nc}}
 		c.br = bufio.NewReader(&c.lr)
 		s.mu.Lock()
 		if s.closing.Load() {
@@ -148,8 +148,8 @@ type conn struct {
 	s        *Server
 	nc       net.Conn
 	remote   string
-	idle     atomic.Bool // waiting for a request: Shutdown may close it
-	lr       limitReader
+	idle     atomic.Bool      // waiting for a request: Shutdown may close it
+	lr       io.LimitedReader // counts down the head's bytes
 	br       *bufio.Reader
 	rdl, wdl time.Time // deadlines in force
 	w        response
@@ -175,7 +175,7 @@ func (c *conn) serve() {
 // handler had written nothing, else no answer).
 func (c *conn) next() bool {
 	s, now := c.s, time.Now()
-	c.lr.n = s.headerLimit
+	c.lr.N = s.headerLimit
 	if c.br.Buffered() == 0 { // else a pipelined request is waiting
 		c.idle.Store(true)
 		if s.closing.Load() {
@@ -193,7 +193,7 @@ func (c *conn) next() bool {
 	req, err := http.ReadRequest(c.br)
 	var ne net.Error
 	switch code, msg := check(req, err); {
-	case err != nil && c.lr.n <= 0:
+	case err != nil && c.lr.N <= 0:
 		c.fail(http.StatusRequestHeaderFieldsTooLarge, "")
 		c.linger()
 		return false
@@ -203,7 +203,7 @@ func (c *conn) next() bool {
 		c.fail(code, msg)
 		return false
 	}
-	c.lr.n = math.MaxInt64
+	c.lr.N = math.MaxInt64
 	if req.ContentLength < 0 || int64(c.br.Buffered()) < req.ContentLength {
 		c.setDeadline(&c.rdl, c.nc.SetReadDeadline, now, s.cfg.ReadTimeout, 0)
 	}
@@ -319,21 +319,6 @@ func (c *conn) setDeadline(cur *time.Time, set func(time.Time) error, now time.T
 		*cur = t
 		set(t) // fails only on a closed conn, and then so does the I/O
 	}
-}
-
-// limitReader reads from r until n bytes are used up, then reports EOF.
-type limitReader struct {
-	r io.Reader
-	n int64
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	if l.n <= 0 {
-		return 0, io.EOF
-	}
-	n, err := l.r.Read(p[:min(int64(len(p)), l.n)])
-	l.n -= int64(n)
-	return n, err
 }
 
 // body is a request body as the handler sees it: it answers Expect:

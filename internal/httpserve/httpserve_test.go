@@ -348,7 +348,7 @@ func FuzzServeConn(f *testing.F) {
 			inner.ServeHTTP(w, r)
 		})
 		c := &conn{s: s, nc: cc, remote: "pipe"}
-		c.lr.r = cc
+		c.lr.R = cc
 		c.br = bufio.NewReader(&c.lr)
 		s.conns[c] = struct{}{}
 		s.running.Add(1)
