@@ -10,6 +10,8 @@ package router
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -506,6 +508,58 @@ func TestRouterRetryBudgetBoundsAmplification(t *testing.T) {
 	}
 	if attempts < requests {
 		t.Fatalf("only %d attempts for %d requests — requests not reaching the backend", attempts, requests)
+	}
+}
+
+// TestRouterRetryBudgetIsRouterWide: the bound attempts ≤ R×(1+ratio)+
+// burst holds for the router as a whole, however many distinct callers
+// send the R requests. Each caller here has its own source address, so
+// callers that each banked tokens while the backend was healthy must not
+// each bring their own burst to the outage.
+func TestRouterRetryBudgetIsRouterWide(t *testing.T) {
+	const clients, healthy, ratio, burst = 50, 30, 0.1, 2.0
+	n := &fakeNode{}
+	rt := startFakes(t, []*fakeNode{n}, func(c *Config) {
+		c.RetryBudget = ratio
+		c.RetryBurst = burst
+		c.MaxAttempts = 50 // far above the budget: the budget must bind
+		c.ProbeTimeout = time.Second
+	})
+	srv := httpservetest.Start(t, rt.Routes())
+
+	// consume sends one /consume from 127.0.0.(2+c); Linux routes all of
+	// 127/8 to the loopback interface.
+	consume := func(c int) int {
+		d := &net.Dialer{LocalAddr: &net.TCPAddr{IP: net.IPv4(127, 0, 0, byte(2+c))}}
+		tr := &http.Transport{DialContext: d.DialContext}
+		defer tr.CloseIdleConnections()
+		resp, err := (&http.Client{Transport: tr}).Post(srv.URL+"/consume", "application/json",
+			strings.NewReader(`{"user":0,"item":1}`))
+		if err != nil {
+			t.Fatalf("client %d: %v", c, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for c := 0; c < clients; c++ {
+		for i := 0; i < healthy; i++ {
+			if code := consume(c); code != http.StatusOK {
+				t.Fatalf("client %d, healthy request %d: status %d", c, i, code)
+			}
+		}
+	}
+
+	n.set(func(f *fakeNode) { f.consumeStatus = http.StatusServiceUnavailable })
+	before := n.consumes.Load()
+	for c := 0; c < clients; c++ {
+		if code := consume(c); code != http.StatusServiceUnavailable {
+			t.Fatalf("client %d in the outage: status %d, want 503", c, code)
+		}
+	}
+	attempts := n.consumes.Load() - before
+	if bound := int64(clients*(1+ratio) + burst); attempts > bound {
+		t.Fatalf("%d upstream attempts for %d requests into a 503 backend, router-wide bound is %d", attempts, clients, bound)
 	}
 }
 
