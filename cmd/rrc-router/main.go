@@ -34,7 +34,7 @@
 // partition's epoch (X-RRC-Epoch, which fences deposed primaries on
 // contact); a node answering 421 (it owns a different slice than the
 // file claims) is folded out of rotation and counted. Retries are
-// bounded per client by a token-bucket retry budget. Usage:
+// bounded by one router-wide token-bucket retry budget. Usage:
 //
 //	rrc-router -addr :8394 -nodes http://a:8395,http://b:8396 -auto-promote
 //	rrc-router -addr :8394 -topology fleet.topo -auto-promote
@@ -72,8 +72,8 @@ func main() {
 		deadline     = flag.Duration("deadline", 2*time.Second, "default end-to-end deadline per client request (header X-RRC-Deadline-Ms lowers it)")
 		tryTimeout   = flag.Duration("try-timeout", time.Second, "per-upstream-attempt timeout within the deadline")
 		maxAttempts  = flag.Int("max-attempts", 3, "max upstream attempts per request, including the first")
-		retryBudget  = flag.Float64("retry-budget", 0.1, "retry tokens earned per incoming request (retries per request, fleet-wide bound)")
-		retryBurst   = flag.Float64("retry-burst", 10, "max banked retry tokens per client")
+		retryBudget  = flag.Float64("retry-budget", 0.1, "retry tokens each incoming request adds to the router-wide bucket (retries per request, router-wide bound)")
+		retryBurst   = flag.Float64("retry-burst", 10, "max banked retry tokens in the router-wide bucket")
 		retryBackoff = flag.Duration("retry-backoff", 25*time.Millisecond, "pause before re-attempting a write")
 
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")

@@ -12,8 +12,6 @@
 //	rrc_router_shed_total               requests answered 503 locally
 //	rrc_router_misdirects_total         421 ownership refusals folded
 //	rrc_router_upstream_dials_total     upstream connections dialed
-//	rrc_router_budget_evictions_total   retry-budget LRU evictions
-//	rrc_router_budget_clients           retry-budget ledger size
 //	rrc_router_requests_total{endpoint=} / errors_total / request_seconds
 package router
 
@@ -45,15 +43,6 @@ func (rt *Router) initMetrics() {
 		"421 responses folded: a node refused a key the topology routed to it (cross-partition misconfiguration).")
 	rt.dials = rt.counterHelp("rrc_router_upstream_dials_total",
 		"Upstream connections dialed; requests otherwise reuse a pooled keep-alive connection.")
-	rt.budget.evictions = rt.counterHelp("rrc_router_budget_evictions_total",
-		"Retry-budget ledger entries evicted at the LRU client cap.")
-	if rt.reg != nil {
-		rt.reg.Help("rrc_router_budget_clients",
-			"Distinct clients currently tracked in the retry-budget ledger.")
-		rt.reg.GaugeFunc("rrc_router_budget_clients", func() float64 {
-			return float64(rt.budget.size())
-		})
-	}
 	if rt.reg != nil {
 		rt.reg.Help("rrc_router_node_state",
 			"Probed node state: 0 unreachable, 1 reachable, 2 ready, 3 fenced.")

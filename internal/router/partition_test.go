@@ -363,28 +363,3 @@ func TestProbeDelayJitter(t *testing.T) {
 		t.Fatalf("only %d distinct delays in 1000 draws — not jittered", len(distinct))
 	}
 }
-
-func TestRouterBudgetLedgerMetrics(t *testing.T) {
-	n := &fakeNode{caughtUp: true}
-	reg := obs.NewRegistry()
-	rt := startFakes(t, []*fakeNode{n}, func(c *Config) { c.Metrics = reg })
-	rt.budget.maxClients = 3
-	h := served(t, rt)
-
-	for i := 0; i < 10; i++ {
-		post(h, "/consume", `{"user":0,"item":1}`, map[string]string{"X-RRC-Client": "drive-by-" + strconv.Itoa(i)})
-	}
-	if got := reg.SumCounters("rrc_router_budget_evictions_total"); got < 7 {
-		t.Fatalf("rrc_router_budget_evictions_total = %d, want >= 7 (10 clients, cap 3)", got)
-	}
-
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := rr.Body.String()
-	if !strings.Contains(body, "rrc_router_budget_clients 3") {
-		t.Fatalf("/metrics missing rrc_router_budget_clients gauge at the cap:\n%s", body)
-	}
-	if !strings.Contains(body, "rrc_router_budget_evictions_total") {
-		t.Fatal("/metrics missing rrc_router_budget_evictions_total")
-	}
-}

@@ -24,8 +24,8 @@
 //     (the contract says "not durable"). Anything ambiguous — an error
 //     after the request was sent — is answered 502 without a retry,
 //     because replaying it could double-apply.
-//   - Every retry spends the client's retry budget; when the
-//     budget or MaxAttempts runs out the router forwards the last
+//   - Every retry spends a token from the router-wide retry budget;
+//     when the budget or MaxAttempts runs out the router forwards the last
 //     definitive backend response, else sheds 503 + Retry-After.
 package router
 
@@ -115,13 +115,12 @@ func (rt *Router) serveProxy(w http.ResponseWriter, r *http.Request, endpoint st
 		timeout = hd
 	}
 	deadline := time.Now().Add(timeout)
-	client := clientKey(r)
-	rt.budget.arrive(client)
+	rt.budget.arrive()
 
 	if isWrite {
-		return rt.proxyWrite(r.Context(), deadline, w, endpoint, body, client, plan)
+		return rt.proxyWrite(r.Context(), deadline, w, endpoint, body, plan)
 	}
-	return rt.proxyRead(r.Context(), deadline, w, endpoint, body, client, plan)
+	return rt.proxyRead(r.Context(), deadline, w, endpoint, body, plan)
 }
 
 // proxyWrite is the /consume attempt loop, scoped to the owning
@@ -129,7 +128,7 @@ func (rt *Router) serveProxy(w http.ResponseWriter, r *http.Request, endpoint st
 // epoch is stamped. ctx is the client's: it is checked before each
 // attempt and during the backoff, while an attempt in flight is bounded
 // by its deadline only.
-func (rt *Router) proxyWrite(ctx context.Context, deadline time.Time, w http.ResponseWriter, endpoint string, body []byte, client string, plan routePlan) int {
+func (rt *Router) proxyWrite(ctx context.Context, deadline time.Time, w http.ResponseWriter, endpoint string, body []byte, plan routePlan) int {
 	var last *upstreamResult
 	attempts := 0
 	for ctx.Err() == nil && time.Now().Before(deadline) {
@@ -169,7 +168,7 @@ func (rt *Router) proxyWrite(ctx context.Context, deadline time.Time, w http.Res
 				rt.foldMisdirect(n, res.body)
 			}
 		}
-		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(client) {
+		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend() {
 			break
 		}
 		rt.retries.Inc()
@@ -186,7 +185,7 @@ func (rt *Router) proxyWrite(ctx context.Context, deadline time.Time, w http.Res
 
 // proxyRead is the read attempt loop: distinct nodes per attempt (the
 // tried set).
-func (rt *Router) proxyRead(ctx context.Context, deadline time.Time, w http.ResponseWriter, endpoint string, body []byte, client string, plan routePlan) int {
+func (rt *Router) proxyRead(ctx context.Context, deadline time.Time, w http.ResponseWriter, endpoint string, body []byte, plan routePlan) int {
 	tried := map[*node]bool{}
 	var last *upstreamResult
 	attempts := 0
@@ -209,7 +208,7 @@ func (rt *Router) proxyRead(ctx context.Context, deadline time.Time, w http.Resp
 				rt.foldMisdirect(n, res.body)
 			}
 		}
-		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend(client) {
+		if attempts >= rt.cfg.MaxAttempts || !rt.budget.spend() {
 			break
 		}
 		rt.retries.Inc()

@@ -38,7 +38,7 @@
 //     fence — cross-partition misconfiguration is a loud error and a
 //     metric, never silent misrouting.
 //   - Requests carry propagated deadlines (X-RRC-Deadline-Ms), bounded
-//     retries under a per-client retry budget (a fully down backend
+//     retries under one router-wide retry budget (a fully down backend
 //     can never amplify client traffic beyond the budget).
 //   - Upstream requests run on the goroutine that needs them, over a
 //     per-node keep-alive connection pool (upstream.go).
@@ -59,7 +59,6 @@ import (
 	"log"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -104,14 +103,14 @@ type Config struct {
 	TryTimeout  time.Duration // per-attempt bound within the deadline; 0 → 1s
 	MaxAttempts int           // upstream attempts per request, incl. the first; 0 → 3
 
-	// RetryBudget is the per-client retry allowance: each incoming
-	// request earns the client this many retry tokens (capped at
-	// RetryBurst), and every retry spends one. Under a fully
-	// down backend a client's upstream attempts are therefore bounded
-	// by requests × (1 + RetryBudget) + RetryBurst — no retry storms.
-	// 0 → 0.1.
+	// RetryBudget is the router-wide retry allowance: each incoming
+	// request adds this many tokens to one bucket (capped at
+	// RetryBurst), and every retry spends one. Under a fully down
+	// backend the router's upstream attempts are therefore bounded by
+	// requests × (1 + RetryBudget) + RetryBurst, however many clients
+	// send them — no retry storms. 0 → 0.1.
 	RetryBudget float64
-	// RetryBurst caps banked retry tokens per client. 0 → 10.
+	// RetryBurst caps the bucket's banked retry tokens. 0 → 10.
 	RetryBurst float64
 	// RetryBackoff is the pause before re-attempting a write (the
 	// write target rarely changes faster than a probe round). 0 → 25ms.
@@ -585,19 +584,6 @@ func userKey(body []byte) (int, error) {
 		return 0, errors.New(`partitioned routing requires a non-negative "user" field`)
 	}
 	return *k.User, nil
-}
-
-// clientKey identifies the retry-budget principal: the X-RRC-Client
-// header when the caller sets one (load-balancer fleets should), else
-// the remote address without the ephemeral port.
-func clientKey(r *http.Request) string {
-	if c := r.Header.Get("X-RRC-Client"); c != "" {
-		return c
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
 }
 
 // parseDeadlineMs parses a DeadlineHeader value; ok is false for a

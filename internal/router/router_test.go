@@ -491,9 +491,8 @@ func TestRouterRetryBudgetBoundsAmplification(t *testing.T) {
 	})
 	h := served(t, rt)
 
-	hdr := map[string]string{"X-RRC-Client": "loadgen"}
 	for i := 0; i < requests; i++ {
-		rr := post(h, "/consume", `{"user":0,"item":1}`, hdr)
+		rr := post(h, "/consume", `{"user":0,"item":1}`, nil)
 		if rr.Code != http.StatusServiceUnavailable {
 			t.Fatalf("request %d: status %d, want 503", i, rr.Code)
 		}

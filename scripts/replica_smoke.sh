@@ -224,7 +224,7 @@ done
 
 # Expositions: the promoted standby still exports the replication
 # families; the router exports its rrc_router_* families including the
-# failover it drove, the retry-budget ledger, and ZERO misdirects (the
+# failover it drove and ZERO misdirects (the
 # topology file and every node's -partition agreed all soak).
 curl -sf "http://$STANDBY0/metrics" >"$tmp/standby.prom"
 curl -sf "http://$ROUTER/metrics" >"$tmp/router.prom"
@@ -239,8 +239,7 @@ for fam in rrc_replica_lag_records rrc_replica_lag_seconds \
 done
 for fam in rrc_router_requests_total rrc_router_node_state \
 	rrc_router_node_epoch rrc_router_failovers_total \
-	rrc_router_misdirects_total rrc_router_budget_clients \
-	rrc_router_budget_evictions_total; do
+	rrc_router_misdirects_total; do
 	grep -q "^$fam" "$tmp/router.prom" || {
 		echo "router /metrics lacks $fam" >&2
 		exit 1
