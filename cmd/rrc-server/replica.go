@@ -119,8 +119,7 @@ func (s *server) setupReplication() error {
 
 	f := &replica.Follower{
 		Primary:     s.opts.followURL,
-		Target:      replica.PoolTarget{Pool: s.online.pool},
-		Metas:       replica.DirMetaStore{Root: root},
+		Pool:        s.online.pool,
 		Partition:   s.online.pool.Partition(),
 		BackoffBase: s.opts.replBackoffBase,
 		BackoffMax:  s.opts.replBackoffMax,

@@ -19,25 +19,6 @@ func (s PoolSource) Snapshot(i int) (string, uint64, error) {
 	return s.Pool.Shard(i).SnapshotInfo()
 }
 
-// PoolTarget adapts a shard.Pool to the follower-side Target surface.
-type PoolTarget struct{ Pool *shard.Pool }
-
-func (t PoolTarget) Shards() int { return t.Pool.N() }
-
-func (t PoolTarget) NextLSN(i int) (uint64, error) { return t.Pool.Shard(i).NextLSN() }
-
-func (t PoolTarget) Apply(i int, lsn uint64, payload []byte) (bool, error) {
-	return t.Pool.Shard(i).ApplyReplicated(lsn, payload)
-}
-
-func (t PoolTarget) TruncateFrom(i int, lsn uint64) error {
-	return t.Pool.Shard(i).TruncateAndReload(lsn)
-}
-
-func (t PoolTarget) Reseed(i int, snapLSN uint64, populate func(dir string) error) error {
-	return t.Pool.Shard(i).Reseed(snapLSN, populate)
-}
-
 // NextLSNs collects every shard's commit horizon — the per-shard bases
 // a promotion records in its history entry.
 func NextLSNs(p *shard.Pool) ([]uint64, error) {

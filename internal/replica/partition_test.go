@@ -128,8 +128,7 @@ func TestFollowerPartitionMismatch(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := &replica.Follower{
 		Primary:     ts.URL,
-		Target:      replica.PoolTarget{Pool: fpool},
-		Metas:       replica.DirMetaStore{Root: fdir},
+		Pool:        fpool,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
 		Metrics:     reg,

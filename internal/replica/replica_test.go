@@ -61,12 +61,11 @@ func newPrimary(t *testing.T, pool *shard.Pool, box *metaBox) *httptest.Server {
 	return ts
 }
 
-func newFollower(t *testing.T, primary string, pool *shard.Pool, root string, reg *obs.Registry) *replica.Follower {
+func newFollower(t *testing.T, primary string, pool *shard.Pool, reg *obs.Registry) *replica.Follower {
 	t.Helper()
 	f := &replica.Follower{
 		Primary:     primary,
-		Target:      replica.PoolTarget{Pool: pool},
-		Metas:       replica.DirMetaStore{Root: root},
+		Pool:        pool,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
 		Metrics:     reg,
@@ -208,7 +207,7 @@ func TestReplicaStreamConverges(t *testing.T) {
 	}
 	defer followPool.Close()
 	reg := obs.NewRegistry()
-	f := newFollower(t, ts.URL, followPool, followRoot, reg)
+	f := newFollower(t, ts.URL, followPool, reg)
 	waitCaughtUp(t, f)
 
 	if got, want := fingerprint(t, followPool), fingerprint(t, primaryPool); got != want {
@@ -248,7 +247,7 @@ func TestReplicaEpochConflictTruncatesAndAdopts(t *testing.T) {
 	ingest(t, poolA, 6, 40)
 	boxA := &metaBox{}
 	tsA := newPrimary(t, poolA, boxA)
-	fB := newFollower(t, tsA.URL, poolB, rootB, nil)
+	fB := newFollower(t, tsA.URL, poolB, nil)
 	waitCaughtUp(t, fB)
 	fB.Stop()
 
@@ -273,7 +272,7 @@ func TestReplicaEpochConflictTruncatesAndAdopts(t *testing.T) {
 	// converges to B's timeline byte-identically.
 	boxB := &metaBox{m: metaB}
 	tsB := newPrimary(t, poolB, boxB)
-	fA := newFollower(t, tsB.URL, poolA, rootA, nil)
+	fA := newFollower(t, tsB.URL, poolA, nil)
 	waitCaughtUp(t, fA)
 
 	if got, want := fingerprint(t, poolA), fingerprint(t, poolB); got != want {
@@ -315,7 +314,7 @@ func TestReplicaReseedWhenPruned(t *testing.T) {
 	}
 	defer followPool.Close()
 	reg := obs.NewRegistry()
-	f := newFollower(t, ts.URL, followPool, followRoot, reg)
+	f := newFollower(t, ts.URL, followPool, reg)
 	waitCaughtUp(t, f)
 
 	if got, want := fingerprint(t, followPool), fingerprint(t, primaryPool); got != want {
@@ -364,7 +363,7 @@ func TestFollowerRefusesDeposedPrimary(t *testing.T) {
 	if err := promoted.Store(followRoot); err != nil {
 		t.Fatal(err)
 	}
-	f := newFollower(t, ts.URL, followPool, followRoot, nil)
+	f := newFollower(t, ts.URL, followPool, nil)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for fenced.Load() != 3 {

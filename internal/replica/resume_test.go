@@ -77,7 +77,7 @@ func TestReplicaTailerResumesFromPersistedLSN(t *testing.T) {
 	// work still outstanding, and the later total-applies assertion is
 	// correct wherever it lands.
 	reg1 := obs.NewRegistry()
-	f1 := newFollower(t, ts.URL, followPool, followRoot, reg1)
+	f1 := newFollower(t, ts.URL, followPool, reg1)
 	deadline := time.Now().Add(10 * time.Second)
 	for reg1.SumCounters(appliedFamily) < 10 {
 		if time.Now().After(deadline) {
@@ -100,7 +100,7 @@ func TestReplicaTailerResumesFromPersistedLSN(t *testing.T) {
 	// Second incarnation over the same pool and root.
 	recording.Store(true)
 	reg2 := obs.NewRegistry()
-	f2 := newFollower(t, ts.URL, followPool, followRoot, reg2)
+	f2 := newFollower(t, ts.URL, followPool, reg2)
 	waitCaughtUp(t, f2)
 	f2.Stop()
 

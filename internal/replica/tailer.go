@@ -22,44 +22,17 @@ import (
 	"tsppr/internal/wal"
 )
 
-// Target is the follower-side surface the tailer applies into: the
-// shard pool, narrowed to replicated writes and timeline repair.
-type Target interface {
-	// Shards returns the pool's shard count.
-	Shards() int
-	// NextLSN returns shard's local commit horizon — the stream resume
-	// position.
-	NextLSN(shard int) (uint64, error)
-	// Apply makes one shipped record durable at exactly lsn; applied is
-	// false for an idempotent re-delivery.
-	Apply(shard int, lsn uint64, payload []byte) (applied bool, err error)
-	// TruncateFrom discards the shard's divergent tail from lsn and
-	// reloads. wal.ErrPruned → fall back to Reseed.
-	TruncateFrom(shard int, lsn uint64) error
-	// Reseed replaces the shard's state with a snapshot at snapLSN,
-	// written into the shard directory by populate.
-	Reseed(shard int, snapLSN uint64, populate func(dir string) error) error
-}
-
-// MetaStore persists the follower's adopted replication meta.
-type MetaStore interface {
-	Load() (Meta, error)
-	Store(Meta) error
-}
-
-// DirMetaStore keeps the meta in root's epoch marker file.
-type DirMetaStore struct{ Root string }
-
-func (d DirMetaStore) Load() (Meta, error) { return LoadMeta(d.Root) }
-func (d DirMetaStore) Store(m Meta) error  { return m.Store(d.Root) }
+// tailClient carries every follower request. Its timeout bounds one
+// long poll or one snapshot download.
+var tailClient = &http.Client{Timeout: 30 * time.Second}
 
 // Follower tails every shard of a primary, applying shipped records
-// through Target and converging its epoch/history with the primary's.
-// Start launches one tailer goroutine per shard; Stop joins them.
+// into Pool and converging its epoch/history with the primary's; the
+// adopted meta lives in the epoch marker at Pool.Root(). Start launches
+// one tailer goroutine per shard; Stop joins them.
 type Follower struct {
 	Primary string // primary base URL, e.g. http://10.0.0.1:8080
-	Target  Target
-	Metas   MetaStore
+	Pool    *shard.Pool
 
 	// Partition, when nonzero (Count >= 1), is stamped on every stream
 	// and snapshot request so a primary owning a different slice of the
@@ -67,10 +40,6 @@ type Follower struct {
 	// users this node will never serve.
 	Partition shard.PartitionID
 
-	// Client, when nil, falls back to a default with sane timeouts.
-	Client *http.Client
-	// Batch bounds records requested per poll; 0 → server default.
-	Batch int
 	// BackoffBase/BackoffMax shape the retry schedule on stream errors.
 	// Defaults: 100ms / 5s.
 	BackoffBase time.Duration
@@ -130,13 +99,6 @@ func (f *Follower) Lag(shard int) (records uint64, behind time.Duration) {
 	return records, behind
 }
 
-func (f *Follower) client() *http.Client {
-	if f.Client != nil {
-		return f.Client
-	}
-	return &http.Client{Timeout: 30 * time.Second}
-}
-
 func (f *Follower) backoffBase() time.Duration {
 	if f.BackoffBase > 0 {
 		return f.BackoffBase
@@ -153,7 +115,7 @@ func (f *Follower) backoffMax() time.Duration {
 
 // Start loads the persisted meta and launches one tailer per shard.
 func (f *Follower) Start() error {
-	m, err := f.Metas.Load()
+	m, err := LoadMeta(f.Pool.Root())
 	if err != nil {
 		return err
 	}
@@ -161,7 +123,7 @@ func (f *Follower) Start() error {
 	f.meta = m
 	f.mu.Unlock()
 
-	n := f.Target.Shards()
+	n := f.Pool.N()
 	f.shards = make([]*shardTailer, n)
 	reg := f.Metrics
 	reg.Help("rrc_replica_lag_records", "Per-shard replication lag: primary commit horizon minus local, in records.")
@@ -255,7 +217,7 @@ func (f *Follower) tail(ctx context.Context, st *shardTailer) {
 // returns whether any record was applied.
 func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) {
 	start := time.Now()
-	from, err := f.Target.NextLSN(st.shard)
+	from, err := f.Pool.Shard(st.shard).NextLSN()
 	if err != nil {
 		return false, fmt.Errorf("local horizon: %w", err)
 	}
@@ -270,7 +232,7 @@ func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) 
 	}
 	req.Header.Set(EpochHeader, strconv.FormatUint(f.Epoch(), 10))
 	f.stampPartition(req)
-	resp, err := f.client().Do(req)
+	resp, err := tailClient.Do(req)
 	if err != nil {
 		return false, err
 	}
@@ -337,7 +299,7 @@ func (f *Follower) applyStream(st *shardTailer, resp *http.Response, start time.
 			f.updateLagClock(st)
 			return applied, fmt.Errorf("stream frame: %w", err)
 		}
-		ok, err := f.Target.Apply(st.shard, lsn, payload)
+		ok, err := f.Pool.Shard(st.shard).ApplyReplicated(lsn, payload)
 		if err != nil {
 			f.updateLagClock(st)
 			return applied, fmt.Errorf("apply lsn %d: %w", lsn, err)
@@ -392,12 +354,12 @@ func (f *Follower) handleEpochConflict(st *shardTailer, resp *http.Response) err
 	if f.Epoch() >= body.Epoch {
 		return nil // another shard's tailer already converged the node
 	}
-	for i := 0; i < f.Target.Shards(); i++ {
+	for i := 0; i < f.Pool.N(); i++ {
 		div, ok := body.Meta.DivergenceLSN(i, own)
 		if !ok {
 			continue
 		}
-		if err := f.Target.TruncateFrom(i, div); err != nil {
+		if err := f.Pool.Shard(i).TruncateAndReload(div); err != nil {
 			if errors.Is(err, wal.ErrPruned) {
 				// Cannot rebuild below the divergence point locally; the
 				// shard reseeds once its stream 410s. Converge anyway so
@@ -412,7 +374,7 @@ func (f *Follower) handleEpochConflict(st *shardTailer, resp *http.Response) err
 	f.mu.Lock()
 	adopted, err := f.meta.Adopt(*body.Meta)
 	if err == nil {
-		err = f.Metas.Store(adopted)
+		err = adopted.Store(f.Pool.Root())
 	}
 	if err == nil {
 		f.meta = adopted
@@ -438,7 +400,7 @@ func (f *Follower) reseed(ctx context.Context, st *shardTailer, gone *http.Respo
 	}
 	req.Header.Set(EpochHeader, strconv.FormatUint(f.Epoch(), 10))
 	f.stampPartition(req)
-	resp, err := f.client().Do(req)
+	resp, err := tailClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("snapshot download: %w", err)
 	}
@@ -456,7 +418,7 @@ func (f *Follower) reseed(ctx context.Context, st *shardTailer, gone *http.Respo
 	if err != nil {
 		return fmt.Errorf("snapshot download: %w", err)
 	}
-	err = f.Target.Reseed(st.shard, snapLSN, func(dir string) error {
+	err = f.Pool.Shard(st.shard).Reseed(snapLSN, func(dir string) error {
 		return writeSnapshotFile(dir, snapLSN, bytes.NewReader(body))
 	})
 	if err != nil {
