@@ -153,7 +153,7 @@ func Open(root string, cfg Config) (*Pool, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l, store, rstats, err := openState(sh.dir, cfg)
+			l, store, rstats, err := openState(sh.dir, cfg, 0)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				sh.state = Failed

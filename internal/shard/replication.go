@@ -180,7 +180,7 @@ func (s *Shard) TruncateAndReload(lsn uint64) error {
 		rstats sessions.RecoverStats
 	)
 	if err == nil {
-		l2, store, rstats, err = openState(s.dir, s.cfg)
+		l2, store, rstats, err = openState(s.dir, s.cfg, 0)
 	}
 
 	s.mu.Lock()
@@ -251,7 +251,7 @@ func (s *Shard) Reseed(snapLSN uint64, populate func(dir string) error) error {
 		rstats sessions.RecoverStats
 	)
 	if err == nil {
-		l2, store, rstats, err = openStateAt(s.dir, s.cfg, snapLSN+1)
+		l2, store, rstats, err = openState(s.dir, s.cfg, snapLSN+1)
 	}
 
 	s.mu.Lock()
@@ -305,33 +305,6 @@ func quarantineState(dir string) error {
 		}
 	}
 	return nil
-}
-
-// openStateAt is openState for a reseeded shard: an empty directory
-// opens its fresh log at initialLSN so the first shipped record lands
-// at the primary's exact LSN.
-func openStateAt(dir string, cfg Config, initialLSN uint64) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
-	l, err := wal.Open(dir, wal.Options{
-		Sync:         cfg.Fsync,
-		SyncEvery:    cfg.FsyncInterval,
-		SegmentBytes: cfg.SegmentBytes,
-		Corrupt:      cfg.Corrupt,
-		Metrics:      cfg.Metrics,
-		InitialLSN:   initialLSN,
-	})
-	if err != nil {
-		return nil, nil, sessions.RecoverStats{}, err
-	}
-	store, rstats, err := sessions.Recover(dir, l, sessions.Config{
-		WindowCap: cfg.WindowCap,
-		NumUsers:  cfg.NumUsers,
-		NumItems:  cfg.NumItems,
-	})
-	if err != nil {
-		l.Close()
-		return nil, nil, rstats, err
-	}
-	return l, store, rstats, nil
 }
 
 // CloseTimeout is Close bounded by a deadline: every shard drains in

@@ -351,7 +351,7 @@ func (s *Shard) supervise(gen int, old *wal.Log, snap <-chan struct{}) {
 		s.mu.Unlock()
 
 		// Recovery I/O runs outside the lock so fenced ops stay fast.
-		l, store, rstats, err := openState(s.dir, s.cfg)
+		l, store, rstats, err := openState(s.dir, s.cfg, 0)
 
 		s.mu.Lock()
 		if s.gen != gen {
@@ -673,14 +673,17 @@ func (s *Shard) Dump() []sessions.UserWindow {
 
 // openState runs the snapshot+WAL recovery path for one shard
 // directory: open (and heal) the log, load the newest usable snapshot,
-// replay the tail.
-func openState(dir string, cfg Config) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
+// replay the tail. initialLSN, when nonzero, is where an empty
+// directory's fresh log starts: a reseeded shard passes the snapshot's
+// LSN+1 so the first shipped record lands at the primary's exact LSN.
+func openState(dir string, cfg Config, initialLSN uint64) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
 	l, err := wal.Open(dir, wal.Options{
 		Sync:         cfg.Fsync,
 		SyncEvery:    cfg.FsyncInterval,
 		SegmentBytes: cfg.SegmentBytes,
 		Corrupt:      cfg.Corrupt,
 		Metrics:      cfg.Metrics,
+		InitialLSN:   initialLSN,
 	})
 	if err != nil {
 		return nil, nil, sessions.RecoverStats{}, err
