@@ -54,9 +54,11 @@ replica-chaos:
 ## killing the primary must lose zero acked writes, reads must keep
 ## serving throughout, the router must converge on the promoted node
 ## unaided, and a rejoining deposed primary must be fenced on contact;
-## plus the router's own retry-budget/topology unit suites
+## plus all of internal/router, unfiltered: its retry-budget, topology,
+## retention and upstream suites are not all named Router
 router-chaos:
-	$(GO) test -race -count=1 -run Router ./cmd/rrc-server ./internal/router
+	$(GO) test -race -count=1 -run Router ./cmd/rrc-server
+	$(GO) test -race -count=1 ./internal/router
 
 ## partition-chaos: the partitioned-fleet chaos suite, unconditionally
 ## re-run under the race detector — P=3 replicated pairs behind
