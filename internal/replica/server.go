@@ -277,9 +277,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusGone, body)
 		return
 	}
-	// Mid-stream errors cannot change the status line; the truncated
-	// frame fails its CRC on the follower, which resumes from its last
-	// applied LSN. Nothing to do here.
+	// A read error after the first frame cannot change the status line.
+	// The response is buffered whole, so the follower gets the whole
+	// frames written so far and its next poll resumes from its next LSN.
+	// Nothing to do here.
 }
 
 // handleSnapshot serves the shard's newest snapshot file for reseeding,
