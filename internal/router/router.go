@@ -173,8 +173,9 @@ func partitionKey(nodes []*node) string {
 	return strings.Join(urls, ",")
 }
 
-// Router is the front end. It holds no session state — only the probed
-// view of the topology — so any number of routers can run side by side.
+// Router is the front end. It holds no session or per-client state —
+// only the probed view of the topology and the router-wide retry
+// budget — so any number of routers can run side by side.
 type Router struct {
 	cfg Config
 
