@@ -40,14 +40,14 @@ obs-race:
 ## the race detector — panics and sticky WAL failures injected into live
 ## mixed traffic must stay contained to their shard
 shard-chaos:
-	$(GO) test -race -count=1 -run Shard ./cmd/rrc-server ./internal/shard
+	$(GO) test -race -count=1 -run Shard ./internal/serve ./internal/shard
 
 ## replica-chaos: the replication chaos suite, unconditionally re-run
 ## under the race detector — primary kill + POST /admin/promote must
 ## preserve every acked shipped write, a deposed primary must start fenced, and a
 ## rejoining node must truncate its divergent tail and drain lag to 0
 replica-chaos:
-	$(GO) test -race -count=1 -run Replica ./cmd/rrc-server ./internal/replica
+	$(GO) test -race -count=1 -run Replica ./internal/serve ./internal/replica
 
 ## router-chaos: the routing chaos suite, unconditionally re-run under
 ## the race detector — with live traffic flowing through rrc-router,
@@ -57,7 +57,7 @@ replica-chaos:
 ## plus all of internal/router, unfiltered: its retry-budget, topology,
 ## retention and upstream suites are not all named Router
 router-chaos:
-	$(GO) test -race -count=1 -run Router ./cmd/rrc-server
+	$(GO) test -race -count=1 -run Router ./internal/serve
 	$(GO) test -race -count=1 ./internal/router
 
 ## partition-chaos: the partitioned-fleet chaos suite, unconditionally
@@ -67,7 +67,7 @@ router-chaos:
 ## converge unaided with zero acked-write loss, and no epoch may leak
 ## across partitions; plus the partition identity/ownership unit suites
 partition-chaos:
-	$(GO) test -race -count=1 -run Partition ./cmd/rrc-server ./internal/shard ./internal/router ./internal/replica
+	$(GO) test -race -count=1 -run Partition ./internal/serve ./internal/shard ./internal/router ./internal/replica
 
 ## replica-smoke: end-to-end primary+standby+router soak over real
 ## sockets — traffic flows through rrc-router, the primary is SIGKILLed
@@ -89,7 +89,7 @@ metrics-smoke:
 ## topology parser and the upstream request writer and response reader,
 ## ./internal/httpserve the serving loop both binaries run
 fuzz-smoke:
-	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/httpserve ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
+	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/httpserve ./internal/shard ./internal/replica ./internal/serve -run '^Fuzz' -count=1
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it
@@ -120,7 +120,7 @@ fuzz:
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzParsePartitionID -fuzztime 10s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzLoadPartition -fuzztime 10s
 	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzLoadMeta -fuzztime 10s
-	$(GO) test ./cmd/rrc-server -run '^$$' -fuzz FuzzDecodeRecommend -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecommend -fuzztime 10s
 
 ## loc: the three line counts every re-anchor and simplicity PR quotes —
 ## non-test Go outside bench/, test Go outside bench/, Go under bench/

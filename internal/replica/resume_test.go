@@ -159,3 +159,29 @@ func TestReplicaServerUnavailableCarriesRetryAfter(t *testing.T) {
 		}
 	}
 }
+
+// unreadableSnapshotSource is failingSource whose Snapshot names a path
+// that opens but cannot be read: a directory.
+type unreadableSnapshotSource struct {
+	failingSource
+	dir string
+}
+
+func (s unreadableSnapshotSource) Snapshot(int) (string, uint64, error) { return s.dir, 7, nil }
+
+// TestSnapshotReadFailureIs503: a snapshot file that fails mid-read is
+// a 503 with Retry-After and no snapshot LSN, never a 200 carrying a
+// truncated (here empty) snapshot the follower would reseed from.
+func TestSnapshotReadFailureIs503(t *testing.T) {
+	srv := &replica.Server{Source: unreadableSnapshotSource{dir: t.TempDir()}, Meta: (&metaBox{}).get}
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/replica/snapshot?shard=0", nil))
+	if rr.Code != http.StatusServiceUnavailable || rr.Header().Get("Retry-After") == "" {
+		t.Fatalf("status %d, Retry-After %q, want 503 with one: %s", rr.Code, rr.Header().Get("Retry-After"), rr.Body.String())
+	}
+	if lsn := rr.Header().Get(replica.SnapshotLSNHeader); lsn != "" {
+		t.Fatalf("failed snapshot read advertised %s %s", replica.SnapshotLSNHeader, lsn)
+	}
+}

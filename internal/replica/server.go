@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -302,16 +301,17 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeUnavailable(w, ErrorBody{Error: err.Error(), Epoch: m.Epoch})
 		return
 	}
-	f, err := os.Open(path)
+	// Read the whole file before any status is written: a read that
+	// failed part-way must not answer 200 with a truncated snapshot.
+	snap, err := os.ReadFile(path)
 	if err != nil {
 		writeUnavailable(w, ErrorBody{Error: err.Error(), Epoch: m.Epoch})
 		return
 	}
-	defer f.Close()
 	w.Header().Set(EpochHeader, strconv.FormatUint(m.Epoch, 10))
 	w.Header().Set(SnapshotLSNHeader, strconv.FormatUint(lsn, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	io.Copy(w, f)
+	w.Write(snap)
 }
 
 // handleEpoch serves the node's replication meta — the handshake a

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 )
 
 // maxPresize bounds what a request's Content-Length may reserve up front:
@@ -57,7 +58,18 @@ func decodeBody(body []byte, v any) error {
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	return wireTypeError(dec.Decode(v))
+}
+
+// wireTypeError keeps encoding/json's type-mismatch text as clients have
+// always read it. The text names the Go type, and the request types were
+// declared in package main before this package held them.
+func wireTypeError(err error) error {
+	var te *json.UnmarshalTypeError
+	if errors.As(err, &te) {
+		return errors.New(strings.ReplaceAll(err.Error(), "serve.", "main."))
+	}
+	return err
 }
 
 // scanner reads {"requests":[{…},…]} or one {…} whose keys are user,

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -33,7 +33,7 @@ import (
 // 1.0, 1e2, 01, -0, overflow, trailing bytes, a BOM).
 const parentGolden = "testdata/parent-6c4bf43"
 
-func goldenServer(t testing.TB) *server {
+func goldenServer(t testing.TB) *Server {
 	t.Helper()
 	m, err := core.LoadServingFile(filepath.Join(parentGolden, "model.tsppr"))
 	if err == nil {
@@ -42,7 +42,7 @@ func goldenServer(t testing.TB) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(m, serverOptions{})
+	return mustNew(t, m, Options{})
 }
 
 // goldenBodies returns the request bodies under parentGolden/dir, keyed
@@ -79,7 +79,7 @@ func postRaw(h http.Handler, path string, body []byte) *httptest.ResponseRecorde
 // parent wrote, byte for byte — status, fan-out order, float formatting
 // and error text.
 func TestStatelessRepliesMatchParent(t *testing.T) {
-	h := goldenServer(t).routes()
+	h := goldenServer(t)
 	for dir, path := range statelessEndpoints {
 		for f, body := range goldenBodies(t, dir) {
 			want, err := os.ReadFile(strings.TrimSuffix(f, ".json") + ".reply")
@@ -143,7 +143,7 @@ func FuzzDecodeRecommend(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	h := goldenServer(f).routes()
+	h := goldenServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, pair := range [][2]any{{&recommendRequest{}, &recommendRequest{}}, {&batchRequest{}, &batchRequest{}}} {
 			got, want := decodeBody(body, pair[0]), jsonDecode(body, pair[1])
@@ -162,7 +162,7 @@ func FuzzDecodeRecommend(f *testing.F) {
 // TestStatelessBodyCap: a body over its endpoint's cap is 413 wherever
 // its JSON ends; a body of exactly the cap is decoded.
 func TestStatelessBodyCap(t *testing.T) {
-	h := goldenServer(t).routes()
+	h := goldenServer(t)
 	for path, c := range map[string]struct {
 		limit int
 		body  string
@@ -227,7 +227,7 @@ const (
 )
 
 // shapeServer serves a seeded random model at the batch_stateless shape.
-func shapeServer(tb testing.TB) *server {
+func shapeServer(tb testing.TB) *Server {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
 	gauss := func(rows, cols int) *linalg.Matrix {
@@ -252,7 +252,7 @@ func shapeServer(tb testing.TB) *server {
 	if err := m.Validate(); err != nil {
 		tb.Fatal(err)
 	}
-	return newServer(m, serverOptions{})
+	return mustNew(tb, m, Options{})
 }
 
 // shapeBody is a batch_stateless request body: each history draws from a
@@ -329,7 +329,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 // BenchmarkHandleBatch: one batch_stateless request through the hardened,
 // instrumented handler — decode, 64 windows, fan-out scoring, encode.
 func BenchmarkHandleBatch(b *testing.B) {
-	h := shapeServer(b).routes()
+	h := shapeServer(b)
 	body := shapeBody()
 	b.ReportAllocs()
 	b.ResetTimer()

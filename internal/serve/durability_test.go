@@ -1,4 +1,4 @@
-package main
+package serve
 
 // Chaos suite for the durable online-session layer: a server killed at
 // any point during ingestion must recover per-user windows identical to
@@ -38,11 +38,12 @@ func chaosEvents(seqs []seq.Sequence) []event {
 }
 
 // bootOnline builds a server over a copy of an existing trained model
-// with the online layer rooted in dir. Recovery runs inside newOnline,
-// exactly as a process restart would. The copy is what a separate process
+// with the online layer rooted in dir. Recovery runs inside New,
+// exactly as a process restart would. Nothing closes it: a test that
+// never calls Close leaves the node as a SIGKILL would. The copy is what a separate process
 // would hold: building an engine rewrites a trained model's feature
 // table, which must not race another node's reads of it.
-func bootOnline(t *testing.T, m *core.Model, dir string, mutate func(*serverOptions)) *server {
+func bootOnline(t *testing.T, m *core.Model, dir string, mutate func(*Options)) *Server {
 	t.Helper()
 	var file bytes.Buffer
 	if err := m.Write(&file); err != nil {
@@ -52,24 +53,20 @@ func bootOnline(t *testing.T, m *core.Model, dir string, mutate func(*serverOpti
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(m, serverOptions{
-		eventsDir: dir,
-		fsync:     wal.SyncAlways,
-	})
+	opts := Options{EventsDir: dir, Fsync: wal.SyncAlways}
 	if mutate != nil {
-		mutate(&srv.opts)
+		mutate(&opts)
 	}
-	o, err := newOnline(srv.opts, m)
+	srv, err := New(m, opts)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
-	srv.online = o
 	return srv
 }
 
-func storeFingerprint(t *testing.T, srv *server) string {
+func storeFingerprint(t *testing.T, srv *Server) string {
 	t.Helper()
-	b, err := json.Marshal(srv.online.pool.Dump())
+	b, err := json.Marshal(srv.pool.Dump())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +83,11 @@ func mustConsume(t *testing.T, h http.Handler, ev event) {
 
 // referenceRun ingests every event uninterrupted and returns the
 // canonical end-state fingerprint.
-func referenceRun(t *testing.T, m *core.Model, evs []event, mutate func(*serverOptions)) string {
+func referenceRun(t *testing.T, m *core.Model, evs []event, mutate func(*Options)) string {
 	t.Helper()
 	srv := bootOnline(t, m, t.TempDir(), mutate)
-	defer srv.online.close()
-	h := srv.routes()
+	defer srv.Close(0)
+	h := srv
 	for _, ev := range evs {
 		mustConsume(t, h, ev)
 	}
@@ -111,7 +108,7 @@ func TestCrashMidAppendRecoversIdentically(t *testing.T) {
 	for p := 0; p < len(evs); p += 7 {
 		dir := t.TempDir()
 		srv := bootOnline(t, m, dir, nil)
-		h := srv.routes()
+		h := srv
 		for _, ev := range evs[:p] {
 			mustConsume(t, h, ev)
 		}
@@ -126,7 +123,7 @@ func TestCrashMidAppendRecoversIdentically(t *testing.T) {
 		}
 		// Abandon srv without closing: simulated SIGKILL. Restart:
 		srv2 := bootOnline(t, m, dir, nil)
-		ws := srv2.online.pool.WALStats()
+		ws := srv2.pool.WALStats()
 		if ws.TruncatedTails != 1 {
 			t.Fatalf("p=%d: truncated tails = %d, want 1", p, ws.TruncatedTails)
 		}
@@ -134,14 +131,14 @@ func TestCrashMidAppendRecoversIdentically(t *testing.T) {
 			t.Fatalf("p=%d: recovered %d records, want %d", p, ws.RecoveredRecords, p)
 		}
 		// The client saw a 503 for event p, so it retries, then carries on.
-		h2 := srv2.routes()
+		h2 := srv2
 		for _, ev := range evs[p:] {
 			mustConsume(t, h2, ev)
 		}
 		if got := storeFingerprint(t, srv2); got != want {
 			t.Fatalf("p=%d: recovered state diverged\n got %s\nwant %s", p, got, want)
 		}
-		srv2.online.close()
+		srv2.Close(0)
 	}
 }
 
@@ -153,12 +150,12 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 	base, seqs := testServer(t)
 	m := base.currentModel()
 	evs := chaosEvents(seqs)
-	small := func(o *serverOptions) { o.snapshotEvery = 8 }
+	small := func(o *Options) { o.SnapshotEvery = 8 }
 	want := referenceRun(t, m, evs, small)
 
 	dir := t.TempDir()
 	srv := bootOnline(t, m, dir, small)
-	h := srv.routes()
+	h := srv
 	// The 8th consume triggers a snapshot; tear it mid-write.
 	faultinject.Arm("sessions.snapshot", faultinject.Plan{Mode: faultinject.ShortWrite, Count: 1})
 	for _, ev := range evs[:20] {
@@ -166,9 +163,9 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 	}
 	// Periodic snapshots are written in the background: join the torn one
 	// and leave a good generation behind before the process "dies".
-	srv.online.pool.SnapshotAll()
+	srv.pool.SnapshotAll()
 	faultinject.Reset()
-	if serrs := srv.online.pool.Shard(0).Status().SnapshotErrs; serrs == 0 {
+	if serrs := srv.pool.Shard(0).Status().SnapshotErrs; serrs == 0 {
 		t.Fatal("snapshot fault never fired")
 	}
 	if snaps, _ := filepath.Glob(filepath.Join(dir, "shard-000", "sessions-*.snap")); len(snaps) == 0 {
@@ -177,14 +174,14 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 
 	// SIGKILL, restart, finish the stream.
 	srv2 := bootOnline(t, m, dir, small)
-	h2 := srv2.routes()
+	h2 := srv2
 	for _, ev := range evs[20:] {
 		mustConsume(t, h2, ev)
 	}
 	if got := storeFingerprint(t, srv2); got != want {
 		t.Fatalf("post-snapshot-crash state diverged\n got %s\nwant %s", got, want)
 	}
-	srv2.online.close()
+	srv2.Close(0)
 }
 
 // TestBitFlippedRecordIsDetectedNeverServed flips one bit of a committed
@@ -198,11 +195,11 @@ func TestBitFlippedRecordIsDetectedNeverServed(t *testing.T) {
 
 	dir := t.TempDir()
 	srv := bootOnline(t, m, dir, nil)
-	h := srv.routes()
+	h := srv
 	for _, ev := range evs {
 		mustConsume(t, h, ev)
 	}
-	// Abandon srv open (SIGKILL): close() would flush a snapshot and
+	// Abandon srv open (SIGKILL): Close would flush a snapshot and
 	// prune the segment this test is about to corrupt. Under -fsync
 	// always every acknowledged record is already on disk.
 
@@ -222,15 +219,15 @@ func TestBitFlippedRecordIsDetectedNeverServed(t *testing.T) {
 
 	// Default (halt): the server must refuse to start rather than serve
 	// windows silently missing an acknowledged event.
-	opts := serverOptions{eventsDir: dir, fsync: wal.SyncAlways}
-	if _, err := newOnline(opts, m); err == nil {
+	opts := Options{EventsDir: dir, Fsync: wal.SyncAlways}
+	if _, err := New(m, opts); err == nil {
 		t.Fatal("halt policy started over a corrupt record")
 	}
 
 	// Opt-in skip: starts, quarantines exactly one record, serves the rest.
-	srv2 := bootOnline(t, m, dir, func(o *serverOptions) { o.corrupt = wal.CorruptSkip })
-	defer srv2.online.close()
-	ws := srv2.online.pool.WALStats()
+	srv2 := bootOnline(t, m, dir, func(o *Options) { o.Corrupt = wal.CorruptSkip })
+	defer srv2.Close(0)
+	ws := srv2.pool.WALStats()
 	if ws.SkippedCorrupt != 1 {
 		t.Fatalf("skipped corrupt = %d, want 1", ws.SkippedCorrupt)
 	}
@@ -251,12 +248,12 @@ func TestTruncatedFinalRecordRecovered(t *testing.T) {
 
 	dir := t.TempDir()
 	srv := bootOnline(t, m, dir, nil)
-	h := srv.routes()
+	h := srv
 	for _, ev := range evs {
 		mustConsume(t, h, ev)
 	}
 	// Abandoned open: SIGKILL semantics, same rationale as the bit-flip
-	// test (close() would snapshot and prune the segment under test).
+	// test (Close would snapshot and prune the segment under test).
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "shard-000", "wal-*.log"))
 	fi, err := os.Stat(segs[0])
@@ -268,21 +265,21 @@ func TestTruncatedFinalRecordRecovered(t *testing.T) {
 	}
 
 	srv2 := bootOnline(t, m, dir, nil)
-	defer srv2.online.close()
-	ws := srv2.online.pool.WALStats()
+	defer srv2.Close(0)
+	ws := srv2.pool.WALStats()
 	if ws.TruncatedTails != 1 || ws.RecoveredRecords != int64(len(evs)-1) {
 		t.Fatalf("stats after torn tail: %+v", ws)
 	}
 	// The ack for the last event was (in this scenario) lost with the
 	// crash; the client retries it.
-	mustConsume(t, srv2.routes(), evs[len(evs)-1])
+	mustConsume(t, srv2, evs[len(evs)-1])
 	if got := storeFingerprint(t, srv2); got != want {
 		t.Fatalf("torn-tail recovery diverged\n got %s\nwant %s", got, want)
 	}
 }
 
 // TestGracefulShutdownRecoversFromSnapshotAlone verifies the clean path:
-// close() flushes a final snapshot, so the next start replays nothing
+// Close flushes a final snapshot, so the next start replays nothing
 // and still reproduces the exact state.
 func TestGracefulShutdownRecoversFromSnapshotAlone(t *testing.T) {
 	base, seqs := testServer(t)
@@ -291,18 +288,18 @@ func TestGracefulShutdownRecoversFromSnapshotAlone(t *testing.T) {
 
 	dir := t.TempDir()
 	srv := bootOnline(t, m, dir, nil)
-	h := srv.routes()
+	h := srv
 	for _, ev := range evs {
 		mustConsume(t, h, ev)
 	}
 	want := storeFingerprint(t, srv)
-	if err := srv.online.close(); err != nil {
+	if _, err := srv.Close(0); err != nil {
 		t.Fatal(err)
 	}
 
 	srv2 := bootOnline(t, m, dir, nil)
-	defer srv2.online.close()
-	if replayed := srv2.online.pool.Shard(0).RecoverStats().Replayed; replayed != 0 {
+	defer srv2.Close(0)
+	if replayed := srv2.pool.Shard(0).RecoverStats().Replayed; replayed != 0 {
 		t.Fatalf("replayed %d records after graceful shutdown, want 0", replayed)
 	}
 	if got := storeFingerprint(t, srv2); got != want {

@@ -2,7 +2,7 @@
 // per-endpoint instrumentation middleware, and the status-capturing
 // response writer it needs. GET /metrics serves the registry in
 // Prometheus text format.
-package main
+package serve
 
 import (
 	"net/http"
@@ -20,9 +20,9 @@ const (
 )
 
 // initMetrics mints the server's registry and the counter handles the
-// hot paths record into. Called once by newServer, before any handler
+// hot paths record into. Called once by New, before any handler
 // can run.
-func (s *server) initMetrics() {
+func (s *Server) initMetrics() {
 	reg := obs.NewRegistry()
 	s.reg = reg
 	reg.GoRuntime()
@@ -54,7 +54,7 @@ func (s *server) initMetrics() {
 // owns the 500 and the panic counter. Probe endpoints (/healthz,
 // /readyz, /metrics) are deliberately uninstrumented: request counters
 // track scoring traffic, not scrapes.
-func (s *server) instrument(endpoint string, next http.Handler) http.Handler {
+func (s *Server) instrument(endpoint string, next http.Handler) http.Handler {
 	requests := s.reg.Counter(metricRequests + `{endpoint="` + endpoint + `"}`)
 	errs := s.reg.Counter(metricErrors + `{endpoint="` + endpoint + `"}`)
 	latency := s.reg.Histogram(metricLatency+`{endpoint="`+endpoint+`"}`, obs.LatencyBuckets)

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"encoding/json"
@@ -16,7 +16,7 @@ import (
 // families, with the per-endpoint counters agreeing with the traffic.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, seqs := testServer(t)
-	h := srv.routes()
+	h := srv
 	history := make([]int, 0, 40)
 	for _, v := range seqs[0][:40] {
 		history = append(history, int(v))
@@ -62,7 +62,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // still return the successful entries.
 func TestBatchErrorAccounting(t *testing.T) {
 	srv, seqs := testServer(t)
-	h := srv.routes()
+	h := srv
 	history := make([]int, 0, 40)
 	for _, v := range seqs[0][:40] {
 		history = append(history, int(v))

@@ -21,18 +21,17 @@
 // breaker and is restarted by a supervisor while the other shards keep
 // serving; its users see 503 + Retry-After, never a hung or failed
 // process.
-package main
+package serve
 
 import (
 	"errors"
 	"fmt"
+	"log"
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"tsppr/internal/core"
-	"tsppr/internal/obs"
 	"tsppr/internal/rec"
 	"tsppr/internal/replica"
 	"tsppr/internal/rescache"
@@ -40,68 +39,66 @@ import (
 	"tsppr/internal/shard"
 )
 
-// onlineState is the server's handle on the shard pool plus the
-// pool-aggregate gauges kept for dashboard continuity with the
-// single-domain layout.
-type onlineState struct {
-	pool *shard.Pool
-	// cache holds /recommend/user responses keyed by (user, Ω, N) and
-	// versioned by consume LSN; nil when -response-cache=0. All cache
-	// methods are nil-safe, so handlers call through unconditionally.
-	cache *rescache.Cache
-}
-
-// newOnline opens the shard pool under opts.eventsDir and recovers
-// every shard (snapshot + WAL tail), sized by the boot model m, before
-// returning. It is called before the listener starts; until it returns,
-// /readyz reports 503.
-func newOnline(opts serverOptions, m *core.Model) (*onlineState, error) {
+// openOnline opens the shard pool under Options.EventsDir and recovers
+// every shard (snapshot + WAL tail), sized by the boot model m, then
+// takes the replication role. On error nothing stays open.
+func (s *Server) openOnline(m *core.Model) error {
 	// The cache exists before the pool so the pool's store-reload hook
-	// can close over it: any shard that replaces its session store
-	// wholesale (supervised restart, truncate, reseed) may have regressed
-	// per-user LSNs, which voids every LSN-versioned entry.
-	var cache *rescache.Cache
-	if opts.cacheEntries > 0 {
-		cache = rescache.New(rescache.Config{MaxEntries: opts.cacheEntries, Metrics: opts.metrics})
+	// can purge it: any shard that replaces its session store wholesale
+	// (supervised restart, truncate, reseed) may have regressed per-user
+	// LSNs, which voids every LSN-versioned entry.
+	if s.opts.CacheEntries > 0 {
+		s.cache = rescache.New(rescache.Config{MaxEntries: s.opts.CacheEntries, Metrics: s.reg})
 	}
-	pool, err := shard.Open(opts.eventsDir, shard.Config{
-		Shards:        opts.shards,
-		Partition:     opts.partition,
-		OnStoreReload: func(int) { cache.Purge() },
+	pool, err := shard.Open(s.opts.EventsDir, shard.Config{
+		Shards:        s.opts.Shards,
+		Partition:     s.opts.Partition,
+		OnStoreReload: func(int) { s.cache.Purge() },
 		WindowCap:     m.Extractor.WindowCap(),
 		NumUsers:      m.NumUsers(),
 		NumItems:      m.NumItems(),
-		Fsync:         opts.fsync,
-		FsyncInterval: opts.fsyncInterval,
-		SnapshotEvery: opts.snapshotEvery,
-		Corrupt:       opts.corrupt,
-		Metrics:       opts.metrics,
-		FailThreshold: opts.shardFailThreshold,
-		RestartBudget: opts.shardRestartBudget,
-		BackoffBase:   opts.shardBackoffBase,
-		BackoffMax:    opts.shardBackoffMax,
+		Fsync:         s.opts.Fsync,
+		FsyncInterval: s.opts.FsyncInterval,
+		SnapshotEvery: s.opts.SnapshotEvery,
+		Corrupt:       s.opts.Corrupt,
+		Metrics:       s.reg,
+		FailThreshold: s.opts.shardFailThreshold,
+		RestartBudget: s.opts.shardRestartBudget,
+		BackoffBase:   s.opts.shardBackoffBase,
+		BackoffMax:    s.opts.shardBackoffMax,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	o := &onlineState{pool: pool, cache: cache}
-	o.registerGauges(opts.metrics)
-	return o, nil
+	s.pool = pool
+	s.registerOnlineGauges()
+	ws := pool.WALStats()
+	var sessionsTotal, replayed int
+	for i := 0; i < pool.N(); i++ {
+		sessionsTotal += pool.Shard(i).Status().Sessions
+		replayed += pool.Shard(i).RecoverStats().Replayed
+	}
+	log.Printf("recovered %d sessions across %d shard(s) (%d replayed records, %d torn tail(s) truncated, %d corrupt skipped) from %s",
+		sessionsTotal, pool.N(), replayed, ws.TruncatedTails, ws.SkippedCorrupt, s.opts.EventsDir)
+	if s.repl, err = newReplState(s); err != nil {
+		pool.Close()
+		return err
+	}
+	return nil
 }
 
-// registerGauges exposes the pool's aggregate state on GET /metrics via
-// pull gauges — read at scrape time, so the online hot paths carry no
-// extra instrumentation. These are the pre-sharding families, now
-// summed across shards so existing dashboards keep working; per-shard
-// detail lives in the rrc_shard_* families the pool registers itself.
-func (o *onlineState) registerGauges(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
+// registerOnlineGauges exposes the pool's aggregate state on GET
+// /metrics via pull gauges — read at scrape time, so the online hot
+// paths carry no extra instrumentation. These are the pre-sharding
+// families, now summed across shards so existing dashboards keep
+// working; per-shard detail lives in the rrc_shard_* families the pool
+// registers itself.
+func (s *Server) registerOnlineGauges() {
+	reg, pool := s.reg, s.pool
 	sumStatus := func(f func(shard.Status) float64) func() float64 {
 		return func() float64 {
 			var total float64
-			for _, st := range o.pool.Statuses() {
+			for _, st := range pool.Statuses() {
 				total += f(st)
 			}
 			return total
@@ -118,27 +115,11 @@ func (o *onlineState) registerGauges(reg *obs.Registry) {
 	reg.Help("rrc_online_snapshot_errors", "Failed session snapshot flushes, all shards, cumulative.")
 	reg.GaugeFunc("rrc_online_snapshot_errors", sumStatus(func(st shard.Status) float64 { return float64(st.SnapshotErrs) }))
 	reg.Help("rrc_wal_recovered_records", "WAL records replayed into the stores at startup, all shards.")
-	reg.GaugeFunc("rrc_wal_recovered_records", func() float64 { return float64(o.pool.WALStats().RecoveredRecords) })
+	reg.GaugeFunc("rrc_wal_recovered_records", func() float64 { return float64(pool.WALStats().RecoveredRecords) })
 	reg.Help("rrc_wal_truncated_tails", "Torn WAL tails truncated at open, all shards.")
-	reg.GaugeFunc("rrc_wal_truncated_tails", func() float64 { return float64(o.pool.WALStats().TruncatedTails) })
+	reg.GaugeFunc("rrc_wal_truncated_tails", func() float64 { return float64(pool.WALStats().TruncatedTails) })
 	reg.Help("rrc_wal_skipped_corrupt", "Corrupt WAL records quarantined under -wal-skip-corrupt, all shards.")
-	reg.GaugeFunc("rrc_wal_skipped_corrupt", func() float64 { return float64(o.pool.WALStats().SkippedCorrupt) })
-}
-
-// ready reports whether every shard is serving.
-func (o *onlineState) ready() bool { return o.pool.Ready() }
-
-// close drains the pool: every serving shard flushes a final snapshot
-// and closes its log; part of graceful shutdown, after the listener has
-// drained.
-func (o *onlineState) close() error { return o.pool.Close() }
-
-// closeTimeout is close under a deadline: shards that cannot finish
-// their final snapshot within d are abandoned (their WALs stay
-// authoritative) and reported so the operator knows recovery will
-// replay. d <= 0 means unbounded.
-func (o *onlineState) closeTimeout(d time.Duration) ([]int, error) {
-	return o.pool.CloseTimeout(d)
+	reg.GaugeFunc("rrc_wal_skipped_corrupt", func() float64 { return float64(pool.WALStats().SkippedCorrupt) })
 }
 
 // writeOnlineErr maps an online-layer failure to its HTTP shape. A
@@ -170,8 +151,8 @@ func writeOnlineErr(w http.ResponseWriter, err error) {
 // unfindable later. The 421 carries the owning partition in the flat
 // shape rrc-router folds into its view (and counts as a misdirect), so
 // a topology/-partition disagreement is loud within one request.
-func (s *server) refuseForeignUser(w http.ResponseWriter, user int) bool {
-	part := s.online.pool.Partition()
+func (s *Server) refuseForeignUser(w http.ResponseWriter, user int) bool {
+	part := s.pool.Partition()
 	if part.Owns(user) {
 		return false
 	}
@@ -199,23 +180,21 @@ type consumeResponse struct {
 	Window int    `json:"window"`
 }
 
-func (s *server) handleConsume(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleConsume(w http.ResponseWriter, r *http.Request) {
 	// Replication fencing comes before anything else: a standby or a
 	// deposed primary must not acknowledge writes it cannot keep.
-	if s.repl != nil {
-		if err := s.repl.checkIngestEpoch(r); err != nil {
-			// An epoch conflict resolves within about one router probe
-			// round (the fleet converges on the new primary); tell the
-			// caller when a re-pick is worth attempting.
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusPreconditionFailed, err)
-			return
-		}
-		if err := s.repl.writeBlocked(); err != nil {
-			w.Header().Set("Retry-After", "5")
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
+	if err := s.repl.checkIngestEpoch(r); err != nil {
+		// An epoch conflict resolves within about one router probe
+		// round (the fleet converges on the new primary); tell the
+		// caller when a re-pick is worth attempting.
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusPreconditionFailed, err)
+		return
+	}
+	if err := s.repl.writeBlocked(); err != nil {
+		w.Header().Set("Retry-After", "5")
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
 	}
 	var req consumeRequest
 	if code, err := decodeJSON(w, r, 1<<16, &req); err != nil {
@@ -234,7 +213,7 @@ func (s *server) handleConsume(w http.ResponseWriter, r *http.Request) {
 	if s.refuseForeignUser(w, req.User) {
 		return
 	}
-	lsn, winLen, err := s.online.pool.Ingest(req.User, seq.Item(req.Item))
+	lsn, winLen, err := s.pool.Ingest(req.User, seq.Item(req.Item))
 	if err != nil {
 		// The event is NOT durable; the caller must retry.
 		writeOnlineErr(w, err)
@@ -243,7 +222,7 @@ func (s *server) handleConsume(w http.ResponseWriter, r *http.Request) {
 	// Coherence is carried by the LSN keying (the next read probes with
 	// the advanced LSN and misses); dropping the dead entries now frees
 	// their memory and makes the invalidation observable on /metrics.
-	s.online.cache.InvalidateUser(req.User)
+	s.cache.InvalidateUser(req.User)
 	writeJSON(w, http.StatusOK, consumeResponse{LSN: lsn, Window: winLen})
 }
 
@@ -255,7 +234,7 @@ type recommendUserRequest struct {
 	Omega *int `json:"omega,omitempty"`
 }
 
-func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 	var req recommendUserRequest
 	if code, err := decodeJSON(w, r, 1<<16, &req); err != nil {
 		writeError(w, code, err)
@@ -275,13 +254,13 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 	if s.refuseForeignUser(w, req.User) {
 		return
 	}
-	cache := s.online.cache
+	cache := s.cache
 	if cache != nil {
 		// Cheap version probe first: the user's current applied LSN. An
 		// entry cached under exactly that LSN is current by construction
 		// — no window clone, no scoring. Probe errors (shard mid-restart)
 		// fall through to the uncached path, which surfaces them.
-		if lsn, ok, err := s.online.pool.UserLSN(req.User); err == nil && ok {
+		if lsn, ok, err := s.pool.UserLSN(req.User); err == nil && ok {
 			// Non-nil empty buffers, not nil: an empty cached Top-N must
 			// serialize as [] exactly like the uncached path's response,
 			// and appending zero elements to nil would leave nil → null.
@@ -296,7 +275,7 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 	// swap, shard store reload) lands between the clone and the Put, the
 	// fill must die with the state it was computed from.
 	epoch := cache.Epoch()
-	win, lsn, ok, err := s.online.pool.WindowCloneLSN(req.User)
+	win, lsn, ok, err := s.pool.WindowCloneLSN(req.User)
 	if err != nil {
 		writeOnlineErr(w, err)
 		return
@@ -306,7 +285,7 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 		// writes answers 404 only for a user who never consumed. A
 		// standby may just not have replicated the first event yet: that
 		// is "come back", which the router retries elsewhere.
-		if s.repl != nil && s.repl.following() {
+		if s.repl.following() {
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no session for user %d on this standby yet", req.User))
 			return
@@ -333,30 +312,30 @@ type drainResponse struct {
 // handleDrain gracefully stops one shard: final snapshot, appends
 // fenced, its users answered 503 + Retry-After from then on. Used to
 // quiesce a shard before copying its directory off the box.
-func (s *server) handleDrain(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("shard query parameter: %w", err))
 		return
 	}
-	if idx < 0 || idx >= s.online.pool.N() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("shard %d out of [0,%d)", idx, s.online.pool.N()))
+	if idx < 0 || idx >= s.pool.N() {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("shard %d out of [0,%d)", idx, s.pool.N()))
 		return
 	}
-	if err := s.online.pool.Drain(idx); err != nil {
+	if err := s.pool.Drain(idx); err != nil {
 		// Not currently drainable (tripped, recovering, failed): the
 		// state conflict is the caller's to resolve, not a server fault.
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, drainResponse{Shard: idx, State: s.online.pool.Shard(idx).State().String()})
+	writeJSON(w, http.StatusOK, drainResponse{Shard: idx, State: s.pool.Shard(idx).State().String()})
 }
 
 // errOnlineDisabled answers the online endpoints when -events-dir is
 // not configured. 503 + Retry-After, not 404: the endpoints exist, this
 // replica just cannot serve them, and a retrying client behind a mixed
 // fleet should try again elsewhere rather than conclude the API is gone.
-func (s *server) errOnlineDisabled(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) errOnlineDisabled(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Retry-After", "60")
 	writeError(w, http.StatusServiceUnavailable, errors.New("online sessions unavailable: this replica runs without -events-dir"))
 }

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"encoding/json"
@@ -12,28 +12,21 @@ import (
 )
 
 // onlineServer is testServer plus a durable online-session layer rooted
-// in dir. mutate tweaks the options before the event log is opened.
-func onlineServer(t *testing.T, dir string, mutate func(*serverOptions)) (*server, []seq.Sequence) {
+// in dir. mutate tweaks the options before New opens the event log.
+func onlineServer(t *testing.T, dir string, mutate func(*Options)) (*Server, []seq.Sequence) {
 	t.Helper()
-	srv, seqs := testServer(t)
-	srv.opts.eventsDir = dir
-	srv.opts.fsync = wal.SyncAlways
-	srv.opts.snapshotEvery = 0 // tests trigger snapshots explicitly
+	// SnapshotEvery stays 0: tests trigger snapshots explicitly.
+	opts := Options{EventsDir: dir, Fsync: wal.SyncAlways}
 	if mutate != nil {
-		mutate(&srv.opts)
+		mutate(&opts)
 	}
-	o, err := newOnline(srv.opts, srv.currentModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { o.close() })
-	srv.online = o
-	return srv, seqs
+	m, seqs := testModel(t, 8)
+	return mustNew(t, m, opts), seqs
 }
 
 func TestConsumeThenRecommendUser(t *testing.T) {
 	srv, seqs := onlineServer(t, t.TempDir(), nil)
-	h := srv.routes()
+	h := srv
 	consumed := map[int]bool{}
 	for i, v := range seqs[0][:30] {
 		rr := postJSON(t, h, "/consume", consumeRequest{User: 0, Item: int(v)})
@@ -72,7 +65,7 @@ func TestConsumeThenRecommendUser(t *testing.T) {
 
 func TestRecommendUserWithoutSessionIs404(t *testing.T) {
 	srv, _ := onlineServer(t, t.TempDir(), nil)
-	rr := postJSON(t, srv.routes(), "/recommend/user", recommendUserRequest{User: 2, N: 5})
+	rr := postJSON(t, srv, "/recommend/user", recommendUserRequest{User: 2, N: 5})
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -80,7 +73,7 @@ func TestRecommendUserWithoutSessionIs404(t *testing.T) {
 
 func TestOnlineEndpointValidation(t *testing.T) {
 	srv, _ := onlineServer(t, t.TempDir(), nil)
-	h := srv.routes()
+	h := srv
 	m := srv.currentModel()
 	badOmega := m.Extractor.WindowCap()
 	for i, tc := range []struct {
@@ -106,7 +99,7 @@ func TestOnlineEndpointValidation(t *testing.T) {
 // mixed fleet must not conclude the API is gone.
 func TestOnlineEndpointsDisabledWithoutEventsDir(t *testing.T) {
 	srv, _ := testServer(t)
-	h := srv.routes()
+	h := srv
 	for _, path := range []string{"/consume", "/recommend/user"} {
 		rr := postJSON(t, h, path, map[string]int{"user": 0})
 		if rr.Code != http.StatusServiceUnavailable {
@@ -127,17 +120,17 @@ func TestOnlineEndpointsDisabledWithoutEventsDir(t *testing.T) {
 
 func TestStatsReportsOnlineCounters(t *testing.T) {
 	srv, seqs := onlineServer(t, t.TempDir(), nil)
-	h := srv.routes()
+	h := srv
 	for _, v := range seqs[1][:7] {
 		postJSON(t, h, "/consume", consumeRequest{User: 1, Item: int(v)})
 	}
-	srv.online.pool.SnapshotAll()
+	srv.pool.SnapshotAll()
 
-	shards := srv.online.pool.Statuses()
+	shards := srv.pool.Statuses()
 	if len(shards) != 1 || shards[0].State != "serving" || shards[0].Sessions != 1 || shards[0].AppliedLSN != 7 {
 		t.Fatalf("per-shard status %+v", shards)
 	}
-	if ws := srv.online.pool.WALStats(); ws.Appends != 7 || ws.Fsyncs < 7 || shards[0].Snapshots != 1 {
+	if ws := srv.pool.WALStats(); ws.Appends != 7 || ws.Fsyncs < 7 || shards[0].Snapshots != 1 {
 		t.Fatalf("durability counters %+v, snapshots %d", ws, shards[0].Snapshots)
 	}
 }
@@ -147,7 +140,7 @@ func TestStatsReportsOnlineCounters(t *testing.T) {
 // per-shard state list naming the culprit.
 func TestReadyzGatesOnShardHealth(t *testing.T) {
 	srv, _ := onlineServer(t, t.TempDir(), nil)
-	h := srv.routes()
+	h := srv
 	get := func() (int, readyResponse) {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/readyz", nil))
@@ -187,7 +180,7 @@ func TestReadyzGatesOnShardHealth(t *testing.T) {
 // id at history[0] of a 3·|W| history is named by both.
 func TestBatchAndSingleRejectIdentically(t *testing.T) {
 	srv, seqs := testServer(t)
-	h := srv.routes()
+	h := srv
 	okHistory := make([]int, 0, 40)
 	for _, v := range seqs[0][:40] {
 		okHistory = append(okHistory, int(v))

@@ -1,4 +1,4 @@
-package main
+package serve
 
 // Partition-chaos gate: P=3 replicated pairs behind the real
 // internal/router engine, live mixed traffic spanning every partition,
@@ -44,28 +44,28 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 
 	// Boot P primary/standby pairs, each pinned to its slice of the key
 	// space via -partition i/P.
-	prims := make([]*server, P)
+	prims := make([]*Server, P)
 	tsPrims := make([]*httpservetest.Server, P)
-	stands := make([]*server, P)
+	stands := make([]*Server, P)
 	standURLs := make([]string, P)
 	primDirs := make([]string, P)
 	layout := make([][]string, P)
 	for i := 0; i < P; i++ {
 		pid := shard.PartitionID{Index: i, Count: P}
 		primDirs[i] = t.TempDir()
-		prims[i] = bootRepl(t, m, primDirs[i], func(o *serverOptions) { o.partition = pid })
-		tsPrims[i] = httpservetest.Start(t, prims[i].routes())
-		stands[i] = bootRepl(t, m, t.TempDir(), func(o *serverOptions) {
-			o.partition = pid
-			o.followURL = tsPrims[i].URL
+		prims[i] = bootRepl(t, m, primDirs[i], func(o *Options) { o.Partition = pid })
+		tsPrims[i] = httpservetest.Start(t, prims[i])
+		stands[i] = bootRepl(t, m, t.TempDir(), func(o *Options) {
+			o.Partition = pid
+			o.FollowURL = tsPrims[i].URL
 		})
-		tsStand := httpservetest.Start(t, stands[i].routes())
-		t.Cleanup(func() { stands[i].online.close() })
+		tsStand := httpservetest.Start(t, stands[i])
+		t.Cleanup(func() { stands[i].Close(0) })
 		standURLs[i] = tsStand.URL
 		layout[i] = []string{tsPrims[i].URL, tsStand.URL}
 	}
-	t.Cleanup(func() { prims[1].online.close() })
-	t.Cleanup(func() { prims[2].online.close() })
+	t.Cleanup(func() { prims[1].Close(0) })
+	t.Cleanup(func() { prims[2].Close(0) })
 
 	reg := obs.NewRegistry()
 	rt, err := router.New(router.Config{
@@ -105,7 +105,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	// caught_up does not cover a write acked after the latest quiet poll
 	// (see waitApplied): the kill below must not cut off an acked victim
 	// write.
-	waitApplied(t, prims[0].routes(), stands[0].routes())
+	waitApplied(t, prims[0], stands[0])
 
 	// Continuous keyed reads against the two partitions that keep their
 	// primaries: through the whole kill window every response must be
@@ -196,9 +196,9 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 			victimEvs = append(victimEvs, ev)
 		}
 	}
-	want := referenceRun(t, m, victimEvs, func(o *serverOptions) {
-		o.shards = 2
-		o.partition = shard.PartitionID{Index: 0, Count: P}
+	want := referenceRun(t, m, victimEvs, func(o *Options) {
+		o.Shards = 2
+		o.Partition = shard.PartitionID{Index: 0, Count: P}
 	})
 	waitFor(t, "promoted standby holding every acked victim write", func() bool {
 		return storeFingerprint(t, stands[0]) == want
@@ -207,10 +207,10 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	// Phase 3: the deposed primary restarts over its old directory as a
 	// plain primary. One router probe round fences it; the healthy
 	// partitions never notice this either.
-	srvA2 := bootRepl(t, m, primDirs[0], func(o *serverOptions) {
-		o.partition = shard.PartitionID{Index: 0, Count: P}
+	srvA2 := bootRepl(t, m, primDirs[0], func(o *Options) {
+		o.Partition = shard.PartitionID{Index: 0, Count: P}
 	})
-	tsA2 := httpservetest.Start(t, srvA2.routes())
+	tsA2 := httpservetest.Start(t, srvA2)
 	layout[0] = []string{tsA2.URL, standURLs[0]}
 	rt.SetTopology(router.Topology{Partitions: layout})
 	waitFor(t, "deposed primary fenced by router probe", func() bool {
@@ -221,15 +221,14 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	// Phase 4: rejoin as a follower of the promoted standby and drain to
 	// byte-identical.
 	tsA2.Close()
-	if err := srvA2.online.close(); err != nil {
+	if _, err := srvA2.Close(0); err != nil {
 		t.Fatalf("closing fenced node: %v", err)
 	}
-	srvA3 := bootRepl(t, m, primDirs[0], func(o *serverOptions) {
-		o.partition = shard.PartitionID{Index: 0, Count: P}
-		o.followURL = standURLs[0]
+	srvA3 := bootRepl(t, m, primDirs[0], func(o *Options) {
+		o.Partition = shard.PartitionID{Index: 0, Count: P}
+		o.FollowURL = standURLs[0]
 	})
-	defer srvA3.online.close()
-	defer srvA3.repl.stop()
+	defer srvA3.Close(0)
 	waitFor(t, "rejoined follower caught up", func() bool {
 		st := replStatusOf(srvA3)
 		return st.CaughtUp && st.LagRecords == 0

@@ -1,4 +1,4 @@
-package main
+package serve
 
 // Server-level partition ownership: the keyed online endpoints refuse
 // foreign users with the 421 hint rrc-router folds, /readyz advertises
@@ -16,7 +16,7 @@ import (
 )
 
 // userInPartition finds a model-valid user owned by partition p of count.
-func userInPartition(t *testing.T, srv *server, p, count int) int {
+func userInPartition(t *testing.T, srv *Server, p, count int) int {
 	t.Helper()
 	for u := 0; u < srv.currentModel().NumUsers(); u++ {
 		if shard.UserShard(u, count) == p {
@@ -28,10 +28,10 @@ func userInPartition(t *testing.T, srv *server, p, count int) int {
 }
 
 func TestServerPartitionGate(t *testing.T) {
-	srv, _ := onlineServer(t, t.TempDir(), func(o *serverOptions) {
-		o.partition = shard.PartitionID{Index: 1, Count: 2}
+	srv, _ := onlineServer(t, t.TempDir(), func(o *Options) {
+		o.Partition = shard.PartitionID{Index: 1, Count: 2}
 	})
-	h := srv.routes()
+	h := srv
 	mine := userInPartition(t, srv, 1, 2)
 	foreign := userInPartition(t, srv, 0, 2)
 
@@ -85,31 +85,31 @@ func TestServerPartitionGate(t *testing.T) {
 
 func TestServerPartitionIdentityFixedPerEventsDir(t *testing.T) {
 	dir := t.TempDir()
-	srv, _ := onlineServer(t, dir, func(o *serverOptions) {
-		o.partition = shard.PartitionID{Index: 0, Count: 2}
+	srv, _ := onlineServer(t, dir, func(o *Options) {
+		o.Partition = shard.PartitionID{Index: 0, Count: 2}
 	})
-	if err := srv.online.close(); err != nil {
+	if _, err := srv.Close(0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reopening the same root as a different partition must fail loudly:
 	// silently serving another slice would misroute keys for good.
 	opts := srv.opts
-	opts.partition = shard.PartitionID{Index: 1, Count: 2}
-	if _, err := newOnline(opts, srv.currentModel()); err == nil {
+	opts.Partition = shard.PartitionID{Index: 1, Count: 2}
+	if _, err := New(srv.currentModel(), opts); err == nil {
 		t.Fatal("events dir reopened as a different partition without a generation bump")
 	}
 
 	// A strictly higher generation is the operator's resize ack.
-	opts.partition = shard.PartitionID{Index: 1, Count: 3, Generation: 1}
-	o, err := newOnline(opts, srv.currentModel())
+	opts.Partition = shard.PartitionID{Index: 1, Count: 3, Generation: 1}
+	srv2, err := New(srv.currentModel(), opts)
 	if err != nil {
 		t.Fatalf("generation-bumped re-identity refused: %v", err)
 	}
-	if got := o.pool.Partition(); got != opts.partition {
-		t.Fatalf("pool partition = %s, want %s", got, opts.partition)
+	if got := srv2.pool.Partition(); got != opts.Partition {
+		t.Fatalf("pool partition = %s, want %s", got, opts.Partition)
 	}
-	if err := o.close(); err != nil {
+	if _, err := srv2.Close(0); err != nil {
 		t.Fatal(err)
 	}
 }

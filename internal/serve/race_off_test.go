@@ -1,6 +1,6 @@
 //go:build !race
 
-package main
+package serve
 
 // raceEnabled reports whether the race detector is active. Allocation
 // pins are skipped under -race: the instrumented build allocates more

@@ -1,6 +1,6 @@
 //go:build race
 
-package main
+package serve
 
 // raceEnabled reports whether the race detector is active; see
 // race_off_test.go.

@@ -18,7 +18,7 @@
 // its unshipped tail and adopt the new timeline. `-peers` makes a
 // restarting primary ask the rest of the fleet first, so a crashed
 // node that was promoted over comes back already fenced.
-package main
+package serve
 
 import (
 	"encoding/json"
@@ -37,7 +37,7 @@ import (
 // replState owns the node's replication role, epoch, and fence. It is
 // nil on servers running without -events-dir.
 type replState struct {
-	srv  *server
+	srv  *Server
 	root string
 
 	mu       sync.Mutex
@@ -53,40 +53,32 @@ type replState struct {
 	stream *replica.Server
 
 	fencedG *obs.Gauge
-	epochG  *obs.Gauge
 }
 
-// setupReplication wires the replication plane onto an online server:
-// load the persisted epoch, choose the role from -follow, check -peers,
-// and (follower) start the per-shard tailers. Must be called after
-// s.online is set, before routes().
-func (s *server) setupReplication() error {
-	if s.online == nil {
-		if s.opts.followURL != "" || len(s.opts.peers) > 0 {
-			return errors.New("replication requires -events-dir")
-		}
-		return nil
-	}
-	root := s.online.pool.Root()
+// newReplState wires the replication plane onto s's pool: load the
+// persisted epoch, choose the role from FollowURL, check Peers, and
+// (follower) start the per-shard tailers.
+func newReplState(s *Server) (*replState, error) {
+	root := s.pool.Root()
 	meta, err := replica.LoadMeta(root)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rs := &replState{
 		srv:      s,
 		root:     root,
 		meta:     meta,
-		follower: s.opts.followURL != "",
+		follower: s.opts.FollowURL != "",
 	}
 	rs.stream = &replica.Server{
-		Source:         replica.PoolSource{Pool: s.online.pool},
+		Source:         replica.PoolSource{Pool: s.pool},
 		Meta:           rs.metaSnapshot,
 		SawHigherEpoch: rs.fence,
 		Wait:           s.opts.replWait,
 		// The replication plane carries the partition identity too: a
 		// follower of the wrong pair is refused (421) before a single
 		// record crosses partitions.
-		Partition: s.online.pool.Partition,
+		Partition: s.pool.Partition,
 	}
 	s.reg.Help("rrc_replica_fenced", "1 while this node's ingest path is fenced (deposed primary), else 0.")
 	rs.fencedG = s.reg.Gauge("rrc_replica_fenced")
@@ -94,16 +86,11 @@ func (s *server) setupReplication() error {
 		// The follower registers rrc_replica_epoch itself (in Start); a
 		// primary owns the series directly.
 		s.reg.Help("rrc_replica_epoch", "The node's current replication epoch.")
-		rs.epochG = s.reg.Gauge("rrc_replica_epoch")
-		rs.epochG.Set(float64(meta.Epoch))
-	}
-	s.repl = rs
-
-	if !rs.follower {
+		s.reg.Gauge("rrc_replica_epoch").Set(float64(meta.Epoch))
 		// A restarting primary asks the fleet before accepting writes: if
 		// any peer has witnessed a higher epoch, this node was deposed
 		// while down and must come back fenced, not split-brained.
-		for _, peer := range s.opts.peers {
+		for _, peer := range s.opts.Peers {
 			peerMeta, err := fetchPeerMeta(peer)
 			if err != nil {
 				log.Printf("replica: peer %s unreachable at startup (%v) — proceeding", peer, err)
@@ -114,23 +101,23 @@ func (s *server) setupReplication() error {
 				log.Printf("replica: peer %s is at epoch %d, ours is %d: starting fenced", peer, peerMeta.Epoch, meta.Epoch)
 			}
 		}
-		return nil
+		return rs, nil
 	}
 
 	f := &replica.Follower{
-		Primary:     s.opts.followURL,
-		Pool:        s.online.pool,
-		Partition:   s.online.pool.Partition(),
+		Primary:     s.opts.FollowURL,
+		Pool:        s.pool,
+		Partition:   s.pool.Partition(),
 		BackoffBase: s.opts.replBackoffBase,
 		BackoffMax:  s.opts.replBackoffMax,
 		Metrics:     s.reg,
 	}
 	if err := f.Start(); err != nil {
-		return err
+		return nil, err
 	}
 	rs.tailer = f
-	log.Printf("replica: following %s (epoch %d): read-only standby, POST /admin/promote to take over", s.opts.followURL, f.Epoch())
-	return nil
+	log.Printf("replica: following %s (epoch %d): read-only standby, POST /admin/promote to take over", s.opts.FollowURL, f.Epoch())
+	return rs, nil
 }
 
 // fetchPeerMeta asks a peer for its replication meta.
@@ -250,7 +237,7 @@ func (rs *replState) promote() (replica.Meta, error) {
 	} else {
 		m = rs.metaSnapshot()
 	}
-	bases, err := replica.NextLSNs(rs.srv.online.pool)
+	bases, err := replica.NextLSNs(rs.srv.pool)
 	if err != nil {
 		return m, fmt.Errorf("promote: reading shard horizons: %w", err)
 	}
@@ -293,7 +280,7 @@ type promoteResponse struct {
 
 // handlePromote flips a standby (or a fenced ex-primary that has been
 // repointed) into the primary role under a bumped epoch.
-func (s *server) handlePromote(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 	m, err := s.repl.promote()
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
@@ -322,14 +309,14 @@ func (rs *replState) status() replStatus {
 	follower, fenced, t := rs.follower, rs.fenced, rs.tailer
 	rs.mu.Unlock()
 	st := replStatus{Role: "primary", Epoch: rs.metaSnapshot().Epoch, Fenced: fenced}
-	for _, sh := range rs.srv.online.pool.Statuses() {
+	for _, sh := range rs.srv.pool.Statuses() {
 		st.AppliedLSN += sh.AppliedLSN
 		st.ShardAppliedLSN = append(st.ShardAppliedLSN, sh.AppliedLSN)
 	}
 	if follower {
 		st.Role = "follower"
 		if t != nil {
-			for i := 0; i < rs.srv.online.pool.N(); i++ {
+			for i := 0; i < rs.srv.pool.N(); i++ {
 				rec, _ := t.Lag(i)
 				st.LagRecords += rec
 			}

@@ -1,4 +1,4 @@
-package main
+package serve
 
 // Chaos suite for the replication plane: a primary/standby pair under
 // mixed traffic must fail over without losing an acknowledged-and-
@@ -26,13 +26,13 @@ import (
 	"tsppr/internal/shard"
 )
 
-// bootRepl boots an online server and wires its replication plane; the
-// follower role (and its tailers) starts here when mutate sets
-// followURL.
-func bootRepl(t *testing.T, m *core.Model, dir string, mutate func(*serverOptions)) *server {
+// bootRepl is bootOnline over two shards with fast replication timings;
+// New starts the follower role (and its tailers) when mutate sets
+// FollowURL.
+func bootRepl(t *testing.T, m *core.Model, dir string, mutate func(*Options)) *Server {
 	t.Helper()
-	srv := bootOnline(t, m, dir, func(o *serverOptions) {
-		o.shards = 2
+	return bootOnline(t, m, dir, func(o *Options) {
+		o.Shards = 2
 		o.replWait = 30 * time.Millisecond
 		o.replBackoffBase = 5 * time.Millisecond
 		o.replBackoffMax = 50 * time.Millisecond
@@ -40,10 +40,6 @@ func bootRepl(t *testing.T, m *core.Model, dir string, mutate func(*serverOption
 			mutate(o)
 		}
 	})
-	if err := srv.setupReplication(); err != nil {
-		t.Fatalf("setupReplication: %v", err)
-	}
-	return srv
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -86,7 +82,7 @@ func scrapeLagRecords(t *testing.T, h http.Handler) float64 {
 	return total
 }
 
-func replStatusOf(srv *server) replStatus { return srv.repl.status() }
+func replStatusOf(srv *Server) replStatus { return srv.repl.status() }
 
 // waitApplied blocks until the standby's /readyz shard_applied_lsn has
 // reached the primary's on every shard. caught_up is not that: a write
@@ -116,12 +112,12 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 	m := base.currentModel()
 	evs := chaosEvents(seqs)
 	acked := evs[:40]
-	want := referenceRun(t, m, acked, func(o *serverOptions) { o.shards = 2 })
+	want := referenceRun(t, m, acked, func(o *Options) { o.Shards = 2 })
 
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httpservetest.Start(t, srvA.routes())
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	hA, hB := tsA, httpservetest.Start(t, srvB.routes())
+	tsA := httpservetest.Start(t, srvA)
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	hA, hB := tsA, httpservetest.Start(t, srvB)
 
 	for _, ev := range acked {
 		mustConsume(t, hA, ev)
@@ -153,7 +149,7 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 	}
 	// Writes are open on the new primary.
 	mustConsume(t, hB, evs[40])
-	defer srvB.online.close()
+	defer srvB.Close(0)
 }
 
 // readyOf decodes h's GET /readyz reply.
@@ -179,7 +175,7 @@ func TestReplicaKilledPrimaryNeverCaughtUp(t *testing.T) {
 	evs := chaosEvents(seqs)
 
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	hA := srvA.routes()
+	hA := srvA
 	var cut atomic.Bool
 	link := httpservetest.Start(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if cut.Load() {
@@ -188,10 +184,9 @@ func TestReplicaKilledPrimaryNeverCaughtUp(t *testing.T) {
 		}
 		hA.ServeHTTP(w, r)
 	}))
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = link.URL })
-	defer srvB.online.close()
-	defer srvB.repl.stop()
-	hB := srvB.routes()
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = link.URL })
+	defer srvB.Close(0)
+	hB := srvB
 
 	for _, ev := range evs[:20] {
 		mustConsume(t, hA, ev)
@@ -227,10 +222,10 @@ func TestReplicaRejoinTruncatesDivergentTail(t *testing.T) {
 
 	dirA := t.TempDir()
 	srvA := bootRepl(t, m, dirA, nil)
-	tsA := httpservetest.Start(t, srvA.routes())
+	tsA := httpservetest.Start(t, srvA)
 	defer tsA.Close()
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	hA, hB := tsA, httpservetest.Start(t, srvB.routes())
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	hA, hB := tsA, httpservetest.Start(t, srvB)
 
 	for _, ev := range evs[:30] {
 		mustConsume(t, hA, ev)
@@ -259,14 +254,14 @@ func TestReplicaRejoinTruncatesDivergentTail(t *testing.T) {
 	for _, ev := range evs[42:51] {
 		mustConsume(t, hB, ev)
 	}
-	tsB := httpservetest.Start(t, srvB.routes())
+	tsB := httpservetest.Start(t, srvB)
 	defer tsB.Close()
-	defer srvB.online.close()
+	defer srvB.Close(0)
 
 	// "Restart" the old primary as a follower of the new one (its old
 	// pool is abandoned un-closed, as a crash would leave it).
-	srvA2 := bootRepl(t, m, dirA, func(o *serverOptions) { o.followURL = tsB.URL })
-	hA2 := srvA2.routes()
+	srvA2 := bootRepl(t, m, dirA, func(o *Options) { o.FollowURL = tsB.URL })
+	hA2 := srvA2
 	waitFor(t, "rejoined node caught up", func() bool { return replStatusOf(srvA2).CaughtUp })
 	waitFor(t, "replication lag drained to 0", func() bool { return scrapeLagRecords(t, hA2) == 0 })
 
@@ -294,8 +289,7 @@ func TestReplicaRejoinTruncatesDivergentTail(t *testing.T) {
 	if rec.Code != http.StatusOK || ready.Status != "following" || ready.Replication == nil || ready.Replication.Role != "follower" {
 		t.Fatalf("rejoined /readyz = %d %s", rec.Code, rec.Body.String())
 	}
-	srvA2.repl.stop()
-	srvA2.online.close()
+	srvA2.Close(0)
 }
 
 // TestReplicaStalePrimaryStartsFenced: a crashed primary that was
@@ -309,21 +303,21 @@ func TestReplicaStalePrimaryStartsFenced(t *testing.T) {
 
 	dirA := t.TempDir()
 	srvA := bootRepl(t, m, dirA, nil)
-	tsA := httpservetest.Start(t, srvA.routes())
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
+	tsA := httpservetest.Start(t, srvA)
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
 	waitFor(t, "standby start", func() bool { return replStatusOf(srvB).Role == "follower" })
 	if _, err := srvB.repl.promote(); err != nil {
 		t.Fatal(err)
 	}
 	tsA.Close()
-	tsB := httpservetest.Start(t, srvB.routes())
+	tsB := httpservetest.Start(t, srvB)
 	defer tsB.Close()
-	defer srvB.online.close()
+	defer srvB.Close(0)
 
 	// Old primary restarts at epoch 0 with -peers pointing at the fleet:
 	// it must discover epoch 1 and start fenced.
-	srvA2 := bootRepl(t, m, dirA, func(o *serverOptions) { o.peers = []string{tsB.URL, "http://127.0.0.1:1/unreachable"} })
-	hA2 := srvA2.routes()
+	srvA2 := bootRepl(t, m, dirA, func(o *Options) { o.Peers = []string{tsB.URL, "http://127.0.0.1:1/unreachable"} })
+	hA2 := srvA2
 	st := replStatusOf(srvA2)
 	if st.Role != "primary" || !st.Fenced {
 		t.Fatalf("stale primary status %+v, want fenced primary", st)
@@ -344,11 +338,11 @@ func TestReplicaStalePrimaryStartsFenced(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/consume", bytes.NewReader(raw))
 	req.Header.Set(replica.EpochHeader, "0")
 	rec = httptest.NewRecorder()
-	srvB.routes().ServeHTTP(rec, req)
+	srvB.ServeHTTP(rec, req)
 	if rec.Code != http.StatusPreconditionFailed {
 		t.Fatalf("stale-epoch /consume on new primary = %d, want 412", rec.Code)
 	}
-	srvA2.online.close()
+	srvA2.Close(0)
 }
 
 // TestReplicaRetryAfterFromSupervisorBackoff pins satellite behavior:
@@ -358,14 +352,14 @@ func TestReplicaStalePrimaryStartsFenced(t *testing.T) {
 func TestReplicaRetryAfterFromSupervisorBackoff(t *testing.T) {
 	base, _ := testServer(t)
 	m := base.currentModel()
-	srv := bootOnline(t, m, t.TempDir(), func(o *serverOptions) {
-		o.shards = 1
+	srv := bootOnline(t, m, t.TempDir(), func(o *Options) {
+		o.Shards = 1
 		o.shardFailThreshold = 1
 		o.shardBackoffBase = 7 * time.Second
 		o.shardBackoffMax = 8 * time.Second
 	})
-	defer srv.online.close()
-	h := srv.routes()
+	defer srv.Close(0)
+	h := srv
 
 	faultinject.Arm(shard.IngestPoint(0), faultinject.Plan{Mode: faultinject.Error, Count: 1})
 	defer faultinject.Reset()
@@ -395,11 +389,11 @@ func TestReplicaRetryAfterFromSupervisorBackoff(t *testing.T) {
 func TestReplicaShutdownTimeoutReportsMissedShards(t *testing.T) {
 	base, seqs := testServer(t)
 	m := base.currentModel()
-	srv := bootOnline(t, m, t.TempDir(), func(o *serverOptions) {
-		o.shards = 2
-		o.snapshotEvery = 0 // final snapshot happens only at close
+	srv := bootOnline(t, m, t.TempDir(), func(o *Options) {
+		o.Shards = 2
+		o.SnapshotEvery = 0 // final snapshot happens only at close
 	})
-	h := srv.routes()
+	h := srv
 	for _, ev := range chaosEvents(seqs)[:8] {
 		mustConsume(t, h, ev)
 	}
@@ -407,9 +401,9 @@ func TestReplicaShutdownTimeoutReportsMissedShards(t *testing.T) {
 	faultinject.Arm("shard.drain", faultinject.Plan{Mode: faultinject.Delay, Sleep: 600 * time.Millisecond, Count: 1})
 	defer faultinject.Reset()
 	start := time.Now()
-	missed, _ := srv.online.closeTimeout(150 * time.Millisecond)
+	missed, _ := srv.Close(150 * time.Millisecond)
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("closeTimeout took %s, not bounded by the 150ms deadline", elapsed)
+		t.Fatalf("Close took %s, not bounded by the 150ms deadline", elapsed)
 	}
 	if len(missed) != 1 {
 		t.Fatalf("missed shards = %v, want exactly one", missed)

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"encoding/json"
@@ -14,13 +14,13 @@ import (
 
 // cachedServer is onlineServer with the response cache enabled and the
 // serving model saved to disk so reload() can hot-swap it mid-test.
-func cachedServer(t *testing.T) (*server, []seq.Sequence) {
+func cachedServer(t *testing.T) (*Server, []seq.Sequence) {
 	t.Helper()
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.tsppr")
-	srv, seqs := onlineServer(t, filepath.Join(dir, "events"), func(o *serverOptions) {
-		o.cacheEntries = 1 << 12
-		o.modelPath = modelPath
+	srv, seqs := onlineServer(t, filepath.Join(dir, "events"), func(o *Options) {
+		o.CacheEntries = 1 << 12
+		o.ModelPath = modelPath
 	})
 	if err := srv.currentModel().SaveFile(modelPath); err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func decodeRec(t *testing.T, body []byte) recommendResponse {
 // rather than serving the stale entry.
 func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
 	srv, seqs := cachedServer(t)
-	h := srv.routes()
+	h := srv
 	for _, v := range seqs[0][:30] {
 		if rr := postJSON(t, h, "/consume", consumeRequest{User: 0, Item: int(v)}); rr.Code != http.StatusOK {
 			t.Fatalf("consume: %d %s", rr.Code, rr.Body.String())
@@ -61,7 +61,7 @@ func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
 	if first.Body.String() != second.Body.String() {
 		t.Fatalf("cached read differs:\n%s\n%s", first.Body.String(), second.Body.String())
 	}
-	st := srv.online.cache.Stats()
+	st := srv.cache.Stats()
 	if st.Hits != 1 || st.Misses < 1 {
 		t.Fatalf("stats after repeat read = %+v", st)
 	}
@@ -69,7 +69,7 @@ func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
 	if rr := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 3}); rr.Code != http.StatusOK {
 		t.Fatalf("n=3 read: %d", rr.Code)
 	}
-	if st = srv.online.cache.Stats(); st.Hits != 1 {
+	if st = srv.cache.Stats(); st.Hits != 1 {
 		t.Fatalf("different N hit the N=5 entry: %+v", st)
 	}
 
@@ -99,7 +99,7 @@ func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
 				i, got.Items[i], got.Scores[i], want[i].Item, want[i].Score)
 		}
 	}
-	if st = srv.online.cache.Stats(); st.Invalidations < 1 {
+	if st = srv.cache.Stats(); st.Invalidations < 1 {
 		t.Fatalf("consume did not invalidate: %+v", st)
 	}
 }
@@ -111,7 +111,7 @@ func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
 // a nil-buffer fill would produce.
 func TestResponseCacheEmptyResultServesJSONArrays(t *testing.T) {
 	srv, _ := cachedServer(t)
-	h := srv.routes()
+	h := srv
 	for i := 0; i < 3; i++ {
 		if rr := postJSON(t, h, "/consume", consumeRequest{User: 0, Item: i}); rr.Code != http.StatusOK {
 			t.Fatalf("consume: %d", rr.Code)
@@ -122,7 +122,7 @@ func TestResponseCacheEmptyResultServesJSONArrays(t *testing.T) {
 	if first.Code != http.StatusOK || second.Code != http.StatusOK {
 		t.Fatalf("reads: %d, %d", first.Code, second.Code)
 	}
-	if st := srv.online.cache.Stats(); st.Hits != 1 {
+	if st := srv.cache.Stats(); st.Hits != 1 {
 		t.Fatalf("second read was not a hit: %+v", st)
 	}
 	if first.Body.String() != second.Body.String() {
@@ -145,7 +145,7 @@ func TestResponseCacheEmptyResultServesJSONArrays(t *testing.T) {
 // answers.
 func TestResponseCachePurgedOnReload(t *testing.T) {
 	srv, seqs := cachedServer(t)
-	h := srv.routes()
+	h := srv
 	for _, v := range seqs[1][:20] {
 		if rr := postJSON(t, h, "/consume", consumeRequest{User: 1, Item: int(v)}); rr.Code != http.StatusOK {
 			t.Fatalf("consume: %d", rr.Code)
@@ -154,18 +154,18 @@ func TestResponseCachePurgedOnReload(t *testing.T) {
 	if rr := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 1, N: 5}); rr.Code != http.StatusOK {
 		t.Fatalf("read: %d", rr.Code)
 	}
-	if srv.online.cache.Len() == 0 {
+	if srv.cache.Len() == 0 {
 		t.Fatal("read did not fill the cache")
 	}
-	epoch := srv.online.cache.Epoch()
+	epoch := srv.cache.Epoch()
 	if err := srv.reload(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.online.cache.Len() != 0 {
+	if srv.cache.Len() != 0 {
 		t.Fatal("reload left cached entries behind")
 	}
-	if srv.online.cache.Epoch() != epoch+1 {
-		t.Fatalf("epoch = %d, want %d", srv.online.cache.Epoch(), epoch+1)
+	if srv.cache.Epoch() != epoch+1 {
+		t.Fatalf("epoch = %d, want %d", srv.cache.Epoch(), epoch+1)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestResponseCachePurgedOnReload(t *testing.T) {
 // came from the cache or from a torn fill.
 func TestResponseCacheCoherence(t *testing.T) {
 	srv, seqs := cachedServer(t)
-	h := srv.routes()
+	h := srv
 	// The reference engine: same parameters the hot-swapped engines
 	// load, model I/O is bit-exact, and scoring is deterministic — so
 	// cached, freshly-scored, and post-swap answers must all coincide.
@@ -255,7 +255,7 @@ func TestResponseCacheCoherence(t *testing.T) {
 
 	// With the swapper quiesced, a repeat read must be a cache hit and
 	// still byte-identical.
-	before := srv.online.cache.Stats()
+	before := srv.cache.Stats()
 	first := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
 	second := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
 	if first.Code != http.StatusOK || second.Code != http.StatusOK {
@@ -264,7 +264,7 @@ func TestResponseCacheCoherence(t *testing.T) {
 	if first.Body.String() != second.Body.String() {
 		t.Fatalf("quiesced cached read differs:\n%s\n%s", first.Body.String(), second.Body.String())
 	}
-	after := srv.online.cache.Stats()
+	after := srv.cache.Stats()
 	if after.Hits <= before.Hits {
 		t.Fatalf("no cache hit on quiesced repeat read: %+v → %+v", before, after)
 	}

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -27,10 +27,10 @@ import (
 )
 
 // faultServer builds a server with tight resilience knobs for tests.
-func faultServer(t *testing.T, opts serverOptions) (*server, []int) {
+func faultServer(t *testing.T, opts Options) (*Server, []int) {
 	t.Helper()
-	base, seqs := testServer(t)
-	srv := newServer(base.currentModel(), opts)
+	m, seqs := testModel(t, 8)
+	srv := mustNew(t, m, opts)
 	history := make([]int, 0, 40)
 	for _, v := range seqs[0][:40] {
 		history = append(history, int(v))
@@ -70,13 +70,13 @@ func TestScorerFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			faultinject.Reset()
 			defer faultinject.Reset()
-			srv, seqs := onlineServer(t, t.TempDir(), func(o *serverOptions) {
-				o.cacheEntries = 1 << 12
+			srv, seqs := onlineServer(t, t.TempDir(), func(o *Options) {
+				o.CacheEntries = 1 << 12
 				if tc.reqTimeout > 0 {
-					o.reqTimeout = tc.reqTimeout
+					o.ReqTimeout = tc.reqTimeout
 				}
 			})
-			h := srv.routes()
+			h := srv
 			history := make([]int, 0, 40)
 			for _, v := range seqs[0][:40] {
 				history = append(history, int(v))
@@ -120,7 +120,7 @@ func TestScorerFaults(t *testing.T) {
 					t.Fatalf("%d entries failed, want the one that panicked: %s", failed, rr.Body.String())
 				}
 			}
-			if n := srv.online.cache.Len(); n != 0 {
+			if n := srv.cache.Len(); n != 0 {
 				t.Fatalf("a faulted request left %d cached entries", n)
 			}
 			for _, path := range []string{"/healthz", "/readyz"} {
@@ -131,7 +131,7 @@ func TestScorerFaults(t *testing.T) {
 			if rr := postJSON(t, h, tc.path, body); rr.Code != http.StatusOK || strings.Contains(rr.Body.String(), "error") {
 				t.Fatalf("next request: %d %s", rr.Code, rr.Body.String())
 			}
-			if tc.path == "/recommend/user" && srv.online.cache.Len() != 1 {
+			if tc.path == "/recommend/user" && srv.cache.Len() != 1 {
 				t.Fatal("the next read did not fill the cache")
 			}
 		})
@@ -144,8 +144,8 @@ func TestScorerFaults(t *testing.T) {
 func TestLoadShedding(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	srv, history := faultServer(t, serverOptions{maxInFlight: 1, reqTimeout: 2 * time.Second})
-	h := srv.routes()
+	srv, history := faultServer(t, Options{MaxInFlight: 1, ReqTimeout: 2 * time.Second})
+	h := srv
 	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Delay, Sleep: 150 * time.Millisecond})
 
 	const clients = 6
@@ -199,8 +199,8 @@ func TestLoadShedding(t *testing.T) {
 func TestStalledScorerHoldsItsSlot(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	srv, history := faultServer(t, serverOptions{maxInFlight: 1, reqTimeout: 30 * time.Millisecond})
-	h := srv.routes()
+	srv, history := faultServer(t, Options{MaxInFlight: 1, ReqTimeout: 30 * time.Millisecond})
+	h := srv
 	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Delay, Sleep: 300 * time.Millisecond, Count: 1})
 
 	req := recommendRequest{User: 0, History: history, N: 3}
@@ -223,14 +223,14 @@ func TestStalledScorerHoldsItsSlot(t *testing.T) {
 func TestGracefulShutdownDrain(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	srv, history := faultServer(t, serverOptions{reqTimeout: 2 * time.Second})
+	srv, history := faultServer(t, Options{ReqTimeout: 2 * time.Second})
 	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Delay, Sleep: 300 * time.Millisecond, Count: 1})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := httpserve.New(srv.routes(), httpserve.Config{})
+	httpSrv := httpserve.New(srv, httpserve.Config{})
 	go httpSrv.Serve(ln)
 
 	url := fmt.Sprintf("http://%s/recommend", ln.Addr())
@@ -277,8 +277,8 @@ func TestHotReload(t *testing.T) {
 	if err := m.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(m, serverOptions{modelPath: path})
-	h := srv.routes()
+	srv := mustNew(t, m, Options{ModelPath: path})
+	h := srv
 	history := make([]int, 0, 40)
 	for _, v := range seqs[0][:40] {
 		history = append(history, int(v))
@@ -292,7 +292,7 @@ func TestHotReload(t *testing.T) {
 
 	// Deliver a real SIGHUP value through the watch loop.
 	sig := make(chan os.Signal, 1)
-	go srv.watchReload(sig)
+	go srv.WatchReload(sig)
 	sig <- syscall.SIGHUP
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.reloads.Value() == 0 && time.Now().Before(deadline) {
@@ -328,22 +328,22 @@ func TestHotReload(t *testing.T) {
 	// A model that differs only in Ω swaps in: the default Ω follows it,
 	// and the response cache, keyed by (user, Ω, N), is empty afterwards.
 	online, _ := cachedServer(t)
-	oh := online.routes()
+	oh := online
 	for _, v := range history {
 		mustConsume(t, oh, event{user: 0, item: v})
 	}
-	if rr := postJSON(t, oh, "/recommend/user", recommendUserRequest{User: 0, N: 3}); rr.Code != http.StatusOK || online.online.cache.Len() == 0 {
+	if rr := postJSON(t, oh, "/recommend/user", recommendUserRequest{User: 0, N: 3}); rr.Code != http.StatusOK || online.cache.Len() == 0 {
 		t.Fatalf("read did not fill the cache: %d %s", rr.Code, rr.Body.String())
 	}
 	cur := online.currentModel()
-	if err := reshapedModel(t, cur, 20, 15, cur.NumItems()).SaveFile(online.opts.modelPath); err != nil {
+	if err := reshapedModel(t, cur, 20, 15, cur.NumItems()).SaveFile(online.opts.ModelPath); err != nil {
 		t.Fatal(err)
 	}
 	if err := online.reload(); err != nil {
 		t.Fatalf("reload of an Ω-only change: %v", err)
 	}
-	if online.online.cache.Len() != 0 || online.reloads.Value() != 1 {
-		t.Fatalf("after the Ω reload: %d cached entries, %d reloads", online.online.cache.Len(), online.reloads.Value())
+	if online.cache.Len() != 0 || online.reloads.Value() != 1 {
+		t.Fatalf("after the Ω reload: %d cached entries, %d reloads", online.cache.Len(), online.reloads.Value())
 	}
 	answer := func(omega *int) string {
 		return postJSON(t, oh, "/recommend", recommendRequest{User: 0, History: history, N: 3, Omega: omega}).Body.String()
@@ -399,8 +399,8 @@ func TestReloadKeepsTheServedShape(t *testing.T) {
 			if err := tc.next.SaveFile(path); err != nil {
 				t.Fatal(err)
 			}
-			srv := bootOnline(t, m, t.TempDir(), func(o *serverOptions) { o.modelPath = path })
-			defer srv.online.close()
+			srv := bootOnline(t, m, t.TempDir(), func(o *Options) { o.ModelPath = path })
+			defer srv.Close(0)
 			served := srv.currentModel()
 			if err := srv.reload(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("reload = %v, want a refusal naming %q", err, tc.want)
@@ -408,10 +408,10 @@ func TestReloadKeepsTheServedShape(t *testing.T) {
 			if srv.currentModel() != served || srv.reloads.Value() != 0 {
 				t.Fatal("refused reload displaced the serving model")
 			}
-			if rr := postJSON(t, srv.routes(), "/consume", tc.probe); rr.Code != http.StatusBadRequest {
+			if rr := postJSON(t, srv, "/consume", tc.probe); rr.Code != http.StatusBadRequest {
 				t.Fatalf("consume %+v: %d %s, want 400", tc.probe, rr.Code, rr.Body.String())
 			}
-			for _, st := range srv.online.pool.Statuses() {
+			for _, st := range srv.pool.Statuses() {
 				if st.Dropped != 0 {
 					t.Fatalf("shard status %+v: an acked event was dropped", st)
 				}
@@ -434,8 +434,8 @@ func TestHotReloadRejectsHostileShapeHeader(t *testing.T) {
 	if err := m.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(m, serverOptions{modelPath: path})
-	h := srv.routes()
+	srv := mustNew(t, m, Options{ModelPath: path})
+	h := srv
 	history := make([]int, 0, 40)
 	for _, v := range seqs[0][:40] {
 		history = append(history, int(v))
@@ -477,8 +477,8 @@ func TestHotReloadFoldsMapsAndRejectsDamagedOnes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(m, serverOptions{modelPath: path})
-	h := srv.routes()
+	srv := mustNew(t, m, Options{ModelPath: path})
+	h := srv
 	history := make([]int, 0, 40)
 	for _, v := range seqs[0][:40] {
 		history = append(history, int(v))
@@ -542,7 +542,7 @@ func TestHotReloadFoldsMapsAndRejectsDamagedOnes(t *testing.T) {
 // TestRecoveredMiddleware proves a panic below the mux becomes a 500, not
 // a dead process.
 func TestRecoveredMiddleware(t *testing.T) {
-	srv, _ := faultServer(t, serverOptions{})
+	srv, _ := faultServer(t, Options{})
 	h := srv.recovered(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	}))
@@ -559,8 +559,8 @@ func TestRecoveredMiddleware(t *testing.T) {
 // TestRequestEntityTooLarge checks the 413 satellite: an oversized body
 // is distinguished from a malformed one.
 func TestRequestEntityTooLarge(t *testing.T) {
-	srv, _ := faultServer(t, serverOptions{})
-	h := srv.routes()
+	srv, _ := faultServer(t, Options{})
+	h := srv
 	// ~8 MB of JSON zeros, comfortably past the 4 MB body cap.
 	big := make([]int, 1<<22)
 	rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: big})
@@ -572,8 +572,8 @@ func TestRequestEntityTooLarge(t *testing.T) {
 // TestHistoryIDBounds checks the 400 satellite: item ids at or above the
 // model's item universe are rejected up front.
 func TestHistoryIDBounds(t *testing.T) {
-	srv, history := faultServer(t, serverOptions{})
-	h := srv.routes()
+	srv, history := faultServer(t, Options{})
+	h := srv
 	bad := append(append([]int(nil), history...), srv.currentModel().NumItems())
 	rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: bad})
 	if rr.Code != http.StatusBadRequest {

@@ -1,4 +1,4 @@
-package main
+package serve
 
 // Retry-After consistency audit: every backoff-shaped response the
 // server emits (429 load shed, shard breaker/drain 503, online-disabled
@@ -45,7 +45,7 @@ func TestRetryAfterAudit(t *testing.T) {
 	// An online single-shard server with shard 0 drained: its users'
 	// writes hit the draining/drained 503 path.
 	drained := bootOnline(t, m, t.TempDir(), nil)
-	if err := drained.online.pool.Drain(0); err != nil {
+	if err := drained.pool.Drain(0); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 
@@ -55,7 +55,7 @@ func TestRetryAfterAudit(t *testing.T) {
 	fenced := bootOnline(t, m, t.TempDir(), nil)
 	fenced.repl = &replState{
 		srv:     fenced,
-		root:    fenced.online.pool.Root(),
+		root:    fenced.pool.Root(),
 		meta:    replica.Meta{Epoch: 5},
 		fencedG: fenced.reg.Gauge("rrc_replica_fenced"),
 	}
@@ -64,7 +64,7 @@ func TestRetryAfterAudit(t *testing.T) {
 	follower := bootOnline(t, m, t.TempDir(), nil)
 	follower.repl = &replState{
 		srv:      follower,
-		root:     follower.online.pool.Root(),
+		root:     follower.pool.Root(),
 		follower: true,
 		fencedG:  follower.reg.Gauge("rrc_replica_fenced"),
 	}
@@ -85,23 +85,23 @@ func TestRetryAfterAudit(t *testing.T) {
 		header map[string]string
 		want   int
 	}{
-		{"load-shed", httpservetest.Start(t, shed.routes()), http.MethodPost, "/recommend",
+		{"load-shed", httpservetest.Start(t, shed), http.MethodPost, "/recommend",
 			recommendRequest{User: 0, History: []int{1, 2}, N: 1}, nil, http.StatusTooManyRequests},
-		{"online-disabled", httpservetest.Start(t, base.routes()), http.MethodPost, "/consume",
+		{"online-disabled", httpservetest.Start(t, base), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
-		{"shard-drained", httpservetest.Start(t, drained.routes()), http.MethodPost, "/consume",
+		{"shard-drained", httpservetest.Start(t, drained), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
-		{"fenced-ingest-low-epoch", httpservetest.Start(t, fenced.routes()), http.MethodPost, "/consume",
+		{"fenced-ingest-low-epoch", httpservetest.Start(t, fenced), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, map[string]string{replica.EpochHeader: "3"},
 			http.StatusPreconditionFailed},
-		{"fenced-ingest-high-epoch", httpservetest.Start(t, fenced.routes()), http.MethodPost, "/consume",
+		{"fenced-ingest-high-epoch", httpservetest.Start(t, fenced), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, map[string]string{replica.EpochHeader: "9"},
 			http.StatusPreconditionFailed},
-		{"standby-write-refused", httpservetest.Start(t, follower.routes()), http.MethodPost, "/consume",
+		{"standby-write-refused", httpservetest.Start(t, follower), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
-		{"standby-session-not-replicated", httpservetest.Start(t, follower.routes()), http.MethodPost, "/recommend/user",
+		{"standby-session-not-replicated", httpservetest.Start(t, follower), http.MethodPost, "/recommend/user",
 			recommendUserRequest{User: 0, N: 3}, nil, http.StatusServiceUnavailable},
-		{"readyz-shard-drained", httpservetest.Start(t, drained.routes()), http.MethodGet, "/readyz",
+		{"readyz-shard-drained", httpservetest.Start(t, drained), http.MethodGet, "/readyz",
 			nil, nil, http.StatusServiceUnavailable},
 	}
 	for _, tc := range cases {
@@ -195,14 +195,13 @@ func TestReplicaFollowerReadsInstrumented(t *testing.T) {
 	base, seqs := testServer(t)
 	m := base.currentModel()
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httpservetest.Start(t, srvA.routes())
+	tsA := httpservetest.Start(t, srvA)
 	defer tsA.Close()
-	defer srvA.online.close()
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	defer srvB.repl.stop()
-	defer srvB.online.close()
+	defer srvA.Close(0)
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	defer srvB.Close(0)
 
-	hA, hB := tsA, httpservetest.Start(t, srvB.routes())
+	hA, hB := tsA, httpservetest.Start(t, srvB)
 	for _, ev := range chaosEvents(seqs)[:10] {
 		mustConsume(t, hA, ev)
 	}

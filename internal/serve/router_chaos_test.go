@@ -1,4 +1,4 @@
-package main
+package serve
 
 // Chaos suite for the full routed topology: rrc-router in front of a
 // primary/standby pair, mixed live traffic, primary killed mid-run.
@@ -82,11 +82,11 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	// router's job.
 	dirA := t.TempDir()
 	srvA := bootRepl(t, m, dirA, nil)
-	tsA := httpservetest.Start(t, srvA.routes())
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	tsB := httpservetest.Start(t, srvB.routes())
+	tsA := httpservetest.Start(t, srvA)
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	tsB := httpservetest.Start(t, srvB)
 	defer tsB.Close()
-	defer srvB.online.close()
+	defer srvB.Close(0)
 
 	reg := obs.NewRegistry()
 	rt := newChaosRouter(t, reg, tsA.URL, tsB.URL)
@@ -125,7 +125,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 		consumeViaRouter(t, h, ev)
 	}
 	waitFor(t, "standby caught up pre-kill", func() bool { return replStatusOf(srvB).CaughtUp })
-	waitApplied(t, srvA.routes(), srvB.routes())
+	waitApplied(t, srvA, srvB)
 
 	// Kill the primary: listener closed, pool abandoned un-closed.
 	tsA.Close()
@@ -153,7 +153,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 
 	// Zero acked-write loss: B's end state over every acknowledged
 	// event is byte-identical to an unfaulted run of the same prefix.
-	want := referenceRun(t, m, evs[:45], func(o *serverOptions) { o.shards = 2 })
+	want := referenceRun(t, m, evs[:45], func(o *Options) { o.Shards = 2 })
 	waitFor(t, "promoted node holding all acked writes", func() bool {
 		return storeFingerprint(t, srvB) == want
 	})
@@ -162,7 +162,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	// as a plain primary (no -peers — the worst case). One router probe
 	// round must fence it via the X-RRC-Epoch contract.
 	srvA2 := bootRepl(t, m, dirA, nil)
-	tsA2 := httpservetest.Start(t, srvA2.routes())
+	tsA2 := httpservetest.Start(t, srvA2)
 	rt.SetTopology(router.Topology{Partitions: [][]string{{tsA2.URL, tsB.URL}}})
 	waitFor(t, "deposed primary fenced by router probe", func() bool {
 		return replStatusOf(srvA2).Fenced
@@ -178,12 +178,11 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	// Phase 4: rejoin. A restarts as a follower of B and drains its
 	// replication lag to zero, converging byte-identically.
 	tsA2.Close()
-	if err := srvA2.online.close(); err != nil {
+	if _, err := srvA2.Close(0); err != nil {
 		t.Fatalf("closing fenced node: %v", err)
 	}
-	srvA3 := bootRepl(t, m, dirA, func(o *serverOptions) { o.followURL = tsB.URL })
-	defer srvA3.online.close()
-	defer srvA3.repl.stop()
+	srvA3 := bootRepl(t, m, dirA, func(o *Options) { o.FollowURL = tsB.URL })
+	defer srvA3.Close(0)
 	waitFor(t, "rejoined follower caught up", func() bool {
 		st := replStatusOf(srvA3)
 		return st.CaughtUp && st.LagRecords == 0
@@ -191,7 +190,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	waitFor(t, "rejoined follower byte-identical", func() bool {
 		return storeFingerprint(t, srvA3) == storeFingerprint(t, srvB)
 	})
-	if lag := scrapeLagRecords(t, srvA3.routes()); lag != 0 {
+	if lag := scrapeLagRecords(t, srvA3); lag != 0 {
 		t.Fatalf("scraped lag %v after rejoin, want 0", lag)
 	}
 }
@@ -206,13 +205,13 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	evs := chaosEvents(seqs)
 
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httpservetest.Start(t, srvA.routes())
+	tsA := httpservetest.Start(t, srvA)
 	defer tsA.Close()
-	defer srvA.online.close()
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	tsB := httpservetest.Start(t, srvB.routes())
+	defer srvA.Close(0)
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	tsB := httpservetest.Start(t, srvB)
 	defer tsB.Close()
-	defer srvB.online.close()
+	defer srvB.Close(0)
 
 	reg := obs.NewRegistry()
 	rt, err := router.New(router.Config{
@@ -264,10 +263,10 @@ func TestRouterRetriesScorerPanicElsewhere(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	base, seqs := testServer(t)
-	other := newServer(base.currentModel(), serverOptions{})
-	tsA := httpservetest.Start(t, base.routes())
+	other := mustNew(t, base.currentModel(), Options{})
+	tsA := httpservetest.Start(t, base)
 	defer tsA.Close()
-	tsB := httpservetest.Start(t, other.routes())
+	tsB := httpservetest.Start(t, other)
 	defer tsB.Close()
 	reg := obs.NewRegistry()
 	h := httpservetest.Start(t, newChaosRouter(t, reg, tsA.URL, tsB.URL).Routes())
@@ -307,13 +306,13 @@ func TestRouterReadYourWritesAcrossPair(t *testing.T) {
 	m := base.currentModel()
 
 	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httpservetest.Start(t, srvA.routes())
+	tsA := httpservetest.Start(t, srvA)
 	defer tsA.Close()
-	defer srvA.online.close()
-	srvB := bootRepl(t, m, t.TempDir(), func(o *serverOptions) { o.followURL = tsA.URL })
-	tsB := httpservetest.Start(t, srvB.routes())
+	defer srvA.Close(0)
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	tsB := httpservetest.Start(t, srvB)
 	defer tsB.Close()
-	defer srvB.online.close()
+	defer srvB.Close(0)
 
 	h := httpservetest.Start(t, newChaosRouter(t, obs.NewRegistry(), tsA.URL, tsB.URL).Routes())
 	direct := tsA

@@ -1,4 +1,4 @@
-package main
+package serve
 
 // Shard-kill chaos suite: with -shards=4 under live mixed /consume +
 // /recommend/user traffic, a panic injected into one shard and a sticky
@@ -40,10 +40,10 @@ const (
 // chaosOpts tunes the supervisor for test speed: trip after 2 append
 // failures, restart in single-digit milliseconds, never exhaust the
 // budget.
-func chaosOpts(o *serverOptions) {
-	o.shards = 4
-	o.fsync = wal.SyncNever
-	o.snapshotEvery = 10
+func chaosOpts(o *Options) {
+	o.Shards = 4
+	o.Fsync = wal.SyncNever
+	o.SnapshotEvery = 10
 	o.shardFailThreshold = 2
 	o.shardRestartBudget = 100
 	o.shardBackoffBase = time.Millisecond
@@ -51,18 +51,12 @@ func chaosOpts(o *serverOptions) {
 }
 
 // shardedServer is testServer + a 4-shard online layer rooted in dir.
-func shardedServer(t *testing.T, dir string) (*server, []seq.Sequence) {
+func shardedServer(t *testing.T, dir string) (*Server, []seq.Sequence) {
 	t.Helper()
-	srv, seqs := testServer(t)
-	srv.opts.eventsDir = dir
-	chaosOpts(&srv.opts)
-	o, err := newOnline(srv.opts, srv.currentModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { o.close() })
-	srv.online = o
-	return srv, seqs
+	opts := Options{EventsDir: dir}
+	chaosOpts(&opts)
+	m, seqs := testModel(t, 8)
+	return mustNew(t, m, opts), seqs
 }
 
 // post is a goroutine-safe postJSON: no *testing.T calls, so worker
@@ -99,7 +93,7 @@ func TestShardChaosOtherShardsUnharmed(t *testing.T) {
 	// Reference: the same per-user streams ingested with no faults.
 	refSrv, seqs := shardedServer(t, t.TempDir())
 	streams := userStreams(seqs)
-	refH := refSrv.routes()
+	refH := refSrv
 	for u, stream := range streams {
 		for _, item := range stream {
 			if rr := post(refH, "/consume", consumeRequest{User: u, Item: item}); rr.Code != http.StatusOK {
@@ -113,7 +107,7 @@ func TestShardChaosOtherShardsUnharmed(t *testing.T) {
 	// shard's appends fail stickily (4 times → two breaker trips at
 	// threshold 2).
 	srv, _ := shardedServer(t, t.TempDir())
-	h := srv.routes()
+	h := srv
 	faultinject.Arm(shard.IngestPoint(panicShard), faultinject.Plan{Mode: faultinject.Panic, After: 2, Count: 1})
 	faultinject.Arm(shard.IngestPoint(stickyShard), faultinject.Plan{Mode: faultinject.Error, After: 3, Count: 4})
 
@@ -188,20 +182,20 @@ func TestShardChaosOtherShardsUnharmed(t *testing.T) {
 	// Every shard must return to serving, the victims via supervised
 	// restart...
 	deadline := time.Now().Add(5 * time.Second)
-	for !srv.online.pool.Ready() {
+	for !srv.pool.Ready() {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool never recovered: %v", srv.online.pool.States())
+			t.Fatalf("pool never recovered: %v", srv.pool.States())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	for _, idx := range []int{panicShard, stickyShard} {
-		st := srv.online.pool.Shard(idx).Status()
+		st := srv.pool.Shard(idx).Status()
 		if st.BreakerTrips < 1 || st.Restarts < 1 {
 			t.Fatalf("shard %d was never supervised: %+v", idx, st)
 		}
 	}
 	for _, idx := range []int{0, 3} {
-		if st := srv.online.pool.Shard(idx).Status(); st.BreakerTrips != 0 || st.Restarts != 0 {
+		if st := srv.pool.Shard(idx).Status(); st.BreakerTrips != 0 || st.Restarts != 0 {
 			t.Fatalf("healthy shard %d tripped: %+v", idx, st)
 		}
 	}
@@ -219,7 +213,7 @@ func TestShardChaosOtherShardsUnharmed(t *testing.T) {
 func TestAdminDrainIsolatesShard(t *testing.T) {
 	srv, seqs := shardedServer(t, t.TempDir())
 	streams := userStreams(seqs)
-	h := srv.routes()
+	h := srv
 	for u, stream := range streams {
 		if rr := post(h, "/consume", consumeRequest{User: u, Item: stream[0]}); rr.Code != http.StatusOK {
 			t.Fatalf("seed consume u=%d: %d", u, rr.Code)
@@ -287,7 +281,7 @@ func TestShardMetricsExposition(t *testing.T) {
 	defer faultinject.Reset()
 	srv, seqs := shardedServer(t, t.TempDir())
 	streams := userStreams(seqs)
-	h := srv.routes()
+	h := srv
 	for u, stream := range streams {
 		if rr := post(h, "/consume", consumeRequest{User: u, Item: stream[0]}); rr.Code != http.StatusOK {
 			t.Fatalf("seed consume u=%d: %d", u, rr.Code)
@@ -301,7 +295,7 @@ func TestShardMetricsExposition(t *testing.T) {
 	}
 	faultinject.Reset()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.online.pool.Shard(panicShard).State() != shard.Serving {
+	for srv.pool.Shard(panicShard).State() != shard.Serving {
 		if time.Now().After(deadline) {
 			t.Fatalf("shard %d never recovered", panicShard)
 		}

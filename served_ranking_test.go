@@ -1,0 +1,145 @@
+package tsppr_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"tsppr/internal/core"
+	"tsppr/internal/datagen"
+	"tsppr/internal/engine"
+	"tsppr/internal/features"
+	"tsppr/internal/rec"
+	"tsppr/internal/sampling"
+	"tsppr/internal/seq"
+	"tsppr/internal/serve"
+	"tsppr/internal/wal"
+)
+
+// TestServedRankingMatchesEngine: what a node serves is the paper's
+// ranking. Each user's training sequence is replayed through POST
+// /consume; then, at every test event eval's replay scores (window full,
+// gap > Ω), the Top-10 from POST /recommend/user must equal
+// engine.New(m).Factory()'s list for the same window, item for item and
+// score for score, before the event itself is consumed.
+func TestServedRankingMatchesEngine(t *testing.T) {
+	const (
+		window    = 20
+		omega     = 3
+		trainFrac = 0.7
+		topN      = 10
+	)
+	dir := t.TempDir()
+	cfg := datagen.LastfmLike(20, 11)
+	cfg.MinLen, cfg.MaxLen = 120, 260
+	cfg.WindowCap = window
+	generated, err := datagen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, numItems := generated.FilterMinTrain(trainFrac, window).Compact()
+	train, test := ds.Split(trainFrac)
+	b := features.NewBuilder(numItems, window, omega)
+	for _, s := range train {
+		b.Add(s)
+	}
+	ex := b.Build(features.AllFeatures, features.Hyperbolic)
+	set, err := sampling.Build(train, ex, sampling.Config{WindowCap: window, Omega: omega, S: 5, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, _, err := core.Train(set, ds.NumUsers(), numItems, ex, core.Config{K: 8, MaxSteps: 10_000, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Written by rrc-train's call and read back by rrc-server's.
+	path := filepath.Join(dir, "model.tsppr")
+	if err := trained.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.LoadServingFile(path)
+	if err == nil {
+		err = m.Validate()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	oracle := engine.New(m).Factory()
+	node, err := serve.New(m, serve.Options{EventsDir: filepath.Join(dir, "events"), Fsync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close(0)
+	ts := httptest.NewServer(node)
+	defer ts.Close()
+
+	post := func(path string, body, reply any) {
+		t.Helper()
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s %s: status %d", path, raw, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	consume := func(u int, v seq.Item) {
+		t.Helper()
+		var ack struct{ LSN uint64 }
+		post("/consume", map[string]int{"user": u, "item": int(v)}, &ack)
+	}
+
+	var events, ranked int
+	for u := range train {
+		r := oracle.New(uint64(u))
+		w := seq.NewWindow(window)
+		for _, v := range train[u] {
+			consume(u, v)
+			w.Push(v)
+		}
+		for _, v := range test[u] {
+			if gap, ok := w.Gap(v); w.Full() && ok && gap > omega {
+				var served struct {
+					Items  []int
+					Scores []float64
+				}
+				post("/recommend/user", map[string]int{"user": u, "n": topN}, &served)
+				want := r.Recommend(&rec.Context{User: u, Window: w, Omega: omega}, topN, nil)
+				items, scores := scoredLists(want)
+				if !reflect.DeepEqual(served.Items, items) || !reflect.DeepEqual(served.Scores, scores) {
+					t.Fatalf("user %d, scored event %d: served %v %v, engine ranks %v %v", u, events, served.Items, served.Scores, items, scores)
+				}
+				events++
+				ranked += len(want)
+			}
+			consume(u, v)
+			w.Push(v)
+		}
+	}
+	t.Logf("%d scored events, %d ranked items", events, ranked)
+	if events < 100 || ranked < 5*events {
+		t.Fatalf("only %d scored events with %d ranked items: the replay checks too little", events, ranked)
+	}
+}
+
+// scoredLists splits a ranking into its item and score lists.
+func scoredLists(list []rec.Scored) ([]int, []float64) {
+	items, scores := make([]int, len(list)), make([]float64, len(list))
+	for i, s := range list {
+		items[i], scores[i] = int(s.Item), s.Score
+	}
+	return items, scores
+}
