@@ -89,7 +89,7 @@ metrics-smoke:
 ## topology parser and the upstream request writer and response reader,
 ## ./internal/httpserve the serving loop both binaries run
 fuzz-smoke:
-	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/httpserve ./internal/shard ./internal/replica ./internal/serve -run '^Fuzz' -count=1
+	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/httpserve ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it
@@ -120,7 +120,7 @@ fuzz:
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzParsePartitionID -fuzztime 10s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzLoadPartition -fuzztime 10s
 	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzLoadMeta -fuzztime 10s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecommend -fuzztime 10s
+	$(GO) test ./cmd/rrc-server -run '^$$' -fuzz FuzzDecodeRecommend -fuzztime 10s
 
 ## loc: the three line counts every re-anchor and simplicity PR quotes —
 ## non-test Go outside bench/, test Go outside bench/, Go under bench/

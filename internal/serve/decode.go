@@ -30,18 +30,20 @@ func decodeStateless(w http.ResponseWriter, r *http.Request, limit int64, v any)
 		}
 		return http.StatusBadRequest, err
 	}
-	if err := decodeBody(buf.Bytes(), v); err != nil {
+	if err := DecodeBody(buf.Bytes(), v); err != nil {
 		return http.StatusBadRequest, err
 	}
 	return http.StatusOK, nil
 }
 
-// decodeBody decodes a whole request body into v: the scanner takes the
+// DecodeBody decodes a whole POST /recommend (v is *RecommendRequest) or
+// POST /recommend/batch (*BatchRequest) body into v: the scanner takes the
 // canonical shape in place, encoding/json whatever it declines. The
 // scanner accepts only bytes that encoding/json accepts into a DeepEqual
-// value (FuzzDecodeRecommend), so the accepted language, the decoded
-// values and every error message are encoding/json's.
-func decodeBody(body []byte, v any) error {
+// value (FuzzDecodeRecommend, in cmd/rrc-server), so the accepted
+// language, the decoded values and every error message are
+// encoding/json's.
+func DecodeBody(body []byte, v any) error {
 	s := scanner{b: body}
 	switch v := v.(type) {
 	case *recommendRequest:

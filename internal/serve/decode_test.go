@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -96,67 +95,11 @@ func TestStatelessRepliesMatchParent(t *testing.T) {
 
 // jsonDecode is the reference decoder: what every stateless body went
 // through before the scanner, and what a declined body still goes
-// through.
+// through. cmd/rrc-server's FuzzDecodeRecommend holds DecodeBody to it.
 func jsonDecode(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
-}
-
-// FuzzDecodeRecommend is a differential fuzz target against
-// encoding/json: decodeBody never panics and, on every input, succeeds
-// exactly when encoding/json does, with a DeepEqual value — so whatever
-// the scanner accepts, encoding/json accepts into the same value, and a
-// scanner that declines part-way leaves nothing behind. Both endpoints
-// answer any body under their cap 200 or 400: never 413, never a 500.
-func FuzzDecodeRecommend(f *testing.F) {
-	for dir := range statelessEndpoints {
-		for _, body := range goldenBodies(f, dir) {
-			// The 260 KB over-cap history stays out: the mutator would
-			// spend its time minimising it. The golden test covers it.
-			if len(body) <= 64<<10 {
-				f.Add(body)
-			}
-		}
-	}
-	for _, body := range []string{
-		`{"User":1,"history":[1,2]}`,
-		`{"\` + `u0075ser":1,"history":[1,2]}`,
-		`{"requests":[{"user":1,"history":[1,2],"omega":null}]}`,
-		`{"user":null,"history":[1]}`,
-		`{"requests":null}`,
-		`{"user":1,"history":[1],"user":2}`,
-		`{"user":1,"history":[1],"n":1.0}`,
-		`{"user":1,"history":[1],"n":1e2}`,
-		`{"user":01,"history":[1]}`,
-		`{"user":-0,"history":[1]}`,
-		`{"user":1,"history":[12345678901234567890]}`,
-		`{"requests":[{"user":1,"history":[999999999999999999,-999999999999999999]}]}`,
-		`{"user":1,"history":[1]} trailing`,
-		`{"user" 1,"history":[1]}`,
-		`{"user":1,"history":[1] "n":2}`,
-		"\xef\xbb\xbf{\"user\":1,\"history\":[1]}",
-		`{"requests":[]}`,
-		`{"requests":[{}]}`,
-		`{}`,
-		` { "user" : 1 , "history" : [ 1 , 2 ] } ` + "\n",
-	} {
-		f.Add([]byte(body))
-	}
-	h := goldenServer(f)
-	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, pair := range [][2]any{{&recommendRequest{}, &recommendRequest{}}, {&batchRequest{}, &batchRequest{}}} {
-			got, want := decodeBody(body, pair[0]), jsonDecode(body, pair[1])
-			if (got == nil) != (want == nil) || !reflect.DeepEqual(pair[0], pair[1]) {
-				t.Fatalf("%q: decodeBody %v %#v, encoding/json %v %#v", body, got, pair[0], want, pair[1])
-			}
-		}
-		for _, path := range statelessEndpoints {
-			if rr := postRaw(h, path, body); rr.Code != http.StatusOK && rr.Code != http.StatusBadRequest {
-				t.Fatalf("%s %q: status %d: %s", path, body, rr.Code, rr.Body.String())
-			}
-		}
-	})
 }
 
 // TestStatelessBodyCap: a body over its endpoint's cap is 413 wherever
@@ -312,7 +255,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		decode func([]byte, any) error
-	}{{"encoding_json", jsonDecode}, {"scanner", decodeBody}} {
+	}{{"encoding_json", jsonDecode}, {"scanner", DecodeBody}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))

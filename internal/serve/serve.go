@@ -378,6 +378,15 @@ func (s *Server) WatchReload(sig <-chan os.Signal) {
 	}
 }
 
+// RecommendRequest and BatchRequest name the two stateless request
+// bodies outside the package, for DecodeBody. They are aliases: the
+// declared names stay recommendRequest and batchRequest, which
+// encoding/json's type-mismatch text spells (wireTypeError).
+type (
+	RecommendRequest = recommendRequest
+	BatchRequest     = batchRequest
+)
+
 // recommendRequest is the POST /recommend body.
 type recommendRequest struct {
 	User    int   `json:"user"`
