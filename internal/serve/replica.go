@@ -210,22 +210,26 @@ func (rs *replState) checkIngestEpoch(r *http.Request) error {
 	return nil
 }
 
-// promote turns this standby into the primary: stop tailing, bump the
-// epoch with the current per-shard horizons as the new timeline's
-// bases, persist, open writes. Everything the old primary acknowledged
+// promote turns this unfenced standby into the primary: stop tailing,
+// bump the epoch with the current per-shard horizons as the new
+// timeline's bases, persist, open writes. Everything the old primary acknowledged
 // but never shipped is now formally divergent — it will be truncated
 // when that node rejoins.
 func (rs *replState) promote() (replica.Meta, error) {
 	rs.promoteMu.Lock()
 	defer rs.promoteMu.Unlock()
 	rs.mu.Lock()
-	if !rs.follower && !rs.fenced {
-		m := rs.meta
-		rs.mu.Unlock()
+	follower, fenced, t := rs.follower, rs.fenced, rs.tailer
+	rs.mu.Unlock()
+	if fenced {
+		// A newer epoch exists, and this node's unshipped tail diverges
+		// from it: promoting would mint that epoch a second time.
+		return rs.metaSnapshot(), errors.New("fenced: a newer epoch exists; rejoin as a follower of its primary before promoting")
+	}
+	if !follower {
+		m := rs.metaSnapshot()
 		return m, fmt.Errorf("already primary at epoch %d", m.Epoch)
 	}
-	t := rs.tailer
-	rs.mu.Unlock()
 
 	// Join the tailers first so no shipped record lands after the bases
 	// are read; promoteMu keeps a racing second promotion from
@@ -278,8 +282,8 @@ type promoteResponse struct {
 	Role  string `json:"role"`
 }
 
-// handlePromote flips a standby (or a fenced ex-primary that has been
-// repointed) into the primary role under a bumped epoch.
+// handlePromote flips an unfenced standby into the primary role under a
+// bumped epoch; anything else is 409.
 func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 	m, err := s.repl.promote()
 	if err != nil {

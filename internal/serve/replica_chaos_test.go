@@ -345,6 +345,58 @@ func TestReplicaStalePrimaryStartsFenced(t *testing.T) {
 	srvA2.Close(0)
 }
 
+// getEpochStamped sends GET /replica/epoch stamped with epoch: the probe
+// rrc-router sends every round, and the request that fences a node
+// whose own epoch is lower.
+func getEpochStamped(h http.Handler, epoch uint64) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodGet, "/replica/epoch", nil)
+	req.Header.Set(replica.EpochHeader, strconv.FormatUint(epoch, 10))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestReplicaFencedNodeRefusesPromote: a primary fenced by a probe from
+// the epoch that replaced it must not be promoted. Promotion bumps its
+// own epoch, which is the one that fenced it, so the fleet would get two
+// primaries on one epoch. Only an unfenced follower may be promoted; a
+// deposed primary rejoins as a follower first.
+func TestReplicaFencedNodeRefusesPromote(t *testing.T) {
+	base, _ := testServer(t)
+	m := base.currentModel()
+
+	srvA := bootRepl(t, m, t.TempDir(), nil)
+	defer srvA.Close(0)
+	tsA := httpservetest.Start(t, srvA)
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	defer srvB.Close(0)
+	if rr := postJSON(t, srvB, "/admin/promote", nil); rr.Code != http.StatusOK {
+		t.Fatalf("promote standby: status %d: %s", rr.Code, rr.Body.String())
+	}
+
+	if rec := getEpochStamped(srvA, 1); rec.Code != http.StatusPreconditionFailed {
+		t.Fatalf("epoch-1 probe of the old primary: status %d, want 412: %s", rec.Code, rec.Body.String())
+	}
+	if !replStatusOf(srvA).Fenced {
+		t.Fatal("epoch-1 probe did not fence the old primary")
+	}
+	rr := postJSON(t, srvA, "/admin/promote", nil)
+	if rr.Code != http.StatusConflict {
+		t.Fatalf("promote fenced primary: status %d, want 409: %s", rr.Code, rr.Body.String())
+	}
+	if st := replStatusOf(srvA); st.Epoch != 0 || !st.Fenced {
+		t.Fatalf("refused promotion changed the node: %+v", st)
+	}
+	raw, _ := json.Marshal(consumeRequest{User: 0, Item: 1})
+	req := httptest.NewRequest(http.MethodPost, "/consume", bytes.NewReader(raw))
+	req.Header.Set(replica.EpochHeader, "1")
+	rec := httptest.NewRecorder()
+	srvA.ServeHTTP(rec, req)
+	if rec.Code == http.StatusOK {
+		t.Fatal("fenced old primary acked a write stamped with the new epoch")
+	}
+}
+
 // TestReplicaRetryAfterFromSupervisorBackoff pins satellite behavior:
 // the Retry-After on a tripped shard's 503 is derived from the
 // supervisor's remaining restart backoff — rounded up, never the old
