@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"tsppr/internal/obs"
 	"tsppr/internal/replica"
 )
 
@@ -43,7 +42,10 @@ type replState struct {
 	mu       sync.Mutex
 	meta     replica.Meta
 	follower bool // read-only standby tailing a primary
-	fenced   bool // deposed primary: reads serve, writes refuse
+	// seen is the highest epoch this node has observed. The node is
+	// fenced (reads serve, writes refuse) exactly while seen is above
+	// its own epoch; adopting or minting that epoch lifts the fence.
+	seen uint64
 
 	// promoteMu serializes whole promotions, so an operator's
 	// /admin/promote racing the router's bumps the epoch once, not twice.
@@ -51,8 +53,6 @@ type replState struct {
 
 	tailer *replica.Follower // non-nil while following
 	stream *replica.Server
-
-	fencedG *obs.Gauge
 }
 
 // newReplState wires the replication plane onto s's pool: load the
@@ -69,6 +69,7 @@ func newReplState(s *Server) (*replState, error) {
 		root:     root,
 		meta:     meta,
 		follower: s.opts.FollowURL != "",
+		seen:     meta.Epoch,
 	}
 	rs.stream = &replica.Server{
 		Source:         replica.PoolSource{Pool: s.pool},
@@ -81,7 +82,12 @@ func newReplState(s *Server) (*replState, error) {
 		Partition: s.pool.Partition,
 	}
 	s.reg.Help("rrc_replica_fenced", "1 while this node's ingest path is fenced (deposed primary), else 0.")
-	rs.fencedG = s.reg.Gauge("rrc_replica_fenced")
+	s.reg.GaugeFunc("rrc_replica_fenced", func() float64 {
+		if rs.fenced() {
+			return 1
+		}
+		return 0
+	})
 	if !rs.follower {
 		// The follower registers rrc_replica_epoch itself (in Start); a
 		// primary owns the series directly.
@@ -151,19 +157,28 @@ func (rs *replState) metaSnapshot() replica.Meta {
 	return m
 }
 
-// fence marks this node deposed: a replication request proved a higher
-// epoch exists, so acknowledged writes here could be silently lost
-// forks. Reads keep serving; /consume refuses until the node rejoins.
+// fence records an epoch seen on a request. One above ours proves this
+// node deposed, so acknowledged writes here could be silently lost
+// forks: reads keep serving, /consume refuses until the node adopts
+// that epoch as a follower.
 func (rs *replState) fence(higher uint64) {
+	own := rs.metaSnapshot().Epoch
 	rs.mu.Lock()
-	already := rs.fenced
-	rs.fenced = true
+	already := rs.seen > own
+	rs.seen = max(rs.seen, higher)
 	rs.mu.Unlock()
-	rs.fencedG.Set(1)
-	if !already {
+	if !already && higher > own {
 		log.Printf("replica: observed epoch %d above ours %d: ingest fenced (restart with -follow <new-primary> to rejoin)",
 			higher, rs.metaSnapshot().Epoch)
 	}
+}
+
+// fenced reports whether this node has seen an epoch above its own.
+func (rs *replState) fenced() bool {
+	own := rs.metaSnapshot().Epoch
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.seen > own
 }
 
 // following reports whether this node is a standby not yet promoted.
@@ -175,13 +190,11 @@ func (rs *replState) following() bool {
 
 // writeBlocked reports why this node cannot accept /consume, or nil.
 func (rs *replState) writeBlocked() error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.follower {
+	if rs.following() {
 		return errors.New("read-only standby: this node follows a primary (POST /admin/promote to take over)")
 	}
-	if rs.fenced {
-		return fmt.Errorf("ingest fenced: a newer epoch than ours (%d) exists, rejoin as a follower", rs.meta.Epoch)
+	if rs.fenced() {
+		return fmt.Errorf("ingest fenced: a newer epoch than ours (%d) exists, rejoin as a follower", rs.metaSnapshot().Epoch)
 	}
 	return nil
 }
@@ -218,8 +231,9 @@ func (rs *replState) checkIngestEpoch(r *http.Request) error {
 func (rs *replState) promote() (replica.Meta, error) {
 	rs.promoteMu.Lock()
 	defer rs.promoteMu.Unlock()
+	fenced := rs.fenced()
 	rs.mu.Lock()
-	follower, fenced, t := rs.follower, rs.fenced, rs.tailer
+	follower, t := rs.follower, rs.tailer
 	rs.mu.Unlock()
 	if fenced {
 		// A newer epoch exists, and this node's unshipped tail diverges
@@ -255,10 +269,9 @@ func (rs *replState) promote() (replica.Meta, error) {
 	rs.mu.Lock()
 	rs.meta = promoted
 	rs.follower = false
-	rs.fenced = false
+	rs.seen = max(rs.seen, promoted.Epoch)
 	rs.tailer = nil
 	rs.mu.Unlock()
-	rs.fencedG.Set(0)
 	rs.srv.reg.Help("rrc_replica_epoch", "The node's current replication epoch.")
 	rs.srv.reg.Gauge("rrc_replica_epoch").Set(float64(promoted.Epoch))
 	log.Printf("replica: promoted to primary at epoch %d (bases %v)", promoted.Epoch, promoted.History[len(promoted.History)-1].Bases)
@@ -309,8 +322,9 @@ type replStatus struct {
 }
 
 func (rs *replState) status() replStatus {
+	fenced := rs.fenced()
 	rs.mu.Lock()
-	follower, fenced, t := rs.follower, rs.fenced, rs.tailer
+	follower, t := rs.follower, rs.tailer
 	rs.mu.Unlock()
 	st := replStatus{Role: "primary", Epoch: rs.metaSnapshot().Epoch, Fenced: fenced}
 	for _, sh := range rs.srv.pool.Statuses() {

@@ -397,6 +397,61 @@ func TestReplicaFencedNodeRefusesPromote(t *testing.T) {
 	}
 }
 
+// TestReplicaRejoinedFollowerUnfences: a deposed primary restarted as a
+// follower of the new one can be fenced by a probe from the new epoch
+// before its tailers have converged. Once they adopt that epoch the
+// node is an ordinary follower again: /readyz says "following" and the
+// router may read from it and promote it.
+func TestReplicaRejoinedFollowerUnfences(t *testing.T) {
+	base, seqs := testServer(t)
+	m := base.currentModel()
+	evs := chaosEvents(seqs)
+
+	dirA := t.TempDir()
+	srvA := bootRepl(t, m, dirA, nil)
+	tsA := httpservetest.Start(t, srvA)
+	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	defer srvB.Close(0)
+	for _, ev := range evs[:10] {
+		mustConsume(t, tsA, ev)
+	}
+	waitApplied(t, srvA, srvB)
+	tsA.Close()
+	srvA.Close(0)
+	if rr := postJSON(t, srvB, "/admin/promote", nil); rr.Code != http.StatusOK {
+		t.Fatalf("promote standby: status %d: %s", rr.Code, rr.Body.String())
+	}
+
+	// The old primary rejoins behind a link that is down at first, so
+	// the probe lands before its tailers reach the new primary.
+	var up atomic.Bool
+	link := httpservetest.Start(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !up.Load() {
+			http.Error(w, "link down", http.StatusServiceUnavailable)
+			return
+		}
+		srvB.ServeHTTP(w, r)
+	}))
+	srvA2 := bootRepl(t, m, dirA, func(o *Options) { o.FollowURL = link.URL })
+	defer srvA2.Close(0)
+	if rec := getEpochStamped(srvA2, 1); rec.Code != http.StatusPreconditionFailed {
+		t.Fatalf("epoch-1 probe of the rejoining node: status %d, want 412: %s", rec.Code, rec.Body.String())
+	}
+	if !replStatusOf(srvA2).Fenced {
+		t.Fatal("epoch-1 probe did not fence the rejoining node")
+	}
+
+	up.Store(true)
+	waitFor(t, "rejoined follower adopts epoch 1 and unfences", func() bool {
+		st := replStatusOf(srvA2)
+		return st.Epoch == 1 && st.CaughtUp && !st.Fenced
+	})
+	ready := readyOf(t, srvA2)
+	if ready.Status != "following" || ready.Replication.Role != "follower" {
+		t.Fatalf("rejoined /readyz = %+v, want following", ready)
+	}
+}
+
 // TestReplicaRetryAfterFromSupervisorBackoff pins satellite behavior:
 // the Retry-After on a tripped shard's 503 is derived from the
 // supervisor's remaining restart backoff — rounded up, never the old

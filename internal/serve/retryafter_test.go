@@ -54,10 +54,10 @@ func TestRetryAfterAudit(t *testing.T) {
 	// fences this node and also gets 412.
 	fenced := bootOnline(t, m, t.TempDir(), nil)
 	fenced.repl = &replState{
-		srv:     fenced,
-		root:    fenced.pool.Root(),
-		meta:    replica.Meta{Epoch: 5},
-		fencedG: fenced.reg.Gauge("rrc_replica_fenced"),
+		srv:  fenced,
+		root: fenced.pool.Root(),
+		meta: replica.Meta{Epoch: 5},
+		seen: 5,
 	}
 
 	// A read-only standby (role only; no tailer needed for this path).
@@ -66,7 +66,6 @@ func TestRetryAfterAudit(t *testing.T) {
 		srv:      follower,
 		root:     follower.pool.Root(),
 		follower: true,
-		fencedG:  follower.reg.Gauge("rrc_replica_fenced"),
 	}
 
 	// A saturated server: holding every semaphore slot forces harden's
