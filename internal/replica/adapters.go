@@ -4,19 +4,19 @@ import (
 	"tsppr/internal/shard"
 )
 
-// PoolSource adapts a shard.Pool to the primary-side Source surface.
-type PoolSource struct{ Pool *shard.Pool }
+// poolSource adapts a shard.Pool to the primary-side Source surface.
+type poolSource struct{ pool *shard.Pool }
 
-func (s PoolSource) Shards() int { return s.Pool.N() }
+func (s poolSource) Shards() int { return s.pool.N() }
 
-func (s PoolSource) NextLSN(i int) (uint64, error) { return s.Pool.Shard(i).NextLSN() }
+func (s poolSource) NextLSN(i int) (uint64, error) { return s.pool.Shard(i).NextLSN() }
 
-func (s PoolSource) Read(i int, from uint64, max int, fn func(lsn uint64, payload []byte) error) (uint64, error) {
-	return s.Pool.Shard(i).ReadWAL(from, max, fn)
+func (s poolSource) Read(i int, from uint64, max int, fn func(lsn uint64, payload []byte) error) (uint64, error) {
+	return s.pool.Shard(i).ReadWAL(from, max, fn)
 }
 
-func (s PoolSource) Snapshot(i int) (string, uint64, error) {
-	return s.Pool.Shard(i).SnapshotInfo()
+func (s poolSource) Snapshot(i int) (string, uint64, error) {
+	return s.pool.Shard(i).SnapshotInfo()
 }
 
 // NextLSNs collects every shard's commit horizon — the per-shard bases

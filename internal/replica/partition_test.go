@@ -3,7 +3,6 @@ package replica_test
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -12,22 +11,19 @@ import (
 	"tsppr/internal/shard"
 )
 
-// newPartitionedPrimary is newPrimary with a partition identity: the
-// server stamps every response with X-RRC-Partition and refuses
-// cross-partition replication with 421.
-func newPartitionedPrimary(t *testing.T, pool *shard.Pool, box *metaBox, id shard.PartitionID) *httptest.Server {
+// partitionedPool opens a one-shard pool owning partition id: its
+// replication endpoints stamp every response with X-RRC-Partition and
+// refuse cross-partition replication with 421.
+func partitionedPool(t *testing.T, id shard.PartitionID) *shard.Pool {
 	t.Helper()
-	srv := &replica.Server{
-		Source:    replica.PoolSource{Pool: pool},
-		Meta:      box.get,
-		Wait:      50 * time.Millisecond,
-		Partition: func() shard.PartitionID { return id },
+	cfg := poolCfg(1, 0)
+	cfg.Partition = id
+	pool, err := shard.Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	srv.Register(mux)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
+	t.Cleanup(func() { pool.Close() })
+	return pool
 }
 
 // TestServerPartitionCheck pins the replication-plane ownership
@@ -37,15 +33,8 @@ func newPartitionedPrimary(t *testing.T, pool *shard.Pool, box *metaBox, id shar
 // cross-partition replication would copy another partition's keys into
 // this pair for good, so the refusal must be loud and machine-readable.
 func TestServerPartitionCheck(t *testing.T) {
-	dir := t.TempDir()
-	pool, err := shard.Open(dir, poolCfg(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	box := &metaBox{}
 	own := shard.PartitionID{Index: 0, Count: 2, Generation: 1}
-	ts := newPartitionedPrimary(t, pool, box, own)
+	_, ts := newPrimary(t, partitionedPool(t, own))
 
 	get := func(stamp string) *http.Response {
 		t.Helper()
@@ -110,34 +99,13 @@ func TestServerPartitionCheck(t *testing.T) {
 // partition-0 primary and checks it never replicates a byte: every poll
 // surfaces the MISCONFIGURED error instead of applying the stream.
 func TestFollowerPartitionMismatch(t *testing.T) {
-	pdir, fdir := t.TempDir(), t.TempDir()
-	ppool, err := shard.Open(pdir, poolCfg(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ppool.Close()
+	ppool := partitionedPool(t, shard.PartitionID{Index: 0, Count: 2})
 	ingest(t, ppool, 4, 32)
-	box := &metaBox{}
-	ts := newPartitionedPrimary(t, ppool, box, shard.PartitionID{Index: 0, Count: 2})
+	_, ts := newPrimary(t, ppool)
 
-	fpool, err := shard.Open(fdir, poolCfg(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fpool.Close()
+	fpool := partitionedPool(t, shard.PartitionID{Index: 1, Count: 2})
 	reg := obs.NewRegistry()
-	f := &replica.Follower{
-		Primary:     ts.URL,
-		Pool:        fpool,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		Metrics:     reg,
-		Partition:   shard.PartitionID{Index: 1, Count: 2},
-	}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer f.Stop()
+	f := newFollower(t, ts.URL, fpool, reg)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for reg.SumCounters("rrc_replica_stream_errors_total") < 3 {

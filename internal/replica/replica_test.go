@@ -5,8 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,57 +25,37 @@ func poolCfg(n, snapshotEvery int) shard.Config {
 	}
 }
 
-// metaBox holds a node's mutable replication meta behind a lock — the
-// test-side stand-in for the rrc-server process owning its epoch.
-type metaBox struct {
-	mu sync.Mutex
-	m  replica.Meta
-}
-
-func (b *metaBox) get() replica.Meta {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.m
-}
-
-func (b *metaBox) set(m replica.Meta) {
-	b.mu.Lock()
-	b.m = m
-	b.mu.Unlock()
-}
-
-// newPrimary serves the replication endpoints of pool under box's meta.
-func newPrimary(t *testing.T, pool *shard.Pool, box *metaBox) *httptest.Server {
+// newPrimary serves the replication endpoints of pool as a primary
+// under the meta persisted at its root.
+func newPrimary(t *testing.T, pool *shard.Pool) (*replica.Node, *httptest.Server) {
 	t.Helper()
-	srv := &replica.Server{
-		Source: replica.PoolSource{Pool: pool},
-		Meta:   box.get,
-		Wait:   50 * time.Millisecond,
+	n, err := replica.Open(pool, replica.Config{Wait: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	srv.Register(mux)
+	n.Register(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return ts
+	return n, ts
 }
 
-func newFollower(t *testing.T, primary string, pool *shard.Pool, reg *obs.Registry) *replica.Follower {
+func newFollower(t *testing.T, primary string, pool *shard.Pool, reg *obs.Registry) *replica.Node {
 	t.Helper()
-	f := &replica.Follower{
-		Primary:     primary,
-		Pool:        pool,
+	f, err := replica.Open(pool, replica.Config{
+		Follow:      primary,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
 		Metrics:     reg,
-	}
-	if err := f.Start(); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("follower start: %v", err)
 	}
-	t.Cleanup(f.Stop)
+	t.Cleanup(f.Close)
 	return f
 }
 
-func waitCaughtUp(t *testing.T, f *replica.Follower) {
+func waitCaughtUp(t *testing.T, f *replica.Node) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -197,8 +175,7 @@ func TestReplicaStreamConverges(t *testing.T) {
 	defer primaryPool.Close()
 	ingest(t, primaryPool, 6, 80)
 
-	box := &metaBox{}
-	ts := newPrimary(t, primaryPool, box)
+	_, ts := newPrimary(t, primaryPool)
 
 	followRoot := t.TempDir()
 	followPool, err := shard.Open(followRoot, poolCfg(2, 0))
@@ -245,11 +222,10 @@ func TestReplicaEpochConflictTruncatesAndAdopts(t *testing.T) {
 	defer poolB.Close()
 
 	ingest(t, poolA, 6, 40)
-	boxA := &metaBox{}
-	tsA := newPrimary(t, poolA, boxA)
+	_, tsA := newPrimary(t, poolA)
 	fB := newFollower(t, tsA.URL, poolB, nil)
 	waitCaughtUp(t, fB)
-	fB.Stop()
+	fB.Close()
 
 	// B is promoted: epoch 2, bases = B's horizons. A, not knowing,
 	// keeps acknowledging writes — a divergent tail B never saw.
@@ -257,7 +233,7 @@ func TestReplicaEpochConflictTruncatesAndAdopts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metaB, err := fB.MetaSnapshot().Promote(2, bases)
+	metaB, err := fB.Meta().Promote(2, bases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,16 +246,15 @@ func TestReplicaEpochConflictTruncatesAndAdopts(t *testing.T) {
 	// A rejoins as a follower of B: its stale epoch gets a 412 carrying
 	// the divergence LSN, it truncates the tail, adopts epoch 2, and
 	// converges to B's timeline byte-identically.
-	boxB := &metaBox{m: metaB}
-	tsB := newPrimary(t, poolB, boxB)
+	_, tsB := newPrimary(t, poolB)
 	fA := newFollower(t, tsB.URL, poolA, nil)
 	waitCaughtUp(t, fA)
 
 	if got, want := fingerprint(t, poolA), fingerprint(t, poolB); got != want {
 		t.Fatalf("rejoined node diverged:\n got %s\nwant %s", got, want)
 	}
-	if fA.Epoch() != 2 {
-		t.Fatalf("rejoined node epoch %d, want 2", fA.Epoch())
+	if got := fA.Meta().Epoch; got != 2 {
+		t.Fatalf("rejoined node epoch %d, want 2", got)
 	}
 	persisted, err := replica.LoadMeta(rootA)
 	if err != nil {
@@ -305,8 +280,7 @@ func TestReplicaReseedWhenPruned(t *testing.T) {
 		t.Fatal("wal never pruned; the test would not exercise the reseed path")
 	}
 
-	box := &metaBox{}
-	ts := newPrimary(t, primaryPool, box)
+	_, ts := newPrimary(t, primaryPool)
 	followRoot := t.TempDir()
 	followPool, err := shard.Open(followRoot, poolCfg(1, 0))
 	if err != nil {
@@ -327,8 +301,8 @@ func TestReplicaReseedWhenPruned(t *testing.T) {
 
 func TestFollowerRefusesDeposedPrimary(t *testing.T) {
 	// The follower has witnessed epoch 3; the primary is stuck at 1.
-	// The primary must fence itself (SawHigherEpoch) and the follower
-	// must not adopt the older timeline.
+	// The primary must fence itself and the follower must not adopt the
+	// older timeline.
 	root := t.TempDir()
 	primaryPool, err := shard.Open(root, poolCfg(1, 0))
 	if err != nil {
@@ -337,18 +311,7 @@ func TestFollowerRefusesDeposedPrimary(t *testing.T) {
 	defer primaryPool.Close()
 	ingest(t, primaryPool, 2, 10)
 
-	var fenced atomic.Uint64
-	boxA := &metaBox{}
-	srv := &replica.Server{
-		Source:         replica.PoolSource{Pool: primaryPool},
-		Meta:           boxA.get,
-		SawHigherEpoch: func(e uint64) { fenced.Store(e) },
-		Wait:           20 * time.Millisecond,
-	}
-	mux := http.NewServeMux()
-	srv.Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	primary, ts := newPrimary(t, primaryPool)
 
 	followRoot := t.TempDir()
 	followPool, err := shard.Open(followRoot, poolCfg(1, 0))
@@ -366,7 +329,7 @@ func TestFollowerRefusesDeposedPrimary(t *testing.T) {
 	f := newFollower(t, ts.URL, followPool, nil)
 
 	deadline := time.Now().Add(5 * time.Second)
-	for fenced.Load() != 3 {
+	for !primary.Status().Fenced {
 		if time.Now().After(deadline) {
 			t.Fatal("primary never saw the higher epoch")
 		}
@@ -375,8 +338,8 @@ func TestFollowerRefusesDeposedPrimary(t *testing.T) {
 	if f.CaughtUp() {
 		t.Fatal("follower must not sync from a deposed primary")
 	}
-	if f.Epoch() != 3 {
-		t.Fatalf("follower regressed to epoch %d", f.Epoch())
+	if got := f.Meta().Epoch; got != 3 {
+		t.Fatalf("follower regressed to epoch %d", got)
 	}
 }
 

@@ -37,12 +37,9 @@ func TestReplicaTailerResumesFromPersistedLSN(t *testing.T) {
 	// batches — a restart is then mid-stream, not between streams — and
 	// (b) record the first `from` each shard tailer asks for after the
 	// restart: the literal resume position.
-	box := &metaBox{}
-	srv := &replica.Server{
-		Source:   replica.PoolSource{Pool: primaryPool},
-		Meta:     box.get,
-		Wait:     50 * time.Millisecond,
-		MaxBatch: 7,
+	srv, err := replica.Open(primaryPool, replica.Config{Wait: 50 * time.Millisecond, MaxBatch: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
 	srv.Register(mux)
@@ -85,7 +82,7 @@ func TestReplicaTailerResumesFromPersistedLSN(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	f1.Stop()
+	f1.Close()
 	applied1 := reg1.SumCounters(appliedFamily)
 
 	// The persisted resume points: each shard's local WAL horizon.
@@ -102,7 +99,7 @@ func TestReplicaTailerResumesFromPersistedLSN(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	f2 := newFollower(t, ts.URL, followPool, reg2)
 	waitCaughtUp(t, f2)
-	f2.Stop()
+	f2.Close()
 
 	fromMu.Lock()
 	for sh := 0; sh < shards; sh++ {
@@ -128,6 +125,24 @@ func TestReplicaTailerResumesFromPersistedLSN(t *testing.T) {
 	}
 }
 
+// sourceMux serves the replication endpoints of a primary over a
+// one-shard pool whose stream and snapshot reads go to src.
+func sourceMux(t *testing.T, src replica.Source) *http.ServeMux {
+	t.Helper()
+	pool, err := shard.Open(t.TempDir(), poolCfg(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pool.Close() })
+	n, err := replica.Open(pool, replica.Config{Source: src, Wait: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	n.Register(mux)
+	return mux
+}
+
 // failingSource errors every Source method — the shape of a pool whose
 // shards are mid-restart.
 type failingSource struct{}
@@ -144,10 +159,7 @@ func (failingSource) Read(int, uint64, int, func(uint64, []byte) error) (uint64,
 // TestReplicaServerUnavailableCarriesRetryAfter pins the Retry-After
 // audit for the replication plane: its 503s must be schedulable.
 func TestReplicaServerUnavailableCarriesRetryAfter(t *testing.T) {
-	box := &metaBox{}
-	srv := &replica.Server{Source: failingSource{}, Meta: box.get, Wait: 10 * time.Millisecond}
-	mux := http.NewServeMux()
-	srv.Register(mux)
+	mux := sourceMux(t, failingSource{})
 	for _, path := range []string{"/replica/stream?shard=0&from=1", "/replica/snapshot?shard=0"} {
 		rr := httptest.NewRecorder()
 		mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
@@ -173,9 +185,7 @@ func (s unreadableSnapshotSource) Snapshot(int) (string, uint64, error) { return
 // a 503 with Retry-After and no snapshot LSN, never a 200 carrying a
 // truncated (here empty) snapshot the follower would reseed from.
 func TestSnapshotReadFailureIs503(t *testing.T) {
-	srv := &replica.Server{Source: unreadableSnapshotSource{dir: t.TempDir()}, Meta: (&metaBox{}).get}
-	mux := http.NewServeMux()
-	srv.Register(mux)
+	mux := sourceMux(t, unreadableSnapshotSource{dir: t.TempDir()})
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/replica/snapshot?shard=0", nil))
 	if rr.Code != http.StatusServiceUnavailable || rr.Header().Get("Retry-After") == "" {

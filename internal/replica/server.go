@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"tsppr/internal/shard"
@@ -66,45 +65,18 @@ type ErrorBody struct {
 	Partition *shard.PartitionID `json:"partition,omitempty"`
 }
 
-// Server is the primary-side replication handler set: the per-shard
-// record stream, the snapshot download, and the epoch exchange. It
-// holds no replication state of its own — epoch and meta live with the
-// owner (the rrc-server process) behind the accessor funcs, so the
-// same handlers keep working across a promotion or fencing transition.
-type Server struct {
-	Source Source
-	// Meta returns the node's current replication meta (epoch+history).
-	Meta func() Meta
-	// SawHigherEpoch, when non-nil, is told about any request carrying
-	// an epoch above our own — the signal a deposed primary uses to
-	// fence its ingest path even before an operator notices.
-	SawHigherEpoch func(epoch uint64)
-	// Partition, when non-nil, returns this node's partition identity.
-	// Every reply carries it in PartitionHeader, and a request stamped
-	// with a different partition (index or count) is refused with 421 —
-	// cross-partition misconfiguration must fail before any record moves.
-	Partition func() shard.PartitionID
-
-	// MaxBatch bounds records per stream response; 0 → wal batch default.
-	MaxBatch int
-	// Wait bounds the long-poll when the follower is caught up: the
-	// handler holds the request open until a new record lands or Wait
-	// elapses, then returns an empty 200. 0 → 2s.
-	Wait time.Duration
-
-	mu sync.Mutex // serializes SawHigherEpoch dispatch
+// Register wires the replication endpoints onto mux. A node serves
+// them in either role: a follower answers the router's epoch probe and
+// refuses to stream from a timeline it does not own.
+func (n *Node) Register(mux *http.ServeMux) {
+	mux.HandleFunc("GET /replica/stream", n.handleStream)
+	mux.HandleFunc("GET /replica/snapshot", n.handleSnapshot)
+	mux.HandleFunc("GET /replica/epoch", n.handleEpoch)
 }
 
-// Register wires the replication endpoints onto mux.
-func (s *Server) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /replica/stream", s.handleStream)
-	mux.HandleFunc("GET /replica/snapshot", s.handleSnapshot)
-	mux.HandleFunc("GET /replica/epoch", s.handleEpoch)
-}
-
-func (s *Server) wait() time.Duration {
-	if s.Wait > 0 {
-		return s.Wait
+func (n *Node) wait() time.Duration {
+	if n.cfg.Wait > 0 {
+		return n.cfg.Wait
 	}
 	return 2 * time.Second
 }
@@ -127,15 +99,12 @@ func writeUnavailable(w http.ResponseWriter, body any) {
 // checkPartition enforces partition identity on a replication request:
 // a requester stamping a different partition index or count is answered
 // 421 (Misdirected Request) with our identity as the hint, and nothing
-// streams. Requests without the header — ops tooling, pre-partitioning
-// followers — are let through, as are servers with no identity
-// configured. Generations may differ: a mid-resize pair re-identifies
-// one node at a time.
-func (s *Server) checkPartition(w http.ResponseWriter, r *http.Request) bool {
-	if s.Partition == nil {
-		return true
-	}
-	own := s.Partition()
+// streams. Every reply carries our identity in PartitionHeader.
+// Requests without the header — ops tooling, pre-partitioning
+// followers — are let through. Generations may differ: a mid-resize
+// pair re-identifies one node at a time.
+func (n *Node) checkPartition(w http.ResponseWriter, r *http.Request) bool {
+	own := n.pool.Partition()
 	w.Header().Set(PartitionHeader, own.String())
 	raw := r.Header.Get(PartitionHeader)
 	if raw == "" {
@@ -160,27 +129,17 @@ func (s *Server) checkPartition(w http.ResponseWriter, r *http.Request) bool {
 // resolves conflicts; it reports whether the request may proceed.
 // Requests without the header (ops tooling, curl) are let through — the
 // fencing contract binds replicas, which always send it.
-func (s *Server) checkEpoch(w http.ResponseWriter, r *http.Request, shard int) (Meta, bool) {
-	m := s.Meta()
-	raw := r.Header.Get(EpochHeader)
-	if raw == "" {
-		return m, true
-	}
-	theirs, err := strconv.ParseUint(raw, 10, 64)
+func (n *Node) checkEpoch(w http.ResponseWriter, r *http.Request, shard int) (Meta, bool) {
+	m, theirs, err := n.witness(r.Header.Get(EpochHeader))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("bad %s: %v", EpochHeader, err), Epoch: m.Epoch})
+		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Epoch: m.Epoch})
 		return m, false
 	}
 	switch {
 	case theirs > m.Epoch:
 		// The requester lives on a newer timeline: we are the deposed
-		// node. Refuse and fence ourselves — never serve records minted
-		// after the promotion we missed.
-		if s.SawHigherEpoch != nil {
-			s.mu.Lock()
-			s.SawHigherEpoch(theirs)
-			s.mu.Unlock()
-		}
+		// node, and witness has fenced us. Refuse — never serve records
+		// minted after the promotion we missed.
 		writeJSON(w, http.StatusPreconditionFailed, ErrorBody{
 			Error: fmt.Sprintf("request epoch %d above ours %d: this node is deposed", theirs, m.Epoch),
 			Epoch: m.Epoch,
@@ -206,10 +165,10 @@ func (s *Server) checkEpoch(w http.ResponseWriter, r *http.Request, shard int) (
 	return m, true
 }
 
-func (s *Server) shardParam(w http.ResponseWriter, r *http.Request) (int, bool) {
+func (n *Node) shardParam(w http.ResponseWriter, r *http.Request) (int, bool) {
 	shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
-	if err != nil || shard < 0 || shard >= s.Source.Shards() {
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("shard must be in [0,%d)", s.Source.Shards())})
+	if err != nil || shard < 0 || shard >= n.source.Shards() {
+		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("shard must be in [0,%d)", n.source.Shards())})
 		return 0, false
 	}
 	return shard, true
@@ -219,15 +178,15 @@ func (s *Server) shardParam(w http.ResponseWriter, r *http.Request) (int, bool) 
 // records from LSN `from` as CRC-framed chunks. A caught-up follower is
 // long-polled briefly before an empty 200, so steady-state lag is one
 // round trip, not one poll interval.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if !s.checkPartition(w, r) {
+func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
+	if !n.checkPartition(w, r) {
 		return
 	}
-	shard, ok := s.shardParam(w, r)
+	shard, ok := n.shardParam(w, r)
 	if !ok {
 		return
 	}
-	m, ok := s.checkEpoch(w, r, shard)
+	m, ok := n.checkEpoch(w, r, shard)
 	if !ok {
 		return
 	}
@@ -238,10 +197,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Long-poll: wait for the commit horizon to pass `from`.
-	deadline := time.Now().Add(s.wait())
+	deadline := time.Now().Add(n.wait())
 	var next uint64
 	for {
-		next, err = s.Source.NextLSN(shard)
+		next, err = n.source.NextLSN(shard)
 		if err != nil {
 			writeUnavailable(w, ErrorBody{Error: err.Error(), Epoch: m.Epoch})
 			return
@@ -261,13 +220,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if next <= from {
 		return // caught up; empty 200, headers carry the horizon
 	}
-	resume, err := s.Source.Read(shard, from, s.MaxBatch, func(lsn uint64, payload []byte) error {
+	resume, err := n.source.Read(shard, from, n.cfg.MaxBatch, func(lsn uint64, payload []byte) error {
 		return wal.WriteFrame(w, lsn, payload)
 	})
 	if errors.Is(err, wal.ErrPruned) && resume == from {
 		// Nothing written yet: the follower is behind the retained log.
 		// Point it at the snapshot instead.
-		_, snapLSN, serr := s.Source.Snapshot(shard)
+		_, snapLSN, serr := n.source.Snapshot(shard)
 		body := ErrorBody{Error: "requested lsn pruned: reseed from snapshot", Epoch: m.Epoch}
 		if serr == nil {
 			body.OldestLSN = snapLSN + 1
@@ -284,19 +243,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serves the shard's newest snapshot file for reseeding,
 // its applied LSN in SnapshotLSNHeader.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if !s.checkPartition(w, r) {
+func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	if !n.checkPartition(w, r) {
 		return
 	}
-	shard, ok := s.shardParam(w, r)
+	shard, ok := n.shardParam(w, r)
 	if !ok {
 		return
 	}
-	m, ok := s.checkEpoch(w, r, shard)
+	m, ok := n.checkEpoch(w, r, shard)
 	if !ok {
 		return
 	}
-	path, lsn, err := s.Source.Snapshot(shard)
+	path, lsn, err := n.source.Snapshot(shard)
 	if err != nil {
 		writeUnavailable(w, ErrorBody{Error: err.Error(), Epoch: m.Epoch})
 		return
@@ -317,14 +276,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleEpoch serves the node's replication meta — the handshake a
 // joining follower (or a peer startup check) uses to learn the current
 // epoch and promotion history.
-func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	if !s.checkPartition(w, r) {
+func (n *Node) handleEpoch(w http.ResponseWriter, r *http.Request) {
+	if !n.checkPartition(w, r) {
 		return
 	}
-	if _, ok := s.checkEpoch(w, r, -1); !ok {
+	m, ok := n.checkEpoch(w, r, -1)
+	if !ok {
 		return
 	}
-	m := s.Meta()
 	w.Header().Set(EpochHeader, strconv.FormatUint(m.Epoch, 10))
 	writeJSON(w, http.StatusOK, m)
 }

@@ -11,52 +11,18 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"tsppr/internal/atomicio"
 	"tsppr/internal/obs"
 	"tsppr/internal/sessions"
-	"tsppr/internal/shard"
 	"tsppr/internal/wal"
 )
 
 // tailClient carries every follower request. Its timeout bounds one
 // long poll or one snapshot download.
 var tailClient = &http.Client{Timeout: 30 * time.Second}
-
-// Follower tails every shard of a primary, applying shipped records
-// into Pool and converging its epoch/history with the primary's; the
-// adopted meta lives in the epoch marker at Pool.Root(). Start launches
-// one tailer goroutine per shard; Stop joins them.
-type Follower struct {
-	Primary string // primary base URL, e.g. http://10.0.0.1:8080
-	Pool    *shard.Pool
-
-	// Partition, when nonzero (Count >= 1), is stamped on every stream
-	// and snapshot request so a primary owning a different slice of the
-	// key space refuses us with 421 instead of shipping records whose
-	// users this node will never serve.
-	Partition shard.PartitionID
-
-	// BackoffBase/BackoffMax shape the retry schedule on stream errors.
-	// Defaults: 100ms / 5s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Metrics, when non-nil, receives the rrc_replica_* families.
-	Metrics *obs.Registry
-
-	mu         sync.Mutex
-	meta       Meta
-	convergeMu sync.Mutex // serializes whole-node epoch convergence
-	cancel     context.CancelFunc
-	done       sync.WaitGroup
-	applied    *obs.Counter // set per shard in start; see shardTailer
-	epochG     *obs.Gauge
-
-	shards []*shardTailer
-}
 
 // shardTailer is one shard's replication loop state.
 type shardTailer struct {
@@ -71,24 +37,10 @@ type shardTailer struct {
 	resyncs   *obs.Counter
 }
 
-// Epoch returns the follower's current adopted epoch.
-func (f *Follower) Epoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.meta.Epoch
-}
-
-// MetaSnapshot returns the follower's current adopted meta.
-func (f *Follower) MetaSnapshot() Meta {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.meta
-}
-
 // Lag returns shard's current replication lag in records (primary
 // horizon minus local) and how long the shard has been behind.
-func (f *Follower) Lag(shard int) (records uint64, behind time.Duration) {
-	st := f.shards[shard]
+func (n *Node) Lag(shard int) (records uint64, behind time.Duration) {
+	st := n.shards[shard]
 	p, l := st.primaryNext.Load(), st.localNext.Load()
 	if p > l {
 		records = p - l
@@ -99,73 +51,54 @@ func (f *Follower) Lag(shard int) (records uint64, behind time.Duration) {
 	return records, behind
 }
 
-func (f *Follower) backoffBase() time.Duration {
-	if f.BackoffBase > 0 {
-		return f.BackoffBase
+func (n *Node) backoffBase() time.Duration {
+	if n.cfg.BackoffBase > 0 {
+		return n.cfg.BackoffBase
 	}
 	return 100 * time.Millisecond
 }
 
-func (f *Follower) backoffMax() time.Duration {
-	if f.BackoffMax > 0 {
-		return f.BackoffMax
+func (n *Node) backoffMax() time.Duration {
+	if n.cfg.BackoffMax > 0 {
+		return n.cfg.BackoffMax
 	}
 	return 5 * time.Second
 }
 
-// Start loads the persisted meta and launches one tailer per shard.
-func (f *Follower) Start() error {
-	m, err := LoadMeta(f.Pool.Root())
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.meta = m
-	f.mu.Unlock()
-
-	n := f.Pool.N()
-	f.shards = make([]*shardTailer, n)
-	reg := f.Metrics
+// startTailers launches one tailer goroutine per shard. Each applies
+// cfg.Follow's shipped records into the pool and converges the node's
+// epoch with the primary's; Close joins them.
+func (n *Node) startTailers() {
+	reg := n.cfg.Metrics
 	reg.Help("rrc_replica_lag_records", "Per-shard replication lag: primary commit horizon minus local, in records.")
 	reg.Help("rrc_replica_lag_seconds", "How long the shard has been behind the primary; 0 when caught up.")
 	reg.Help("rrc_replica_applied_total", "Shipped records applied by the follower.")
 	reg.Help("rrc_replica_stream_errors_total", "Stream poll failures (network, decode, apply) that triggered a retry.")
 	reg.Help("rrc_replica_resyncs_total", "Shard reseeds from a primary snapshot after falling behind the retained WAL.")
-	reg.Help("rrc_replica_epoch", "The node's current replication epoch.")
-	f.epochG = reg.Gauge("rrc_replica_epoch")
-	f.epochG.Set(float64(m.Epoch))
 
 	ctx, cancel := context.WithCancel(context.Background())
-	f.cancel = cancel
-	for i := 0; i < n; i++ {
+	n.cancel = cancel
+	n.shards = make([]*shardTailer, n.pool.N())
+	for i := range n.shards {
 		st := &shardTailer{shard: i}
 		lbl := fmt.Sprintf(`{shard="%d"}`, i)
 		st.applied = reg.Counter("rrc_replica_applied_total" + lbl)
 		st.streamErr = reg.Counter("rrc_replica_stream_errors_total" + lbl)
 		st.resyncs = reg.Counter("rrc_replica_resyncs_total" + lbl)
 		reg.GaugeFunc("rrc_replica_lag_records"+lbl, func() float64 {
-			rec, _ := f.Lag(st.shard)
+			rec, _ := n.Lag(st.shard)
 			return float64(rec)
 		})
 		reg.GaugeFunc("rrc_replica_lag_seconds"+lbl, func() float64 {
-			_, behind := f.Lag(st.shard)
+			_, behind := n.Lag(st.shard)
 			return behind.Seconds()
 		})
-		f.shards[i] = st
-		f.done.Add(1)
+		n.shards[i] = st
+		n.done.Add(1)
 		go func() {
-			defer f.done.Done()
-			f.tail(ctx, st)
+			defer n.done.Done()
+			n.tail(ctx, st)
 		}()
-	}
-	return nil
-}
-
-// Stop cancels every tailer and waits for them to exit.
-func (f *Follower) Stop() {
-	if f.cancel != nil {
-		f.cancel()
-		f.done.Wait()
 	}
 }
 
@@ -173,9 +106,9 @@ func (f *Follower) Stop() {
 // the primary's horizon less than two long-poll waits ago, a wait being
 // how long that empty poll was held. A primary that stops answering
 // makes it false within two waits.
-func (f *Follower) CaughtUp() bool {
+func (n *Node) CaughtUp() bool {
 	now := time.Now().UnixNano()
-	for _, st := range f.shards {
+	for _, st := range n.shards {
 		if now >= st.quietUntil.Load() {
 			return false
 		}
@@ -185,10 +118,10 @@ func (f *Follower) CaughtUp() bool {
 
 // tail is one shard's replication loop: poll, apply, converge epochs,
 // repair the timeline when deposed, reseed when pruned past.
-func (f *Follower) tail(ctx context.Context, st *shardTailer) {
-	backoff := f.backoffBase()
+func (n *Node) tail(ctx context.Context, st *shardTailer) {
+	backoff := n.backoffBase()
 	for ctx.Err() == nil {
-		madeProgress, err := f.pollOnce(ctx, st)
+		madeProgress, err := n.pollOnce(ctx, st)
 		if err != nil {
 			st.quietUntil.Store(0)
 			if ctx.Err() != nil {
@@ -201,10 +134,10 @@ func (f *Follower) tail(ctx context.Context, st *shardTailer) {
 				return
 			case <-time.After(backoff):
 			}
-			backoff = min(2*backoff, f.backoffMax())
+			backoff = min(2*backoff, n.backoffMax())
 			continue
 		}
-		backoff = f.backoffBase()
+		backoff = n.backoffBase()
 		if !madeProgress {
 			// Caught up; the server long-polls for us, so loop straight
 			// back around without a local sleep.
@@ -215,9 +148,9 @@ func (f *Follower) tail(ctx context.Context, st *shardTailer) {
 
 // pollOnce issues one stream request and applies its records. It
 // returns whether any record was applied.
-func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) {
+func (n *Node) pollOnce(ctx context.Context, st *shardTailer) (bool, error) {
 	start := time.Now()
-	from, err := f.Pool.Shard(st.shard).NextLSN()
+	from, err := n.pool.Shard(st.shard).NextLSN()
 	if err != nil {
 		return false, fmt.Errorf("local horizon: %w", err)
 	}
@@ -226,12 +159,12 @@ func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) 
 	q := url.Values{}
 	q.Set("shard", strconv.Itoa(st.shard))
 	q.Set("from", strconv.FormatUint(from, 10))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.Primary+"/replica/stream?"+q.Encode(), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.cfg.Follow+"/replica/stream?"+q.Encode(), nil)
 	if err != nil {
 		return false, err
 	}
-	req.Header.Set(EpochHeader, strconv.FormatUint(f.Epoch(), 10))
-	f.stampPartition(req)
+	req.Header.Set(EpochHeader, strconv.FormatUint(n.Meta().Epoch, 10))
+	n.stampPartition(req)
 	resp, err := tailClient.Do(req)
 	if err != nil {
 		return false, err
@@ -246,13 +179,13 @@ func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) 
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return f.applyStream(st, resp, start)
+		return n.applyStream(st, resp, start)
 	case http.StatusPreconditionFailed:
-		return false, f.handleEpochConflict(st, resp)
+		return false, n.handleEpochConflict(st, resp)
 	case http.StatusGone:
-		return false, f.reseed(ctx, st, resp)
+		return false, n.reseed(ctx, st, resp)
 	case http.StatusMisdirectedRequest:
-		return false, f.partitionMismatch(resp)
+		return false, n.partitionMismatch(resp)
 	default:
 		return false, fmt.Errorf("stream: primary returned %s", resp.Status)
 	}
@@ -260,28 +193,28 @@ func (f *Follower) pollOnce(ctx context.Context, st *shardTailer) (bool, error) 
 
 // stampPartition adds the follower's partition identity to an outbound
 // replication request, when one is configured.
-func (f *Follower) stampPartition(req *http.Request) {
-	if f.Partition.Count >= 1 {
-		req.Header.Set(PartitionHeader, f.Partition.String())
+func (n *Node) stampPartition(req *http.Request) {
+	if n.pool.Partition().Count >= 1 {
+		req.Header.Set(PartitionHeader, n.pool.Partition().String())
 	}
 }
 
 // partitionMismatch turns a 421 into the loudest error the tailer can
 // produce: this node is pointed at another partition's primary, and no
 // amount of retrying fixes a misconfiguration — only the operator can.
-func (f *Follower) partitionMismatch(resp *http.Response) error {
+func (n *Node) partitionMismatch(resp *http.Response) error {
 	var body ErrorBody
 	hint := resp.Header.Get(PartitionHeader)
 	if json.NewDecoder(resp.Body).Decode(&body) == nil && body.Partition != nil {
 		hint = body.Partition.String()
 	}
 	return fmt.Errorf("MISCONFIGURED: primary %s owns partition %s but this node is %s — repoint -follow at our own partition's primary",
-		f.Primary, hint, f.Partition)
+		n.cfg.Follow, hint, n.pool.Partition())
 }
 
 // applyStream decodes and applies every frame in a 200 stream response
 // to a poll sent at start.
-func (f *Follower) applyStream(st *shardTailer, resp *http.Response, start time.Time) (bool, error) {
+func (n *Node) applyStream(st *shardTailer, resp *http.Response, start time.Time) (bool, error) {
 	if h := resp.Header.Get(NextLSNHeader); h != "" {
 		if v, err := strconv.ParseUint(h, 10, 64); err == nil {
 			st.primaryNext.Store(v)
@@ -296,12 +229,12 @@ func (f *Follower) applyStream(st *shardTailer, resp *http.Response, start time.
 		if err != nil {
 			// A torn or corrupt frame: drop the response and re-resume
 			// from the local horizon. Anything applied so far is durable.
-			f.updateLagClock(st)
+			n.updateLagClock(st)
 			return applied, fmt.Errorf("stream frame: %w", err)
 		}
-		ok, err := f.Pool.Shard(st.shard).ApplyReplicated(lsn, payload)
+		ok, err := n.pool.Shard(st.shard).ApplyReplicated(lsn, payload)
 		if err != nil {
-			f.updateLagClock(st)
+			n.updateLagClock(st)
 			return applied, fmt.Errorf("apply lsn %d: %w", lsn, err)
 		}
 		if ok {
@@ -310,7 +243,7 @@ func (f *Follower) applyStream(st *shardTailer, resp *http.Response, start time.
 		}
 		st.localNext.Store(lsn + 1)
 	}
-	f.updateLagClock(st)
+	n.updateLagClock(st)
 	until := int64(0)
 	if frames == 0 && st.localNext.Load() >= st.primaryNext.Load() {
 		until = time.Now().Add(2 * time.Since(start)).UnixNano()
@@ -321,7 +254,7 @@ func (f *Follower) applyStream(st *shardTailer, resp *http.Response, start time.
 
 // updateLagClock starts or clears the shard's time-behind clock from
 // the current horizons.
-func (f *Follower) updateLagClock(st *shardTailer) {
+func (n *Node) updateLagClock(st *shardTailer) {
 	if st.localNext.Load() >= st.primaryNext.Load() {
 		st.lagSince.Store(0)
 	} else if st.lagSince.Load() == 0 {
@@ -337,29 +270,29 @@ func (f *Follower) updateLagClock(st *shardTailer) {
 // the new timeline never had. A primary *behind* us is not followed —
 // it may be the deposed node we were promoted over; keep erroring
 // until the operator repoints us.
-func (f *Follower) handleEpochConflict(st *shardTailer, resp *http.Response) error {
+func (n *Node) handleEpochConflict(st *shardTailer, resp *http.Response) error {
 	var body ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return fmt.Errorf("epoch conflict: unreadable body: %w", err)
 	}
-	own := f.Epoch()
+	own := n.Meta().Epoch
 	if body.Epoch <= own {
 		return fmt.Errorf("primary epoch %d not above ours %d: refusing to follow a deposed primary", body.Epoch, own)
 	}
 	if body.Meta == nil {
 		return fmt.Errorf("epoch conflict with %d: no meta to adopt", body.Epoch)
 	}
-	f.convergeMu.Lock()
-	defer f.convergeMu.Unlock()
-	if f.Epoch() >= body.Epoch {
+	n.convergeMu.Lock()
+	defer n.convergeMu.Unlock()
+	if n.Meta().Epoch >= body.Epoch {
 		return nil // another shard's tailer already converged the node
 	}
-	for i := 0; i < f.Pool.N(); i++ {
+	for i := 0; i < n.pool.N(); i++ {
 		div, ok := body.Meta.DivergenceLSN(i, own)
 		if !ok {
 			continue
 		}
-		if err := f.Pool.Shard(i).TruncateAndReload(div); err != nil {
+		if err := n.pool.Shard(i).TruncateAndReload(div); err != nil {
 			if errors.Is(err, wal.ErrPruned) {
 				// Cannot rebuild below the divergence point locally; the
 				// shard reseeds once its stream 410s. Converge anyway so
@@ -371,19 +304,10 @@ func (f *Follower) handleEpochConflict(st *shardTailer, resp *http.Response) err
 			return fmt.Errorf("truncate shard %d to %d: %w", i, div, err)
 		}
 	}
-	f.mu.Lock()
-	adopted, err := f.meta.Adopt(*body.Meta)
-	if err == nil {
-		err = adopted.Store(f.Pool.Root())
-	}
-	if err == nil {
-		f.meta = adopted
-	}
-	f.mu.Unlock()
+	adopted, err := n.adopt(*body.Meta)
 	if err != nil {
 		return fmt.Errorf("adopt epoch %d: %w", body.Meta.Epoch, err)
 	}
-	f.epochG.Set(float64(adopted.Epoch))
 	log.Printf("replica: shard %d: adopted epoch %d from primary (all shards truncated to the shared timeline)", st.shard, adopted.Epoch)
 	return nil
 }
@@ -391,15 +315,15 @@ func (f *Follower) handleEpochConflict(st *shardTailer, resp *http.Response) err
 // reseed replaces the shard's local state with the primary's newest
 // snapshot after a 410: the records between our horizon and the
 // primary's retained WAL are gone, so tailing cannot resume from here.
-func (f *Follower) reseed(ctx context.Context, st *shardTailer, gone *http.Response) error {
+func (n *Node) reseed(ctx context.Context, st *shardTailer, gone *http.Response) error {
 	st.resyncs.Inc()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		f.Primary+"/replica/snapshot?shard="+strconv.Itoa(st.shard), nil)
+		n.cfg.Follow+"/replica/snapshot?shard="+strconv.Itoa(st.shard), nil)
 	if err != nil {
 		return err
 	}
-	req.Header.Set(EpochHeader, strconv.FormatUint(f.Epoch(), 10))
-	f.stampPartition(req)
+	req.Header.Set(EpochHeader, strconv.FormatUint(n.Meta().Epoch, 10))
+	n.stampPartition(req)
 	resp, err := tailClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("snapshot download: %w", err)
@@ -418,7 +342,7 @@ func (f *Follower) reseed(ctx context.Context, st *shardTailer, gone *http.Respo
 	if err != nil {
 		return fmt.Errorf("snapshot download: %w", err)
 	}
-	err = f.Pool.Shard(st.shard).Reseed(snapLSN, func(dir string) error {
+	err = n.pool.Shard(st.shard).Reseed(snapLSN, func(dir string) error {
 		return writeSnapshotFile(dir, snapLSN, bytes.NewReader(body))
 	})
 	if err != nil {

@@ -264,7 +264,7 @@ func (rt *Router) probeNode(j probeJob) {
 			}
 			if res.status == http.StatusPreconditionFailed && eb.Epoch < epoch {
 				// The node answered from a lower epoch than its partition's:
-				// our probe just deposed it (its SawHigherEpoch fired).
+				// our probe just deposed it (it fenced on our stamp).
 				v.Fenced = true
 			}
 		}

@@ -144,7 +144,7 @@ func (f *fakeNode) handler() http.Handler {
 			if theirs, err := strconv.ParseUint(raw, 10, 64); err == nil && theirs != own {
 				code = http.StatusPreconditionFailed
 				if theirs > own {
-					f.fenced = true // the real server's SawHigherEpoch path
+					f.fenced = true // a real node fences on a higher stamp
 				}
 			}
 		}

@@ -80,7 +80,15 @@ func (s *Server) openOnline(m *core.Model) error {
 	}
 	log.Printf("recovered %d sessions across %d shard(s) (%d replayed records, %d torn tail(s) truncated, %d corrupt skipped) from %s",
 		sessionsTotal, pool.N(), replayed, ws.TruncatedTails, ws.SkippedCorrupt, s.opts.EventsDir)
-	if s.repl, err = newReplState(s); err != nil {
+	s.repl, err = replica.Open(pool, replica.Config{
+		Follow:      s.opts.FollowURL,
+		Peers:       s.opts.Peers,
+		Wait:        s.opts.replWait,
+		BackoffBase: s.opts.replBackoffBase,
+		BackoffMax:  s.opts.replBackoffMax,
+		Metrics:     s.reg,
+	})
+	if err != nil {
 		pool.Close()
 		return err
 	}
@@ -183,17 +191,16 @@ type consumeResponse struct {
 func (s *Server) handleConsume(w http.ResponseWriter, r *http.Request) {
 	// Replication fencing comes before anything else: a standby or a
 	// deposed primary must not acknowledge writes it cannot keep.
-	if err := s.repl.checkIngestEpoch(r); err != nil {
-		// An epoch conflict resolves within about one router probe
+	if code, err := s.repl.AdmitWrite(r.Header.Get(replica.EpochHeader)); err != nil {
+		// An epoch conflict (412) resolves within about one router probe
 		// round (the fleet converges on the new primary); tell the
 		// caller when a re-pick is worth attempting.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusPreconditionFailed, err)
-		return
-	}
-	if err := s.repl.writeBlocked(); err != nil {
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, err)
+		retry := "5"
+		if code == http.StatusPreconditionFailed {
+			retry = "1"
+		}
+		w.Header().Set("Retry-After", retry)
+		writeError(w, code, err)
 		return
 	}
 	var req consumeRequest
@@ -285,7 +292,7 @@ func (s *Server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 		// writes answers 404 only for a user who never consumed. A
 		// standby may just not have replicated the first event yet: that
 		// is "come back", which the router retries elsewhere.
-		if s.repl.following() {
+		if s.repl.Following() {
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no session for user %d on this standby yet", req.User))
 			return
@@ -329,6 +336,23 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, drainResponse{Shard: idx, State: s.pool.Shard(idx).State().String()})
+}
+
+// promoteResponse is the POST /admin/promote reply.
+type promoteResponse struct {
+	Epoch uint64 `json:"epoch"`
+	Role  string `json:"role"`
+}
+
+// handlePromote flips an unfenced standby into the primary role under a
+// bumped epoch; anything else is 409.
+func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
+	m, err := s.repl.Promote()
+	if err != nil {
+		writeError(w, http.StatusConflict, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, promoteResponse{Epoch: m.Epoch, Role: "primary"})
 }
 
 // errOnlineDisabled answers the online endpoints when -events-dir is

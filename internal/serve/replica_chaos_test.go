@@ -82,7 +82,7 @@ func scrapeLagRecords(t *testing.T, h http.Handler) float64 {
 	return total
 }
 
-func replStatusOf(srv *Server) replStatus { return srv.repl.status() }
+func replStatusOf(srv *Server) replica.Status { return srv.repl.Status() }
 
 // waitApplied blocks until the standby's /readyz shard_applied_lsn has
 // reached the primary's on every shard. caught_up is not that: a write
@@ -234,7 +234,7 @@ func TestReplicaRejoinTruncatesDivergentTail(t *testing.T) {
 
 	// Stop shipping, then let the primary acknowledge 12 more writes it
 	// will never ship: the doomed divergent tail.
-	srvB.repl.tailer.Stop()
+	srvB.repl.Close()
 	for _, ev := range evs[30:42] {
 		mustConsume(t, hA, ev)
 	}
@@ -268,7 +268,7 @@ func TestReplicaRejoinTruncatesDivergentTail(t *testing.T) {
 	if got, wantFP := storeFingerprint(t, srvA2), storeFingerprint(t, srvB); got != wantFP {
 		t.Fatal("rejoined node did not converge with the new primary")
 	}
-	if got := srvA2.repl.metaSnapshot().Epoch; got != 1 {
+	if got := srvA2.repl.Meta().Epoch; got != 1 {
 		t.Fatalf("rejoined node epoch = %d, want 1", got)
 	}
 	// And the adopted epoch survived to disk under the old primary's root.
@@ -306,7 +306,7 @@ func TestReplicaStalePrimaryStartsFenced(t *testing.T) {
 	tsA := httpservetest.Start(t, srvA)
 	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
 	waitFor(t, "standby start", func() bool { return replStatusOf(srvB).Role == "follower" })
-	if _, err := srvB.repl.promote(); err != nil {
+	if _, err := srvB.repl.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	tsA.Close()

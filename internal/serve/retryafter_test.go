@@ -52,21 +52,16 @@ func TestRetryAfterAudit(t *testing.T) {
 	// A fenced/fenceable replication state: meta pinned at epoch 5 so a
 	// lower request epoch gets 412 (divergent caller) and a higher one
 	// fences this node and also gets 412.
-	fenced := bootOnline(t, m, t.TempDir(), nil)
-	fenced.repl = &replState{
-		srv:  fenced,
-		root: fenced.pool.Root(),
-		meta: replica.Meta{Epoch: 5},
-		seen: 5,
+	fencedDir := t.TempDir()
+	if err := (replica.Meta{Epoch: 5}).Store(fencedDir); err != nil {
+		t.Fatal(err)
 	}
+	fenced := bootOnline(t, m, fencedDir, nil)
 
-	// A read-only standby (role only; no tailer needed for this path).
-	follower := bootOnline(t, m, t.TempDir(), nil)
-	follower.repl = &replState{
-		srv:      follower,
-		root:     follower.pool.Root(),
-		follower: true,
-	}
+	// A read-only standby of an empty primary.
+	primary := bootOnline(t, m, t.TempDir(), nil)
+	follower := bootOnline(t, m, t.TempDir(), func(o *Options) { o.FollowURL = httpservetest.Start(t, primary).URL })
+	defer follower.Close(0)
 
 	// A saturated server: holding every semaphore slot forces harden's
 	// 429 on the next scoring request.
@@ -120,7 +115,7 @@ func TestRetryAfterAudit(t *testing.T) {
 	}
 
 	// The high-epoch probe above must also have fenced the node.
-	if st := fenced.repl.status(); !st.Fenced {
+	if st := fenced.repl.Status(); !st.Fenced {
 		t.Fatal("higher-epoch ingest did not fence the node")
 	}
 }

@@ -58,6 +58,7 @@ import (
 	"tsppr/internal/faultinject"
 	"tsppr/internal/obs"
 	"tsppr/internal/rec"
+	"tsppr/internal/replica"
 	"tsppr/internal/rescache"
 	"tsppr/internal/router"
 	"tsppr/internal/seq"
@@ -113,7 +114,7 @@ type Server struct {
 	// versioned by consume LSN; nil when CacheEntries is 0. All cache
 	// methods are nil-safe, so handlers call through unconditionally.
 	cache   *rescache.Cache
-	repl    *replState // non-nil exactly when pool is; owns role, epoch, fencing
+	repl    *replica.Node // non-nil exactly when pool is; owns role, epoch, fencing
 	handler http.Handler
 
 	// reg is the process metric registry (GET /metrics); the counter
@@ -164,7 +165,7 @@ func (s *Server) Close(timeout time.Duration) (missed []int, err error) {
 	if s.pool == nil {
 		return nil, nil
 	}
-	s.repl.stop()
+	s.repl.Close()
 	return s.pool.CloseTimeout(timeout)
 }
 
@@ -202,7 +203,7 @@ func (s *Server) routes() http.Handler {
 		// Admin plane: not hardened (a drain must not be shed under load)
 		// and not instrumented (it is not traffic).
 		mux.HandleFunc("POST /admin/drain", s.handleDrain)
-		s.repl.stream.Register(mux)
+		s.repl.Register(mux)
 		mux.HandleFunc("POST /admin/promote", s.handlePromote)
 	} else {
 		mux.Handle("POST /consume", s.instrument("/consume", http.HandlerFunc(s.errOnlineDisabled)))
@@ -285,7 +286,7 @@ type readyResponse struct {
 	Partition *partitionInfo `json:"partition,omitempty"`
 	// Replication reports the node's role, epoch, fence, and (follower)
 	// lag; nil when the replication plane is off.
-	Replication *replStatus `json:"replication,omitempty"`
+	Replication *replica.Status `json:"replication,omitempty"`
 }
 
 // partitionInfo is the /readyz partition block, mirroring the on-disk
@@ -312,7 +313,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		if !s.pool.Ready() {
 			resp.Status, code = "recovering", http.StatusServiceUnavailable
 		}
-		st := s.repl.status()
+		st := s.repl.Status()
 		resp.Replication = &st
 		if code == http.StatusOK {
 			switch {
