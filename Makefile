@@ -45,9 +45,12 @@ shard-chaos:
 ## replica-chaos: the replication chaos suite, unconditionally re-run
 ## under the race detector — primary kill + POST /admin/promote must
 ## preserve every acked shipped write, a deposed primary must start fenced, and a
-## rejoining node must truncate its divergent tail and drain lag to 0
+## rejoining node must truncate its divergent tail and drain lag to 0;
+## plus all of internal/replica, unfiltered: its meta, fencing, snapshot
+## and role-rule suites are not all named Replica
 replica-chaos:
-	$(GO) test -race -count=1 -run Replica ./internal/serve ./internal/replica
+	$(GO) test -race -count=1 -run Replica ./internal/serve
+	$(GO) test -race -count=1 ./internal/replica
 
 ## router-chaos: the routing chaos suite, unconditionally re-run under
 ## the race detector — with live traffic flowing through rrc-router,
