@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tsppr/internal/core"
 	"tsppr/internal/datagen"
 	"tsppr/internal/engine"
+	"tsppr/internal/eval"
 	"tsppr/internal/features"
 	"tsppr/internal/rec"
 	"tsppr/internal/sampling"
@@ -25,7 +27,10 @@ import (
 // /consume; then, at every test event eval's replay scores (window full,
 // gap > Ω), the Top-10 from POST /recommend/user must equal
 // engine.New(m).Factory()'s list for the same window, item for item and
-// score for score, before the event itself is consumed.
+// score for score, before the event itself is consumed. The served
+// lists' per-user events and Top-{1,5,10} hits must equal eval's
+// per-user outcomes, and MaAP/MiAP folded from them in user order must
+// equal eval's Result bit for bit.
 func TestServedRankingMatchesEngine(t *testing.T) {
 	const (
 		window    = 20
@@ -102,8 +107,11 @@ func TestServedRankingMatchesEngine(t *testing.T) {
 		post("/consume", map[string]int{"user": u, "item": int(v)}, &ack)
 	}
 
+	topNs := []int{1, 5, 10}
+	perUser := make([]eval.UserOutcome, len(train))
 	var events, ranked int
 	for u := range train {
+		perUser[u].Hits = make([]int, len(topNs))
 		r := oracle.New(uint64(u))
 		w := seq.NewWindow(window)
 		for _, v := range train[u] {
@@ -124,6 +132,12 @@ func TestServedRankingMatchesEngine(t *testing.T) {
 				}
 				events++
 				ranked += len(want)
+				perUser[u].Events++
+				for i, n := range topNs {
+					if slices.Contains(served.Items[:min(n, len(served.Items))], int(v)) {
+						perUser[u].Hits[i]++
+					}
+				}
 			}
 			consume(u, v)
 			w.Push(v)
@@ -133,6 +147,47 @@ func TestServedRankingMatchesEngine(t *testing.T) {
 	if events < 100 || ranked < 5*events {
 		t.Fatalf("only %d scored events with %d ranked items: the replay checks too little", events, ranked)
 	}
+
+	res, err := eval.Evaluate(train, test, engine.New(m).Factory(), eval.Options{
+		WindowCap: window, Omega: omega, TopNs: topNs, KeepPerUser: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(perUser, res.PerUser) {
+		t.Fatalf("served per-user outcomes %v, eval's %v", perUser, res.PerUser)
+	}
+	maap, miap := servedPrecision(perUser, len(topNs))
+	for i, n := range topNs {
+		if maap[i] != res.MaAP[i] || miap[i] != res.MiAP[i] {
+			t.Fatalf("@%d: served MaAP %v MiAP %v, eval %v %v", n, maap[i], miap[i], res.MaAP[i], res.MiAP[i])
+		}
+	}
+}
+
+// servedPrecision folds per-user outcomes into MaAP and MiAP (Eq. 22-24)
+// in user order: MaAP pools hits over every eligible event, MiAP
+// averages each evaluated user's precision.
+func servedPrecision(perUser []eval.UserOutcome, nTop int) (maap, miap []float64) {
+	maap, miap = make([]float64, nTop), make([]float64, nTop)
+	hits := make([]int, nTop)
+	events, users := 0, 0
+	for _, o := range perUser {
+		if o.Events == 0 {
+			continue
+		}
+		events += o.Events
+		users++
+		for i, h := range o.Hits {
+			hits[i] += h
+			miap[i] += float64(h) / float64(o.Events)
+		}
+	}
+	for i := range maap {
+		maap[i] = float64(hits[i]) / float64(events)
+		miap[i] /= float64(users)
+	}
+	return maap, miap
 }
 
 // scoredLists splits a ranking into its item and score lists.
