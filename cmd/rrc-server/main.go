@@ -45,8 +45,7 @@ func main() {
 
 		eventsDir     = flag.String("events-dir", "", "enable durable online sessions: write-ahead event log + snapshots live here")
 		shards        = flag.Int("shards", 1, "online failure domains: users are hash-partitioned over this many independent WAL+session shards (fixed per events dir)")
-		fsyncPolicy   = flag.String("fsync", "always", "event-log durability: always (lose nothing), interval (batched), never (page cache)")
-		fsyncInterval = flag.Duration("fsync-interval", wal.DefaultSyncEvery, "batching period for -fsync interval")
+		fsyncPolicy   = flag.String("fsync", "always", "event-log durability: always (lose nothing) or never (page cache)")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "minimum appends between periodic snapshots (0 = only at shutdown)")
 		corruptSkip   = flag.Bool("wal-skip-corrupt", false, "quarantine CRC-failed log records instead of refusing to start")
 
@@ -68,7 +67,7 @@ func main() {
 	}
 	fsync, err := wal.ParseSyncPolicy(*fsyncPolicy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrc-server:", err)
+		fmt.Fprintln(os.Stderr, "rrc-server: -fsync:", err)
 		os.Exit(2)
 	}
 	var partition shard.PartitionID
@@ -109,7 +108,6 @@ func main() {
 		Shards:        *shards,
 		Partition:     partition,
 		Fsync:         fsync,
-		FsyncInterval: *fsyncInterval,
 		SnapshotEvery: *snapshotEvery,
 		Corrupt:       corrupt,
 

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -10,10 +13,36 @@ import (
 	"tsppr/internal/features"
 )
 
-// TestRemovedSurfaceFailsLoudly: a -window or -omega that disagrees
-// with the model file is refused by name. The endpoint and events-root
-// halves of this test live with the node, in internal/serve.
+// TestMain runs the test binary as rrc-server itself when
+// RRC_SERVER_ARGS is set, so a test can check how the command exits.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("RRC_SERVER_ARGS"); ok {
+		os.Args = append([]string{"rrc-server"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedSurfaceFailsLoudly: the removed -fsync interval policy and
+// its -fsync-interval period exit 2 naming the flag, and a -window or
+// -omega that disagrees with the model file is refused by name. The
+// endpoint and events-root halves of this test live with the node, in
+// internal/serve.
 func TestRemovedSurfaceFailsLoudly(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-model m.tsppr -fsync interval", `-fsync: wal: unknown fsync policy "interval"`},
+		{"-model m.tsppr -fsync-interval 100ms", "flag provided but not defined: -fsync-interval"},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "RRC_SERVER_ARGS="+tc.args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("rrc-server %s: %v, output %q; want exit 2 naming %q", tc.args, err, out, tc.want)
+		}
+	}
+
 	m := &core.Model{Extractor: features.NewBuilder(1, 20, 3).Build(features.AllFeatures, features.Hyperbolic)}
 
 	// -window and -omega are parsed only for bench/fleet.go: a value other

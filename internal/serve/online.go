@@ -58,7 +58,6 @@ func (s *Server) openOnline(m *core.Model) error {
 		NumUsers:      m.NumUsers(),
 		NumItems:      m.NumItems(),
 		Fsync:         s.opts.Fsync,
-		FsyncInterval: s.opts.FsyncInterval,
 		SnapshotEvery: s.opts.SnapshotEvery,
 		Corrupt:       s.opts.Corrupt,
 		Metrics:       s.reg,

@@ -80,7 +80,6 @@ type Options struct {
 	Shards        int               // online failure domains; 0 → 1
 	Partition     shard.PartitionID // user-key slice this node owns; zero → 0/1 (whole key space)
 	Fsync         wal.SyncPolicy
-	FsyncInterval time.Duration
 	SnapshotEvery int
 	Corrupt       wal.CorruptPolicy
 

@@ -48,7 +48,6 @@ type Config struct {
 	MaxSessionsPerShard int
 
 	Fsync         wal.SyncPolicy
-	FsyncInterval time.Duration
 	SnapshotEvery int   // min appends between a shard's periodic snapshots (see appendedLocked); 0 → only at drain
 	SegmentBytes  int64 // per-shard WAL rotation threshold; 0 → wal default
 	Corrupt       wal.CorruptPolicy

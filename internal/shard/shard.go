@@ -679,7 +679,6 @@ func (s *Shard) Dump() []sessions.UserWindow {
 func openState(dir string, cfg Config, initialLSN uint64) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
 	l, err := wal.Open(dir, wal.Options{
 		Sync:         cfg.Fsync,
-		SyncEvery:    cfg.FsyncInterval,
 		SegmentBytes: cfg.SegmentBytes,
 		Corrupt:      cfg.Corrupt,
 		Metrics:      cfg.Metrics,

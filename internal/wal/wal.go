@@ -71,9 +71,6 @@ const (
 	// DefaultMaxRecordBytes is the per-record size sanity cap when
 	// Options.MaxRecordBytes is zero.
 	DefaultMaxRecordBytes = 1 << 20
-	// DefaultSyncEvery is the SyncInterval batching period when
-	// Options.SyncEvery is zero.
-	DefaultSyncEvery = 100 * time.Millisecond
 
 	// indexStride is the spacing of the in-memory offset index: one entry
 	// per this many records, so a positioned read scans at most
@@ -90,9 +87,6 @@ const (
 	// SyncAlways fsyncs after every append: a record acknowledged to the
 	// caller survives any crash.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs lazily at most once per Options.SyncEvery: a
-	// crash loses at most the records appended since the last sync.
-	SyncInterval
 	// SyncNever leaves flushing to the OS page cache: fastest, loses the
 	// whole unflushed suffix on a power failure.
 	SyncNever
@@ -102,8 +96,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	default:
@@ -116,12 +108,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	default:
-		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval, or never)", s)
+		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or never)", s)
 	}
 }
 
@@ -144,7 +134,6 @@ type Options struct {
 	SegmentBytes   int64 // rotation threshold; 0 → DefaultSegmentBytes
 	MaxRecordBytes int   // per-record sanity cap; 0 → DefaultMaxRecordBytes
 	Sync           SyncPolicy
-	SyncEvery      time.Duration // SyncInterval batching period; 0 → DefaultSyncEvery
 	Corrupt        CorruptPolicy
 
 	// InitialLSN seeds the first record's LSN when the directory holds
@@ -206,7 +195,6 @@ type Log struct {
 	segments []segment
 	segSize  int64
 	nextLSN  uint64
-	lastSync time.Time
 	failed   error  // sticky: set when a torn append could not be healed
 	rec      []byte // Append's framing buffer, reused across records
 	stats    Stats
@@ -231,9 +219,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.MaxRecordBytes <= 0 {
 		opts.MaxRecordBytes = DefaultMaxRecordBytes
 	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = DefaultSyncEvery
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -241,7 +226,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, lastSync: time.Now()}
+	l := &Log{dir: dir, opts: opts}
 	if reg := opts.Metrics; reg != nil {
 		reg.Help("rrc_wal_append_seconds", "WAL record append latency (including policy-driven fsync).")
 		l.mAppend = reg.Histogram("rrc_wal_append_seconds", obs.LatencyBuckets)
@@ -385,16 +370,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if active := &l.segments[len(l.segments)-1]; (l.nextLSN-active.first)%indexStride == 0 {
 		active.index = append(active.index, l.segSize)
 	}
-	switch l.opts.Sync {
-	case SyncAlways:
+	if l.opts.Sync == SyncAlways {
 		if err := l.syncLocked(); err != nil {
 			return 0, err
-		}
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.SyncEvery {
-			if err := l.syncLocked(); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return lsn, nil
@@ -410,16 +388,6 @@ func (l *Log) truncateActiveLocked() error {
 	return err
 }
 
-// Sync forces an fsync of the active segment regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed != nil {
-		return l.failed
-	}
-	return l.syncLocked()
-}
-
 func (l *Log) syncLocked() error {
 	var start time.Time
 	if l.mFsync != nil {
@@ -432,7 +400,6 @@ func (l *Log) syncLocked() error {
 		l.mFsync.ObserveDuration(time.Since(start))
 	}
 	l.stats.Fsyncs++
-	l.lastSync = time.Now()
 	return nil
 }
 

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"tsppr/internal/faultinject"
 )
@@ -266,23 +266,6 @@ func TestSyncPolicyCounters(t *testing.T) {
 		t.Fatalf("never: %d fsyncs before close", st.Fsyncs)
 	}
 	l2.Close()
-
-	// A generous interval batches: no fsync per append.
-	l3, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l3, 0, 4)
-	if st := l3.Stats(); st.Fsyncs != 0 {
-		t.Fatalf("interval(1h): %d fsyncs across 4 quick appends", st.Fsyncs)
-	}
-	if err := l3.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l3.Stats(); st.Fsyncs != 1 {
-		t.Fatalf("explicit Sync not counted: %+v", l3.Stats())
-	}
-	l3.Close()
 }
 
 func TestPruneKeepsUncoveredSegments(t *testing.T) {
@@ -353,7 +336,7 @@ func TestVerifyReportsWithoutMutating(t *testing.T) {
 }
 
 func TestParseSyncPolicy(t *testing.T) {
-	for s, want := range map[string]SyncPolicy{"always": SyncAlways, "interval": SyncInterval, "never": SyncNever} {
+	for s, want := range map[string]SyncPolicy{"always": SyncAlways, "never": SyncNever} {
 		got, err := ParseSyncPolicy(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", s, got, err)
@@ -362,8 +345,12 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Fatalf("String() roundtrip %q → %q", s, got.String())
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bogus policy accepted")
+	// "interval" synced only when a later append found its period over,
+	// so an idle log's tail was never synced; it is refused, not mapped.
+	for _, s := range []string{"sometimes", "interval"} {
+		if _, err := ParseSyncPolicy(s); err == nil || !strings.Contains(err.Error(), "want always or never") {
+			t.Fatalf("ParseSyncPolicy(%q): err = %v, want a refusal", s, err)
+		}
 	}
 }
 
