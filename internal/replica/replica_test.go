@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tsppr/internal/faultinject"
 	"tsppr/internal/obs"
 	"tsppr/internal/replica"
 	"tsppr/internal/seq"
@@ -296,6 +297,42 @@ func TestReplicaReseedWhenPruned(t *testing.T) {
 	}
 	if n := reg.SumCounters("rrc_replica_resyncs_total"); n == 0 {
 		t.Fatal("expected at least one snapshot resync")
+	}
+}
+
+// TestReplicaReseedFailureRecovers: the first snapshot download lands
+// short, so the reseed fails after the old timeline was quarantined. The
+// shard must not stay down: its supervisor reopens the emptied directory,
+// the next poll is told to reseed again, and the follower catches up.
+func TestReplicaReseedFailureRecovers(t *testing.T) {
+	defer faultinject.Reset()
+	root := t.TempDir()
+	primaryPool, err := shard.Open(root, poolCfg(1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primaryPool.Close()
+	ingestPruned(t, primaryPool)
+	_, ts := newPrimary(t, primaryPool)
+
+	followPool, err := shard.Open(t.TempDir(), poolCfg(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer followPool.Close()
+	faultinject.Arm("replica.reseed", faultinject.Plan{Mode: faultinject.ShortWrite, Count: 1})
+	reg := obs.NewRegistry()
+	f := newFollower(t, ts.URL, followPool, reg)
+	waitCaughtUp(t, f)
+
+	if got, want := fingerprint(t, followPool), fingerprint(t, primaryPool); got != want {
+		t.Fatalf("state after a failed then retried reseed diverged:\n got %s\nwant %s", got, want)
+	}
+	if n := reg.SumCounters("rrc_replica_resyncs_total"); n < 2 {
+		t.Fatalf("%v snapshot resyncs, want the failed one and its retry", n)
+	}
+	if st := followPool.Shard(0).Status(); st.State != "serving" {
+		t.Fatalf("follower shard %s after catching up", st.State)
 	}
 }
 

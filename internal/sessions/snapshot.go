@@ -331,25 +331,32 @@ func NewestSnapshot(dir string) (path string, lsn uint64, ok bool, err error) {
 }
 
 // DropSnapshotsFrom removes every snapshot in dir whose applied LSN is
-// ≥ lsn and returns how many were deleted. A demoted replica truncating
-// its divergent WAL tail from lsn must also discard snapshots taken at
-// or past that point: they bake in records the new timeline never had.
-func DropSnapshotsFrom(dir string, lsn uint64) (int, error) {
+// ≥ lsn and syncs dir, so the removals are durable before it returns. A
+// demoted replica truncating its divergent WAL tail from lsn must first
+// discard snapshots taken at or past that point: they bake in records
+// the new timeline never had.
+func DropSnapshotsFrom(dir string, lsn uint64) error {
 	snaps, err := listSnapshots(dir)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	dropped := 0
 	for _, sn := range snaps {
 		if sn.lsn < lsn {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, sn.name)); err != nil {
-			return dropped, fmt.Errorf("sessions: drop snapshot: %w", err)
+			return fmt.Errorf("sessions: drop snapshot: %w", err)
 		}
-		dropped++
 	}
-	return dropped, nil
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("sessions: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("sessions: sync %s: %w", dir, err)
+	}
+	return nil
 }
 
 // snapLineBytes is the longest line the format writes at window capacity

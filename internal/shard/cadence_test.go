@@ -277,7 +277,7 @@ func BenchmarkRecover(b *testing.B) {
 	const users, window = 25_000, 100
 	cfg := Config{WindowCap: window, MaxSessionsPerShard: users, Fsync: wal.SyncNever}
 	tailDir, snapDir := b.TempDir(), b.TempDir()
-	l, store, _, err := openState(tailDir, cfg, 0)
+	l, store, _, err := openState(tailDir, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func BenchmarkRecover(b *testing.B) {
 			var rs sessions.RecoverStats
 			for i := 0; i < b.N; i++ {
 				var l *wal.Log
-				l, _, rs, err = openState(c.dir, cfg, 0)
+				l, _, rs, err = openState(c.dir, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

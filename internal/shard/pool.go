@@ -152,11 +152,9 @@ func Open(root string, cfg Config) (*Pool, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l, store, rstats, err := openState(sh.dir, cfg, 0)
+			l, store, rstats, err := openState(sh.dir, cfg)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				sh.state = Failed
-				sh.lastErr = err
 				return
 			}
 			sh.installLocked(l, store, rstats)

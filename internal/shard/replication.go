@@ -118,17 +118,19 @@ func (s *Shard) ApplyReplicated(lsn uint64, payload []byte) (applied bool, err e
 
 // TruncateAndReload discards every local record with LSN ≥ lsn — the
 // shard's divergent tail after its timeline lost a promotion race —
-// along with any snapshot that baked those records in, then re-runs the
-// snapshot+WAL recovery path so the in-memory store matches the
-// truncated log. wal.ErrPruned (the shard cannot rebuild [1, lsn) from
-// what it retains) means the caller must Reseed from the new primary's
-// snapshot instead; the shard is left serving untouched in that case.
+// along with any snapshot that baked those records in, then reopens the
+// shard so the in-memory store matches the truncated log. wal.ErrPruned
+// (the shard cannot rebuild [1, lsn) from what it retains) means the
+// caller must Reseed from the new primary's snapshot instead; the shard
+// is left serving untouched in that case. A failure after the shard was
+// taken down leaves it to the supervisor, which reopens whatever the
+// directory holds.
 func (s *Shard) TruncateAndReload(lsn uint64) error {
 	// Quiesced: a snapshot captured above the cut must have landed before
 	// the directory is judged and DropSnapshotsFrom runs, or it would land
 	// after and resurrect the divergent timeline on the next recovery.
 	s.lockQuiesced()
-	if s.state != Serving || s.log == nil {
+	if s.state != Serving {
 		err := s.unavailableLocked()
 		s.mu.Unlock()
 		return err
@@ -160,51 +162,29 @@ func (s *Shard) TruncateAndReload(lsn uint64) error {
 		s.mu.Unlock()
 		return fmt.Errorf("shard %d: no recovery base below divergence %d: %w", s.index, lsn, wal.ErrPruned)
 	}
-	gen := s.gen + 1
-	s.gen = gen
-	s.state = Recovering
-	l := s.log
-	s.log = nil
+	gen, l := s.takeDownLocked(Recovering)
 	s.mu.Unlock()
 
-	err = l.TruncateFrom(lsn)
-	if cerr := l.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		_, err = sessions.DropSnapshotsFrom(s.dir, lsn)
-	}
-	var (
-		l2     *wal.Log
-		store  *sessions.Store
-		rstats sessions.RecoverStats
-	)
-	if err == nil {
-		l2, store, rstats, err = openState(s.dir, s.cfg, 0)
-	}
-
-	s.mu.Lock()
-	if s.gen != gen {
-		s.mu.Unlock()
-		if l2 != nil {
-			l2.Close()
+	err = s.reopen(gen, func() error {
+		// Snapshots go first, durably: stopped between the two edits, the
+		// directory still recovers to the old timeline, which a retry cuts
+		// again — never to a snapshot above the log's end, whose store
+		// would skip the new timeline's records at those LSNs.
+		err := sessions.DropSnapshotsFrom(s.dir, lsn)
+		if err == nil {
+			err = faultinject.Do("shard.truncate")
 		}
-		return fmt.Errorf("shard %d: truncate fenced by concurrent lifecycle change", s.index)
-	}
+		if err == nil {
+			err = l.TruncateFrom(lsn)
+		}
+		if cerr := l.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	})
 	if err != nil {
-		s.lastErr = err
-		s.state = Failed
-		s.mu.Unlock()
 		return fmt.Errorf("shard %d: truncate+reload: %w", s.index, err)
 	}
-	s.installLocked(l2, store, rstats)
-	s.failStreak = 0
-	s.state = Serving
-	s.mu.Unlock()
-	// After the unlock: the hook is a foreign callback (cache purge) and
-	// must never run under s.mu. The truncation cut records, so per-user
-	// LSNs may have regressed — LSN-versioned layers must drop everything.
-	s.storeReloaded()
 	log.Printf("shard %d: truncated divergent tail from lsn %d and reloaded", s.index, lsn)
 	return nil
 }
@@ -213,69 +193,37 @@ func (s *Shard) TruncateAndReload(lsn uint64) error {
 // forensics for the operator, invisible to recovery and inspect globs.
 const quarantineDir = "divergent"
 
-// Reseed replaces the shard's entire local state with a snapshot from
-// the new primary: the old WAL segments and snapshots are quarantined
-// (not deleted) under divergent/, populate writes the downloaded
-// snapshot into the shard directory, and a fresh log opened at
-// snapLSN+1 keeps local LSNs identical to the primary's. Works from
-// any live state — including Failed, where it is the recovery path.
+// Reseed replaces a serving shard's entire local state with a snapshot
+// from the new primary: the old WAL segments and snapshots are
+// quarantined (not deleted) under divergent/, populate writes the
+// downloaded snapshot at snapLSN into the shard directory, and the
+// reopen starts a fresh log at snapLSN+1, keeping local LSNs identical
+// to the primary's. If populate or the reopen fails, the supervisor
+// reopens what is left — an empty shard at LSN 1 when the download
+// failed — and the caller reseeds again once it serves.
 func (s *Shard) Reseed(snapLSN uint64, populate func(dir string) error) error {
 	// Quiesced for the same reason as TruncateAndReload: a straggling
 	// snapshot of the old timeline must be in the directory before it is
 	// quarantined, not after.
 	s.lockQuiesced()
-	switch s.state {
-	case Serving, Recovering, Restarting, Failed:
-	default:
-		err := fmt.Errorf("shard %d: cannot reseed while %s", s.index, s.state)
+	if s.state != Serving {
+		err := s.unavailableLocked()
 		s.mu.Unlock()
 		return err
 	}
-	gen := s.gen + 1
-	s.gen = gen
-	s.state = Recovering
-	l := s.log
-	s.log = nil
+	gen, l := s.takeDownLocked(Recovering)
 	s.mu.Unlock()
-	if l != nil {
+
+	err := s.reopen(gen, func() error {
 		l.Close()
-	}
-
-	err := quarantineState(s.dir)
-	if err == nil {
-		err = populate(s.dir)
-	}
-	var (
-		l2     *wal.Log
-		store  *sessions.Store
-		rstats sessions.RecoverStats
-	)
-	if err == nil {
-		l2, store, rstats, err = openState(s.dir, s.cfg, snapLSN+1)
-	}
-
-	s.mu.Lock()
-	if s.gen != gen {
-		s.mu.Unlock()
-		if l2 != nil {
-			l2.Close()
+		if err := quarantineState(s.dir); err != nil {
+			return err
 		}
-		return fmt.Errorf("shard %d: reseed fenced by concurrent lifecycle change", s.index)
-	}
+		return populate(s.dir)
+	})
 	if err != nil {
-		s.lastErr = err
-		s.state = Failed
-		s.mu.Unlock()
 		return fmt.Errorf("shard %d: reseed: %w", s.index, err)
 	}
-	s.installLocked(l2, store, rstats)
-	s.failStreak = 0
-	s.state = Serving
-	s.mu.Unlock()
-	// After the unlock, same contract as TruncateAndReload: a reseed
-	// replaces state wholesale from a foreign snapshot, so every cached
-	// LSN-versioned read is void.
-	s.storeReloaded()
 	log.Printf("shard %d: reseeded from snapshot lsn %d (old state quarantined)", s.index, snapLSN)
 	return nil
 }

@@ -29,6 +29,10 @@
 // breaker trip — a panic anywhere in the shard's op path, or
 // Config.FailThreshold consecutive append failures — and is owned by
 // the supervisor goroutine until the shard is serving again or failed.
+// TruncateAndReload and Reseed take a serving shard through recovering
+// and back. Every return to serving goes through one reopen, and a
+// failed reopen hands the shard to the supervisor (restarting): only a
+// used-up restart budget is failed.
 //
 // # Fault injection
 //
@@ -290,26 +294,89 @@ func (s *Shard) tripLocked(cause error) {
 		return
 	}
 	log.Printf("shard %d: breaker tripped: %v", s.index, cause)
-	s.lastErr = cause
 	s.trips++
 	s.mTrips.Inc()
-	s.state = Restarting
-	s.gen++
-	old := s.log
-	s.log = nil
-	s.failStreak = 0
-	s.retryAt = time.Now().Add(s.cfg.BackoffBase)
-	go s.supervise(s.gen, old, s.snapDone)
+	gen, old := s.takeDownLocked(Restarting)
+	s.restartingLocked(cause)
+	go s.supervise(gen, old, s.snapDone)
 }
 
-// supervise owns a tripped shard until it serves again or its restart
-// budget is exhausted. Each attempt: back off, re-run the snapshot+WAL
-// recovery path, swap the fresh state in. The gen check fences this
-// goroutine against a concurrent Drain/Close — a stale supervisor
-// discards its work and exits instead of resurrecting a stopped shard.
-// snap is the background snapshot write in flight at the trip, if any:
-// it still prunes through the dead log and renames into the directory,
-// so it is joined before either is touched.
+// takeDownLocked takes the shard out of service into state: gen is
+// bumped, fencing every supervisor and reopen still in flight, and the
+// log is released to the caller, who closes it.
+func (s *Shard) takeDownLocked(state State) (gen int, old *wal.Log) {
+	s.state = state
+	s.gen++
+	old, s.log = s.log, nil
+	s.failStreak = 0
+	return s.gen, old
+}
+
+// restartingLocked leaves a taken-down shard to its supervisor, with
+// cause as the last error and the first attempt one BackoffBase away.
+func (s *Shard) restartingLocked(cause error) {
+	s.state = Restarting
+	s.lastErr = cause
+	s.retryAt = time.Now().Add(s.cfg.BackoffBase)
+}
+
+// reopen is the one way a taken-down shard comes back into service. It
+// runs without mu: prepare, when non-nil, edits the shard's directory;
+// the snapshot+WAL recovery path rebuilds log and store from whatever
+// the directory holds; and unless gen was fenced meanwhile, the shard
+// serves the result and OnStoreReload fires (per-user LSNs may have
+// regressed). Only the supervisor reopens without prepare: its attempts
+// count as restarts, and its failures go back to its loop. Any other
+// failed reopen hands the shard to a new supervisor.
+func (s *Shard) reopen(gen int, prepare func() error) error {
+	var err error
+	if prepare != nil {
+		err = prepare()
+	}
+	var (
+		l      *wal.Log
+		store  *sessions.Store
+		rstats sessions.RecoverStats
+	)
+	if err == nil {
+		l, store, rstats, err = openState(s.dir, s.cfg)
+	}
+
+	s.mu.Lock()
+	if s.gen != gen {
+		s.mu.Unlock()
+		if l != nil {
+			l.Close()
+		}
+		return fmt.Errorf("shard %d: fenced by a concurrent lifecycle change", s.index)
+	}
+	if err != nil {
+		s.restartingLocked(err)
+		if prepare != nil {
+			go s.supervise(gen, nil, nil)
+		}
+		s.mu.Unlock()
+		return err
+	}
+	s.installLocked(l, store, rstats)
+	s.state = Serving
+	if prepare == nil {
+		s.restarts++
+		s.mRestarts.Inc()
+	}
+	s.mu.Unlock()
+	s.storeReloaded()
+	return nil
+}
+
+// supervise owns a restarting shard until it serves again or its restart
+// budget is used up: each attempt backs off, then reopens. The gen check
+// fences it against a concurrent Drain, Close or reseed — a stale
+// supervisor exits instead of resurrecting the shard. old and snap are
+// the log a breaker trip released and the background snapshot write in
+// flight at the trip, if any: the write still prunes through that log
+// and renames into the directory, so it is joined before either is
+// touched.
 func (s *Shard) supervise(gen int, old *wal.Log, snap <-chan struct{}) {
 	if snap != nil {
 		<-snap
@@ -320,17 +387,7 @@ func (s *Shard) supervise(gen int, old *wal.Log, snap <-chan struct{}) {
 		old.Close()
 	}
 	backoff := s.cfg.BackoffBase
-	for attempt := 1; ; attempt++ {
-		if attempt > s.cfg.RestartBudget {
-			s.mu.Lock()
-			if s.gen == gen && s.state == Restarting {
-				s.state = Failed
-				log.Printf("shard %d: restart budget (%d) exhausted, shard failed: %v",
-					s.index, s.cfg.RestartBudget, s.lastErr)
-			}
-			s.mu.Unlock()
-			return
-		}
+	for attempt := 1; attempt <= s.cfg.RestartBudget; attempt++ {
 		// Publish when this attempt will fire so fenced requests can
 		// derive an honest Retry-After instead of a fixed guess.
 		s.mu.Lock()
@@ -350,35 +407,24 @@ func (s *Shard) supervise(gen int, old *wal.Log, snap <-chan struct{}) {
 		s.state = Recovering
 		s.mu.Unlock()
 
-		// Recovery I/O runs outside the lock so fenced ops stay fast.
-		l, store, rstats, err := openState(s.dir, s.cfg, 0)
-
-		s.mu.Lock()
-		if s.gen != gen {
-			s.mu.Unlock()
-			if err == nil {
-				l.Close()
-			}
-			return
-		}
-		if err != nil {
-			s.lastErr = err
-			s.state = Restarting
-			s.mu.Unlock()
+		// A fenced attempt fails too; the check above then ends the loop.
+		if err := s.reopen(gen, nil); err != nil {
 			log.Printf("shard %d: restart attempt %d/%d failed: %v",
 				s.index, attempt, s.cfg.RestartBudget, err)
 			continue
 		}
-		s.installLocked(l, store, rstats)
-		s.state = Serving
-		s.restarts++
-		s.mRestarts.Inc()
-		s.mu.Unlock()
-		s.storeReloaded()
+		rs := s.RecoverStats()
 		log.Printf("shard %d: restarted after %d attempt(s) (snapshot lsn=%d, %d record(s) replayed)",
-			s.index, attempt, rstats.SnapshotLSN, rstats.Replayed)
+			s.index, attempt, rs.SnapshotLSN, rs.Replayed)
 		return
 	}
+	s.mu.Lock()
+	if s.gen == gen && s.state == Restarting {
+		s.state = Failed
+		log.Printf("shard %d: restart budget (%d) exhausted, shard failed: %v",
+			s.index, s.cfg.RestartBudget, s.lastErr)
+	}
+	s.mu.Unlock()
 }
 
 // Drain gracefully stops a serving shard: fence new appends, flush a
@@ -388,20 +434,10 @@ func (s *Shard) supervise(gen int, old *wal.Log, snap <-chan struct{}) {
 func (s *Shard) Drain() error {
 	s.lockQuiesced()
 	defer s.mu.Unlock()
-	switch s.state {
-	case Draining, Stopped:
-		return nil
-	case Serving:
-	default:
+	if s.state != Serving && s.state != Stopped {
 		return fmt.Errorf("shard %d: cannot drain while %s", s.index, s.state)
 	}
-	s.state = Draining
-	s.gen++
-	s.finalSnapshotLocked()
-	err := s.log.Close()
-	s.log = nil
-	s.state = Stopped
-	return err
+	return s.stopLocked()
 }
 
 // Close stops the shard in any state: a serving shard is drained (final
@@ -409,27 +445,26 @@ func (s *Shard) Drain() error {
 func (s *Shard) Close() error {
 	s.lockQuiesced()
 	defer s.mu.Unlock()
+	return s.stopLocked()
+}
+
+// stopLocked takes the shard out of service for good. A serving shard
+// flushes a final snapshot first; any other is only fenced. The caller
+// holds mu through lockQuiesced.
+func (s *Shard) stopLocked() error {
 	if s.state == Serving {
 		s.state = Draining
-		s.gen++
 		// Chaos hook: a firing Delay plan here simulates a shard whose
 		// final drain wedges (slow disk, giant flush) so shutdown-bound
 		// tests can prove the deadline holds. Disarmed in production.
 		_ = faultinject.Do("shard.drain")
 		s.finalSnapshotLocked()
-		err := s.log.Close()
-		s.log = nil
-		s.state = Stopped
-		return err
 	}
-	s.gen++ // fence any in-flight supervisor
-	var err error
-	if s.log != nil {
-		err = s.log.Close()
-		s.log = nil
+	_, l := s.takeDownLocked(Stopped)
+	if l == nil {
+		return nil
 	}
-	s.state = Stopped
-	return err
+	return l.Close()
 }
 
 // Snapshot flushes the shard's sessions to disk now and returns once the
@@ -673,16 +708,20 @@ func (s *Shard) Dump() []sessions.UserWindow {
 
 // openState runs the snapshot+WAL recovery path for one shard
 // directory: open (and heal) the log, load the newest usable snapshot,
-// replay the tail. initialLSN, when nonzero, is where an empty
-// directory's fresh log starts: a reseeded shard passes the snapshot's
-// LSN+1 so the first shipped record lands at the primary's exact LSN.
-func openState(dir string, cfg Config, initialLSN uint64) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
+// replay the tail. A directory with a snapshot but no log was reseeded:
+// its fresh log starts right after the snapshot's LSN, so the first
+// shipped record lands at the primary's exact LSN.
+func openState(dir string, cfg Config) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
+	_, snapLSN, _, err := sessions.NewestSnapshot(dir)
+	if err != nil {
+		return nil, nil, sessions.RecoverStats{}, err
+	}
 	l, err := wal.Open(dir, wal.Options{
 		Sync:         cfg.Fsync,
 		SegmentBytes: cfg.SegmentBytes,
 		Corrupt:      cfg.Corrupt,
 		Metrics:      cfg.Metrics,
-		InitialLSN:   initialLSN,
+		InitialLSN:   snapLSN + 1,
 	})
 	if err != nil {
 		return nil, nil, sessions.RecoverStats{}, err
