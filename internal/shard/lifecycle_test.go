@@ -3,11 +3,16 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tsppr/internal/faultinject"
 	"tsppr/internal/seq"
 	"tsppr/internal/sessions"
+	"tsppr/internal/wal"
 )
 
 // sourceSnapshot builds the new primary a reseed downloads from: a
@@ -137,5 +142,250 @@ func TestTruncateCrashWindowRecoversOneTimeline(t *testing.T) {
 	events(p, cut-1, cut+9, 900)
 	if got := fingerprint(t, p); got != ref {
 		t.Fatalf("retried truncate plus new ingests diverged\n got %s\nwant %s", got, ref)
+	}
+}
+
+// modelEvent is one acked ingest on the modelled timeline.
+type modelEvent struct {
+	lsn  uint64
+	user int
+	item seq.Item
+}
+
+// shardModel is what a shard must hold: the windows the last reseed
+// installed, the acked events since, in LSN order, and the next LSN.
+type shardModel struct {
+	base   []sessions.UserWindow
+	events []modelEvent
+	next   uint64
+}
+
+// cut drops every event at or past lsn, as a divergent-tail truncation
+// does.
+func (m *shardModel) cut(lsn uint64) {
+	kept := m.events[:0]
+	for _, e := range m.events {
+		if e.lsn < lsn {
+			kept = append(kept, e)
+		}
+	}
+	m.events, m.next = kept, lsn
+}
+
+// dump is the model's Pool.Dump: each user's base window with that
+// user's events pushed on top, in ascending user order.
+func (m *shardModel) dump(t *testing.T, windowCap int) []sessions.UserWindow {
+	t.Helper()
+	rings := map[int]*seq.Ring{}
+	for _, uw := range m.base {
+		r, err := seq.RestoreRing(windowCap, uw.Pushed, uw.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rings[uw.User] = &r
+	}
+	for _, e := range m.events {
+		if rings[e.user] == nil {
+			r := seq.NewRing(windowCap)
+			rings[e.user] = &r
+		}
+		rings[e.user].Push(e.item)
+	}
+	out := make([]sessions.UserWindow, 0, len(rings))
+	for u, r := range rings {
+		items, pushed := r.Snapshot()
+		out = append(out, sessions.UserWindow{User: u, Pushed: pushed, Items: items})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
+	return out
+}
+
+// TestShardLifecycleProperty drives a shard through random sequences of
+// ingests, reads, snapshots, ingest panics, divergent-tail truncations
+// (some stopped by a fault between their two edits of the directory)
+// and reseeds (some whose download fails), and checks after every step:
+//   - only a serving shard accepts ingests and reads;
+//   - its windows hold exactly the acked events no truncate or reseed
+//     cut, in order, on top of the last reseed's snapshot, and its store
+//     sits below its log's end;
+//   - OnStoreReload fired once per store swap;
+//   - after every injected failure it serves again, restarted once by
+//     its supervisor, within the restart budget.
+func TestShardLifecycleProperty(t *testing.T) {
+	defer faultinject.Reset()
+	const users = 6
+	src, snapPath, snapLSN := sourceSnapshot(t, 25)
+	errDownload := errors.New("download cut short")
+	rejected := 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var reloads atomic.Int64
+		cfg := testConfig(1)
+		cfg.SnapshotEvery = 4
+		cfg.SegmentBytes = 4 * recordBytes // rotate often, so some truncations find their base pruned
+		cfg.OnStoreReload = func(int) { reloads.Add(1) }
+		p, err := Open(t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := p.Shard(0)
+		m := shardModel{next: 1}
+		var swaps, failures int64
+		var history []string
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d %v: "+format, append([]any{seed, history}, args...)...)
+		}
+
+		// op runs one ingest or read, which may meet the shard down, and
+		// holds it to the fencing rule; acked ingests join the model.
+		op := func(ingest bool) error {
+			t.Helper()
+			u := rng.Intn(users)
+			var err error
+			if ingest {
+				item := seq.Item(rng.Intn(50))
+				var lsn uint64
+				if lsn, _, err = sh.Ingest(u, item); err == nil {
+					if lsn != m.next {
+						fail("ingest acked at lsn %d, model next %d", lsn, m.next)
+					}
+					m.events = append(m.events, modelEvent{lsn, u, item})
+					m.next++
+				}
+			} else {
+				_, _, _, err = sh.WindowCloneLSN(u)
+			}
+			var ue *UnavailableError
+			switch {
+			case err == nil && sh.State() != Serving:
+				fail("op accepted by a %s shard", sh.State())
+			case err != nil && (!errors.As(err, &ue) || ue.State == Serving):
+				fail("op refused with %v", err)
+			case err != nil:
+				rejected++
+			}
+			return err
+		}
+		// recovered waits out the supervisor after an injected failure.
+		recovered := func() {
+			t.Helper()
+			failures++
+			swaps++
+			deadline := time.Now().Add(5 * time.Second)
+			for st := sh.State(); st != Serving; st = sh.State() {
+				if st == Failed || time.Now().After(deadline) {
+					fail("shard %s after an injected failure", st)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if st := sh.Status(); st.Restarts != failures {
+				fail("%d supervised restarts after %d injected failures", st.Restarts, failures)
+			}
+		}
+
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(7) {
+			case 0, 1:
+				history = append(history, "ingest")
+				if err := op(true); err != nil {
+					fail("ingest on a serving shard: %v", err)
+				}
+			case 2:
+				history = append(history, "read")
+				if err := op(false); err != nil {
+					fail("read on a serving shard: %v", err)
+				}
+			case 3:
+				history = append(history, "snapshot")
+				sh.Snapshot()
+			case 4:
+				history = append(history, "panic")
+				faultinject.Arm(IngestPoint(0), faultinject.Plan{Mode: faultinject.Panic, Count: 1})
+				if _, _, err := sh.Ingest(0, 1); !errors.As(err, new(*UnavailableError)) {
+					fail("panicking ingest: %v", err)
+				}
+				op(rng.Intn(2) == 0)
+				recovered()
+			case 5:
+				if m.next <= 1 {
+					continue // nothing to cut
+				}
+				lsn := m.next - 1 - min(uint64(rng.Intn(4)), m.next-2)
+				crash := rng.Intn(3) == 0
+				history = append(history, fmt.Sprintf("truncate@%d crash=%v", lsn, crash))
+				if crash {
+					faultinject.Arm("shard.truncate", faultinject.Plan{Mode: faultinject.Error, Count: 1})
+				}
+				err := sh.TruncateAndReload(lsn)
+				faultinject.Disarm("shard.truncate")
+				switch {
+				case err == nil:
+					m.cut(lsn)
+					swaps++
+				case errors.Is(err, wal.ErrPruned):
+					// No base below the cut: the shard serves untouched.
+				case crash && errors.Is(err, faultinject.ErrInjected):
+					recovered()
+					// Stopped between its edits, the shard holds one
+					// timeline: the old one whole, or cut at lsn.
+					if next, _ := sh.NextLSN(); next == lsn {
+						m.cut(lsn)
+					}
+				default:
+					fail("truncate: %v", err)
+				}
+			case 6:
+				ok := rng.Intn(2) == 0
+				history = append(history, fmt.Sprintf("reseed ok=%v", ok))
+				err := sh.Reseed(snapLSN, func(dir string) error {
+					if !ok {
+						return errDownload
+					}
+					return copyFile(snapPath, sessions.SnapshotPath(dir, snapLSN))
+				})
+				if ok {
+					if err != nil {
+						fail("reseed: %v", err)
+					}
+					m = shardModel{base: src, next: snapLSN + 1}
+					swaps++
+					break
+				}
+				if !errors.Is(err, errDownload) {
+					fail("reseed with a failing download: %v", err)
+				}
+				op(rng.Intn(2) == 0)
+				recovered()
+				m = shardModel{next: 1} // the old timeline is quarantined
+			}
+
+			if st := sh.State(); st != Serving {
+				fail("shard %s after the step", st)
+			}
+			next, err := sh.NextLSN()
+			if err != nil || next != m.next {
+				fail("log next %d (err %v), model %d", next, err, m.next)
+			}
+			if applied := sh.Status().AppliedLSN; applied >= next {
+				fail("store applied lsn %d at or past the log's next %d", applied, next)
+			}
+			if got, want := fmt.Sprint(p.Dump()), fmt.Sprint(m.dump(t, cfg.WindowCap)); got != want {
+				fail("windows diverged from the acked events\n got %s\nwant %s", got, want)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for reloads.Load() < swaps && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := reloads.Load(); got != swaps {
+				fail("OnStoreReload fired %d times for %d store swaps", got, swaps)
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no op ever met a shard that was down: the fencing rule went unchecked")
 	}
 }
