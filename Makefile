@@ -38,9 +38,12 @@ obs-race:
 
 ## shard-chaos: the shard-kill chaos suite, unconditionally re-run under
 ## the race detector — panics and sticky WAL failures injected into live
-## mixed traffic must stay contained to their shard
+## mixed traffic must stay contained to their shard; plus all of
+## internal/shard, unfiltered: its lifecycle suites (breaker, supervisor,
+## truncate, reseed and their property test) are not all named Shard
 shard-chaos:
-	$(GO) test -race -count=1 -run Shard ./internal/serve ./internal/shard
+	$(GO) test -race -count=1 -run Shard ./internal/serve
+	$(GO) test -race -count=1 ./internal/shard
 
 ## replica-chaos: the replication chaos suite, unconditionally re-run
 ## under the race detector — primary kill + POST /admin/promote must
@@ -68,9 +71,10 @@ router-chaos:
 ## key-routed rrc-router, one pair's primary SIGKILLed under live mixed
 ## traffic: the other partitions must serve error-free, the victim must
 ## converge unaided with zero acked-write loss, and no epoch may leak
-## across partitions; plus the partition identity/ownership unit suites
+## across partitions; the partition identity/ownership unit suites run
+## unfiltered under shard-chaos, router-chaos and replica-chaos
 partition-chaos:
-	$(GO) test -race -count=1 -run Partition ./internal/serve ./internal/shard ./internal/router ./internal/replica
+	$(GO) test -race -count=1 -run Partition ./internal/serve
 
 ## replica-smoke: end-to-end primary+standby+router soak over real
 ## sockets — traffic flows through rrc-router, the primary is SIGKILLed
