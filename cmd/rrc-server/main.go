@@ -47,7 +47,6 @@ func main() {
 		shards        = flag.Int("shards", 1, "online failure domains: users are hash-partitioned over this many independent WAL+session shards (fixed per events dir)")
 		fsyncPolicy   = flag.String("fsync", "always", "event-log durability: always (lose nothing) or never (page cache)")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "minimum appends between periodic snapshots (0 = only at shutdown)")
-		corruptSkip   = flag.Bool("wal-skip-corrupt", false, "quarantine CRC-failed log records instead of refusing to start")
 
 		partitionFlag = flag.String("partition", "", "partition identity index/count[@generation] (e.g. 1/3): this node owns only its slice of the user-key space and answers 421 for the rest; fixed per events dir unless the generation is bumped (requires -events-dir)")
 
@@ -94,10 +93,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rrc-server:", err)
 		os.Exit(2)
 	}
-	corrupt := wal.CorruptHalt
-	if *corruptSkip {
-		corrupt = wal.CorruptSkip
-	}
 	srv, err := serve.New(model, serve.Options{
 		ModelPath:   *modelPath,
 		MaxInFlight: *maxInFlight,
@@ -109,7 +104,6 @@ func main() {
 		Partition:     partition,
 		Fsync:         fsync,
 		SnapshotEvery: *snapshotEvery,
-		Corrupt:       corrupt,
 
 		FollowURL: *followURL,
 		Peers:     splitPeers(*peersCSV),

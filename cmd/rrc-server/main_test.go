@@ -24,15 +24,16 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedSurfaceFailsLoudly: the removed -fsync interval policy and
-// its -fsync-interval period exit 2 naming the flag, and a -window or
-// -omega that disagrees with the model file is refused by name. The
-// endpoint and events-root halves of this test live with the node, in
-// internal/serve.
+// TestRemovedSurfaceFailsLoudly: the removed -fsync interval policy, its
+// -fsync-interval period and -wal-skip-corrupt exit 2 naming the flag,
+// and a -window or -omega that disagrees with the model file is refused
+// by name. The endpoint and events-root halves of this test live with
+// the node, in internal/serve.
 func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-model m.tsppr -fsync interval", `-fsync: wal: unknown fsync policy "interval"`},
 		{"-model m.tsppr -fsync-interval 100ms", "flag provided but not defined: -fsync-interval"},
+		{"-model m.tsppr -wal-skip-corrupt", "flag provided but not defined: -wal-skip-corrupt"},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "RRC_SERVER_ARGS="+tc.args)

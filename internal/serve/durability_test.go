@@ -11,6 +11,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -185,9 +186,7 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 }
 
 // TestBitFlippedRecordIsDetectedNeverServed flips one bit of a committed
-// record on disk. Default policy: the restart refuses to serve. Skip
-// policy: the restart quarantines the record, counts it, and every other
-// event survives.
+// record on disk: the restart refuses to serve.
 func TestBitFlippedRecordIsDetectedNeverServed(t *testing.T) {
 	base, seqs := testServer(t)
 	m := base.currentModel()
@@ -217,22 +216,11 @@ func TestBitFlippedRecordIsDetectedNeverServed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Default (halt): the server must refuse to start rather than serve
-	// windows silently missing an acknowledged event.
+	// The server must refuse to start rather than serve windows silently
+	// missing an acknowledged event.
 	opts := Options{EventsDir: dir, Fsync: wal.SyncAlways}
-	if _, err := New(m, opts); err == nil {
-		t.Fatal("halt policy started over a corrupt record")
-	}
-
-	// Opt-in skip: starts, quarantines exactly one record, serves the rest.
-	srv2 := bootOnline(t, m, dir, func(o *Options) { o.Corrupt = wal.CorruptSkip })
-	defer srv2.Close(0)
-	ws := srv2.pool.WALStats()
-	if ws.SkippedCorrupt != 1 {
-		t.Fatalf("skipped corrupt = %d, want 1", ws.SkippedCorrupt)
-	}
-	if got := int(ws.RecoveredRecords); got != len(evs)-1 {
-		t.Fatalf("recovered %d records, want %d", got, len(evs)-1)
+	if _, err := New(m, opts); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("start over a corrupt record: err = %v, want ErrCorrupt", err)
 	}
 }
 

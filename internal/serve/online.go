@@ -59,7 +59,6 @@ func (s *Server) openOnline(m *core.Model) error {
 		NumItems:      m.NumItems(),
 		Fsync:         s.opts.Fsync,
 		SnapshotEvery: s.opts.SnapshotEvery,
-		Corrupt:       s.opts.Corrupt,
 		Metrics:       s.reg,
 		FailThreshold: s.opts.shardFailThreshold,
 		RestartBudget: s.opts.shardRestartBudget,
@@ -71,14 +70,13 @@ func (s *Server) openOnline(m *core.Model) error {
 	}
 	s.pool = pool
 	s.registerOnlineGauges()
-	ws := pool.WALStats()
 	var sessionsTotal, replayed int
 	for i := 0; i < pool.N(); i++ {
 		sessionsTotal += pool.Shard(i).Status().Sessions
 		replayed += pool.Shard(i).RecoverStats().Replayed
 	}
-	log.Printf("recovered %d sessions across %d shard(s) (%d replayed records, %d torn tail(s) truncated, %d corrupt skipped) from %s",
-		sessionsTotal, pool.N(), replayed, ws.TruncatedTails, ws.SkippedCorrupt, s.opts.EventsDir)
+	log.Printf("recovered %d sessions across %d shard(s) (%d replayed records, %d torn tail(s) truncated) from %s",
+		sessionsTotal, pool.N(), replayed, pool.WALStats().TruncatedTails, s.opts.EventsDir)
 	s.repl, err = replica.Open(pool, replica.Config{
 		Follow:      s.opts.FollowURL,
 		Peers:       s.opts.Peers,
@@ -125,8 +123,6 @@ func (s *Server) registerOnlineGauges() {
 	reg.GaugeFunc("rrc_wal_recovered_records", func() float64 { return float64(pool.WALStats().RecoveredRecords) })
 	reg.Help("rrc_wal_truncated_tails", "Torn WAL tails truncated at open, all shards.")
 	reg.GaugeFunc("rrc_wal_truncated_tails", func() float64 { return float64(pool.WALStats().TruncatedTails) })
-	reg.Help("rrc_wal_skipped_corrupt", "Corrupt WAL records quarantined under -wal-skip-corrupt, all shards.")
-	reg.GaugeFunc("rrc_wal_skipped_corrupt", func() float64 { return float64(pool.WALStats().SkippedCorrupt) })
 }
 
 // writeOnlineErr maps an online-layer failure to its HTTP shape. A

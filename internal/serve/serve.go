@@ -81,7 +81,6 @@ type Options struct {
 	Partition     shard.PartitionID // user-key slice this node owns; zero → 0/1 (whole key space)
 	Fsync         wal.SyncPolicy
 	SnapshotEvery int
-	Corrupt       wal.CorruptPolicy
 
 	// Replication plane; both need EventsDir.
 	FollowURL string   // "" → primary role

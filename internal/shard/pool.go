@@ -50,7 +50,6 @@ type Config struct {
 	Fsync         wal.SyncPolicy
 	SnapshotEvery int   // min appends between a shard's periodic snapshots (see appendedLocked); 0 → only at drain
 	SegmentBytes  int64 // per-shard WAL rotation threshold; 0 → wal default
-	Corrupt       wal.CorruptPolicy
 
 	// Partition is the slice of the user-key space this root owns. A
 	// zero Count takes the root's partition marker, or writes 0/1@0 (the
@@ -337,7 +336,6 @@ func (p *Pool) WALStats() wal.Stats {
 		total.RecoveredRecords += ws.RecoveredRecords
 		total.TruncatedTails += ws.TruncatedTails
 		total.TruncatedBytes += ws.TruncatedBytes
-		total.SkippedCorrupt += ws.SkippedCorrupt
 		total.PrunedSegments += ws.PrunedSegments
 	}
 	return total

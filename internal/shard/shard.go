@@ -719,7 +719,6 @@ func openState(dir string, cfg Config) (*wal.Log, *sessions.Store, sessions.Reco
 	l, err := wal.Open(dir, wal.Options{
 		Sync:         cfg.Fsync,
 		SegmentBytes: cfg.SegmentBytes,
-		Corrupt:      cfg.Corrupt,
 		Metrics:      cfg.Metrics,
 		InitialLSN:   snapLSN + 1,
 	})

@@ -334,9 +334,9 @@ func TestStickyAppendFailureTripsAfterThreshold(t *testing.T) {
 }
 
 // TestRestartBudgetExhaustedFails makes recovery itself impossible (a
-// bit-flipped committed record under CorruptHalt) and verifies the
-// supervisor gives up after its budget and parks the shard in Failed
-// instead of hot-looping forever.
+// bit-flipped committed record) and verifies the supervisor gives up
+// after its budget and parks the shard in Failed instead of hot-looping
+// forever.
 func TestRestartBudgetExhaustedFails(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -354,7 +354,7 @@ func TestRestartBudgetExhaustedFails(t *testing.T) {
 	}
 
 	// Corrupt a committed record on disk, then trip the shard: every
-	// recovery attempt must now refuse the WAL (CorruptHalt).
+	// recovery attempt must now refuse the WAL.
 	segs, _ := filepath.Glob(filepath.Join(dir, "shard-000", "wal-*.log"))
 	if len(segs) == 0 {
 		t.Fatal("no wal segment")

@@ -18,71 +18,30 @@ type lsnRec struct {
 	payload string
 }
 
-// scanDirFilter is the property test's first oracle: every intact record
-// on disk with LSN ≥ from, capped at max, read by ScanDir from byte 0 of
-// every segment.
-func scanDirFilter(t *testing.T, dir string, from uint64, max int) []lsnRec {
+// verifyRead is the oracle for ReadFrom(from, max): derived from every
+// intact record ScanDir finds reading each segment from byte 0, never
+// through the offset index. Records come with consecutive LSNs from
+// from, up to max or the commit horizon, and the first one missing
+// before then is ErrCorrupt.
+func verifyRead(t *testing.T, l *Log, from uint64, max int) (got []lsnRec, next uint64, err error) {
 	t.Helper()
-	var out []lsnRec
-	_, err := ScanDir(dir, 0, func(lsn uint64, payload []byte) error {
-		if lsn >= from && len(out) < max {
-			out = append(out, lsnRec{lsn, string(payload)})
-		}
+	recs := map[uint64]string{}
+	_, err = ScanDir(l.dir, 0, func(lsn uint64, payload []byte) error {
+		recs[lsn] = string(payload)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("ScanDir: %v", err)
 	}
-	return out
-}
-
-// readFromZero is the second oracle: ReadFrom as it was before the
-// offset index, entering every segment at byte 0. It pins what the
-// filter cannot — the resume LSN and exactly when CorruptHalt refuses.
-func readFromZero(l *Log, from uint64, maxRecords int) (got []lsnRec, next uint64, err error) {
-	l.mu.Lock()
-	segs := append([]segment(nil), l.segments...)
-	limit := l.nextLSN
-	l.mu.Unlock()
-	if from < segs[0].first {
+	if from < l.OldestLSN() {
 		return nil, from, ErrPruned
 	}
-	next = from
-	if from >= limit {
-		return nil, next, nil
-	}
-	for i, sg := range segs {
-		if i+1 < len(segs) && segs[i+1].first <= next {
-			continue
+	for next = from; next < l.NextLSN() && len(got) < max; next++ {
+		p, ok := recs[next]
+		if !ok {
+			return got, next, ErrCorrupt
 		}
-		if sg.first >= limit || len(got) >= maxRecords {
-			break
-		}
-		res, err := scanSegment(filepath.Join(l.dir, sg.name), l.opts.MaxRecordBytes, func(idx int, payload []byte) error {
-			lsn := sg.first + uint64(idx)
-			if lsn < next || lsn >= limit {
-				return nil
-			}
-			if len(got) >= maxRecords {
-				return errReadDone
-			}
-			got = append(got, lsnRec{lsn, string(payload)})
-			next = lsn + 1
-			return nil
-		})
-		if errors.Is(err, errReadDone) {
-			return got, next, nil
-		}
-		if err != nil {
-			return got, next, err
-		}
-		if l.opts.Corrupt == CorruptHalt {
-			for _, idx := range res.corrupt {
-				if lsn := sg.first + uint64(idx); lsn >= from && lsn < limit {
-					return got, next, ErrCorrupt
-				}
-			}
-		}
+		got = append(got, lsnRec{next, p})
 	}
 	return got, next, nil
 }
@@ -108,9 +67,9 @@ func checkIndex(t *testing.T, l *Log) {
 	}
 }
 
-// checkReads compares indexed ReadFrom against both oracles at random
+// checkReads compares indexed ReadFrom against the oracle at random
 // positions and batch sizes.
-func checkReads(t *testing.T, rng *rand.Rand, l *Log, dir string) {
+func checkReads(t *testing.T, rng *rand.Rand, l *Log) {
 	t.Helper()
 	oldest, next := l.OldestLSN(), l.NextLSN()
 	for i := 0; i < 8; i++ {
@@ -121,18 +80,13 @@ func checkReads(t *testing.T, rng *rand.Rand, l *Log, dir string) {
 			got = append(got, lsnRec{lsn, string(payload)})
 			return nil
 		})
-		want, wantResume, wantErr := readFromZero(l, from, max)
+		want, wantResume, wantErr := verifyRead(t, l, from, max)
 		if (err != nil) != (wantErr != nil) || (wantErr != nil && !errors.Is(err, wantErr)) {
-			t.Fatalf("ReadFrom(%d,%d): err %v, unindexed read says %v", from, max, err, wantErr)
+			t.Fatalf("ReadFrom(%d,%d): err %v, oracle says %v", from, max, err, wantErr)
 		}
 		if !reflect.DeepEqual(got, want) || resume != wantResume {
-			t.Fatalf("ReadFrom(%d,%d): %d records resume %d, unindexed read %d records resume %d",
+			t.Fatalf("ReadFrom(%d,%d): %d records resume %d, oracle %d records resume %d",
 				from, max, len(got), resume, len(want), wantResume)
-		}
-		if err == nil {
-			if filter := scanDirFilter(t, dir, from, max); !reflect.DeepEqual(got, filter) {
-				t.Fatalf("ReadFrom(%d,%d): %d records, ScanDir filter %d", from, max, len(got), len(filter))
-			}
 		}
 	}
 }
@@ -171,16 +125,16 @@ func flipRecord(t *testing.T, dir string, lsn uint64) bool {
 // rotate, TruncateFrom, Prune and reopen, and after every step checks the
 // incrementally maintained index against a rescan and indexed reads
 // against reads that never use it; each history ends with a CRC-failed
-// record planted in the live log, under both corruption policies.
+// record planted in the live log, which reads over it and a reopen
+// refuse.
 func TestReadFromIndexedMatchesFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		policy := CorruptPolicy(seed % 2)
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			// Segments of a few hundred records: several index entries
 			// each, and rotation, truncation and pruning all cross them.
-			opts := Options{SegmentBytes: int64(2000 + rng.Intn(6000)), Sync: SyncNever, Corrupt: policy}
+			opts := Options{SegmentBytes: int64(2000 + rng.Intn(6000)), Sync: SyncNever}
 			l, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -215,7 +169,7 @@ func TestReadFromIndexedMatchesFullScan(t *testing.T) {
 					}
 				}
 				checkIndex(t, l)
-				checkReads(t, rng, l, dir)
+				checkReads(t, rng, l)
 			}
 
 			if _, err := l.Append([]byte("tail")); err != nil { // never plant into an empty log
@@ -226,37 +180,20 @@ func TestReadFromIndexedMatchesFullScan(t *testing.T) {
 			if !flipRecord(t, dir, bad) {
 				t.Fatalf("lsn %d not on disk", bad)
 			}
-			checkReads(t, rng, l, dir)
-			// A read over the whole retained log meets the bad record: Halt
-			// refuses, Skip streams over the hole; neither delivers it.
+			checkReads(t, rng, l)
+			// A read over the whole retained log meets the bad record and
+			// refuses it, and so does a reopen.
 			_, err = l.ReadFrom(oldest, 1<<20, func(lsn uint64, _ []byte) error {
 				if lsn == bad {
 					t.Fatalf("CRC-failed lsn %d delivered", bad)
 				}
 				return nil
 			})
-			if policy == CorruptHalt && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("CorruptHalt read over a CRC-failed record: %v, want ErrCorrupt", err)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("read over a CRC-failed record: %v, want ErrCorrupt", err)
 			}
-			if policy == CorruptSkip && err != nil {
-				t.Fatalf("CorruptSkip read over a CRC-failed record: %v", err)
-			}
-			if policy == CorruptSkip {
-				// Skip survives a reopen: the index is rebuilt across the
-				// quarantined record and appends carry on past it.
-				if err := l.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if l, err = Open(dir, opts); err != nil {
-					t.Fatal(err)
-				}
-				for k := 0; k < 100; k++ {
-					if _, err := l.Append([]byte("after")); err != nil {
-						t.Fatal(err)
-					}
-				}
-				checkIndex(t, l)
-				checkReads(t, rng, l, dir)
+			if _, err := Open(dir, opts); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("reopen over a CRC-failed record: %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -368,21 +305,20 @@ func BenchmarkReadFromTail(b *testing.B) {
 	}
 }
 
-// TestReadFromAcrossLostRecords reads into and over a hole: under
-// CorruptSkip a sealed segment that lost its second half leaves LSNs no
-// segment holds, and a read resuming inside the hole enters the next
-// segment below its first record.
+// TestReadFromAcrossLostRecords damages a sealed segment under a live
+// log: its second half goes, leaving LSNs no segment holds. Every read
+// that reaches the hole stops at its first missing LSN with ErrCorrupt,
+// never jumping to the next segment; reads wholly before or past it are
+// untouched; and a reopen refuses the log.
 func TestReadFromAcrossLostRecords(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 2048, Sync: SyncNever, Corrupt: CorruptSkip}
+	opts := Options{SegmentBytes: 2048, Sync: SyncNever}
 	l, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	appendN(t, l, 0, 600)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
 	segs, err := listSegments(dir)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("%d segments (err %v), want >= 3", len(segs), err)
@@ -395,26 +331,32 @@ func TestReadFromAcrossLostRecords(t *testing.T) {
 	if err := os.Truncate(victim, st.Size()/2+3); err != nil { // mid-record
 		t.Fatal(err)
 	}
-	if l, err = Open(dir, opts); err != nil {
+	rep, err := Verify(dir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	checkIndex(t, l)
+	hole := segs[1].first + uint64(rep.Segments[1].Records) // first lost LSN
+	const batch = 5
 	for from := segs[1].first; from <= segs[2].first+1; from++ {
 		var got []lsnRec
-		resume, err := l.ReadFrom(from, 5, func(lsn uint64, payload []byte) error {
+		resume, err := l.ReadFrom(from, batch, func(lsn uint64, payload []byte) error {
+			if want := from + uint64(len(got)); lsn != want {
+				t.Fatalf("ReadFrom(%d): lsn %d delivered where %d belongs", from, lsn, want)
+			}
 			got = append(got, lsnRec{lsn, string(payload)})
 			return nil
 		})
-		want, wantResume, wantErr := readFromZero(l, from, 5)
-		if err != nil || wantErr != nil {
-			t.Fatalf("ReadFrom(%d): %v (unindexed: %v)", from, err, wantErr)
+		if reaches := from < segs[2].first && from+batch > hole; reaches != errors.Is(err, ErrCorrupt) ||
+			(!reaches && err != nil) || (reaches && resume != max(from, hole)) {
+			t.Fatalf("ReadFrom(%d): resume %d err %v; the hole is [%d, %d)", from, resume, err, hole, segs[2].first)
 		}
-		if !reflect.DeepEqual(got, want) || resume != wantResume {
-			t.Fatalf("ReadFrom(%d): %v resume %d, unindexed read %v resume %d", from, got, resume, want, wantResume)
+		want, wantResume, wantErr := verifyRead(t, l, from, batch)
+		if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) || resume != wantResume {
+			t.Fatalf("ReadFrom(%d): %v resume %d err %v, oracle %v resume %d err %v",
+				from, got, resume, err, want, wantResume, wantErr)
 		}
-		if len(got) != 5 {
-			t.Fatalf("ReadFrom(%d) delivered %d records, want 5 from beyond the hole", from, len(got))
-		}
+	}
+	if _, err := Open(dir, opts); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("reopen over the hole: %v, want ErrCorrupt", err)
 	}
 }

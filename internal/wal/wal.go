@@ -23,13 +23,13 @@
 //
 // Open scans every segment. A partial record at the tail of the final
 // segment is a torn append from a crash: it is truncated away and
-// counted. A CRC-mismatched record anywhere, or a torn tail of a
-// non-final segment, is corruption: under the default CorruptHalt
-// policy Open refuses the log (wrapping ErrCorrupt) so damage is never
-// silently served; under CorruptSkip the record is skipped, counted,
-// and its LSN slot left unapplied. A record whose length field is
-// implausible (zero or above MaxRecordBytes) means framing is lost;
-// the rest of that segment is treated as a torn tail.
+// counted. Anything else that loses a record is corruption, and Open and
+// every later read refuse it with ErrCorrupt, so damage is never
+// silently served: a CRC-mismatched record anywhere, a torn tail of a
+// non-final segment, or a segment that ends short of the LSN its
+// successor's name pins. A record whose length field is implausible
+// (zero or above MaxRecordBytes) means framing is lost; the rest of
+// that segment is treated as a torn tail.
 package wal
 
 import (
@@ -51,8 +51,8 @@ import (
 	"tsppr/internal/obs"
 )
 
-// ErrCorrupt marks a CRC failure or framing loss detected under the
-// CorruptHalt policy.
+// ErrCorrupt marks a lost record: a CRC failure, or a segment that ends
+// before the records its LSN range promises.
 var ErrCorrupt = errors.New("corrupt record")
 
 // ErrPruned reports a positioned read or truncation below the log's
@@ -115,26 +115,12 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// CorruptPolicy selects what Open and Replay do with a CRC-mismatched
-// record.
-type CorruptPolicy int
-
-const (
-	// CorruptHalt (default) refuses the log: corruption is an operator
-	// problem, not something to paper over.
-	CorruptHalt CorruptPolicy = iota
-	// CorruptSkip quarantines the record behind the SkippedCorrupt
-	// counter and keeps going.
-	CorruptSkip
-)
-
 // Options configures Open. The zero value is a 4 MiB segment, 1 MiB
-// record cap, fsync on every append, and halt on corruption.
+// record cap and fsync on every append.
 type Options struct {
 	SegmentBytes   int64 // rotation threshold; 0 → DefaultSegmentBytes
 	MaxRecordBytes int   // per-record sanity cap; 0 → DefaultMaxRecordBytes
 	Sync           SyncPolicy
-	Corrupt        CorruptPolicy
 
 	// InitialLSN seeds the first record's LSN when the directory holds
 	// no segments yet (0 → 1). A replica reseeded from a snapshot at
@@ -155,7 +141,6 @@ type Stats struct {
 	RecoveredRecords int64 // records delivered by Replay
 	TruncatedTails   int64 // torn tails truncated at Open
 	TruncatedBytes   int64 // bytes discarded by tail truncation
-	SkippedCorrupt   int64 // corrupt records quarantined under CorruptSkip
 	PrunedSegments   int64 // segments removed by Prune
 }
 
@@ -176,7 +161,7 @@ type segment struct {
 // seek returns the index entry at or below lsn: the byte offset to start
 // scanning at and the segment-relative index of the record there. An lsn
 // outside the segment gets the nearest entry — the first for one below
-// it, the last for one past its records (a hole left by CorruptSkip).
+// it, the last for one past its records.
 func (sg segment) seek(lsn uint64) (off int64, idx int) {
 	if lsn <= sg.first {
 		return 0, 0
@@ -211,7 +196,7 @@ type Log struct {
 
 // Open opens (or creates) the log in dir, recovering it to a consistent
 // state: the final segment's torn tail, if any, is truncated away, and
-// corrupt records are refused or quarantined per Options.Corrupt.
+// a log that lost any other record is refused with ErrCorrupt.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -257,38 +242,25 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: scan %s: %w", sg.name, err)
 		}
 		if len(res.corrupt) > 0 {
-			if opts.Corrupt == CorruptHalt {
-				return nil, fmt.Errorf("wal: %s: %d CRC-failed record(s), first at index %d: %w",
-					sg.name, len(res.corrupt), res.corrupt[0], ErrCorrupt)
-			}
-			l.stats.SkippedCorrupt += int64(len(res.corrupt))
-		}
-		if res.torn > 0 {
-			if !last {
-				// A non-final segment must end cleanly: rotation only
-				// happens after a complete record. A torn interior is
-				// media damage, and the records past it are unreadable.
-				if opts.Corrupt == CorruptHalt {
-					return nil, fmt.Errorf("wal: %s: torn tail of %d bytes in a non-final segment: %w",
-						sg.name, res.torn, ErrCorrupt)
-				}
-				l.stats.SkippedCorrupt++
-			} else {
-				if err := truncateAt(path, res.end); err != nil {
-					return nil, err
-				}
-				l.stats.TruncatedTails++
-				l.stats.TruncatedBytes += res.torn
-			}
+			return nil, fmt.Errorf("wal: %s: %d CRC-failed record(s), first at index %d: %w",
+				sg.name, len(res.corrupt), res.corrupt[0], ErrCorrupt)
 		}
 		if !last {
-			// The next segment's name pins where this one must have
-			// ended; a mismatch means records vanished wholesale.
+			// A non-final segment must end cleanly where the next one's
+			// name says: rotation only happens after a complete record. A
+			// torn interior is media damage, and a short count means
+			// records vanished wholesale.
 			want := sg.first + uint64(res.records)
-			if got := segs[i+1].first; got != want && opts.Corrupt == CorruptHalt {
-				return nil, fmt.Errorf("wal: %s ends at LSN %d but %s starts at %d: %w",
-					sg.name, want, segs[i+1].name, got, ErrCorrupt)
+			if got := segs[i+1].first; res.torn > 0 || got != want {
+				return nil, fmt.Errorf("wal: %s ends at LSN %d with %d torn byte(s), but %s starts at %d: %w",
+					sg.name, want, res.torn, segs[i+1].name, got, ErrCorrupt)
 			}
+		} else if res.torn > 0 {
+			if err := truncateAt(path, res.end); err != nil {
+				return nil, err
+			}
+			l.stats.TruncatedTails++
+			l.stats.TruncatedBytes += res.torn
 		}
 		sg.index = res.index
 		if res.records%indexStride == 0 {
@@ -434,10 +406,9 @@ func (l *Log) createSegmentLocked(first uint64) error {
 }
 
 // Replay streams every intact record with LSN ≥ from, oldest first, to
-// fn. Corrupt records are skipped (their LSN slots are simply absent)
-// under CorruptSkip and refused under CorruptHalt; Open has already
-// enforced the same policy, so under CorruptHalt a successful Open
-// guarantees a clean Replay unless the disk changed underneath.
+// fn. A CRC-failed record or a torn non-final segment is ErrCorrupt;
+// Open has already refused both, so a successful Open guarantees a
+// clean Replay unless the disk changed underneath.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -460,7 +431,7 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) err
 		if err != nil {
 			return fmt.Errorf("wal: replay %s: %w", sg.name, err)
 		}
-		if (len(res.corrupt) > 0 || (res.torn > 0 && i+1 < len(l.segments))) && l.opts.Corrupt == CorruptHalt {
+		if len(res.corrupt) > 0 || (res.torn > 0 && i+1 < len(l.segments)) {
 			return fmt.Errorf("wal: replay %s: corruption appeared after open: %w", sg.name, ErrCorrupt)
 		}
 	}
@@ -507,9 +478,13 @@ func (l *Log) OldestLSN() uint64 {
 	return l.segments[0].first
 }
 
-// errReadDone is the internal sentinel a bounded ReadFrom uses to stop a
-// segment scan once maxRecords have been delivered.
-var errReadDone = errors.New("wal: read budget exhausted")
+// errReadDone and errHole are the internal sentinels a ReadFrom callback
+// uses to stop a segment scan: once maxRecords have been delivered, and
+// at an intact record past a missing one.
+var (
+	errReadDone = errors.New("wal: read budget exhausted")
+	errHole     = errors.New("wal: record missing")
+)
 
 // DefaultReadBatch is ReadFrom's record budget when maxRecords ≤ 0.
 const DefaultReadBatch = 1024
@@ -524,9 +499,11 @@ const DefaultReadBatch = 1024
 // the index entry at or below the resume point, so a read costs the
 // records it delivers plus fewer than indexStride before them, however
 // full the segment is. from below the oldest retained record returns
-// ErrPruned — the reader must re-sync from a snapshot. A read that
-// overlaps a TruncateFrom holds offsets into bytes being cut and
-// rewritten: it may fail its CRC checks, it cannot pass them wrongly.
+// ErrPruned — the reader must re-sync from a snapshot. Records arrive with consecutive LSNs or not at all: a read
+// that meets a missing one (CRC-failed, or a segment that ends early)
+// stops there with ErrCorrupt and never streams over the hole. A read
+// that overlaps a TruncateFrom holds offsets into bytes being cut and
+// rewritten: it may fail its checks, it cannot pass them wrongly.
 func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload []byte) error) (uint64, error) {
 	if maxRecords <= 0 {
 		maxRecords = DefaultReadBatch
@@ -538,7 +515,6 @@ func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload 
 	segs := append([]segment(nil), l.segments...)
 	limit := l.nextLSN
 	maxRecord := l.opts.MaxRecordBytes
-	corrupt := l.opts.Corrupt
 	dir := l.dir
 	l.mu.Unlock()
 
@@ -568,11 +544,13 @@ func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload 
 		off, idx := sg.seek(next)
 		res, err := scanRecords(filepath.Join(dir, sg.name), maxRecord, off, idx, int(end-sg.first), func(idx int, payload []byte) error {
 			lsn := sg.first + uint64(idx)
-			if lsn < next {
+			switch {
+			case lsn < next:
 				return nil
-			}
-			if delivered >= maxRecords {
+			case delivered >= maxRecords:
 				return errReadDone
+			case lsn > next:
+				return errHole
 			}
 			if err := fn(lsn, payload); err != nil {
 				return err
@@ -582,21 +560,13 @@ func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload 
 			return nil
 		})
 		scanned += res.records - idx
-		if err != nil {
-			if errors.Is(err, errReadDone) {
-				return next, nil
-			}
+		switch {
+		case errors.Is(err, errReadDone):
+			return next, nil
+		case err == nil && next < end && delivered < maxRecords, errors.Is(err, errHole):
+			return next, fmt.Errorf("wal: read %s: lsn %d missing: %w", sg.name, next, ErrCorrupt)
+		case err != nil:
 			return next, fmt.Errorf("wal: read %s: %w", sg.name, err)
-		}
-		// A CRC-failed record inside the read range is a hole a reader
-		// cannot stream over: under CorruptHalt refuse; under CorruptSkip
-		// it is already quarantined and the LSN slot is simply absent.
-		if corrupt == CorruptHalt {
-			for _, idx := range res.corrupt {
-				if lsn := sg.first + uint64(idx); lsn >= from && lsn < limit {
-					return next, fmt.Errorf("wal: read %s: record %d (lsn %d): %w", sg.name, idx, lsn, ErrCorrupt)
-				}
-			}
 		}
 	}
 	return next, nil

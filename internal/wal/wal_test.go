@@ -132,7 +132,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 }
 
-func TestCorruptRecordHaltAndSkip(t *testing.T) {
+func TestCorruptRecordRefused(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
@@ -154,30 +154,9 @@ func TestCorruptRecordHaltAndSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Default policy: refuse the log, never serve the damage silently.
+	// Refuse the log: never serve the damage silently.
 	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open corrupt log: err = %v, want ErrCorrupt", err)
-	}
-
-	// Skip policy: quarantine the one record, keep the other four with
-	// their original LSNs.
-	l2, err := Open(dir, Options{Corrupt: CorruptSkip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if st := l2.Stats(); st.SkippedCorrupt != 1 {
-		t.Fatalf("SkippedCorrupt = %d, want 1", st.SkippedCorrupt)
-	}
-	got := collect(t, l2, 1)
-	if len(got) != 4 {
-		t.Fatalf("replayed %d records, want 4", len(got))
-	}
-	if _, ok := got[3]; ok {
-		t.Fatal("corrupt lsn 3 was delivered")
-	}
-	if got[4] != "rec-0003" || got[5] != "rec-0004" {
-		t.Fatalf("post-corruption LSNs shifted: %v", got)
 	}
 }
 

@@ -56,6 +56,7 @@ refused "$tmp/bin/rrc-router" -hedge-delay 1ms
 refused "$tmp/bin/rrc-router" -max-lag 10
 refused "$tmp/bin/rrc-server" -auto-promote
 refused "$tmp/bin/rrc-server" -fsync-interval 100ms
+refused "$tmp/bin/rrc-server" -wal-skip-corrupt
 refused "$tmp/bin/rrc-inspect" -replan x -to 3
 
 "$tmp/bin/rrc-datagen" -preset gowalla -users 40 -out "$tmp/data.tsv"
