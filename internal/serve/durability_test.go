@@ -128,8 +128,8 @@ func TestCrashMidAppendRecoversIdentically(t *testing.T) {
 		if ws.TruncatedTails != 1 {
 			t.Fatalf("p=%d: truncated tails = %d, want 1", p, ws.TruncatedTails)
 		}
-		if ws.RecoveredRecords != int64(p) {
-			t.Fatalf("p=%d: recovered %d records, want %d", p, ws.RecoveredRecords, p)
+		if got := srv2.pool.Shard(0).RecoverStats().Replayed; got != p {
+			t.Fatalf("p=%d: recovered %d records, want %d", p, got, p)
 		}
 		// The client saw a 503 for event p, so it retries, then carries on.
 		h2 := srv2
@@ -254,9 +254,9 @@ func TestTruncatedFinalRecordRecovered(t *testing.T) {
 
 	srv2 := bootOnline(t, m, dir, nil)
 	defer srv2.Close(0)
-	ws := srv2.pool.WALStats()
-	if ws.TruncatedTails != 1 || ws.RecoveredRecords != int64(len(evs)-1) {
-		t.Fatalf("stats after torn tail: %+v", ws)
+	ws, rs := srv2.pool.WALStats(), srv2.pool.Shard(0).RecoverStats()
+	if ws.TruncatedTails != 1 || rs.Replayed != len(evs)-1 {
+		t.Fatalf("stats after torn tail: %+v, %+v", ws, rs)
 	}
 	// The ack for the last event was (in this scenario) lost with the
 	// crash; the client retries it.

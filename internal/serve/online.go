@@ -119,8 +119,8 @@ func (s *Server) registerOnlineGauges() {
 	reg.GaugeFunc("rrc_online_snapshots", sumStatus(func(st shard.Status) float64 { return float64(st.Snapshots) }))
 	reg.Help("rrc_online_snapshot_errors", "Failed session snapshot flushes, all shards, cumulative.")
 	reg.GaugeFunc("rrc_online_snapshot_errors", sumStatus(func(st shard.Status) float64 { return float64(st.SnapshotErrs) }))
-	reg.Help("rrc_wal_recovered_records", "WAL records replayed into the stores at startup, all shards.")
-	reg.GaugeFunc("rrc_wal_recovered_records", func() float64 { return float64(pool.WALStats().RecoveredRecords) })
+	reg.Help("rrc_wal_recovered_records", "WAL records each shard's most recent recovery replayed into its store, all shards.")
+	reg.GaugeFunc("rrc_wal_recovered_records", sumStatus(func(st shard.Status) float64 { return float64(st.Replayed) }))
 	reg.Help("rrc_wal_truncated_tails", "Torn WAL tails truncated at open, all shards.")
 	reg.GaugeFunc("rrc_wal_truncated_tails", func() float64 { return float64(pool.WALStats().TruncatedTails) })
 }

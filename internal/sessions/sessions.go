@@ -18,7 +18,9 @@ package sessions
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"tsppr/internal/seq"
@@ -203,16 +205,21 @@ type RecoverStats struct {
 }
 
 // Recover rebuilds a store from dir: the newest loadable snapshot, then
-// a replay of every WAL record past the snapshot's LSN. A corrupt or
-// incompatible snapshot falls back to the next older one (and
-// ultimately to a full-log replay), so a crash mid-snapshot can slow
-// recovery down but never lose acknowledged events.
+// every WAL record past the snapshot's LSN, read through the log's one
+// reader. A corrupt or incompatible snapshot falls back to the next
+// older one (and ultimately to a full-log replay), so a crash
+// mid-snapshot can slow recovery down but never lose acknowledged
+// events. Recovery is complete or refused: a log that no longer reaches
+// back to the store it replays onto — its head was pruned behind a
+// snapshot that did not load — is an error naming the missing LSNs,
+// never a store with short windows.
 func Recover(dir string, log *wal.Log, cfg Config) (*Store, RecoverStats, error) {
 	store, stats, err := LoadLatest(dir, cfg)
 	if err != nil {
 		return nil, stats, err
 	}
-	err = log.Replay(store.AppliedLSN()+1, func(lsn uint64, payload []byte) error {
+	from := store.AppliedLSN() + 1
+	_, err = log.ReadFrom(from, math.MaxInt, func(lsn uint64, payload []byte) error {
 		user, item, err := DecodeEvent(payload)
 		if err != nil {
 			// A CRC-intact record that does not decode is a version or
@@ -223,6 +230,10 @@ func Recover(dir string, log *wal.Log, cfg Config) (*Store, RecoverStats, error)
 		stats.Replayed++
 		return nil
 	})
+	if errors.Is(err, wal.ErrPruned) {
+		err = fmt.Errorf("events %d..%d are in neither a loadable snapshot (%d skipped) nor the log: %w",
+			from, log.OldestLSN()-1, stats.SnapshotsSkipped, err)
+	}
 	if err != nil {
 		return nil, stats, fmt.Errorf("sessions: recover: %w", err)
 	}

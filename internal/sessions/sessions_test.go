@@ -3,10 +3,12 @@ package sessions
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tsppr/internal/faultinject"
@@ -301,6 +303,96 @@ func TestRecoverWithoutSnapshotReplaysEverything(t *testing.T) {
 		t.Fatal("full-replay recovery diverged")
 	}
 	_ = filepath.Join // keep import balanced if helpers change
+}
+
+// TestRecoverRefusesPrunedLogWithoutSnapshot damages every snapshot of a
+// directory whose log no longer reaches back to LSN 1. The store would
+// start empty and replay only the retained tail — windows silently
+// missing acknowledged events — so recovery must refuse and name the
+// missing range.
+func TestRecoverRefusesPrunedLogWithoutSnapshot(t *testing.T) {
+	cfg := Config{WindowCap: 40}
+	damage := func(t *testing.T, dir string) {
+		t.Helper()
+		snaps, err := filepath.Glob(filepath.Join(dir, "sessions-*.snap"))
+		if err != nil || len(snaps) == 0 {
+			t.Fatalf("no snapshots to damage (err %v)", err)
+		}
+		for _, path := range snaps {
+			if err := os.WriteFile(path, []byte("garbage\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	refuse := func(t *testing.T, dir string, l *wal.Log, missing string) {
+		t.Helper()
+		_, stats, err := Recover(dir, l, cfg)
+		if !errors.Is(err, wal.ErrPruned) {
+			t.Fatalf("recover over a pruned log without a loadable snapshot: err = %v (stats %+v), want ErrPruned", err, stats)
+		}
+		if !strings.Contains(err.Error(), missing) {
+			t.Fatalf("recover error %q does not name the missing events %s", err, missing)
+		}
+	}
+
+	t.Run("pruned behind two snapshots", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := wal.Open(dir, wal.Options{SegmentBytes: 256, Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		live := NewStore(cfg)
+		for i := 1; i <= 200; i++ {
+			lsn, err := l.Append(EncodeEvent(i%5, seq.Item(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live.Apply(lsn, i%5, seq.Item(i))
+			if i == 80 || i == 150 {
+				if _, _, err := live.Save(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		horizon, err := PruneSnapshots(dir)
+		if err != nil || horizon != 80 {
+			t.Fatalf("prune horizon %d err %v, want 80", horizon, err)
+		}
+		if err := l.Prune(horizon); err != nil {
+			t.Fatal(err)
+		}
+		if oldest := l.OldestLSN(); oldest != 81 {
+			t.Fatalf("oldest retained lsn %d, want 81", oldest)
+		}
+		damage(t, dir)
+		refuse(t, dir, l, "events 1..80")
+	})
+
+	t.Run("reseeded follower", func(t *testing.T) {
+		// A reseed writes the primary's snapshot at S and starts a fresh
+		// log at S+1; with that snapshot unreadable, nothing holds 1..S.
+		dir := t.TempDir()
+		seed := NewStore(cfg)
+		for lsn := uint64(1); lsn <= 20; lsn++ {
+			seed.Apply(lsn, int(lsn%3), seq.Item(lsn))
+		}
+		if _, _, err := seed.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		l, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, InitialLSN: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		for i := 0; i < 5; i++ {
+			if _, err := l.Append(EncodeEvent(i, seq.Item(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		damage(t, dir)
+		refuse(t, dir, l, "events 1..20")
+	})
 }
 
 // TestUserLSN covers the response cache's version probe: Apply stamps

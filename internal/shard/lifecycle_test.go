@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -202,21 +204,24 @@ func (m *shardModel) dump(t *testing.T, windowCap int) []sessions.UserWindow {
 
 // TestShardLifecycleProperty drives a shard through random sequences of
 // ingests, reads, snapshots, ingest panics, divergent-tail truncations
-// (some stopped by a fault between their two edits of the directory)
-// and reseeds (some whose download fails), and checks after every step:
+// (some stopped by a fault between their two edits of the directory),
+// reseeds (some whose download fails) and damage to every snapshot file
+// followed by a restart, and checks after every step:
 //   - only a serving shard accepts ingests and reads;
 //   - its windows hold exactly the acked events no truncate or reseed
 //     cut, in order, on top of the last reseed's snapshot, and its store
 //     sits below its log's end;
 //   - OnStoreReload fired once per store swap;
 //   - after every injected failure it serves again, restarted once by
-//     its supervisor, within the restart budget.
+//     its supervisor, within the restart budget — or, once its snapshots
+//     were damaged and its log no longer reaches back to them, it fails
+//     and never serves again.
 func TestShardLifecycleProperty(t *testing.T) {
 	defer faultinject.Reset()
 	const users = 6
 	src, snapPath, snapLSN := sourceSnapshot(t, 25)
 	errDownload := errors.New("download cut short")
-	rejected := 0
+	rejected, failed := 0, 0
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var reloads atomic.Int64
@@ -232,6 +237,7 @@ func TestShardLifecycleProperty(t *testing.T) {
 		m := shardModel{next: 1}
 		var swaps, failures int64
 		var history []string
+		damaged := false // snapshot files overwritten since the last reseed
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d %v: "+format, append([]any{seed, history}, args...)...)
@@ -267,13 +273,18 @@ func TestShardLifecycleProperty(t *testing.T) {
 			}
 			return err
 		}
-		// recovered waits out the supervisor after an injected failure.
-		recovered := func() {
+		// recovered waits out the supervisor after an injected failure. It
+		// reports false for a shard that failed for good, which only a
+		// recovery refused for want of a snapshot may cause.
+		recovered := func() bool {
 			t.Helper()
 			failures++
 			swaps++
 			deadline := time.Now().Add(5 * time.Second)
 			for st := sh.State(); st != Serving; st = sh.State() {
+				if st == Failed && damaged {
+					return false
+				}
 				if st == Failed || time.Now().After(deadline) {
 					fail("shard %s after an injected failure", st)
 				}
@@ -282,10 +293,12 @@ func TestShardLifecycleProperty(t *testing.T) {
 			if st := sh.Status(); st.Restarts != failures {
 				fail("%d supervised restarts after %d injected failures", st.Restarts, failures)
 			}
+			return true
 		}
 
+	steps:
 		for step := 0; step < 40; step++ {
-			switch rng.Intn(7) {
+			switch rng.Intn(8) {
 			case 0, 1:
 				history = append(history, "ingest")
 				if err := op(true); err != nil {
@@ -306,7 +319,9 @@ func TestShardLifecycleProperty(t *testing.T) {
 					fail("panicking ingest: %v", err)
 				}
 				op(rng.Intn(2) == 0)
-				recovered()
+				if !recovered() {
+					break steps
+				}
 			case 5:
 				if m.next <= 1 {
 					continue // nothing to cut
@@ -323,10 +338,14 @@ func TestShardLifecycleProperty(t *testing.T) {
 				case err == nil:
 					m.cut(lsn)
 					swaps++
-				case errors.Is(err, wal.ErrPruned):
+				case errors.Is(err, wal.ErrPruned) && sh.State() == Serving:
 					// No base below the cut: the shard serves untouched.
-				case crash && errors.Is(err, faultinject.ErrInjected):
-					recovered()
+				case crash && errors.Is(err, faultinject.ErrInjected), damaged && errors.Is(err, wal.ErrPruned):
+					// The latter: the base below the cut was a damaged
+					// snapshot, so the reload found none.
+					if !recovered() {
+						break steps
+					}
 					// Stopped between its edits, the shard holds one
 					// timeline: the old one whole, or cut at lsn.
 					if next, _ := sh.NextLSN(); next == lsn {
@@ -344,6 +363,7 @@ func TestShardLifecycleProperty(t *testing.T) {
 					}
 					return copyFile(snapPath, sessions.SnapshotPath(dir, snapLSN))
 				})
+				damaged = false // quarantined with the old timeline
 				if ok {
 					if err != nil {
 						fail("reseed: %v", err)
@@ -357,7 +377,28 @@ func TestShardLifecycleProperty(t *testing.T) {
 				}
 				op(rng.Intn(2) == 0)
 				recovered()
-				m = shardModel{next: 1} // the old timeline is quarantined
+				m = shardModel{next: 1}
+			case 7:
+				history = append(history, "damage snapshots")
+				sh.lockQuiesced() // no snapshot write lands behind the damage
+				sh.mu.Unlock()
+				snaps, err := filepath.Glob(filepath.Join(sh.dir, "sessions-*.snap"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, path := range snaps {
+					if err := os.WriteFile(path, []byte("garbage\n"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				damaged = damaged || len(snaps) > 0
+				faultinject.Arm(IngestPoint(0), faultinject.Plan{Mode: faultinject.Panic, Count: 1})
+				if _, _, err := sh.Ingest(0, 1); !errors.As(err, new(*UnavailableError)) {
+					fail("panicking ingest: %v", err)
+				}
+				if !recovered() {
+					break steps
+				}
 			}
 
 			if st := sh.State(); st != Serving {
@@ -381,11 +422,26 @@ func TestShardLifecycleProperty(t *testing.T) {
 				fail("OnStoreReload fired %d times for %d store swaps", got, swaps)
 			}
 		}
+		if sh.State() == Failed {
+			// Failed for good: every op is refused, and no supervisor
+			// brings the shard back.
+			for i := 0; i < 4; i++ {
+				op(i%2 == 0)
+				time.Sleep(5 * cfg.BackoffMax)
+			}
+			if st := sh.State(); st != Failed {
+				fail("failed shard came back %s", st)
+			}
+			failed++
+		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if rejected == 0 {
 		t.Fatal("no op ever met a shard that was down: the fencing rule went unchecked")
+	}
+	if failed == 0 {
+		t.Fatal("no damaged shard ever lacked a recovery base: the refusal went unchecked")
 	}
 }

@@ -333,7 +333,6 @@ func (p *Pool) WALStats() wal.Stats {
 		total.Appends += ws.Appends
 		total.Fsyncs += ws.Fsyncs
 		total.Rotations += ws.Rotations
-		total.RecoveredRecords += ws.RecoveredRecords
 		total.TruncatedTails += ws.TruncatedTails
 		total.TruncatedBytes += ws.TruncatedBytes
 		total.PrunedSegments += ws.PrunedSegments

@@ -135,13 +135,12 @@ type Options struct {
 
 // Stats are the log's durability counters, all cumulative since Open.
 type Stats struct {
-	Appends          int64 // records appended
-	Fsyncs           int64 // fsync calls issued
-	Rotations        int64 // segment rotations
-	RecoveredRecords int64 // records delivered by Replay
-	TruncatedTails   int64 // torn tails truncated at Open
-	TruncatedBytes   int64 // bytes discarded by tail truncation
-	PrunedSegments   int64 // segments removed by Prune
+	Appends        int64 // records appended
+	Fsyncs         int64 // fsync calls issued
+	Rotations      int64 // segment rotations
+	TruncatedTails int64 // torn tails truncated at Open
+	TruncatedBytes int64 // bytes discarded by tail truncation
+	PrunedSegments int64 // segments removed by Prune
 }
 
 type segment struct {
@@ -219,9 +218,9 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.mFsync = reg.Histogram("rrc_wal_fsync_seconds", obs.LatencyBuckets)
 		reg.Help("rrc_wal_rotations_total", "WAL segment rotations.")
 		l.mRotations = reg.Counter("rrc_wal_rotations_total")
-		reg.Help("rrc_wal_read_scanned_records_total", "Records ReadFrom framed and CRC-checked, delivered or not.")
+		reg.Help("rrc_wal_read_scanned_records_total", "Records ReadFrom framed and CRC-checked, delivered or not: recovery's replay and the replication stream.")
 		l.mReadScanned = reg.Counter("rrc_wal_read_scanned_records_total")
-		reg.Help("rrc_wal_read_delivered_records_total", "Records ReadFrom handed to its caller.")
+		reg.Help("rrc_wal_read_delivered_records_total", "Records ReadFrom handed to its caller: recovery's replay and the replication stream.")
 		l.mReadDelivered = reg.Counter("rrc_wal_read_delivered_records_total")
 	}
 	if len(segs) == 0 {
@@ -405,39 +404,6 @@ func (l *Log) createSegmentLocked(first uint64) error {
 	return nil
 }
 
-// Replay streams every intact record with LSN ≥ from, oldest first, to
-// fn. A CRC-failed record or a torn non-final segment is ErrCorrupt;
-// Open has already refused both, so a successful Open guarantees a
-// clean Replay unless the disk changed underneath.
-func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, sg := range l.segments {
-		if i+1 < len(l.segments) && l.segments[i+1].first <= from {
-			continue // segment entirely below the replay horizon
-		}
-		path := filepath.Join(l.dir, sg.name)
-		res, err := scanSegment(path, l.opts.MaxRecordBytes, func(idx int, payload []byte) error {
-			lsn := sg.first + uint64(idx)
-			if lsn < from {
-				return nil
-			}
-			if err := fn(lsn, payload); err != nil {
-				return err
-			}
-			l.stats.RecoveredRecords++
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("wal: replay %s: %w", sg.name, err)
-		}
-		if len(res.corrupt) > 0 || (res.torn > 0 && i+1 < len(l.segments)) {
-			return fmt.Errorf("wal: replay %s: corruption appeared after open: %w", sg.name, ErrCorrupt)
-		}
-	}
-	return nil
-}
-
 // Prune removes whole segments whose every record has LSN ≤ upTo —
 // i.e. segments fully covered by a snapshot. The active segment is
 // never removed. upTo = 0 is a no-op.
@@ -492,14 +458,16 @@ const DefaultReadBatch = 1024
 // ReadFrom delivers up to maxRecords committed records with LSN ≥ from,
 // oldest first, and returns the LSN the next ReadFrom should resume at
 // (from itself when nothing new is committed — a clean EOF, not an
-// error). Unlike Replay it does not hold the log lock during file I/O:
-// the segment list, their offset indexes and the commit horizon are
-// snapshotted under the lock, then the files are read independently, so
-// a replication stream never stalls appends. Each segment is entered at
-// the index entry at or below the resume point, so a read costs the
-// records it delivers plus fewer than indexStride before them, however
-// full the segment is. from below the oldest retained record returns
-// ErrPruned — the reader must re-sync from a snapshot. Records arrive with consecutive LSNs or not at all: a read
+// error). It is the one reader of a live log: recovery replays through
+// it, and so does the replication stream. It does not hold the log lock
+// during file I/O: the segment list, their offset indexes and the commit
+// horizon are snapshotted under the lock, then the files are read
+// independently, so a replication stream never stalls appends. Each
+// segment is entered at the index entry at or below the resume point, so
+// a read costs the records it delivers plus fewer than indexStride
+// before them, however full the segment is. from below the oldest
+// retained record returns ErrPruned — the reader must re-sync from a
+// snapshot. Records arrive with consecutive LSNs or not at all: a read
 // that meets a missing one (CRC-failed, or a segment that ends early)
 // stops there with ErrCorrupt and never streams over the hole. A read
 // that overlaps a TruncateFrom holds offsets into bytes being cut and
@@ -735,8 +703,8 @@ func scanSegment(path string, maxRecord int, deliver func(idx int, payload []byt
 // index. It stops early at the first framing loss (partial header or
 // payload, or an implausible length) and reports the remainder as a
 // torn tail. Every reader of segment bytes goes through here, so
-// framing and CRC rules cannot drift between recovery, replay,
-// positioned reads and truncation.
+// framing and CRC rules cannot drift between Open, ReadFrom,
+// TruncateFrom, ScanDir and Verify.
 func scanRecords(path string, maxRecord int, off int64, idx, stop int, deliver func(idx int, payload []byte) error) (scanResult, error) {
 	res := scanResult{records: idx, end: off}
 	f, err := os.Open(path)
