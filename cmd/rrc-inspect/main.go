@@ -154,7 +154,7 @@ func shardWALDirs(dir string) ([]string, error) {
 // segment line with the shard directory name.
 func verifyWALDir(dir string, stdout io.Writer) error {
 	prefix := filepath.Base(dir) + "/"
-	rep, err := wal.Verify(dir, 0)
+	rep, err := wal.Verify(dir, 0, nil)
 	if err != nil {
 		return err
 	}

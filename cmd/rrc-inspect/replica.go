@@ -46,15 +46,15 @@ type walRecord struct {
 // analysis over a damaged log would blame the wrong writes.
 func loadWAL(dir string) ([]walRecord, error) {
 	var recs []walRecord
-	corrupt, err := wal.ScanDir(dir, 0, func(lsn uint64, payload []byte) error {
+	rep, err := wal.Verify(dir, 0, func(lsn uint64, payload []byte) error {
 		recs = append(recs, walRecord{lsn: lsn, payload: bytes.Clone(payload)})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if corrupt > 0 {
-		return nil, fmt.Errorf("%s: %d corrupt record(s); run -wal first", dir, corrupt)
+	if rep.CorruptRecords > 0 {
+		return nil, fmt.Errorf("%s: %d corrupt record(s); run -wal first", dir, rep.CorruptRecords)
 	}
 	return recs, nil
 }

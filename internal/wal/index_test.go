@@ -19,19 +19,19 @@ type lsnRec struct {
 }
 
 // verifyRead is the oracle for ReadFrom(from, max): derived from every
-// intact record ScanDir finds reading each segment from byte 0, never
+// intact record Verify finds reading each segment from byte 0, never
 // through the offset index. Records come with consecutive LSNs from
 // from, up to max or the commit horizon, and the first one missing
 // before then is ErrCorrupt.
 func verifyRead(t *testing.T, l *Log, from uint64, max int) (got []lsnRec, next uint64, err error) {
 	t.Helper()
 	recs := map[uint64]string{}
-	_, err = ScanDir(l.dir, 0, func(lsn uint64, payload []byte) error {
+	_, err = Verify(l.dir, 0, func(lsn uint64, payload []byte) error {
 		recs[lsn] = string(payload)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("ScanDir: %v", err)
+		t.Fatalf("Verify: %v", err)
 	}
 	if from < l.OldestLSN() {
 		return nil, from, ErrPruned
@@ -331,7 +331,7 @@ func TestReadFromAcrossLostRecords(t *testing.T) {
 	if err := os.Truncate(victim, st.Size()/2+3); err != nil { // mid-record
 		t.Fatal(err)
 	}
-	rep, err := Verify(dir, 0)
+	rep, err := Verify(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

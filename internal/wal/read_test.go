@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -337,7 +338,9 @@ func TestInitialLSNSeedsEmptyLog(t *testing.T) {
 	}
 }
 
-func TestScanDirMatchesReplay(t *testing.T) {
+// TestVerifyMatchesReadFrom: the directory reader delivers exactly what
+// the live log's reader does, LSN for LSN.
+func TestVerifyMatchesReadFrom(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 64, Sync: SyncNever})
 	if err != nil {
@@ -349,23 +352,18 @@ func TestScanDirMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[uint64]string{}
-	corrupt, err := ScanDir(dir, 0, func(lsn uint64, payload []byte) error {
+	rep, err := Verify(dir, 0, func(lsn uint64, payload []byte) error {
 		got[lsn] = string(payload)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corrupt != 0 {
-		t.Fatalf("%d corrupt records in a clean log", corrupt)
+	if !rep.Clean() || rep.Good != 30 {
+		t.Fatalf("clean log report = %+v", rep)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("ScanDir %d records, Replay %d", len(got), len(want))
-	}
-	for lsn, p := range want {
-		if got[lsn] != p {
-			t.Fatalf("lsn %d: ScanDir %q, Replay %q", lsn, got[lsn], p)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Verify delivered %v, ReadFrom %v", got, want)
 	}
 }
 

@@ -629,31 +629,6 @@ func (l *Log) TruncateFrom(lsn uint64) error {
 	return nil
 }
 
-// ScanDir streams every framed, CRC-intact record in dir with its LSN,
-// oldest first, without opening (or mutating) the log — the read-only
-// iterator behind rrc-inspect's divergence check between two replica
-// roots. Corrupt records are reported, not delivered. maxRecord ≤ 0
-// uses DefaultMaxRecordBytes.
-func ScanDir(dir string, maxRecord int, fn func(lsn uint64, payload []byte) error) (corrupt int, err error) {
-	if maxRecord <= 0 {
-		maxRecord = DefaultMaxRecordBytes
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	for _, sg := range segs {
-		res, err := scanSegment(filepath.Join(dir, sg.name), maxRecord, func(idx int, payload []byte) error {
-			return fn(sg.first+uint64(idx), payload)
-		})
-		if err != nil {
-			return corrupt, fmt.Errorf("wal: scan %s: %w", sg.name, err)
-		}
-		corrupt += len(res.corrupt)
-	}
-	return corrupt, nil
-}
-
 // Stats returns a copy of the durability counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
@@ -704,7 +679,7 @@ func scanSegment(path string, maxRecord int, deliver func(idx int, payload []byt
 // payload, or an implausible length) and reports the remainder as a
 // torn tail. Every reader of segment bytes goes through here, so
 // framing and CRC rules cannot drift between Open, ReadFrom,
-// TruncateFrom, ScanDir and Verify.
+// TruncateFrom and Verify.
 func scanRecords(path string, maxRecord int, off int64, idx, stop int, deliver func(idx int, payload []byte) error) (scanResult, error) {
 	res := scanResult{records: idx, end: off}
 	f, err := os.Open(path)
@@ -850,10 +825,12 @@ type Report struct {
 // Clean reports whether the log has no CRC failures and no torn tails.
 func (r Report) Clean() bool { return r.CorruptRecords == 0 && r.TornSegments == 0 }
 
-// Verify stream-checks every segment in dir without mutating anything —
-// the read-only counterpart of Open for rrc-inspect. maxRecord ≤ 0 uses
-// DefaultMaxRecordBytes.
-func Verify(dir string, maxRecord int) (Report, error) {
+// Verify stream-checks every segment in dir without opening or mutating
+// the log — the one reader of a log directory, rrc-inspect's read-only
+// counterpart of Open. fn, when non-nil, receives every CRC-intact
+// record with its LSN, oldest first; a damaged record is reported, not
+// delivered. maxRecord ≤ 0 uses DefaultMaxRecordBytes.
+func Verify(dir string, maxRecord int, fn func(lsn uint64, payload []byte) error) (Report, error) {
 	if maxRecord <= 0 {
 		maxRecord = DefaultMaxRecordBytes
 	}
@@ -864,7 +841,11 @@ func Verify(dir string, maxRecord int) (Report, error) {
 	}
 	for _, sg := range segs {
 		path := filepath.Join(dir, sg.name)
-		res, err := scanSegment(path, maxRecord, nil)
+		var deliver func(idx int, payload []byte) error
+		if fn != nil {
+			deliver = func(idx int, payload []byte) error { return fn(sg.first+uint64(idx), payload) }
+		}
+		res, err := scanSegment(path, maxRecord, deliver)
 		if err != nil {
 			return rep, fmt.Errorf("wal: verify %s: %w", sg.name, err)
 		}

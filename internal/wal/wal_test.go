@@ -287,7 +287,7 @@ func TestVerifyReportsWithoutMutating(t *testing.T) {
 	appendN(t, l, 0, 4)
 	l.Close()
 
-	rep, err := Verify(dir, 0)
+	rep, err := Verify(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestVerifyReportsWithoutMutating(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Verify(dir, 0)
+	rep, err = Verify(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
