@@ -357,7 +357,7 @@ func (p *Pool) Dump() []sessions.UserWindow {
 // register mints the per-shard metric families on reg. All handles are
 // nil-safe, so a pool without a registry records nothing.
 func (p *Pool) register(reg *obs.Registry) {
-	reg.Help("rrc_shard_state", "Per-shard lifecycle state: 0 cold, 1 recovering, 2 serving, 3 draining, 4 stopped, 5 restarting, 6 failed.")
+	reg.Help("rrc_shard_state", "Per-shard lifecycle state: 1 recovering, 2 serving, 4 stopped, 5 restarting, 6 failed.")
 	reg.Help("rrc_shard_restarts_total", "Supervised shard restarts that reached serving again.")
 	reg.Help("rrc_shard_breaker_trips_total", "Shard circuit-breaker trips: panics and append-failure streaks.")
 	reg.Help("rrc_shard_recovery_lag", "WAL records the shard's most recent recovery had to replay.")

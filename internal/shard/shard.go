@@ -11,7 +11,7 @@
 // shard to a supervisor that restarts it through the existing
 // snapshot+WAL recovery path with exponential backoff and a bounded
 // attempt budget — while every other shard keeps serving untouched.
-// Requests routed to a tripped, draining, or failed shard fast-fail
+// Requests routed to a tripped, stopped, or failed shard fast-fail
 // with a typed UnavailableError the server maps to 503 + Retry-After;
 // requests to healthy shards never observe the failure.
 //
@@ -19,13 +19,14 @@
 //
 // A shard moves through the states
 //
-//	cold → recovering → serving → draining → stopped
-//	                 ↘ restarting → recovering → serving (supervised restart)
-//	                             ↘ failed (restart budget exhausted)
+//	recovering → serving → stopped
+//	           ↘ restarting → recovering → serving (supervised restart)
+//	                       ↘ failed (restart budget exhausted)
 //
-// Serving is the only state that accepts work. Draining (entered by
-// Drain: shutdown or POST /admin/drain) fences new appends, flushes a
-// final snapshot, and closes the log. Restarting is entered by a
+// Serving is the only state that accepts work. Drain (shutdown or POST
+// /admin/drain) flushes a final snapshot and closes the log under the
+// shard lock, so no op sees the shard between serving and stopped.
+// Restarting is entered by a
 // breaker trip — a panic anywhere in the shard's op path, or
 // Config.FailThreshold consecutive append failures — and is owned by
 // the supervisor goroutine until the shard is serving again or failed.
@@ -58,29 +59,24 @@ import (
 )
 
 // State is a shard's lifecycle state. The numeric values are exported
-// on /metrics as rrc_shard_state and are therefore stable.
+// on /metrics as rrc_shard_state and are therefore stable; 0 and 3 are
+// retired.
 type State int32
 
 const (
-	Cold       State = iota // allocated, recovery not yet started
-	Recovering              // snapshot load + WAL tail replay in progress
-	Serving                 // healthy: accepting appends and reads
-	Draining                // fenced: final snapshot being flushed
-	Stopped                 // drained cleanly; terminal for this process
-	Restarting              // breaker tripped; supervisor backing off before recovery
-	Failed                  // restart budget exhausted; terminal
+	Recovering State = 1 // snapshot load + WAL tail replay in progress
+	Serving    State = 2 // healthy: accepting appends and reads
+	Stopped    State = 4 // drained cleanly; terminal for this process
+	Restarting State = 5 // breaker tripped; supervisor backing off before recovery
+	Failed     State = 6 // restart budget exhausted; terminal
 )
 
 func (s State) String() string {
 	switch s {
-	case Cold:
-		return "cold"
 	case Recovering:
 		return "recovering"
 	case Serving:
 		return "serving"
-	case Draining:
-		return "draining"
 	case Stopped:
 		return "stopped"
 	case Restarting:
@@ -453,7 +449,6 @@ func (s *Shard) Close() error {
 // holds mu through lockQuiesced.
 func (s *Shard) stopLocked() error {
 	if s.state == Serving {
-		s.state = Draining
 		// Chaos hook: a firing Delay plan here simulates a shard whose
 		// final drain wedges (slow disk, giant flush) so shutdown-bound
 		// tests can prove the deadline holds. Disarmed in production.
@@ -624,7 +619,7 @@ func (s *Shard) snapshotWritten(l *wal.Log, path string, err error) {
 func (s *Shard) unavailableLocked() error {
 	retry := time.Second
 	switch s.state {
-	case Draining, Stopped, Failed:
+	case Stopped, Failed:
 		retry = 5 * time.Second
 	case Restarting:
 		if rem := time.Until(s.retryAt); rem > retry {
