@@ -107,7 +107,8 @@ bench-smoke:
 	$(GO) test -C bench ./...
 
 ## fuzz: short bounded fuzzing with mutation — model loader, TSV readers,
-## the follower's stream-frame parser, the session snapshot loader, the
+## the follower's stream-frame parser, the WAL segment scanner behind
+## Open, ReadFrom and Verify, the session snapshot loader, the
 ## router's topology file, its upstream request head (differential against
 ## net/http's ReadRequest) and response reader, the serving loop (raw bytes on
 ## a connection), the partition identity, the root markers
@@ -123,6 +124,7 @@ fuzz:
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzUpstreamResponse -fuzztime 10s
 	$(GO) test ./internal/httpserve -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzOpenSegment -fuzztime 10s
 	$(GO) test ./internal/sessions -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzParsePartitionID -fuzztime 10s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzLoadPartition -fuzztime 10s

@@ -2,11 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -348,4 +351,87 @@ func TestAppendRejectsOversizeAndEmpty(t *testing.T) {
 	if _, err := l.Append(make([]byte, 17)); err == nil {
 		t.Fatal("oversize payload accepted")
 	}
+}
+
+// segmentRecord frames payload as Append writes it.
+func segmentRecord(payload string) []byte {
+	rec := make([]byte, headerSize+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum([]byte(payload), castagnoli))
+	copy(rec[headerSize:], payload)
+	return rec
+}
+
+// FuzzOpenSegment writes arbitrary bytes as one segment file, or two
+// when seg1 is non-empty: the second is named where the first one's
+// framed records end, shifted by skew. Open refuses the log with
+// ErrCorrupt or accepts it; a log it accepts reads back through ReadFrom
+// exactly the records Verify finds, at consecutive LSNs, and reopens at
+// the same NextLSN.
+func FuzzOpenSegment(f *testing.F) {
+	good := slices.Concat(segmentRecord("a"), segmentRecord("bb"), segmentRecord("ccc"))
+	flipped := slices.Clone(good)
+	flipped[headerSize] ^= 1
+	torn := append(slices.Clone(good), 9, 0, 0)
+	f.Add(good, []byte(nil), int8(0))
+	f.Add(good, segmentRecord("dd"), int8(0)) // a second segment where the first ends
+	f.Add(good, segmentRecord("dd"), int8(1)) // records missing between the two
+	f.Add(torn, []byte(nil), int8(0))         // torn final tail: truncated
+	f.Add(torn, segmentRecord("dd"), int8(0)) // torn non-final tail: refused
+	f.Add(flipped, []byte(nil), int8(0))      // CRC failure: refused
+	f.Add(bytes.Repeat([]byte{0xFF}, 32), []byte{1}, int8(-1))
+	f.Fuzz(func(t *testing.T, seg0, seg1 []byte, skew int8) {
+		dir := t.TempDir()
+		opts := Options{MaxRecordBytes: 64, Sync: SyncNever}
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg0, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if len(seg1) > 0 {
+			rep, err := Verify(dir, opts.MaxRecordBytes, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := uint64(max(2, 1+int64(rep.Records)+int64(skew)))
+			if err := os.WriteFile(filepath.Join(dir, segmentName(first)), seg1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, err := Open(dir, opts)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: %v, want ErrCorrupt or success", err)
+			}
+			return
+		}
+		defer l.Close()
+		var want, got []string
+		if _, err := Verify(dir, opts.MaxRecordBytes, func(_ uint64, payload []byte) error {
+			want = append(want, string(payload))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		next := l.OldestLSN()
+		if _, err := l.ReadFrom(next, math.MaxInt, func(lsn uint64, payload []byte) error {
+			if lsn != next {
+				t.Fatalf("lsn %d delivered where %d belongs", lsn, next)
+			}
+			next++
+			got = append(got, string(payload))
+			return nil
+		}); err != nil {
+			t.Fatalf("ReadFrom over an opened log: %v", err)
+		}
+		if !slices.Equal(got, want) || next != l.NextLSN() {
+			t.Fatalf("ReadFrom delivered %q up to %d, Verify %q, NextLSN %d", got, next, want, l.NextLSN())
+		}
+		l2, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer l2.Close()
+		if l2.NextLSN() != l.NextLSN() {
+			t.Fatalf("reopened at NextLSN %d, first open %d", l2.NextLSN(), l.NextLSN())
+		}
+	})
 }
