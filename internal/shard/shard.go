@@ -26,10 +26,10 @@
 // Serving is the only state that accepts work. Drain (shutdown or POST
 // /admin/drain) flushes a final snapshot and closes the log under the
 // shard lock, so no op sees the shard between serving and stopped.
-// Restarting is entered by a
-// breaker trip — a panic anywhere in the shard's op path, or
-// Config.FailThreshold consecutive append failures — and is owned by
-// the supervisor goroutine until the shard is serving again or failed.
+// Restarting is entered by a breaker trip — a panic anywhere in the
+// shard's op path, or Config.FailThreshold consecutive append failures
+// — and is owned by the supervisor goroutine until the shard is serving
+// again or failed.
 // TruncateAndReload and Reseed take a serving shard through recovering
 // and back. Every return to serving goes through one reopen, and a
 // failed reopen hands the shard to the supervisor (restarting): only a
