@@ -309,7 +309,8 @@ func BenchmarkReadFromTail(b *testing.B) {
 // log: its second half goes, leaving LSNs no segment holds. Every read
 // that reaches the hole stops at its first missing LSN with ErrCorrupt,
 // never jumping to the next segment; reads wholly before or past it are
-// untouched; and a reopen refuses the log.
+// untouched; the same holds for a hole at the end of the active segment;
+// and a reopen refuses the log.
 func TestReadFromAcrossLostRecords(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{SegmentBytes: 2048, Sync: SyncNever}
@@ -356,6 +357,25 @@ func TestReadFromAcrossLostRecords(t *testing.T) {
 				from, got, resume, err, want, wantResume, wantErr)
 		}
 	}
+
+	// Cut short after Open, the active segment has no later record to
+	// give its hole away; a read into it still stops there.
+	active := segs[len(segs)-1]
+	path := filepath.Join(dir, active.name)
+	if st, err = os.Stat(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()/2+3); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = Verify(dir, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	tail := active.first + uint64(rep.Segments[len(segs)-1].Records)
+	if resume, err := l.ReadFrom(active.first, 1<<20, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) || resume != tail {
+		t.Fatalf("read into the active segment's hole: resume %d err %v, want %d and ErrCorrupt", resume, err, tail)
+	}
+
 	if _, err := Open(dir, opts); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("reopen over the hole: %v, want ErrCorrupt", err)
 	}
