@@ -163,8 +163,16 @@ func RestoreRing(capacity, pushed int, items []Item) (Ring, error) {
 // absolute position so Gap and T match a window that saw the same pushes.
 // The result shares nothing with r.
 func (r *Ring) Window() *Window {
+	c := r.Clone()
+	return c.IntoWindow()
+}
+
+// IntoWindow is Window without the copy: the window takes over r's
+// storage, so the caller must not use r afterwards. A ring copied under
+// a lock becomes a window after the lock is released, copied once.
+func (r *Ring) IntoWindow() *Window {
 	w := &Window{
-		ring:      r.Clone(),
+		ring:      *r,
 		count:     make(map[Item]int, r.size),
 		lastSeen:  make(map[Item]int, r.size),
 		countHist: make(map[int]int),

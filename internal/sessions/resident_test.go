@@ -64,7 +64,7 @@ func TestCaptureSharesNothingWithTheStore(t *testing.T) {
 	s.Apply(4, 0, 11)
 	s.Apply(5, 1, 22)
 	s.Apply(6, 1, 23) // wraps user 1's ring over the captured items
-	c.sortByUser()
+	c.Dump()
 	want := []UserWindow{{User: 0, Pushed: 1, Items: []seq.Item{10}}, {User: 1, Pushed: 2, Items: []seq.Item{20, 21}}}
 	if !reflect.DeepEqual(c.windows, want) {
 		t.Fatalf("capture = %v, want %v", c.windows, want)
@@ -345,19 +345,19 @@ func benchStore(users int) *Store {
 	return s
 }
 
-// BenchmarkWindowCloneLSN is the session read: ring copy under the lock,
-// window materialised outside it. The parent (three map copies under the
-// lock) measured 4.2–4.5 µs and 3,184 B per read at this shape (this read:
-// 5.7–6.2 µs and 5,894 B, 0.27 µs of it under the lock).
+// BenchmarkWindowCloneLSN is the session read: ring copy under the
+// owner's lock (RingCloneLSN), window materialised outside it from that
+// copy.
 func BenchmarkWindowCloneLSN(b *testing.B) {
 	s := benchStore(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ok bool
-		if sinkWindow, _, ok = s.WindowCloneLSN(i & 1023); !ok {
+		ring, _, ok := s.RingCloneLSN(i & 1023)
+		if !ok {
 			b.Fatal("missing session")
 		}
+		sinkWindow = ring.IntoWindow()
 	}
 }
 

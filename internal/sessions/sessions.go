@@ -8,7 +8,12 @@
 // A resident session is exactly what a snapshot line holds — the ring of
 // the last |W| item ids and its push count (seq.Ring) — because that is
 // all a window is; the indexed seq.Window a request scores against is
-// materialised from a copy of the ring per read, outside the lock.
+// materialised from a copy of the ring per read, outside the owner's
+// lock.
+//
+// A Store has no lock of its own. Its owner — one shard — serialises
+// every call under the one lock that also orders the shard's log, so an
+// append and the window it advances are one critical section.
 //
 // The store is deliberately dumb about durability: callers append to
 // the WAL first and Apply second, so the on-disk log is always ahead of
@@ -21,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"tsppr/internal/seq"
 	"tsppr/internal/wal"
@@ -34,10 +38,9 @@ type Config struct {
 	NumItems  int // item-id validity bound; 0 → unbounded
 }
 
-// Store is the in-memory session state. All methods are safe for
-// concurrent use.
+// Store is the in-memory session state. It is not safe for concurrent
+// use: its owner serialises every call.
 type Store struct {
-	mu         sync.Mutex
 	cfg        Config
 	users      map[int]*entry
 	appliedLSN uint64
@@ -64,8 +67,6 @@ func NewStore(cfg Config) *Store {
 // bounds are dropped and counted, never applied. It reports whether the
 // event advanced state.
 func (s *Store) Apply(lsn uint64, user int, item seq.Item) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if lsn <= s.appliedLSN {
 		return false
 	}
@@ -89,8 +90,6 @@ func (s *Store) Apply(lsn uint64, user int, item seq.Item) bool {
 // It is the response cache's version probe: an entry cached under this
 // LSN is current.
 func (s *Store) UserLSN(user int) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.users[user]
 	if !ok {
 		return 0, false
@@ -99,15 +98,14 @@ func (s *Store) UserLSN(user int) (uint64, bool) {
 }
 
 // RingCloneLSN returns an independent copy of user's resident ring and
-// the LSN of the last event applied to it, captured under one lock hold.
-// Callers that cache the scored result keyed by LSN need the pair to be
-// atomic: copying and then asking for the LSN separately could tag a
-// pre-consume window with a post-consume LSN, making a stale cache entry
-// look current forever. The lock covers one ≤ |W|-item copy and nothing
-// else.
+// the LSN of the last event applied to it, as one pair. Callers that
+// cache the scored result keyed by LSN need the pair to be atomic:
+// copying and then asking for the LSN under a separate hold of the
+// owner's lock could tag a pre-consume window with a post-consume LSN,
+// making a stale cache entry look current forever. The copy is one
+// ≤ |W|-item slice; the window a request scores against is built from
+// it after the owner's lock is released.
 func (s *Store) RingCloneLSN(user int) (seq.Ring, uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.users[user]
 	if !ok {
 		return seq.Ring{}, 0, false
@@ -115,22 +113,9 @@ func (s *Store) RingCloneLSN(user int) (seq.Ring, uint64, bool) {
 	return e.ring.Clone(), e.lsn, true
 }
 
-// WindowCloneLSN is RingCloneLSN with the copy materialised — after the
-// lock is released — into the indexed window a request scores against.
-// The window is private to the caller.
-func (s *Store) WindowCloneLSN(user int) (*seq.Window, uint64, bool) {
-	ring, lsn, ok := s.RingCloneLSN(user)
-	if !ok {
-		return nil, 0, false
-	}
-	return ring.Window(), lsn, true
-}
-
 // WindowLen returns the current length of user's window (0 when the
 // user has no session).
 func (s *Store) WindowLen(user int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if e, ok := s.users[user]; ok {
 		return e.ring.Len()
 	}
@@ -139,23 +124,17 @@ func (s *Store) WindowLen(user int) int {
 
 // Len returns the number of live sessions.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.users)
 }
 
 // AppliedLSN returns the LSN of the last event observed (applied or
 // dropped).
 func (s *Store) AppliedLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.appliedLSN
 }
 
 // Dropped returns how many events were outside the id bounds.
 func (s *Store) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.dropped
 }
 
@@ -170,9 +149,7 @@ type UserWindow struct {
 // fingerprint of the store's state, used by tests to prove recovery
 // equivalence.
 func (s *Store) Dump() []UserWindow {
-	c := s.Capture()
-	c.sortByUser()
-	return c.windows
+	return s.Capture().Dump()
 }
 
 // eventSize is the wire size of one encoded consumption event.

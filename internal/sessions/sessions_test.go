@@ -44,11 +44,11 @@ func TestApplyAdvancesWindows(t *testing.T) {
 			t.Fatalf("event %d not applied", i)
 		}
 	}
-	win, _, ok := s.WindowCloneLSN(0)
+	ring, _, ok := s.RingCloneLSN(0)
 	if !ok {
 		t.Fatal("no window for user 0")
 	}
-	items, pushed := win.Snapshot()
+	items, pushed := ring.Snapshot()
 	if pushed != 4 || !reflect.DeepEqual(items, []seq.Item{2, 3, 4}) {
 		t.Fatalf("user 0 window = %v (pushed %d)", items, pushed)
 	}
@@ -421,30 +421,30 @@ func TestUserLSN(t *testing.T) {
 	}
 }
 
-// WindowCloneLSN must return the window and the LSN from one critical
-// section: the pair is what makes a response-cache fill attributable to
-// an exact store version.
+// RingCloneLSN must return the ring and the LSN as one pair: the pair is
+// what makes a response-cache fill attributable to an exact store
+// version.
 func TestWindowCloneLSN(t *testing.T) {
 	s := mustStore(Config{WindowCap: 3})
-	if _, _, ok := s.WindowCloneLSN(0); ok {
+	if _, _, ok := s.RingCloneLSN(0); ok {
 		t.Fatal("unknown user cloned")
 	}
 	s.Apply(1, 0, 5)
 	s.Apply(2, 0, 6)
-	win, lsn, ok := s.WindowCloneLSN(0)
+	ring, lsn, ok := s.RingCloneLSN(0)
 	if !ok || lsn != 2 {
 		t.Fatalf("clone lsn = %d,%v, want 2", lsn, ok)
 	}
-	items, pushed := win.Snapshot()
+	items, pushed := ring.Snapshot()
 	if pushed != 2 || !reflect.DeepEqual(items, []seq.Item{5, 6}) {
-		t.Fatalf("cloned window = %v (pushed %d)", items, pushed)
+		t.Fatalf("cloned ring = %v (pushed %d)", items, pushed)
 	}
 	// The clone is a copy: later applies must not leak into it.
 	s.Apply(3, 0, 7)
-	if items2, _ := win.Snapshot(); !reflect.DeepEqual(items2, items) {
-		t.Fatal("clone shares storage with the live window")
+	if items2, _ := ring.Snapshot(); !reflect.DeepEqual(items2, items) {
+		t.Fatal("clone shares storage with the live ring")
 	}
-	if _, lsn, _ := s.WindowCloneLSN(0); lsn != 3 {
+	if _, lsn, _ := s.RingCloneLSN(0); lsn != 3 {
 		t.Fatalf("post-apply clone lsn = %d, want 3", lsn)
 	}
 }

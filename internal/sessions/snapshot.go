@@ -48,7 +48,7 @@ type snapHeader struct {
 }
 
 // Capture is a point-in-time copy of a store — every window, and the
-// applied LSN they add up to — taken under the store's lock by
+// applied LSN they add up to — taken under the owner's lock by
 // Store.Capture and written out without it by Write. It shares nothing
 // with the live store, so the write can run on any goroutine while
 // ingest carries on.
@@ -59,13 +59,11 @@ type Capture struct {
 }
 
 // Capture copies the store's current state, windows in map order. This
-// is the only part of a snapshot that holds the store's lock: a memory
+// is the only part of a snapshot that needs the owner's lock: a memory
 // copy, no sorting, no encoding and no I/O. Every window's items are a
 // slice of one shared slab: two allocations for the whole store, not one
 // per user.
 func (s *Store) Capture() *Capture {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	total := 0
 	for _, e := range s.users {
 		total += e.ring.Len()
@@ -80,10 +78,11 @@ func (s *Store) Capture() *Capture {
 	return &Capture{windows: windows, lsn: s.appliedLSN, windowCap: s.cfg.WindowCap}
 }
 
-// sortByUser puts the captured windows in ascending user order, the order
-// a snapshot file lists them in.
-func (c *Capture) sortByUser() {
+// Dump returns the captured windows in ascending user order, the order
+// a snapshot file lists them in. It sorts the capture in place.
+func (c *Capture) Dump() []UserWindow {
 	slices.SortFunc(c.windows, func(a, b UserWindow) int { return cmp.Compare(a.User, b.User) })
+	return c.windows
 }
 
 // Save atomically writes the store's current state to dir and returns
@@ -102,9 +101,9 @@ const snapChunkBytes = 64 << 10
 // and carries the body's CRC, so the body is encoded twice — once into
 // the CRC, once into the file — a chunk at a time, and is never held
 // whole: a write costs one chunk of memory beyond the capture itself.
-// The windows are sorted by user first, off the store's lock.
+// The windows are sorted by user first, off the owner's lock.
 func (c *Capture) Write(dir string) (string, uint64, error) {
-	c.sortByUser()
+	c.Dump()
 	var crc uint32
 	err := c.encodeBody(func(chunk []byte) error {
 		crc = crc32.Update(crc, snapCRC, chunk)

@@ -243,11 +243,6 @@ func (p *Pool) ShardFor(user int) int { return UserShard(user, len(p.shards)) }
 // Partition returns the pool's effective partition identity.
 func (p *Pool) Partition() PartitionID { return p.part }
 
-// OwnsUser reports whether this pool's partition owns user's keys.
-// False means the request was misrouted (or the fleet is misconfigured)
-// and must be refused with the owning-partition hint, never ingested.
-func (p *Pool) OwnsUser(user int) bool { return p.part.Owns(user) }
-
 // Ingest routes one consumption to its owning shard.
 func (p *Pool) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err error) {
 	return p.shards[p.ShardFor(user)].Ingest(user, item)

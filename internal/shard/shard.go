@@ -118,6 +118,8 @@ type Shard struct {
 	cfg   Config
 	point string // faultinject point name, precomputed
 
+	// mu is the one lock over the shard: it orders the log's appends,
+	// the store (which has no lock of its own) and the fields below.
 	mu            sync.Mutex
 	state         State
 	gen           int             // bumped on every trip/drain/close; fences stale supervisors
@@ -657,11 +659,9 @@ func (s *Shard) Status() Status {
 		Snapshots:    s.snapshots.Load(),
 		SnapshotErrs: s.snapshotErrs.Load(),
 		Replayed:     s.rstats.Replayed,
-	}
-	if s.store != nil {
-		st.Sessions = s.store.Len()
-		st.AppliedLSN = s.store.AppliedLSN()
-		st.Dropped = s.store.Dropped()
+		Sessions:     s.store.Len(),
+		AppliedLSN:   s.store.AppliedLSN(),
+		Dropped:      s.store.Dropped(),
 	}
 	if s.lastErr != nil {
 		st.LastError = s.lastErr.Error()
@@ -690,15 +690,13 @@ func (s *Shard) RecoverStats() sessions.RecoverStats {
 }
 
 // Dump returns the shard's sessions in ascending user order — the
-// shard's contribution to the pool-wide state fingerprint.
+// shard's contribution to the pool-wide state fingerprint. The store is
+// copied under mu and sorted after it is released.
 func (s *Shard) Dump() []sessions.UserWindow {
 	s.mu.Lock()
-	store := s.store
+	c := s.store.Capture()
 	s.mu.Unlock()
-	if store == nil {
-		return nil
-	}
-	return store.Dump()
+	return c.Dump()
 }
 
 // openState runs the snapshot+WAL recovery path for one shard
