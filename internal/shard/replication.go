@@ -78,42 +78,19 @@ func (s *Shard) ApplyReplicated(lsn uint64, payload []byte) (applied bool, err e
 	if err != nil {
 		return false, fmt.Errorf("shard %d: replicated lsn %d: %w", s.index, lsn, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return false, s.unavailableLocked()
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: replicated apply panic: %v", s.index, p))
-			applied, err = false, s.unavailableLocked()
+	err = s.op("replicated apply", func() error {
+		next := s.log.NextLSN()
+		if lsn < next {
+			return nil // already durable here; idempotent re-delivery
 		}
-	}()
-	next := s.log.NextLSN()
-	if lsn < next {
-		return false, nil // already durable here; idempotent re-delivery
-	}
-	if lsn > next {
-		return false, fmt.Errorf("shard %d: replicated lsn %d leaves a gap (local next %d)", s.index, lsn, next)
-	}
-	if ferr := faultinject.Do(s.point); ferr != nil {
-		return false, s.appendFailedLocked(ferr)
-	}
-	got, aerr := s.log.Append(payload)
-	if aerr != nil {
-		return false, s.appendFailedLocked(aerr)
-	}
-	if got != lsn {
-		// The log assigned a different LSN than the check above promised —
-		// unreachable unless the log was swapped mid-call, which the lock
-		// forbids. Trip loudly rather than diverge silently.
-		s.tripLocked(fmt.Errorf("shard %d: replicated lsn %d landed at %d", s.index, lsn, got))
-		return false, s.unavailableLocked()
-	}
-	s.failStreak = 0
-	s.store.Apply(lsn, user, item)
-	s.appendedLocked()
-	return true, nil
+		if lsn > next {
+			return fmt.Errorf("shard %d: replicated lsn %d leaves a gap (local next %d)", s.index, lsn, next)
+		}
+		_, err := s.appendLocked(payload, user, item, lsn)
+		applied = err == nil
+		return err
+	})
+	return applied, err
 }
 
 // TruncateAndReload discards every local record with LSN ≥ lsn — the

@@ -174,33 +174,15 @@ func (s *Shard) State() State {
 // UnavailableError; an append failure returns the storage error and
 // counts toward the breaker's failure streak.
 func (s *Shard) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return 0, 0, s.unavailableLocked()
+	payload := sessions.EncodeEvent(user, item)
+	err = s.op("ingest", func() (err error) {
+		lsn, err = s.appendLocked(payload, user, item, 0)
+		winLen = s.store.WindowLen(user)
+		return err
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	// Declared after the Lock/Unlock pair, so this recover runs with mu
-	// still held: tripping and re-reading state under the lock is safe.
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: ingest panic: %v", s.index, p))
-			lsn, winLen = 0, 0
-			err = s.unavailableLocked()
-		}
-	}()
-	// Chaos hook: Panic plans simulate a shard-local bug (absorbed
-	// above), Error plans a sticky storage failure (breaker fodder).
-	if ferr := faultinject.Do(s.point); ferr != nil {
-		return 0, 0, s.appendFailedLocked(ferr)
-	}
-	lsn, aerr := s.log.Append(sessions.EncodeEvent(user, item))
-	if aerr != nil {
-		return 0, 0, s.appendFailedLocked(aerr)
-	}
-	s.failStreak = 0
-	s.store.Apply(lsn, user, item)
-	winLen = s.store.WindowLen(user)
-	s.appendedLocked()
 	return lsn, winLen, nil
 }
 
@@ -208,19 +190,13 @@ func (s *Shard) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err err
 // the response cache's version probe. Fenced like every other op; read
 // panics trip the breaker.
 func (s *Shard) UserLSN(user int) (lsn uint64, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return 0, false, s.unavailableLocked()
+	err = s.op("read", func() error {
+		lsn, ok = s.store.UserLSN(user)
+		return nil
+	})
+	if err != nil {
+		return 0, false, err
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: read panic: %v", s.index, p))
-			lsn, ok = 0, false
-			err = s.unavailableLocked()
-		}
-	}()
-	lsn, ok = s.store.UserLSN(user)
 	return lsn, ok, nil
 }
 
@@ -235,30 +211,64 @@ func (s *Shard) UserLSN(user int) (lsn uint64, ok bool, err error) {
 // after it is released, from that copy alone — no shard state is
 // involved, so nothing there can be the shard's fault.
 func (s *Shard) WindowCloneLSN(user int) (win *seq.Window, lsn uint64, ok bool, err error) {
-	ring, lsn, ok, err := s.ringCloneLSN(user)
+	var ring seq.Ring
+	err = s.op("read", func() error {
+		ring, lsn, ok = s.store.RingCloneLSN(user)
+		return nil
+	})
 	if !ok || err != nil {
 		return nil, 0, false, err
 	}
-	return ring.Window(), lsn, true, nil
+	return ring.IntoWindow(), lsn, true, nil
 }
 
-// ringCloneLSN is the locked, fenced, breaker-guarded half of
-// WindowCloneLSN.
-func (s *Shard) ringCloneLSN(user int) (ring seq.Ring, lsn uint64, ok bool, err error) {
+// op runs fn under mu on a serving shard: the one guard every shard op
+// passes. A shard that is not serving fast-fails with its
+// UnavailableError before fn runs, and a panic inside fn trips the
+// breaker and surfaces as that error. Callers discard fn's results when
+// op returns an error.
+func (s *Shard) op(what string, fn func() error) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != Serving {
-		return seq.Ring{}, 0, false, s.unavailableLocked()
+		return s.unavailableLocked()
 	}
+	// Declared after the Lock/Unlock pair, so this recover runs with mu
+	// still held: tripping and re-reading state under the lock is safe.
 	defer func() {
 		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: read panic: %v", s.index, p))
-			ring, lsn, ok = seq.Ring{}, 0, false
+			s.tripLocked(fmt.Errorf("shard %d: %s panic: %v", s.index, what, p))
 			err = s.unavailableLocked()
 		}
 	}()
-	ring, lsn, ok = s.store.RingCloneLSN(user)
-	return ring, lsn, ok, nil
+	return fn()
+}
+
+// appendLocked makes payload — the encoded (user, item) event — durable
+// in the log and applies it to user's window, returning its LSN. want,
+// when nonzero, is the LSN the record must land at: a replicated record
+// that lands elsewhere trips the breaker rather than let the log
+// diverge from the primary's. Append failures count toward the breaker.
+func (s *Shard) appendLocked(payload []byte, user int, item seq.Item, want uint64) (uint64, error) {
+	// Chaos hook: Panic plans simulate a shard-local bug (absorbed by
+	// op), Error plans a sticky storage failure (breaker fodder).
+	if ferr := faultinject.Do(s.point); ferr != nil {
+		return 0, s.appendFailedLocked(ferr)
+	}
+	lsn, err := s.log.Append(payload)
+	if err != nil {
+		return 0, s.appendFailedLocked(err)
+	}
+	if want != 0 && lsn != want {
+		// Unreachable unless the log was swapped mid-call, which mu
+		// forbids. Trip loudly rather than diverge silently.
+		s.tripLocked(fmt.Errorf("shard %d: replicated lsn %d landed at %d", s.index, want, lsn))
+		return 0, s.unavailableLocked()
+	}
+	s.failStreak = 0
+	s.store.Apply(lsn, user, item)
+	s.appendedLocked()
+	return lsn, nil
 }
 
 // storeReloaded fires the pool's OnStoreReload hook (if configured)
