@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -165,12 +166,21 @@ func (c *Capture) encodeBody(emit func(chunk []byte) error) error {
 // capacity mismatch is a loud error, not a skip: silently rebuilding
 // windows at a different |W| would corrupt every session.
 func LoadLatest(dir string, cfg Config) (*Store, RecoverStats, error) {
+	return LoadBelow(dir, cfg, math.MaxUint64)
+}
+
+// LoadBelow is LoadLatest over the snapshots whose applied LSN is below
+// lsn: the store recovery would start from once the others are dropped.
+func LoadBelow(dir string, cfg Config, lsn uint64) (*Store, RecoverStats, error) {
 	var stats RecoverStats
 	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return nil, stats, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- { // newest first
+		if snaps[i].lsn >= lsn {
+			continue
+		}
 		path := filepath.Join(dir, snaps[i].name)
 		store, hdr, err := loadSnapshot(path, cfg)
 		if err != nil {
@@ -300,20 +310,6 @@ func PruneSnapshots(dir string) (uint64, error) {
 // primary so LoadLatest and the generation pruner see it natively.
 func SnapshotPath(dir string, lsn uint64) string {
 	return filepath.Join(dir, snapName(lsn))
-}
-
-// SnapshotLSNs returns the applied LSNs of every snapshot in dir in
-// ascending order.
-func SnapshotLSNs(dir string) ([]uint64, error) {
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return nil, err
-	}
-	lsns := make([]uint64, len(snaps))
-	for i, sn := range snaps {
-		lsns[i] = sn.lsn
-	}
-	return lsns, nil
 }
 
 // NewestSnapshot reports the newest snapshot file in dir and its

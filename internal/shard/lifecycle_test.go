@@ -39,6 +39,66 @@ func sourceSnapshot(t *testing.T, events int) (ref []sessions.UserWindow, path s
 	return ref, path, lsn
 }
 
+// TestTruncateRefusesUnloadableBase: whether the reload after a cut can
+// rebuild [1, cut) is the recovery loader's question, not the snapshot
+// file names'. With the only snapshot below the cut damaged and the log
+// pruned past it, TruncateAndReload refuses with wal.ErrPruned before it
+// touches the directory: the shard keeps serving the same windows, and
+// the reseed that the refusal calls for lands.
+func TestTruncateRefusesUnloadableBase(t *testing.T) {
+	ref, snapPath, snapLSN := sourceSnapshot(t, 20)
+	dir := t.TempDir()
+	cfg := testConfig(1)
+	cfg.SegmentBytes = 4 * recordBytes
+	p, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ingest := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, _, err := p.Ingest(i%8, seq.Item(100+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(0, 30)
+	p.SnapshotAll() // sessions-30, and the log pruned up to it
+	ingest(30, 70)
+	p.SnapshotAll() // sessions-70
+	sh := p.Shard(0)
+	sh.mu.Lock()
+	oldest := sh.log.OldestLSN()
+	sh.mu.Unlock()
+	if oldest <= 1 || oldest > 31 {
+		t.Fatalf("log starts at %d, want past 1 and reaching back to sessions-30", oldest)
+	}
+	base := sessions.SnapshotPath(shardDir(dir, 0), 30)
+	if err := os.WriteFile(base, []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := fingerprint(t, p)
+
+	if err := sh.TruncateAndReload(35); !errors.Is(err, wal.ErrPruned) {
+		t.Fatalf("truncate over a damaged base: %v, want wal.ErrPruned", err)
+	}
+	if st := sh.State(); st != Serving {
+		t.Fatalf("shard %s after a refused truncate, want serving", st)
+	}
+	if got := fingerprint(t, p); got != before {
+		t.Fatalf("refused truncate changed the windows\n got %s\nwant %s", got, before)
+	}
+	err = sh.Reseed(snapLSN, func(dir string) error {
+		return copyFile(snapPath, sessions.SnapshotPath(dir, snapLSN))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(p.Dump()), fmt.Sprint(ref); got != want {
+		t.Fatalf("reseeded windows\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestFailedReseedIsSupervised: a reseed whose download fails has already
 // quarantined the old timeline. The shard is handed to its supervisor,
 // which reopens the emptied directory, so the shard serves again (empty,
@@ -339,10 +399,9 @@ func TestShardLifecycleProperty(t *testing.T) {
 					m.cut(lsn)
 					swaps++
 				case errors.Is(err, wal.ErrPruned) && sh.State() == Serving:
-					// No base below the cut: the shard serves untouched.
-				case crash && errors.Is(err, faultinject.ErrInjected), damaged && errors.Is(err, wal.ErrPruned):
-					// The latter: the base below the cut was a damaged
-					// snapshot, so the reload found none.
+					// No loadable base below the cut: the shard serves
+					// untouched.
+				case crash && errors.Is(err, faultinject.ErrInjected):
 					if !recovered() {
 						break steps
 					}

@@ -78,6 +78,11 @@ type Config struct {
 	BackoffMax    time.Duration // backoff ceiling; 0 → 5s
 }
 
+// storeConfig is the part of c that sizes each shard's session store.
+func (c Config) storeConfig() sessions.Config {
+	return sessions.Config{WindowCap: c.WindowCap, NumUsers: c.NumUsers, NumItems: c.NumItems}
+}
+
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1

@@ -121,23 +121,19 @@ func (s *Shard) TruncateAndReload(lsn uint64) error {
 		return fmt.Errorf("shard %d: divergence at %d below retained wal: %w", s.index, lsn, wal.ErrPruned)
 	}
 	// The reload must rebuild [1, lsn) from what remains after the cut:
-	// either a snapshot strictly below lsn, or a log reaching back to
-	// its first record. Without one, recovery would silently replay an
-	// incomplete prefix — reseed instead.
-	snapLSNs, err := sessions.SnapshotLSNs(s.dir)
+	// the newest snapshot below lsn that loads, then the log from just
+	// past it. Ask the recovery loader before touching the directory:
+	// where it would refuse after the cut, the shard keeps serving and
+	// the caller reseeds instead. The load runs under mu: ingest waits
+	// for it as it would for the reopen that follows.
+	base, _, err := sessions.LoadBelow(s.dir, s.cfg.storeConfig(), lsn)
 	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("shard %d: %w", s.index, err)
 	}
-	base := s.log.OldestLSN() == 1
-	for _, sl := range snapLSNs {
-		if sl < lsn {
-			base = true
-		}
-	}
-	if !base {
+	if base.AppliedLSN()+1 < s.log.OldestLSN() {
 		s.mu.Unlock()
-		return fmt.Errorf("shard %d: no recovery base below divergence %d: %w", s.index, lsn, wal.ErrPruned)
+		return fmt.Errorf("shard %d: no loadable recovery base below divergence %d: %w", s.index, lsn, wal.ErrPruned)
 	}
 	gen, l := s.takeDownLocked(Recovering)
 	s.mu.Unlock()

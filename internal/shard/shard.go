@@ -728,11 +728,7 @@ func openState(dir string, cfg Config) (*wal.Log, *sessions.Store, sessions.Reco
 	if err != nil {
 		return nil, nil, sessions.RecoverStats{}, err
 	}
-	store, rstats, err := sessions.Recover(dir, l, sessions.Config{
-		WindowCap: cfg.WindowCap,
-		NumUsers:  cfg.NumUsers,
-		NumItems:  cfg.NumItems,
-	})
+	store, rstats, err := sessions.Recover(dir, l, cfg.storeConfig())
 	if err != nil {
 		l.Close()
 		return nil, nil, rstats, err

@@ -19,11 +19,19 @@ func slowSnapshotWrite(d time.Duration) {
 	faultinject.Arm("sessions.snapshot", faultinject.Plan{Mode: faultinject.Delay, Sleep: d, Count: 1})
 }
 
+// snapshotFiles lists the applied LSNs of dir's snapshot files,
+// ascending: their names are fixed-width hex.
 func snapshotFiles(t *testing.T, dir string) []uint64 {
 	t.Helper()
-	lsns, err := sessions.SnapshotLSNs(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "sessions-*.snap"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	lsns := make([]uint64, len(paths))
+	for i, path := range paths {
+		if _, err := fmt.Sscanf(filepath.Base(path), "sessions-%016x.snap", &lsns[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return lsns
 }
