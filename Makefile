@@ -111,8 +111,8 @@ bench-smoke:
 ## Open, ReadFrom and Verify, the session snapshot loader, the
 ## router's topology file, its upstream request head (differential against
 ## net/http's ReadRequest) and response reader, the serving loop (raw bytes on
-## a connection), the partition identity, the root markers
-## (partition, epoch) and the stateless recommend request scanner
+## a connection), the partition identity's index/count form, the root
+## markers (partition, epoch) and the stateless recommend request scanner
 ## (differential against encoding/json)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadModel -fuzztime 20s

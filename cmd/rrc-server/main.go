@@ -48,7 +48,7 @@ func main() {
 		fsyncPolicy   = flag.String("fsync", "always", "event-log durability: always (lose nothing) or never (page cache)")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "minimum appends between periodic snapshots (0 = only at shutdown)")
 
-		partitionFlag = flag.String("partition", "", "partition identity index/count[@generation] (e.g. 1/3): this node owns only its slice of the user-key space and answers 421 for the rest; fixed per events dir unless the generation is bumped (requires -events-dir)")
+		partitionFlag = flag.String("partition", "", "partition identity index/count (e.g. 1/3): this node owns only its slice of the user-key space and answers 421 for the rest; fixed per events dir (requires -events-dir)")
 
 		followURL       = flag.String("follow", "", "run as a warm standby tailing this primary's WAL stream (read-only until promoted)")
 		peersCSV        = flag.String("peers", "", "comma-separated peer base URLs; a restarting primary checks their epochs and starts fenced if deposed")

@@ -34,6 +34,7 @@ func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 		{"-model m.tsppr -fsync interval", `-fsync: wal: unknown fsync policy "interval"`},
 		{"-model m.tsppr -fsync-interval 100ms", "flag provided but not defined: -fsync-interval"},
 		{"-model m.tsppr -wal-skip-corrupt", "flag provided but not defined: -wal-skip-corrupt"},
+		{"-model m.tsppr -events-dir ev -partition 0/2@1", `partition "0/2@1": want index/count`},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "RRC_SERVER_ARGS="+tc.args)

@@ -33,7 +33,7 @@ func partitionedPool(t *testing.T, id shard.PartitionID) *shard.Pool {
 // cross-partition replication would copy another partition's keys into
 // this pair for good, so the refusal must be loud and machine-readable.
 func TestServerPartitionCheck(t *testing.T) {
-	own := shard.PartitionID{Index: 0, Count: 2, Generation: 1}
+	own := shard.PartitionID{Index: 0, Count: 2}
 	_, ts := newPrimary(t, partitionedPool(t, own))
 
 	get := func(stamp string) *http.Response {
@@ -53,9 +53,8 @@ func TestServerPartitionCheck(t *testing.T) {
 		return resp
 	}
 
-	// Matching identity, unstamped (pre-partitioning follower), and a
-	// generation skew (mid-resize re-identity) all pass.
-	for _, stamp := range []string{own.String(), "", "0/2@7"} {
+	// Matching identity and unstamped (pre-partitioning follower) pass.
+	for _, stamp := range []string{own.String(), ""} {
 		if resp := get(stamp); resp.StatusCode != http.StatusOK {
 			t.Fatalf("stamp %q: status %d, want 200", stamp, resp.StatusCode)
 		} else if got := resp.Header.Get(replica.PartitionHeader); got != own.String() {
@@ -65,7 +64,7 @@ func TestServerPartitionCheck(t *testing.T) {
 
 	// A different partition is refused with the owning identity in both
 	// the header and the body.
-	resp := get("1/2@1")
+	resp := get("1/2")
 	if resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("cross-partition stamp: status %d, want 421", resp.StatusCode)
 	}
@@ -77,9 +76,12 @@ func TestServerPartitionCheck(t *testing.T) {
 		t.Fatalf("421 body partition hint = %+v, want %+v", body.Partition, own)
 	}
 
-	// A garbled stamp is a 400, not a silent pass.
-	if resp := get("nonsense"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbled stamp: status %d, want 400", resp.StatusCode)
+	// A garbled stamp is a 400, not a silent pass. So is the retired
+	// i/c@g form an older follower stamps: standbys upgrade first.
+	for _, stamp := range []string{"nonsense", "0/2@0"} {
+		if resp := get(stamp); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("stamp %q: status %d, want 400", stamp, resp.StatusCode)
+		}
 	}
 
 	// The stream endpoint runs the same gate.

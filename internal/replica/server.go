@@ -24,7 +24,7 @@ const (
 	NextLSNHeader = "X-RRC-Next-LSN"
 	// SnapshotLSNHeader carries the applied LSN of a served snapshot.
 	SnapshotLSNHeader = "X-RRC-Snapshot-LSN"
-	// PartitionHeader carries a node's partition identity (i/c@g, the
+	// PartitionHeader carries a node's partition identity (i/c, the
 	// shard.PartitionID wire form) on replication exchanges. Epochs only
 	// fence within one partition's timeline, so a follower accidentally
 	// pointed at another partition's primary must be refused before it
@@ -101,8 +101,7 @@ func writeUnavailable(w http.ResponseWriter, body any) {
 // 421 (Misdirected Request) with our identity as the hint, and nothing
 // streams. Every reply carries our identity in PartitionHeader.
 // Requests without the header — ops tooling, pre-partitioning
-// followers — are let through. Generations may differ: a mid-resize
-// pair re-identifies one node at a time.
+// followers — are let through.
 func (n *Node) checkPartition(w http.ResponseWriter, r *http.Request) bool {
 	own := n.pool.Partition()
 	w.Header().Set(PartitionHeader, own.String())
@@ -115,7 +114,7 @@ func (n *Node) checkPartition(w http.ResponseWriter, r *http.Request) bool {
 		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("bad %s: %v", PartitionHeader, err), Partition: &own})
 		return false
 	}
-	if theirs.Index != own.Index || theirs.Count != own.Count {
+	if theirs != own {
 		writeJSON(w, http.StatusMisdirectedRequest, ErrorBody{
 			Error:     fmt.Sprintf("request is for partition %s but this node owns %s: cross-partition replication refused", theirs, own),
 			Partition: &own,

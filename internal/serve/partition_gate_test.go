@@ -3,7 +3,7 @@ package serve
 // Server-level partition ownership: the keyed online endpoints refuse
 // foreign users with the 421 hint rrc-router folds, /readyz advertises
 // the node's identity, and an events dir cannot be reopened as a
-// different partition without a generation bump.
+// different partition.
 
 import (
 	"encoding/json"
@@ -61,7 +61,7 @@ func TestServerPartitionGate(t *testing.T) {
 		if hint.Partition == nil || *hint.Partition != 0 || hint.Partitions != 2 {
 			t.Fatalf("%s 421 hint = %s, want owning partition 0/2", tc.path, rr.Body.String())
 		}
-		if got := rr.Header().Get(replica.PartitionHeader); got != "1/2@0" {
+		if got := rr.Header().Get(replica.PartitionHeader); got != "1/2" {
 			t.Fatalf("%s 421 %s header = %q", tc.path, replica.PartitionHeader, got)
 		}
 	}
@@ -92,22 +92,22 @@ func TestServerPartitionIdentityFixedPerEventsDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopening the same root as a different partition must fail loudly:
-	// silently serving another slice would misroute keys for good.
+	// Reopening the same root as a different partition, same count or
+	// not, must fail loudly: the root holds windows for 0/2's users only,
+	// and serving another slice would answer its users as strangers.
 	opts := srv.opts
-	opts.Partition = shard.PartitionID{Index: 1, Count: 2}
-	if _, err := New(srv.currentModel(), opts); err == nil {
-		t.Fatal("events dir reopened as a different partition without a generation bump")
+	for _, other := range []shard.PartitionID{{Index: 1, Count: 2}, {Index: 1, Count: 3}} {
+		opts.Partition = other
+		if _, err := New(srv.currentModel(), opts); err == nil {
+			t.Fatalf("events dir of 0/2 reopened as %s", other)
+		}
 	}
 
-	// A strictly higher generation is the operator's resize ack.
-	opts.Partition = shard.PartitionID{Index: 1, Count: 3, Generation: 1}
+	// The identity it was created with reopens.
+	opts.Partition = shard.PartitionID{Index: 0, Count: 2}
 	srv2, err := New(srv.currentModel(), opts)
 	if err != nil {
-		t.Fatalf("generation-bumped re-identity refused: %v", err)
-	}
-	if got := srv2.pool.Partition(); got != opts.Partition {
-		t.Fatalf("pool partition = %s, want %s", got, opts.Partition)
+		t.Fatalf("matching reopen refused: %v", err)
 	}
 	if _, err := srv2.Close(0); err != nil {
 		t.Fatal(err)

@@ -281,18 +281,10 @@ type readyResponse struct {
 	// sessions are off. rrc-router probes it to catch a node whose
 	// -partition disagrees with the topology file before any traffic is
 	// misrouted.
-	Partition *partitionInfo `json:"partition,omitempty"`
+	Partition *shard.PartitionID `json:"partition,omitempty"`
 	// Replication reports the node's role, epoch, fence, and (follower)
 	// lag; nil when the replication plane is off.
 	Replication *replica.Status `json:"replication,omitempty"`
-}
-
-// partitionInfo is the /readyz partition block, mirroring the on-disk
-// marker's JSON shape.
-type partitionInfo struct {
-	Index      int `json:"partition"`
-	Count      int `json:"partitions"`
-	Generation int `json:"generation"`
 }
 
 // handleReady reports readiness: a loaded model and (online) every shard
@@ -307,7 +299,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 			resp.Shards = append(resp.Shards, st.String())
 		}
 		part := s.pool.Partition()
-		resp.Partition = &partitionInfo{Index: part.Index, Count: part.Count, Generation: part.Generation}
+		resp.Partition = &part
 		if !s.pool.Ready() {
 			resp.Status, code = "recovering", http.StatusServiceUnavailable
 		}

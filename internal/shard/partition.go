@@ -1,13 +1,11 @@
 // Partition identity: which slice of the user-key space an events root
 // owns when several replicated pairs split the fleet. The identity —
-// partition index, partition count, and a resize generation — is
-// persisted next to the `shards` marker, because it is the same kind of
-// on-disk contract: a node serving keys routed by UserShard(user, Count)
-// must refuse keys it does not own, and a root reopened under a
-// different identity must fail loudly, never silently misroute. The
-// generation is the operator's explicit acknowledgement of a resize: a
-// re-identity (new index or count after a rebalance) is accepted only
-// under a strictly higher generation.
+// partition index and partition count — is persisted next to the
+// `shards` marker, because it is the same kind of on-disk contract: a
+// node serving keys routed by UserShard(user, Count) must refuse keys it
+// does not own, and a root holds windows for its own slice only, so it
+// is never reopened under another identity. Changing P means fresh dirs
+// and a re-ingest, as README's resize procedure says.
 package shard
 
 import (
@@ -34,9 +32,6 @@ type PartitionID struct {
 	Index int `json:"partition"`
 	// Count is the fleet-wide partition count the keys are split over.
 	Count int `json:"partitions"`
-	// Generation counts accepted re-identities (resizes). A marker is
-	// only ever overwritten by a strictly higher generation.
-	Generation int `json:"generation"`
 }
 
 // Validate checks the identity's internal consistency.
@@ -47,9 +42,6 @@ func (p PartitionID) Validate() error {
 	if p.Index < 0 || p.Index >= p.Count {
 		return fmt.Errorf("shard: partition index %d out of [0,%d)", p.Index, p.Count)
 	}
-	if p.Generation < 0 {
-		return fmt.Errorf("shard: partition generation %d < 0", p.Generation)
-	}
 	return nil
 }
 
@@ -58,36 +50,31 @@ func (p PartitionID) Owns(user int) bool {
 	return UserShard(user, p.Count) == p.Index
 }
 
-// String renders the identity in the i/c@g wire form used by the
+// String renders the identity in the i/c wire form used by the
 // X-RRC-Partition header and the -partition flag.
 func (p PartitionID) String() string {
-	return fmt.Sprintf("%d/%d@%d", p.Index, p.Count, p.Generation)
+	return fmt.Sprintf("%d/%d", p.Index, p.Count)
 }
 
-// ParsePartitionID parses "i/c" or "i/c@g" (the String form) and
-// nothing else: no surrounding space, sign, leading zero or trailing
-// byte.
+// ParsePartitionID parses "i/c" (the String form) and nothing else: no
+// surrounding space, sign, leading zero or trailing byte.
 func ParsePartitionID(s string) (PartitionID, error) {
-	ic, gen, hasGen := strings.Cut(s, "@")
-	idx, cnt, _ := strings.Cut(ic, "/")
+	idx, cnt, _ := strings.Cut(s, "/")
 	var p PartitionID
-	var e1, e2, e3 error
+	var e1, e2 error
 	p.Index, e1 = strconv.Atoi(idx)
 	p.Count, e2 = strconv.Atoi(cnt)
-	want := fmt.Sprintf("%d/%d", p.Index, p.Count)
-	if hasGen {
-		p.Generation, e3 = strconv.Atoi(gen)
-		want = p.String()
-	}
 	// Atoi takes "+1" and "01"; only the rendered form is accepted.
-	if e1 != nil || e2 != nil || e3 != nil || s != want {
-		return p, fmt.Errorf("shard: partition %q: want index/count or index/count@generation", s)
+	if e1 != nil || e2 != nil || s != p.String() {
+		return p, fmt.Errorf("shard: partition %q: want index/count", s)
 	}
 	return p, p.Validate()
 }
 
 // LoadPartition reads the partition marker from root. ok is false when
 // root has no marker yet; EnsurePartition writes one on every Open.
+// Fields the identity no longer has (a resize "generation") are
+// ignored.
 func LoadPartition(root string) (PartitionID, bool, error) {
 	var p PartitionID
 	b, err := os.ReadFile(filepath.Join(root, PartitionMarker))
@@ -128,14 +115,12 @@ func (p PartitionID) Store(root string) error {
 // root and returns the effective identity:
 //
 //   - want.Count == 0 (no -partition): an existing marker wins; with no
-//     marker the root is 0/1@0, the whole key space, and that is
-//     persisted like any other identity — every root names its partition.
+//     marker the root is 0/1, the whole key space, and that is persisted
+//     like any other identity — every root names its partition.
 //   - want.Count >= 1 (explicit -partition): with no marker, want is
-//     persisted and adopted. With a marker, the identities must match;
-//     a different index or count is only accepted — and re-persisted —
-//     under a strictly higher want.Generation, the operator's explicit
-//     resize acknowledgement. Anything else is a loud error: silently
-//     serving another partition's keys would misroute them for good.
+//     persisted and adopted. With a marker, the identities must match.
+//     Anything else is a loud error: the root holds windows for its own
+//     slice only, and serving another would answer users it never saw.
 func EnsurePartition(root string, want PartitionID) (PartitionID, error) {
 	have, ok, err := LoadPartition(root)
 	if err != nil {
@@ -153,16 +138,13 @@ func EnsurePartition(root string, want PartitionID) (PartitionID, error) {
 	if ok && have == want {
 		return have, nil
 	}
-	if !ok || want.Generation > have.Generation {
-		// A fresh root, or a resize re-identity: the higher generation is
-		// the operator saying "yes, this root's slice of the key space
-		// changed".
+	if !ok {
 		if err := want.Store(root); err != nil {
 			return PartitionID{}, err
 		}
 		return want, nil
 	}
 	return PartitionID{}, fmt.Errorf(
-		"shard: %s is partition %s but was started as %s — a node's slice of the key space is fixed per events dir; rerun with -partition %d/%d, or bump the generation (-partition %d/%d@%d) to acknowledge a resize",
-		root, have, want, have.Index, have.Count, want.Index, want.Count, have.Generation+1)
+		"shard: %s is partition %s but was started as %s — a node's slice of the key space is fixed per events dir; rerun with -partition %s, or re-ingest into a fresh dir to change it",
+		root, have, want, have)
 }

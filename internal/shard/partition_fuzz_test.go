@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,13 +8,12 @@ import (
 
 // FuzzParsePartitionID: the parser guards the X-RRC-Partition handshake
 // and rrc-server -partition, so it must never panic, and whatever it
-// accepts is a valid identity written exactly as String renders it (or
-// as the i/c short form of generation 0).
+// accepts is a valid identity written exactly as String renders it.
 func FuzzParsePartitionID(f *testing.F) {
 	for _, s := range []string{
-		"0/1", "2/3", "1/4@7", "1/3@0", "", "3", "3/2", "-1/2", "a/b", "1/2@-1",
-		"1/3@2garbage", "1/3xyz", "1/3@", " 1/3", "+1/3", "01/3", "1/3@2@4",
-		"9223372036854775808/1", "1//3", "@", "/",
+		"0/1", "2/3", "0/0", "1/1", "", "3", "3/2", "-1/2", "a/b", "1/-2",
+		"1/3\n", "1/3xyz", "1/3/", " 1/3", "+1/3", "01/3", "1/03",
+		"9223372036854775808/1", "1//3", "0x1/2", "/",
 	} {
 		f.Add(s)
 	}
@@ -30,9 +28,8 @@ func FuzzParsePartitionID(f *testing.F) {
 		if rt, err := ParsePartitionID(p.String()); err != nil || rt != p {
 			t.Fatalf("%q parsed to %+v, which round-trips to %+v (%v)", s, p, rt, err)
 		}
-		short := p.Generation == 0 && s == fmt.Sprintf("%d/%d", p.Index, p.Count)
-		if s != p.String() && !short {
-			t.Fatalf("accepted %q, which is neither %q nor its i/c short form", s, p)
+		if s != p.String() {
+			t.Fatalf("accepted %q, which is not %q", s, p)
 		}
 	})
 }
@@ -40,7 +37,8 @@ func FuzzParsePartitionID(f *testing.F) {
 // FuzzLoadPartition: the partition marker is read at every Open, and an
 // operator may edit it by hand. Whatever its bytes, LoadPartition must
 // not panic, a marker it accepts is a valid identity, and Store then
-// LoadPartition gives that identity back unchanged.
+// LoadPartition gives that identity back unchanged. Markers from builds
+// that recorded a resize "generation" load; the field is ignored.
 func FuzzLoadPartition(f *testing.F) {
 	for _, s := range []string{
 		`{"partition":0,"partitions":1,"generation":0}`,

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -43,9 +45,8 @@ func TestPartitionIDParseAndString(t *testing.T) {
 		in   string
 		want PartitionID
 	}{
-		{"0/1", PartitionID{0, 1, 0}},
-		{"2/3", PartitionID{2, 3, 0}},
-		{"1/4@7", PartitionID{1, 4, 7}},
+		{"0/1", PartitionID{0, 1}},
+		{"2/3", PartitionID{2, 3}},
 	}
 	for _, c := range cases {
 		got, err := ParsePartitionID(c.in)
@@ -57,12 +58,13 @@ func TestPartitionIDParseAndString(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "3", "3/2", "-1/2", "a/b", "1/2@-1",
-		"1/3@2garbage", "1/3xyz", "1/3@", " 1/3", "+1/3", "01/3", "1/3@2@4"} {
+		"1/3@2garbage", "1/3xyz", "1/3@", " 1/3", "+1/3", "01/3", "1/3@2@4",
+		"1/4@7", "1/3@0"} {
 		if _, err := ParsePartitionID(bad); err == nil {
 			t.Errorf("ParsePartitionID(%q): want error", bad)
 		}
 	}
-	p := PartitionID{Index: 1, Count: 3, Generation: 2}
+	p := PartitionID{Index: 1, Count: 3}
 	rt, err := ParsePartitionID(p.String())
 	if err != nil || rt != p {
 		t.Fatalf("round trip %s → %+v (%v)", p, rt, err)
@@ -87,12 +89,11 @@ func TestPartitionOwns(t *testing.T) {
 }
 
 // TestEnsurePartition covers the marker reconciliation table: every
-// root names its partition (0/1@0 when started without one), explicit
-// identities persist and re-match, a re-identity needs a strictly higher
-// generation, and everything else fails loudly.
+// root names its partition (0/1 when started without one), explicit
+// identities persist and re-match, and everything else fails loudly.
 func TestEnsurePartition(t *testing.T) {
-	// Unconfigured over a fresh root: 0/1@0, persisted like any identity,
-	// and as fixed as any: becoming 1/3 takes a generation bump.
+	// Unconfigured over a fresh root: 0/1, persisted like any identity,
+	// and as fixed as any.
 	whole := t.TempDir()
 	got, err := EnsurePartition(whole, PartitionID{})
 	if want := (PartitionID{Count: 1}); err != nil || got != want {
@@ -102,8 +103,8 @@ func TestEnsurePartition(t *testing.T) {
 		t.Fatalf("unconfigured open persisted %+v (ok=%v, %v), want %+v", have, ok, err, got)
 	}
 	_, err = EnsurePartition(whole, PartitionID{Index: 1, Count: 3})
-	if err == nil || !strings.Contains(err.Error(), "-partition 1/3@1") {
-		t.Fatalf("0/1 root started as 1/3 without a generation bump: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "rerun with -partition 0/1") {
+		t.Fatalf("0/1 root started as 1/3: %v", err)
 	}
 
 	// Explicit first open persists the identity.
@@ -124,24 +125,65 @@ func TestEnsurePartition(t *testing.T) {
 		t.Fatalf("unconfigured reopen over marker: %+v, %v", got, err)
 	}
 
-	// A different identity at the same generation is a loud error.
+	// A different identity is a loud error.
 	_, err = EnsurePartition(root, PartitionID{Index: 2, Count: 3})
 	if err == nil || !strings.Contains(err.Error(), "fixed per events dir") {
 		t.Fatalf("cross-partition reopen must fail loudly, got %v", err)
 	}
 	_, err = EnsurePartition(root, PartitionID{Index: 1, Count: 4})
 	if err == nil {
-		t.Fatal("changed partition count must fail without a generation bump")
+		t.Fatal("changed partition count must fail")
 	}
+}
 
-	// A strictly higher generation is the resize acknowledgement.
-	resized := PartitionID{Index: 1, Count: 4, Generation: 1}
-	if got, err = EnsurePartition(root, resized); err != nil || got != resized {
-		t.Fatalf("generation-bumped resize: %+v, %v", got, err)
+// TestPartitionSliceFixedPerRoot: an events root's slice of the key
+// space is fixed, like its shard count. A root created as 0/2 holds
+// windows for 0/2's users only; reopened as 1/3 it would own users it
+// holds no window for and answer them as if they had never consumed. So
+// it is refused under every spelling -partition takes, and the refusal
+// names no way round it.
+func TestPartitionSliceFixedPerRoot(t *testing.T) {
+	root := t.TempDir()
+	created := PartitionID{Index: 0, Count: 2}
+	if _, err := EnsurePartition(root, created); err != nil {
+		t.Fatal(err)
 	}
-	// ...and a stale (lower) generation afterwards is refused.
-	if _, err = EnsurePartition(root, PartitionID{Index: 1, Count: 3}); err == nil {
-		t.Fatal("stale generation must be refused after a resize")
+	for _, flag := range []string{"1/3@1", "1/3"} {
+		want, err := ParsePartitionID(flag)
+		if err != nil {
+			continue // refused at the flag
+		}
+		_, err = EnsurePartition(root, want)
+		if err == nil || strings.Contains(err.Error(), "generation") {
+			t.Fatalf("0/2 root reopened as %s: %v, want a refusal with no override", flag, err)
+		}
+	}
+	if have, _, err := LoadPartition(root); err != nil || have != created {
+		t.Fatalf("marker now %+v (%v), want %+v", have, err, created)
+	}
+}
+
+// TestParentWrittenPartitionMarker: testdata/parent-8488675/partition is
+// a marker written by a build that recorded a resize generation (1/3@2).
+// It loads as its index and count, and the root reopens as 1/3.
+func TestParentWrittenPartitionMarker(t *testing.T) {
+	const parent = "testdata/parent-8488675"
+	want := PartitionID{Index: 1, Count: 3}
+	if have, ok, err := LoadPartition(parent); err != nil || !ok || have != want {
+		t.Fatalf("parent marker loaded as %+v (ok=%v, %v), want %+v", have, ok, err, want)
+	}
+	root := t.TempDir()
+	b, err := os.ReadFile(filepath.Join(parent, PartitionMarker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, PartitionMarker), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, reopen := range []PartitionID{want, {}} {
+		if got, err := EnsurePartition(root, reopen); err != nil || got != want {
+			t.Fatalf("parent root reopened as %+v: %+v, %v", reopen, got, err)
+		}
 	}
 }
 
@@ -185,7 +227,7 @@ func TestPoolPartitionIdentity(t *testing.T) {
 		t.Fatalf("adopted identity %+v, want %+v", got, cfg.Partition)
 	}
 
-	// No Open leaves a root unnamed: without -partition it says 0/1@0.
+	// No Open leaves a root unnamed: without -partition it says 0/1.
 	fresh := t.TempDir()
 	p3, err := Open(fresh, testConfig(1))
 	if err != nil {
@@ -193,6 +235,6 @@ func TestPoolPartitionIdentity(t *testing.T) {
 	}
 	p3.Close()
 	if have, ok, err := LoadPartition(fresh); err != nil || !ok || have != (PartitionID{Count: 1}) {
-		t.Fatalf("unconfigured Open left marker %+v (ok=%v, %v), want 0/1@0", have, ok, err)
+		t.Fatalf("unconfigured Open left marker %+v (ok=%v, %v), want 0/1", have, ok, err)
 	}
 }

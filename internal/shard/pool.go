@@ -52,10 +52,9 @@ type Config struct {
 	SegmentBytes  int64 // per-shard WAL rotation threshold; 0 → wal default
 
 	// Partition is the slice of the user-key space this root owns. A
-	// zero Count takes the root's partition marker, or writes 0/1@0 (the
-	// whole key space) on a root without one; a nonzero Count is
-	// reconciled against the marker by EnsurePartition (mismatch = loud
-	// error unless the generation is bumped).
+	// zero Count takes the root's partition marker, or writes 0/1 (the
+	// whole key space) on a root without one; a nonzero Count must match
+	// the marker (EnsurePartition): a mismatch is a loud error.
 	Partition PartitionID
 
 	// Metrics, when non-nil, receives the per-shard families

@@ -58,6 +58,15 @@ refused "$tmp/bin/rrc-server" -auto-promote
 refused "$tmp/bin/rrc-server" -fsync-interval 100ms
 refused "$tmp/bin/rrc-server" -wal-skip-corrupt
 refused "$tmp/bin/rrc-inspect" -replan x -to 3
+# The partition's resize generation (-partition i/P@g) is gone: an events
+# dir's slice of the key space is fixed, like its shard count.
+rc=0
+"$tmp/bin/rrc-server" -model "$tmp/none.tsppr" -events-dir "$tmp/none" \
+	-partition 0/2@1 >/dev/null 2>"$tmp/refused.err" || rc=$?
+if [ "$rc" != 2 ] || ! grep -q 'want index/count' "$tmp/refused.err"; then
+	echo "rrc-server -partition 0/2@1: exit $rc, want 2 naming index/count" >&2
+	exit 1
+fi
 
 "$tmp/bin/rrc-datagen" -preset gowalla -users 40 -out "$tmp/data.tsv"
 "$tmp/bin/rrc-train" -data "$tmp/data.tsv" -out "$tmp/model.tsppr" \
