@@ -298,6 +298,47 @@ func TestDumpSortsInterleavedShards(t *testing.T) {
 	}
 }
 
+var sinkWindow *seq.Window
+
+// TestOpGuardAllocatesNothing: the guard every shard op passes costs no
+// allocation — its closure stays on the stack — so the cache-version
+// probe allocates nothing, and a window read allocates what building a
+// window from a ring does and no more: the ring copied under the lock is
+// the one the window keeps.
+func TestOpGuardAllocatesNothing(t *testing.T) {
+	p, err := Open(t.TempDir(), testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const user = 3
+	for i := 0; i < 20; i++ {
+		if _, _, err := p.Ingest(user, seq.Item(i%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok, err := p.UserLSN(user); !ok || err != nil {
+			t.Fatalf("UserLSN: ok=%v err=%v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("Pool.UserLSN allocates %v times per call, want 0", n)
+	}
+	ring, _, ok := p.Shard(p.ShardFor(user)).store.RingCloneLSN(user)
+	if !ok {
+		t.Fatal("no session")
+	}
+	window := testing.AllocsPerRun(100, func() { sinkWindow = ring.Window() })
+	read := testing.AllocsPerRun(100, func() {
+		if sinkWindow, _, ok, err = p.WindowCloneLSN(user); !ok || err != nil {
+			t.Fatalf("WindowCloneLSN: ok=%v err=%v", ok, err)
+		}
+	})
+	if read > window {
+		t.Errorf("Pool.WindowCloneLSN allocates %v times per call, Ring.Window alone %v", read, window)
+	}
+}
+
 // TestStickyAppendFailureTripsAfterThreshold drives FailThreshold
 // consecutive append failures through one shard: below the threshold the
 // raw storage error surfaces (event not durable, caller retries), at the
