@@ -231,7 +231,7 @@ func TestStreamingLoadSkipsDamagedGeneration(t *testing.T) {
 		if _, _, err := s.Save(dir); err != nil {
 			t.Fatal(err)
 		}
-		older = s.Dump()
+		older = s.Capture().Dump()
 		for u := 0; u < users; u++ {
 			lsn++
 			s.Apply(lsn, u, 9999)
@@ -285,7 +285,7 @@ func TestStreamingLoadSkipsDamagedGeneration(t *testing.T) {
 				t.Fatalf("stats = %+v, store at lsn %d: want the newest skipped and the older (lsn %d) loaded",
 					stats, s.AppliedLSN(), 11*users)
 			}
-			if !reflect.DeepEqual(s.Dump(), older) {
+			if !reflect.DeepEqual(s.Capture().Dump(), older) {
 				t.Fatal("state differs from the older generation: part of the damaged file got in")
 			}
 		})
@@ -318,7 +318,7 @@ func TestLoadSnapshotLineFieldsDoNotCarryOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []UserWindow{{User: 0, Pushed: 2, Items: []seq.Item{8}}, {User: 3, Pushed: 9, Items: []seq.Item{1, 2, 3}}, {User: 4, Pushed: 0, Items: []seq.Item{}}}
-	if got := s.Dump(); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := s.Capture().Dump(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Dump = %v, want %v", got, want)
 	}
 }
@@ -387,6 +387,6 @@ func BenchmarkDump(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkDump = s.Dump()
+		sinkDump = s.Capture().Dump()
 	}
 }

@@ -145,13 +145,6 @@ type UserWindow struct {
 	Items  []seq.Item `json:"w"`
 }
 
-// Dump returns every session in ascending user order — the canonical
-// fingerprint of the store's state, used by tests to prove recovery
-// equivalence.
-func (s *Store) Dump() []UserWindow {
-	return s.Capture().Dump()
-}
-
 // eventSize is the wire size of one encoded consumption event.
 const eventSize = 8
 

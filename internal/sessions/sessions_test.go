@@ -26,7 +26,7 @@ func mustStore(cfg Config) *Store {
 // fingerprint canonicalizes a store's state for equality checks.
 func fingerprint(t *testing.T, s *Store) string {
 	t.Helper()
-	b, err := json.Marshal(s.Dump())
+	b, err := json.Marshal(s.Capture().Dump())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestCaptureWriteIsChunkedButByteIdentical(t *testing.T) {
 			s.Apply(lsn, u, seq.Item(10000+(u*31+k*7)%9000))
 		}
 	}
-	want := s.Dump()
+	want := s.Capture().Dump()
 	c := s.Capture()
 	s.Apply(lsn+1, 3, 1) // after the capture: must not show in the file
 
@@ -536,7 +536,7 @@ func TestCaptureWriteIsChunkedButByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(restored.Dump(), want) {
+	if !reflect.DeepEqual(restored.Capture().Dump(), want) {
 		t.Fatal("restored state differs from the state at capture")
 	}
 }

@@ -307,7 +307,7 @@ func TestNoWindowIsForgotten(t *testing.T) {
 	if items, pushed := win.Snapshot(); pushed != 1 || len(items) != 1 || items[0] != 10 {
 		t.Fatalf("u0's window = %v (pushed %d), want [10] (pushed 1)", items, pushed)
 	}
-	want, err := json.Marshal(ref.Dump())
+	want, err := json.Marshal(ref.Capture().Dump())
 	if err != nil {
 		t.Fatal(err)
 	}
