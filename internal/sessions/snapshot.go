@@ -104,7 +104,7 @@ const snapChunkBytes = 64 << 10
 // whole: a write costs one chunk of memory beyond the capture itself.
 // The windows are sorted by user first, off the owner's lock.
 func (c *Capture) Write(dir string) (string, uint64, error) {
-	c.Dump()
+	c.Dump() // sorts the windows by user, in place
 	var crc uint32
 	err := c.encodeBody(func(chunk []byte) error {
 		crc = crc32.Update(crc, snapCRC, chunk)
