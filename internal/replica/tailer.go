@@ -212,38 +212,71 @@ func (n *Node) partitionMismatch(resp *http.Response) error {
 		n.cfg.Follow, hint, n.pool.Partition())
 }
 
-// applyStream decodes and applies every frame in a 200 stream response
-// to a poll sent at start.
+// applyStream decodes every frame in a 200 stream response to a poll
+// sent at start and applies each run of consecutive frames, up to
+// wal.DefaultReadBatch of them, with one ApplyReplicated: one write and
+// one fsync per run. The local horizon and the applied counter move only
+// once a run is durable.
 func (n *Node) applyStream(st *shardTailer, resp *http.Response, start time.Time) (bool, error) {
 	if h := resp.Header.Get(NextLSNHeader); h != "" {
 		if v, err := strconv.ParseUint(h, 10, 64); err == nil {
 			st.primaryNext.Store(v)
 		}
 	}
-	applied, frames := false, 0
+	var (
+		run     [][]byte
+		first   uint64 // LSN of run[0]
+		applied bool
+	)
+	// flush applies the run collected so far and empties it, applied or not.
+	flush := func() error {
+		if len(run) == 0 {
+			return nil
+		}
+		batch := run
+		run = run[:0]
+		k, err := n.pool.Shard(st.shard).ApplyReplicated(first, batch)
+		if err != nil {
+			return fmt.Errorf("apply lsn %d..%d: %w", first, first+uint64(len(batch))-1, err)
+		}
+		if k > 0 {
+			applied = true
+			st.applied.Add(int64(k))
+		}
+		first += uint64(len(batch))
+		st.localNext.Store(first)
+		return nil
+	}
+	frames := 0
+	var err error
 	for ; ; frames++ {
-		lsn, payload, err := wal.ReadFrame(resp.Body, 0)
-		if err == io.EOF {
+		lsn, payload, ferr := wal.ReadFrame(resp.Body, 0)
+		if ferr == io.EOF {
 			break
 		}
-		if err != nil {
-			// A torn or corrupt frame: drop the response and re-resume
-			// from the local horizon. Anything applied so far is durable.
-			n.updateLagClock(st)
-			return applied, fmt.Errorf("stream frame: %w", err)
+		if ferr != nil {
+			// A torn or corrupt frame: apply the whole frames before it,
+			// then drop the response and re-resume from the local horizon.
+			err = fmt.Errorf("stream frame: %w", ferr)
+			break
 		}
-		ok, err := n.pool.Shard(st.shard).ApplyReplicated(lsn, payload)
-		if err != nil {
-			n.updateLagClock(st)
-			return applied, fmt.Errorf("apply lsn %d: %w", lsn, err)
+		if len(run) > 0 && (lsn != first+uint64(len(run)) || len(run) == wal.DefaultReadBatch) {
+			if err = flush(); err != nil {
+				break
+			}
 		}
-		if ok {
-			applied = true
-			st.applied.Inc()
+		if len(run) == 0 {
+			first = lsn
 		}
-		st.localNext.Store(lsn + 1)
+		run = append(run, payload)
+	}
+	if aerr := flush(); aerr != nil {
+		err = aerr
 	}
 	n.updateLagClock(st)
+	if err != nil {
+		return applied, err
+	}
 	until := int64(0)
 	if frames == 0 && st.localNext.Load() >= st.primaryNext.Load() {
 		until = time.Now().Add(2 * time.Since(start)).UnixNano()

@@ -151,10 +151,13 @@ const eventSize = 8
 // EncodeEvent serializes one consumption event as the WAL payload:
 // little-endian uint32 user, uint32 item.
 func EncodeEvent(user int, item seq.Item) []byte {
-	b := make([]byte, eventSize)
-	binary.LittleEndian.PutUint32(b[0:4], uint32(user))
-	binary.LittleEndian.PutUint32(b[4:8], uint32(item))
-	return b
+	return AppendEvent(make([]byte, 0, eventSize), user, item)
+}
+
+// AppendEvent appends the EncodeEvent form of one consumption event to b.
+func AppendEvent(b []byte, user int, item seq.Item) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(user))
+	return binary.LittleEndian.AppendUint32(b, uint32(item))
 }
 
 // DecodeEvent is the inverse of EncodeEvent.

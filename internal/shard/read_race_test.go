@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,11 +36,11 @@ func prefixWindow(user, windowCap, pushed int, items []seq.Item) error {
 // ingests, readers take WindowCloneLSN and UserLSN for the same users,
 // the status gauges are scraped, the capture path runs both ways it is
 // reached (Dump, and the periodic background snapshot), and a second
-// pool applies the first one's records through ApplyReplicated under
-// readers of its own. Every window handed out must be the session after
-// some whole number of its pushes — never a torn ring — with indexes
-// that agree with its ring, and per user neither T nor the LSN may go
-// backwards.
+// pool applies the first one's records, one ReadWAL's worth per call,
+// through ApplyReplicated under readers of its own. Every window handed
+// out must be the session after some whole number of its pushes — never
+// a torn ring — with indexes that agree with its ring, and per user
+// neither T nor the LSN may go backwards.
 func TestReadsAndCapturesRaceIngest(t *testing.T) {
 	const (
 		users  = 6
@@ -170,17 +171,26 @@ func TestReadsAndCapturesRaceIngest(t *testing.T) {
 				finished := done.Load()
 				idle := true
 				for i := range next {
-					var err error
+					var (
+						err error
+						run [][]byte
+					)
 					from := next[i]
 					next[i], err = p.Shard(i).ReadWAL(from, 64, func(lsn uint64, payload []byte) error {
-						applied, err := standby.Shard(i).ApplyReplicated(lsn, payload)
-						if err == nil && !applied {
-							err = fmt.Errorf("shard %d: lsn %d shipped once, not applied", i, lsn)
-						}
-						return err
+						run = append(run, slices.Clone(payload))
+						return nil
 					})
 					if err != nil {
 						return err
+					}
+					if len(run) > 0 {
+						applied, err := standby.Shard(i).ApplyReplicated(from, run)
+						if err == nil && applied != len(run) {
+							err = fmt.Errorf("shard %d: lsns %d..%d shipped once, %d applied", i, from, next[i]-1, applied)
+						}
+						if err != nil {
+							return err
+						}
 					}
 					idle = idle && next[i] == from
 				}

@@ -66,28 +66,34 @@ func (s *Shard) SnapshotInfo() (path string, lsn uint64, err error) {
 	return path, lsn, err
 }
 
-// ApplyReplicated makes one shipped record durable at exactly the
-// primary's LSN and applies it to the owning user's window. Re-delivery
-// (lsn below the local log's next) is skipped — the stream resumes
-// wherever the tailer last confirmed, and the LSN-idempotent store
-// makes the overlap harmless. A gap (lsn above next) is an error: the
-// tailer must re-resume rather than let the follower's log silently
-// skip LSNs the primary committed.
-func (s *Shard) ApplyReplicated(lsn uint64, payload []byte) (applied bool, err error) {
-	user, item, err := sessions.DecodeEvent(payload)
-	if err != nil {
-		return false, fmt.Errorf("shard %d: replicated lsn %d: %w", s.index, lsn, err)
+// ApplyReplicated makes a run of shipped records, the first at the
+// primary's LSN first and the rest at the LSNs after it, durable with
+// one append at exactly those LSNs, then applies them to the owning
+// users' windows; it returns how many it applied. Re-delivery (a prefix
+// below the local log's next) is skipped — the stream resumes wherever
+// the tailer last confirmed, and the LSN-idempotent store makes the
+// overlap harmless. A gap (first above next) is an error: the tailer
+// must re-resume rather than let the follower's log silently skip LSNs
+// the primary committed. A failed append applies nothing.
+func (s *Shard) ApplyReplicated(first uint64, payloads [][]byte) (applied int, err error) {
+	for i, p := range payloads {
+		if _, _, err := sessions.DecodeEvent(p); err != nil {
+			return 0, fmt.Errorf("shard %d: replicated lsn %d: %w", s.index, first+uint64(i), err)
+		}
 	}
 	err = s.op("replicated apply", func() error {
 		next := s.log.NextLSN()
-		if lsn < next {
-			return nil // already durable here; idempotent re-delivery
+		if first > next {
+			return fmt.Errorf("shard %d: replicated lsn %d leaves a gap (local next %d)", s.index, first, next)
 		}
-		if lsn > next {
-			return fmt.Errorf("shard %d: replicated lsn %d leaves a gap (local next %d)", s.index, lsn, next)
+		held := min(next-first, uint64(len(payloads))) // already durable here
+		if held == uint64(len(payloads)) {
+			return nil
 		}
-		_, err := s.appendLocked(payload, user, item, lsn)
-		applied = err == nil
+		_, err := s.appendLocked(next, payloads[held:]...)
+		if err == nil {
+			applied = len(payloads) - int(held)
+		}
 		return err
 	})
 	return applied, err

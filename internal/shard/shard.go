@@ -127,6 +127,7 @@ type Shard struct {
 	store         *sessions.Store // stale but non-nil while down (fenced by state)
 	rstats        sessions.RecoverStats
 	sinceSnapshot int       // WAL records past the newest snapshot's capture
+	event         []byte    // Ingest's encoding buffer, reused across events
 	failStreak    int       // consecutive append failures; breaker input
 	retryAt       time.Time // when the supervisor's next restart attempt fires
 	restarts      int64
@@ -174,9 +175,9 @@ func (s *Shard) State() State {
 // UnavailableError; an append failure returns the storage error and
 // counts toward the breaker's failure streak.
 func (s *Shard) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err error) {
-	payload := sessions.EncodeEvent(user, item)
 	err = s.op("ingest", func() (err error) {
-		lsn, err = s.appendLocked(payload, user, item, 0)
+		s.event = sessions.AppendEvent(s.event[:0], user, item)
+		lsn, err = s.appendLocked(0, s.event)
 		winLen = s.store.WindowLen(user)
 		return err
 	})
@@ -244,31 +245,36 @@ func (s *Shard) op(what string, fn func() error) (err error) {
 	return fn()
 }
 
-// appendLocked makes payload — the encoded (user, item) event — durable
-// in the log and applies it to user's window, returning its LSN. want,
-// when nonzero, is the LSN the record must land at: a replicated record
-// that lands elsewhere trips the breaker rather than let the log
-// diverge from the primary's. Append failures count toward the breaker.
-func (s *Shard) appendLocked(payload []byte, user int, item seq.Item, want uint64) (uint64, error) {
+// appendLocked makes payloads — encoded (user, item) events, each one
+// that DecodeEvent accepts — durable in the log with one Append, then
+// applies them to the users' windows and counts them toward the periodic
+// snapshot; it returns the first one's LSN. want, when nonzero, is the
+// LSN the first record must land at: a replicated batch that lands
+// elsewhere trips the breaker rather than let the log diverge from the
+// primary's. Append failures count toward the breaker.
+func (s *Shard) appendLocked(want uint64, payloads ...[]byte) (uint64, error) {
 	// Chaos hook: Panic plans simulate a shard-local bug (absorbed by
 	// op), Error plans a sticky storage failure (breaker fodder).
 	if ferr := faultinject.Do(s.point); ferr != nil {
 		return 0, s.appendFailedLocked(ferr)
 	}
-	lsn, err := s.log.Append(payload)
+	first, err := s.log.Append(payloads...)
 	if err != nil {
 		return 0, s.appendFailedLocked(err)
 	}
-	if want != 0 && lsn != want {
+	if want != 0 && first != want {
 		// Unreachable unless the log was swapped mid-call, which mu
 		// forbids. Trip loudly rather than diverge silently.
-		s.tripLocked(fmt.Errorf("shard %d: replicated lsn %d landed at %d", s.index, want, lsn))
+		s.tripLocked(fmt.Errorf("shard %d: replicated lsn %d landed at %d", s.index, want, first))
 		return 0, s.unavailableLocked()
 	}
 	s.failStreak = 0
-	s.store.Apply(lsn, user, item)
-	s.appendedLocked()
-	return lsn, nil
+	for i, p := range payloads {
+		user, item, _ := sessions.DecodeEvent(p) // well-formed, as the contract says
+		s.store.Apply(first+uint64(i), user, item)
+	}
+	s.appendedLocked(len(payloads))
+	return first, nil
 }
 
 // storeReloaded fires the pool's OnStoreReload hook (if configured)
@@ -493,18 +499,18 @@ func (s *Shard) Snapshot() {
 // 8-byte frame header plus the 8-byte encoded event.
 const recordBytes = 16
 
-// appendedLocked counts one durable append toward the periodic snapshot
-// and starts one when it is due: at least SnapshotEvery appends since the
+// appendedLocked counts n durable records toward the periodic snapshot
+// and starts one when it is due: at least SnapshotEvery records since the
 // last one, and at least that snapshot's size in log bytes, so the
-// rewrite of the whole store costs O(1) per append and a restart replays
-// at most max(SnapshotEvery records, one snapshot's worth of log). While
-// the previous write is still in flight the count keeps growing and the
-// next append asks again.
-func (s *Shard) appendedLocked() {
+// rewrite of the whole store costs O(1) per record and a restart replays
+// at most max(SnapshotEvery records, one snapshot's worth of log) plus
+// one append's batch. While the previous write is still in flight the
+// count keeps growing and the next append asks again.
+func (s *Shard) appendedLocked(n int) {
 	if s.cfg.SnapshotEvery <= 0 {
 		return
 	}
-	s.sinceSnapshot++
+	s.sinceSnapshot += n
 	if s.sinceSnapshot >= s.cfg.SnapshotEvery &&
 		int64(s.sinceSnapshot)*recordBytes >= s.snapBytes.Load() &&
 		!s.snapshotInFlightLocked() {

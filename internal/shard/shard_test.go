@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"tsppr/internal/faultinject"
+	"tsppr/internal/obs"
 	"tsppr/internal/seq"
 	"tsppr/internal/sessions"
 	"tsppr/internal/wal"
@@ -336,6 +338,85 @@ func TestOpGuardAllocatesNothing(t *testing.T) {
 	})
 	if read > window {
 		t.Errorf("Pool.WindowCloneLSN allocates %v times per call, Ring.Window alone %v", read, window)
+	}
+}
+
+// TestIngestAllocatesNothing: a primary's ingest, a batch of one to the
+// log, encodes its event into the shard's reused buffer and frames it
+// into the log's, so it allocates nothing once the session exists —
+// instrumented, as rrc-server runs it.
+func TestIngestAllocatesNothing(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.Metrics = obs.NewRegistry()
+	p, err := Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const user = 3
+	item := seq.Item(0)
+	ingest := func() {
+		item++
+		if _, _, err := p.Ingest(user, item%5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		ingest()
+	}
+	if n := testing.AllocsPerRun(100, ingest); n != 0 {
+		t.Errorf("Pool.Ingest allocates %v times per call, want 0", n)
+	}
+}
+
+// TestApplyReplicatedSkipsHeldPrefix: a shipped run that overlaps what
+// the standby holds appends only the records past it, a run held whole
+// appends nothing, and a run that leaves a gap or carries a malformed
+// event is refused whole. The standby ends equal to the primary.
+func TestApplyReplicatedSkipsHeldPrefix(t *testing.T) {
+	primary, err := Open(t.TempDir(), testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	standby, err := Open(t.TempDir(), testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standby.Close()
+	events := make([][]byte, 8) // events[i] lands at LSN i+1
+	for i := range events {
+		user, item := i%3, seq.Item(10+i)
+		if _, _, err := primary.Ingest(user, item); err != nil {
+			t.Fatal(err)
+		}
+		events[i] = sessions.EncodeEvent(user, item)
+	}
+	sh := standby.Shard(0)
+	for _, step := range []struct {
+		first   uint64
+		run     [][]byte
+		applied int
+		fails   bool
+		next    uint64
+	}{
+		{1, events[0:5], 5, false, 6},
+		{3, events[2:8], 3, false, 9}, // 3..5 held, 6..8 appended
+		{1, events[0:3], 0, false, 9}, // held whole
+		{11, events[7:8], 0, true, 9}, // gap
+		{9, [][]byte{{1, 2, 3}}, 0, true, 9},
+	} {
+		applied, err := sh.ApplyReplicated(step.first, step.run)
+		if applied != step.applied || (err != nil) != step.fails {
+			t.Fatalf("ApplyReplicated(%d, %d records) = %d, %v; want %d applied, failure %v",
+				step.first, len(step.run), applied, err, step.applied, step.fails)
+		}
+		if next, _ := sh.NextLSN(); next != step.next {
+			t.Fatalf("after ApplyReplicated(%d, ...): next LSN %d, want %d", step.first, next, step.next)
+		}
+	}
+	if got, want := fmt.Sprint(standby.Dump()), fmt.Sprint(primary.Dump()); got != want {
+		t.Fatalf("standby %s, primary %s", got, want)
 	}
 }
 

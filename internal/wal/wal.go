@@ -12,8 +12,12 @@
 //
 //	[4 bytes LE payload length][4 bytes LE CRC32-C of payload][payload]
 //
-// written with a single Write call, so a torn write can only produce a
-// partial record at the tail of a segment, never interleaved garbage.
+// Append frames a batch of records into one buffer and writes each
+// segment's share of it with a single Write call, so a write torn by a
+// crash leaves whole records followed by at most one partial record, at
+// the tail of the segment, never interleaved garbage. Recovery cuts that
+// partial record and nothing else.
+//
 // Records are numbered by a log sequence number (LSN) starting at 1.
 // Segments are files named wal-<firstLSN as %016x>.log; the name pins
 // the LSN of the segment's first record, so any record's LSN is its
@@ -212,7 +216,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opts: opts}
 	if reg := opts.Metrics; reg != nil {
-		reg.Help("rrc_wal_append_seconds", "WAL record append latency (including policy-driven fsync).")
+		reg.Help("rrc_wal_append_seconds", "WAL append latency, including policy-driven fsync, per append call: one record on a primary, one stream response on a standby.")
 		l.mAppend = reg.Histogram("rrc_wal_append_seconds", obs.LatencyBuckets)
 		reg.Help("rrc_wal_fsync_seconds", "WAL fsync latency.")
 		l.mFsync = reg.Histogram("rrc_wal_fsync_seconds", obs.LatencyBuckets)
@@ -283,12 +287,19 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Append writes payload as one record and returns its LSN. Under
-// SyncAlways a nil error means the record is on stable storage. A write
-// error leaves a torn tail which Append heals by truncating back to the
-// pre-write offset; if the heal itself fails the log turns sticky-failed
-// (further appends are refused), exactly as if the process had crashed.
-func (l *Log) Append(payload []byte) (uint64, error) {
+// Append writes payloads as consecutive records and returns the first
+// one's LSN. The records are framed into one reused buffer and each
+// segment's share of them goes out in one write; rotation falls between
+// the same two records, and the bytes on disk are the same, as for one
+// Append per record. Under SyncAlways one fsync covers the whole batch,
+// and a nil error means every record is on stable storage. A failed
+// write heals back to the batch's start: the torn tail is cut, and
+// records of the batch already written to earlier segments go with the
+// segments rotated in after them, so the next Append lands at the
+// batch's first LSN. If the heal itself fails the log turns
+// sticky-failed (further appends are refused), exactly as if the
+// process had crashed.
+func (l *Log) Append(payloads ...[]byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.mAppend != nil {
@@ -298,55 +309,87 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.failed != nil {
 		return 0, l.failed
 	}
-	if len(payload) == 0 {
-		return 0, errors.New("wal: empty payload")
+	if len(payloads) == 0 {
+		return 0, errors.New("wal: empty batch")
 	}
-	if len(payload) > l.opts.MaxRecordBytes {
-		return 0, fmt.Errorf("wal: payload %d bytes over the %d cap", len(payload), l.opts.MaxRecordBytes)
-	}
-	if l.segSize >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
+	for _, p := range payloads {
+		if len(p) == 0 {
+			return 0, errors.New("wal: empty payload")
+		}
+		if len(p) > l.opts.MaxRecordBytes {
+			return 0, fmt.Errorf("wal: payload %d bytes over the %d cap", len(p), l.opts.MaxRecordBytes)
 		}
 	}
-	if n := headerSize + len(payload); cap(l.rec) < n {
-		l.rec = make([]byte, n)
-	}
-	rec := l.rec[:headerSize+len(payload)]
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
-	copy(rec[headerSize:], payload)
+	first := l.nextLSN
+	for rest := payloads; len(rest) > 0; {
+		if l.segSize >= l.opts.SegmentBytes {
+			if err := l.rotateLocked(); err != nil {
+				return 0, l.undoLocked(first, false, err)
+			}
+		}
+		// This segment's share: every record that starts below the
+		// rotation threshold.
+		rec, n := l.rec[:0], 0
+		for n < len(rest) && (n == 0 || l.segSize+int64(len(rec)) < l.opts.SegmentBytes) {
+			p := rest[n]
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(len(p)))
+			rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(p, castagnoli))
+			rec = append(rec, p...)
+			n++
+		}
+		l.rec = rec
 
-	// One Write per record; the fault point simulates a disk-full or a
-	// kill mid-append (short write → torn tail).
-	w := faultinject.WrapWriter("wal.append", io.Writer(l.f))
-	if _, err := w.Write(rec); err != nil {
-		// The tail may now hold a partial record. Heal by truncating it
-		// away; the "wal.heal" point lets chaos tests suppress the heal,
-		// which is indistinguishable from dying mid-append.
-		if herr := faultinject.Do("wal.heal"); herr != nil {
-			l.failed = fmt.Errorf("wal: append failed (%v) and log left torn: %w", err, herr)
-			return 0, l.failed
+		// One Write per share; the fault point simulates a disk-full or
+		// a kill mid-append (short write → torn tail).
+		w := faultinject.WrapWriter("wal.append", io.Writer(l.f))
+		if _, err := w.Write(rec); err != nil {
+			return 0, l.undoLocked(first, true, err)
 		}
-		if terr := l.truncateActiveLocked(); terr != nil {
-			l.failed = fmt.Errorf("wal: append failed (%v) and heal failed: %w", err, terr)
-			return 0, l.failed
+		active := &l.segments[len(l.segments)-1]
+		for _, p := range rest[:n] {
+			l.segSize += int64(headerSize + len(p))
+			l.nextLSN++
+			if (l.nextLSN-active.first)%indexStride == 0 {
+				active.index = append(active.index, l.segSize)
+			}
 		}
-		return 0, fmt.Errorf("wal: append: %w", err)
+		rest = rest[n:]
 	}
-	l.segSize += int64(len(rec))
-	lsn := l.nextLSN
-	l.nextLSN++
-	l.stats.Appends++
-	if active := &l.segments[len(l.segments)-1]; (l.nextLSN-active.first)%indexStride == 0 {
-		active.index = append(active.index, l.segSize)
-	}
+	l.stats.Appends += int64(len(payloads))
 	if l.opts.Sync == SyncAlways {
 		if err := l.syncLocked(); err != nil {
 			return 0, err
 		}
 	}
-	return lsn, nil
+	return first, nil
+}
+
+// undoLocked heals an append that failed after the batch starting at
+// first began: a torn write (torn) is cut from the active segment, and
+// records of the batch already in earlier segments are truncated away.
+// The "wal.heal" point lets chaos tests suppress the heal, which is
+// indistinguishable from dying mid-append. A rotation that fails before
+// the batch wrote a byte needs no heal.
+func (l *Log) undoLocked(first uint64, torn bool, cause error) error {
+	if !torn && l.nextLSN == first {
+		return cause
+	}
+	if herr := faultinject.Do("wal.heal"); herr != nil {
+		l.failed = fmt.Errorf("wal: append failed (%v) and log left torn: %w", cause, herr)
+		return l.failed
+	}
+	var err error
+	if torn {
+		err = l.truncateActiveLocked()
+	}
+	if err == nil && l.nextLSN > first {
+		err = l.truncateFromLocked(first)
+	}
+	if err != nil {
+		l.failed = fmt.Errorf("wal: append failed (%v) and heal failed: %w", cause, err)
+		return l.failed
+	}
+	return fmt.Errorf("wal: append: %w", cause)
 }
 
 // truncateActiveLocked cuts the active segment back to the last durable
@@ -554,6 +597,10 @@ func (l *Log) TruncateFrom(lsn uint64) error {
 	if l.failed != nil {
 		return l.failed
 	}
+	return l.truncateFromLocked(lsn)
+}
+
+func (l *Log) truncateFromLocked(lsn uint64) error {
 	if lsn >= l.nextLSN {
 		return nil
 	}

@@ -119,7 +119,11 @@ curl -sf -X POST "http://$ADDR/recommend/user" -d '{"user":0,"n":5}' >/dev/null
 # 600 appends into one shard (users 2, 4 and 5 all live on shard 2; not
 # user 0, whose cached read above must stay the single invalidation)
 # take its segment nine index strides deep, then wait for the standby
-# to have appended all 609 of the run's events to its own WAL.
+# to have made all 609 of the run's events durable in its own WAL. A
+# standby appends each stream response with one call, so its
+# rrc_wal_append_seconds_count counts responses; the records it applied
+# are the sum of rrc_replica_applied_total over its shards, which moves
+# only once a response is durable.
 i=0
 while [ "$i" -lt 600 ]; do
 	for u in 2 4 5; do
@@ -129,7 +133,8 @@ while [ "$i" -lt 600 ]; do
 done
 ok=
 for _ in $(seq 1 50); do
-	if curl -sf "http://$FOLLOW_ADDR/metrics" | grep -q '^rrc_wal_append_seconds_count 609$'; then
+	if curl -sf "http://$FOLLOW_ADDR/metrics" |
+		awk '$1 ~ /^rrc_replica_applied_total[{]/ { n += $2 } END { exit n != 609 }'; then
 		ok=1
 		break
 	fi
