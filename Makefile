@@ -90,9 +90,10 @@ metrics-smoke:
 ## fuzz-smoke: run every fuzz target over its checked-in seed corpus only
 ## (no mutation) — fast enough to gate on; ./internal/router brings the
 ## topology parser and the upstream request writer and response reader,
-## ./internal/httpserve the serving loop both binaries run
+## ./internal/httpserve the serving loop both binaries run, ./internal/seq
+## the window's slot table against a recount
 fuzz-smoke:
-	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/httpserve ./internal/shard ./internal/replica ./cmd/rrc-server -run '^Fuzz' -count=1
+	$(GO) test ./internal/core ./internal/dataset ./internal/wal ./internal/sessions ./internal/router ./internal/httpserve ./internal/shard ./internal/replica ./internal/seq ./cmd/rrc-server -run '^Fuzz' -count=1
 
 ## bench-smoke: vet and test the end-to-end harness in bench/ — a module
 ## of its own, so `go build ./... && go test ./...` never sees it, yet it
@@ -108,8 +109,9 @@ bench-smoke:
 ## router's topology file, its upstream request head (differential against
 ## net/http's ReadRequest) and response reader, the serving loop (raw bytes on
 ## a connection), the partition identity's index/count form, the root
-## markers (partition, epoch) and the stateless recommend request scanner
-## (differential against encoding/json)
+## markers (partition, epoch), the stateless recommend request scanner
+## (differential against encoding/json) and the window's slot table
+## (differential against a recount)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadModel -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadServingModel -fuzztime 20s
@@ -126,6 +128,7 @@ fuzz:
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzLoadPartition -fuzztime 10s
 	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzLoadMeta -fuzztime 10s
 	$(GO) test ./cmd/rrc-server -run '^$$' -fuzz FuzzDecodeRecommend -fuzztime 10s
+	$(GO) test ./internal/seq -run '^$$' -fuzz FuzzWindowAgainstReference -fuzztime 10s
 
 ## loc: the three line counts every re-anchor and simplicity PR quotes —
 ## non-test Go outside bench/, test Go outside bench/, Go under bench/

@@ -188,6 +188,31 @@ func benchRing() Ring {
 	return r
 }
 
+// TestWindowAllocations pins what a read pays for its window at the bench
+// shape: IntoWindow allocates the window, its slot table and its count
+// histogram, nothing per event; Push allocates nothing.
+func TestWindowAllocations(t *testing.T) {
+	r := benchRing()
+	rings := make([]Ring, 101) // AllocsPerRun makes one warm-up call
+	for i := range rings {
+		rings[i] = r.Clone()
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		sinkWindow = rings[i].IntoWindow()
+		i++
+	}); n > 3 {
+		t.Errorf("Ring.IntoWindow allocates %v times at |W|=100, want ≤ 3", n)
+	}
+	w := r.Window()
+	if n := testing.AllocsPerRun(1000, func() {
+		w.Push(Item(i % 60))
+		i++
+	}); n != 0 {
+		t.Errorf("Window.Push allocates %v times, want 0", n)
+	}
+}
+
 func BenchmarkRingPush(b *testing.B) {
 	r := benchRing()
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,10 @@
 // need no recommendation).
 package seq
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Item identifies a consumable item (location, song, ...). Item IDs are
 // dense non-negative integers assigned by the dataset layer.
@@ -45,7 +48,7 @@ func (s Sequence) Distinct() int {
 // most recent consumptions plus the count of events ever pushed. It is
 // everything a window *is* — counts, gaps and the max count are functions
 // of these item ids and positions — and so it is the form a window takes
-// at rest (session store, snapshots); Window adds the per-item indexes a
+// at rest (session store, snapshots); Window adds the per-item index a
 // scorer queries. The zero Ring is not usable: build one with NewRing or
 // RestoreRing.
 //
@@ -80,7 +83,7 @@ func (r *Ring) T() int { return r.pushed }
 func (r *Ring) Push(v Item) { r.push(v) }
 
 // push is Push reporting the evicted event, which Window needs to keep
-// its indexes in step.
+// its index in step.
 func (r *Ring) push(v Item) (old Item, evicted bool) {
 	if r.size == len(r.buf) {
 		old, evicted = r.buf[r.head], true
@@ -159,7 +162,7 @@ func RestoreRing(capacity, pushed int, items []Item) (Ring, error) {
 }
 
 // Window materialises the queryable window over a copy of r: one O(|W|)
-// walk fills the per-item indexes, with every event at its original
+// walk fills the per-item index, with every event at its original
 // absolute position so Gap and T match a window that saw the same pushes.
 // The result shares nothing with r.
 func (r *Ring) Window() *Window {
@@ -171,22 +174,18 @@ func (r *Ring) Window() *Window {
 // storage, so the caller must not use r afterwards. A ring copied under
 // a lock becomes a window after the lock is released, copied once.
 func (r *Ring) IntoWindow() *Window {
-	w := &Window{
-		ring:      *r,
-		count:     make(map[Item]int, r.size),
-		lastSeen:  make(map[Item]int, r.size),
-		countHist: make(map[int]int),
-	}
+	w := &Window{ring: *r}
+	w.alloc()
 	base := r.pushed - r.size
 	for i := 0; i < r.size; i++ {
-		v := r.buf[r.at(i)]
-		w.count[v]++
-		w.lastSeen[v] = base + i
+		s := w.slotFor(r.buf[r.at(i)])
+		s.count++
+		s.last = base + i
 	}
-	for _, c := range w.count {
-		w.countHist[c]++
-		if c > w.maxCount {
-			w.maxCount = c
+	for _, s := range w.tab {
+		if s.count > 0 {
+			w.hist[s.count]++
+			w.maxCount = max(w.maxCount, int(s.count))
 		}
 	}
 	return w
@@ -196,17 +195,31 @@ func (r *Ring) IntoWindow() *Window {
 // consumptions, with per-item occurrence counts and last-seen positions
 // maintained incrementally.
 //
+// The per-item index is one open-addressed table of slots (linear
+// probing, backward-shift deletion, no tombstones) whose size is a power
+// of two ≥ 1.25·|W|. At most |W| items are distinct, so a free slot
+// always exists and every probe ends.
+//
 // Window is not safe for concurrent use.
 type Window struct {
 	ring     Ring
-	count    map[Item]int
-	lastSeen map[Item]int // most recent position of the item, only while in window
+	tab      []slot
+	shift    uint // 32 − log2(len(tab)): home(v) keeps the top bits of the hash
+	distinct int  // occupied slots
 
-	// countHist[c] is the number of distinct items occurring exactly c
-	// times; maxCount is the largest occupied c. Together they make
-	// MaxCount O(1), which the dynamic-familiarity normalization needs.
-	countHist map[int]int
-	maxCount  int
+	// hist[c] is the number of distinct items occurring exactly c times
+	// (len |W|+1, hist[0] unused); maxCount is the largest occupied c.
+	// Together they make MaxCount O(1), which the dynamic-familiarity
+	// normalization needs.
+	hist     []int32
+	maxCount int
+}
+
+// slot is one item's entry in the window; count 0 marks a free slot.
+type slot struct {
+	item  Item
+	count int32
+	last  int // most recent position of the item
 }
 
 // NewWindow returns an empty window with the given capacity. It panics for
@@ -215,12 +228,64 @@ func NewWindow(capacity int) *Window {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("seq: NewWindow capacity %d <= 0", capacity))
 	}
-	return &Window{
-		ring:      NewRing(capacity),
-		count:     make(map[Item]int),
-		lastSeen:  make(map[Item]int),
-		countHist: make(map[int]int),
+	w := &Window{ring: NewRing(capacity)}
+	w.alloc()
+	return w
+}
+
+// alloc sizes the slot table and the count histogram for the ring's
+// capacity.
+func (w *Window) alloc() {
+	n := w.ring.Cap()
+	lg := uint(bits.Len(uint(n + (n+3)/4 - 1))) // log2 of the power of two ≥ 1.25·n
+	w.tab = make([]slot, 1<<lg)
+	w.shift = 32 - lg
+	w.hist = make([]int32, n+1)
+}
+
+// home is v's preferred slot: Fibonacci hashing, so dense ids spread.
+func (w *Window) home(v Item) int { return int(uint32(v) * 0x9E3779B9 >> w.shift) }
+
+// probe returns the index of v's slot and true, or the index of the free
+// slot that ends v's probe run and false.
+func (w *Window) probe(v Item) (int, bool) {
+	mask := len(w.tab) - 1
+	i := w.home(v)
+	for w.tab[i].count > 0 {
+		if w.tab[i].item == v {
+			return i, true
+		}
+		i = (i + 1) & mask
 	}
+	return i, false
+}
+
+// slotFor returns v's slot, claiming the free one at the end of its
+// probe run (count 0) when v is not in the window.
+func (w *Window) slotFor(v Item) *slot {
+	i, ok := w.probe(v)
+	if !ok {
+		w.tab[i].item = v
+		w.distinct++
+	}
+	return &w.tab[i]
+}
+
+// remove frees slot i and shifts back the entries of the probe run after
+// it that would otherwise be cut off from their home slot.
+func (w *Window) remove(i int) {
+	mask := len(w.tab) - 1
+	for j := (i + 1) & mask; w.tab[j].count > 0; j = (j + 1) & mask {
+		// The entry at j may move to i unless its home lies cyclically
+		// in (i, j].
+		if h := w.home(w.tab[j].item); (j-h)&mask < (j-i)&mask {
+			continue
+		}
+		w.tab[i] = w.tab[j]
+		i = j
+	}
+	w.tab[i] = slot{}
+	w.distinct--
 }
 
 // Cap returns the window capacity |W|.
@@ -239,38 +304,32 @@ func (w *Window) T() int { return w.ring.pushed }
 // Push appends the consumption of v, evicting the oldest event when full.
 func (w *Window) Push(v Item) {
 	if old, evicted := w.ring.push(v); evicted {
-		c := w.count[old] - 1
-		w.bumpHist(c+1, c)
-		if c == 0 {
-			delete(w.count, old)
-			delete(w.lastSeen, old)
+		i, _ := w.probe(old)
+		c := int(w.tab[i].count)
+		w.bumpHist(c, c-1)
+		if c == 1 {
+			w.remove(i)
 		} else {
-			w.count[old] = c
+			w.tab[i].count--
 		}
 	}
-	c := w.count[v] + 1
-	w.count[v] = c
-	w.bumpHist(c-1, c)
-	w.lastSeen[v] = w.ring.pushed - 1
+	s := w.slotFor(v)
+	s.count++
+	s.last = w.ring.pushed - 1
+	w.bumpHist(int(s.count)-1, int(s.count))
 }
 
 // bumpHist moves one item from count bucket `from` to bucket `to`
 // (either may be 0, meaning absent) and maintains maxCount.
 func (w *Window) bumpHist(from, to int) {
 	if from > 0 {
-		if n := w.countHist[from] - 1; n == 0 {
-			delete(w.countHist, from)
-		} else {
-			w.countHist[from] = n
-		}
+		w.hist[from]--
 	}
 	if to > 0 {
-		w.countHist[to]++
-		if to > w.maxCount {
-			w.maxCount = to
-		}
+		w.hist[to]++
+		w.maxCount = max(w.maxCount, to)
 	}
-	for w.maxCount > 0 && w.countHist[w.maxCount] == 0 {
+	for w.maxCount > 0 && w.hist[w.maxCount] == 0 {
 		w.maxCount--
 	}
 }
@@ -280,21 +339,29 @@ func (w *Window) bumpHist(from, to int) {
 func (w *Window) MaxCount() int { return w.maxCount }
 
 // Contains reports whether v occurs in the window.
-func (w *Window) Contains(v Item) bool { return w.count[v] > 0 }
+func (w *Window) Contains(v Item) bool {
+	_, ok := w.probe(v)
+	return ok
+}
 
 // Count returns the number of occurrences of v in the window (the
 // numerator of the dynamic-familiarity feature, paper Eq. 21).
-func (w *Window) Count(v Item) int { return w.count[v] }
+func (w *Window) Count(v Item) int {
+	if i, ok := w.probe(v); ok {
+		return int(w.tab[i].count)
+	}
+	return 0
+}
 
 // Gap returns T − l_ut(v), the number of steps since v's most recent
 // occurrence in the window, and whether v is present. The smallest
 // possible gap is 1 (v was the immediately preceding consumption).
 func (w *Window) Gap(v Item) (int, bool) {
-	last, ok := w.lastSeen[v]
+	i, ok := w.probe(v)
 	if !ok {
 		return 0, false
 	}
-	return w.ring.pushed - last, true
+	return w.ring.pushed - w.tab[i].last, true
 }
 
 // At returns the i-th event in the window, oldest first. It panics when i
@@ -305,33 +372,26 @@ func (w *Window) At(i int) Item { return w.ring.At(i) }
 // first-occurrence (oldest-first) order and returns the extended slice.
 // The deterministic order matters: samplers and the Random baseline index
 // into this slice, and run-to-run reproducibility requires a stable order.
-func (w *Window) DistinctItems(dst []Item) []Item {
-	seen := make(map[Item]struct{}, len(w.count))
-	for i := 0; i < w.ring.size; i++ {
-		v := w.ring.buf[w.ring.at(i)]
-		if _, ok := seen[v]; ok {
-			continue
-		}
-		seen[v] = struct{}{}
-		dst = append(dst, v)
-	}
-	return dst
-}
+func (w *Window) DistinctItems(dst []Item) []Item { return w.firstSeen(-1, dst) }
 
 // Candidates appends the RRC candidate set to dst: the distinct items of
 // the window whose gap exceeds omega (i.e. not consumed in the last omega
 // steps), oldest-first. This is the recommendable set of Definition 2
 // restricted by the minimum gap Ω.
-func (w *Window) Candidates(omega int, dst []Item) []Item {
-	seen := make(map[Item]struct{}, len(w.count))
+func (w *Window) Candidates(omega int, dst []Item) []Item { return w.firstSeen(omega, dst) }
+
+// firstSeen appends, in first-occurrence order, each distinct item whose
+// gap exceeds omega; omega < 0 keeps them all.
+func (w *Window) firstSeen(omega int, dst []Item) []Item {
+	seen := make([]bool, len(w.tab)) // by slot index
 	for i := 0; i < w.ring.size; i++ {
-		v := w.ring.buf[w.ring.at(i)]
-		if _, ok := seen[v]; ok {
+		j, _ := w.probe(w.ring.buf[w.ring.at(i)])
+		if seen[j] {
 			continue
 		}
-		seen[v] = struct{}{}
-		if w.ring.pushed-w.lastSeen[v] > omega {
-			dst = append(dst, v)
+		seen[j] = true
+		if s := w.tab[j]; w.ring.pushed-s.last > omega {
+			dst = append(dst, s.item)
 		}
 	}
 	return dst
@@ -339,16 +399,15 @@ func (w *Window) Candidates(omega int, dst []Item) []Item {
 
 // CandidatesUnordered appends the same candidate set as Candidates to dst
 // in UNSPECIFIED order and returns the extended slice. Unlike Candidates
-// it allocates nothing (it walks the per-item last-seen index instead of
-// deduplicating the ring buffer), which makes it the enumeration of
-// choice for rankers whose selection is order-independent — any ranker
-// with a strict total order on (score, item), such as the topk selector.
-// Order-sensitive consumers (the Random baseline, samplers) must keep
-// using Candidates.
+// it allocates nothing (it walks the slot table instead of deduplicating
+// the ring buffer), which makes it the enumeration of choice for rankers
+// whose selection is order-independent — any ranker with a strict total
+// order on (score, item), such as the topk selector. Order-sensitive
+// consumers (the Random baseline, samplers) must keep using Candidates.
 func (w *Window) CandidatesUnordered(omega int, dst []Item) []Item {
-	for v, last := range w.lastSeen {
-		if w.ring.pushed-last > omega {
-			dst = append(dst, v)
+	for _, s := range w.tab {
+		if s.count > 0 && w.ring.pushed-s.last > omega {
+			dst = append(dst, s.item)
 		}
 	}
 	return dst
@@ -356,7 +415,7 @@ func (w *Window) CandidatesUnordered(omega int, dst []Item) []Item {
 
 // NumDistinct returns the number of distinct items in the window, an
 // upper bound on the candidate-set size for any Ω.
-func (w *Window) NumDistinct() int { return len(w.count) }
+func (w *Window) NumDistinct() int { return w.distinct }
 
 // Snapshot returns the window's contents oldest-first together with the
 // total number of events ever pushed (see Ring.Snapshot):
@@ -371,7 +430,7 @@ func RestoreWindow(capacity, pushed int, items []Item) (*Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Window(), nil
+	return r.IntoWindow(), nil
 }
 
 // Event describes one scanner step: the incoming consumption at position T

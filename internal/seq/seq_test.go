@@ -1,6 +1,8 @@
 package seq
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -247,6 +249,180 @@ func refGap(r *windowRef, v Item) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// refState is the reference recounted from scratch: what every query of
+// a window over the same pushes must answer.
+type refState struct {
+	t, len   int
+	count    map[Item]int
+	last     map[Item]int // absolute position of the most recent occurrence
+	first    []Item       // the distinct items, first occurrence first
+	maxCount int
+}
+
+func (r *windowRef) recount() refState {
+	tail := r.tail()
+	base := len(r.events) - len(tail)
+	st := refState{t: len(r.events), len: len(tail), count: map[Item]int{}, last: map[Item]int{}}
+	for i, v := range tail {
+		if st.count[v] == 0 {
+			st.first = append(st.first, v)
+		}
+		st.count[v]++
+		st.last[v] = base + i
+		st.maxCount = max(st.maxCount, st.count[v])
+	}
+	return st
+}
+
+// diffRef reports the first query, over the given items (pushed or not)
+// and a few Ω, on which w disagrees with the reference, or nil.
+func diffRef(w *Window, st refState, items []Item) error {
+	t := st.t
+	if w.T() != t || w.Len() != st.len || w.MaxCount() != st.maxCount || w.NumDistinct() != len(st.count) {
+		return fmt.Errorf("T/len/max/distinct = %d/%d/%d/%d, want %d/%d/%d/%d",
+			w.T(), w.Len(), w.MaxCount(), w.NumDistinct(), t, st.len, st.maxCount, len(st.count))
+	}
+	for _, v := range items {
+		last, in := st.last[v]
+		wantGap := 0
+		if in {
+			wantGap = t - last
+		}
+		if gap, ok := w.Gap(v); w.Count(v) != st.count[v] || w.Contains(v) != in || ok != in || gap != wantGap {
+			return fmt.Errorf("item %d: count %d contains %v gap (%d,%v), want %d %v (%d,%v)",
+				v, w.Count(v), w.Contains(v), gap, ok, st.count[v], in, wantGap, in)
+		}
+	}
+	// Every gap is ≥ 1, so CandidatesUnordered(0) is the whole set, and a
+	// larger Ω keeps its order.
+	all := w.CandidatesUnordered(0, nil)
+	got, want := slices.Clone(all), slices.Clone(st.first)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("CandidatesUnordered(0) = %v, want the set %v", all, st.first)
+	}
+	for _, omega := range []int{1, 10} {
+		var want, wantUnordered []Item
+		for _, v := range st.first {
+			if t-st.last[v] > omega {
+				want = append(want, v)
+			}
+		}
+		if got := w.Candidates(omega, nil); !slices.Equal(got, want) {
+			return fmt.Errorf("Candidates(%d) = %v, want %v", omega, got, want)
+		}
+		for _, v := range all {
+			if t-st.last[v] > omega {
+				wantUnordered = append(wantUnordered, v)
+			}
+		}
+		if got := w.CandidatesUnordered(omega, nil); !slices.Equal(got, wantUnordered) {
+			return fmt.Errorf("CandidatesUnordered(%d) = %v, want %v", omega, got, wantUnordered)
+		}
+	}
+	if got := w.DistinctItems(nil); !slices.Equal(got, st.first) {
+		return fmt.Errorf("DistinctItems = %v, want %v", got, st.first)
+	}
+	return nil
+}
+
+// diffPushes pushes each item through a window and a ring, and after every
+// push compares the window, and a window built from a copy of the ring,
+// with the reference.
+func diffPushes(capacity int, pushes, items []Item) error {
+	w, r := NewWindow(capacity), NewRing(capacity)
+	ref := &windowRef{cap: capacity}
+	for step, v := range pushes {
+		w.Push(v)
+		r.Push(v)
+		ref.push(v)
+		st := ref.recount()
+		if err := diffRef(w, st, items); err != nil {
+			return fmt.Errorf("|W|=%d step %d, pushed: %w", capacity, step, err)
+		}
+		c := r.Clone()
+		if err := diffRef(c.IntoWindow(), st, items); err != nil {
+			return fmt.Errorf("|W|=%d step %d, from a ring: %w", capacity, step, err)
+		}
+	}
+	return nil
+}
+
+// probeItems returns per ids for each of the slot table's last two and
+// first home slots at the given capacity: ids that collide, and whose
+// probe runs wrap past the table's end into the run of slot 0.
+func probeItems(capacity, per int) []Item {
+	w := NewWindow(capacity)
+	size := len(w.tab)
+	need := map[int]int{size - 1: per, 0: per, size - 2: per} // two slots when size is 2
+	var out []Item
+	for v := Item(0); len(out) < len(need)*per; v++ {
+		if h := w.home(v); need[h] > 0 {
+			need[h]--
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestWindowTableAgainstReference checks the slot table behind every
+// query against a recount, for windows built by Push and by
+// Ring.IntoWindow, at every step: over ids that collide and wrap past the
+// table's end, alone and mixed with twice |W| dense ids so the table
+// fills as far as |W| distinct items take it.
+func TestWindowTableAgainstReference(t *testing.T) {
+	rng := rngutil.New(47)
+	for _, capacity := range []int{1, 2, 7, 100, 1000} {
+		colliders := probeItems(capacity, 4)
+		for _, dense := range []int{0, 2 * capacity} {
+			items := slices.Clone(colliders)
+			for v := 0; v < dense; v++ {
+				items = append(items, Item(v))
+			}
+			pushes := make([]Item, 3*capacity+20)
+			for i := range pushes {
+				if dense == 0 || rng.Intn(2) == 0 {
+					pushes[i] = colliders[rng.Intn(len(colliders))]
+				} else {
+					pushes[i] = Item(rng.Intn(dense))
+				}
+			}
+			if err := diffPushes(capacity, pushes, append(items, -1, Item(dense)+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// FuzzWindowAgainstReference is the same check on fuzzed histories: the
+// first byte picks |W| in [1, 16], each later byte one push from the ids
+// of probeItems followed by eight dense ids. The seeds push colliding
+// ids only, then mix in dense ones.
+func FuzzWindowAgainstReference(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 4, 8})
+	f.Add([]byte{7, 0, 4, 8, 1, 5, 9, 0, 4, 8, 2, 6, 10, 3, 7, 11, 0, 0, 4})
+	f.Add([]byte{0, 0, 1, 4, 5, 8, 9, 0, 1})
+	f.Add([]byte{15, 12, 0, 13, 4, 14, 8, 15, 1, 16, 5, 17, 9, 18, 2, 19, 6, 12, 10, 13, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := 1 + int(data[0]%16)
+		items := probeItems(capacity, 4)
+		for v := 0; v < 8; v++ {
+			items = append(items, Item(v))
+		}
+		pushes := make([]Item, len(data)-1)
+		for i, b := range data[1:] {
+			pushes[i] = items[int(b)%len(items)]
+		}
+		if err := diffPushes(capacity, pushes, items); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestScanEmitsOnlyFullWindows(t *testing.T) {
