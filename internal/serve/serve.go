@@ -581,7 +581,7 @@ func (s *Server) recommend(ctx context.Context, req recommendRequest) (*recommen
 	if err != nil {
 		return nil, err
 	}
-	rctx := &rec.Context{User: req.User, Window: ring.Window(), Omega: omega}
+	rctx := &rec.Context{User: req.User, Window: ring.IntoWindow(), Omega: omega}
 	return s.score(ctx, eng, rctx, n)
 }
 
