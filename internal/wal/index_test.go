@@ -264,11 +264,80 @@ func TestReadFromCostIsBoundedByStride(t *testing.T) {
 		if _, err := l.ReadFrom(from, 1, func(uint64, []byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		// One delivered, at most indexStride-1 before it, and the one
-		// after it that tells a bounded read it is done.
-		if s, d := scanned.Value()-s0, delivered.Value()-d0; d != 1 || s > indexStride+1 {
+		// One delivered and at most indexStride-1 before it.
+		if s, d := scanned.Value()-s0, delivered.Value()-d0; d != 1 || s > indexStride {
 			t.Fatalf("from %d: scanned %d records to deliver %d", from, s, d)
 		}
+	}
+}
+
+// TestReadFromTailScansWhatItDelivers is a standby tailing a primary:
+// one append, then a read from where the last read stopped. The read
+// starts at the byte the last one stopped at, across index entries and
+// rotations, so the log frames exactly the records it delivers.
+func TestReadFromTailScansWhatItDelivers(t *testing.T) {
+	reg := obs.NewRegistry()
+	l, err := Open(t.TempDir(), Options{Sync: SyncNever, SegmentBytes: 4096, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const total = 5 * indexStride
+	next := uint64(1)
+	for i := 0; i < total; i++ {
+		payload := fmt.Sprintf("rec-%0*d", i%7, i) // sizes vary, so offsets do not follow from LSNs
+		if _, err := l.Append([]byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		resume, err := l.ReadFrom(next, 0, func(lsn uint64, p []byte) error {
+			if lsn != next || string(p) != payload {
+				return fmt.Errorf("lsn %d = %q, want lsn %d = %q", lsn, p, next, payload)
+			}
+			return nil
+		})
+		if err != nil || resume != next+1 {
+			t.Fatalf("ReadFrom(%d): resume %d err %v", next, resume, err)
+		}
+		next = resume
+	}
+	if l.Stats().Rotations == 0 {
+		t.Fatal("fixture never rotated; lower SegmentBytes")
+	}
+	scanned := reg.Counter("rrc_wal_read_scanned_records_total").Value()
+	delivered := reg.Counter("rrc_wal_read_delivered_records_total").Value()
+	if delivered != total || scanned != delivered {
+		t.Fatalf("scanned %d records to deliver %d, want %d of each", scanned, delivered, total)
+	}
+}
+
+// TestReadFromForgetsItsPositionAtACut: a TruncateFrom rewrites the bytes
+// past the cut, so where the last read stopped may no longer start a
+// record. The next read from there delivers the rewritten log.
+func TestReadFromForgetsItsPositionAtACut(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 0, 100)
+	from, err := l.ReadFrom(1, 0, func(uint64, []byte) error { return nil })
+	if err != nil || from != 101 {
+		t.Fatalf("read all: resume %d err %v", from, err)
+	}
+	if err := l.TruncateFrom(98); err != nil {
+		t.Fatal(err)
+	}
+	for lsn := 98; lsn <= 101; lsn++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("rewritten-%d", lsn))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	if _, err := l.ReadFrom(from, 0, func(_ uint64, p []byte) error {
+		got = append(got, string(p))
+		return nil
+	}); err != nil || !reflect.DeepEqual(got, []string{"rewritten-101"}) {
+		t.Fatalf("read after the cut: %q err %v", got, err)
 	}
 }
 

@@ -187,6 +187,16 @@ type Log struct {
 	rec      []byte // Append's framing buffer, reused across records
 	stats    Stats
 
+	// resume is where the last ReadFrom stopped, so that a reader tailing
+	// the log re-enters it there instead of at the index entry below.
+	// truncateFromLocked clears it, since the bytes past a cut are
+	// rewritten, and bumps cuts so that a read overlapping the cut does
+	// not store a position into them. A pruned or rotated-away segment
+	// needs no clearing: ReadFrom only uses the position in the segment
+	// it names.
+	resume readPos
+	cuts   uint64
+
 	// Optional instrumentation, wired by Open from Options.Metrics.
 	// The handles are nil when uninstrumented; Counter methods are
 	// nil-safe, and the time.Now calls are gated on the histograms.
@@ -487,13 +497,16 @@ func (l *Log) OldestLSN() uint64 {
 	return l.segments[0].first
 }
 
-// errReadDone and errHole are the internal sentinels a ReadFrom callback
-// uses to stop a segment scan: once maxRecords have been delivered, and
+// errHole is the sentinel a ReadFrom callback stops a segment scan with
 // at an intact record past a missing one.
-var (
-	errReadDone = errors.New("wal: read budget exhausted")
-	errHole     = errors.New("wal: record missing")
-)
+var errHole = errors.New("wal: record missing")
+
+// readPos says that record lsn starts at byte off of the segment whose
+// first record is first.
+type readPos struct {
+	lsn, first uint64
+	off        int64
+}
 
 // DefaultReadBatch is ReadFrom's record budget when maxRecords ≤ 0.
 const DefaultReadBatch = 1024
@@ -505,10 +518,12 @@ const DefaultReadBatch = 1024
 // it, and so does the replication stream. It does not hold the log lock
 // during file I/O: the segment list, their offset indexes and the commit
 // horizon are snapshotted under the lock, then the files are read
-// independently, so a replication stream never stalls appends. Each
-// segment is entered at the index entry at or below the resume point, so
-// a read costs the records it delivers plus fewer than indexStride
-// before them, however full the segment is. from below the oldest
+// independently, so a replication stream never stalls appends. A read
+// from exactly where the previous one stopped starts at that byte, so a
+// tailing reader scans only the records it is delivered; any other read
+// enters each segment at the index entry at or below the resume point,
+// so it costs the records it delivers plus fewer than indexStride before
+// them, however full the segment is. from below the oldest
 // retained record returns ErrPruned — the reader must re-sync from a
 // snapshot. Records arrive with consecutive LSNs or not at all: a read
 // that meets a missing one (CRC-failed, or a segment that ends early)
@@ -527,6 +542,7 @@ func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload 
 	limit := l.nextLSN
 	maxRecord := l.opts.MaxRecordBytes
 	dir := l.dir
+	at, cuts := l.resume, l.cuts
 	l.mu.Unlock()
 
 	if len(segs) > 0 && from < segs[0].first {
@@ -553,13 +569,15 @@ func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload 
 			break
 		}
 		off, idx := sg.seek(next)
-		res, err := scanRecords(filepath.Join(dir, sg.name), maxRecord, off, idx, int(end-sg.first), func(idx int, payload []byte) error {
+		if at.lsn == next && at.first == sg.first {
+			off, idx = at.off, int(next-sg.first)
+		}
+		stop := min(end, next+uint64(maxRecords-delivered))
+		res, err := scanRecords(filepath.Join(dir, sg.name), maxRecord, off, idx, int(stop-sg.first), func(idx int, payload []byte) error {
 			lsn := sg.first + uint64(idx)
 			switch {
 			case lsn < next:
 				return nil
-			case delivered >= maxRecords:
-				return errReadDone
 			case lsn > next:
 				return errHole
 			}
@@ -572,14 +590,20 @@ func (l *Log) ReadFrom(from uint64, maxRecords int, fn func(lsn uint64, payload 
 		})
 		scanned += res.records - idx
 		switch {
-		case errors.Is(err, errReadDone):
-			return next, nil
-		case err == nil && next < end && delivered < maxRecords, errors.Is(err, errHole):
+		case err == nil && next < stop, errors.Is(err, errHole):
 			return next, fmt.Errorf("wal: read %s: lsn %d missing: %w", sg.name, next, ErrCorrupt)
 		case err != nil:
 			return next, fmt.Errorf("wal: read %s: %w", sg.name, err)
 		}
+		// Every record up to stop was delivered, so the scan ended where
+		// record next starts.
+		at = readPos{lsn: next, first: sg.first, off: res.end}
 	}
+	l.mu.Lock()
+	if l.cuts == cuts {
+		l.resume = at
+	}
+	l.mu.Unlock()
 	return next, nil
 }
 
@@ -607,6 +631,8 @@ func (l *Log) truncateFromLocked(lsn uint64) error {
 	if lsn < l.segments[0].first {
 		return fmt.Errorf("wal: truncate from %d, oldest retained %d: %w", lsn, l.segments[0].first, ErrPruned)
 	}
+	l.resume = readPos{}
+	l.cuts++
 	// Release the active segment handle; the cut may land in any segment.
 	if l.f != nil {
 		if err := l.f.Sync(); err != nil {
