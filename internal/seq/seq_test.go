@@ -175,86 +175,32 @@ func (r *windowRef) tail() []Item {
 	return r.events[len(r.events)-r.cap:]
 }
 
-func (r *windowRef) count(v Item) int {
-	n := 0
-	for _, x := range r.tail() {
-		if x == v {
-			n++
-		}
-	}
-	return n
-}
-
-func (r *windowRef) maxCount() int {
-	m := 0
-	counts := map[Item]int{}
-	for _, x := range r.tail() {
-		counts[x]++
-		if counts[x] > m {
-			m = counts[x]
-		}
-	}
-	return m
-}
-
-// TestWindowAgainstReference drives random pushes through both the ring
-// window and the naive reference, checking every invariant at every step.
+// TestWindowAgainstReference drives random pushes over small capacities
+// and universes through a window, a ring and the naive reference,
+// checking every query at every step.
 func TestWindowAgainstReference(t *testing.T) {
 	rng := rngutil.New(77)
 	for trial := 0; trial < 30; trial++ {
-		cap := 1 + rng.Intn(12)
-		w := NewWindow(cap)
-		ref := &windowRef{cap: cap}
-		universe := 1 + rng.Intn(8)
-		for step := 0; step < 300; step++ {
-			v := Item(rng.Intn(universe))
-			w.Push(v)
-			ref.push(v)
-			if w.Len() != len(ref.tail()) {
-				t.Fatalf("len mismatch: %d vs %d", w.Len(), len(ref.tail()))
-			}
-			if w.MaxCount() != ref.maxCount() {
-				t.Fatalf("maxCount mismatch at step %d: %d vs %d", step, w.MaxCount(), ref.maxCount())
-			}
-			for u := 0; u < universe; u++ {
-				item := Item(u)
-				if w.Count(item) != ref.count(item) {
-					t.Fatalf("count(%d) mismatch: %d vs %d", u, w.Count(item), ref.count(item))
-				}
-				gap, ok := w.Gap(item)
-				wantGap, wantOK := refGap(ref, item)
-				if ok != wantOK || gap != wantGap {
-					t.Fatalf("gap(%d) mismatch: (%d,%v) vs (%d,%v)", u, gap, ok, wantGap, wantOK)
-				}
-			}
-			// Ring order must equal the reference tail.
-			tail := ref.tail()
-			for i, want := range tail {
-				if got := w.At(i); got != want {
-					t.Fatalf("At(%d) = %d, want %d", i, got, want)
-				}
-			}
+		capacity := 1 + rng.Intn(12)
+		items := make([]Item, 1+rng.Intn(8))
+		for i := range items {
+			items[i] = Item(i)
+		}
+		pushes := make([]Item, 300)
+		for i := range pushes {
+			pushes[i] = items[rng.Intn(len(items))]
+		}
+		if err := diffPushes(capacity, pushes, append(items, -1)); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// refGap computes the gap from the full event log (clearer than the
-// windowRef method above).
-func refGap(r *windowRef, v Item) (int, bool) {
-	tail := r.tail()
-	offset := len(r.events) - len(tail)
-	for i := len(tail) - 1; i >= 0; i-- {
-		if tail[i] == v {
-			return len(r.events) - (offset + i), true
-		}
-	}
-	return 0, false
 }
 
 // refState is the reference recounted from scratch: what every query of
 // a window over the same pushes must answer.
 type refState struct {
-	t, len   int
+	t        int
+	tail     []Item
 	count    map[Item]int
 	last     map[Item]int // absolute position of the most recent occurrence
 	first    []Item       // the distinct items, first occurrence first
@@ -264,7 +210,7 @@ type refState struct {
 func (r *windowRef) recount() refState {
 	tail := r.tail()
 	base := len(r.events) - len(tail)
-	st := refState{t: len(r.events), len: len(tail), count: map[Item]int{}, last: map[Item]int{}}
+	st := refState{t: len(r.events), tail: tail, count: map[Item]int{}, last: map[Item]int{}}
 	for i, v := range tail {
 		if st.count[v] == 0 {
 			st.first = append(st.first, v)
@@ -280,9 +226,14 @@ func (r *windowRef) recount() refState {
 // and a few Ω, on which w disagrees with the reference, or nil.
 func diffRef(w *Window, st refState, items []Item) error {
 	t := st.t
-	if w.T() != t || w.Len() != st.len || w.MaxCount() != st.maxCount || w.NumDistinct() != len(st.count) {
+	if w.T() != t || w.Len() != len(st.tail) || w.MaxCount() != st.maxCount || w.NumDistinct() != len(st.count) {
 		return fmt.Errorf("T/len/max/distinct = %d/%d/%d/%d, want %d/%d/%d/%d",
-			w.T(), w.Len(), w.MaxCount(), w.NumDistinct(), t, st.len, st.maxCount, len(st.count))
+			w.T(), w.Len(), w.MaxCount(), w.NumDistinct(), t, len(st.tail), st.maxCount, len(st.count))
+	}
+	for i, v := range st.tail {
+		if got := w.At(i); got != v {
+			return fmt.Errorf("At(%d) = %d, want %d", i, got, v)
+		}
 	}
 	for _, v := range items {
 		last, in := st.last[v]
@@ -382,7 +333,7 @@ func TestWindowTableAgainstReference(t *testing.T) {
 			for v := 0; v < dense; v++ {
 				items = append(items, Item(v))
 			}
-			pushes := make([]Item, 3*capacity+20)
+			pushes := make([]Item, 2*capacity+20) // fill, then evict every first-lap event
 			for i := range pushes {
 				if dense == 0 || rng.Intn(2) == 0 {
 					pushes[i] = colliders[rng.Intn(len(colliders))]
