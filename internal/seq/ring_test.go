@@ -243,3 +243,50 @@ func BenchmarkRestoreWindowByPush(b *testing.B) {
 		sinkWindow = w
 	}
 }
+
+// TestRingOverPushesInPlace: a ring over caller-owned storage reads and
+// pushes in that storage, wraps from any head, and materialises like a
+// ring that saw the same pushes; impossible shapes panic.
+func TestRingOverPushesInPlace(t *testing.T) {
+	rng := rngutil.New(48)
+	for _, capacity := range []int{1, 3, 8} {
+		ref := NewRing(capacity)
+		for k := 0; k < 2*capacity+1; k++ {
+			ref.Push(Item(rng.Intn(20)))
+		}
+		// The same contents laid out from every head a slab may hold.
+		for head := 0; head < capacity; head++ {
+			items, pushed := ref.Snapshot()
+			buf := make([]Item, capacity)
+			for i, v := range items {
+				buf[(head+i)%capacity] = v
+			}
+			r := RingOver(buf, head, len(items), pushed)
+			want := ref.Clone()
+			for k := 0; k < capacity+2; k++ {
+				v := Item(rng.Intn(20))
+				r.Push(v)
+				want.Push(v)
+				sameWindow(t, r.Window(), want.Window(), 20)
+			}
+			// Every push landed in buf: a second ring over it sees them.
+			again := RingOver(buf, r.head, r.Len(), r.T())
+			got, _ := again.Snapshot()
+			if w, _ := want.Snapshot(); !reflect.DeepEqual(got, w) {
+				t.Fatalf("cap %d head %d: buf holds %v, want %v", capacity, head, got, w)
+			}
+		}
+	}
+	for _, c := range []struct{ capacity, head, size, pushed int }{
+		{0, 0, 0, 0}, {3, 3, 0, 0}, {3, -1, 0, 0}, {3, 0, 4, 4}, {3, 0, 2, 1}, {3, 0, -1, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RingOver(cap %d, head %d, size %d, pushed %d) did not panic", c.capacity, c.head, c.size, c.pushed)
+				}
+			}()
+			RingOver(make([]Item, c.capacity), c.head, c.size, c.pushed)
+		}()
+	}
+}

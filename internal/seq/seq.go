@@ -156,9 +156,22 @@ func RestoreRing(capacity, pushed int, items []Item) (Ring, error) {
 	if pushed < len(items) {
 		return Ring{}, fmt.Errorf("seq: restore: pushed %d < %d items", pushed, len(items))
 	}
-	r := Ring{buf: make([]Item, capacity), size: len(items), pushed: pushed}
-	copy(r.buf, items)
-	return r, nil
+	buf := make([]Item, capacity)
+	copy(buf, items)
+	return RingOver(buf, 0, len(items), pushed), nil
+}
+
+// RingOver returns the ring whose buffer is buf, caller-owned storage
+// (len(buf) is the capacity): size events from index head onward,
+// oldest first, after pushed events in all. The ring reads and pushes in
+// buf itself and copies nothing, so the caller must not use buf in other
+// ways while the ring is live. It panics on impossible arguments, since
+// they come from code.
+func RingOver(buf []Item, head, size, pushed int) Ring {
+	if len(buf) == 0 || head < 0 || head >= len(buf) || size < 0 || size > len(buf) || pushed < size {
+		panic(fmt.Sprintf("seq: RingOver(cap %d, head %d, size %d, pushed %d) is not a ring", len(buf), head, size, pushed))
+	}
+	return Ring{buf: buf, head: head, size: size, pushed: pushed}
 }
 
 // Window materialises the queryable window over a copy of r: one O(|W|)

@@ -573,14 +573,11 @@ func (s *Server) recommend(ctx context.Context, req recommendRequest) (*recommen
 	// window that saw every push. The engine reads only the window.
 	capW := m.Extractor.WindowCap()
 	tail := req.History[max(0, len(req.History)-capW):]
-	items := make([]seq.Item, len(tail))
+	buf := make([]seq.Item, capW)
 	for i, it := range tail {
-		items[i] = seq.Item(it)
+		buf[i] = seq.Item(it)
 	}
-	ring, err := seq.RestoreRing(capW, len(req.History), items)
-	if err != nil {
-		return nil, err
-	}
+	ring := seq.RingOver(buf, 0, len(tail), len(req.History))
 	rctx := &rec.Context{User: req.User, Window: ring.IntoWindow(), Omega: omega}
 	return s.score(ctx, eng, rctx, n)
 }

@@ -18,21 +18,28 @@ import (
 )
 
 // TestResidentBytesPerUser guards what a session costs at rest: the ring
-// of |W| item ids, its counters, the LSN and a map slot, 510 B at this
-// shape; the guard is that figure + 10 %. A session that also carried two
-// recency-list links and its user id measured 526 B, and the indexed
-// seq.Window the store used to keep resident measured 3.3 KB.
+// of |W| item ids and its header in the slab, plus its slot in the heap's
+// user index, 456 B at this shape; the guard is that figure + 10 %. Both
+// halves count: the slab is outside the Go heap, where HeapAlloc cannot
+// see it. The map of heap rings the slab replaced measured 510 B, a
+// session that also carried two recency-list links and its user id
+// 526 B, and the indexed seq.Window the store used to keep resident
+// 3.3 KB.
 func TestResidentBytesPerUser(t *testing.T) {
 	const users, windowCap, pool = 20_000, 100, 40
-	heap := func() uint64 {
+	resident := func() int64 {
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		if slabInHeap {
+			return int64(ms.HeapAlloc)
+		}
+		return int64(ms.HeapAlloc) + MappedBytes()
 	}
-	before := heap()
+	before := resident()
 	s := NewStore(Config{WindowCap: windowCap})
+	defer s.Close()
 	rng := rngutil.New(5)
 	lsn := uint64(0)
 	for k := 0; k < windowCap+7; k++ { // full and wrapped
@@ -41,13 +48,13 @@ func TestResidentBytesPerUser(t *testing.T) {
 			s.Apply(lsn, u, seq.Item(u*pool+rng.Intn(pool)))
 		}
 	}
-	perUser := float64(heap()-before) / users
+	perUser := float64(resident()-before) / users
 	if s.Len() != users || s.WindowLen(users-1) != windowCap {
 		t.Fatalf("store holds %d sessions, last of length %d", s.Len(), s.WindowLen(users-1))
 	}
-	t.Logf("%.0f B resident per full |W|=%d session", perUser, windowCap)
-	if perUser > 561 {
-		t.Fatalf("%.0f B resident per user, want <= 561", perUser)
+	t.Logf("%.0f B resident per full |W|=%d session, %.0f B of it in the slab", perUser, windowCap, float64(s.SlabBytes())/users)
+	if perUser > 502 {
+		t.Fatalf("%.0f B resident per user, want <= 502", perUser)
 	}
 	runtime.KeepAlive(s)
 }

@@ -9,7 +9,8 @@
 // the last |W| item ids and its push count (seq.Ring) — because that is
 // all a window is; the indexed seq.Window a request scores against is
 // materialised from a copy of the ring per read, outside the owner's
-// lock.
+// lock. The rings live in one slab per store outside the Go heap (see
+// slab), which the store's owner releases with Close.
 //
 // A Store has no lock of its own. Its owner — one shard — serialises
 // every call under the one lock that also orders the shard's log, so an
@@ -40,16 +41,17 @@ type Config struct {
 
 // Store is the in-memory session state. It is not safe for concurrent
 // use: its owner serialises every call.
+//
+// The windows live in a slab outside the Go heap; the heap holds only
+// the user → slot index, which has no pointers for the collector to
+// scan. Nothing a method returns aliases the slab. Close releases it:
+// after Close, every method that reads a window panics.
 type Store struct {
 	cfg        Config
-	users      map[int]*entry
+	index      map[int]int32 // user → slot
+	slab       *slab         // nil once closed
 	appliedLSN uint64
 	dropped    int64 // replayed events outside the configured id bounds
-}
-
-type entry struct {
-	ring seq.Ring
-	lsn  uint64 // LSN of the last event applied to this window
 }
 
 // NewStore returns an empty store. It panics on a non-positive window
@@ -58,7 +60,27 @@ func NewStore(cfg Config) *Store {
 	if cfg.WindowCap <= 0 {
 		panic(fmt.Sprintf("sessions: window capacity %d <= 0", cfg.WindowCap))
 	}
-	return &Store{cfg: cfg, users: make(map[int]*entry)}
+	return &Store{cfg: cfg, index: make(map[int]int32), slab: newSlab(cfg.WindowCap)}
+}
+
+// Close releases the store's slab. The owner calls it once the store is
+// out of service: replaced by a newer one, refused half-built, or shut
+// down. Len, AppliedLSN and Dropped keep answering; the window methods
+// panic. Closing twice is a no-op.
+func (s *Store) Close() {
+	if s.slab != nil {
+		s.slab.free()
+		s.slab = nil
+	}
+}
+
+// SlabBytes returns the bytes the store's windows occupy outside the Go
+// heap (0 once closed).
+func (s *Store) SlabBytes() int64 {
+	if s.slab == nil {
+		return 0
+	}
+	return s.slab.bytes()
 }
 
 // Apply advances user's window with item as the event at the given LSN.
@@ -76,25 +98,53 @@ func (s *Store) Apply(lsn uint64, user int, item seq.Item) bool {
 		s.dropped++
 		return false
 	}
-	e, ok := s.users[user]
+	i, ok := s.index[user]
 	if !ok {
-		e = &entry{ring: seq.NewRing(s.cfg.WindowCap)}
-		s.users[user] = e
+		i = s.slab.alloc()
+		s.index[user] = i
 	}
-	e.ring.Push(item)
-	e.lsn = lsn
+	sl := s.slab.slot(i)
+	r := s.slab.ring(sl)
+	r.Push(item)
+	putSlot(sl, &r, lsn)
 	return true
+}
+
+// restore installs user's window from a snapshot line at the given LSN.
+// Its inputs come from disk, so an impossible window is an error.
+func (s *Store) restore(user, pushed int, items []seq.Item, lsn uint64) error {
+	if len(items) > s.cfg.WindowCap {
+		return fmt.Errorf("%d items over capacity %d", len(items), s.cfg.WindowCap)
+	}
+	if pushed < len(items) {
+		return fmt.Errorf("pushed %d < %d items", pushed, len(items))
+	}
+	if _, dup := s.index[user]; dup {
+		return errors.New("appears twice")
+	}
+	i := s.slab.alloc()
+	s.index[user] = i
+	// Pushed onto an empty ring at the first item's position, the items
+	// land where the slab keeps them.
+	first := pushed - len(items)
+	sl := s.slab.slot(i)
+	r := seq.RingOver(sl[hdrItems:], first%s.cfg.WindowCap, 0, first)
+	for _, v := range items {
+		r.Push(v)
+	}
+	putSlot(sl, &r, lsn)
+	return nil
 }
 
 // UserLSN returns the LSN of the last event applied to user's window.
 // It is the response cache's version probe: an entry cached under this
 // LSN is current.
 func (s *Store) UserLSN(user int) (uint64, bool) {
-	e, ok := s.users[user]
+	i, ok := s.index[user]
 	if !ok {
 		return 0, false
 	}
-	return e.lsn, true
+	return slotLSN(s.slab.slot(i)), true
 }
 
 // RingCloneLSN returns an independent copy of user's resident ring and
@@ -103,28 +153,31 @@ func (s *Store) UserLSN(user int) (uint64, bool) {
 // copying and then asking for the LSN under a separate hold of the
 // owner's lock could tag a pre-consume window with a post-consume LSN,
 // making a stale cache entry look current forever. The copy is one
-// ≤ |W|-item slice; the window a request scores against is built from
-// it after the owner's lock is released.
+// |W|-item heap slice; the window a request scores against is built
+// from it after the owner's lock is released.
 func (s *Store) RingCloneLSN(user int) (seq.Ring, uint64, bool) {
-	e, ok := s.users[user]
+	i, ok := s.index[user]
 	if !ok {
 		return seq.Ring{}, 0, false
 	}
-	return e.ring.Clone(), e.lsn, true
+	sl := s.slab.slot(i)
+	r := s.slab.ring(sl)
+	return r.Clone(), slotLSN(sl), true
 }
 
 // WindowLen returns the current length of user's window (0 when the
 // user has no session).
 func (s *Store) WindowLen(user int) int {
-	if e, ok := s.users[user]; ok {
-		return e.ring.Len()
+	i, ok := s.index[user]
+	if !ok {
+		return 0
 	}
-	return 0
+	return int(s.slab.slot(i)[0])
 }
 
 // Len returns the number of live sessions.
 func (s *Store) Len() int {
-	return len(s.users)
+	return len(s.index)
 }
 
 // AppliedLSN returns the LSN of the last event observed (applied or
@@ -185,7 +238,8 @@ type RecoverStats struct {
 // events. Recovery is complete or refused: a log that no longer reaches
 // back to the store it replays onto — its head was pruned behind a
 // snapshot that did not load — is an error naming the missing LSNs,
-// never a store with short windows.
+// never a store with short windows. The caller owns the store it
+// returns and closes it.
 func Recover(dir string, log *wal.Log, cfg Config) (*Store, RecoverStats, error) {
 	store, stats, err := LoadLatest(dir, cfg)
 	if err != nil {
@@ -208,6 +262,7 @@ func Recover(dir string, log *wal.Log, cfg Config) (*Store, RecoverStats, error)
 			from, log.OldestLSN()-1, stats.SnapshotsSkipped, err)
 	}
 	if err != nil {
+		store.Close()
 		return nil, stats, fmt.Errorf("sessions: recover: %w", err)
 	}
 	return store, stats, nil

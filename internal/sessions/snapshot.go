@@ -59,22 +59,23 @@ type Capture struct {
 	windowCap int
 }
 
-// Capture copies the store's current state, windows in map order. This
-// is the only part of a snapshot that needs the owner's lock: a memory
-// copy, no sorting, no encoding and no I/O. Every window's items are a
-// slice of one shared slab: two allocations for the whole store, not one
-// per user.
+// Capture copies the store's current state, windows in index order,
+// out of the slab onto the heap. This is the only part of a snapshot
+// that needs the owner's lock: a memory copy, no sorting, no encoding
+// and no I/O. Every window's items are a slice of one shared heap
+// slice: two allocations for the whole store, not one per user.
 func (s *Store) Capture() *Capture {
 	total := 0
-	for _, e := range s.users {
-		total += e.ring.Len()
+	for _, i := range s.index {
+		total += int(s.slab.slot(i)[0])
 	}
-	slab := make([]seq.Item, 0, total)
-	windows := make([]UserWindow, 0, len(s.users))
-	for user, e := range s.users {
-		start := len(slab)
-		slab = e.ring.AppendItems(slab)
-		windows = append(windows, UserWindow{User: user, Pushed: e.ring.T(), Items: slab[start:len(slab):len(slab)]})
+	items := make([]seq.Item, 0, total)
+	windows := make([]UserWindow, 0, len(s.index))
+	for user, i := range s.index {
+		start := len(items)
+		r := s.slab.ring(s.slab.slot(i))
+		items = r.AppendItems(items)
+		windows = append(windows, UserWindow{User: user, Pushed: r.T(), Items: items[start:len(items):len(items)]})
 	}
 	return &Capture{windows: windows, lsn: s.appliedLSN, windowCap: s.cfg.WindowCap}
 }
@@ -241,10 +242,19 @@ func readSnapshot(r io.Reader, path string, cfg Config) (*Store, snapHeader, err
 	}
 	// The body streams through the CRC into the decoder, one line
 	// resident at a time; the verdict on the file comes at EOF, and the
-	// half-built store is dropped with any error before it.
-	var crc uint32
+	// half-built store is closed with any error before it.
 	s := NewStore(cfg)
 	s.appliedLSN = hdr.AppliedLSN
+	if err := s.readBody(br, path, hdr); err != nil {
+		s.Close()
+		return nil, hdr, err
+	}
+	return s, hdr, nil
+}
+
+// readBody restores the snapshot's session lines from br into s.
+func (s *Store) readBody(br *bufio.Reader, path string, hdr snapHeader) error {
+	var crc uint32
 	var uw UserWindow
 	n := 0
 	for ; ; n++ {
@@ -252,37 +262,32 @@ func readSnapshot(r io.Reader, path string, cfg Config) (*Store, snapHeader, err
 		if err == io.EOF && len(line) == 0 {
 			break
 		} else if err == bufio.ErrBufferFull {
-			return nil, hdr, fmt.Errorf("sessions: %s: session %d: line over %d bytes", path, n, br.Size())
+			return fmt.Errorf("sessions: %s: session %d: line over %d bytes", path, n, br.Size())
 		} else if err != nil {
-			return nil, hdr, fmt.Errorf("sessions: %s: session %d: %w", path, n, err)
+			return fmt.Errorf("sessions: %s: session %d: %w", path, n, err)
 		}
 		crc = crc32.Update(crc, snapCRC, line)
 		uw = UserWindow{Items: uw.Items[:0]} // reuse the line's item storage
 		if err := json.Unmarshal(line, &uw); err != nil {
-			return nil, hdr, fmt.Errorf("sessions: %s: session %d: %w", path, n, err)
-		}
-		ring, err := seq.RestoreRing(cfg.WindowCap, uw.Pushed, uw.Items)
-		if err != nil {
-			return nil, hdr, fmt.Errorf("sessions: %s: user %d: %w", path, uw.User, err)
-		}
-		if _, dup := s.users[uw.User]; dup {
-			return nil, hdr, fmt.Errorf("sessions: %s: user %d appears twice", path, uw.User)
+			return fmt.Errorf("sessions: %s: session %d: %w", path, n, err)
 		}
 		// The snapshot does not record per-user LSNs, so restored
-		// entries inherit the snapshot's applied LSN: a conservative
+		// sessions inherit the snapshot's applied LSN: a conservative
 		// over-stamp (the user's last event is ≤ it) that only matters
 		// to cache versioning, where WAL replay past the snapshot
 		// re-stamps exactly and a fresh store has no cache to be stale
 		// against.
-		s.users[uw.User] = &entry{ring: ring, lsn: hdr.AppliedLSN}
+		if err := s.restore(uw.User, uw.Pushed, uw.Items, hdr.AppliedLSN); err != nil {
+			return fmt.Errorf("sessions: %s: user %d: %w", path, uw.User, err)
+		}
 	}
 	if crc != hdr.BodyCRC {
-		return nil, hdr, fmt.Errorf("sessions: %s: body CRC %08x, header says %08x", path, crc, hdr.BodyCRC)
+		return fmt.Errorf("sessions: %s: body CRC %08x, header says %08x", path, crc, hdr.BodyCRC)
 	}
 	if n != hdr.Users {
-		return nil, hdr, fmt.Errorf("sessions: %s: %d sessions, header says %d", path, n, hdr.Users)
+		return fmt.Errorf("sessions: %s: %d sessions, header says %d", path, n, hdr.Users)
 	}
-	return s, hdr, nil
+	return nil
 }
 
 // PruneSnapshots removes all but the newest KeepSnapshots generations

@@ -73,6 +73,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err != nil {
 			return nil
 		}
+		t.Cleanup(s.Close)
 		return s
 	}
 	f.Fuzz(func(t *testing.T, file []byte) {

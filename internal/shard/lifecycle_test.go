@@ -262,6 +262,18 @@ func (m *shardModel) dump(t *testing.T, windowCap int) []sessions.UserWindow {
 	return out
 }
 
+// slabLeak returns the session-slab bytes mapped beyond mapped, the
+// process's count before p opened, that no live store of p holds.
+func slabLeak(p *Pool, mapped int64) int64 {
+	live := int64(0)
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		live += sh.store.SlabBytes()
+		sh.mu.Unlock()
+	}
+	return sessions.MappedBytes() - mapped - live
+}
+
 // TestShardLifecycleProperty drives a shard through random sequences of
 // ingests, reads, snapshots, ingest panics, divergent-tail truncations
 // (some stopped by a fault between their two edits of the directory),
@@ -271,7 +283,9 @@ func (m *shardModel) dump(t *testing.T, windowCap int) []sessions.UserWindow {
 //   - its windows hold exactly the acked events no truncate or reseed
 //     cut, in order, on top of the last reseed's snapshot, and its store
 //     sits below its log's end;
-//   - OnStoreReload fired once per store swap;
+//   - OnStoreReload fired once per store swap, and every store swapped
+//     out released its slab: the process maps no slab bytes beyond the
+//     live store's, and none once the pool is closed;
 //   - after every injected failure it serves again, restarted once by
 //     its supervisor, within the restart budget — or, once its snapshots
 //     were damaged and its log no longer reaches back to them, it fails
@@ -289,6 +303,7 @@ func TestShardLifecycleProperty(t *testing.T) {
 		cfg.SnapshotEvery = 4
 		cfg.SegmentBytes = 4 * recordBytes // rotate often, so some truncations find their base pruned
 		cfg.OnStoreReload = func(int) { reloads.Add(1) }
+		mapped := sessions.MappedBytes()
 		p, err := Open(t.TempDir(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -480,6 +495,9 @@ func TestShardLifecycleProperty(t *testing.T) {
 			if got := reloads.Load(); got != swaps {
 				fail("OnStoreReload fired %d times for %d store swaps", got, swaps)
 			}
+			if leak := slabLeak(p, mapped); leak != 0 {
+				fail("%d B of session slabs mapped beyond the live store's", leak)
+			}
 		}
 		if sh.State() == Failed {
 			// Failed for good: every op is refused, and no supervisor
@@ -495,6 +513,9 @@ func TestShardLifecycleProperty(t *testing.T) {
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if leak := slabLeak(p, mapped); leak != 0 {
+			fail("%d B of session slabs still mapped after Close", leak)
 		}
 	}
 	if rejected == 0 {

@@ -169,6 +169,7 @@ func Open(root string, cfg Config) (*Pool, error) {
 		for _, sh := range shards {
 			if sh.log != nil {
 				sh.log.Close()
+				sh.store.Close()
 			}
 		}
 		return nil, err
@@ -363,6 +364,8 @@ func (p *Pool) register(reg *obs.Registry) {
 	reg.Help("rrc_shard_sessions", "Per-user session windows held by the shard.")
 	reg.Help("rrc_shard_snapshot_lock_seconds", "Time a shard's lock was held for a snapshot: the in-memory capture of a periodic one, the whole of a final one.")
 	reg.Help("rrc_shard_snapshot_write_seconds", "Time to encode, write and prune behind one snapshot, on or off the shard lock.")
+	reg.Help("rrc_sessions_slab_bytes", "Bytes mapped outside the Go heap for the session windows of every shard's store.")
+	reg.GaugeFunc("rrc_sessions_slab_bytes", func() float64 { return float64(sessions.MappedBytes()) })
 	snapLock := reg.Histogram("rrc_shard_snapshot_lock_seconds", obs.LatencyBuckets)
 	snapWrite := reg.Histogram("rrc_shard_snapshot_write_seconds", obs.LatencyBuckets)
 	for _, sh := range p.shards {

@@ -137,7 +137,9 @@ func (s *Shard) TruncateAndReload(lsn uint64) error {
 		s.mu.Unlock()
 		return fmt.Errorf("shard %d: %w", s.index, err)
 	}
-	if base.AppliedLSN()+1 < s.log.OldestLSN() {
+	baseLSN := base.AppliedLSN()
+	base.Close()
+	if baseLSN+1 < s.log.OldestLSN() {
 		s.mu.Unlock()
 		return fmt.Errorf("shard %d: no loadable recovery base below divergence %d: %w", s.index, lsn, wal.ErrPruned)
 	}

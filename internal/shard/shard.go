@@ -124,7 +124,7 @@ type Shard struct {
 	state         State
 	gen           int             // bumped on every trip/drain/close; fences stale supervisors
 	log           *wal.Log        // nil while the shard is down
-	store         *sessions.Store // stale but non-nil while down (fenced by state)
+	store         *sessions.Store // stale but non-nil while down (fenced by state); closed by Close
 	rstats        sessions.RecoverStats
 	sinceSnapshot int       // WAL records past the newest snapshot's capture
 	event         []byte    // Ingest's encoding buffer, reused across events
@@ -361,6 +361,7 @@ func (s *Shard) reopen(gen int, prepare func() error) error {
 		s.mu.Unlock()
 		if l != nil {
 			l.Close()
+			store.Close()
 		}
 		return fmt.Errorf("shard %d: fenced by a concurrent lifecycle change", s.index)
 	}
@@ -456,10 +457,13 @@ func (s *Shard) Drain() error {
 
 // Close stops the shard in any state: a serving shard is drained (final
 // snapshot), anything else is force-stopped and its supervisor fenced.
+// The store's slab is released; Status still reports its counters.
 func (s *Shard) Close() error {
 	s.lockQuiesced()
 	defer s.mu.Unlock()
-	return s.stopLocked()
+	err := s.stopLocked()
+	s.store.Close()
+	return err
 }
 
 // stopLocked takes the shard out of service for good. A serving shard
@@ -518,11 +522,15 @@ func (s *Shard) appendedLocked(n int) {
 	}
 }
 
-// installLocked puts a freshly recovered log and store in service. The
-// records replayed past the recovered snapshot already count toward the
-// next one, and the size floor is that snapshot's file (0 without one).
-// The caller holds mu, or owns the shard before anyone else can see it.
+// installLocked puts a freshly recovered log and store in service and
+// closes the store they replace. The records replayed past the recovered
+// snapshot already count toward the next one, and the size floor is that
+// snapshot's file (0 without one). The caller holds mu, or owns the
+// shard before anyone else can see it.
 func (s *Shard) installLocked(l *wal.Log, store *sessions.Store, rstats sessions.RecoverStats) {
+	if s.store != nil {
+		s.store.Close()
+	}
 	s.log, s.store, s.rstats = l, store, rstats
 	s.sinceSnapshot = rstats.Replayed
 	s.snapBytes.Store(fileSize(rstats.SnapshotPath))

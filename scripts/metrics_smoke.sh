@@ -228,6 +228,18 @@ grep -q '^rrc_online_sessions 8$' "$tmp/scrape.prom" || {
 	exit 1
 }
 
+# The windows live outside the Go heap, where rrc_go_heap_* cannot see
+# them: the slab gauge holds at least |W| = 20 item ids of 4 B for each
+# session, on the primary and on the follower that applied them.
+for f in "$tmp/scrape.prom" "$tmp/follower.prom"; do
+	awk '$1 == "rrc_online_sessions" { n = $2 } $1 == "rrc_sessions_slab_bytes" { b = $2 }
+		END { exit !(n > 0 && b >= n * 20 * 4) }' "$f" || {
+		echo "$f: rrc_sessions_slab_bytes under sessions x |W| x 4 B:" >&2
+		grep -E '^rrc_(online_sessions|sessions_slab_bytes) ' "$f" >&2
+		exit 1
+	}
+done
+
 # Response-cache families: the repeat read above must have hit, the
 # first read missed, and the interleaved consume invalidated.
 grep -q '^rrc_rescache_hits_total 1$' "$tmp/scrape.prom" || {
