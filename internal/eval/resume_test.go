@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"tsppr/internal/faultinject"
@@ -48,19 +49,59 @@ func metricsString(r Result) string {
 		r.Method, r.TopNs, r.MaAP, r.MiAP, r.MRR, r.NDCG, r.Events, r.UsersEvaluated, r.Recs)
 }
 
-func TestEvaluateContextCancelledUpfront(t *testing.T) {
-	train, test := resumeWorkload(8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r, err := EvaluateContext(ctx, train, test, oldestFirst(), Options{WindowCap: 10, Omega: 2, TopNs: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Interrupted {
-		t.Fatal("pre-cancelled context not reported as interrupted")
-	}
-	if r.UsersDone != 0 {
-		t.Fatalf("UsersDone = %d on a pre-cancelled run", r.UsersDone)
+// cancelAfter wraps f so that its k-th New, which starts the k-th user's
+// replay, cancels the evaluation's context. That user still completes.
+func cancelAfter(f rec.Factory, k int, cancel context.CancelFunc) rec.Factory {
+	var started atomic.Int64
+	return rec.Factory{Name: f.Name, New: func(seed uint64) rec.Recommender {
+		if started.Add(1) == int64(k) {
+			cancel()
+		}
+		return f.New(seed)
+	}}
+}
+
+// TestEvaluateContextCancelled pins what a cancelled evaluation returns: a
+// nil error and a partial Result, Interrupted, whose aggregates are those
+// of the users replayed before the cancellation and of no other.
+func TestEvaluateContextCancelled(t *testing.T) {
+	const users = 8
+	train, test := resumeWorkload(users)
+	opt := Options{WindowCap: 10, Omega: 2, TopNs: []int{1, 5}, Seed: 5, Parallelism: 1}
+	for _, tc := range []struct {
+		name string
+		k    int // users replayed before the cancellation takes hold
+	}{
+		{"upfront", 0},
+		{"after 3 users", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			f := oldestFirst()
+			if tc.k == 0 {
+				cancel()
+			} else {
+				f = cancelAfter(f, tc.k, cancel)
+			}
+			r, err := EvaluateContext(ctx, train, test, f, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Interrupted {
+				t.Fatal("cancelled evaluation not reported as interrupted")
+			}
+			if r.UsersDone != tc.k {
+				t.Fatalf("UsersDone = %d, want %d of %d", r.UsersDone, tc.k, users)
+			}
+			ref, err := Evaluate(train[:tc.k], test[:tc.k], oldestFirst(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := metricsString(r), metricsString(ref); got != want {
+				t.Fatalf("partial metrics are not those of the first %d users:\n got %s\nwant %s", tc.k, got, want)
+			}
+		})
 	}
 }
 
