@@ -1,8 +1,6 @@
 package tsppr_test
 
 import (
-	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,19 +9,15 @@ import (
 	"tsppr/internal/core"
 	"tsppr/internal/datagen"
 	"tsppr/internal/dataset"
-	"tsppr/internal/engine"
-	"tsppr/internal/eval"
 	"tsppr/internal/faultinject"
 	"tsppr/internal/features"
 	"tsppr/internal/sampling"
 )
 
-// TestChaosEndToEnd drives the full offline pipeline through its failure
-// modes: a dirty event log ingested leniently, a training run killed after
-// its first durable checkpoint and resumed, and an evaluation interrupted
-// at roughly half the users and resumed from its progress checkpoint. The
-// resumed evaluation must reproduce the uninterrupted metrics byte for
-// byte — interruption is recoverable, not lossy.
+// TestChaosEndToEnd drives the offline pipeline through its failure
+// modes: a dirty event log is ingested leniently, with an exact quarantine
+// report, and refused in strict mode; a training run is killed after its
+// first durable checkpoint and warm-started from it into a valid model.
 func TestChaosEndToEnd(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -84,7 +78,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	// --- Pipeline up to the sampled training set.
 	ds = ds.FilterMinTrain(trainFrac, window)
 	ds, numItems := ds.Compact()
-	train, test := ds.Split(trainFrac)
+	train, _ := ds.Split(trainFrac)
 	b := features.NewBuilder(numItems, window, omega)
 	for _, s := range train {
 		b.Add(s)
@@ -136,42 +130,6 @@ func TestChaosEndToEnd(t *testing.T) {
 	if err := model.Validate(); err != nil {
 		t.Fatal(err)
 	}
-
-	// --- Evaluation: reference run, then interrupt at ~50% of users and
-	// resume; metrics must be byte-identical.
-	opt := eval.Options{WindowCap: window, Omega: omega, TopNs: []int{1, 5, 10}, Seed: 13, Parallelism: 4}
-	fac := engine.New(model).Factory()
-	ref, err := eval.Evaluate(train, test, fac, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.CheckpointPath = filepath.Join(dir, "eval.ckpt")
-	opt.CheckpointEvery = 1
-	faultinject.Arm("eval.user", faultinject.Plan{Mode: faultinject.Error, After: len(train) / 2, Count: 1})
-	partial, err := eval.EvaluateContext(context.Background(), train, test, fac, opt)
-	faultinject.Reset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Interrupted {
-		t.Fatal("injected fault did not interrupt the evaluation")
-	}
-	if partial.UsersDone == 0 || partial.UsersDone >= len(train) {
-		t.Fatalf("UsersDone = %d of %d, want a strict partial", partial.UsersDone, len(train))
-	}
-	resumed, err := eval.EvaluateContext(context.Background(), train, test, fac, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Interrupted {
-		t.Fatal("resumed evaluation still interrupted")
-	}
-	if got, want := evalMetrics(resumed), evalMetrics(ref); got != want {
-		t.Fatalf("resumed metrics differ from uninterrupted run:\n got %s\nwant %s", got, want)
-	}
-	if _, err := os.Stat(opt.CheckpointPath); !os.IsNotExist(err) {
-		t.Fatalf("eval checkpoint survived a completed run (err=%v)", err)
-	}
 }
 
 func totalEvents(ds *dataset.Dataset) int {
@@ -180,10 +138,4 @@ func totalEvents(ds *dataset.Dataset) int {
 		n += len(s)
 	}
 	return n
-}
-
-// evalMetrics flattens every aggregate for byte-identity comparison.
-func evalMetrics(r eval.Result) string {
-	return fmt.Sprintf("%v %v %v %v %v %d %d %d",
-		r.TopNs, r.MaAP, r.MiAP, r.MRR, r.NDCG, r.Events, r.UsersEvaluated, r.Recs)
 }

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -43,18 +42,6 @@ type Options struct {
 	// paired bootstrap comparison in this package.
 	KeepPerUser bool
 
-	// CheckpointPath, when non-empty, makes the evaluation resumable:
-	// per-user outcomes are flushed there atomically as users complete,
-	// and a later run with the same options skips users already on disk.
-	// The file is deleted when the evaluation completes uninterrupted.
-	// Because each user's replay is deterministic in (Seed, user), a
-	// resumed run reproduces the uninterrupted result bit for bit.
-	CheckpointPath string
-	// CheckpointEvery is how many newly completed users trigger a flush
-	// (default 64). Lower values lose less work to a kill; higher values
-	// write less often.
-	CheckpointEvery int
-
 	// Metrics, when non-nil, receives a per-user replay latency
 	// histogram rrc_eval_user_seconds{method="<factory name>"}. Nil
 	// records nothing.
@@ -70,9 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallelism == 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 64
 	}
 	return o
 }
@@ -114,8 +98,7 @@ type Result struct {
 
 	// Interrupted is set when the context was cancelled (or a fault
 	// injected at "eval.user" fired) before every user was replayed: the
-	// aggregates cover only the UsersDone completed users, and — when
-	// checkpointing is on — the completed work is on disk for resumption.
+	// aggregates cover only the UsersDone completed users.
 	Interrupted bool
 
 	// Latency of a single online recommendation (populated only when
@@ -162,12 +145,9 @@ func Evaluate(train, test []seq.Sequence, f rec.Factory, opt Options) (Result, e
 	return EvaluateContext(context.Background(), train, test, f, opt)
 }
 
-// EvaluateContext is Evaluate with cancellation and (optionally, via
-// Options.CheckpointPath) resumption. On cancellation the replay stops
-// scheduling users, flushes completed work to the checkpoint, and returns
-// a partial Result with Interrupted set and a nil error: per-user results
-// are order-independent, so a resumed run finishes the remaining users
-// and reproduces the uninterrupted aggregates exactly.
+// EvaluateContext is Evaluate with cancellation. On cancellation the
+// replay stops scheduling users and returns a partial Result with
+// Interrupted set and a nil error.
 func EvaluateContext(ctx context.Context, train, test []seq.Sequence, f rec.Factory, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -185,41 +165,15 @@ func EvaluateContext(ctx context.Context, train, test []seq.Sequence, f rec.Fact
 
 	stats := make([]userStats, len(test))
 	done := make([]bool, len(test))
-	var ck *progress
-	if opt.CheckpointPath != "" {
-		var err error
-		ck, err = openProgress(opt.CheckpointPath, progressKey(f.Name, len(test), opt))
-		if err != nil {
-			return Result{}, err
-		}
-		for u, st := range ck.loaded {
-			stats[u] = st
-			done[u] = true
-		}
-	}
-	pending := make([]int, 0, len(test))
-	for u := range test {
-		if !done[u] {
-			pending = append(pending, u)
-		}
-	}
 
 	// evalCtx lets an injected fault at "eval.user" interrupt the replay
 	// exactly like an external cancellation would.
 	evalCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex // guards stats/done for checkpoint snapshots, and flush bookkeeping
-		sinceSave int
-		saveErr   error
-	)
+	var wg sync.WaitGroup
 	jobs := make(chan int)
-	workers := opt.Parallelism
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	workers := min(opt.Parallelism, len(test))
 	var userSec *obs.Histogram
 	if opt.Metrics != nil {
 		opt.Metrics.Help("rrc_eval_user_seconds", "Per-user evaluation replay latency by method.")
@@ -246,23 +200,13 @@ func EvaluateContext(ctx context.Context, train, test []seq.Sequence, f rec.Fact
 				if userSec != nil {
 					userSec.ObserveDuration(time.Since(began))
 				}
-				mu.Lock()
 				stats[u] = st
 				done[u] = true
-				sinceSave++
-				if ck != nil && sinceSave >= opt.CheckpointEvery {
-					if err := ck.save(stats, done); err != nil && saveErr == nil {
-						saveErr = err
-						cancel()
-					}
-					sinceSave = 0
-				}
-				mu.Unlock()
 			}
 		}()
 	}
 feed:
-	for _, u := range pending {
+	for u := range test {
 		select {
 		case jobs <- u:
 		case <-evalCtx.Done():
@@ -271,35 +215,15 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
-	if saveErr != nil {
-		return Result{}, fmt.Errorf("eval: checkpoint: %w", saveErr)
-	}
-	interrupted := evalCtx.Err() != nil
-
-	if interrupted {
-		if ck != nil && sinceSave > 0 {
-			if err := ck.save(stats, done); err != nil {
-				return Result{}, fmt.Errorf("eval: checkpoint: %w", err)
-			}
-		}
-		res := aggregate(f.Name, stats, done, opt)
-		res.Interrupted = true
-		return res, nil
-	}
 	res := aggregate(f.Name, stats, done, opt)
-	if ck != nil {
-		// Complete: the checkpoint has served its purpose. Removing it
-		// keeps a later, differently-parameterized run from tripping over
-		// a stale file.
-		_ = os.Remove(opt.CheckpointPath)
-	}
+	res.Interrupted = evalCtx.Err() != nil
 	return res, nil
 }
 
 // aggregate folds completed per-user stats into the reported Result.
 // Iteration is in user-index order, so the floating-point accumulation —
 // and therefore the reported metrics — are independent of replay
-// scheduling and of how work was split across interrupted runs.
+// scheduling.
 func aggregate(method string, stats []userStats, done []bool, opt Options) Result {
 	res := Result{
 		Method: method,
