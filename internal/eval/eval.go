@@ -17,9 +17,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"tsppr/internal/faultinject"
 	"tsppr/internal/obs"
 	"tsppr/internal/rec"
 	"tsppr/internal/seq"
@@ -96,9 +96,9 @@ type Result struct {
 	UsersEvaluated int // users contributing at least one event
 	UsersDone      int // users actually replayed (== all users unless Interrupted)
 
-	// Interrupted is set when the context was cancelled (or a fault
-	// injected at "eval.user" fired) before every user was replayed: the
-	// aggregates cover only the UsersDone completed users.
+	// Interrupted is set when the context was cancelled before every user
+	// was replayed: the aggregates cover only the UsersDone completed
+	// users, which are the first UsersDone in user order.
 	Interrupted bool
 
 	// Latency of a single online recommendation (populated only when
@@ -145,9 +145,10 @@ func Evaluate(train, test []seq.Sequence, f rec.Factory, opt Options) (Result, e
 	return EvaluateContext(context.Background(), train, test, f, opt)
 }
 
-// EvaluateContext is Evaluate with cancellation. On cancellation the
-// replay stops scheduling users and returns a partial Result with
-// Interrupted set and a nil error.
+// EvaluateContext is Evaluate with cancellation. Users are replayed in
+// user order; once ctx is cancelled no further user starts, the ones in
+// flight finish, and the partial Result comes back with Interrupted set
+// and a nil error.
 func EvaluateContext(ctx context.Context, train, test []seq.Sequence, f rec.Factory, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -163,81 +164,61 @@ func EvaluateContext(ctx context.Context, train, test []seq.Sequence, f rec.Fact
 		}
 	}
 
-	stats := make([]userStats, len(test))
-	done := make([]bool, len(test))
-
-	// evalCtx lets an injected fault at "eval.user" interrupt the replay
-	// exactly like an external cancellation would.
-	evalCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	workers := min(opt.Parallelism, len(test))
 	var userSec *obs.Histogram
 	if opt.Metrics != nil {
 		opt.Metrics.Help("rrc_eval_user_seconds", "Per-user evaluation replay latency by method.")
 		userSec = opt.Metrics.Histogram(
 			fmt.Sprintf("rrc_eval_user_seconds{method=%q}", f.Name), obs.LatencyBuckets)
 	}
-	for w := 0; w < workers; w++ {
+	// Workers claim users in index order, so the claimed users are always
+	// a prefix; each writes only its own stats entry.
+	stats := make([]userStats, len(test))
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := min(opt.Parallelism, len(test)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for u := range jobs {
-				if evalCtx.Err() != nil {
-					continue // drain the queue without doing work
-				}
-				if err := faultinject.Do("eval.user"); err != nil {
-					cancel()
-					continue
+			for ctx.Err() == nil {
+				u := int(next.Add(1)) - 1
+				if u >= len(test) {
+					return
 				}
 				var began time.Time
 				if userSec != nil {
 					began = time.Now()
 				}
-				st := replayUser(u, train[u], test[u], f, opt, maxN)
+				stats[u] = replayUser(u, train[u], test[u], f, opt, maxN)
 				if userSec != nil {
 					userSec.ObserveDuration(time.Since(began))
 				}
-				stats[u] = st
-				done[u] = true
 			}
 		}()
 	}
-feed:
-	for u := range test {
-		select {
-		case jobs <- u:
-		case <-evalCtx.Done():
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
-	res := aggregate(f.Name, stats, done, opt)
-	res.Interrupted = evalCtx.Err() != nil
+	done := min(int(next.Load()), len(test))
+	res := aggregate(f.Name, stats[:done], len(test), opt)
+	res.Interrupted = done < len(test)
 	return res, nil
 }
 
-// aggregate folds completed per-user stats into the reported Result.
-// Iteration is in user-index order, so the floating-point accumulation —
-// and therefore the reported metrics — are independent of replay
-// scheduling.
-func aggregate(method string, stats []userStats, done []bool, opt Options) Result {
+// aggregate folds the completed users' stats into the reported Result;
+// users is the size of the whole user universe. Iteration is in
+// user-index order, so the floating-point accumulation, and therefore the
+// reported metrics, are independent of replay scheduling.
+func aggregate(method string, stats []userStats, users int, opt Options) Result {
 	res := Result{
-		Method: method,
-		TopNs:  append([]int(nil), opt.TopNs...),
-		MaAP:   make([]float64, len(opt.TopNs)),
-		MiAP:   make([]float64, len(opt.TopNs)),
+		Method:    method,
+		TopNs:     append([]int(nil), opt.TopNs...),
+		MaAP:      make([]float64, len(opt.TopNs)),
+		MiAP:      make([]float64, len(opt.TopNs)),
+		UsersDone: len(stats),
 	}
 	totalHits := make([]int, len(opt.TopNs))
 	var totalLatency time.Duration
-	for u, st := range stats {
-		if !done[u] {
-			continue
-		}
-		res.UsersDone++
+	for _, st := range stats {
 		if st.events == 0 {
 			continue
 		}
@@ -268,11 +249,9 @@ func aggregate(method string, stats []userStats, done []bool, opt Options) Resul
 		res.MeanLatency = totalLatency / time.Duration(res.Recs)
 	}
 	if opt.KeepPerUser {
-		res.PerUser = make([]UserOutcome, len(stats))
+		res.PerUser = make([]UserOutcome, users)
 		for u, st := range stats {
-			if done[u] {
-				res.PerUser[u] = UserOutcome{Events: st.events, Hits: st.hits}
-			}
+			res.PerUser[u] = UserOutcome{Events: st.events, Hits: st.hits}
 		}
 	}
 	return res
