@@ -1,14 +1,13 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz fuzz-smoke bench-smoke obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos loc
+.PHONY: check build fmt vet test race fuzz fuzz-smoke bench-smoke metrics-smoke replica-smoke loc
 
 ## check: everything CI should gate on — formatting, vet, every test
-## under the race detector (twice each: the chaos suites that used to run
-## again in targets of their own below are part of ./..., and the second
-## pass keeps the second chance those runs gave a flaky test to show),
-## the fuzz targets over their seed corpora, and bench-smoke: the bench/
-## harness is a module of its own that imports internal/, so only this
-## target notices when a change to those packages breaks it
+## under the race detector (twice each, chaos suites included: the second
+## pass gives a flaky test a second chance to show), the fuzz targets over
+## their seed corpora, and bench-smoke: the bench/ harness is a module of
+## its own that imports internal/, so only this target notices when a
+## change to those packages breaks it
 check: fmt vet race fuzz-smoke bench-smoke
 
 build:
@@ -26,51 +25,6 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on -count=2 ./...
-
-## obs-race: the observability layer's concurrency tests, unconditionally
-## re-run (-count=1) — lock-free Record paths racing the exporter
-obs-race:
-	$(GO) test -race -count=1 ./internal/obs
-
-## shard-chaos: the shard-kill chaos suite, unconditionally re-run under
-## the race detector — panics and sticky WAL failures injected into live
-## mixed traffic must stay contained to their shard; plus all of
-## internal/shard, unfiltered: its lifecycle suites (breaker, supervisor,
-## truncate, reseed and their property test) are not all named Shard
-shard-chaos:
-	$(GO) test -race -count=1 -run Shard ./internal/serve
-	$(GO) test -race -count=1 ./internal/shard
-
-## replica-chaos: the replication chaos suite, unconditionally re-run
-## under the race detector — primary kill + POST /admin/promote must
-## preserve every acked shipped write, a deposed primary must start fenced, and a
-## rejoining node must truncate its divergent tail and drain lag to 0;
-## plus all of internal/replica, unfiltered: its meta, fencing, snapshot
-## and role-rule suites are not all named Replica
-replica-chaos:
-	$(GO) test -race -count=1 -run Replica ./internal/serve
-	$(GO) test -race -count=1 ./internal/replica
-
-## router-chaos: the routing chaos suite, unconditionally re-run under
-## the race detector — with live traffic flowing through rrc-router,
-## killing the primary must lose zero acked writes, reads must keep
-## serving throughout, the router must converge on the promoted node
-## unaided, and a rejoining deposed primary must be fenced on contact;
-## plus all of internal/router, unfiltered: its retry-budget, topology,
-## retention and upstream suites are not all named Router
-router-chaos:
-	$(GO) test -race -count=1 -run Router ./internal/serve
-	$(GO) test -race -count=1 ./internal/router
-
-## partition-chaos: the partitioned-fleet chaos suite, unconditionally
-## re-run under the race detector — P=3 replicated pairs behind
-## key-routed rrc-router, one pair's primary SIGKILLed under live mixed
-## traffic: the other partitions must serve error-free, the victim must
-## converge unaided with zero acked-write loss, and no epoch may leak
-## across partitions; the partition identity/ownership unit suites run
-## unfiltered under shard-chaos, router-chaos and replica-chaos
-partition-chaos:
-	$(GO) test -race -count=1 -run Partition ./internal/serve
 
 ## replica-smoke: end-to-end primary+standby+router soak over real
 ## sockets — traffic flows through rrc-router, the primary is SIGKILLed

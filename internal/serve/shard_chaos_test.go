@@ -6,8 +6,8 @@ package serve
 // other shards keep answering 2xx throughout, broken shards fast-fail
 // 503 + Retry-After for exactly their own users, and once the
 // supervisor restarts the victims the pool's windows are byte-identical
-// to an uninterrupted run. Run under -race (make shard-chaos); the
-// traffic is genuinely concurrent.
+// to an uninterrupted run. Run under -race (make race, or go test -race
+// -run Shard ./internal/serve); the traffic is genuinely concurrent.
 
 import (
 	"bytes"
