@@ -3,9 +3,9 @@
 // renamed over the target, so readers never observe a torn or truncated
 // file and an interrupted writer leaves the previous contents intact.
 //
-// It exists so every durable artifact in the pipeline — model files,
-// training checkpoints, eval progress, tuning cells — shares one write
-// path with one fault-injection story.
+// It exists so every durable artifact — model files, training
+// checkpoints, session snapshots, partition and replication markers —
+// shares one write path with one fault-injection story.
 package atomicio
 
 import (
