@@ -145,10 +145,10 @@ func Evaluate(train, test []seq.Sequence, f rec.Factory, opt Options) (Result, e
 	return EvaluateContext(context.Background(), train, test, f, opt)
 }
 
-// EvaluateContext is Evaluate with cancellation. Users are replayed in
-// user order; once ctx is cancelled no further user starts, the ones in
-// flight finish, and the partial Result comes back with Interrupted set
-// and a nil error.
+// EvaluateContext is Evaluate with cancellation. Users start in user
+// order; once ctx is cancelled no further user starts, the ones in flight
+// finish, and the partial Result comes back with Interrupted set and a
+// nil error.
 func EvaluateContext(ctx context.Context, train, test []seq.Sequence, f rec.Factory, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
