@@ -25,9 +25,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestRemovedSurfaceFailsLoudly: the removed -fsync interval policy, its
-// -fsync-interval period and -wal-skip-corrupt exit 2 naming the flag,
-// and a -window or -omega that disagrees with the model file is refused
-// by name. The endpoint and events-root halves of this test live with
+// -fsync-interval period and -wal-skip-corrupt exit 2 naming the flag, a
+// node without -events-dir (the retired session-less mode) exits 2 naming
+// it, and a -window or -omega that disagrees with the model file is
+// refused by name. The endpoint and events-root halves of this test live with
 // the node, in internal/serve.
 func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
@@ -35,6 +36,7 @@ func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 		{"-model m.tsppr -fsync-interval 100ms", "flag provided but not defined: -fsync-interval"},
 		{"-model m.tsppr -wal-skip-corrupt", "flag provided but not defined: -wal-skip-corrupt"},
 		{"-model m.tsppr -events-dir ev -partition 0/2@1", `partition "0/2@1": want index/count`},
+		{"-model m.tsppr", "-events-dir is required"},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "RRC_SERVER_ARGS="+tc.args)

@@ -220,14 +220,19 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestRemovedSurfaceFailsLoudly: GET /stats was a second status body
-// over the /metrics counters; it is gone, not silently empty. An events
-// root with shard 0's files at its top level (the pre-sharding layout,
-// written by an older build) is refused at startup by naming shard-000.
-// Its flag half, -window and -omega, is tested in cmd/rrc-server.
+// over the /metrics counters; it is gone, not silently empty. A node
+// without EventsDir (the retired session-less mode) is refused by New.
+// An events root with shard 0's files at its top level (the pre-sharding
+// layout, written by an older build) is refused at startup by naming
+// shard-000. Its flag half, -window and -omega, is tested in
+// cmd/rrc-server.
 func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 	srv, _ := testServer(t)
 	if code := getCode(t, srv, "/stats"); code != http.StatusNotFound {
 		t.Fatalf("GET /stats = %d, want 404", code)
+	}
+	if _, err := New(srv.currentModel(), Options{}); err == nil || !strings.Contains(err.Error(), "EventsDir") {
+		t.Fatalf("New without EventsDir: err = %v, want a refusal naming EventsDir", err)
 	}
 
 	const parentRoot = "../shard/testdata/parent-b7db887/root"

@@ -67,6 +67,14 @@ if [ "$rc" != 2 ] || ! grep -q 'want index/count' "$tmp/refused.err"; then
 	echo "rrc-server -partition 0/2@1: exit $rc, want 2 naming index/count" >&2
 	exit 1
 fi
+# Every node keeps its sessions: a node without -events-dir is refused
+# before the model is read.
+rc=0
+"$tmp/bin/rrc-server" -model "$tmp/none.tsppr" >/dev/null 2>"$tmp/refused.err" || rc=$?
+if [ "$rc" != 2 ] || ! grep -q -- '-events-dir is required' "$tmp/refused.err"; then
+	echo "rrc-server without -events-dir: exit $rc, want 2 naming -events-dir" >&2
+	exit 1
+fi
 
 "$tmp/bin/rrc-datagen" -preset gowalla -users 40 -out "$tmp/data.tsv"
 "$tmp/bin/rrc-train" -data "$tmp/data.tsv" -out "$tmp/model.tsppr" \
