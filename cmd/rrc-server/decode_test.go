@@ -34,7 +34,7 @@ func goldenServer(t testing.TB) *serve.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(m, serve.Options{})
+	srv, err := serve.New(m, serve.Options{EventsDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

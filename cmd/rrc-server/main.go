@@ -5,7 +5,7 @@
 // (SIGHUP) or a drain (SIGINT/SIGTERM: in-flight requests finish within
 // -drain-timeout, then serve.Server.Close). Usage:
 //
-//	rrc-server -model model.tsppr -addr :8395
+//	rrc-server -model model.tsppr -events-dir events/ -addr :8395
 package main
 
 import (
@@ -41,14 +41,14 @@ func main() {
 
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 
-		responseCache = flag.Int("response-cache", rescache.DefaultMaxEntries, "bound on cached /recommend/user responses, invalidated by consume LSN (0 disables; requires -events-dir)")
+		responseCache = flag.Int("response-cache", rescache.DefaultMaxEntries, "bound on cached /recommend/user responses, invalidated by consume LSN (0 disables)")
 
-		eventsDir     = flag.String("events-dir", "", "enable durable online sessions: write-ahead event log + snapshots live here")
+		eventsDir     = flag.String("events-dir", "", "durable online sessions (required): the per-user windows' write-ahead event log + snapshots live here")
 		shards        = flag.Int("shards", 1, "online failure domains: users are hash-partitioned over this many independent WAL+session shards (fixed per events dir)")
 		fsyncPolicy   = flag.String("fsync", "always", "event-log durability: always (lose nothing) or never (page cache)")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "minimum appends between periodic snapshots (0 = only at shutdown)")
 
-		partitionFlag = flag.String("partition", "", "partition identity index/count (e.g. 1/3): this node owns only its slice of the user-key space and answers 421 for the rest; fixed per events dir (requires -events-dir)")
+		partitionFlag = flag.String("partition", "", "partition identity index/count (e.g. 1/3): this node owns only its slice of the user-key space and answers 421 for the rest; fixed per events dir")
 
 		followURL       = flag.String("follow", "", "run as a warm standby tailing this primary's WAL stream (read-only until promoted)")
 		peersCSV        = flag.String("peers", "", "comma-separated peer base URLs; a restarting primary checks their epochs and starts fenced if deposed")
@@ -69,12 +69,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rrc-server: -fsync:", err)
 		os.Exit(2)
 	}
+	if *eventsDir == "" {
+		fmt.Fprintln(os.Stderr, "rrc-server: -events-dir is required: a node ranks from the per-user windows it keeps there")
+		os.Exit(2)
+	}
 	var partition shard.PartitionID
 	if *partitionFlag != "" {
-		if *eventsDir == "" {
-			fmt.Fprintln(os.Stderr, "rrc-server: -partition requires -events-dir (key ownership is an online-session contract)")
-			os.Exit(2)
-		}
 		partition, err = shard.ParsePartitionID(*partitionFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rrc-server:", err)

@@ -37,9 +37,9 @@ import (
 )
 
 // Node roles as reported by /readyz. A node that reports no
-// replication block (an rrc-server without -events-dir) has no role: it
-// holds no sessions, so it serves stateless reads but is never a write
-// target or a promotion candidate.
+// replication block (only an rrc-server built before -events-dir was
+// required does) has no role: it still serves stateless reads but is
+// never a write target or a promotion candidate.
 const (
 	rolePrimary  = "primary"
 	roleFollower = "follower"

@@ -37,8 +37,8 @@ type fakeNode struct {
 	lag      uint64
 	applied  uint64
 	caughtUp bool
-	// noReplication omits the /readyz replication block, as an
-	// rrc-server without -events-dir does.
+	// noReplication omits the /readyz replication block, as only an
+	// rrc-server built before -events-dir was required does.
 	noReplication bool
 
 	// partCount >= 1 gives the node a partition identity: /readyz
@@ -364,10 +364,10 @@ func TestRouterWritesFollowHighestEpoch(t *testing.T) {
 }
 
 // TestRouterNodeWithoutReplicationIsNeverWriteTarget: a node that
-// reports no replication role (an rrc-server without -events-dir) holds
-// no sessions, so it never takes a partition's writes — not even listed
-// ahead of a fresh primary on the same epoch 0 — and a fleet of only
-// such nodes has no write target. It still serves stateless reads.
+// reports no replication role (only an rrc-server built before
+// -events-dir was required) never takes a partition's writes — not even
+// listed ahead of a fresh primary on the same epoch 0 — and a fleet of
+// only such nodes has no write target. It still serves stateless reads.
 func TestRouterNodeWithoutReplicationIsNeverWriteTarget(t *testing.T) {
 	diskless := &fakeNode{noReplication: true}
 	primary := &fakeNode{caughtUp: true}

@@ -1,6 +1,6 @@
-// Online ingestion-and-session layer: with -events-dir set, the server
-// owns the per-user time windows the paper's preference function is
-// computed over, instead of making every caller re-ship history.
+// Online ingestion-and-session layer: the server owns the per-user time
+// windows the paper's preference function is computed over, under
+// -events-dir, instead of making every caller re-ship history.
 //
 //	POST /consume         → body {"user":0,"item":42}
 //	                        reply {"lsn":17,"window":33}
@@ -348,13 +348,4 @@ func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, promoteResponse{Epoch: m.Epoch, Role: "primary"})
-}
-
-// errOnlineDisabled answers the online endpoints when -events-dir is
-// not configured. 503 + Retry-After, not 404: the endpoints exist, this
-// replica just cannot serve them, and a retrying client behind a mixed
-// fleet should try again elsewhere rather than conclude the API is gone.
-func (s *Server) errOnlineDisabled(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Retry-After", "60")
-	writeError(w, http.StatusServiceUnavailable, errors.New("online sessions unavailable: this replica runs without -events-dir"))
 }

@@ -94,30 +94,6 @@ func TestOnlineEndpointValidation(t *testing.T) {
 	}
 }
 
-// A replica without -events-dir answers the online endpoints 503 +
-// Retry-After, not 404: the endpoints exist, and a retrying client in a
-// mixed fleet must not conclude the API is gone.
-func TestOnlineEndpointsDisabledWithoutEventsDir(t *testing.T) {
-	srv, _ := testServer(t)
-	h := srv
-	for _, path := range []string{"/consume", "/recommend/user"} {
-		rr := postJSON(t, h, path, map[string]int{"user": 0})
-		if rr.Code != http.StatusServiceUnavailable {
-			t.Fatalf("%s: status %d, want 503", path, rr.Code)
-		}
-		if rr.Header().Get("Retry-After") == "" {
-			t.Fatalf("%s: no Retry-After header", path)
-		}
-		var body map[string]string
-		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
-			t.Fatal(err)
-		}
-		if body["error"] == "" {
-			t.Fatalf("%s: no error message", path)
-		}
-	}
-}
-
 func TestStatsReportsOnlineCounters(t *testing.T) {
 	srv, seqs := onlineServer(t, t.TempDir(), nil)
 	h := srv

@@ -1,9 +1,8 @@
 package serve
 
 // Retry-After consistency audit: every backoff-shaped response the
-// server emits (429 load shed, shard breaker/drain 503, online-disabled
-// 503, replication write refusals, /readyz 503, and the fenced-ingest
-// 412 path) must carry a Retry-After header a client — in particular
+// server emits (429 load shed, shard breaker/drain 503, replication
+// write refusals, /readyz 503, and the fenced-ingest 412 path) must carry a Retry-After header a client — in particular
 // rrc-router's retry loop — can schedule on; so must a standby's read of
 // a session it has not replicated yet. Plus the deadline
 // propagation satellite: X-RRC-Deadline-Ms lowers (never raises) the
@@ -81,8 +80,6 @@ func TestRetryAfterAudit(t *testing.T) {
 	}{
 		{"load-shed", httpservetest.Start(t, shed), http.MethodPost, "/recommend",
 			recommendRequest{User: 0, History: []int{1, 2}, N: 1}, nil, http.StatusTooManyRequests},
-		{"online-disabled", httpservetest.Start(t, base), http.MethodPost, "/consume",
-			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
 		{"shard-drained", httpservetest.Start(t, drained), http.MethodPost, "/consume",
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
 		{"fenced-ingest-low-epoch", httpservetest.Start(t, fenced), http.MethodPost, "/consume",

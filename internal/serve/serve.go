@@ -6,9 +6,9 @@
 // Endpoints:
 //
 //	GET  /healthz          → {"status":"ok"} while the process is alive
-//	GET  /readyz           → 200 once the model is loaded and (online)
-//	                         every shard serves — wire this one into
-//	                         load balancers
+//	GET  /readyz           → 200 once the model is loaded and every
+//	                         shard serves — wire this one into load
+//	                         balancers
 //	GET  /metrics          → Prometheus text exposition: request, resilience,
 //	                         engine, WAL, shard and replication families
 //	POST /recommend        → body {"user":0,"history":[1,2,3,...],"n":5,"omega":10}
@@ -16,18 +16,19 @@
 //	POST /recommend/batch  → body {"requests":[{...},{...}]}
 //	                         reply {"responses":[{...}|{"error":...},...]},
 //	                         entries scored in parallel (bounded fan-out)
-//	POST /consume          → (with -events-dir) body {"user":0,"item":42}
+//	POST /consume          → body {"user":0,"item":42}
 //	                         append one consumption durably, advance W_ut
-//	POST /recommend/user   → (with -events-dir) body {"user":0,"n":5}
+//	POST /recommend/user   → body {"user":0,"n":5}
 //	                         rank from the server-held window
 //
-// The caller supplies the user's recent consumption history (most recent
-// last); the server restores its last |W| events as the time window and
-// ranks the reconsumable candidates. With -events-dir the server instead
-// owns the per-user windows: events POSTed to /consume are appended to a
-// crash-recoverable write-ahead log (fsync policy via -fsync) before
-// they touch memory, periodic snapshots bound recovery time, and
-// /recommend/user ranks from the stored window with no history payload.
+// Every node owns the per-user windows under its events dir: events
+// POSTed to /consume are appended to a crash-recoverable write-ahead log
+// (fsync policy via -fsync) before they touch memory, periodic snapshots
+// bound recovery time, and /recommend/user ranks from the stored window
+// with no history payload. The two stateless endpoints instead take the
+// user's recent consumption history from the caller (most recent last),
+// restore its last |W| events as the time window and rank the
+// reconsumable candidates.
 //
 // Resilience: every request runs under panic recovery and a deadline; a
 // concurrency semaphore sheds load with 429 + Retry-After once saturated.
@@ -75,14 +76,14 @@ type Options struct {
 	ReqTimeout  time.Duration // per-request deadline; 0 → 2s
 
 	// Online sessions.
-	EventsDir     string            // "" disables /consume and /recommend/user
+	EventsDir     string            // root of the shard pool's WALs and snapshots; required
 	CacheEntries  int               // /recommend/user response-cache bound; 0 disables
 	Shards        int               // online failure domains; 0 → 1
 	Partition     shard.PartitionID // user-key slice this node owns; zero → 0/1 (whole key space)
 	Fsync         wal.SyncPolicy
 	SnapshotEvery int
 
-	// Replication plane; both need EventsDir.
+	// Replication plane.
 	FollowURL string   // "" → primary role
 	Peers     []string // primary: startup epoch check against the fleet
 
@@ -106,13 +107,13 @@ type Server struct {
 	// requests finish on the engine they started with.
 	eng atomic.Pointer[engine.Engine]
 	sem chan struct{}
-	// pool is the online shard pool, nil unless Options.EventsDir is set.
+	// pool is the online shard pool under Options.EventsDir.
 	pool *shard.Pool
 	// cache holds /recommend/user responses keyed by (user, Ω, N) and
 	// versioned by consume LSN; nil when CacheEntries is 0. All cache
 	// methods are nil-safe, so handlers call through unconditionally.
 	cache   *rescache.Cache
-	repl    *replica.Node // non-nil exactly when pool is; owns role, epoch, fencing
+	repl    *replica.Node // owns role, epoch, fencing
 	handler http.Handler
 
 	// reg is the process metric registry (GET /metrics); the counter
@@ -128,11 +129,14 @@ type Server struct {
 	modelBytes     *obs.Gauge   // core.Model.ResidentBytes of the serving model
 }
 
-// New builds a node over m: with Options.EventsDir it opens the shard
-// pool and recovers every shard (snapshot + WAL tail) before returning,
-// then takes the replication role Options.FollowURL picks. Stop it with
-// Close.
+// New builds a node over m: it opens the shard pool under
+// Options.EventsDir and recovers every shard (snapshot + WAL tail) before
+// returning, then takes the replication role Options.FollowURL picks.
+// Stop it with Close.
 func New(m *core.Model, opts Options) (*Server, error) {
+	if opts.EventsDir == "" {
+		return nil, errors.New("serve: Options.EventsDir is required: a node ranks from the per-user windows it keeps there")
+	}
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = 64
 	}
@@ -142,12 +146,8 @@ func New(m *core.Model, opts Options) (*Server, error) {
 	s := &Server{opts: opts, sem: make(chan struct{}, opts.MaxInFlight)}
 	s.initMetrics()
 	s.swapEngine(m)
-	if opts.EventsDir != "" {
-		if err := s.openOnline(m); err != nil {
-			return nil, err
-		}
-	} else if opts.FollowURL != "" || len(opts.Peers) > 0 {
-		return nil, errors.New("replication requires -events-dir")
+	if err := s.openOnline(m); err != nil {
+		return nil, err
 	}
 	s.handler = s.routes()
 	return s, nil
@@ -158,11 +158,8 @@ func New(m *core.Model, opts Options) (*Server, error) {
 // flushes a final snapshot and closes its log. Shards that cannot finish
 // within timeout are abandoned and returned in missed: their WALs stay
 // authoritative, so recovery replays them. timeout <= 0 waits for every
-// shard. Close is a no-op without EventsDir and safe to repeat.
+// shard. Close is safe to repeat.
 func (s *Server) Close(timeout time.Duration) (missed []int, err error) {
-	if s.pool == nil {
-		return nil, nil
-	}
 	s.repl.Close()
 	return s.pool.CloseTimeout(timeout)
 }
@@ -193,20 +190,15 @@ func (s *Server) routes() http.Handler {
 		s.harden(s.instrument("/recommend", http.HandlerFunc(s.handleRecommend))))
 	mux.Handle("POST /recommend/batch",
 		s.harden(s.instrument("/recommend/batch", http.HandlerFunc(s.handleBatch))))
-	if s.pool != nil {
-		mux.Handle("POST /consume",
-			s.harden(s.instrument("/consume", http.HandlerFunc(s.handleConsume))))
-		mux.Handle("POST /recommend/user",
-			s.harden(s.instrument("/recommend/user", http.HandlerFunc(s.handleRecommendUser))))
-		// Admin plane: not hardened (a drain must not be shed under load)
-		// and not instrumented (it is not traffic).
-		mux.HandleFunc("POST /admin/drain", s.handleDrain)
-		s.repl.Register(mux)
-		mux.HandleFunc("POST /admin/promote", s.handlePromote)
-	} else {
-		mux.Handle("POST /consume", s.instrument("/consume", http.HandlerFunc(s.errOnlineDisabled)))
-		mux.Handle("POST /recommend/user", s.instrument("/recommend/user", http.HandlerFunc(s.errOnlineDisabled)))
-	}
+	mux.Handle("POST /consume",
+		s.harden(s.instrument("/consume", http.HandlerFunc(s.handleConsume))))
+	mux.Handle("POST /recommend/user",
+		s.harden(s.instrument("/recommend/user", http.HandlerFunc(s.handleRecommendUser))))
+	// Admin plane: not hardened (a drain must not be shed under load)
+	// and not instrumented (it is not traffic).
+	mux.HandleFunc("POST /admin/drain", s.handleDrain)
+	s.repl.Register(mux)
+	mux.HandleFunc("POST /admin/promote", s.handlePromote)
 	return s.recovered(mux)
 }
 
@@ -272,48 +264,46 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyResponse is the GET /readyz reply. Shards lists every shard's
-// lifecycle state (indexed by shard) when online sessions are enabled,
-// so an orchestrator can tell "one shard restarting" from "down".
+// lifecycle state (indexed by shard), so an orchestrator can tell "one
+// shard restarting" from "down".
 type readyResponse struct {
 	Status string   `json:"status"`
 	Shards []string `json:"shards,omitempty"`
-	// Partition is the user-key slice this node owns; nil when online
-	// sessions are off. rrc-router probes it to catch a node whose
-	// -partition disagrees with the topology file before any traffic is
-	// misrouted.
+	// Partition is the user-key slice this node owns. rrc-router probes
+	// it to catch a node whose -partition disagrees with the topology
+	// file before any traffic is misrouted. A pointer, as Replication is:
+	// a node of an older build may report neither.
 	Partition *shard.PartitionID `json:"partition,omitempty"`
 	// Replication reports the node's role, epoch, fence, and (follower)
-	// lag; nil when the replication plane is off.
+	// lag.
 	Replication *replica.Status `json:"replication,omitempty"`
 }
 
-// handleReady reports readiness: a loaded model and (online) every shard
+// handleReady reports readiness: a loaded model and every shard
 // serving. Load balancers should route on this, so a replica with a
 // recovering shard keeps serving what it can but stops attracting new
 // traffic.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	resp := readyResponse{Status: "ready"}
 	code := http.StatusOK
-	if s.pool != nil {
-		for _, st := range s.pool.States() {
-			resp.Shards = append(resp.Shards, st.String())
-		}
-		part := s.pool.Partition()
-		resp.Partition = &part
-		if !s.pool.Ready() {
-			resp.Status, code = "recovering", http.StatusServiceUnavailable
-		}
-		st := s.repl.Status()
-		resp.Replication = &st
-		if code == http.StatusOK {
-			switch {
-			case st.Fenced:
-				// Reads still serve, but a deposed primary must stop
-				// attracting routed traffic until it rejoins.
-				resp.Status, code = "fenced", http.StatusServiceUnavailable
-			case st.Role == "follower":
-				resp.Status = "following"
-			}
+	for _, st := range s.pool.States() {
+		resp.Shards = append(resp.Shards, st.String())
+	}
+	part := s.pool.Partition()
+	resp.Partition = &part
+	if !s.pool.Ready() {
+		resp.Status, code = "recovering", http.StatusServiceUnavailable
+	}
+	st := s.repl.Status()
+	resp.Replication = &st
+	if code == http.StatusOK {
+		switch {
+		case st.Fenced:
+			// Reads still serve, but a deposed primary must stop
+			// attracting routed traffic until it rejoins.
+			resp.Status, code = "fenced", http.StatusServiceUnavailable
+		case st.Role == "follower":
+			resp.Status = "following"
 		}
 	}
 	if code != http.StatusOK {

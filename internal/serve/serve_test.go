@@ -31,9 +31,13 @@ func testServerUsers(t *testing.T, users int) (*Server, []seq.Sequence) {
 }
 
 // mustNew builds a node with New, failing the test on error, and stops
-// it with Close when the test ends.
+// it with Close when the test ends. An empty EventsDir becomes a fresh
+// temporary one.
 func mustNew(t testing.TB, m *core.Model, opts Options) *Server {
 	t.Helper()
+	if opts.EventsDir == "" {
+		opts.EventsDir = t.TempDir()
+	}
 	srv, err := New(m, opts)
 	if err != nil {
 		t.Fatal(err)

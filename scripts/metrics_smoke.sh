@@ -62,7 +62,7 @@ grep -q '^rrc_train_checkpoints_total' "$tmp/train.prom" || {
 # with it exits 2 by name before the server listens.
 rc=0
 timeout 10 "$tmp/bin/rrc-server" -model "$tmp/model.tsppr" -addr "$ADDR" -window 50 \
-	2>"$tmp/window.err" || rc=$?
+	-events-dir "$tmp/window-events" 2>"$tmp/window.err" || rc=$?
 if [ "$rc" != 2 ] || ! grep -qF '|W| = 20' "$tmp/window.err"; then
 	echo "rrc-server -window 50 over a |W| = 20 model: exit $rc, want 2 naming |W| = 20" >&2
 	cat "$tmp/window.err" >&2
