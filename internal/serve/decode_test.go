@@ -32,7 +32,8 @@ import (
 // 1.0, 1e2, 01, -0, overflow, trailing bytes, a BOM).
 const parentGolden = "testdata/parent-6c4bf43"
 
-func goldenServer(t testing.TB) *Server {
+// goldenModel is the model under parentGolden, loaded for serving.
+func goldenModel(t testing.TB) *core.Model {
 	t.Helper()
 	m, err := core.LoadServingFile(filepath.Join(parentGolden, "model.tsppr"))
 	if err == nil {
@@ -41,7 +42,7 @@ func goldenServer(t testing.TB) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mustNew(t, m, Options{})
+	return m
 }
 
 // goldenBodies returns the request bodies under parentGolden/dir, keyed
@@ -67,25 +68,18 @@ func goldenBodies(t testing.TB, dir string) map[string][]byte {
 // bodies are posted to.
 var statelessEndpoints = map[string]string{"recommend": "/recommend", "batch": "/recommend/batch"}
 
-func postRaw(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	return rr
-}
-
 // TestStatelessRepliesMatchParent: every golden body gets the reply the
 // parent wrote, byte for byte — status, fan-out order, float formatting
 // and error text.
 func TestStatelessRepliesMatchParent(t *testing.T) {
-	h := goldenServer(t)
+	h := newNode(t, goldenModel(t), "")
 	for dir, path := range statelessEndpoints {
 		for f, body := range goldenBodies(t, dir) {
 			want, err := os.ReadFile(strings.TrimSuffix(f, ".json") + ".reply")
 			if err != nil {
 				t.Fatal(err)
 			}
-			rr := postRaw(h, path, body)
+			rr := send(h, "POST "+path, body)
 			if got := fmt.Sprintf("%d\n%s", rr.Code, rr.Body.Bytes()); got != string(want) {
 				t.Errorf("%s: reply\n%s\nwant\n%s", f, got, want)
 			}
@@ -105,7 +99,7 @@ func jsonDecode(body []byte, v any) error {
 // TestStatelessBodyCap: a body over its endpoint's cap is 413 wherever
 // its JSON ends; a body of exactly the cap is decoded.
 func TestStatelessBodyCap(t *testing.T) {
-	h := goldenServer(t)
+	h := newNode(t, goldenModel(t), "")
 	for path, c := range map[string]struct {
 		limit int
 		body  string
@@ -114,10 +108,8 @@ func TestStatelessBodyCap(t *testing.T) {
 		"/recommend/batch": {1 << 24, `{"requests":[{"user":0,"history":[1,2,3]}]}`},
 	} {
 		body := append([]byte(c.body), bytes.Repeat([]byte{' '}, c.limit-len(c.body))...)
-		if rr := postRaw(h, path, body); rr.Code != http.StatusOK {
-			t.Fatalf("%s at the cap: status %d: %s", path, rr.Code, rr.Body.String())
-		}
-		rr := postRaw(h, path, append(body, ' '))
+		expect(t, http.StatusOK, h, "POST "+path, body)
+		rr := send(h, "POST "+path, append(body, ' '))
 		if want := fmt.Sprintf(`{"error":"request body over %d bytes"}`+"\n", c.limit); rr.Code != http.StatusRequestEntityTooLarge || rr.Body.String() != want {
 			t.Fatalf("%s one byte over the cap: %d %s", path, rr.Code, rr.Body.String())
 		}
@@ -130,7 +122,7 @@ func TestStatelessBodyCap(t *testing.T) {
 // Float64bits-identical scores — over 500 random histories of 1..4·|W|
 // items and Ω ∈ {0, 3, |W|−1}.
 func TestRestoredWindowMatchesPushReplay(t *testing.T) {
-	srv := goldenServer(t)
+	srv := newNode(t, goldenModel(t), "")
 	eng := srv.eng.Load()
 	m := eng.Model()
 	capW := m.Extractor.WindowCap()
@@ -169,8 +161,8 @@ const (
 	shapeEntries           = 64
 )
 
-// shapeServer serves a seeded random model at the batch_stateless shape.
-func shapeServer(tb testing.TB) *Server {
+// shapeModel is a seeded random model at the batch_stateless shape.
+func shapeModel(tb testing.TB) *core.Model {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
 	gauss := func(rows, cols int) *linalg.Matrix {
@@ -195,7 +187,7 @@ func shapeServer(tb testing.TB) *Server {
 	if err := m.Validate(); err != nil {
 		tb.Fatal(err)
 	}
-	return mustNew(tb, m, Options{})
+	return m
 }
 
 // shapeBody is a batch_stateless request body: each history draws from a
@@ -272,12 +264,12 @@ func BenchmarkDecodeBatch(b *testing.B) {
 // BenchmarkHandleBatch: one batch_stateless request through the hardened,
 // instrumented handler — decode, 64 windows, fan-out scoring, encode.
 func BenchmarkHandleBatch(b *testing.B) {
-	h := shapeServer(b)
+	h := newNode(b, shapeModel(b), "")
 	body := shapeBody()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rr := postRaw(h, "/recommend/batch", body); rr.Code != http.StatusOK {
+		if rr := send(h, "POST /recommend/batch", body); rr.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 		}
 	}

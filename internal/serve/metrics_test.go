@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -15,24 +14,13 @@ import (
 // a parseable Prometheus exposition covering the server and engine
 // families, with the per-endpoint counters agreeing with the traffic.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, seqs := testServer(t)
-	h := srv
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
-	if rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5}); rr.Code != http.StatusOK {
-		t.Fatalf("good request: %d", rr.Code)
-	}
-	if rr := postJSON(t, h, "/recommend", recommendRequest{User: -1, History: history}); rr.Code != http.StatusBadRequest {
-		t.Fatalf("bad request: %d", rr.Code)
-	}
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "")
+	history := ints(seqs[0][:40])
+	expect(t, http.StatusOK, srv, "POST /recommend", recommendRequest{User: 0, History: history, N: 5})
+	expect(t, http.StatusBadRequest, srv, "POST /recommend", recommendRequest{User: -1, History: history})
 
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", rr.Code)
-	}
+	rr := expect(t, http.StatusOK, srv, "GET /metrics", nil)
 	if ct := rr.Header().Get("Content-Type"); ct != obs.ContentType {
 		t.Fatalf("content type %q", ct)
 	}
@@ -61,12 +49,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // 200), whole-request failures count exactly once, and partial failures
 // still return the successful entries.
 func TestBatchErrorAccounting(t *testing.T) {
-	srv, seqs := testServer(t)
-	h := srv
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "")
+	history := ints(seqs[0][:40])
 	good := recommendRequest{User: 0, History: history, N: 3}
 	badUser := recommendRequest{User: -7, History: history, N: 3}
 	noHistory := recommendRequest{User: 1, N: 3}
@@ -88,7 +73,7 @@ func TestBatchErrorAccounting(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := srv.reg.SumCounters(metricErrors)
-			rr := postJSON(t, h, "/recommend/batch", tc.body)
+			rr := send(srv, "POST /recommend/batch", tc.body)
 			if rr.Code != tc.wantStatus {
 				t.Fatalf("status %d, want %d: %s", rr.Code, tc.wantStatus, rr.Body.String())
 			}
@@ -98,12 +83,8 @@ func TestBatchErrorAccounting(t *testing.T) {
 			if tc.wantStatus != http.StatusOK {
 				return
 			}
-			var resp batchResponse
-			if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-				t.Fatal(err)
-			}
 			ok := 0
-			for _, e := range resp.Responses {
+			for _, e := range decodeAs[batchResponse](t, rr.Body.Bytes()).Responses {
 				if e.Error == "" {
 					if len(e.Items) == 0 {
 						t.Fatal("successful entry has no items")
@@ -122,16 +103,12 @@ func TestBatchErrorAccounting(t *testing.T) {
 // split: a handler panic is one error (counted by instrument) and one
 // panic (counted by recovered), and the client still gets a 500.
 func TestInstrumentCountsPanicsAsErrors(t *testing.T) {
-	srv, _ := testServer(t)
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "")
 	boom := srv.instrument("/boom", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	}))
-	h := srv.recovered(boom)
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/boom", strings.NewReader("{}")))
-	if rr.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", rr.Code)
-	}
+	expect(t, http.StatusInternalServerError, srv.recovered(boom), "POST /boom", []byte("{}"))
 	if got := srv.reg.Counter(fmt.Sprintf("%s{endpoint=%q}", metricErrors, "/boom")).Value(); got != 1 {
 		t.Fatalf("panic counted as %d errors, want 1", got)
 	}

@@ -1,55 +1,24 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"tsppr/internal/seq"
-	"tsppr/internal/wal"
 )
 
-// onlineServer is testServer plus a durable online-session layer rooted
-// in dir. mutate tweaks the options before New opens the event log.
-func onlineServer(t *testing.T, dir string, mutate func(*Options)) (*Server, []seq.Sequence) {
-	t.Helper()
-	// SnapshotEvery stays 0: tests trigger snapshots explicitly.
-	opts := Options{EventsDir: dir, Fsync: wal.SyncAlways}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	m, seqs := testModel(t, 8)
-	return mustNew(t, m, opts), seqs
-}
-
 func TestConsumeThenRecommendUser(t *testing.T) {
-	srv, seqs := onlineServer(t, t.TempDir(), nil)
-	h := srv
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "")
 	consumed := map[int]bool{}
 	for i, v := range seqs[0][:30] {
-		rr := postJSON(t, h, "/consume", consumeRequest{User: 0, Item: int(v)})
-		if rr.Code != http.StatusOK {
-			t.Fatalf("consume %d: status %d: %s", i, rr.Code, rr.Body.String())
-		}
-		var ack consumeResponse
-		if err := json.Unmarshal(rr.Body.Bytes(), &ack); err != nil {
-			t.Fatal(err)
-		}
-		if ack.LSN != uint64(i+1) {
+		rr := expect(t, http.StatusOK, srv, "POST /consume", consumeRequest{User: 0, Item: int(v)})
+		if ack := decodeAs[consumeResponse](t, rr.Body.Bytes()); ack.LSN != uint64(i+1) {
 			t.Fatalf("consume %d: lsn %d", i, ack.LSN)
 		}
 		consumed[int(v)] = true
 	}
-	rr := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
-	if rr.Code != http.StatusOK {
-		t.Fatalf("recommend/user status %d: %s", rr.Code, rr.Body.String())
-	}
-	var resp recommendResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
+	rr := expect(t, http.StatusOK, srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 5})
+	resp := decodeAs[recommendResponse](t, rr.Body.Bytes())
 	if len(resp.Items) == 0 || len(resp.Items) > 5 {
 		t.Fatalf("items = %v", resp.Items)
 	}
@@ -64,41 +33,37 @@ func TestConsumeThenRecommendUser(t *testing.T) {
 }
 
 func TestRecommendUserWithoutSessionIs404(t *testing.T) {
-	srv, _ := onlineServer(t, t.TempDir(), nil)
-	rr := postJSON(t, srv, "/recommend/user", recommendUserRequest{User: 2, N: 5})
-	if rr.Code != http.StatusNotFound {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
+	m, _ := trained(t, 8)
+	expect(t, http.StatusNotFound, newNode(t, m, ""), "POST /recommend/user", recommendUserRequest{User: 2, N: 5})
 }
 
 func TestOnlineEndpointValidation(t *testing.T) {
-	srv, _ := onlineServer(t, t.TempDir(), nil)
-	h := srv
-	m := srv.currentModel()
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "")
 	badOmega := m.Extractor.WindowCap()
 	for i, tc := range []struct {
 		path string
 		body any
 	}{
-		{"/consume", consumeRequest{User: -1, Item: 0}},
-		{"/consume", consumeRequest{User: m.NumUsers(), Item: 0}},
-		{"/consume", consumeRequest{User: 0, Item: -1}},
-		{"/consume", consumeRequest{User: 0, Item: m.NumItems()}},
-		{"/recommend/user", recommendUserRequest{User: -1}},
-		{"/recommend/user", recommendUserRequest{User: m.NumUsers()}},
-		{"/recommend/user", recommendUserRequest{User: 0, Omega: &badOmega}},
+		{"POST /consume", consumeRequest{User: -1, Item: 0}},
+		{"POST /consume", consumeRequest{User: m.NumUsers(), Item: 0}},
+		{"POST /consume", consumeRequest{User: 0, Item: -1}},
+		{"POST /consume", consumeRequest{User: 0, Item: m.NumItems()}},
+		{"POST /recommend/user", recommendUserRequest{User: -1}},
+		{"POST /recommend/user", recommendUserRequest{User: m.NumUsers()}},
+		{"POST /recommend/user", recommendUserRequest{User: 0, Omega: &badOmega}},
 	} {
-		if rr := postJSON(t, h, tc.path, tc.body); rr.Code != http.StatusBadRequest {
+		if rr := send(srv, tc.path, tc.body); rr.Code != http.StatusBadRequest {
 			t.Errorf("case %d (%s): status %d: %s", i, tc.path, rr.Code, rr.Body.String())
 		}
 	}
 }
 
 func TestStatsReportsOnlineCounters(t *testing.T) {
-	srv, seqs := onlineServer(t, t.TempDir(), nil)
-	h := srv
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "")
 	for _, v := range seqs[1][:7] {
-		postJSON(t, h, "/consume", consumeRequest{User: 1, Item: int(v)})
+		send(srv, "POST /consume", consumeRequest{User: 1, Item: int(v)})
 	}
 	srv.pool.SnapshotAll()
 
@@ -115,16 +80,11 @@ func TestStatsReportsOnlineCounters(t *testing.T) {
 // out of serving (here: drained through the admin plane) → 503 with the
 // per-shard state list naming the culprit.
 func TestReadyzGatesOnShardHealth(t *testing.T) {
-	srv, _ := onlineServer(t, t.TempDir(), nil)
-	h := srv
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "")
 	get := func() (int, readyResponse) {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-		var body readyResponse
-		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
-			t.Fatal(err)
-		}
-		return rr.Code, body
+		rr := send(srv, "GET /readyz", nil)
+		return rr.Code, decodeAs[readyResponse](t, rr.Body.Bytes())
 	}
 	code, body := get()
 	if code != http.StatusOK || body.Status != "ready" {
@@ -134,11 +94,7 @@ func TestReadyzGatesOnShardHealth(t *testing.T) {
 		t.Fatalf("per-shard readiness: %+v", body.Shards)
 	}
 
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/admin/drain?shard=0", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("drain: %d %s", rr.Code, rr.Body.String())
-	}
+	expect(t, http.StatusOK, srv, "POST /admin/drain?shard=0", nil)
 	code, body = get()
 	if code != http.StatusServiceUnavailable || body.Status != "recovering" {
 		t.Fatalf("drained server: %d %+v", code, body)
@@ -155,19 +111,13 @@ func TestReadyzGatesOnShardHealth(t *testing.T) {
 // range-checked, not only the |W| that reach the window: an out-of-range
 // id at history[0] of a 3·|W| history is named by both.
 func TestBatchAndSingleRejectIdentically(t *testing.T) {
-	srv, seqs := testServer(t)
-	h := srv
-	okHistory := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		okHistory = append(okHistory, int(v))
-	}
-	capW := srv.currentModel().Extractor.WindowCap()
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "")
+	okHistory := ints(seqs[0][:40])
+	capW := m.Extractor.WindowCap()
 	badOmega := capW
 	oversize := make([]int, maxHistoryLen+1)
-	badHead := []int{100_000_000}
-	for _, v := range seqs[0][1 : 3*capW] {
-		badHead = append(badHead, int(v))
-	}
+	badHead := append([]int{100_000_000}, ints(seqs[0][1:3*capW])...)
 	cases := []struct {
 		req  recommendRequest
 		want string // error prefix
@@ -181,22 +131,10 @@ func TestBatchAndSingleRejectIdentically(t *testing.T) {
 	}
 	for i, c := range cases {
 		req := c.req
-		single := postJSON(t, h, "/recommend", req)
-		if single.Code != http.StatusBadRequest {
-			t.Fatalf("case %d: single status %d: %s", i, single.Code, single.Body.String())
-		}
-		var singleErr map[string]string
-		if err := json.Unmarshal(single.Body.Bytes(), &singleErr); err != nil {
-			t.Fatal(err)
-		}
-		batch := postJSON(t, h, "/recommend/batch", batchRequest{Requests: []recommendRequest{req}})
-		if batch.Code != http.StatusOK {
-			t.Fatalf("case %d: batch status %d: %s", i, batch.Code, batch.Body.String())
-		}
-		var out batchResponse
-		if err := json.Unmarshal(batch.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
+		single := expect(t, http.StatusBadRequest, srv, "POST /recommend", req)
+		singleErr := decodeAs[map[string]string](t, single.Body.Bytes())
+		batch := expect(t, http.StatusOK, srv, "POST /recommend/batch", batchRequest{Requests: []recommendRequest{req}})
+		out := decodeAs[batchResponse](t, batch.Body.Bytes())
 		if len(out.Responses) != 1 || out.Responses[0].Error == "" {
 			t.Fatalf("case %d: batch entry %+v", i, out.Responses)
 		}

@@ -28,8 +28,7 @@ import (
 )
 
 func TestPartitionChaosIsolatedFailover(t *testing.T) {
-	base, seqs := testServer(t)
-	m := base.currentModel()
+	m, seqs := trained(t, 8)
 	const P = 3
 
 	// Mixed traffic: all model users round-robined, so every partition
@@ -44,28 +43,25 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 
 	// Boot P primary/standby pairs, each pinned to its slice of the key
 	// space via -partition i/P.
-	prims := make([]*Server, P)
+	prims := make([]*node, P)
 	tsPrims := make([]*httpservetest.Server, P)
-	stands := make([]*Server, P)
+	stands := make([]*node, P)
 	standURLs := make([]string, P)
 	primDirs := make([]string, P)
 	layout := make([][]string, P)
 	for i := 0; i < P; i++ {
 		pid := shard.PartitionID{Index: i, Count: P}
 		primDirs[i] = t.TempDir()
-		prims[i] = bootRepl(t, m, primDirs[i], func(o *Options) { o.Partition = pid })
+		prims[i] = newNode(t, m, primDirs[i], replicated, func(o *Options) { o.Partition = pid })
 		tsPrims[i] = httpservetest.Start(t, prims[i])
-		stands[i] = bootRepl(t, m, t.TempDir(), func(o *Options) {
+		stands[i] = newNode(t, m, t.TempDir(), replicated, func(o *Options) {
 			o.Partition = pid
 			o.FollowURL = tsPrims[i].URL
 		})
 		tsStand := httpservetest.Start(t, stands[i])
-		t.Cleanup(func() { stands[i].Close(0) })
 		standURLs[i] = tsStand.URL
 		layout[i] = []string{tsPrims[i].URL, tsStand.URL}
 	}
-	t.Cleanup(func() { prims[1].Close(0) })
-	t.Cleanup(func() { prims[2].Close(0) })
 
 	reg := obs.NewRegistry()
 	rt, err := router.New(router.Config{
@@ -99,7 +95,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	}
 	for i := 0; i < P; i++ {
 		waitFor(t, fmt.Sprintf("standby %d caught up pre-kill", i), func() bool {
-			return replStatusOf(stands[i]).CaughtUp
+			return stands[i].repl.Status().CaughtUp
 		})
 	}
 	// caught_up does not cover a write acked after the latest quiet poll
@@ -130,7 +126,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 					return
 				default:
 				}
-				rr := postJSON(t, h, "/recommend/user", recommendUserRequest{User: u, N: 3})
+				rr := send(h, "POST /recommend/user", recommendUserRequest{User: u, N: 3})
 				if rr.Code != http.StatusOK {
 					select {
 					case readFailure <- fmt.Sprintf("read for user %d (partition %d): status %d: %s",
@@ -146,6 +142,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 
 	// SIGKILL partition 0's primary: listener closed, pool abandoned.
 	tsPrims[0].Close()
+	prims[0].kill()
 
 	// Phase 2: live mixed traffic spanning all partitions. Writes keyed
 	// to the two healthy partitions must succeed on the FIRST attempt —
@@ -160,7 +157,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 		}
 	}
 	waitFor(t, "victim standby promoted by the router", func() bool {
-		st := replStatusOf(stands[0])
+		st := stands[0].repl.Status()
 		return st.Role == "primary" && st.Epoch > 0
 	})
 	if got := reg.SumCounters("rrc_router_failovers_total"); got < 1 {
@@ -179,7 +176,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	// epoch bump must not leak into partition 1's or 2's timeline — and
 	// the router never misrouted a key (the ownership gates would 421).
 	for i := 1; i < P; i++ {
-		if st := replStatusOf(prims[i]); st.Role != "primary" || st.Fenced {
+		if st := prims[i].repl.Status(); st.Role != "primary" || st.Fenced {
 			t.Fatalf("partition %d primary disturbed by partition 0's failover: %+v", i, st)
 		}
 	}
@@ -196,10 +193,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 			victimEvs = append(victimEvs, ev)
 		}
 	}
-	want := referenceRun(t, m, victimEvs, func(o *Options) {
-		o.Shards = 2
-		o.Partition = shard.PartitionID{Index: 0, Count: P}
-	})
+	want := referenceRun(t, m, victimEvs, replicated, partition(0, P))
 	waitFor(t, "promoted standby holding every acked victim write", func() bool {
 		return storeFingerprint(t, stands[0]) == want
 	})
@@ -207,14 +201,14 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	// Phase 3: the deposed primary restarts over its old directory as a
 	// plain primary. One router probe round fences it; the healthy
 	// partitions never notice this either.
-	srvA2 := bootRepl(t, m, primDirs[0], func(o *Options) {
+	srvA2 := newNode(t, m, primDirs[0], replicated, func(o *Options) {
 		o.Partition = shard.PartitionID{Index: 0, Count: P}
 	})
 	tsA2 := httpservetest.Start(t, srvA2)
 	layout[0] = []string{tsA2.URL, standURLs[0]}
 	rt.SetTopology(router.Topology{Partitions: layout})
 	waitFor(t, "deposed primary fenced by router probe", func() bool {
-		return replStatusOf(srvA2).Fenced
+		return srvA2.repl.Status().Fenced
 	})
 	mustConsume(t, h, event{user: survivors[0], item: int(seqs[survivors[0]][40])})
 
@@ -224,13 +218,13 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	if _, err := srvA2.Close(0); err != nil {
 		t.Fatalf("closing fenced node: %v", err)
 	}
-	srvA3 := bootRepl(t, m, primDirs[0], func(o *Options) {
+	srvA3 := newNode(t, m, primDirs[0], replicated, func(o *Options) {
 		o.Partition = shard.PartitionID{Index: 0, Count: P}
 		o.FollowURL = standURLs[0]
 	})
 	defer srvA3.Close(0)
 	waitFor(t, "rejoined follower caught up", func() bool {
-		st := replStatusOf(srvA3)
+		st := srvA3.repl.Status()
 		return st.CaughtUp && st.LagRecords == 0
 	})
 	waitFor(t, "rejoined follower byte-identical", func() bool {

@@ -6,19 +6,18 @@ package serve
 // different partition.
 
 import (
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
+	"tsppr/internal/core"
 	"tsppr/internal/replica"
 	"tsppr/internal/shard"
 )
 
 // userInPartition finds a model-valid user owned by partition p of count.
-func userInPartition(t *testing.T, srv *Server, p, count int) int {
+func userInPartition(t *testing.T, m *core.Model, p, count int) int {
 	t.Helper()
-	for u := 0; u < srv.currentModel().NumUsers(); u++ {
+	for u := 0; u < m.NumUsers(); u++ {
 		if shard.UserShard(u, count) == p {
 			return u
 		}
@@ -28,16 +27,11 @@ func userInPartition(t *testing.T, srv *Server, p, count int) int {
 }
 
 func TestServerPartitionGate(t *testing.T) {
-	srv, _ := onlineServer(t, t.TempDir(), func(o *Options) {
-		o.Partition = shard.PartitionID{Index: 1, Count: 2}
-	})
-	h := srv
-	mine := userInPartition(t, srv, 1, 2)
-	foreign := userInPartition(t, srv, 0, 2)
-
-	if rr := postJSON(t, h, "/consume", consumeRequest{User: mine, Item: 1}); rr.Code != http.StatusOK {
-		t.Fatalf("owned consume: status %d: %s", rr.Code, rr.Body.String())
-	}
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "", partition(1, 2))
+	mine := userInPartition(t, m, 1, 2)
+	foreign := userInPartition(t, m, 0, 2)
+	mustConsume(t, srv, event{user: mine, item: 1})
 
 	for _, tc := range []struct {
 		path string
@@ -46,18 +40,12 @@ func TestServerPartitionGate(t *testing.T) {
 		{"/consume", consumeRequest{User: foreign, Item: 1}},
 		{"/recommend/user", recommendUserRequest{User: foreign, N: 3}},
 	} {
-		rr := postJSON(t, h, tc.path, tc.body)
-		if rr.Code != http.StatusMisdirectedRequest {
-			t.Fatalf("%s for a foreign user: status %d, want 421: %s", tc.path, rr.Code, rr.Body.String())
-		}
-		var hint struct {
+		rr := expect(t, http.StatusMisdirectedRequest, srv, "POST "+tc.path, tc.body)
+		hint := decodeAs[struct {
 			Error      string `json:"error"`
 			Partition  *int   `json:"partition"`
 			Partitions int    `json:"partitions"`
-		}
-		if err := json.Unmarshal(rr.Body.Bytes(), &hint); err != nil {
-			t.Fatal(err)
-		}
+		}](t, rr.Body.Bytes())
 		if hint.Partition == nil || *hint.Partition != 0 || hint.Partitions != 2 {
 			t.Fatalf("%s 421 hint = %s, want owning partition 0/2", tc.path, rr.Body.String())
 		}
@@ -67,30 +55,18 @@ func TestServerPartitionGate(t *testing.T) {
 	}
 
 	// Nothing from the refused write reached the store.
-	if rr := postJSON(t, h, "/recommend/user", recommendUserRequest{User: mine, N: 3}); rr.Code != http.StatusOK {
-		t.Fatalf("owned recommend/user: status %d: %s", rr.Code, rr.Body.String())
-	}
+	expect(t, http.StatusOK, srv, "POST /recommend/user", recommendUserRequest{User: mine, N: 3})
 
 	// /readyz advertises the identity for the router's probe.
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-	var ready readyResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &ready); err != nil {
-		t.Fatal(err)
-	}
-	if ready.Partition == nil || ready.Partition.Index != 1 || ready.Partition.Count != 2 {
+	if ready := readyOf(t, srv); ready.Partition == nil || ready.Partition.Index != 1 || ready.Partition.Count != 2 {
 		t.Fatalf("/readyz partition block = %+v", ready.Partition)
 	}
 }
 
 func TestServerPartitionIdentityFixedPerEventsDir(t *testing.T) {
-	dir := t.TempDir()
-	srv, _ := onlineServer(t, dir, func(o *Options) {
-		o.Partition = shard.PartitionID{Index: 0, Count: 2}
-	})
-	if _, err := srv.Close(0); err != nil {
-		t.Fatal(err)
-	}
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "", partition(0, 2))
+	srv.stop()
 
 	// Reopening the same root as a different partition, same count or
 	// not, must fail loudly: the root holds windows for 0/2's users only,
@@ -104,12 +80,6 @@ func TestServerPartitionIdentityFixedPerEventsDir(t *testing.T) {
 	}
 
 	// The identity it was created with reopens.
-	opts.Partition = shard.PartitionID{Index: 0, Count: 2}
-	srv2, err := New(srv.currentModel(), opts)
-	if err != nil {
-		t.Fatalf("matching reopen refused: %v", err)
-	}
-	if _, err := srv2.Close(0); err != nil {
-		t.Fatal(err)
-	}
+	srv.restart()
+	srv.stop()
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -12,30 +11,8 @@ import (
 	"tsppr/internal/seq"
 )
 
-// cachedServer is onlineServer with the response cache enabled and the
-// serving model saved to disk so reload() can hot-swap it mid-test.
-func cachedServer(t *testing.T) (*Server, []seq.Sequence) {
-	t.Helper()
-	dir := t.TempDir()
-	modelPath := filepath.Join(dir, "model.tsppr")
-	srv, seqs := onlineServer(t, filepath.Join(dir, "events"), func(o *Options) {
-		o.CacheEntries = 1 << 12
-		o.ModelPath = modelPath
-	})
-	if err := srv.currentModel().SaveFile(modelPath); err != nil {
-		t.Fatal(err)
-	}
-	return srv, seqs
-}
-
-func decodeRec(t *testing.T, body []byte) recommendResponse {
-	t.Helper()
-	var resp recommendResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
+// cached turns the /recommend/user response cache on.
+func cached(o *Options) { o.CacheEntries = 1 << 12 }
 
 // TestResponseCacheHitsServeIdenticalBytes drives the handler twice for
 // an unchanged user and checks the cached second answer is exactly the
@@ -43,21 +20,13 @@ func decodeRec(t *testing.T, body []byte) recommendResponse {
 // between invalidates: the next read re-scores against the new window
 // rather than serving the stale entry.
 func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
-	srv, seqs := cachedServer(t)
-	h := srv
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", cached)
 	for _, v := range seqs[0][:30] {
-		if rr := postJSON(t, h, "/consume", consumeRequest{User: 0, Item: int(v)}); rr.Code != http.StatusOK {
-			t.Fatalf("consume: %d %s", rr.Code, rr.Body.String())
-		}
+		mustConsume(t, srv, event{user: 0, item: int(v)})
 	}
-	first := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
-	if first.Code != http.StatusOK {
-		t.Fatalf("first read: %d %s", first.Code, first.Body.String())
-	}
-	second := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
-	if second.Code != http.StatusOK {
-		t.Fatalf("second read: %d %s", second.Code, second.Body.String())
-	}
+	first := expect(t, http.StatusOK, srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 5})
+	second := expect(t, http.StatusOK, srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 5})
 	if first.Body.String() != second.Body.String() {
 		t.Fatalf("cached read differs:\n%s\n%s", first.Body.String(), second.Body.String())
 	}
@@ -66,22 +35,14 @@ func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
 		t.Fatalf("stats after repeat read = %+v", st)
 	}
 	// A different request shape is its own variant, not a hit.
-	if rr := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 3}); rr.Code != http.StatusOK {
-		t.Fatalf("n=3 read: %d", rr.Code)
-	}
+	expect(t, http.StatusOK, srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 3})
 	if st = srv.cache.Stats(); st.Hits != 1 {
 		t.Fatalf("different N hit the N=5 entry: %+v", st)
 	}
 
 	// Consume, then read again: the answer must track the new window.
-	item := int(seqs[0][30])
-	if rr := postJSON(t, h, "/consume", consumeRequest{User: 0, Item: item}); rr.Code != http.StatusOK {
-		t.Fatalf("consume: %d", rr.Code)
-	}
-	third := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
-	if third.Code != http.StatusOK {
-		t.Fatalf("post-consume read: %d", third.Code)
-	}
+	mustConsume(t, srv, event{user: 0, item: int(seqs[0][30])})
+	third := expect(t, http.StatusOK, srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 5})
 	ex := srv.currentModel().Extractor
 	w := seq.NewWindow(ex.WindowCap())
 	for _, v := range seqs[0][:31] {
@@ -89,7 +50,7 @@ func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
 	}
 	ref := engine.New(srv.currentModel())
 	want := ref.Recommend(&rec.Context{User: 0, Window: w, Omega: ex.Omega()}, 5, nil)
-	got := decodeRec(t, third.Body.Bytes())
+	got := decodeAs[recommendResponse](t, third.Body.Bytes())
 	if len(got.Items) != len(want) {
 		t.Fatalf("post-consume read: %d items, want %d", len(got.Items), len(want))
 	}
@@ -110,15 +71,13 @@ func TestResponseCacheHitsServeIdenticalBytes(t *testing.T) {
 // byte-identically to the uncached first read — not null, which is what
 // a nil-buffer fill would produce.
 func TestResponseCacheEmptyResultServesJSONArrays(t *testing.T) {
-	srv, _ := cachedServer(t)
-	h := srv
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "", cached)
 	for i := 0; i < 3; i++ {
-		if rr := postJSON(t, h, "/consume", consumeRequest{User: 0, Item: i}); rr.Code != http.StatusOK {
-			t.Fatalf("consume: %d", rr.Code)
-		}
+		mustConsume(t, srv, event{user: 0, item: i})
 	}
-	first := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
-	second := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
+	first := send(srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 5})
+	second := send(srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 5})
 	if first.Code != http.StatusOK || second.Code != http.StatusOK {
 		t.Fatalf("reads: %d, %d", first.Code, second.Code)
 	}
@@ -128,10 +87,7 @@ func TestResponseCacheEmptyResultServesJSONArrays(t *testing.T) {
 	if first.Body.String() != second.Body.String() {
 		t.Fatalf("empty cached read differs:\n%s\n%s", first.Body.String(), second.Body.String())
 	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(second.Body.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
+	raw := decodeAs[map[string]json.RawMessage](t, second.Body.Bytes())
 	for _, field := range []string{"items", "scores"} {
 		if string(raw[field]) != "[]" {
 			t.Fatalf("%s = %s, want []", field, raw[field])
@@ -144,16 +100,12 @@ func TestResponseCacheEmptyResultServesJSONArrays(t *testing.T) {
 // cache and advance the epoch rather than keep serving old-model
 // answers.
 func TestResponseCachePurgedOnReload(t *testing.T) {
-	srv, seqs := cachedServer(t)
-	h := srv
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", cached, reloadsFrom(t, m))
 	for _, v := range seqs[1][:20] {
-		if rr := postJSON(t, h, "/consume", consumeRequest{User: 1, Item: int(v)}); rr.Code != http.StatusOK {
-			t.Fatalf("consume: %d", rr.Code)
-		}
+		mustConsume(t, srv, event{user: 1, item: int(v)})
 	}
-	if rr := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 1, N: 5}); rr.Code != http.StatusOK {
-		t.Fatalf("read: %d", rr.Code)
-	}
+	expect(t, http.StatusOK, srv, "POST /recommend/user", recommendUserRequest{User: 1, N: 5})
 	if srv.cache.Len() == 0 {
 		t.Fatal("read did not fill the cache")
 	}
@@ -177,8 +129,8 @@ func TestResponseCachePurgedOnReload(t *testing.T) {
 // that moment — a stale answer after a consume is a failure, whether it
 // came from the cache or from a torn fill.
 func TestResponseCacheCoherence(t *testing.T) {
-	srv, seqs := cachedServer(t)
-	h := srv
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", cached, reloadsFrom(t, m))
 	// The reference engine: same parameters the hot-swapped engines
 	// load, model I/O is bit-exact, and scoring is deterministic — so
 	// cached, freshly-scored, and post-swap answers must all coincide.
@@ -213,7 +165,7 @@ func TestResponseCacheCoherence(t *testing.T) {
 			s := seqs[u]
 			for i := 0; i < steps; i++ {
 				item := s[i%len(s)]
-				rr := postJSON(t, h, "/consume", consumeRequest{User: u, Item: int(item)})
+				rr := send(srv, "POST /consume", consumeRequest{User: u, Item: int(item)})
 				if rr.Code != http.StatusOK {
 					t.Errorf("user %d consume %d: %d %s", u, i, rr.Code, rr.Body.String())
 					return
@@ -223,12 +175,12 @@ func TestResponseCacheCoherence(t *testing.T) {
 				// unchanged user, so across the run some must be served
 				// from the cache — and both must equal the reference.
 				for r := 0; r < 2; r++ {
-					rr = postJSON(t, h, "/recommend/user", recommendUserRequest{User: u, N: 5})
+					rr = send(srv, "POST /recommend/user", recommendUserRequest{User: u, N: 5})
 					if rr.Code != http.StatusOK {
 						t.Errorf("user %d read %d: %d %s", u, i, rr.Code, rr.Body.String())
 						return
 					}
-					got := decodeRec(t, rr.Body.Bytes())
+					got := decodeAs[recommendResponse](t, rr.Body.Bytes())
 					want := ref.Recommend(&rec.Context{User: u, Window: shadow, Omega: omega}, 5, nil)
 					if len(got.Items) != len(want) {
 						t.Errorf("user %d step %d: %d items, want %d (stale after consume?)",
@@ -256,8 +208,8 @@ func TestResponseCacheCoherence(t *testing.T) {
 	// With the swapper quiesced, a repeat read must be a cache hit and
 	// still byte-identical.
 	before := srv.cache.Stats()
-	first := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
-	second := postJSON(t, h, "/recommend/user", recommendUserRequest{User: 0, N: 5})
+	first := send(srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 5})
+	second := send(srv, "POST /recommend/user", recommendUserRequest{User: 0, N: 5})
 	if first.Code != http.StatusOK || second.Code != http.StatusOK {
 		t.Fatalf("quiesced reads: %d, %d", first.Code, second.Code)
 	}

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -25,25 +24,6 @@ import (
 	"tsppr/internal/httpserve"
 	"tsppr/internal/linalg"
 )
-
-// faultServer builds a server with tight resilience knobs for tests.
-func faultServer(t *testing.T, opts Options) (*Server, []int) {
-	t.Helper()
-	m, seqs := testModel(t, 8)
-	srv := mustNew(t, m, opts)
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
-	return srv, history
-}
-
-func getCode(t *testing.T, h http.Handler, path string) int {
-	t.Helper()
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
-	return rr.Code
-}
 
 // TestScorerFaults: every answer is the model's or an error. A scorer
 // panic is a 500 (in a batch, that entry's "internal error"); a deadline
@@ -70,17 +50,15 @@ func TestScorerFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			faultinject.Reset()
 			defer faultinject.Reset()
-			srv, seqs := onlineServer(t, t.TempDir(), func(o *Options) {
-				o.CacheEntries = 1 << 12
+			m, seqs := trained(t, 8)
+			srv := newNode(t, m, "", cached, func(o *Options) {
 				if tc.reqTimeout > 0 {
 					o.ReqTimeout = tc.reqTimeout
 				}
 			})
-			h := srv
-			history := make([]int, 0, 40)
-			for _, v := range seqs[0][:40] {
-				history = append(history, int(v))
-				mustConsume(t, h, event{user: 0, item: int(v)})
+			history := ints(seqs[0][:40])
+			for _, v := range history {
+				mustConsume(t, srv, event{user: 0, item: v})
 			}
 			one := recommendRequest{User: 0, History: history, N: 5}
 			body := map[string]any{
@@ -90,10 +68,7 @@ func TestScorerFaults(t *testing.T) {
 			}[tc.path]
 
 			faultinject.Arm("server.score", tc.plan)
-			rr := postJSON(t, h, tc.path, body)
-			if rr.Code != tc.want {
-				t.Fatalf("status %d, want %d: %s", rr.Code, tc.want, rr.Body.String())
-			}
+			rr := expect(t, tc.want, srv, "POST "+tc.path, body)
 			if tc.want == http.StatusServiceUnavailable {
 				if ra := rr.Header().Get("Retry-After"); ra != "1" {
 					t.Fatalf("Retry-After %q, want 1", ra)
@@ -103,12 +78,8 @@ func TestScorerFaults(t *testing.T) {
 				t.Fatalf("rrc_panics_total %d, rrc_timeouts_total %d; want %d, %d", p, to, tc.wantPanics, tc.wantTimeouts)
 			}
 			if tc.path == "/recommend/batch" {
-				var out batchResponse
-				if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
-					t.Fatal(err)
-				}
 				failed := 0
-				for i, e := range out.Responses {
+				for i, e := range decodeAs[batchResponse](t, rr.Body.Bytes()).Responses {
 					switch {
 					case e.Error == "internal error" && len(e.Items) == 0:
 						failed++
@@ -123,12 +94,9 @@ func TestScorerFaults(t *testing.T) {
 			if n := srv.cache.Len(); n != 0 {
 				t.Fatalf("a faulted request left %d cached entries", n)
 			}
-			for _, path := range []string{"/healthz", "/readyz"} {
-				if code := getCode(t, h, path); code != http.StatusOK {
-					t.Fatalf("%s = %d after a scorer fault", path, code)
-				}
-			}
-			if rr := postJSON(t, h, tc.path, body); rr.Code != http.StatusOK || strings.Contains(rr.Body.String(), "error") {
+			expect(t, http.StatusOK, srv, "GET /healthz", nil)
+			expect(t, http.StatusOK, srv, "GET /readyz", nil)
+			if rr := send(srv, "POST "+tc.path, body); rr.Code != http.StatusOK || strings.Contains(rr.Body.String(), "error") {
 				t.Fatalf("next request: %d %s", rr.Code, rr.Body.String())
 			}
 			if tc.path == "/recommend/user" && srv.cache.Len() != 1 {
@@ -144,8 +112,9 @@ func TestScorerFaults(t *testing.T) {
 func TestLoadShedding(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	srv, history := faultServer(t, Options{MaxInFlight: 1, ReqTimeout: 2 * time.Second})
-	h := srv
+	m, seqs := trained(t, 8)
+	history := ints(seqs[0][:40])
+	srv := newNode(t, m, "", func(o *Options) { o.MaxInFlight = 1 })
 	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Delay, Sleep: 150 * time.Millisecond})
 
 	const clients = 6
@@ -156,7 +125,7 @@ func TestLoadShedding(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 3})
+			rr := send(srv, "POST /recommend", recommendRequest{User: 0, History: history, N: 3})
 			codes[i] = rr.Code
 			retryAfter[i] = rr.Header().Get("Retry-After")
 		}(i)
@@ -185,10 +154,7 @@ func TestLoadShedding(t *testing.T) {
 
 	// Load gone: the same server serves normally again.
 	faultinject.Reset()
-	rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 3})
-	if rr.Code != http.StatusOK {
-		t.Fatalf("post-saturation status %d", rr.Code)
-	}
+	expect(t, http.StatusOK, srv, "POST /recommend", recommendRequest{User: 0, History: history, N: 3})
 }
 
 // TestStalledScorerHoldsItsSlot: scoring runs on the request goroutine,
@@ -199,17 +165,15 @@ func TestLoadShedding(t *testing.T) {
 func TestStalledScorerHoldsItsSlot(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	srv, history := faultServer(t, Options{MaxInFlight: 1, ReqTimeout: 30 * time.Millisecond})
-	h := srv
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", func(o *Options) { o.MaxInFlight, o.ReqTimeout = 1, 30*time.Millisecond })
 	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Delay, Sleep: 300 * time.Millisecond, Count: 1})
 
-	req := recommendRequest{User: 0, History: history, N: 3}
+	req := recommendRequest{User: 0, History: ints(seqs[0][:40]), N: 3}
 	first := make(chan *httptest.ResponseRecorder, 1)
-	go func() { first <- postJSON(t, h, "/recommend", req) }()
+	go func() { first <- send(srv, "POST /recommend", req) }()
 	time.Sleep(60 * time.Millisecond) // past A's deadline, inside its stall
-	if b := postJSON(t, h, "/recommend", req); b.Code != http.StatusTooManyRequests {
-		t.Fatalf("request B during A's stall: %d %s, want 429", b.Code, b.Body.String())
-	}
+	expect(t, http.StatusTooManyRequests, srv, "POST /recommend", req)
 	a := <-first
 	if a.Code != http.StatusServiceUnavailable {
 		t.Fatalf("stalled request A: %d %s, want 503", a.Code, a.Body.String())
@@ -223,7 +187,8 @@ func TestStalledScorerHoldsItsSlot(t *testing.T) {
 func TestGracefulShutdownDrain(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	srv, history := faultServer(t, Options{ReqTimeout: 2 * time.Second})
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "")
 	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Delay, Sleep: 300 * time.Millisecond, Count: 1})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -240,7 +205,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		raw, _ := json.Marshal(recommendRequest{User: 0, History: history, N: 3})
+		raw, _ := json.Marshal(recommendRequest{User: 0, History: ints(seqs[0][:40]), N: 3})
 		resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
 		if err != nil {
 			done <- result{err: err}
@@ -270,21 +235,12 @@ func TestGracefulShutdownDrain(t *testing.T) {
 // serving.
 func TestHotReload(t *testing.T) {
 	faultinject.Reset()
-	base, seqs := testServer(t)
-	m := base.currentModel()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.tsppr")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	srv := mustNew(t, m, Options{ModelPath: path})
-	h := srv
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", reloadsFrom(t, m))
+	path := srv.opts.ModelPath
+	history := ints(seqs[0][:40])
 	serve := func() int {
-		return postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 3}).Code
+		return send(srv, "POST /recommend", recommendRequest{User: 0, History: history, N: 3}).Code
 	}
 	if serve() != http.StatusOK {
 		t.Fatal("baseline request failed")
@@ -327,12 +283,11 @@ func TestHotReload(t *testing.T) {
 
 	// A model that differs only in Ω swaps in: the default Ω follows it,
 	// and the response cache, keyed by (user, Ω, N), is empty afterwards.
-	online, _ := cachedServer(t)
-	oh := online
+	online := newNode(t, m, "", cached, reloadsFrom(t, m))
 	for _, v := range history {
-		mustConsume(t, oh, event{user: 0, item: v})
+		mustConsume(t, online, event{user: 0, item: v})
 	}
-	if rr := postJSON(t, oh, "/recommend/user", recommendUserRequest{User: 0, N: 3}); rr.Code != http.StatusOK || online.cache.Len() == 0 {
+	if rr := send(online, "POST /recommend/user", recommendUserRequest{User: 0, N: 3}); rr.Code != http.StatusOK || online.cache.Len() == 0 {
 		t.Fatalf("read did not fill the cache: %d %s", rr.Code, rr.Body.String())
 	}
 	cur := online.currentModel()
@@ -346,7 +301,7 @@ func TestHotReload(t *testing.T) {
 		t.Fatalf("after the Ω reload: %d cached entries, %d reloads", online.cache.Len(), online.reloads.Value())
 	}
 	answer := func(omega *int) string {
-		return postJSON(t, oh, "/recommend", recommendRequest{User: 0, History: history, N: 3, Omega: omega}).Body.String()
+		return send(online, "POST /recommend", recommendRequest{User: 0, History: history, N: 3, Omega: omega}).Body.String()
 	}
 	fifteen, three := 15, 3
 	if got := answer(nil); got != answer(&fifteen) || got == answer(&three) {
@@ -380,9 +335,8 @@ func reshapedModel(t *testing.T, m *core.Model, window, omega, items int) *core.
 // out of range: the user's /recommend/user answered 404 until a restart
 // replayed it.
 func TestReloadKeepsTheServedShape(t *testing.T) {
-	base, _ := testServer(t)
-	m := base.currentModel()
-	wide, _ := testServerUsers(t, 12)
+	m, _ := trained(t, 8)
+	wide, _ := trained(t, 12)
 	items := m.NumItems()
 	for _, tc := range []struct {
 		name  string
@@ -390,17 +344,12 @@ func TestReloadKeepsTheServedShape(t *testing.T) {
 		want  string
 		probe consumeRequest // outside the serving model's bounds
 	}{
-		{"users", wide.currentModel(), "12 users", consumeRequest{User: 10, Item: 0}},
+		{"users", wide, "12 users", consumeRequest{User: 10, Item: 0}},
 		{"items", reshapedModel(t, m, 20, 3, items+5), fmt.Sprintf("%d items", items+5), consumeRequest{User: 0, Item: items}},
 		{"window", reshapedModel(t, m, 30, 3, items), "|W| = 30", consumeRequest{User: 0, Item: items}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "model.tsppr")
-			if err := tc.next.SaveFile(path); err != nil {
-				t.Fatal(err)
-			}
-			srv := bootOnline(t, m, t.TempDir(), func(o *Options) { o.ModelPath = path })
-			defer srv.Close(0)
+			srv := newNode(t, m, "", reloadsFrom(t, tc.next))
 			served := srv.currentModel()
 			if err := srv.reload(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("reload = %v, want a refusal naming %q", err, tc.want)
@@ -408,9 +357,7 @@ func TestReloadKeepsTheServedShape(t *testing.T) {
 			if srv.currentModel() != served || srv.reloads.Value() != 0 {
 				t.Fatal("refused reload displaced the serving model")
 			}
-			if rr := postJSON(t, srv, "/consume", tc.probe); rr.Code != http.StatusBadRequest {
-				t.Fatalf("consume %+v: %d %s, want 400", tc.probe, rr.Code, rr.Body.String())
-			}
+			expect(t, http.StatusBadRequest, srv, "POST /consume", tc.probe)
 			for _, st := range srv.pool.Statuses() {
 				if st.Dropped != 0 {
 					t.Fatalf("shard status %+v: an acked event was dropped", st)
@@ -428,32 +375,23 @@ func TestReloadKeepsTheServedShape(t *testing.T) {
 // read, so this is one more rejected reload.
 func TestHotReloadRejectsHostileShapeHeader(t *testing.T) {
 	faultinject.Reset()
-	base, seqs := testServer(t)
-	m := base.currentModel()
-	path := filepath.Join(t.TempDir(), "model.tsppr")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	srv := mustNew(t, m, Options{ModelPath: path})
-	h := srv
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", reloadsFrom(t, m))
+	served := srv.currentModel()
 	blob := []byte("TSPPRv2\n")
 	for _, v := range []uint64{1 << 20, 4, 0, 1 << 28, 1 << 28} { // K, F, per-user maps, users, items
 		blob = binary.LittleEndian.AppendUint64(blob, v)
 	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	if err := os.WriteFile(srv.opts.ModelPath, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.reload(); err == nil {
 		t.Fatal("reload accepted a header-only model file")
 	}
-	if srv.currentModel() != m || srv.reloads.Value() != 0 {
+	if srv.currentModel() != served || srv.reloads.Value() != 0 {
 		t.Fatal("rejected reload displaced the serving model")
 	}
-	if code := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 3}).Code; code != http.StatusOK {
+	if code := send(srv, "POST /recommend", recommendRequest{User: 0, History: ints(seqs[0][:40]), N: 3}).Code; code != http.StatusOK {
 		t.Fatalf("serving broken after rejected reload: %d", code)
 	}
 }
@@ -467,36 +405,25 @@ func TestHotReloadRejectsHostileShapeHeader(t *testing.T) {
 // — are all rejected while the old model serves.
 func TestHotReloadFoldsMapsAndRejectsDamagedOnes(t *testing.T) {
 	faultinject.Reset()
-	base, seqs := testServer(t)
-	m := base.currentModel()
-	path := filepath.Join(t.TempDir(), "model.tsppr")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", reloadsFrom(t, m))
+	path := srv.opts.ModelPath
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := mustNew(t, m, Options{ModelPath: path})
-	h := srv
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
+	history := ints(seqs[0][:40])
 	serve := func() string {
 		t.Helper()
-		rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 5})
-		if rr.Code != http.StatusOK {
-			t.Fatalf("/recommend: %d %s", rr.Code, rr.Body.String())
-		}
+		rr := expect(t, http.StatusOK, srv, "POST /recommend", recommendRequest{User: 0, History: history, N: 5})
 		return rr.Body.String()
 	}
-	before, fullBytes := serve(), srv.modelBytes.Value()
+	before, fullBytes, full := serve(), srv.modelBytes.Value(), srv.currentModel()
 	if err := srv.reload(); err != nil {
 		t.Fatal(err)
 	}
 	folded := srv.currentModel()
-	if folded == m || folded.A != nil {
+	if folded == full || folded.A != nil {
 		t.Fatalf("reload kept %d per-user maps resident", len(folded.A))
 	}
 	if after := serve(); after != before {
@@ -542,15 +469,12 @@ func TestHotReloadFoldsMapsAndRejectsDamagedOnes(t *testing.T) {
 // TestRecoveredMiddleware proves a panic below the mux becomes a 500, not
 // a dead process.
 func TestRecoveredMiddleware(t *testing.T) {
-	srv, _ := faultServer(t, Options{})
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "")
 	h := srv.recovered(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	}))
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/recommend", nil))
-	if rr.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d", rr.Code)
-	}
+	expect(t, http.StatusInternalServerError, h, "GET /recommend", nil)
 	if srv.panics.Value() != 1 {
 		t.Fatal("panic not counted")
 	}
@@ -559,24 +483,16 @@ func TestRecoveredMiddleware(t *testing.T) {
 // TestRequestEntityTooLarge checks the 413 satellite: an oversized body
 // is distinguished from a malformed one.
 func TestRequestEntityTooLarge(t *testing.T) {
-	srv, _ := faultServer(t, Options{})
-	h := srv
+	m, _ := trained(t, 8)
 	// ~8 MB of JSON zeros, comfortably past the 4 MB body cap.
 	big := make([]int, 1<<22)
-	rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: big})
-	if rr.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", rr.Code)
-	}
+	expect(t, http.StatusRequestEntityTooLarge, newNode(t, m, ""), "POST /recommend", recommendRequest{User: 0, History: big})
 }
 
 // TestHistoryIDBounds checks the 400 satellite: item ids at or above the
 // model's item universe are rejected up front.
 func TestHistoryIDBounds(t *testing.T) {
-	srv, history := faultServer(t, Options{})
-	h := srv
-	bad := append(append([]int(nil), history...), srv.currentModel().NumItems())
-	rr := postJSON(t, h, "/recommend", recommendRequest{User: 0, History: bad})
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", rr.Code)
-	}
+	m, seqs := trained(t, 8)
+	bad := append(ints(seqs[0][:40]), m.NumItems())
+	expect(t, http.StatusBadRequest, newNode(t, m, ""), "POST /recommend", recommendRequest{User: 0, History: bad})
 }

@@ -9,8 +9,6 @@ package serve
 // per-request deadline harden installs.
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -18,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"tsppr/internal/httpserve/httpservetest"
 	"tsppr/internal/replica"
 	"tsppr/internal/router"
 )
@@ -38,12 +35,11 @@ func assertRetryAfter(t *testing.T, rr *httptest.ResponseRecorder, path string) 
 }
 
 func TestRetryAfterAudit(t *testing.T) {
-	base, _ := testServer(t)
-	m := base.currentModel()
+	m, _ := trained(t, 8)
 
 	// An online single-shard server with shard 0 drained: its users'
 	// writes hit the draining/drained 503 path.
-	drained := bootOnline(t, m, t.TempDir(), nil)
+	drained := newNode(t, m, "")
 	if err := drained.pool.Drain(0); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -55,59 +51,46 @@ func TestRetryAfterAudit(t *testing.T) {
 	if err := (replica.Meta{Epoch: 5}).Store(fencedDir); err != nil {
 		t.Fatal(err)
 	}
-	fenced := bootOnline(t, m, fencedDir, nil)
+	fenced := newNode(t, m, fencedDir)
 
 	// A read-only standby of an empty primary.
-	primary := bootOnline(t, m, t.TempDir(), nil)
-	follower := bootOnline(t, m, t.TempDir(), func(o *Options) { o.FollowURL = httpservetest.Start(t, primary).URL })
-	defer follower.Close(0)
+	follower := newNode(t, m, "", follows(newNode(t, m, "")))
 
 	// A saturated server: holding every semaphore slot forces harden's
 	// 429 on the next scoring request.
-	shed, _ := testServer(t)
+	shed := newNode(t, m, "")
 	for i := 0; i < cap(shed.sem); i++ {
 		shed.sem <- struct{}{}
 	}
 
 	cases := []struct {
-		name   string
-		h      http.Handler
-		method string
-		path   string
-		body   any
-		header map[string]string
-		want   int
+		name, target string
+		n            *node
+		body         any
+		header       []string
+		want         int
 	}{
-		{"load-shed", httpservetest.Start(t, shed), http.MethodPost, "/recommend",
+		{"load-shed", "POST /recommend", shed,
 			recommendRequest{User: 0, History: []int{1, 2}, N: 1}, nil, http.StatusTooManyRequests},
-		{"shard-drained", httpservetest.Start(t, drained), http.MethodPost, "/consume",
+		{"shard-drained", "POST /consume", drained,
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
-		{"fenced-ingest-low-epoch", httpservetest.Start(t, fenced), http.MethodPost, "/consume",
-			consumeRequest{User: 0, Item: 1}, map[string]string{replica.EpochHeader: "3"},
-			http.StatusPreconditionFailed},
-		{"fenced-ingest-high-epoch", httpservetest.Start(t, fenced), http.MethodPost, "/consume",
-			consumeRequest{User: 0, Item: 1}, map[string]string{replica.EpochHeader: "9"},
-			http.StatusPreconditionFailed},
-		{"standby-write-refused", httpservetest.Start(t, follower), http.MethodPost, "/consume",
+		{"fenced-ingest-low-epoch", "POST /consume", fenced,
+			consumeRequest{User: 0, Item: 1}, []string{replica.EpochHeader, "3"}, http.StatusPreconditionFailed},
+		{"fenced-ingest-high-epoch", "POST /consume", fenced,
+			consumeRequest{User: 0, Item: 1}, []string{replica.EpochHeader, "9"}, http.StatusPreconditionFailed},
+		{"standby-write-refused", "POST /consume", follower,
 			consumeRequest{User: 0, Item: 1}, nil, http.StatusServiceUnavailable},
-		{"standby-session-not-replicated", httpservetest.Start(t, follower), http.MethodPost, "/recommend/user",
+		{"standby-session-not-replicated", "POST /recommend/user", follower,
 			recommendUserRequest{User: 0, N: 3}, nil, http.StatusServiceUnavailable},
-		{"readyz-shard-drained", httpservetest.Start(t, drained), http.MethodGet, "/readyz",
-			nil, nil, http.StatusServiceUnavailable},
+		{"readyz-shard-drained", "GET /readyz", drained, nil, nil, http.StatusServiceUnavailable},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var rr *httptest.ResponseRecorder
-			if tc.method == http.MethodGet {
-				rr = httptest.NewRecorder()
-				tc.h.ServeHTTP(rr, httptest.NewRequest(tc.method, tc.path, nil))
-			} else {
-				rr = postJSONHeaders(t, tc.h, tc.path, tc.body, tc.header)
-			}
+			rr := send(tc.n.wire(), tc.target, tc.body, tc.header...)
 			if rr.Code != tc.want {
 				t.Fatalf("status %d, want %d: %s", rr.Code, tc.want, rr.Body.String())
 			}
-			assertRetryAfter(t, rr, tc.path)
+			assertRetryAfter(t, rr, tc.target)
 		})
 	}
 
@@ -117,28 +100,12 @@ func TestRetryAfterAudit(t *testing.T) {
 	}
 }
 
-// postJSONHeaders is postJSON with extra request headers.
-func postJSONHeaders(t *testing.T, h http.Handler, path string, body any, headers map[string]string) *httptest.ResponseRecorder {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw))
-	req.Header.Set("Content-Type", "application/json")
-	for k, v := range headers {
-		req.Header.Set(k, v)
-	}
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	return rr
-}
-
 // TestDeadlineHeaderBoundsRequest pins the deadline-propagation
 // contract: X-RRC-Deadline-Ms lowers the harden deadline to the
 // header's value, and can never raise it past -request-timeout.
 func TestDeadlineHeaderBoundsRequest(t *testing.T) {
-	srv, _ := testServer(t) // reqTimeout defaults to 2s
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "") // reqTimeout defaults to 2s
 	var got time.Duration
 	h := srv.harden(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		dl, ok := r.Context().Deadline()
@@ -162,15 +129,7 @@ func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req := httptest.NewRequest(http.MethodGet, "/", nil)
-			if tc.header != "" {
-				req.Header.Set(router.DeadlineHeader, tc.header)
-			}
-			rr := httptest.NewRecorder()
-			h.ServeHTTP(rr, req)
-			if rr.Code != http.StatusOK {
-				t.Fatalf("status %d", rr.Code)
-			}
+			expect(t, http.StatusOK, h, "GET /", nil, router.DeadlineHeader, tc.header)
 			if got <= tc.min || got > tc.max {
 				t.Fatalf("remaining deadline %v outside (%v, %v]", got, tc.min, tc.max)
 			}
@@ -183,30 +142,21 @@ func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 // same instrument middleware as the primary's — rrc_http_* families
 // must not silently miss follower traffic.
 func TestReplicaFollowerReadsInstrumented(t *testing.T) {
-	base, seqs := testServer(t)
-	m := base.currentModel()
-	srvA := bootRepl(t, m, t.TempDir(), nil)
-	tsA := httpservetest.Start(t, srvA)
-	defer tsA.Close()
-	defer srvA.Close(0)
-	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
-	defer srvB.Close(0)
-
-	hA, hB := tsA, httpservetest.Start(t, srvB)
+	m, seqs := trained(t, 8)
+	a := newNode(t, m, "", replicated)
+	b := newNode(t, m, "", replicated, follows(a))
 	for _, ev := range chaosEvents(seqs)[:10] {
-		mustConsume(t, hA, ev)
+		mustConsume(t, a.wire(), ev)
 	}
-	waitFor(t, "standby caught up", func() bool { return replStatusOf(srvB).CaughtUp })
+	waitFor(t, "standby caught up", func() bool { return b.repl.Status().CaughtUp })
 
-	rr := postJSON(t, hB, "/recommend/user", recommendUserRequest{User: 0, N: 3})
+	rr := send(b.wire(), "POST /recommend/user", recommendUserRequest{User: 0, N: 3})
 	if rr.Code != http.StatusOK && rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("follower /recommend/user status %d: %s", rr.Code, rr.Body.String())
 	}
 
-	scrape := httptest.NewRecorder()
-	hB.ServeHTTP(scrape, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	want := `rrc_http_requests_total{endpoint="/recommend/user"} 1`
-	if !strings.Contains(scrape.Body.String(), want) {
+	if !strings.Contains(send(b.wire(), "GET /metrics", nil).Body.String(), want) {
 		t.Fatalf("follower /metrics missing %q — follower reads bypass instrument", want)
 	}
 }

@@ -56,7 +56,7 @@ func consumeViaRouter(t *testing.T, h http.Handler, ev event) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		rr := postJSON(t, h, "/consume", consumeRequest{User: ev.user, Item: ev.item})
+		rr := send(h, "POST /consume", consumeRequest{User: ev.user, Item: ev.item})
 		switch rr.Code {
 		case http.StatusOK:
 			return
@@ -73,17 +73,16 @@ func consumeViaRouter(t *testing.T, h http.Handler, ev event) {
 }
 
 func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
-	base, seqs := testServer(t)
-	m := base.currentModel()
+	m, seqs := trained(t, 8)
 	evs := chaosEvents(seqs)
 	preKill, postKill := evs[:30], evs[30:45]
 
 	// Node A: primary. Node B: standby tailing A. Failover is the
 	// router's job.
 	dirA := t.TempDir()
-	srvA := bootRepl(t, m, dirA, nil)
+	srvA := newNode(t, m, dirA, replicated)
 	tsA := httpservetest.Start(t, srvA)
-	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	srvB := newNode(t, m, t.TempDir(), replicated, func(o *Options) { o.FollowURL = tsA.URL })
 	tsB := httpservetest.Start(t, srvB)
 	defer tsB.Close()
 	defer srvB.Close(0)
@@ -108,7 +107,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 				return
 			default:
 			}
-			rr := postJSON(t, h, "/recommend/user", recommendUserRequest{User: readUser, N: 3})
+			rr := send(h, "POST /recommend/user", recommendUserRequest{User: readUser, N: 3})
 			if rr.Code != http.StatusOK && rr.Code != http.StatusNotFound {
 				select {
 				case readFailure <- fmt.Sprintf("read status %d: %s", rr.Code, rr.Body.String()):
@@ -124,11 +123,12 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	for _, ev := range preKill {
 		consumeViaRouter(t, h, ev)
 	}
-	waitFor(t, "standby caught up pre-kill", func() bool { return replStatusOf(srvB).CaughtUp })
+	waitFor(t, "standby caught up pre-kill", func() bool { return srvB.repl.Status().CaughtUp })
 	waitApplied(t, srvA, srvB)
 
 	// Kill the primary: listener closed, pool abandoned un-closed.
 	tsA.Close()
+	srvA.kill()
 
 	// Phase 2: writes keep landing — the router must notice A is gone,
 	// promote B itself, and route there. Reads never stop in between.
@@ -136,7 +136,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 		consumeViaRouter(t, h, ev)
 	}
 	waitFor(t, "router-driven promotion", func() bool {
-		st := replStatusOf(srvB)
+		st := srvB.repl.Status()
 		return st.Role == "primary" && st.Epoch > 0
 	})
 	if got := reg.SumCounters("rrc_router_failovers_total"); got < 1 {
@@ -153,7 +153,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 
 	// Zero acked-write loss: B's end state over every acknowledged
 	// event is byte-identical to an unfaulted run of the same prefix.
-	want := referenceRun(t, m, evs[:45], func(o *Options) { o.Shards = 2 })
+	want := referenceRun(t, m, evs[:45], replicated)
 	waitFor(t, "promoted node holding all acked writes", func() bool {
 		return storeFingerprint(t, srvB) == want
 	})
@@ -161,17 +161,17 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	// Phase 3: the deposed primary restarts over its old data directory
 	// as a plain primary (no -peers — the worst case). One router probe
 	// round must fence it via the X-RRC-Epoch contract.
-	srvA2 := bootRepl(t, m, dirA, nil)
+	srvA2 := newNode(t, m, dirA, replicated)
 	tsA2 := httpservetest.Start(t, srvA2)
 	rt.SetTopology(router.Topology{Partitions: [][]string{{tsA2.URL, tsB.URL}}})
 	waitFor(t, "deposed primary fenced by router probe", func() bool {
-		return replStatusOf(srvA2).Fenced
+		return srvA2.repl.Status().Fenced
 	})
 
 	// Writes still reach only the true primary while the fenced node
 	// loiters in the topology.
 	consumeViaRouter(t, h, evs[45])
-	if st := replStatusOf(srvA2); st.Role != "primary" || !st.Fenced {
+	if st := srvA2.repl.Status(); st.Role != "primary" || !st.Fenced {
 		t.Fatalf("fenced node changed role unexpectedly: %+v", st)
 	}
 
@@ -181,10 +181,10 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	if _, err := srvA2.Close(0); err != nil {
 		t.Fatalf("closing fenced node: %v", err)
 	}
-	srvA3 := bootRepl(t, m, dirA, func(o *Options) { o.FollowURL = tsB.URL })
+	srvA3 := newNode(t, m, dirA, replicated, func(o *Options) { o.FollowURL = tsB.URL })
 	defer srvA3.Close(0)
 	waitFor(t, "rejoined follower caught up", func() bool {
-		st := replStatusOf(srvA3)
+		st := srvA3.repl.Status()
 		return st.CaughtUp && st.LagRecords == 0
 	})
 	waitFor(t, "rejoined follower byte-identical", func() bool {
@@ -200,15 +200,14 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 // router — purely from probing — must converge its write routing on
 // the new primary and fence the deposed one.
 func TestRouterFollowsOperatorPromotion(t *testing.T) {
-	base, seqs := testServer(t)
-	m := base.currentModel()
+	m, seqs := trained(t, 8)
 	evs := chaosEvents(seqs)
 
-	srvA := bootRepl(t, m, t.TempDir(), nil)
+	srvA := newNode(t, m, t.TempDir(), replicated)
 	tsA := httpservetest.Start(t, srvA)
 	defer tsA.Close()
 	defer srvA.Close(0)
-	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	srvB := newNode(t, m, t.TempDir(), replicated, func(o *Options) { o.FollowURL = tsA.URL })
 	tsB := httpservetest.Start(t, srvB)
 	defer tsB.Close()
 	defer srvB.Close(0)
@@ -232,10 +231,10 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	for _, ev := range evs[:20] {
 		consumeViaRouter(t, h, ev)
 	}
-	waitFor(t, "standby caught up", func() bool { return replStatusOf(srvB).CaughtUp })
+	waitFor(t, "standby caught up", func() bool { return srvB.repl.Status().CaughtUp })
 
 	// Operator promotes B while A is still alive and unfenced.
-	rr := postJSON(t, tsB, "/admin/promote", struct{}{})
+	rr := send(tsB, "POST /admin/promote", struct{}{})
 	if rr.Code != http.StatusOK {
 		t.Fatalf("operator promote status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -243,7 +242,7 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	// The router's probes must move writes to B (higher epoch) and
 	// fence A — with zero /admin/promote calls of its own.
 	waitFor(t, "router converged on promoted node", func() bool {
-		return replStatusOf(srvA).Fenced
+		return srvA.repl.Status().Fenced
 	})
 	before := srvB.reg.SumCounters(`rrc_http_requests_total`)
 	consumeViaRouter(t, h, evs[20])
@@ -262,8 +261,8 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 func TestRouterRetriesScorerPanicElsewhere(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	base, seqs := testServer(t)
-	other := mustNew(t, base.currentModel(), Options{})
+	m, seqs := trained(t, 8)
+	base, other := newNode(t, m, ""), newNode(t, m, "")
 	tsA := httpservetest.Start(t, base)
 	defer tsA.Close()
 	tsB := httpservetest.Start(t, other)
@@ -276,12 +275,12 @@ func TestRouterRetriesScorerPanicElsewhere(t *testing.T) {
 		history = append(history, int(v))
 	}
 	req := recommendRequest{User: 0, History: history, N: 5}
-	want := postJSON(t, h, "/recommend", req)
+	want := send(h, "POST /recommend", req)
 	if want.Code != http.StatusOK {
 		t.Fatalf("unfaulted read: %d %s", want.Code, want.Body.String())
 	}
 	faultinject.Arm("server.score", faultinject.Plan{Mode: faultinject.Panic, Count: 1})
-	got := postJSON(t, h, "/recommend", req)
+	got := send(h, "POST /recommend", req)
 	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
 		t.Fatalf("read with one scorer panic: %d %s, want 200 %s", got.Code, got.Body.String(), want.Body.String())
 	}
@@ -302,14 +301,13 @@ func TestRouterRetriesScorerPanicElsewhere(t *testing.T) {
 // keyed read while the primary is healthy.
 func TestRouterReadYourWritesAcrossPair(t *testing.T) {
 	const users, rounds = 200, 4
-	base, seqs := testServerUsers(t, users)
-	m := base.currentModel()
+	m, seqs := trained(t, users)
 
-	srvA := bootRepl(t, m, t.TempDir(), nil)
+	srvA := newNode(t, m, t.TempDir(), replicated)
 	tsA := httpservetest.Start(t, srvA)
 	defer tsA.Close()
 	defer srvA.Close(0)
-	srvB := bootRepl(t, m, t.TempDir(), func(o *Options) { o.FollowURL = tsA.URL })
+	srvB := newNode(t, m, t.TempDir(), replicated, func(o *Options) { o.FollowURL = tsA.URL })
 	tsB := httpservetest.Start(t, srvB)
 	defer tsB.Close()
 	defer srvB.Close(0)
@@ -324,11 +322,11 @@ func TestRouterReadYourWritesAcrossPair(t *testing.T) {
 		for u := 0; u < users; u++ {
 			consumeViaRouter(t, h, event{user: u, item: int(seqs[u][r])})
 			req := recommendUserRequest{User: u, N: 5, Omega: &omega}
-			got := postJSON(t, h, "/recommend/user", req)
+			got := send(h, "POST /recommend/user", req)
 			if got.Code != http.StatusOK {
 				t.Fatalf("round %d user %d: read after write answered %d: %s", r, u, got.Code, got.Body.String())
 			}
-			want := postJSON(t, direct, "/recommend/user", req)
+			want := send(direct, "POST /recommend/user", req)
 			if got.Body.String() != want.Body.String() {
 				t.Fatalf("round %d user %d: routed read differs from the primary's:\n got %s\nwant %s",
 					r, u, got.Body.String(), want.Body.String())

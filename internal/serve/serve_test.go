@@ -1,123 +1,27 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"tsppr/internal/core"
-	"tsppr/internal/datagen"
-	"tsppr/internal/features"
-	"tsppr/internal/sampling"
-	"tsppr/internal/seq"
 )
 
-func testServer(t *testing.T) (*Server, []seq.Sequence) {
-	t.Helper()
-	return testServerUsers(t, 8)
-}
-
-// testServerUsers is testServer over a model of the given user count.
-func testServerUsers(t *testing.T, users int) (*Server, []seq.Sequence) {
-	t.Helper()
-	m, seqs := testModel(t, users)
-	return mustNew(t, m, Options{}), seqs
-}
-
-// mustNew builds a node with New, failing the test on error, and stops
-// it with Close when the test ends. An empty EventsDir becomes a fresh
-// temporary one.
-func mustNew(t testing.TB, m *core.Model, opts Options) *Server {
-	t.Helper()
-	if opts.EventsDir == "" {
-		opts.EventsDir = t.TempDir()
-	}
-	srv, err := New(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(0) })
-	return srv
-}
-
-// testModel trains TS-PPR (|W| = 20, Ω = 3) over a generated
-// Gowalla-like split of the given user count.
-func testModel(t *testing.T, users int) (*core.Model, []seq.Sequence) {
-	t.Helper()
-	cfg := datagen.GowallaLike(users, 3)
-	cfg.MinLen, cfg.MaxLen = 80, 150
-	cfg.WindowCap = 20
-	ds, err := datagen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	numItems := ds.NumItems()
-	b := features.NewBuilder(numItems, 20, 3)
-	for _, s := range ds.Seqs {
-		b.Add(s)
-	}
-	ex := b.Build(features.AllFeatures, features.Hyperbolic)
-	set, err := sampling.Build(ds.Seqs, ex, sampling.Config{WindowCap: 20, Omega: 3, S: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := core.Train(set, ds.NumUsers(), numItems, ex, core.Config{K: 8, MaxSteps: 10_000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, ds.Seqs
-}
-
-func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw))
-	req.Header.Set("Content-Type", "application/json")
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	return rr
-}
-
 func TestHealthz(t *testing.T) {
-	srv, _ := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	rr := httptest.NewRecorder()
-	srv.ServeHTTP(rr, req)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d", rr.Code)
-	}
-	var body map[string]string
-	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body["status"] != "ok" {
+	m, _ := trained(t, 8)
+	rr := expect(t, http.StatusOK, newNode(t, m, ""), "GET /healthz", nil)
+	if body := decodeAs[map[string]string](t, rr.Body.Bytes()); body["status"] != "ok" {
 		t.Fatalf("body %v", body)
 	}
 }
 
 func TestRecommendHappyPath(t *testing.T) {
-	srv, seqs := testServer(t)
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
-	rr := postJSON(t, srv, "/recommend", recommendRequest{User: 0, History: history, N: 5})
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	var resp recommendResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
+	m, seqs := trained(t, 8)
+	history := ints(seqs[0][:40])
+	rr := expect(t, http.StatusOK, newNode(t, m, ""), "POST /recommend", recommendRequest{User: 0, History: history, N: 5})
+	resp := decodeAs[recommendResponse](t, rr.Body.Bytes())
 	if len(resp.Items) == 0 || len(resp.Items) > 5 {
 		t.Fatalf("items = %v", resp.Items)
 	}
@@ -143,12 +47,8 @@ func TestRecommendHappyPath(t *testing.T) {
 }
 
 func TestRecommendDefaultsN(t *testing.T) {
-	srv, seqs := testServer(t)
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
-	resp, err := srv.recommend(context.Background(), recommendRequest{User: 0, History: history})
+	m, seqs := trained(t, 8)
+	resp, err := newNode(t, m, "").recommend(context.Background(), recommendRequest{User: 0, History: ints(seqs[0][:40])})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +58,9 @@ func TestRecommendDefaultsN(t *testing.T) {
 }
 
 func TestRecommendErrors(t *testing.T) {
-	srv, seqs := testServer(t)
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "")
+	history := ints(seqs[0][:40])
 	badOmega := 25
 	cases := []recommendRequest{
 		{User: -1, History: history},
@@ -172,48 +70,32 @@ func TestRecommendErrors(t *testing.T) {
 		{User: 0, History: history, Omega: &badOmega},
 	}
 	for i, req := range cases {
-		rr := postJSON(t, srv, "/recommend", req)
-		if rr.Code != http.StatusBadRequest {
+		if rr := send(srv, "POST /recommend", req); rr.Code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d", i, rr.Code)
 		}
 	}
 }
 
 func TestRecommendRejectsMalformedJSON(t *testing.T) {
-	srv, _ := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/recommend", bytes.NewReader([]byte("{nope")))
-	rr := httptest.NewRecorder()
-	srv.ServeHTTP(rr, req)
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("status %d", rr.Code)
-	}
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "")
+	expect(t, http.StatusBadRequest, srv, "POST /recommend", []byte("{nope"))
 	// Unknown fields are also rejected.
-	rr = postJSON(t, srv, "/recommend", map[string]any{"user": 0, "bogus": 1})
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("unknown field status %d", rr.Code)
-	}
+	expect(t, http.StatusBadRequest, srv, "POST /recommend", map[string]any{"user": 0, "bogus": 1})
 }
 
 func TestRecommendMethodNotAllowed(t *testing.T) {
-	srv, _ := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/recommend", nil)
-	rr := httptest.NewRecorder()
-	srv.ServeHTTP(rr, req)
-	if rr.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("status %d", rr.Code)
-	}
+	m, _ := trained(t, 8)
+	expect(t, http.StatusMethodNotAllowed, newNode(t, m, ""), "GET /recommend", nil)
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	srv, seqs := testServer(t)
-	h := srv
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "")
 	// Fire one good and one bad request, then read the counters.
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
-	postJSON(t, h, "/recommend", recommendRequest{User: 0, History: history, N: 3})
-	postJSON(t, h, "/recommend", recommendRequest{User: -1, History: history})
+	history := ints(seqs[0][:40])
+	send(srv, "POST /recommend", recommendRequest{User: 0, History: history, N: 3})
+	send(srv, "POST /recommend", recommendRequest{User: -1, History: history})
 
 	if req, errs := srv.reg.SumCounters(metricRequests), srv.reg.SumCounters(metricErrors); req != 2 || errs != 1 {
 		t.Fatalf("requests=%d errors=%d, want 2 and 1", req, errs)
@@ -231,8 +113,9 @@ func TestStatsEndpoint(t *testing.T) {
 // shard-000. Its flag half, -window and -omega, is tested in
 // cmd/rrc-server.
 func TestRemovedSurfaceFailsLoudly(t *testing.T) {
-	srv, _ := testServer(t)
-	if code := getCode(t, srv, "/stats"); code != http.StatusNotFound {
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "")
+	if code := send(srv, "GET /stats", nil).Code; code != http.StatusNotFound {
 		t.Fatalf("GET /stats = %d, want 404", code)
 	}
 	if _, err := New(srv.currentModel(), Options{}); err == nil || !strings.Contains(err.Error(), "EventsDir") {
@@ -261,29 +144,18 @@ func TestRemovedSurfaceFailsLoudly(t *testing.T) {
 	if _, err := New(srv.currentModel(), opts); err == nil || !strings.Contains(err.Error(), "shard-000") {
 		t.Fatalf("pre-sharding events root: err = %v, want a refusal naming shard-000", err)
 	}
-
 }
 
 func TestBatchEndpoint(t *testing.T) {
-	srv, seqs := testServer(t)
-	h := srv
-	history := make([]int, 0, 40)
-	for _, v := range seqs[0][:40] {
-		history = append(history, int(v))
-	}
+	m, seqs := trained(t, 8)
+	history := ints(seqs[0][:40])
 	body := batchRequest{Requests: []recommendRequest{
 		{User: 0, History: history, N: 3},
 		{User: -5, History: history}, // per-entry error
 		{User: 1, History: history, N: 2},
 	}}
-	rr := postJSON(t, h, "/recommend/batch", body)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	var out batchResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
+	rr := expect(t, http.StatusOK, newNode(t, m, ""), "POST /recommend/batch", body)
+	out := decodeAs[batchResponse](t, rr.Body.Bytes())
 	if len(out.Responses) != 3 {
 		t.Fatalf("responses = %d", len(out.Responses))
 	}
@@ -299,17 +171,11 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestBatchLimits(t *testing.T) {
-	srv, _ := testServer(t)
-	h := srv
+	m, _ := trained(t, 8)
+	srv := newNode(t, m, "")
 	// Empty batch rejected.
-	rr := postJSON(t, h, "/recommend/batch", batchRequest{})
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("empty batch status %d", rr.Code)
-	}
+	expect(t, http.StatusBadRequest, srv, "POST /recommend/batch", batchRequest{})
 	// Oversized batch rejected.
 	big := batchRequest{Requests: make([]recommendRequest, maxBatch+1)}
-	rr = postJSON(t, h, "/recommend/batch", big)
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("oversized batch status %d", rr.Code)
-	}
+	expect(t, http.StatusBadRequest, srv, "POST /recommend/batch", big)
 }

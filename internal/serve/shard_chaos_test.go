@@ -10,11 +10,8 @@ package serve
 // -run Shard ./internal/serve); the traffic is genuinely concurrent.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,29 +47,6 @@ func chaosOpts(o *Options) {
 	o.shardBackoffMax = 4 * time.Millisecond
 }
 
-// shardedServer is testServer + a 4-shard online layer rooted in dir.
-func shardedServer(t *testing.T, dir string) (*Server, []seq.Sequence) {
-	t.Helper()
-	opts := Options{EventsDir: dir}
-	chaosOpts(&opts)
-	m, seqs := testModel(t, 8)
-	return mustNew(t, m, opts), seqs
-}
-
-// post is a goroutine-safe postJSON: no *testing.T calls, so worker
-// goroutines can use it and report failures through channels instead.
-func post(h http.Handler, path string, body any) *httptest.ResponseRecorder {
-	b, err := json.Marshal(body)
-	if err != nil {
-		panic(err)
-	}
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b))
-	req.Header.Set("Content-Type", "application/json")
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	return rr
-}
-
 // userStreams derives each user's event stream from the generated
 // sequences: per-user order is fixed (it defines the window), cross-user
 // interleaving is free.
@@ -91,23 +65,20 @@ func TestShardChaosOtherShardsUnharmed(t *testing.T) {
 	defer faultinject.Reset()
 
 	// Reference: the same per-user streams ingested with no faults.
-	refSrv, seqs := shardedServer(t, t.TempDir())
+	m, seqs := trained(t, 8)
 	streams := userStreams(seqs)
-	refH := refSrv
+	var evs []event
 	for u, stream := range streams {
 		for _, item := range stream {
-			if rr := post(refH, "/consume", consumeRequest{User: u, Item: item}); rr.Code != http.StatusOK {
-				t.Fatalf("reference consume u=%d: %d %s", u, rr.Code, rr.Body.String())
-			}
+			evs = append(evs, event{u, item})
 		}
 	}
-	want := storeFingerprint(t, refSrv)
+	want := referenceRun(t, m, evs, chaosOpts)
 
 	// Chaos run: same streams, live-concurrent, one shard panics, one
 	// shard's appends fail stickily (4 times → two breaker trips at
 	// threshold 2).
-	srv, _ := shardedServer(t, t.TempDir())
-	h := srv
+	srv := newNode(t, m, "", chaosOpts)
 	faultinject.Arm(shard.IngestPoint(panicShard), faultinject.Plan{Mode: faultinject.Panic, After: 2, Count: 1})
 	faultinject.Arm(shard.IngestPoint(stickyShard), faultinject.Plan{Mode: faultinject.Error, After: 3, Count: 4})
 
@@ -126,7 +97,7 @@ func TestShardChaosOtherShardsUnharmed(t *testing.T) {
 			healthy := sh != panicShard && sh != stickyShard
 			for i, item := range stream {
 				for attempt := 0; ; attempt++ {
-					rr := post(h, "/consume", consumeRequest{User: u, Item: item})
+					rr := send(srv, "POST /consume", consumeRequest{User: u, Item: item})
 					if rr.Code == http.StatusOK {
 						break
 					}
@@ -148,7 +119,7 @@ func TestShardChaosOtherShardsUnharmed(t *testing.T) {
 				// Healthy users must never see an error; victims may race a
 				// restart and bounce, which is the contract, not a failure.
 				if i%5 == 4 {
-					rr := post(h, "/recommend/user", recommendUserRequest{User: u, N: 3})
+					rr := send(srv, "POST /recommend/user", recommendUserRequest{User: u, N: 3})
 					if healthy && rr.Code != http.StatusOK {
 						recommendErrs.Add(1)
 					}
@@ -211,13 +182,11 @@ func TestShardChaosOtherShardsUnharmed(t *testing.T) {
 // and verifies the 503 + Retry-After fence applies to exactly its
 // users, while /readyz names the stopped shard.
 func TestAdminDrainIsolatesShard(t *testing.T) {
-	srv, seqs := shardedServer(t, t.TempDir())
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", chaosOpts)
 	streams := userStreams(seqs)
-	h := srv
 	for u, stream := range streams {
-		if rr := post(h, "/consume", consumeRequest{User: u, Item: stream[0]}); rr.Code != http.StatusOK {
-			t.Fatalf("seed consume u=%d: %d", u, rr.Code)
-		}
+		mustConsume(t, srv, event{u, stream[0]})
 	}
 
 	const victim = stickyShard // 2: users 2, 4, 5
@@ -232,16 +201,14 @@ func TestAdminDrainIsolatesShard(t *testing.T) {
 		{fmt.Sprintf("?shard=%d", victim), http.StatusOK},
 		{fmt.Sprintf("?shard=%d", victim), http.StatusOK}, // idempotent
 	} {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/admin/drain"+tc.query, nil))
-		if rr.Code != tc.code {
+		if rr := send(srv, "POST /admin/drain"+tc.query, nil); rr.Code != tc.code {
 			t.Fatalf("drain case %d (%q): %d, want %d: %s", i, tc.query, rr.Code, tc.code, rr.Body.String())
 		}
 	}
 
 	for u, stream := range streams {
-		crr := post(h, "/consume", consumeRequest{User: u, Item: stream[1]})
-		rrr := post(h, "/recommend/user", recommendUserRequest{User: u, N: 3})
+		crr := send(srv, "POST /consume", consumeRequest{User: u, Item: stream[1]})
+		rrr := send(srv, "POST /recommend/user", recommendUserRequest{User: u, N: 3})
 		if shard.UserShard(u, 4) == victim {
 			if crr.Code != http.StatusServiceUnavailable || rrr.Code != http.StatusServiceUnavailable {
 				t.Fatalf("user %d on drained shard: consume %d, recommend %d, want 503s", u, crr.Code, rrr.Code)
@@ -255,15 +222,8 @@ func TestAdminDrainIsolatesShard(t *testing.T) {
 		}
 	}
 
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz with drained shard: %d", rr.Code)
-	}
-	var ready readyResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &ready); err != nil {
-		t.Fatal(err)
-	}
+	rr := expect(t, http.StatusServiceUnavailable, srv, "GET /readyz", nil)
+	ready := decodeAs[readyResponse](t, rr.Body.Bytes())
 	if len(ready.Shards) != 4 || ready.Shards[victim] != "stopped" {
 		t.Fatalf("readyz shards %v", ready.Shards)
 	}
@@ -279,20 +239,16 @@ func TestAdminDrainIsolatesShard(t *testing.T) {
 // move when a shard is supervised, all in valid exposition format.
 func TestShardMetricsExposition(t *testing.T) {
 	defer faultinject.Reset()
-	srv, seqs := shardedServer(t, t.TempDir())
+	m, seqs := trained(t, 8)
+	srv := newNode(t, m, "", chaosOpts)
 	streams := userStreams(seqs)
-	h := srv
 	for u, stream := range streams {
-		if rr := post(h, "/consume", consumeRequest{User: u, Item: stream[0]}); rr.Code != http.StatusOK {
-			t.Fatalf("seed consume u=%d: %d", u, rr.Code)
-		}
+		mustConsume(t, srv, event{u, stream[0]})
 	}
 
 	// Trip shard 1 once and let the supervisor bring it back.
 	faultinject.Arm(shard.IngestPoint(panicShard), faultinject.Plan{Mode: faultinject.Panic, Count: 1})
-	if rr := post(h, "/consume", consumeRequest{User: 1, Item: streams[1][1]}); rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("panic consume: %d", rr.Code)
-	}
+	expect(t, http.StatusServiceUnavailable, srv, "POST /consume", consumeRequest{User: 1, Item: streams[1][1]})
 	faultinject.Reset()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.pool.Shard(panicShard).State() != shard.Serving {
@@ -302,11 +258,7 @@ func TestShardMetricsExposition(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", rr.Code)
-	}
+	rr := expect(t, http.StatusOK, srv, "GET /metrics", nil)
 	body := rr.Body.String()
 	for _, want := range []string{
 		`rrc_shard_state{shard="0"} 2`, // serving
