@@ -10,10 +10,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,6 +26,8 @@ import (
 	"tsppr/internal/datagen"
 	"tsppr/internal/features"
 	"tsppr/internal/httpserve/httpservetest"
+	"tsppr/internal/obs"
+	"tsppr/internal/router"
 	"tsppr/internal/sampling"
 	"tsppr/internal/seq"
 	"tsppr/internal/shard"
@@ -391,4 +395,175 @@ func scrapeLagRecords(t testing.TB, h http.Handler) float64 {
 		t.Fatal("rrc_replica_lag_records not exported on /metrics")
 	}
 	return total
+}
+
+// chaosRouter is the router the chaos suites front their fleets with:
+// probe and retry settings tuned for test time scales, and failover
+// driven by the router itself.
+var chaosRouter = router.Config{
+	ProbeInterval: 10 * time.Millisecond,
+	ProbeTimeout:  10 * time.Millisecond,
+	ProbeFails:    2,
+	AutoPromote:   true,
+	RetryBudget:   1, // every request may fund a failover retry
+	RetryBackoff:  5 * time.Millisecond,
+	MaxAttempts:   4,
+}
+
+// fleetConfig shapes a fleet: Partitions pairs (a lone primary each
+// without Standby) over a model of Users users (0 → 8), behind a router
+// built from Router with the fleet's layout.
+type fleetConfig struct {
+	Partitions int
+	Standby    bool
+	Users      int
+	Router     router.Config
+}
+
+// fleet is P replicated pairs, each pinned to its slice of the key
+// space (-partition i/P) when P > 1, every node served on a listener,
+// and the router in front of them.
+type fleet struct {
+	t     *testing.T
+	nodes [][]*node // nodes[p]: partition p's primary, then its standby
+	rt    *router.Router
+	reg   *obs.Registry // the router's metrics
+	h     *httpservetest.Server
+}
+
+func newFleet(t *testing.T, cfg fleetConfig) *fleet {
+	t.Helper()
+	m, _ := trained(t, max(cfg.Users, 8))
+	f := &fleet{t: t, nodes: make([][]*node, cfg.Partitions)}
+	for p := range f.nodes {
+		pinned := func(o *Options) {
+			replicated(o)
+			if cfg.Partitions > 1 {
+				o.Partition = shard.PartitionID{Index: p, Count: cfg.Partitions}
+			}
+		}
+		primary := newNode(t, m, "", pinned)
+		f.nodes[p] = []*node{primary}
+		if cfg.Standby {
+			f.nodes[p] = append(f.nodes[p], newNode(t, m, "", pinned, follows(primary)))
+		}
+	}
+	rc := cfg.Router
+	rc.Partitions = f.layout()
+	if rc.Metrics == nil {
+		rc.Metrics = obs.NewRegistry()
+	}
+	rt, err := router.New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	t.Cleanup(rt.Stop)
+	f.rt, f.reg, f.h = rt, rc.Metrics, httpservetest.Start(t, rt.Routes())
+	return f
+}
+
+// layout is every node's current url, by partition.
+func (f *fleet) layout() [][]string {
+	layout := make([][]string, len(f.nodes))
+	for p, pair := range f.nodes {
+		for _, n := range pair {
+			layout[p] = append(layout[p], n.url())
+		}
+	}
+	return layout
+}
+
+// consume writes one event through the router, retrying client-side on
+// 503 (the only code the router may answer while a partition has no
+// write target). Any other failure is a contract breach: 502 would mean
+// an ambiguous write leaked into a test that never creates one, and 4xx
+// would mean the router mangled the request.
+func (f *fleet) consume(ev event) {
+	f.t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		rr := send(f.h, "POST /consume", consumeRequest{User: ev.user, Item: ev.item})
+		switch rr.Code {
+		case http.StatusOK:
+			return
+		case http.StatusServiceUnavailable:
+			// Not durable anywhere, safe to retry.
+		default:
+			f.t.Fatalf("consume %+v via router: status %d: %s", ev, rr.Code, rr.Body.String())
+		}
+		if time.Now().After(deadline) {
+			f.t.Fatalf("consume %+v never landed through failover", ev)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// startReaders reads each user's /recommend/user through the router
+// every 2 ms, one goroutine per user, until stop. stop returns the
+// first reply whose status is not among allowed, or "" if none was.
+func (f *fleet) startReaders(users []int, allowed ...int) (stop func() string) {
+	done := make(chan struct{})
+	failure := make(chan string, 1)
+	var readers sync.WaitGroup
+	for _, u := range users {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rr := send(f.h, "POST /recommend/user", recommendUserRequest{User: u, N: 3})
+				if !slices.Contains(allowed, rr.Code) {
+					select {
+					case failure <- fmt.Sprintf("read for user %d: status %d: %s", u, rr.Code, rr.Body.String()):
+					default:
+					}
+					return
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}()
+	}
+	return func() string {
+		close(done)
+		readers.Wait()
+		select {
+		case msg := <-failure:
+			return msg
+		default:
+			return ""
+		}
+	}
+}
+
+// rejoinDeposed walks partition p's killed primary back into the fleet
+// once its standby has been promoted. It restarts over its old events
+// dir as a plain primary (no -peers, the worst case) and joins the
+// router's topology, where one probe round must fence it; whileFenced
+// then checks the fleet around it. Last it restarts as a follower of
+// the promoted node and must drain its lag to zero and converge on it
+// byte for byte.
+func (f *fleet) rejoinDeposed(p int, whileFenced func(deposed *node)) {
+	f.t.Helper()
+	deposed, promoted := f.nodes[p][0], f.nodes[p][1]
+	deposed.restart()
+	f.rt.SetTopology(router.Topology{Partitions: f.layout()})
+	waitFor(f.t, "deposed primary fenced by router probe", func() bool { return deposed.repl.Status().Fenced })
+	whileFenced(deposed)
+
+	deposed.restart(follows(promoted))
+	waitFor(f.t, "rejoined follower caught up", func() bool {
+		st := deposed.repl.Status()
+		return st.CaughtUp && st.LagRecords == 0
+	})
+	waitFor(f.t, "rejoined follower byte-identical", func() bool {
+		return storeFingerprint(f.t, deposed) == storeFingerprint(f.t, promoted)
+	})
+	if lag := scrapeLagRecords(f.t, deposed); lag != 0 {
+		f.t.Fatalf("scraped lag %v after rejoin, want 0", lag)
+	}
 }

@@ -3,7 +3,7 @@ package serve
 // Partition-chaos gate: P=3 replicated pairs behind the real
 // internal/router engine, live mixed traffic spanning every partition,
 // one pair's primary SIGKILLed mid-run (listener closed, pool
-// abandoned). The PR's headline contract:
+// abandoned). The contract:
 //
 //   - the other two partitions serve error-free through the whole
 //     outage — not "mostly", zero client-visible errors;
@@ -15,15 +15,10 @@ package serve
 //   - the deposed primary rejoins fenced, then drains to identical.
 
 import (
-	"fmt"
 	"net/http"
-	"sync"
 	"testing"
 	"time"
 
-	"tsppr/internal/httpserve/httpservetest"
-	"tsppr/internal/obs"
-	"tsppr/internal/router"
 	"tsppr/internal/shard"
 )
 
@@ -41,67 +36,31 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	preKill, postKill := evs[:72], evs[72:]
 	part := func(ev event) int { return shard.UserShard(ev.user, P) }
 
-	// Boot P primary/standby pairs, each pinned to its slice of the key
-	// space via -partition i/P.
-	prims := make([]*node, P)
-	tsPrims := make([]*httpservetest.Server, P)
-	stands := make([]*node, P)
-	standURLs := make([]string, P)
-	primDirs := make([]string, P)
-	layout := make([][]string, P)
-	for i := 0; i < P; i++ {
-		pid := shard.PartitionID{Index: i, Count: P}
-		primDirs[i] = t.TempDir()
-		prims[i] = newNode(t, m, primDirs[i], replicated, func(o *Options) { o.Partition = pid })
-		tsPrims[i] = httpservetest.Start(t, prims[i])
-		stands[i] = newNode(t, m, t.TempDir(), replicated, func(o *Options) {
-			o.Partition = pid
-			o.FollowURL = tsPrims[i].URL
-		})
-		tsStand := httpservetest.Start(t, stands[i])
-		standURLs[i] = tsStand.URL
-		layout[i] = []string{tsPrims[i].URL, tsStand.URL}
-	}
-
-	reg := obs.NewRegistry()
-	rt, err := router.New(router.Config{
-		Partitions:    layout,
-		ProbeInterval: 10 * time.Millisecond,
-		// Dead-node detection here is connection-refused (the victim's
-		// listener closes), which fails instantly — so a generous probe
-		// timeout costs no failover latency. Left at its default (the
-		// 10ms probe interval), a busy -race scheduler can stall a
-		// healthy primary's probe past it and transiently cost the
-		// partition its write target, breaking the strict
-		// first-attempt-200 contract this test pins for healthy pairs.
-		ProbeTimeout: time.Second,
-		ProbeFails:   2,
-		AutoPromote:  true,
-		RetryBudget:  1,
-		RetryBackoff: 5 * time.Millisecond,
-		MaxAttempts:  4,
-		Metrics:      reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-	t.Cleanup(rt.Stop)
-	h := httpservetest.Start(t, rt.Routes())
+	// P primary/standby pairs, each pinned to its slice of the key space
+	// via -partition i/P.
+	rc := chaosRouter
+	// Dead-node detection here is connection-refused (the victim's
+	// listener closes), which fails instantly — so a generous probe
+	// timeout costs no failover latency. Left at the 10ms probe
+	// interval, a busy -race scheduler can stall a healthy primary's
+	// probe past it and transiently cost the partition its write
+	// target, breaking the strict first-attempt-200 contract this test
+	// pins for healthy pairs.
+	rc.ProbeTimeout = time.Second
+	f := newFleet(t, fleetConfig{Partitions: P, Standby: true, Router: rc})
 
 	// Phase 1: healthy fleet, writes across every partition.
 	for _, ev := range preKill {
-		consumeViaRouter(t, h, ev)
+		f.consume(ev)
 	}
 	for i := 0; i < P; i++ {
-		waitFor(t, fmt.Sprintf("standby %d caught up pre-kill", i), func() bool {
-			return stands[i].repl.Status().CaughtUp
-		})
+		waitFor(t, "standby caught up pre-kill", func() bool { return f.nodes[i][1].repl.Status().CaughtUp })
 	}
 	// caught_up does not cover a write acked after the latest quiet poll
 	// (see waitApplied): the kill below must not cut off an acked victim
 	// write.
-	waitApplied(t, prims[0], stands[0])
+	victim, promoted := f.nodes[0][0], f.nodes[0][1]
+	waitApplied(t, victim, promoted)
 
 	// Continuous keyed reads against the two partitions that keep their
 	// primaries: through the whole kill window every response must be
@@ -113,36 +72,8 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 			survivors = append(survivors, u)
 		}
 	}
-	stopReads := make(chan struct{})
-	readFailure := make(chan string, 1)
-	var readers sync.WaitGroup
-	for _, u := range survivors {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stopReads:
-					return
-				default:
-				}
-				rr := send(h, "POST /recommend/user", recommendUserRequest{User: u, N: 3})
-				if rr.Code != http.StatusOK {
-					select {
-					case readFailure <- fmt.Sprintf("read for user %d (partition %d): status %d: %s",
-						u, shard.UserShard(u, P), rr.Code, rr.Body.String()):
-					default:
-					}
-					return
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
-
-	// SIGKILL partition 0's primary: listener closed, pool abandoned.
-	tsPrims[0].Close()
-	prims[0].kill()
+	stopReads := f.startReaders(survivors, http.StatusOK)
+	victim.kill()
 
 	// Phase 2: live mixed traffic spanning all partitions. Writes keyed
 	// to the two healthy partitions must succeed on the FIRST attempt —
@@ -151,36 +82,31 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	// pair's standby on its own.
 	for _, ev := range postKill {
 		if part(ev) == 0 {
-			consumeViaRouter(t, h, ev)
+			f.consume(ev)
 		} else {
-			mustConsume(t, h, ev)
+			mustConsume(t, f.h, ev)
 		}
 	}
 	waitFor(t, "victim standby promoted by the router", func() bool {
-		st := stands[0].repl.Status()
+		st := promoted.repl.Status()
 		return st.Role == "primary" && st.Epoch > 0
 	})
-	if got := reg.SumCounters("rrc_router_failovers_total"); got < 1 {
+	if got := f.reg.SumCounters("rrc_router_failovers_total"); got < 1 {
 		t.Fatalf("rrc_router_failovers_total = %d, want >= 1", got)
 	}
-
-	close(stopReads)
-	readers.Wait()
-	select {
-	case msg := <-readFailure:
+	if msg := stopReads(); msg != "" {
 		t.Fatalf("healthy partitions did not serve error-free through the outage: %s", msg)
-	default:
 	}
 
 	// Isolation: the healthy primaries were never fenced — partition 0's
 	// epoch bump must not leak into partition 1's or 2's timeline — and
 	// the router never misrouted a key (the ownership gates would 421).
 	for i := 1; i < P; i++ {
-		if st := prims[i].repl.Status(); st.Role != "primary" || st.Fenced {
+		if st := f.nodes[i][0].repl.Status(); st.Role != "primary" || st.Fenced {
 			t.Fatalf("partition %d primary disturbed by partition 0's failover: %+v", i, st)
 		}
 	}
-	if got := reg.SumCounters("rrc_router_misdirects_total"); got != 0 {
+	if got := f.reg.SumCounters("rrc_router_misdirects_total"); got != 0 {
 		t.Fatalf("rrc_router_misdirects_total = %d, want 0 in a correctly keyed run", got)
 	}
 
@@ -195,39 +121,12 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	}
 	want := referenceRun(t, m, victimEvs, replicated, partition(0, P))
 	waitFor(t, "promoted standby holding every acked victim write", func() bool {
-		return storeFingerprint(t, stands[0]) == want
+		return storeFingerprint(t, promoted) == want
 	})
 
-	// Phase 3: the deposed primary restarts over its old directory as a
-	// plain primary. One router probe round fences it; the healthy
+	// Phases 3 and 4: the deposed primary rejoins; the healthy
 	// partitions never notice this either.
-	srvA2 := newNode(t, m, primDirs[0], replicated, func(o *Options) {
-		o.Partition = shard.PartitionID{Index: 0, Count: P}
-	})
-	tsA2 := httpservetest.Start(t, srvA2)
-	layout[0] = []string{tsA2.URL, standURLs[0]}
-	rt.SetTopology(router.Topology{Partitions: layout})
-	waitFor(t, "deposed primary fenced by router probe", func() bool {
-		return srvA2.repl.Status().Fenced
-	})
-	mustConsume(t, h, event{user: survivors[0], item: int(seqs[survivors[0]][40])})
-
-	// Phase 4: rejoin as a follower of the promoted standby and drain to
-	// byte-identical.
-	tsA2.Close()
-	if _, err := srvA2.Close(0); err != nil {
-		t.Fatalf("closing fenced node: %v", err)
-	}
-	srvA3 := newNode(t, m, primDirs[0], replicated, func(o *Options) {
-		o.Partition = shard.PartitionID{Index: 0, Count: P}
-		o.FollowURL = standURLs[0]
-	})
-	defer srvA3.Close(0)
-	waitFor(t, "rejoined follower caught up", func() bool {
-		st := srvA3.repl.Status()
-		return st.CaughtUp && st.LagRecords == 0
-	})
-	waitFor(t, "rejoined follower byte-identical", func() bool {
-		return storeFingerprint(t, srvA3) == storeFingerprint(t, stands[0])
+	f.rejoinDeposed(0, func(*node) {
+		mustConsume(t, f.h, event{user: survivors[0], item: int(seqs[survivors[0]][40])})
 	})
 }
