@@ -10,7 +10,9 @@ package serve
 // router the real internal/router engine.
 
 import (
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,12 +143,17 @@ func TestRouterRetriesScorerPanicElsewhere(t *testing.T) {
 // from the window that holds the write — 200, never the 404 a follower
 // gives a user whose first event it has not applied, and byte for byte
 // what the primary answers when asked directly. The standby serves no
-// keyed read while the primary is healthy.
+// keyed read while the primary is healthy: its counter is checked after
+// every routed read, so the first read it serves fails the test with
+// the router's view of the pair at that moment — a probe miss shows as
+// a reachable node with an error, a retried attempt in
+// rrc_router_retries_total.
 func TestRouterReadYourWritesAcrossPair(t *testing.T) {
 	const users, rounds = 200, 4
 	_, seqs := trained(t, users)
 	f := newFleet(t, fleetConfig{Partitions: 1, Standby: true, Users: users, Router: chaosRouter})
 	a, b := f.nodes[0][0], f.nodes[0][1]
+	standbyReads := b.reg.Counter(metricRequests + `{endpoint="/recommend/user"}`)
 
 	// Ω=1: the item consumed a moment ago is exactly what a stale window
 	// would still offer.
@@ -155,7 +162,14 @@ func TestRouterReadYourWritesAcrossPair(t *testing.T) {
 		for u := 0; u < users; u++ {
 			f.consume(event{user: u, item: int(seqs[u][r])})
 			req := recommendUserRequest{User: u, N: 5, Omega: &omega}
-			got := expect(t, http.StatusOK, f.h, "POST /recommend/user", req)
+			got := send(f.h, "POST /recommend/user", req)
+			if n := standbyReads.Value(); n != 0 {
+				t.Fatalf("round %d user %d: the standby served %d /recommend/user request(s) with a healthy primary in the partition (this read: %d); rrc_router_retries_total = %d; router /readyz nodes:%s",
+					r, u, n, got.Code, f.reg.SumCounters("rrc_router_retries_total"), f.nodeViews())
+			}
+			if got.Code != http.StatusOK {
+				t.Fatalf("round %d user %d: read after write answered %d: %s", r, u, got.Code, got.Body.String())
+			}
 			want := send(a.wire(), "POST /recommend/user", req)
 			if got.Body.String() != want.Body.String() {
 				t.Fatalf("round %d user %d: routed read differs from the primary's:\n got %s\nwant %s",
@@ -163,7 +177,13 @@ func TestRouterReadYourWritesAcrossPair(t *testing.T) {
 			}
 		}
 	}
-	if n := b.reg.Counter(metricRequests + `{endpoint="/recommend/user"}`).Value(); n != 0 {
-		t.Fatalf("standby served %d /recommend/user requests with a healthy primary in the partition", n)
+}
+
+// nodeViews is the router's /readyz node views, one line each.
+func (f *fleet) nodeViews() string {
+	var b strings.Builder
+	for _, n := range decodeAs[router.Status](f.t, send(f.h, "GET /readyz", nil).Body.Bytes()).Nodes {
+		fmt.Fprintf(&b, "\n  %s: reachable=%v ready=%v status=%q role=%q error=%q", n.URL, n.Reachable, n.Ready, n.Status, n.Role, n.Error)
 	}
+	return b.String()
 }
