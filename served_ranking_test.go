@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"tsppr/internal/core"
 	"tsppr/internal/datagen"
@@ -16,9 +17,11 @@ import (
 	"tsppr/internal/eval"
 	"tsppr/internal/features"
 	"tsppr/internal/rec"
+	"tsppr/internal/router"
 	"tsppr/internal/sampling"
 	"tsppr/internal/seq"
 	"tsppr/internal/serve"
+	"tsppr/internal/shard"
 	"tsppr/internal/wal"
 )
 
@@ -30,7 +33,9 @@ import (
 // score for score, before the event itself is consumed. The served
 // lists' per-user events and Top-{1,5,10} hits must equal eval's
 // per-user outcomes, and MaAP/MiAP folded from them in user order must
-// equal eval's Result bit for bit.
+// equal eval's Result bit for bit. Each holds at three topologies: one
+// node on one shard, one node on four (the benchmark's shape), and a
+// router over two partitions of one node each.
 func TestServedRankingMatchesEngine(t *testing.T) {
 	const (
 		window    = 20
@@ -66,6 +71,47 @@ func TestServedRankingMatchesEngine(t *testing.T) {
 	if err := trained.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
+	m := loadServing(t, path)
+	oracle := engine.New(m).Factory()
+	topNs := []int{1, 5, 10}
+	res, err := eval.Evaluate(train, test, engine.New(m).Factory(), eval.Options{
+		WindowCap: window, Omega: omega, TopNs: topNs, KeepPerUser: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, topo := range []struct {
+		name               string
+		shards, partitions int
+	}{
+		{"one-shard", 1, 1},
+		{"four-shards", 4, 1},
+		{"router-two-partitions", 1, 2},
+	} {
+		t.Run(topo.name, func(t *testing.T) {
+			url := servedTopology(t, path, topo.shards, topo.partitions)
+			perUser, events, ranked := replayServed(t, url, oracle, train, test, window, omega, topN, topNs)
+			t.Logf("%d scored events, %d ranked items", events, ranked)
+			if events < 100 || ranked < 5*events {
+				t.Fatalf("only %d scored events with %d ranked items: the replay checks too little", events, ranked)
+			}
+			if !reflect.DeepEqual(perUser, res.PerUser) {
+				t.Fatalf("served per-user outcomes %v, eval's %v", perUser, res.PerUser)
+			}
+			maap, miap := servedPrecision(perUser, len(topNs))
+			for i, n := range topNs {
+				if maap[i] != res.MaAP[i] || miap[i] != res.MiAP[i] {
+					t.Fatalf("@%d: served MaAP %v MiAP %v, eval %v %v", n, maap[i], miap[i], res.MaAP[i], res.MiAP[i])
+				}
+			}
+		})
+	}
+}
+
+// loadServing loads the model file at path as rrc-server does.
+func loadServing(t *testing.T, path string) *core.Model {
+	t.Helper()
 	m, err := core.LoadServingFile(path)
 	if err == nil {
 		err = m.Validate()
@@ -73,23 +119,71 @@ func TestServedRankingMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
 
-	oracle := engine.New(m).Factory()
-	node, err := serve.New(m, serve.Options{EventsDir: filepath.Join(dir, "events"), Fsync: wal.SyncNever})
+// servedTopology boots one node per partition over the model file at
+// path, each on shards shards, and returns the base URL clients send
+// to: the node's own at one partition, else that of a router in front
+// of the nodes, once it has a write target for every partition.
+func servedTopology(t *testing.T, path string, shards, partitions int) string {
+	t.Helper()
+	var layout [][]string
+	for i := 0; i < partitions; i++ {
+		opts := serve.Options{EventsDir: t.TempDir(), Fsync: wal.SyncNever, Shards: shards}
+		if partitions > 1 {
+			opts.Partition = shard.PartitionID{Index: i, Count: partitions}
+		}
+		node, err := serve.New(loadServing(t, path), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close(0) })
+		ts := httptest.NewServer(node)
+		t.Cleanup(ts.Close)
+		layout = append(layout, []string{ts.URL})
+	}
+	if partitions == 1 {
+		return layout[0][0]
+	}
+	// A generous probe timeout: a slow /readyz under -race must not cost
+	// a partition its write target mid-replay.
+	rt, err := router.New(router.Config{Partitions: layout, ProbeInterval: 20 * time.Millisecond, ProbeTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close(0)
-	ts := httptest.NewServer(node)
-	defer ts.Close()
+	rt.Start()
+	t.Cleanup(rt.Stop)
+	ts := httptest.NewServer(rt.Routes())
+	t.Cleanup(ts.Close)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return ts.URL
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router over %v never became ready: %v", layout, err)
+		}
+	}
+}
 
+// replayServed replays every user's training sequence, then test
+// sequence, through POST /consume at url, and at each test event eval
+// scores checks POST /recommend/user's Top-topN against the oracle's
+// ranking for the same window. It returns the served lists' per-user
+// outcomes and how many events and ranked items it checked.
+func replayServed(t *testing.T, url string, oracle rec.Factory, train, test []seq.Sequence, window, omega, topN int, topNs []int) (perUser []eval.UserOutcome, events, ranked int) {
+	t.Helper()
 	post := func(path string, body, reply any) {
 		t.Helper()
 		raw, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		resp, err := http.Post(url+path, "application/json", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +201,7 @@ func TestServedRankingMatchesEngine(t *testing.T) {
 		post("/consume", map[string]int{"user": u, "item": int(v)}, &ack)
 	}
 
-	topNs := []int{1, 5, 10}
-	perUser := make([]eval.UserOutcome, len(train))
-	var events, ranked int
+	perUser = make([]eval.UserOutcome, len(train))
 	for u := range train {
 		perUser[u].Hits = make([]int, len(topNs))
 		r := oracle.New(uint64(u))
@@ -143,26 +235,7 @@ func TestServedRankingMatchesEngine(t *testing.T) {
 			w.Push(v)
 		}
 	}
-	t.Logf("%d scored events, %d ranked items", events, ranked)
-	if events < 100 || ranked < 5*events {
-		t.Fatalf("only %d scored events with %d ranked items: the replay checks too little", events, ranked)
-	}
-
-	res, err := eval.Evaluate(train, test, engine.New(m).Factory(), eval.Options{
-		WindowCap: window, Omega: omega, TopNs: topNs, KeepPerUser: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(perUser, res.PerUser) {
-		t.Fatalf("served per-user outcomes %v, eval's %v", perUser, res.PerUser)
-	}
-	maap, miap := servedPrecision(perUser, len(topNs))
-	for i, n := range topNs {
-		if maap[i] != res.MaAP[i] || miap[i] != res.MiAP[i] {
-			t.Fatalf("@%d: served MaAP %v MiAP %v, eval %v %v", n, maap[i], miap[i], res.MaAP[i], res.MiAP[i])
-		}
-	}
+	return perUser, events, ranked
 }
 
 // servedPrecision folds per-user outcomes into MaAP and MiAP (Eq. 22-24)
