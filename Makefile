@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz fuzz-smoke bench-smoke metrics-smoke replica-smoke loc
+.PHONY: check build fmt vet test race fuzz fuzz-smoke bench-smoke metrics-smoke replica-smoke loc ids
 
 ## check: everything CI should gate on — formatting, vet, every test
 ## under the race detector (twice each, chaos suites included: the second
@@ -90,3 +90,9 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@find ./bench -name '*.go' | xargs cat | wc -l
+
+## ids: every test, benchmark, fuzz target and example `go test -list`
+## finds, one package:name per line, sorted — the tests a change drops
+## or renames are the diff of two trees' `make ids`
+ids:
+	@$(GO) test -list . ./... | awk '/^ok /{for (i = 0; i < n; i++) print $$2 ":" ids[i]; n = 0; next} /^\?/{next} {ids[n++] = $$0}' | sort
