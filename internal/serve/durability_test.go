@@ -32,9 +32,7 @@ func TestCrashMidAppendRecoversIdentically(t *testing.T) {
 
 	for p := 0; p < len(evs); p += 7 {
 		srv := newNode(t, m, "")
-		for _, ev := range evs[:p] {
-			mustConsume(t, srv, ev)
-		}
+		mustConsume(t, srv, evs[:p]...)
 		// Kill mid-append of event p: the write tears halfway and the
 		// self-heal "never runs" (the process is dead).
 		faultinject.Arm("wal.append", faultinject.Plan{Mode: faultinject.ShortWrite, Count: 1})
@@ -53,9 +51,7 @@ func TestCrashMidAppendRecoversIdentically(t *testing.T) {
 			t.Fatalf("p=%d: recovered %d records, want %d", p, got, p)
 		}
 		// The client saw a 503 for event p, so it retries, then carries on.
-		for _, ev := range evs[p:] {
-			mustConsume(t, srv, ev)
-		}
+		mustConsume(t, srv, evs[p:]...)
 		if got := storeFingerprint(t, srv); got != want {
 			t.Fatalf("p=%d: recovered state diverged\n got %s\nwant %s", p, got, want)
 		}
@@ -76,9 +72,7 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 	srv := newNode(t, m, "", small)
 	// The 8th consume triggers a snapshot; tear it mid-write.
 	faultinject.Arm("sessions.snapshot", faultinject.Plan{Mode: faultinject.ShortWrite, Count: 1})
-	for _, ev := range evs[:20] {
-		mustConsume(t, srv, ev) // snapshot failure is non-fatal: appends keep working
-	}
+	mustConsume(t, srv, evs[:20]...) // snapshot failure is non-fatal: appends keep working
 	// Periodic snapshots are written in the background: join the torn one
 	// and leave a good generation behind before the process "dies".
 	srv.pool.SnapshotAll()
@@ -93,9 +87,7 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 	// SIGKILL, restart, finish the stream.
 	srv.kill()
 	srv.restart()
-	for _, ev := range evs[20:] {
-		mustConsume(t, srv, ev)
-	}
+	mustConsume(t, srv, evs[20:]...)
 	if got := storeFingerprint(t, srv); got != want {
 		t.Fatalf("post-snapshot-crash state diverged\n got %s\nwant %s", got, want)
 	}
@@ -106,9 +98,7 @@ func TestCrashMidSnapshotRecoversIdentically(t *testing.T) {
 func TestBitFlippedRecordIsDetectedNeverServed(t *testing.T) {
 	m, seqs := trained(t, 8)
 	srv := newNode(t, m, "")
-	for _, ev := range chaosEvents(seqs)[:12] {
-		mustConsume(t, srv, ev)
-	}
+	mustConsume(t, srv, chaosEvents(seqs)[:12]...)
 	// SIGKILL: Close would flush a snapshot and prune the segment this
 	// test is about to corrupt. Under -fsync always every acknowledged
 	// record is already on disk.
@@ -145,9 +135,7 @@ func TestTruncatedFinalRecordRecovered(t *testing.T) {
 	want := referenceRun(t, m, evs)
 
 	srv := newNode(t, m, "")
-	for _, ev := range evs {
-		mustConsume(t, srv, ev)
-	}
+	mustConsume(t, srv, evs...)
 	// SIGKILL, same rationale as the bit-flip test (Close would snapshot
 	// and prune the segment under test).
 	srv.kill()
@@ -180,9 +168,7 @@ func TestTruncatedFinalRecordRecovered(t *testing.T) {
 func TestGracefulShutdownRecoversFromSnapshotAlone(t *testing.T) {
 	m, seqs := trained(t, 8)
 	srv := newNode(t, m, "")
-	for _, ev := range chaosEvents(seqs) {
-		mustConsume(t, srv, ev)
-	}
+	mustConsume(t, srv, chaosEvents(seqs)...)
 	want := storeFingerprint(t, srv)
 	srv.restart() // graceful: Close, then boot over the same dir
 

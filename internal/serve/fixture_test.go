@@ -302,9 +302,12 @@ func chaosEvents(seqs []seq.Sequence) []event {
 	return evs
 }
 
-func mustConsume(t testing.TB, h http.Handler, ev event) {
+// mustConsume writes each event through h, in order, each acked.
+func mustConsume(t testing.TB, h http.Handler, evs ...event) {
 	t.Helper()
-	expect(t, http.StatusOK, h, "POST /consume", consumeRequest{User: ev.user, Item: ev.item})
+	for _, ev := range evs {
+		expect(t, http.StatusOK, h, "POST /consume", consumeRequest{User: ev.user, Item: ev.item})
+	}
 }
 
 // storeFingerprint is the node's every window, canonically encoded.
@@ -323,9 +326,7 @@ func referenceRun(t testing.TB, m *core.Model, evs []event, with ...func(*Option
 	t.Helper()
 	n := newNode(t, m, "", with...)
 	defer n.Close(0)
-	for _, ev := range evs {
-		mustConsume(t, n, ev)
-	}
+	mustConsume(t, n, evs...)
 	return storeFingerprint(t, n)
 }
 
@@ -474,28 +475,28 @@ func (f *fleet) layout() [][]string {
 	return layout
 }
 
-// consume writes one event through the router, retrying client-side on
-// 503 (the only code the router may answer while a partition has no
-// write target). Any other failure is a contract breach: 502 would mean
-// an ambiguous write leaked into a test that never creates one, and 4xx
-// would mean the router mangled the request.
-func (f *fleet) consume(ev event) {
+// consume writes each event through the router, in order, retrying
+// client-side on 503 (the only code the router may answer while a
+// partition has no write target). Any other failure is a contract
+// breach: 502 would mean an ambiguous write leaked into a test that
+// never creates one, and 4xx would mean the router mangled the request.
+func (f *fleet) consume(evs ...event) {
 	f.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		rr := send(f.h, "POST /consume", consumeRequest{User: ev.user, Item: ev.item})
-		switch rr.Code {
-		case http.StatusOK:
-			return
-		case http.StatusServiceUnavailable:
-			// Not durable anywhere, safe to retry.
-		default:
-			f.t.Fatalf("consume %+v via router: status %d: %s", ev, rr.Code, rr.Body.String())
+	for _, ev := range evs {
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			rr := send(f.h, "POST /consume", consumeRequest{User: ev.user, Item: ev.item})
+			if rr.Code == http.StatusOK {
+				break
+			}
+			if rr.Code != http.StatusServiceUnavailable { // a 503 is durable nowhere, safe to retry
+				f.t.Fatalf("consume %+v via router: status %d: %s", ev, rr.Code, rr.Body.String())
+			}
+			if time.Now().After(deadline) {
+				f.t.Fatalf("consume %+v never landed through failover", ev)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			f.t.Fatalf("consume %+v never landed through failover", ev)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -50,9 +50,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	f := newFleet(t, fleetConfig{Partitions: P, Standby: true, Router: rc})
 
 	// Phase 1: healthy fleet, writes across every partition.
-	for _, ev := range preKill {
-		f.consume(ev)
-	}
+	f.consume(preKill...)
 	for i := 0; i < P; i++ {
 		waitFor(t, "standby caught up pre-kill", func() bool { return f.nodes[i][1].repl.Status().CaughtUp })
 	}

@@ -36,9 +36,7 @@ func TestReplicaFailoverPreservesAckedWrites(t *testing.T) {
 
 	a := newNode(t, m, "", replicated)
 	b := newNode(t, m, "", replicated, follows(a))
-	for _, ev := range acked {
-		mustConsume(t, a.wire(), ev)
-	}
+	mustConsume(t, a.wire(), acked...)
 	waitFor(t, "standby caught up", func() bool { return b.repl.Status().CaughtUp })
 	waitApplied(t, a.wire(), b.wire())
 	// /readyz says what each node holds now — what the router ranks
@@ -82,15 +80,11 @@ func TestReplicaKilledPrimaryNeverCaughtUp(t *testing.T) {
 	}))
 	b := newNode(t, m, "", replicated, func(o *Options) { o.FollowURL = link.URL })
 
-	for _, ev := range evs[:20] {
-		mustConsume(t, a, ev)
-	}
+	mustConsume(t, a, evs[:20]...)
 	waitFor(t, "standby caught up", func() bool { return readyOf(t, b).Replication.CaughtUp })
 	cut.Store(true)
 	time.Sleep(100 * time.Millisecond) // any poll already past the link returns
-	for _, ev := range evs[20:30] {
-		mustConsume(t, a, ev)
-	}
+	mustConsume(t, a, evs[20:30]...)
 	link.Close()
 	if pa, sb := readyOf(t, a).Replication.AppliedLSN, readyOf(t, b).Replication.AppliedLSN; sb >= pa {
 		t.Fatalf("standby applied %d of the primary's %d: the link was not cut", sb, pa)
@@ -115,26 +109,20 @@ func TestReplicaRejoinTruncatesDivergentTail(t *testing.T) {
 
 	a := newNode(t, m, "", replicated)
 	b := newNode(t, m, "", replicated, follows(a))
-	for _, ev := range evs[:30] {
-		mustConsume(t, a.wire(), ev)
-	}
+	mustConsume(t, a.wire(), evs[:30]...)
 	waitFor(t, "standby caught up", func() bool { return b.repl.Status().CaughtUp })
 
 	// Stop shipping, then let the primary acknowledge 12 more writes it
 	// will never ship: the doomed divergent tail.
 	b.repl.Close()
-	for _, ev := range evs[30:42] {
-		mustConsume(t, a.wire(), ev)
-	}
+	mustConsume(t, a.wire(), evs[30:42]...)
 
 	rr := expect(t, http.StatusOK, b.wire(), "POST /admin/promote", nil)
 	if pr := decodeAs[promoteResponse](t, rr.Body.Bytes()); pr.Epoch != 1 || pr.Role != "primary" {
 		t.Fatalf("promote reply %+v", pr)
 	}
 	// The new primary moves on: 9 writes on the epoch-1 timeline.
-	for _, ev := range evs[42:51] {
-		mustConsume(t, b.wire(), ev)
-	}
+	mustConsume(t, b.wire(), evs[42:51]...)
 
 	// The old primary crashes and restarts as a follower of the new one.
 	a.kill()
@@ -232,9 +220,7 @@ func TestReplicaRejoinedFollowerUnfences(t *testing.T) {
 	m, seqs := trained(t, 8)
 	a := newNode(t, m, "", replicated)
 	b := newNode(t, m, "", replicated, follows(a))
-	for _, ev := range chaosEvents(seqs)[:10] {
-		mustConsume(t, a.wire(), ev)
-	}
+	mustConsume(t, a.wire(), chaosEvents(seqs)[:10]...)
 	waitApplied(t, a, b)
 	a.stop()
 	b.promote()
@@ -300,9 +286,7 @@ func TestReplicaShutdownTimeoutReportsMissedShards(t *testing.T) {
 	m, seqs := trained(t, 8)
 	// SnapshotEvery stays 0: the final snapshot happens only at close.
 	srv := newNode(t, m, "", func(o *Options) { o.Shards = 2 })
-	for _, ev := range chaosEvents(seqs)[:8] {
-		mustConsume(t, srv, ev)
-	}
+	mustConsume(t, srv, chaosEvents(seqs)[:8]...)
 	// One shard's final drain stalls well past the deadline.
 	faultinject.Arm("shard.drain", faultinject.Plan{Mode: faultinject.Delay, Sleep: 600 * time.Millisecond, Count: 1})
 	defer faultinject.Reset()

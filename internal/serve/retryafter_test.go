@@ -145,9 +145,7 @@ func TestReplicaFollowerReadsInstrumented(t *testing.T) {
 	m, seqs := trained(t, 8)
 	a := newNode(t, m, "", replicated)
 	b := newNode(t, m, "", replicated, follows(a))
-	for _, ev := range chaosEvents(seqs)[:10] {
-		mustConsume(t, a.wire(), ev)
-	}
+	mustConsume(t, a.wire(), chaosEvents(seqs)[:10]...)
 	waitFor(t, "standby caught up", func() bool { return b.repl.Status().CaughtUp })
 
 	rr := send(b.wire(), "POST /recommend/user", recommendUserRequest{User: 0, N: 3})

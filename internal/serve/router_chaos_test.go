@@ -36,18 +36,14 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	stopReads := f.startReaders([]int{preKill[0].user}, http.StatusOK, http.StatusNotFound)
 
 	// Phase 1: healthy fleet. Every write routes to A and succeeds.
-	for _, ev := range preKill {
-		f.consume(ev)
-	}
+	f.consume(preKill...)
 	waitFor(t, "standby caught up pre-kill", func() bool { return b.repl.Status().CaughtUp })
 	waitApplied(t, a, b)
 	a.kill()
 
 	// Phase 2: writes keep landing — the router must notice A is gone,
 	// promote B itself, and route there. Reads never stop in between.
-	for _, ev := range postKill {
-		f.consume(ev)
-	}
+	f.consume(postKill...)
 	waitFor(t, "router-driven promotion", func() bool {
 		st := b.repl.Status()
 		return st.Role == "primary" && st.Epoch > 0
@@ -91,9 +87,7 @@ func TestRouterFollowsOperatorPromotion(t *testing.T) {
 	}})
 	a, b := f.nodes[0][0], f.nodes[0][1]
 
-	for _, ev := range evs[:20] {
-		f.consume(ev)
-	}
+	f.consume(evs[:20]...)
 	waitFor(t, "standby caught up", func() bool { return b.repl.Status().CaughtUp })
 
 	// Operator promotes B while A is still alive and unfenced.

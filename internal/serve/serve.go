@@ -67,8 +67,9 @@ import (
 	"tsppr/internal/wal"
 )
 
-// Options configures a node. Zero fields pick the defaults New applies
-// or defer to the shard, WAL and replica defaults.
+// Options configures a node. EventsDir is required; other zero fields
+// pick the defaults New applies or defer to the shard, WAL and replica
+// defaults.
 type Options struct {
 	ModelPath string // file a reload re-reads; "" refuses reloads
 
@@ -271,8 +272,7 @@ type readyResponse struct {
 	Shards []string `json:"shards,omitempty"`
 	// Partition is the user-key slice this node owns. rrc-router probes
 	// it to catch a node whose -partition disagrees with the topology
-	// file before any traffic is misrouted. A pointer, as Replication is:
-	// a node of an older build may report neither.
+	// file before any traffic is misrouted.
 	Partition *shard.PartitionID `json:"partition,omitempty"`
 	// Replication reports the node's role, epoch, fence, and (follower)
 	// lag.

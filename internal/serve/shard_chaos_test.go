@@ -53,9 +53,7 @@ func chaosOpts(o *Options) {
 func userStreams(seqs []seq.Sequence) [][]int {
 	streams := make([][]int, 8)
 	for u := range streams {
-		for _, v := range seqs[u][:25] {
-			streams[u] = append(streams[u], int(v))
-		}
+		streams[u] = ints(seqs[u][:25])
 	}
 	return streams
 }
