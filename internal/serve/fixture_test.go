@@ -440,7 +440,7 @@ func newFleet(t *testing.T, cfg fleetConfig) *fleet {
 		pinned := func(o *Options) {
 			replicated(o)
 			if cfg.Partitions > 1 {
-				o.Partition = shard.PartitionID{Index: p, Count: cfg.Partitions}
+				partition(p, cfg.Partitions)(o)
 			}
 		}
 		primary := newNode(t, m, "", pinned)

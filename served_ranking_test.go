@@ -157,15 +157,17 @@ func servedTopology(t *testing.T, path string, shards, partitions int) string {
 	ts := httptest.NewServer(rt.Routes())
 	t.Cleanup(ts.Close)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var st router.Status
 		resp, err := http.Get(ts.URL + "/readyz")
 		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&st)
 			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return ts.URL
-			}
+		}
+		if err == nil && len(st.Partitions) == partitions && !slices.ContainsFunc(st.Partitions, func(p router.PartitionStatus) bool { return p.WriteTarget == "" }) {
+			return ts.URL
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("router over %v never became ready: %v", layout, err)
+			t.Fatalf("router over %v has no write target for every partition: %+v, %v", layout, st, err)
 		}
 	}
 }
